@@ -118,5 +118,6 @@ class NotASquare(IncalgError):
     """A fixed-point diagonal entry is not a square; args list the points."""
 
 
-class InfiniteClassCount(IncalgError):
-    """Class enumeration is infinite over this field."""
+class WitnessFailed(IncalgError):
+    """A returned witness, count or normal form failed its internal exact
+    check; this signals a library defect, not bad input."""

@@ -10,7 +10,6 @@ derivations) into (anti-)automorphisms of the big ring.
 from .derivations import DerivationSpec, leibniz_check
 from .errors import (
     ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
-    SizeLimit,
 )
 from .fia import IncFn, IncidenceAlgebra
 from .morphisms import FiaMorphism
@@ -312,10 +311,7 @@ def d_anti_isomorphic(x_poset, y_poset, field, size_bound=None):
     """An order-reversing bijection and the induced ring anti-isomorphism,
     or None when the posets admit no such bijection."""
     kwargs = {} if size_bound is None else {"size_bound": size_bound}
-    try:
-        maps = x_poset.maps_to(y_poset, anti=True, **kwargs)
-    except SizeLimit:
-        raise
+    maps = x_poset.maps_to(y_poset, anti=True, **kwargs)
     if not maps:
         return None
     lam = maps[0]

@@ -8,15 +8,19 @@ Every involution here is kept in the factored normal form
 written InvolutionSpec(theta, lam, k).  The classification work runs under
 three standing hypotheses, checked up front: the poset is connected, the
 field has characteristic other than 2, and both "multiplicative implies
-inner" and "derivations are inner" hold.
+inner" and "derivations are inner" hold.  Every internal check on a
+returned witness, count or normal form raises WitnessFailed.
 """
 
-from .derivations import additive_is_inner, der_equals_ider, leibniz_check, \
+import itertools
+
+from .derivations import additive_is_inner, der_equals_ider, \
     split_raw_derivation
 from .errors import (
     BadSign, Char2Unsupported, ContextMismatch, FixedPointsPresent,
-    HypothesisFailed, NotAnInvolution, NotAUnit, NotConnected, NotInvolutive,
-    NotSymmetric, NotASquare, ParseError, UpperRightNonzero, ZeroEpsilon,
+    HypothesisFailed, NotADerivation, NotAnInvolution, NotAUnit, NotConnected,
+    NotInvolutive, NotSymmetric, NotASquare, ParseError, UpperRightNonzero,
+    WitnessFailed, ZeroEpsilon,
 )
 from .fia import IncFn, IncidenceAlgebra
 from .fields import class_eq_up_to_shift
@@ -384,14 +388,18 @@ def recognize(raw):
         return g_inv * remainder.apply(DElem(f, alg.zero())).i
 
     der_map = FiLinearMap.from_function(alg, derivation_action)
-    if not leibniz_check(alg, der_map):
-        raise NotAnInvolution("residual lower-left block is not a derivation")
-    spec_d = split_raw_derivation(der_map)
+    try:
+        spec_d = split_raw_derivation(der_map)
+    except NotADerivation as exc:
+        raise NotAnInvolution(
+            "residual lower-left block is not a derivation") from exc
     diag_witness = additive_is_inner(alg, spec_d.tau)
-    assert diag_witness is not None, "hypothesis check admitted a bad poset"
+    if diag_witness is None:
+        raise WitnessFailed("hypothesis check admitted a bad poset")
     j = spec_d.inner + diag_witness
     eta = multiplicative_is_inner(alg, m11.sigma)
-    assert eta is not None, "hypothesis check admitted a bad poset"
+    if eta is None:
+        raise WitnessFailed("hypothesis check admitted a bad poset")
     m = m11.u * alg.diagonal(eta)
     lam = m11.posetmap
     rho = FiaMorphism.induced(alg, lam)
@@ -470,9 +478,30 @@ def _reduce_with_witness(spec):
     return base, gamma
 
 
-def _verify_intertwiner(s1, s2, conjugator):
+def _verify_intertwiner(s1, target, conjugator):
+    """Whether conj(conjugator) o s1 = target o conj(conjugator), with
+    ``target`` a DLinearMap."""
     psi = inner_auto(conjugator)
-    return psi.compose(s1.to_linear()) == s2.to_linear().compose(psi)
+    return psi.compose(s1.to_linear()) == target.compose(psi)
+
+
+def _relabelled(spec, alpha):
+    """The matrix of spec conjugated by the ring lift of the relabeling
+    induced by the poset automorphism alpha."""
+    alg = spec.alg
+    lifted = lift_morphism(FiaMorphism.induced(alg, alpha))
+    lifted_inv = lift_morphism(FiaMorphism.induced(alg, alpha.inverse()))
+    return lifted.compose(spec.to_linear()).compose(lifted_inv)
+
+
+def verify_witness(s1, s2, verdict):
+    """Re-check a positive verdict's witness from scratch: the conjugator
+    must intertwine s1 with s2, relabelled first for a general verdict.
+    Raises WitnessFailed when it does not."""
+    target = s2.to_linear() if verdict.alpha is None else \
+        _relabelled(s2, verdict.alpha)
+    if not _verify_intertwiner(s1, target, verdict.conjugator):
+        raise WitnessFailed("witness failed re-verification")
 
 
 def equivalent_inner(s1, s2):
@@ -495,8 +524,8 @@ def equivalent_inner(s1, s2):
     else:
         shift = _shift_conjugator(s1, base1, base2)
     conjugator = gamma2 * shift * gamma1.inverse()
-    assert _verify_intertwiner(s1, s2, conjugator), \
-        "constructed witness fails to intertwine"
+    if not _verify_intertwiner(s1, s2.to_linear(), conjugator):
+        raise WitnessFailed("constructed witness fails to intertwine")
     return Verdict(True, conjugator=conjugator)
 
 
@@ -518,7 +547,8 @@ def _shift_conjugator(spec, base1, base2):
     for x in decomp.fixed:
         val = field.mul(g0, field.div(eps2[x], eps1[x]))
         root = field.sqrt(val)
-        assert root is not None, "shift ratio must be a square"
+        if root is None:
+            raise WitnessFailed("shift ratio must be a square")
         diag[x] = root
     return DElem(alg.diagonal(diag), alg.zero())
 
@@ -542,10 +572,8 @@ def equivalent(s1, s2):
         conjugated = InvolutionSpec(alg, moved, s1.lam, s2.k, _validated=True)
         inner = equivalent_inner(s1, conjugated)
         if inner.equivalent:
-            lifted = lift_morphism(relabel)
-            lifted_inv = lift_morphism(FiaMorphism.induced(alg, alpha.inverse()))
-            assert lifted.compose(s2.to_linear()).compose(lifted_inv) == \
-                conjugated.to_linear(), "relabel conjugation mismatch"
+            if _relabelled(s2, alpha) != conjugated.to_linear():
+                raise WitnessFailed("relabel conjugation mismatch")
             return Verdict(True, conjugator=inner.conjugator,
                            alpha=alpha, k=alg.field.one)
     return Verdict(False, distinguisher="chi")
@@ -647,7 +675,6 @@ def classify(poset, lam, field, general=False):
         return Classification(poset, field, lam, fixed, None, None, general,
                               family=family)
     reps_scalars = field.square_class_reps()
-    import itertools
     tuples = [(field.square_class(field.one),) + tuple(
         field.square_class(v) for v in rest)
         for rest in itertools.product(reps_scalars, repeat=len(fixed) - 1)]
@@ -663,5 +690,6 @@ def classify(poset, lam, field, general=False):
     count = len(reps)
     if not general:
         expected = 2 * field.square_class_count ** (len(fixed) - 1)
-        assert count == expected, "representative count disagrees with theory"
+        if count != expected:
+            raise WitnessFailed("representative count disagrees with theory")
     return Classification(poset, field, lam, fixed, reps, count, general)

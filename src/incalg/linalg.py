@@ -80,18 +80,3 @@ def invert_matrix(field, rows):
         return None
     return [row[n:] for row in red[:n]]
 
-
-def mat_mul(field, a, b):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append([
-            _dot(field, row, col) for col in bt])
-    return out
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc

@@ -5,9 +5,14 @@ Every unital algebra (anti-)automorphism factors as
     inner conjugation  o  entrywise cocycle scaling  o  poset relabeling,
 
 and ``decompose`` recovers that factorization from a raw matrix, validating
-by exact recomposition.  The module also decides whether every
-multiplicative (cocycle-scaling) automorphism is inner, which is one of the
-two hypotheses the involution classification needs.
+by exact recomposition.
+
+The module also holds ``cocycle_obstruction``: one Smith normal form of the
+chain relations (x,z) + (z,y) - (x,y) gives the invariant factors and free
+rank of the group that measures cocycles modulo coboundaries.  Both
+hypotheses the involution classification needs are readings of it:
+``mult_subset_inn`` here (no nontrivial character into K*) and
+``derivations.der_equals_ider`` (no nonzero K-linear functional).
 """
 
 from math import gcd
@@ -16,8 +21,8 @@ from .errors import (
     ContextMismatch, InvalidCocycle, NotAMorphism, NotUnital, ParseError,
 )
 from .fia import IncFn
-from .fields import QQ, PrimeField, RationalField
-from .linalg import nullspace, solve
+from .fields import PrimeField, RationalField
+from .linalg import nullspace
 from .posets import PosetMap, identity_map
 from .snf import integer_kernel_basis, invariant_factors
 
@@ -292,19 +297,6 @@ def multiplicative_is_inner(alg, sigma):
     return eta
 
 
-def _pair_difference_matrix(poset):
-    """Integer matrix sending a strict pair (x, y) to the point difference
-    x - y."""
-    n = len(poset.elements)
-    cols = []
-    for x, y in poset.strict_pairs:
-        col = [0] * n
-        col[poset.index[x]] += 1
-        col[poset.index[y]] -= 1
-        cols.append(col)
-    return [[col[i] for col in cols] for i in range(n)]
-
-
 def _relation_rows(poset):
     rows = []
     pidx = {p: k for k, p in enumerate(poset.strict_pairs)}
@@ -320,40 +312,27 @@ def _relation_rows(poset):
     return rows
 
 
-def _cocycle_obstruction_group(poset):
+def cocycle_obstruction(poset):
     """Invariant factors and free rank of the group whose characters are
     exactly the multiplicative cocycles modulo the inner (coboundary) ones.
 
-    Presented as (integer kernel of the pair-difference map) modulo the
-    subgroup spanned by the chain relations; both live inside the free
-    group on strict pairs.
+    That group is (kernel of the pair-difference map d) / (chain relations
+    R).  The kernel is a direct summand of the free group on strict pairs,
+    so the invariant factors of R are the same in either lattice, and one
+    Smith normal form of the relation rows gives both readings: the
+    factors d_i > 1, and the free rank #pairs - rank R - rank d, where
+    rank d = #points - #components over every field (d is a signed graph
+    incidence matrix).
     """
-    npairs = len(poset.strict_pairs)
-    kernel = integer_kernel_basis(_pair_difference_matrix(poset), ncols=npairs)
-    if not kernel:
-        return [], 0
-    bcols = [list(v) for v in kernel]
-    bmat = [[bcols[j][i] for j in range(len(bcols))] for i in range(npairs)]
-    coords = []
-    for rel in _relation_rows(poset):
-        sol = solve(QQ, [[QQ(v) for v in row] for row in bmat],
-                    [QQ(v) for v in rel])
-        assert sol is not None, "relation outside the kernel lattice"
-        crow = []
-        for v in sol:
-            assert v.denominator == 1, "kernel lattice not saturated"
-            crow.append(v.numerator)
-        coords.append(crow)
-    if not coords:
-        return [], len(kernel)
-    factors, rnk = invariant_factors(coords)
-    return factors, len(kernel) - rnk
+    factors, rnk = invariant_factors(_relation_rows(poset))
+    rank_d = len(poset.elements) - len(poset.components())
+    return factors, len(poset.strict_pairs) - rnk - rank_d
 
 
 def mult_subset_inn(poset, field):
     """Whether every multiplicative automorphism over this field is inner:
     the obstruction group must have no characters into K*."""
-    factors, free_rank = _cocycle_obstruction_group(poset)
+    factors, free_rank = cocycle_obstruction(poset)
     if isinstance(field, PrimeField):
         if free_rank and field.p != 2:
             return False
@@ -393,7 +372,7 @@ def find_non_inner_cocycle(alg):
     if isinstance(field, PrimeField):
         base = _primitive_root(field.p)
     else:
-        base = QQ(2)
+        base = field(2)
     candidates = []
     for v in exps:
         candidates.append(v)

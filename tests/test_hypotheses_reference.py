@@ -1,0 +1,227 @@
+"""Differential tests for the hypothesis decisions.
+
+``cocycle_obstruction`` reads both hypotheses off one Smith normal form of
+the chain relations.  The routines below are the kernel-and-solve and
+field-rank decisions it replaced, kept verbatim as the reference oracle.
+"""
+
+import itertools
+import random
+from math import gcd
+
+import pytest
+
+from incalg.derivations import der_equals_ider, find_non_inner_additive
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import QQ, PrimeField, RationalField
+from incalg.involutions import check_hypotheses
+from incalg.linalg import rank, solve
+from incalg.morphisms import (
+    _relation_rows, cocycle_obstruction, find_non_inner_cocycle,
+    mult_subset_inn, multiplicative_is_inner,
+)
+from incalg.posets import Poset
+from incalg.snf import integer_kernel_basis, invariant_factors
+
+from conftest import chain
+
+FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), QQ)
+
+
+# -- reference oracle --------------------------------------------------------
+
+
+def _pair_difference_matrix(poset):
+    """Integer matrix sending a strict pair (x, y) to the point difference
+    x - y."""
+    n = len(poset.elements)
+    cols = []
+    for x, y in poset.strict_pairs:
+        col = [0] * n
+        col[poset.index[x]] += 1
+        col[poset.index[y]] -= 1
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(n)]
+
+
+def _cocycle_obstruction_group(poset):
+    """Invariant factors and free rank of the group whose characters are
+    exactly the multiplicative cocycles modulo the inner (coboundary) ones.
+
+    Presented as (integer kernel of the pair-difference map) modulo the
+    subgroup spanned by the chain relations; both live inside the free
+    group on strict pairs.
+    """
+    npairs = len(poset.strict_pairs)
+    kernel = integer_kernel_basis(_pair_difference_matrix(poset), ncols=npairs)
+    if not kernel:
+        return [], 0
+    bcols = [list(v) for v in kernel]
+    bmat = [[bcols[j][i] for j in range(len(bcols))] for i in range(npairs)]
+    coords = []
+    for rel in _relation_rows(poset):
+        sol = solve(QQ, [[QQ(v) for v in row] for row in bmat],
+                    [QQ(v) for v in rel])
+        assert sol is not None, "relation outside the kernel lattice"
+        crow = []
+        for v in sol:
+            assert v.denominator == 1, "kernel lattice not saturated"
+            crow.append(v.numerator)
+        coords.append(crow)
+    if not coords:
+        return [], len(kernel)
+    factors, rnk = invariant_factors(coords)
+    return factors, len(kernel) - rnk
+
+
+def reference_mult_subset_inn(group, field):
+    factors, free_rank = group
+    if isinstance(field, PrimeField):
+        if free_rank and field.p != 2:
+            return False
+        return all(gcd(d, field.p - 1) == 1 for d in factors)
+    if isinstance(field, RationalField):
+        return free_rank == 0 and all(d % 2 == 1 for d in factors)
+    raise AssertionError(f"unsupported field {field!r}")
+
+
+def _coboundary_rank(poset, field):
+    rows = []
+    for x, y in poset.strict_pairs:
+        row = [field.zero] * len(poset.elements)
+        row[poset.index[y]] = field.one
+        row[poset.index[x]] = field.neg(field.one)
+        rows.append(row)
+    return rank(field, rows) if rows else 0
+
+
+def reference_der_equals_ider(poset, field):
+    """Whether every derivation is inner, i.e. every additive cocycle is a
+    diagonal coboundary: the cocycle space and the coboundary image must
+    have the same dimension over K."""
+    npairs = len(poset.strict_pairs)
+    if npairs == 0:
+        return True
+    rel = [[field(v) for v in row] for row in _relation_rows(poset)]
+    cocycle_dim = npairs - (rank(field, rel) if rel else 0)
+    return cocycle_dim == _coboundary_rank(poset, field)
+
+
+# -- cases -------------------------------------------------------------------
+
+
+def crown_k(k):
+    """The k-crown: a_i < b_j for i != j."""
+    lows = [f"a{i}" for i in range(k)]
+    highs = [f"b{i}" for i in range(k)]
+    return Poset.from_covers(
+        lows + highs,
+        [(lows[i], highs[j]) for i in range(k) for j in range(k) if i != j])
+
+
+def random_poset(rng):
+    n = rng.randint(2, 7)
+    labels = [f"p{i}" for i in range(n)]
+    density = rng.choice((0.2, 0.35, 0.5))
+    rels = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < density]
+    return Poset.from_covers(labels, rels)
+
+
+def named_cases():
+    def covers(labels, rels):
+        return Poset.from_covers(labels, rels)
+    return {
+        "chain2": chain(2),
+        "chain3": chain(3),
+        "chain5": chain(5),
+        "diamond": covers(["0", "a", "b", "1"],
+                          [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]),
+        "vee": covers(["a", "b", "c"], [("a", "b"), ("a", "c")]),
+        "wedge": covers(["a", "b", "c"], [("a", "c"), ("b", "c")]),
+        "fence": covers(["a", "b", "c", "d"],
+                        [("a", "c"), ("b", "c"), ("b", "d")]),
+        "crown": crown_k(2),
+        "3-crown": crown_k(3),
+        "two_chains": covers(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
+        "wide_diamond": covers(
+            ["0", "a", "b", "c", "1"],
+            [("0", m) for m in "abc"] + [(m, "1") for m in "abc"]),
+        "antichain": covers(["a", "b", "c"], []),
+        "point": covers(["a"], []),
+    }
+
+
+def all_cases():
+    cases = list(named_cases().items())
+    rng = random.Random(20261018)
+    cases += [(f"random{i}", random_poset(rng)) for i in range(150)]
+    return cases
+
+
+def test_obstruction_and_verdicts_match_reference():
+    for name, poset in all_cases():
+        group = _cocycle_obstruction_group(poset)
+        assert cocycle_obstruction(poset) == group, name
+        for field in FIELDS:
+            want = {"mult_subset_inn": reference_mult_subset_inn(group, field),
+                    "der_equals_ider": reference_der_equals_ider(poset, field)}
+            assert check_hypotheses(poset, field) == want, (name, field)
+
+
+def test_cases_cover_both_verdicts():
+    """The differential cases must include failing posets, not only
+    passing ones."""
+    seen = {tuple(check_hypotheses(p, f).values())
+            for _, p in all_cases() for f in (PrimeField(2), QQ)}
+    assert {(True, True), (False, False), (True, False)} <= seen
+
+
+# -- torsion -----------------------------------------------------------------
+
+
+def rp2_face_poset():
+    """Face poset of the 6-vertex triangulation of the real projective
+    plane; its order complex is a subdivision of RP^2, so the obstruction
+    group is H_1(RP^2) = Z/2."""
+    tris = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+    edges = sorted({e for t in tris for e in itertools.combinations(t, 2)})
+
+    def name(face):
+        return "".join(map(str, face))
+    labels = [str(v) for v in range(1, 7)] + [name(e) for e in edges] + \
+        [name(t) for t in tris]
+    rels = [(str(v), name(e)) for e in edges for v in e]
+    rels += [(name(e), name(t)) for t in tris
+             for e in itertools.combinations(t, 2)]
+    return Poset.from_covers(labels, rels)
+
+
+@pytest.fixture(scope="module")
+def rp2():
+    return rp2_face_poset()
+
+
+def test_torsion_factor_of_projective_plane(rp2):
+    assert cocycle_obstruction(rp2) == ([2], 0)
+
+
+@pytest.mark.parametrize("field, mult, der", [
+    (PrimeField(2), True, False),
+    (PrimeField(3), False, True),
+    (PrimeField(5), False, True),
+    (QQ, False, True),
+])
+def test_torsion_verdicts(rp2, field, mult, der):
+    # Z/2 has a character into K* exactly when -1 != 1, and a nonzero
+    # functional into K exactly in characteristic 2
+    assert mult_subset_inn(rp2, field) is mult
+    assert der_equals_ider(rp2, field) is der
+    assert reference_der_equals_ider(rp2, field) is der
+    alg = IncidenceAlgebra(rp2, field)
+    if not mult:
+        sigma = find_non_inner_cocycle(alg)
+        assert sigma is not None
+        assert multiplicative_is_inner(alg, sigma) is None
+    assert (find_non_inner_additive(alg) is None) is der

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from incalg.snf import (
     check_snf, integer_kernel_basis, invariant_factors, smith_normal_form,
 )
@@ -90,3 +92,49 @@ def test_invariant_factors_filtering():
     assert factors == [6] and rank == 2
     factors, rank = invariant_factors([[2, 0, 0], [0, 0, 0]])
     assert factors == [2] and rank == 1
+
+
+def _unimodular(rng, n, steps=12):
+    """A random integer matrix of determinant +-1, from row operations on
+    the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_against_sympy_random():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(11)
+    mats = []
+    for _ in range(30):
+        # entries like the chain-relation rows: 0 and +-1
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        mats.append([[rng.choice((0, 0, 1, -1)) for _ in range(n)]
+                     for _ in range(m)])
+    for _ in range(30):
+        # prescribed torsion: U diag(d) V with d = 1, 2, 6, 12, 0, ...
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        diag = sorted(rng.sample((1, 1, 2, 3, 6, 12, 0, 0), min(m, n)),
+                      key=lambda d: (d == 0, d))
+        d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+             for i in range(m)]
+        mats.append(_mul(_mul(_unimodular(rng, m), d), _unimodular(rng, n)))
+    torsion_seen = 0
+    for mat in mats:
+        want = [abs(int(x)) for x in sympy_factors(Matrix(mat), domain=ZZ)]
+        factors, rank = invariant_factors(mat)
+        assert factors == [x for x in want if x not in (0, 1)], mat
+        assert rank == Matrix(mat).rank() == sum(1 for x in want if x)
+        torsion_seen += bool(factors)
+    assert torsion_seen >= 10

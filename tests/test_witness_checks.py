@@ -1,0 +1,112 @@
+"""Internal checks on returned witnesses must survive ``python -O``: they
+raise WitnessFailed, never ``assert``, and the CLI maps that to exit 2."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import incalg
+from incalg import involutions
+from incalg.cli import main
+from incalg.errors import WitnessFailed
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import PrimeField
+from incalg.idealization import d_one
+from incalg.involutions import (
+    equivalent, equivalent_inner, rho_eps, verify_witness,
+)
+from incalg.posets import Poset
+
+SRC = Path(incalg.__file__).resolve().parent
+DIAMOND = {"elements": ["0", "a", "b", "1"],
+           "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+FLIP = {"0": "1", "1": "0", "a": "a", "b": "b"}
+
+
+def test_library_has_no_assert_statements():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+@pytest.fixture
+def diamond_pair():
+    """Two inner-equivalent involutions on the diamond over F5 whose
+    fixed-point scalings differ by a global non-square shift."""
+    poset = Poset.from_json(DIAMOND)
+    alg = IncidenceAlgebra(poset, PrimeField(5))
+    flip = next(m for m in poset.involutions() if m.mapping == FLIP)
+    return rho_eps(alg, flip, {"a": 1, "b": 1}, 1), \
+        rho_eps(alg, flip, {"a": 2, "b": 2}, 1)
+
+
+@pytest.fixture
+def diamond_files(tmp_path, diamond_pair):
+    poset = tmp_path / "diamond.json"
+    poset.write_text(json.dumps(DIAMOND))
+    s1, s2 = diamond_pair
+    f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    f1.write_text(json.dumps(s1.to_json()))
+    f2.write_text(json.dumps(s2.to_json()))
+    return poset, f1, f2
+
+
+def test_verify_witness_accepts_and_rejects(diamond_pair):
+    s1, s2 = diamond_pair
+    for verdict in (equivalent_inner(s1, s2), equivalent(s1, s2)):
+        assert verdict.equivalent
+        verify_witness(s1, s2, verdict)
+        # the identity does not intertwine two different involutions
+        verdict.conjugator = d_one(s1.alg)
+        with pytest.raises(WitnessFailed):
+            verify_witness(s1, s2, verdict)
+
+
+def test_failed_intertwiner_raises(diamond_pair, monkeypatch):
+    monkeypatch.setattr(involutions, "_verify_intertwiner",
+                        lambda *args: False)
+    with pytest.raises(WitnessFailed):
+        equivalent_inner(*diamond_pair)
+
+
+def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
+    monkeypatch.setattr(involutions, "_verify_intertwiner",
+                        lambda *args: False)
+    poset, f1, f2 = diamond_files
+    code = main(["equivalent", "--poset", str(poset), "--field", "F5",
+                 "--check", str(f1), str(f2)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _run_cli(args, optimize):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-m", "incalg.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_optimized_interpreter_gives_same_output(diamond_files):
+    poset, f1, f2 = diamond_files
+    base = ["--poset", str(poset), "--field", "F5"]
+    commands = [
+        ["classify", *base, "--lambda", json.dumps(FLIP), "--json"],
+        ["equivalent", *base, "--check", str(f1), str(f2)],
+        ["equivalent", *base, "--general", "--check", str(f1), str(f2)],
+    ]
+    for args in commands:
+        plain = _run_cli(args, optimize=False)
+        assert plain[0] == 0 and plain[1]
+        assert _run_cli(args, optimize=True) == plain, args
