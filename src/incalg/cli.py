@@ -16,7 +16,7 @@ from pathlib import Path
 from .derivations import find_non_inner_additive
 from .errors import (
     Char2Unsupported, HypothesisFailed, IncalgError, NotAnInvolution,
-    NotConnected, ParseError, SizeLimit,
+    ParseError, SizeLimit,
 )
 from .fia import IncidenceAlgebra
 from .fields import parse_field
@@ -300,10 +300,10 @@ def main(argv=None):
     except HypothesisFailed as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (Char2Unsupported,) as exc:
+    except Char2Unsupported as exc:
         print(f"unsupported characteristic: {exc}", file=sys.stderr)
         return EXIT_CHAR2
-    except (NotConnected, IncalgError) as exc:
+    except IncalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

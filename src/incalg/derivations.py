@@ -10,29 +10,17 @@ answer off ``morphisms.cocycle_obstruction`` (the same Smith normal form
 that decides ``mult_subset_inn``).
 """
 
-from .errors import (
-    ContextMismatch, InvalidCocycle, NotADerivation, SplitFailed,
-)
+from .errors import ContextMismatch, NotADerivation, SplitFailed
 from .fia import IncFn
 from .linalg import nullspace, solve
-from .morphisms import FiLinearMap, _relation_rows, cocycle_obstruction
+from .morphisms import (
+    FiLinearMap, _relation_rows, cocycle_obstruction, validate_cocycle,
+)
 
 
 def validate_additive_cocycle(alg, tau):
     """tau: strict-pair -> scalar with tau(x,y) + tau(y,z) = tau(x,z)."""
-    field = alg.field
-    full = dict(tau)
-    for p in alg.poset.strict_pairs:
-        if p not in full:
-            raise InvalidCocycle(f"missing value at {p}")
-    for (x, y) in alg.poset.strict_pairs:
-        for z in alg.poset.between(x, y):
-            if z in (x, y):
-                continue
-            lhs = field.add(field(full[(x, z)]), field(full[(z, y)]))
-            if lhs != field(full[(x, y)]):
-                raise InvalidCocycle(f"additive chain identity fails on {x},{z},{y}")
-    return {p: field(v) for p, v in full.items()}
+    return validate_cocycle(alg, tau, alg.field.add, "additive chain identity")
 
 
 class DerivationSpec:
@@ -81,46 +69,35 @@ def leibniz_check(alg, d):
     return True
 
 
-def additive_is_inner(alg, tau, anchor=None):
+def additive_is_inner(alg, tau):
     """A diagonal witness f with tau(x,y) = f(y,y) - f(x,x), or None.
 
     When some point is comparable with everything, the witness is explicit:
-    -tau(x, x0) below the anchor x0 and tau(x0, x) above it.  Otherwise the
-    diagonal is propagated along a spanning tree of the comparability graph
-    and the remaining pairs are checked.  ``anchor`` overrides the default
-    (first all-comparable element in element order).
+    -tau(x, x0) below the first such point x0 (in element order) and
+    tau(x0, x) above it.  Otherwise the diagonal is propagated along a
+    spanning tree of the comparability graph and the remaining pairs are
+    checked.
     """
     field = alg.field
     tau = validate_additive_cocycle(alg, tau)
     poset = alg.poset
     anchors = poset.all_comparable_elements()
-    if anchor is not None and anchor not in anchors:
-        raise InvalidCocycle(f"{anchor!r} is not comparable with every element")
     diag = {}
     if anchors:
-        x0 = anchor if anchor is not None else min(anchors, key=poset.index.get)
+        x0 = min(anchors, key=poset.index.get)
         for x in poset.elements:
             if poset.leq(x, x0):
                 diag[x] = field.neg(tau.get((x, x0), field.zero))
             else:
                 diag[x] = tau.get((x0, x), field.zero)
     else:
-        for comp in poset.components():
-            root = comp[0]
-            diag[root] = field.zero
-            frontier = [root]
-            placed = {root}
-            while frontier:
-                v = frontier.pop()
-                for w in comp:
-                    if w in placed or not poset.comparable(v, w):
-                        continue
-                    if poset.leq(v, w):
-                        diag[w] = field.add(diag[v], tau[(v, w)])
-                    else:
-                        diag[w] = field.sub(diag[v], tau[(w, v)])
-                    placed.add(w)
-                    frontier.append(w)
+        for v, w in poset.spanning_tree():
+            if v is None:
+                diag[w] = field.zero
+            elif poset.leq(v, w):
+                diag[w] = field.add(diag[v], tau[(v, w)])
+            else:
+                diag[w] = field.sub(diag[v], tau[(w, v)])
     for (x, y), v in tau.items():
         if field.sub(diag[y], diag[x]) != v:
             return None
@@ -133,7 +110,10 @@ def der_equals_ider(poset, field):
     the free rank plus the number of invariant factors of the cocycle
     obstruction group that the characteristic divides, so both must be
     zero."""
-    factors, free_rank = cocycle_obstruction(poset)
+    return _der_inner_rule(*cocycle_obstruction(poset), field)
+
+
+def _der_inner_rule(factors, free_rank, field):
     p = field.char
     return free_rank == 0 and (p == 0 or all(d % p for d in factors))
 

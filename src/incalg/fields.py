@@ -13,7 +13,7 @@ limited to desk scale (numerator and denominator at most ``10**12``).
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainMismatch, ParseError, SizeLimit, ZeroArgument
 

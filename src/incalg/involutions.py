@@ -14,8 +14,9 @@ returned witness, count or normal form raises WitnessFailed.
 
 import itertools
 
-from .derivations import additive_is_inner, der_equals_ider, \
-    split_raw_derivation
+from .derivations import (
+    _der_inner_rule, additive_is_inner, split_raw_derivation,
+)
 from .errors import (
     BadSign, Char2Unsupported, ContextMismatch, FixedPointsPresent,
     HypothesisFailed, NotADerivation, NotAnInvolution, NotAUnit, NotConnected,
@@ -28,18 +29,19 @@ from .idealization import (
     DElem, DLinearMap, central_pair, d_basis, d_from_json, d_one, inner_auto,
     lift_morphism,
 )
-from .linalg import invert_matrix
 from .morphisms import (
-    FiaMorphism, FiLinearMap, decompose, mult_subset_inn,
+    FiaMorphism, FiLinearMap, _mult_inner_rule, cocycle_obstruction, decompose,
     multiplicative_is_inner,
 )
 from .posets import PosetMap, lambda_decomposition
 
 
 def check_hypotheses(poset, field):
-    """Report on the two classification hypotheses over this field."""
-    return {"mult_subset_inn": mult_subset_inn(poset, field),
-            "der_equals_ider": der_equals_ider(poset, field)}
+    """Report on the two classification hypotheses over this field, both
+    read off one cocycle obstruction."""
+    factors, free_rank = cocycle_obstruction(poset)
+    return {"mult_subset_inn": _mult_inner_rule(factors, free_rank, field),
+            "der_equals_ider": _der_inner_rule(factors, free_rank, field)}
 
 
 def require_classifiable(poset, field):
@@ -70,9 +72,7 @@ class InvolutionSpec:
         if alg.field.mul(self.k, self.k) != alg.field.one:
             raise BadSign("sign must square to one")
         self._theta_inv = theta.inverse()
-        inv = lam  # involution is its own inverse
-        self._perm = tuple(alg.pair_index[(inv(y), inv(x))]
-                           for x, y in alg.pairs)
+        self._perm = lam.pair_permutation()
         if not _validated:
             bad = self._find_involution_failure()
             if bad is not None:
@@ -369,13 +369,9 @@ def recognize(raw):
     if any(v != field.zero for col in b12 for v in col):
         raise UpperRightNonzero("bimodule-to-ring block must vanish")
     _validate_ring_involution(raw)
-    phi11 = FiLinearMap(alg, b11)
-    m11 = decompose(phi11, anti=True)
-    inv_rows = invert_matrix(field, phi11.matrix_rows())
-    phi11_inv = FiLinearMap(
-        alg, [[row[j] for row in inv_rows] for j in range(alg.npairs)])
-    m11_inv = decompose(phi11_inv, anti=True)
-    remainder = lift_morphism(m11_inv).compose(raw)
+    m11 = decompose(FiLinearMap(alg, b11), anti=True)
+    # raw squares to the identity and b12 vanishes, so b11 is its own inverse
+    remainder = lift_morphism(m11).compose(raw)
     # remainder must be [[id, 0], [g D, g .]]
     g = remainder.apply(DElem(alg.zero(), alg.delta())).i
     if not (g.is_unit() and alg.is_central(g)):

@@ -1,4 +1,8 @@
-"""Small exact linear-algebra helpers over a Field (row reduction based)."""
+"""Small exact linear-algebra helpers over a Field: row reduction, and
+``ColumnMap``, the column-stored linear map that both the algebra's and the
+idealization's linear maps are built on."""
+
+from .errors import ContextMismatch
 
 
 def rref(field, rows):
@@ -80,3 +84,46 @@ def invert_matrix(field, rows):
         return None
     return [row[n:] for row in red[:n]]
 
+
+class ColumnMap:
+    """A K-linear endomorphism stored column-wise: ``cols[j]`` is the
+    coordinate vector of the image of basis vector j.  Subclasses fix the
+    element type through ``from_function`` (which basis) and ``apply``."""
+
+    __slots__ = ("alg", "cols")
+
+    def __init__(self, alg, cols):
+        self.alg = alg
+        self.cols = tuple(tuple(c) for c in cols)
+
+    @classmethod
+    def identity(cls, alg):
+        return cls.from_function(alg, lambda v: v)
+
+    def image(self, vec):
+        """The coordinate vector of the image of ``vec``."""
+        field = self.alg.field
+        zero = field.zero
+        acc = [zero] * len(self.cols)
+        for c, col in zip(vec, self.cols):
+            if c == zero:
+                continue
+            for r, v in enumerate(col):
+                acc[r] += c * v
+        p = field.modulus
+        if p is not None:
+            return tuple(v % p for v in acc)
+        return tuple(acc)
+
+    def compose(self, other):
+        """self after other."""
+        if other.alg != self.alg:
+            raise ContextMismatch("maps over different contexts")
+        return type(self)(self.alg, [self.image(col) for col in other.cols])
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.alg == other.alg
+                and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash(self.cols)

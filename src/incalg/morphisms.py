@@ -4,8 +4,12 @@ Every unital algebra (anti-)automorphism factors as
 
     inner conjugation  o  entrywise cocycle scaling  o  poset relabeling,
 
-and ``decompose`` recovers that factorization from a raw matrix, validating
-by exact recomposition.
+and ``decompose`` recovers that factorization from a raw matrix (a
+``FiLinearMap``, the algebra's ``linalg.ColumnMap``), validating by exact
+recomposition.  The relabeling is the poset map's ``pair_permutation``; the
+scaling is a cocycle checked by ``validate_cocycle`` on every chain
+x < z < y, the check the additive cocycles of ``derivations`` share; an
+inner witness for a cocycle is propagated along ``Poset.spanning_tree``.
 
 The module also holds ``cocycle_obstruction``: one Smith normal form of the
 chain relations (x,z) + (z,y) - (x,y) gives the invariant factors and free
@@ -22,90 +26,56 @@ from .errors import (
 )
 from .fia import IncFn
 from .fields import PrimeField, RationalField
-from .linalg import nullspace
+from .linalg import ColumnMap, nullspace
 from .posets import PosetMap, identity_map
 from .snf import integer_kernel_basis, invariant_factors
 
 
-class FiLinearMap:
+class FiLinearMap(ColumnMap):
     """A K-linear endomorphism of the algebra, stored column-wise over the
     comparable-pair basis."""
 
-    __slots__ = ("alg", "cols")
-
-    def __init__(self, alg, cols):
-        self.alg = alg
-        self.cols = tuple(tuple(c) for c in cols)
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, alg, fn):
-        cols = []
-        for x, y in alg.pairs:
-            cols.append(fn(alg.e(x, y)).vals)
-        return cls(alg, cols)
-
-    @classmethod
-    def identity(cls, alg):
-        return cls.from_function(alg, lambda f: f)
+        return cls(alg, [fn(alg.e(x, y)).vals for x, y in alg.pairs])
 
     def apply(self, f):
         if f.alg != self.alg:
             raise ContextMismatch("map and argument over different contexts")
-        field = self.alg.field
-        n = self.alg.npairs
-        p = field.modulus
-        acc = [0 if p is not None else field.zero] * n
-        for j, c in enumerate(f.vals):
-            if c == field.zero:
-                continue
-            col = self.cols[j]
-            if p is not None:
-                for r in range(n):
-                    acc[r] += c * col[r]
-            else:
-                for r in range(n):
-                    acc[r] = acc[r] + c * col[r]
-        if p is not None:
-            acc = [v % p for v in acc]
-        return IncFn(self.alg, tuple(acc))
-
-    def compose(self, other):
-        """self after other."""
-        if other.alg != self.alg:
-            raise ContextMismatch("maps over different contexts")
-        return FiLinearMap(
-            self.alg,
-            [self.apply(IncFn(self.alg, col)).vals for col in other.cols])
+        return IncFn(self.alg, self.image(f.vals))
 
     def matrix_rows(self):
         return [list(row) for row in zip(*self.cols)]
 
-    def __eq__(self, other):
-        return (isinstance(other, FiLinearMap) and self.alg == other.alg
-                and self.cols == other.cols)
 
-    def __hash__(self):
-        return hash(self.cols)
+def validate_cocycle(alg, values, combine, kind):
+    """Check that values: strict-pair -> scalar is defined on every strict
+    pair and satisfies combine(v(x,z), v(z,y)) = v(x,y) on every chain
+    x < z < y; ``kind`` names that identity in the error.  Returns the
+    values as field elements."""
+    field = alg.field
+    for p in alg.poset.strict_pairs:
+        if p not in values:
+            raise InvalidCocycle(f"missing value at {p}")
+    full = {p: field(v) for p, v in values.items()}
+    for x, z, y in alg.poset.chains:
+        if combine(full[(x, z)], full[(z, y)]) != full[(x, y)]:
+            raise InvalidCocycle(f"{kind} fails on {x},{z},{y}")
+    return full
 
 
 def validate_multiplicative_cocycle(alg, sigma):
     """sigma: strict-pair -> nonzero scalar with the chain identity
     sigma(x,y) sigma(y,z) = sigma(x,z)."""
     field = alg.field
-    full = dict(sigma)
-    for x, y in alg.poset.strict_pairs:
-        if (x, y) not in full:
-            raise InvalidCocycle(f"missing value at {(x, y)}")
-        if field(full[(x, y)]) == field.zero:
-            raise InvalidCocycle(f"zero value at {(x, y)}")
-    for (x, y) in alg.poset.strict_pairs:
-        for z in alg.poset.between(x, y):
-            if z in (x, y):
-                continue
-            lhs = field.mul(field(full[(x, z)]), field(full[(z, y)]))
-            if lhs != field(full[(x, y)]):
-                raise InvalidCocycle(f"chain identity fails on {x},{z},{y}")
-    return {p: field(v) for p, v in full.items()}
+    for p in alg.poset.strict_pairs:
+        if p not in sigma:
+            break  # validate_cocycle reports the first missing pair
+        if field(sigma[p]) == field.zero:
+            raise InvalidCocycle(f"zero value at {p}")
+    return validate_cocycle(alg, sigma, field.mul, "chain identity")
 
 
 class FiaMorphism:
@@ -133,13 +103,7 @@ class FiaMorphism:
         # scale vector over all pairs (1 on the diagonal)
         self._scale = tuple(
             self.sigma[p] if p[0] != p[1] else alg.field.one for p in alg.pairs)
-        # relabeling permutation: source pair index for each target pair
-        inv = self.posetmap.inverse()
-        perm = []
-        for x, y in alg.pairs:
-            src = (inv(y), inv(x)) if self.anti else (inv(x), inv(y))
-            perm.append(alg.pair_index[src])
-        self._perm = tuple(perm)
+        self._perm = self.posetmap.pair_permutation()
 
     @classmethod
     def identity(cls, alg):
@@ -271,26 +235,16 @@ def multiplicative_is_inner(alg, sigma):
     and checking the non-tree comparable pairs.
     """
     field = alg.field
+    poset = alg.poset
     sigma = validate_multiplicative_cocycle(alg, sigma)
     eta = {}
-    for comp in alg.poset.components():
-        root = comp[0]
-        eta[root] = field.one
-        frontier = [root]
-        placed = {root}
-        while frontier:
-            v = frontier.pop()
-            for w in comp:
-                if w in placed or not alg.poset.comparable(v, w):
-                    continue
-                if alg.poset.leq(v, w) and v != w:
-                    eta[w] = field.div(eta[v], sigma[(v, w)])
-                elif alg.poset.leq(w, v) and w != v:
-                    eta[w] = field.mul(sigma[(w, v)], eta[v])
-                else:
-                    continue
-                placed.add(w)
-                frontier.append(w)
+    for v, w in poset.spanning_tree():
+        if v is None:
+            eta[w] = field.one
+        elif poset.leq(v, w):
+            eta[w] = field.div(eta[v], sigma[(v, w)])
+        else:
+            eta[w] = field.mul(sigma[(w, v)], eta[v])
     for (x, y), val in sigma.items():
         if field.div(eta[x], eta[y]) != val:
             return None
@@ -298,17 +252,14 @@ def multiplicative_is_inner(alg, sigma):
 
 
 def _relation_rows(poset):
-    rows = []
     pidx = {p: k for k, p in enumerate(poset.strict_pairs)}
-    for (x, y) in poset.strict_pairs:
-        for z in poset.between(x, y):
-            if z in (x, y):
-                continue
-            row = [0] * len(poset.strict_pairs)
-            row[pidx[(x, z)]] += 1
-            row[pidx[(z, y)]] += 1
-            row[pidx[(x, y)]] -= 1
-            rows.append(row)
+    rows = []
+    for x, z, y in poset.chains:
+        row = [0] * len(pidx)
+        row[pidx[(x, z)]] += 1
+        row[pidx[(z, y)]] += 1
+        row[pidx[(x, y)]] -= 1
+        rows.append(row)
     return rows
 
 
@@ -332,7 +283,10 @@ def cocycle_obstruction(poset):
 def mult_subset_inn(poset, field):
     """Whether every multiplicative automorphism over this field is inner:
     the obstruction group must have no characters into K*."""
-    factors, free_rank = cocycle_obstruction(poset)
+    return _mult_inner_rule(*cocycle_obstruction(poset), field)
+
+
+def _mult_inner_rule(factors, free_rank, field):
     if isinstance(field, PrimeField):
         if free_rank and field.p != 2:
             return False

@@ -51,6 +51,10 @@ class Poset:
                 if self.leq_rows[i][k] and self.leq_rows[k][j])
         self.covers = tuple(
             (x, y) for x, y in self.strict_pairs if len(self._between[(x, y)]) == 2)
+        # every chain x < z < y, the triples the cocycle identities run over
+        self.chains = tuple(
+            (x, z, y) for x, y in self.strict_pairs
+            for z in self._between[(x, y)] if z != x and z != y)
 
     @classmethod
     def from_covers(cls, elements, cover_pairs):
@@ -136,23 +140,33 @@ class Poset:
     def up(self, x):
         return tuple(y for y in self.elements if self.leq(x, y))
 
-    def components(self):
-        """Connected components of the comparability graph, in element order."""
-        seen, comps = set(), []
+    def spanning_tree(self):
+        """Depth-first spanning forest of the comparability graph, taking
+        roots and neighbours in element order: yields (None, root) when a
+        component starts, then (v, w) as each w is reached from v."""
+        placed = set()
         for root in self.elements:
-            if root in seen:
+            if root in placed:
                 continue
-            comp, stack = [], [root]
-            seen.add(root)
+            placed.add(root)
+            yield None, root
+            stack = [root]
             while stack:
                 v = stack.pop()
-                comp.append(v)
                 for w in self.elements:
-                    if w not in seen and self.comparable(v, w):
-                        seen.add(w)
+                    if w not in placed and self.comparable(v, w):
+                        placed.add(w)
+                        yield v, w
                         stack.append(w)
-            comps.append(sorted(comp, key=self.index.get))
-        return comps
+
+    def components(self):
+        """Connected components of the comparability graph, in element order."""
+        comps = []
+        for v, w in self.spanning_tree():
+            if v is None:
+                comps.append([])
+            comps[-1].append(w)
+        return [sorted(comp, key=self.index.get) for comp in comps]
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -265,6 +279,15 @@ class PosetMap:
         return PosetMap(other.src, self.dst,
                         {x: self.mapping[other.mapping[x]] for x in other.src.elements},
                         self.anti != other.anti)
+
+    def pair_permutation(self):
+        """For each comparable pair of the target, in pair order, the index
+        of the source pair this map carries onto it."""
+        inv = {v: k for k, v in self.mapping.items()}
+        index = self.src.pair_index
+        if self.anti:
+            return tuple(index[(inv[y], inv[x])] for x, y in self.dst.pairs)
+        return tuple(index[(inv[x], inv[y])] for x, y in self.dst.pairs)
 
     def is_identity(self):
         return not self.anti and all(v == k for k, v in self.mapping.items())

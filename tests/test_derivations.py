@@ -10,6 +10,7 @@ from incalg.errors import InvalidCocycle, NotADerivation
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.morphisms import FiLinearMap
+from incalg.posets import Poset
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -87,15 +88,18 @@ def test_leibniz_rejects_broken_cocycle_scaling(chain3):
 def test_additive_is_inner_explicit_witness(chain3):
     alg = IncidenceAlgebra(chain3, F5)
     tau = {("a", "b"): 1, ("b", "c"): 2, ("a", "c"): 3}
-    f = additive_is_inner(alg, tau, anchor="b")
+    f = additive_is_inner(alg, tau)
     assert f is not None
-    # anchored at the all-comparable point b: -tau(a,b), 0, tau(b,c)
-    assert f.diagonal_values() == {"a": alg.field.neg(1), "b": 0, "c": 2}
+    # anchored at the first all-comparable point a: 0, tau(a,b), tau(a,c)
+    assert f.diagonal_values() == {"a": 0, "b": 1, "c": 3}
     assert DerivationSpec(alg, inner=f).to_linear() == \
         DerivationSpec(alg, tau=tau).to_linear()
-    # the default anchor gives an equally valid witness, shifted centrally
-    g = additive_is_inner(alg, tau)
-    assert DerivationSpec(alg, inner=g).to_linear() == \
+    # listed middle point first, the anchor is b: -tau(a,b), 0, tau(b,c)
+    middle_first = Poset.from_covers(["b", "a", "c"], [("a", "b"), ("b", "c")])
+    alg = IncidenceAlgebra(middle_first, F5)
+    f = additive_is_inner(alg, tau)
+    assert f.diagonal_values() == {"a": alg.field.neg(1), "b": 0, "c": 2}
+    assert DerivationSpec(alg, inner=f).to_linear() == \
         DerivationSpec(alg, tau=tau).to_linear()
 
 

@@ -192,3 +192,53 @@ def test_symmetry_composition_properties(n, data):
         assert comp(x) == m1(m2(x))
     inv = m1.inverse()
     assert m1.compose(inv).is_identity()
+
+
+FIXTURES = ["chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
+            "two_chains", "wide_diamond"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_spanning_tree_places_each_point_once_along_comparabilities(request, name):
+    poset = request.getfixturevalue(name)
+    edges = list(poset.spanning_tree())
+    placed = [w for _, w in edges]
+    assert sorted(placed, key=poset.index.get) == list(poset.elements)
+    seen = set()
+    for v, w in edges:
+        if v is not None:
+            assert v in seen and poset.comparable(v, w)
+        seen.add(w)
+    roots = [w for v, w in edges if v is None]
+    assert roots == [comp[0] for comp in poset.components()]
+    assert len(edges) - len(roots) == poset.n - len(poset.components())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_chains_are_the_interior_points_of_each_interval(request, name):
+    poset = request.getfixturevalue(name)
+    assert len(poset.chains) == sum(
+        len(poset.between(x, y)) - 2 for x, y in poset.strict_pairs)
+    assert len(set(poset.chains)) == len(poset.chains)
+    for x, z, y in poset.chains:
+        assert len({x, z, y}) == 3 and poset.leq(x, z) and poset.leq(z, y)
+
+
+def _carried_pair(m, x, y):
+    return (m(y), m(x)) if m.anti else (m(x), m(y))
+
+
+@pytest.mark.parametrize("case", ["auto", "anti", "two-posets"])
+def test_pair_permutation_follows_the_map(diamond, chain3, vee, wedge, case):
+    if case == "auto":
+        m = PosetMap(diamond, diamond, {"0": "0", "a": "b", "b": "a", "1": "1"},
+                     anti=False)
+    elif case == "anti":
+        m = PosetMap(chain3, chain3, {"a": "c", "b": "b", "c": "a"}, anti=True)
+    else:
+        m = PosetMap(vee, wedge, {"a": "c", "b": "a", "c": "b"}, anti=True)
+    perm = m.pair_permutation()
+    assert len(perm) == len(m.dst.pairs)
+    for i, (x, y) in enumerate(m.src.pairs):
+        assert perm[m.dst.pair_index[_carried_pair(m, x, y)]] == i
+    assert sorted(perm) == list(range(len(m.src.pairs)))
