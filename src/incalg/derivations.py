@@ -4,10 +4,11 @@ A derivation is a K-linear map D with D(fg) = D(f) g + f D(g).  Two
 families span them all: inner derivations f |-> f i - i f, and additive
 ones that scale each entry by an additive cocycle.  ``split_raw_derivation``
 recovers such a presentation from a raw matrix, after ``leibniz_check`` has
-checked the rule exactly on every basis pair.  ``der_equals_ider`` decides
-whether the additive family adds anything beyond the inner one, reading the
-answer off ``morphisms.cocycle_obstruction`` (the same Smith normal form
-that decides ``mult_subset_inn``).
+checked the rule on each product of a generator with a basis element, which
+decides it exactly (see ``idealization.d_generators``).  ``der_equals_ider``
+decides whether the additive family adds anything beyond the inner one,
+reading the answer off ``morphisms.cocycle_obstruction`` (the same Smith
+normal form that decides ``mult_subset_inn``).
 """
 
 from .errors import ContextMismatch, NotADerivation, SplitFailed
@@ -55,16 +56,20 @@ class DerivationSpec:
 
 
 def leibniz_check(alg, d):
-    """Exact Leibniz check on every pair of basis elements; ``d`` is linear
-    and the product bilinear, so this decides the rule on the whole algebra.
+    """Exact Leibniz check D(g b) = D(g) b + g D(b) for every generator g
+    (``IncidenceAlgebra.generators``) and basis element b.  The elements a
+    satisfying the rule against every b form a subspace closed under
+    products, so this decides the rule on the whole algebra.
 
     ``d`` may be a DerivationSpec or any object with an ``apply`` method
     (e.g. a raw FiLinearMap).
     """
     basis = [alg.e(x, y) for x, y in alg.pairs]
-    for f in basis:
-        for g in basis:
-            if d.apply(f * g) != d.apply(f) * g + f * d.apply(g):
+    images = [d.apply(b) for b in basis]
+    for g in alg.generators():
+        dg = d.apply(g)
+        for b, db in zip(basis, images):
+            if d.apply(g * b) != dg * b + g * db:
                 return False
     return True
 
@@ -143,7 +148,11 @@ def split_raw_derivation(raw):
 
     The additive cocycle is read off the basis images; the residual is an
     inner derivation found by exact linear solve and normalized by zeroing
-    the diagonal at the first element of each component.
+    the diagonal at the first element of each component.  Two derivations
+    that agree on the generators are equal, so the solve uses only the
+    generator rows and the recomposition compares only generator images;
+    the generator rows span the same row space as all basis rows, so the
+    reduced system and its particular solution are unchanged.
     """
     alg = raw.alg
     field = alg.field
@@ -157,7 +166,8 @@ def split_raw_derivation(raw):
     npairs = alg.npairs
     rows, rhs = [], []
     basis = [alg.e(x, y) for x, y in alg.pairs]
-    for b in basis:
+    gens = alg.generators()
+    for b in gens:
         target = raw.apply(b) - additive.apply(b)
         commutators = [(b * ej - ej * b).vals for ej in basis]
         for k in range(npairs):
@@ -175,6 +185,6 @@ def split_raw_derivation(raw):
             shift[x] = inner[head, head]
     inner = inner - alg.diagonal(shift)
     spec = DerivationSpec(alg, inner=inner, tau=tau)
-    if spec.to_linear() != raw:
+    if any(spec.apply(g) != raw.apply(g) for g in gens):
         raise SplitFailed("recomposition does not reproduce the input")
     return spec

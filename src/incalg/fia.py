@@ -95,6 +95,15 @@ class IncidenceAlgebra:
             f.random_nonzero(rng) if x == y else f.random(rng)
             for x, y in self.pairs))
 
+    def generators(self):
+        """The point idempotents e_xx and the cover elements e_xy (x
+        covered by y): every basis element e_xy is the product of the
+        cover elements along a maximal chain from x to y, so these
+        generate the algebra."""
+        covers = set(self.poset.covers)
+        return [self.e(x, y) for x, y in self.pairs
+                if x == y or (x, y) in covers]
+
     # -- structure ---------------------------------------------------------
 
     def center_basis(self):
@@ -116,8 +125,9 @@ class IncidenceAlgebra:
         return True
 
     def __eq__(self, other):
-        return (isinstance(other, IncidenceAlgebra)
-                and self.poset == other.poset and self.field == other.field)
+        return self is other or (isinstance(other, IncidenceAlgebra)
+                                 and self.poset == other.poset
+                                 and self.field == other.field)
 
     def __hash__(self):
         return hash((self.poset, self.field))

@@ -113,6 +113,31 @@ def d_basis(alg):
     return out
 
 
+def d_generators(alg):
+    """Ring generators of the idealization, in ``d_basis`` order: [g; 0]
+    for each algebra generator g (point idempotents and cover elements),
+    then [0; e_xx] for each point.  Every basis element is a product of
+    these, since [e_xy; 0] is a product of covers along a chain and
+    [0; e_xy] = [e_xy; 0][0; e_yy].
+
+    This is what makes a check on generators exact.  For a linear map phi
+    the set W = {a : phi(ab) = phi(b) phi(a) for all b} is a linear
+    subspace; if a1, a2 lie in W then phi(a1 a2 b) = phi(a2 b) phi(a1) =
+    phi(b) phi(a2) phi(a1) = phi(b) phi(a1 a2), so W is closed under
+    products.  Checking phi(g b) = phi(b) phi(g) for every generator g and
+    basis element b therefore puts every generator in W, hence W is the
+    whole ring and phi is anti-multiplicative (multiplicativity and the
+    Leibniz rule go the same way).  Likewise the set on which two
+    (anti-)homomorphisms, or two derivations, agree is closed under sums
+    and products, so agreeing on the generators makes them equal.
+    """
+    out = [DElem(g, alg.zero()) for g in alg.generators()]
+    for x, y in alg.pairs:
+        if x == y:
+            out.append(DElem(alg.zero(), alg.e(x, x)))
+    return out
+
+
 def d_center_basis(alg):
     """Pairs of per-component diagonal indicators in each coordinate."""
     out = []

@@ -26,7 +26,7 @@ from .errors import (
 from .fia import IncFn, IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
-    DElem, DLinearMap, central_pair, d_basis, d_from_json, d_one, inner_auto,
+    DElem, DLinearMap, central_pair, d_basis, d_from_json, d_generators, d_one,
     lift_morphism,
 )
 from .morphisms import (
@@ -100,9 +100,12 @@ class InvolutionSpec:
         return DLinearMap.from_function(self.alg, self.apply)
 
     def _find_involution_failure(self):
-        for b in d_basis(self.alg):
-            if self.apply(self.apply(b)) != b:
-                return b
+        """A ring generator the square moves, or None.  The map is an
+        anti-automorphism by construction, so its square is an automorphism
+        and fixing every generator makes it the identity."""
+        for g in d_generators(self.alg):
+            if self.apply(self.apply(g)) != g:
+                return g
         return None
 
     # -- invariants ---------------------------------------------------------
@@ -340,17 +343,23 @@ def symmetric_decompose(theta, base):
 
 
 def _validate_ring_involution(raw):
+    """Unitality, then anti-multiplicativity on generator-times-basis
+    products, then the square on the generators; each is exact by the
+    argument in ``d_generators`` (the square of an anti-multiplicative map
+    is multiplicative)."""
     alg = raw.alg
     if raw.apply(d_one(alg)) != d_one(alg):
         raise NotAnInvolution("map does not fix the unity")
     basis = d_basis(alg)
     images = [raw.apply(b) for b in basis]
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            if raw.apply(bi * bj) != images[j] * images[i]:
+    gens = d_generators(alg)
+    for g in gens:
+        g_img = raw.apply(g)
+        for b, b_img in zip(basis, images):
+            if raw.apply(g * b) != b_img * g_img:
                 raise NotAnInvolution("map is not anti-multiplicative")
-    for b, img in zip(basis, images):
-        if raw.apply(img) != b:
+    for g in gens:
+        if raw.apply(raw.apply(g)) != g:
             raise NotAnInvolution("map does not square to the identity")
 
 
@@ -401,7 +410,8 @@ def recognize(raw):
     rho = FiaMorphism.induced(alg, lam)
     theta = DElem(m, (m * rho.apply(j)).scale(k))
     spec = build(alg, theta, lam, k)
-    if spec.to_linear() != raw:
+    # both are anti-automorphisms, so agreeing on the generators is equality
+    if any(spec.apply(g) != raw.apply(g) for g in d_generators(alg)):
         raise NotAnInvolution("normal form does not reproduce the input")
     return spec
 
@@ -475,10 +485,14 @@ def _reduce_with_witness(spec):
 
 
 def _verify_intertwiner(s1, target, conjugator):
-    """Whether conj(conjugator) o s1 = target o conj(conjugator), with
-    ``target`` a DLinearMap."""
-    psi = inner_auto(conjugator)
-    return psi.compose(s1.to_linear()) == target.compose(psi)
+    """Whether conj(conjugator) o s1 = target o conj(conjugator), where
+    ``target`` is a ring anti-automorphism given by its ``apply`` (a
+    DLinearMap or an InvolutionSpec).  Both sides are anti-automorphisms,
+    so comparing them on ``d_generators`` decides the equality."""
+    inv = conjugator.inverse()
+    return all(conjugator * s1.apply(g) * inv
+               == target.apply(conjugator * g * inv)
+               for g in d_generators(s1.alg))
 
 
 def _relabelled(spec, alpha):
@@ -494,8 +508,7 @@ def verify_witness(s1, s2, verdict):
     """Re-check a positive verdict's witness from scratch: the conjugator
     must intertwine s1 with s2, relabelled first for a general verdict.
     Raises WitnessFailed when it does not."""
-    target = s2.to_linear() if verdict.alpha is None else \
-        _relabelled(s2, verdict.alpha)
+    target = s2 if verdict.alpha is None else _relabelled(s2, verdict.alpha)
     if not _verify_intertwiner(s1, target, verdict.conjugator):
         raise WitnessFailed("witness failed re-verification")
 
@@ -520,7 +533,7 @@ def equivalent_inner(s1, s2):
     else:
         shift = _shift_conjugator(s1, base1, base2)
     conjugator = gamma2 * shift * gamma1.inverse()
-    if not _verify_intertwiner(s1, s2.to_linear(), conjugator):
+    if not _verify_intertwiner(s1, s2, conjugator):
         raise WitnessFailed("constructed witness fails to intertwine")
     return Verdict(True, conjugator=conjugator)
 

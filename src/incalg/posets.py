@@ -234,8 +234,9 @@ class Poset:
         return [m for m in self.anti_automorphisms(size_bound) if m.is_involution()]
 
     def __eq__(self, other):
-        return (isinstance(other, Poset) and self.elements == other.elements
-                and self.leq_rows == other.leq_rows)
+        return self is other or (isinstance(other, Poset)
+                                 and self.elements == other.elements
+                                 and self.leq_rows == other.leq_rows)
 
     def __hash__(self):
         return hash((self.elements, self.leq_rows))

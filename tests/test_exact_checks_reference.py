@@ -1,0 +1,457 @@
+"""Differential tests for the checks decided on ring generators.
+
+Ring-involution validation, ``decompose``, ``leibniz_check``, the square
+test of ``InvolutionSpec``, ``split_raw_derivation`` and
+``_verify_intertwiner`` decide their identities on generators (see
+``idealization.d_generators``).  The routines below are the exhaustive
+basis-pair and whole-matrix versions they replaced, kept verbatim as the
+reference.  Both paths must accept and reject the same inputs with the
+same exception type, on every involution of the small fixtures and on
+perturbed copies of them.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from incalg.derivations import (
+    DerivationSpec, leibniz_check, split_raw_derivation,
+)
+from incalg.errors import (
+    IncalgError, NotADerivation, NotAMorphism, NotAnInvolution, NotInvolutive,
+    NotUnital, ParseError, SplitFailed,
+)
+from incalg.fia import IncFn, IncidenceAlgebra
+from incalg.fields import QQ, PrimeField
+from incalg.idealization import (
+    DElem, d_basis, d_generators, d_one, inner_auto,
+)
+from incalg.involutions import (
+    InvolutionSpec, _validate_ring_involution, _verify_intertwiner, build,
+    classify, equivalent_inner, rho_eps,
+)
+from incalg.linalg import solve
+from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
+from incalg.posets import PosetMap, Poset
+
+from conftest import chain
+
+F3 = PrimeField(3)
+F5 = PrimeField(5)
+FIELDS = (F3, F5, QQ)
+
+DIAMOND = Poset.from_covers(["0", "a", "b", "1"],
+                            [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+WIDE_DIAMOND = Poset.from_covers(
+    ["0", "a", "b", "c", "1"],
+    [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+POSETS = {"chain3": chain(3), "chain4": chain(4), "diamond": DIAMOND,
+          "wide-diamond": WIDE_DIAMOND}
+
+
+# -- reference: the exhaustive checks, verbatim ------------------------------
+
+
+def ref_validate_ring_involution(raw):
+    alg = raw.alg
+    if raw.apply(d_one(alg)) != d_one(alg):
+        raise NotAnInvolution("map does not fix the unity")
+    basis = d_basis(alg)
+    images = [raw.apply(b) for b in basis]
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if raw.apply(bi * bj) != images[j] * images[i]:
+                raise NotAnInvolution("map is not anti-multiplicative")
+    for b, img in zip(basis, images):
+        if raw.apply(img) != b:
+            raise NotAnInvolution("map does not square to the identity")
+
+
+def ref_decompose(raw, anti=False):
+    alg = raw.alg
+    field = alg.field
+    delta = alg.delta()
+    if raw.apply(delta) != delta:
+        raise NotUnital("map does not fix the unity")
+    basis = [alg.e(x, y) for x, y in alg.pairs]
+    images = [raw.apply(b) for b in basis]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            lhs = raw.apply(ei * ej)
+            rhs = images[j] * images[i] if anti else images[i] * images[j]
+            if lhs != rhs:
+                kind = "anti-multiplicativity" if anti else "multiplicativity"
+                raise NotAMorphism(
+                    f"{kind} fails on basis pair {alg.pairs[i]}, {alg.pairs[j]}")
+    mapping = {}
+    for x in alg.poset.elements:
+        img = raw.apply(alg.e(x, x))
+        hits = [y for y in alg.poset.elements if img[y, y] == field.one]
+        zeros = [y for y in alg.poset.elements
+                 if img[y, y] != field.one and img[y, y] != field.zero]
+        if len(hits) != 1 or zeros:
+            raise NotAMorphism(f"image of point {x!r} is not conjugate to a point")
+        mapping[x] = hits[0]
+    try:
+        mu = PosetMap(alg.poset, alg.poset, mapping, anti)
+    except ParseError as exc:
+        raise NotAMorphism(f"induced point map is not an order map: {exc}") from exc
+
+    stripped = raw.compose(FiaMorphism.induced(alg, mu.inverse()).to_linear())
+    g = alg.zero()
+    for x in alg.poset.elements:
+        g = g + stripped.apply(alg.e(x, x)) * alg.e(x, x)
+    if not g.is_unit():
+        raise NotAMorphism("conjugator recovery produced a non-unit")
+    g_inv = g.inverse()
+    sigma = {}
+    for x, y in alg.poset.strict_pairs:
+        img = g_inv * stripped.apply(alg.e(x, y)) * g
+        val = img[x, y]
+        if val == field.zero or img != alg.e(x, y).scale(val):
+            raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
+        sigma[(x, y)] = val
+    result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu, anti=anti)
+    if result.to_linear() != raw:
+        raise NotAMorphism("recomposition does not reproduce the input")
+    return result
+
+
+def ref_leibniz_check(alg, d):
+    basis = [alg.e(x, y) for x, y in alg.pairs]
+    for f in basis:
+        for g in basis:
+            if d.apply(f * g) != d.apply(f) * g + f * d.apply(g):
+                return False
+    return True
+
+
+def ref_split_raw_derivation(raw):
+    alg = raw.alg
+    field = alg.field
+    if not ref_leibniz_check(alg, raw):
+        raise NotADerivation("map fails the Leibniz rule")
+    tau = {}
+    for x, y in alg.poset.strict_pairs:
+        tau[(x, y)] = raw.apply(alg.e(x, y))[x, y]
+    additive = DerivationSpec(alg, tau=tau)
+    npairs = alg.npairs
+    rows, rhs = [], []
+    basis = [alg.e(x, y) for x, y in alg.pairs]
+    for b in basis:
+        target = raw.apply(b) - additive.apply(b)
+        commutators = [(b * ej - ej * b).vals for ej in basis]
+        for k in range(npairs):
+            rows.append([commutators[j][k] for j in range(npairs)])
+            rhs.append(target.vals[k])
+    sol = solve(field, rows, rhs)
+    if sol is None:
+        raise SplitFailed("residual is not an inner derivation")
+    inner = IncFn(alg, tuple(sol))
+    shift = {}
+    for comp in alg.poset.components():
+        head = comp[0]
+        for x in comp:
+            shift[x] = inner[head, head]
+    inner = inner - alg.diagonal(shift)
+    spec = DerivationSpec(alg, inner=inner, tau=tau)
+    if spec.to_linear() != raw:
+        raise SplitFailed("recomposition does not reproduce the input")
+    return spec
+
+
+def ref_find_involution_failure(spec):
+    for b in d_basis(spec.alg):
+        if spec.apply(spec.apply(b)) != b:
+            return b
+    return None
+
+
+def ref_verify_intertwiner(s1, target, conjugator):
+    psi = inner_auto(conjugator)
+    return psi.compose(s1.to_linear()) == target.compose(psi)
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("raise", exception type)."""
+    try:
+        return "ok", fn(*args)
+    except IncalgError as exc:
+        return "raise", type(exc)
+
+
+def same_outcome(new, ref, *args, compare=None):
+    got, want = outcome(new, *args), outcome(ref, *args)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got[1] is want[1], (got, want)
+    elif compare is not None:
+        assert compare(got[1]) == compare(want[1])
+
+
+def perturbed(m, i, j):
+    """A copy of a column map with entry j of column i moved by one."""
+    field = m.alg.field
+    cols = [list(c) for c in m.cols]
+    cols[i][j] = field.add(cols[i][j], field.one)
+    return type(m)(m.alg, cols)
+
+
+def small_unit(alg, rng):
+    """A random unit [f; i] with entries in -2..2 and diagonal +-1, so that
+    over Q its inverse and the conjugates it makes stay integral."""
+    f = {(x, y): rng.choice((1, -1)) if x == y else rng.randint(-2, 2)
+         for x, y in alg.pairs}
+    i = {p: rng.randint(-2, 2) for p in alg.pairs}
+    return DElem(alg.element(f), alg.element(i))
+
+
+def conjugated(raw, u):
+    return inner_auto(u).compose(raw).compose(inner_auto(u.inverse()))
+
+
+def involutions_of(alg):
+    """Every class representative of every poset involution; over Q with
+    several fixed points (an infinite family) a few rho_eps members."""
+    out = []
+    for lam in alg.poset.involutions():
+        res = classify(alg.poset, lam, alg.field)
+        if res.representatives is not None:
+            out.append(res.representatives)
+            continue
+        fixed = res.fixed
+        specs = []
+        for eps in ([1] * len(fixed), [1, 2] + [3] * (len(fixed) - 2)):
+            for k in (1, -1):
+                specs.append(rho_eps(alg, lam, dict(zip(fixed, eps)), k))
+        out.append(specs)
+    return out
+
+
+CONTEXTS = [pytest.param(name, field, id=f"{name}-{getattr(field, 'name', 'Q')}")
+            for name in POSETS for field in FIELDS]
+
+
+# -- the differential test ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name, field", CONTEXTS)
+def test_generator_checks_match_reference(name, field):
+    alg = IncidenceAlgebra(POSETS[name], field)
+    rng = random.Random(f"{name}:{field!r}")
+    # Over Q exact arithmetic is about ten times slower, so there the
+    # comparisons that run a reference loop over every basis pair (an
+    # accepted or perturbed ring involution, an accepted ring block) are
+    # made on the first representative of the first poset involution only;
+    # every representative still goes through the rest.
+    finite = field.order is not None
+    for l_index, specs in enumerate(involutions_of(alg)):
+        for s_index, spec in enumerate(specs):
+            full = finite or (l_index == 0 and s_index == 0)
+            heavy = full and s_index == 0
+            raw = conjugated(spec.to_linear(), small_unit(alg, rng))
+            # ring-involution validation: accepted, perturbed, not involutive
+            n = len(raw.cols)
+            bad = perturbed(raw, rng.randrange(n), rng.randrange(n))
+            if full:
+                same_outcome(_validate_ring_involution,
+                             ref_validate_ring_involution, raw)
+                same_outcome(_validate_ring_involution,
+                             ref_validate_ring_involution, bad)
+            if heavy:
+                twisted = inner_auto(small_unit(alg, rng)).compose(raw)
+                same_outcome(_validate_ring_involution,
+                             ref_validate_ring_involution, twisted)
+            # decompose on the ring block (an anti-automorphism), on a
+            # perturbed copy, and with the wrong kind
+            b11 = FiLinearMap(alg, raw.blocks()[0])
+            if full:
+                same_outcome(decompose, ref_decompose, b11, True,
+                             compare=lambda m: m.to_json())
+            npairs = alg.npairs
+            same_outcome(decompose, ref_decompose,
+                         perturbed(b11, rng.randrange(npairs),
+                                   rng.randrange(npairs)), True)
+            if heavy:
+                same_outcome(decompose, ref_decompose, b11, False)
+            # the square test, on the spec and on a non-symmetric unit
+            assert spec._find_involution_failure() is None
+            assert ref_find_involution_failure(spec) is None
+            other = InvolutionSpec(alg, small_unit(alg, rng), spec.lam,
+                                   spec.k, _validated=True)
+            assert ((other._find_involution_failure() is None)
+                    == (ref_find_involution_failure(other) is None))
+            # intertwiners: the identity, and a witness when one exists
+            target = specs[(s_index + 1) % len(specs)]
+            if not heavy:
+                continue
+            for conj in (d_one(alg), small_unit(alg, rng)):
+                assert (_verify_intertwiner(spec, target, conj)
+                        == ref_verify_intertwiner(spec, target.to_linear(),
+                                                  conj))
+            verdict = equivalent_inner(spec, target)
+            if verdict.equivalent:
+                assert _verify_intertwiner(spec, target.to_linear(),
+                                           verdict.conjugator)
+                assert ref_verify_intertwiner(spec, target.to_linear(),
+                                              verdict.conjugator)
+    # derivations: a random one, a perturbed one
+    d = DerivationSpec(alg, inner=alg.random(rng),
+                       tau=_random_cocycle(alg, rng)).to_linear()
+    assert leibniz_check(alg, d) and ref_leibniz_check(alg, d)
+    same_outcome(split_raw_derivation, ref_split_raw_derivation, d,
+                 compare=lambda s: (s.inner, sorted(s.tau.items())))
+    npairs = alg.npairs
+    bad = perturbed(d, rng.randrange(npairs), rng.randrange(npairs))
+    assert leibniz_check(alg, bad) == ref_leibniz_check(alg, bad)
+    same_outcome(split_raw_derivation, ref_split_raw_derivation, bad)
+
+
+def _random_cocycle(alg, rng):
+    c = {x: alg.field.random(rng) for x in alg.poset.elements}
+    return {(x, y): alg.field.sub(c[y], c[x]) for x, y in alg.poset.strict_pairs}
+
+
+# -- negative controls ---------------------------------------------------------
+
+
+def _one_involution(poset, field):
+    alg = IncidenceAlgebra(poset, field)
+    lam = poset.involutions()[0]
+    spec = classify(poset, lam, field).representatives[-1]
+    rng = random.Random(7)
+    return alg, conjugated(spec.to_linear(), small_unit(alg, rng))
+
+
+def _rejects_perturbation(raw, i, j):
+    bad = perturbed(raw, i, j)
+    with pytest.raises(NotAnInvolution):
+        _validate_ring_involution(bad)
+    with pytest.raises(NotAnInvolution):
+        ref_validate_ring_involution(bad)
+
+
+def test_every_perturbation_rejected_chain3():
+    alg, raw = _one_involution(chain(3), F3)
+    _validate_ring_involution(raw)
+    n = len(raw.cols)
+    for i in range(n):
+        for j in range(n):
+            _rejects_perturbation(raw, i, j)
+
+
+def test_sampled_perturbations_rejected_diamond():
+    alg, raw = _one_involution(DIAMOND, F5)
+    _validate_ring_involution(raw)
+    rng = random.Random(11)
+    n = len(raw.cols)
+    for _ in range(40):
+        _rejects_perturbation(raw, rng.randrange(n), rng.randrange(n))
+
+
+def test_perturbed_automorphism_fails_decompose():
+    alg = IncidenceAlgebra(DIAMOND, F5)
+    rng = random.Random(13)
+    raw = FiaMorphism.inner(alg, alg.random_unit(rng)).to_linear()
+    decompose(raw)
+    for c, (x, y) in enumerate(alg.pairs):
+        for r in range(alg.npairs):
+            bad = perturbed(raw, c, r)
+            # a diagonal column moves the image of the unity
+            expected = NotUnital if x == y else NotAMorphism
+            with pytest.raises(expected):
+                decompose(bad)
+            with pytest.raises(expected):
+                ref_decompose(bad)
+
+
+def test_perturbed_derivation_fails_leibniz():
+    alg = IncidenceAlgebra(chain(3), F3)
+    rng = random.Random(17)
+    d = DerivationSpec(alg, inner=alg.random(rng),
+                       tau=_random_cocycle(alg, rng)).to_linear()
+    assert leibniz_check(alg, d)
+    for c in range(alg.npairs):
+        for r in range(alg.npairs):
+            bad = perturbed(d, c, r)
+            assert not leibniz_check(alg, bad)
+            assert not ref_leibniz_check(alg, bad)
+
+
+def test_non_symmetric_theta_not_involutive():
+    alg = IncidenceAlgebra(DIAMOND, F5)
+    lam = DIAMOND.involutions()[0]
+    # [1 + e_0a; 0] is not symmetric: the relabel moves e_0a to e_(lam a)1
+    theta = DElem(alg.delta() + alg.e("0", "a"), alg.zero())
+    with pytest.raises(NotInvolutive):
+        build(alg, theta, lam, 1)
+    spec = InvolutionSpec(alg, theta, lam, 1, _validated=True)
+    assert ref_find_involution_failure(spec) is not None
+
+
+def test_wrong_conjugator_fails_intertwiner():
+    alg = IncidenceAlgebra(DIAMOND, F5)
+    lam = next(m for m in DIAMOND.involutions() if m("a") == "b")
+    rng = random.Random(19)
+    s1 = classify(DIAMOND, lam, F5).representatives[0]
+    u = small_unit(alg, rng)
+    s2 = build(alg, u * s1.theta * s1.base_apply(u), lam, s1.k)
+    verdict = equivalent_inner(s1, s2)
+    assert verdict.equivalent
+    assert _verify_intertwiner(s1, s2, verdict.conjugator)
+    wrong = verdict.conjugator + DElem(alg.e("0", "a"), alg.zero())
+    assert not _verify_intertwiner(s1, s2, wrong)
+    assert not ref_verify_intertwiner(s1, s2.to_linear(), wrong)
+    assert not _verify_intertwiner(s1, s2, d_one(alg))
+    assert not ref_verify_intertwiner(s1, s2.to_linear(), d_one(alg))
+
+
+# -- the generator lemma -------------------------------------------------------
+
+
+def _ladder():
+    path = Path(__file__).resolve().parents[1] / "bench" / "shared.py"
+    spec = importlib.util.spec_from_file_location("bench_shared", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LADDER
+
+
+LADDER = _ladder()
+
+
+def product_closure(gens):
+    """Everything reachable from the generators by left multiplication by a
+    generator: every product of generators."""
+    zero = DElem(gens[0].f.alg.zero(), gens[0].f.alg.zero())
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for g in gens:
+            for a in frontier:
+                p = g * a
+                if p != zero and p not in reached:
+                    reached.add(p)
+                    new.append(p)
+        frontier = new
+    return reached
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_generators_reach_every_basis_element(name):
+    elements, covers = LADDER[name]
+    poset = Poset.from_covers(elements, covers)
+    alg = IncidenceAlgebra(poset, F3)
+    gens = d_generators(alg)
+    assert len(gens) == 2 * len(elements) + len(poset.covers)
+    assert set(d_basis(alg)) <= product_closure(gens)
+    # dropping a cover loses its basis element: covers are indecomposable
+    dropped = DElem(alg.e(*poset.covers[0]), alg.zero())
+    short = [g for g in gens if g != dropped]
+    assert dropped not in product_closure(short)
