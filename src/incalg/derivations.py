@@ -62,14 +62,18 @@ def leibniz_check(alg, d):
     products, so this decides the rule on the whole algebra.
 
     ``d`` may be a DerivationSpec or any object with an ``apply`` method
-    (e.g. a raw FiLinearMap).
+    (e.g. a raw FiLinearMap).  A product g b is a basis element or zero
+    (``IncidenceAlgebra.basis_product``), so D(g b) is one of the basis
+    images or zero.
     """
     basis = [alg.e(x, y) for x, y in alg.pairs]
     images = [d.apply(b) for b in basis]
-    for g in alg.generators():
-        dg = d.apply(g)
-        for b, db in zip(basis, images):
-            if d.apply(g * b) != dg * b + g * db:
+    zero = alg.zero()
+    for g in alg.generator_indices():
+        eg, dg = basis[g], images[g]
+        for j, (b, db) in enumerate(zip(basis, images)):
+            k = alg.basis_product.get((g, j))
+            if (zero if k is None else images[k]) != dg * b + eg * db:
                 return False
     return True
 
@@ -152,7 +156,9 @@ def split_raw_derivation(raw):
     that agree on the generators are equal, so the solve uses only the
     generator rows and the recomposition compares only generator images;
     the generator rows span the same row space as all basis rows, so the
-    reduced system and its particular solution are unchanged.
+    reduced system and its particular solution are unchanged.  The
+    commutators e_g e_j - e_j e_g that make up those rows are read from
+    ``IncidenceAlgebra.basis_product`` rather than formed as products.
     """
     alg = raw.alg
     field = alg.field
@@ -162,17 +168,21 @@ def split_raw_derivation(raw):
     for x, y in alg.poset.strict_pairs:
         tau[(x, y)] = raw.apply(alg.e(x, y))[x, y]
     additive = DerivationSpec(alg, tau=tau)
-    # solve (e_p i - i e_p) = residual(e_p) for the entries of i
+    # solve (e_g i - i e_g) = residual(e_g) for the entries of i; column j
+    # of generator g's block is the commutator e_g e_j - e_j e_g
     npairs = alg.npairs
     rows, rhs = [], []
-    basis = [alg.e(x, y) for x, y in alg.pairs]
     gens = alg.generators()
-    for b in gens:
+    for g, b in zip(alg.generator_indices(), gens):
         target = raw.apply(b) - additive.apply(b)
-        commutators = [(b * ej - ej * b).vals for ej in basis]
-        for k in range(npairs):
-            rows.append([commutators[j][k] for j in range(npairs)])
-            rhs.append(target.vals[k])
+        block = [[field.zero] * npairs for _ in range(npairs)]
+        for (i, j), k in alg.basis_product.items():
+            if i == g:  # e_g e_j = e_k
+                block[k][j] = field.add(block[k][j], field.one)
+            if j == g:  # e_i e_g = e_k
+                block[k][i] = field.sub(block[k][i], field.one)
+        rows += block
+        rhs += target.vals
     sol = solve(field, rows, rhs)
     if sol is None:
         raise SplitFailed("residual is not an inner derivation")

@@ -8,9 +8,18 @@ basis, multiplication is the convolution
     (f g)(x, y) = sum over x <= z <= y of f(x, z) g(z, y),
 
 and the diagonal-ones function is the unity.
+
+The convolution is precomputed once per algebra as a flat term list: two
+gathers pick f(x, z) and g(z, y) for every term of every entry, one ``map``
+multiplies them pairwise, and each entry sums its slice, with one ``% p``
+per entry over a prime field.  On the interval basis the structure
+constants are 0 or 1 (e_xy e_zw is e_xw when y = z and zero otherwise), so
+a product of two basis elements needs no convolution at all: it is the
+lookup ``basis_product[(i, j)]``, which misses when the product is zero.
 """
 
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .errors import ContextMismatch, NotAUnit, NotComparable
 
@@ -33,6 +42,18 @@ class IncidenceAlgebra:
                 terms.append((self.pair_index[(x, z)], self.pair_index[(z, y)]))
             conv.append(tuple(terms))
         self.conv = tuple(conv)
+        # the same terms flattened: entry k of a product sums
+        # f[_left][_bounds[k]] * g[_right][_bounds[k]] termwise
+        self._left = _gather([i for terms in conv for i, _ in terms])
+        self._right = _gather([j for terms in conv for _, j in terms])
+        bounds, start = [], 0
+        for terms in conv:
+            bounds.append(slice(start, start + len(terms)))
+            start += len(terms)
+        self._bounds = tuple(bounds)
+        # e_i e_j = e_k for each composable (i, j); absent pairs multiply to 0
+        self.basis_product = {
+            ij: k for k, terms in enumerate(conv) for ij in terms}
         self._diag = tuple(k for k, (x, y) in enumerate(self.pairs) if x == y)
         # pair indices ordered by interval size, for back-substitution
         self._by_interval = sorted(
@@ -95,14 +116,18 @@ class IncidenceAlgebra:
             f.random_nonzero(rng) if x == y else f.random(rng)
             for x, y in self.pairs))
 
-    def generators(self):
-        """The point idempotents e_xx and the cover elements e_xy (x
-        covered by y): every basis element e_xy is the product of the
-        cover elements along a maximal chain from x to y, so these
-        generate the algebra."""
+    def generator_indices(self):
+        """Pair indices of the point idempotents e_xx and the cover
+        elements e_xy (x covered by y): every basis element e_xy is the
+        product of the cover elements along a maximal chain from x to y, so
+        these generate the algebra."""
         covers = set(self.poset.covers)
-        return [self.e(x, y) for x, y in self.pairs
+        return [k for k, (x, y) in enumerate(self.pairs)
                 if x == y or (x, y) in covers]
+
+    def generators(self):
+        """The basis elements at ``generator_indices``, in that order."""
+        return [self.e(*self.pairs[k]) for k in self.generator_indices()]
 
     # -- structure ---------------------------------------------------------
 
@@ -134,6 +159,16 @@ class IncidenceAlgebra:
 
     def __repr__(self):
         return f"IncidenceAlgebra({self.poset!r}, {self.field!r})"
+
+
+def _gather(indices):
+    """vals -> the tuple of vals[i] for i in indices.  ``itemgetter`` does
+    this in C, but returns a bare value for a single index and takes no
+    empty index list, so those (the one-point and empty posets) fall back
+    to a plain tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda vals: tuple(vals[i] for i in indices)
 
 
 def _check_context(a, b):
@@ -175,16 +210,13 @@ class IncFn:
 
     def __mul__(self, other):
         _check_context(self, other)
-        a, b = self.vals, other.vals
-        p = self.alg.field.modulus
+        alg = self.alg
+        prods = list(map(mul, alg._left(self.vals), alg._right(other.vals)))
+        p = alg.field.modulus
         if p is not None:
-            return IncFn(self.alg, tuple(
-                sum(a[i] * b[j] for i, j in terms) % p
-                for terms in self.alg.conv))
+            return IncFn(alg, tuple([sum(prods[s]) % p for s in alg._bounds]))
         zero = Fraction(0)
-        return IncFn(self.alg, tuple(
-            sum((a[i] * b[j] for i, j in terms), zero)
-            for terms in self.alg.conv))
+        return IncFn(alg, tuple([sum(prods[s], zero) for s in alg._bounds]))
 
     def is_unit(self):
         zero = self.alg.field.zero

@@ -26,7 +26,8 @@ from .errors import (
 from .fia import IncFn, IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
-    DElem, DLinearMap, central_pair, d_basis, d_from_json, d_generators, d_one,
+    DElem, DLinearMap, central_pair, d_basis, d_basis_product, d_from_coords,
+    d_from_json, d_generator_indices, d_generators, d_one, d_zero,
     lift_morphism,
 )
 from .morphisms import (
@@ -346,20 +347,25 @@ def _validate_ring_involution(raw):
     """Unitality, then anti-multiplicativity on generator-times-basis
     products, then the square on the generators; each is exact by the
     argument in ``d_generators`` (the square of an anti-multiplicative map
-    is multiplicative)."""
+    is multiplicative).  A generator times a basis element is a basis
+    element or zero (``d_basis_product``), so its image is a column of the
+    matrix or zero, and no product is formed on that side."""
     alg = raw.alg
-    if raw.apply(d_one(alg)) != d_one(alg):
+    one = d_one(alg)
+    if raw.apply(one) != one:
         raise NotAnInvolution("map does not fix the unity")
-    basis = d_basis(alg)
-    images = [raw.apply(b) for b in basis]
-    gens = d_generators(alg)
+    images = [d_from_coords(alg, col) for col in raw.cols]
+    zero = d_zero(alg)
+    gens = d_generator_indices(alg)
     for g in gens:
-        g_img = raw.apply(g)
-        for b, b_img in zip(basis, images):
-            if raw.apply(g * b) != b_img * g_img:
+        g_img = images[g]
+        for t, b_img in enumerate(images):
+            k = d_basis_product(alg, g, t)
+            if (zero if k is None else images[k]) != b_img * g_img:
                 raise NotAnInvolution("map is not anti-multiplicative")
+    basis = d_basis(alg)
     for g in gens:
-        if raw.apply(raw.apply(g)) != g:
+        if raw.image(raw.cols[g]) != basis[g].coords():
             raise NotAnInvolution("map does not square to the identity")
 
 
@@ -410,8 +416,7 @@ def recognize(raw):
     rho = FiaMorphism.induced(alg, lam)
     theta = DElem(m, (m * rho.apply(j)).scale(k))
     spec = build(alg, theta, lam, k)
-    # both are anti-automorphisms, so agreeing on the generators is equality
-    if any(spec.apply(g) != raw.apply(g) for g in d_generators(alg)):
+    if not _same_on_generators(spec, raw):
         raise NotAnInvolution("normal form does not reproduce the input")
     return spec
 
@@ -495,20 +500,35 @@ def _verify_intertwiner(s1, target, conjugator):
                for g in d_generators(s1.alg))
 
 
-def _relabelled(spec, alpha):
-    """The matrix of spec conjugated by the ring lift of the relabeling
-    induced by the poset automorphism alpha."""
-    alg = spec.alg
-    lifted = lift_morphism(FiaMorphism.induced(alg, alpha))
-    lifted_inv = lift_morphism(FiaMorphism.induced(alg, alpha.inverse()))
-    return lifted.compose(spec.to_linear()).compose(lifted_inv)
+def _same_on_generators(a, b):
+    """Whether two ring (anti-)automorphisms of the same idealization, each
+    given by its ``apply``, agree on ``d_generators``, which makes them
+    equal."""
+    return all(a.apply(g) == b.apply(g) for g in d_generators(a.alg))
+
+
+class _Relabelled:
+    """spec conjugated by the ring lift L of the relabeling induced by the
+    poset automorphism alpha: ``apply`` is L o spec o L^-1, evaluated
+    pointwise without building a matrix."""
+
+    def __init__(self, spec, alpha):
+        self.alg = spec.alg
+        self.spec = spec
+        self._move = FiaMorphism.induced(self.alg, alpha)
+        self._back = FiaMorphism.induced(self.alg, alpha.inverse())
+
+    def apply(self, d):
+        back = self._back.apply
+        img = self.spec.apply(DElem(back(d.f), back(d.i)))
+        return DElem(self._move.apply(img.f), self._move.apply(img.i))
 
 
 def verify_witness(s1, s2, verdict):
     """Re-check a positive verdict's witness from scratch: the conjugator
     must intertwine s1 with s2, relabelled first for a general verdict.
     Raises WitnessFailed when it does not."""
-    target = s2 if verdict.alpha is None else _relabelled(s2, verdict.alpha)
+    target = s2 if verdict.alpha is None else _Relabelled(s2, verdict.alpha)
     if not _verify_intertwiner(s1, target, verdict.conjugator):
         raise WitnessFailed("witness failed re-verification")
 
@@ -581,7 +601,8 @@ def equivalent(s1, s2):
         conjugated = InvolutionSpec(alg, moved, s1.lam, s2.k, _validated=True)
         inner = equivalent_inner(s1, conjugated)
         if inner.equivalent:
-            if _relabelled(s2, alpha) != conjugated.to_linear():
+            # both are anti-automorphisms, so the generators decide it
+            if not _same_on_generators(_Relabelled(s2, alpha), conjugated):
                 raise WitnessFailed("relabel conjugation mismatch")
             return Verdict(True, conjugator=inner.conjugator,
                            alpha=alpha, k=alg.field.one)

@@ -174,30 +174,32 @@ def decompose(raw, anti=False):
 
     Validates unitality and (anti-)multiplicativity on the products of a
     generator (``IncidenceAlgebra.generators``) with a basis element, which
-    decides it on the whole algebra (see ``idealization.d_generators``),
-    recovers the induced poset map from diagonal idempotent images, peels
-    the conjugator off with g = sum of raw'(e_x) e_x, reads the cocycle from
-    what remains, and finally checks that the factored form agrees with the
-    input on the generators, which for two (anti-)automorphisms is exact
-    equality.
+    decides it on the whole algebra (see ``idealization.d_generators``);
+    such a product is a basis element or zero (``basis_product``), so its
+    image is a column of the matrix or zero.  It then recovers the induced
+    poset map from diagonal idempotent images, peels the conjugator off
+    with g = sum of raw'(e_x) e_x, reads the cocycle from what remains, and
+    finally checks that the factored form agrees with the input on the
+    generators, which for two (anti-)automorphisms is exact equality.
     """
     alg = raw.alg
     field = alg.field
     delta = alg.delta()
     if raw.apply(delta) != delta:
         raise NotUnital("map does not fix the unity")
-    basis = [alg.e(x, y) for x, y in alg.pairs]
-    images = [raw.apply(b) for b in basis]
-    gens = alg.generators()
+    images = [IncFn(alg, col) for col in raw.cols]
+    zero = alg.zero()
+    gens = alg.generator_indices()
     for g in gens:
-        g_img = raw.apply(g)
-        for j, (b, b_img) in enumerate(zip(basis, images)):
-            lhs = raw.apply(g * b)
+        g_img = images[g]
+        for j, b_img in enumerate(images):
+            k = alg.basis_product.get((g, j))
+            lhs = zero if k is None else images[k]
             rhs = b_img * g_img if anti else g_img * b_img
             if lhs != rhs:
                 kind = "anti-multiplicativity" if anti else "multiplicativity"
                 raise NotAMorphism(
-                    f"{kind} fails on basis pair {g.support()[0]}, "
+                    f"{kind} fails on basis pair {alg.pairs[g]}, "
                     f"{alg.pairs[j]}")
     # induced poset map: the image of a point idempotent is a conjugate of a
     # point idempotent, so its diagonal is an exact indicator
@@ -230,7 +232,7 @@ def decompose(raw, anti=False):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val
     result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu, anti=anti)
-    if any(result.apply(e) != raw.apply(e) for e in gens):
+    if any(result.apply(alg.e(*alg.pairs[k])) != images[k] for k in gens):
         raise NotAMorphism("recomposition does not reproduce the input")
     return result
 

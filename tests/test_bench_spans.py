@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import PrimeField
+from incalg.posets import Poset
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -37,3 +41,28 @@ def test_traced_callable_resolves(modname, path):
         assert callable(raw.__func__ if isinstance(raw, classmethod) else raw)
     else:
         assert callable(getattr(module, path))
+
+
+# The tracer's fia.mul.terms adds sum(map(len, alg.conv)) per product.  That
+# counts the terms actually multiplied only while the flat gathers of
+# IncFn.__mul__ hold exactly conv's terms and _bounds cuts them into conv's
+# entries in order; gathering over range(npairs) reads the index lists back.
+@pytest.mark.parametrize("poset", [
+    Poset.from_covers(["a"], []),
+    Poset.from_covers(["a", "b", "c"], []),
+    Poset.from_covers(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")]),
+    Poset.from_covers(["0", "a", "b", "1"],
+                      [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]),
+], ids=["point", "antichain", "chain4", "diamond"])
+def test_flat_kernel_holds_exactly_the_traced_terms(poset):
+    alg = IncidenceAlgebra(poset, PrimeField(3))
+    positions = tuple(range(alg.npairs))
+    left, right = alg._left(positions), alg._right(positions)
+    assert len(left) == len(right) == sum(map(len, alg.conv))
+    start = 0
+    for terms, cut in zip(alg.conv, alg._bounds, strict=True):
+        assert (cut.start, cut.stop, cut.step) == (start, start + len(terms),
+                                                   None)
+        assert tuple(zip(left[cut], right[cut])) == terms
+        start = cut.stop
+    assert start == len(left)

@@ -1,0 +1,124 @@
+"""The flat convolution kernel of ``IncFn.__mul__`` and the basis-product
+lookups that replace basis-times-basis products.
+
+The reference below is the textbook triple loop over x, y and the points z
+of the interval [x, y], kept verbatim; the kernel must agree with it on
+random and zero operands over F2, F3, F5 and Q, on every fixture poset and
+on the edge shapes (one point, an antichain, two components).  The lookup
+tables must agree with the products they stand for.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import QQ, PrimeField
+from incalg.idealization import (
+    DElem, d_basis, d_basis_product, d_generator_indices, d_generators, d_zero,
+)
+from incalg.posets import Poset
+
+FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), QQ)
+FIXTURES = ("chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
+            "two_chains", "wide_diamond")
+EDGE = {
+    "point": Poset.from_covers(["a"], []),
+    "antichain": Poset.from_covers(["a", "b", "c"], []),
+    "two-components": Poset.from_covers(["a", "b", "c", "d", "e"],
+                                        [("a", "b"), ("c", "d"), ("c", "e")]),
+}
+
+
+def _poset(request, name):
+    return EDGE[name] if name in EDGE else request.getfixturevalue(name)
+
+
+# -- reference: the textbook convolution, verbatim ---------------------------
+
+
+def ref_convolution(f, g):
+    alg = f.alg
+    field = alg.field
+    poset = alg.poset
+    out = {}
+    for x in poset.elements:
+        for y in poset.elements:
+            if not poset.leq(x, y):
+                continue
+            acc = field.zero
+            for z in poset.elements:
+                if poset.leq(x, z) and poset.leq(z, y):
+                    acc = field.add(acc, field.mul(f[x, z], g[z, y]))
+            out[(x, y)] = acc
+    return alg.element(out)
+
+
+def ref_generators(alg):
+    covers = set(alg.poset.covers)
+    return [alg.e(x, y) for x, y in alg.pairs
+            if x == y or (x, y) in covers]
+
+
+def ref_d_generators(alg):
+    out = [DElem(g, alg.zero()) for g in ref_generators(alg)]
+    for x, y in alg.pairs:
+        if x == y:
+            out.append(DElem(alg.zero(), alg.e(x, x)))
+    return out
+
+
+# -- the kernel --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: getattr(f, "name", "Q"))
+@pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
+def test_kernel_matches_textbook_convolution(request, name, field):
+    alg = IncidenceAlgebra(_poset(request, name), field)
+    rng = random.Random(f"{name}:{field!r}")
+    operands = [alg.random(rng) for _ in range(4)]
+    operands += [alg.zero(), alg.delta(), alg.zeta()]
+    for f in operands:
+        for g in operands:
+            got = f * g
+            assert got == ref_convolution(f, g)
+            if field is QQ:
+                assert all(type(v) is Fraction for v in got.vals)
+
+
+def test_kernel_on_empty_poset():
+    alg = IncidenceAlgebra(Poset([], []), PrimeField(3))
+    assert (alg.zero() * alg.zero()).vals == ()
+
+
+# -- the lookup tables -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", (PrimeField(3), QQ),
+                         ids=lambda f: getattr(f, "name", "Q"))
+@pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
+def test_basis_product_table(request, name, field):
+    alg = IncidenceAlgebra(_poset(request, name), field)
+    basis = [alg.e(x, y) for x, y in alg.pairs]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            k = alg.basis_product.get((i, j))
+            assert ei * ej == (alg.zero() if k is None else basis[k])
+    assert ([basis[k] for k in alg.generator_indices()] == alg.generators()
+            == ref_generators(alg))
+
+
+@pytest.mark.parametrize("field", (PrimeField(3), QQ),
+                         ids=lambda f: getattr(f, "name", "Q"))
+@pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
+def test_d_basis_product_table(request, name, field):
+    alg = IncidenceAlgebra(_poset(request, name), field)
+    basis = d_basis(alg)
+    zero = d_zero(alg)
+    for s, bs in enumerate(basis):
+        for t, bt in enumerate(basis):
+            k = d_basis_product(alg, s, t)
+            assert bs * bt == (zero if k is None else basis[k])
+    assert ([basis[s] for s in d_generator_indices(alg)] == d_generators(alg)
+            == ref_d_generators(alg))

@@ -5,18 +5,22 @@ import pytest
 from incalg.errors import (
     BadSign, Char2Unsupported, FixedPointsPresent, HypothesisFailed,
     NotASquare, NotConnected, NotInvolutive, NotSymmetric, UpperRightNonzero,
-    ZeroEpsilon,
+    WitnessFailed, ZeroEpsilon,
 )
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
+from incalg import involutions
 from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_one, inner_auto, random_d_unit,
+    DElem, DLinearMap, central_pair, d_one, inner_auto, lift_morphism,
+    random_d_unit,
 )
 from incalg.involutions import (
-    Classification, InvolutionSpec, base_involution, build, check_hypotheses,
-    classify, equivalent, equivalent_inner, involution_from_json, recognize,
-    rho_eps, sigma_lambda, symmetric_decompose,
+    Classification, InvolutionSpec, _Relabelled, _same_on_generators,
+    base_involution, build, check_hypotheses, classify, equivalent,
+    equivalent_inner, involution_from_json, recognize, rho_eps, sigma_lambda,
+    symmetric_decompose,
 )
+from incalg.morphisms import FiaMorphism
 from incalg.posets import lambda_decomposition
 
 F3 = PrimeField(3)
@@ -582,3 +586,66 @@ def test_sigma_branch_over_rationals(chain2):
         assert v.equivalent
         psi = inner_auto(v.conjugator)
         assert psi.compose(spec.to_linear()) == sig.to_linear().compose(psi)
+
+
+# -- the relabel check of `equivalent`, on generators ------------------------
+
+
+def ref_relabelled(spec, alpha):
+    """The whole-matrix form the relabel check used to compare, verbatim."""
+    alg = spec.alg
+    lifted = lift_morphism(FiaMorphism.induced(alg, alpha))
+    lifted_inv = lift_morphism(FiaMorphism.induced(alg, alpha.inverse()))
+    return lifted.compose(spec.to_linear()).compose(lifted_inv)
+
+
+def _relabel_pairs(request):
+    diamond = request.getfixturevalue("diamond")
+    wide = request.getfixturevalue("wide_diamond")
+    flip = diamond_flip(diamond)
+    wide_flip = next(m for m in wide.involutions()
+                     if all(m.mapping[x] == x for x in "abc"))
+    d3, d5 = IncidenceAlgebra(diamond, F3), IncidenceAlgebra(diamond, F5)
+    w3 = IncidenceAlgebra(wide, F3)
+    spec = rho_eps(d5, flip, {"a": 2, "b": 3}, -1)
+    return [
+        (rho_eps(d3, flip, {"a": 1, "b": 2}, 1),
+         rho_eps(d3, flip, {"a": 2, "b": 1}, 1)),
+        (rho_eps(w3, wide_flip, {"a": 1, "b": 1, "c": 2}, 1),
+         rho_eps(w3, wide_flip, {"a": 2, "b": 1, "c": 1}, 1)),
+        (rho_eps(d5, flip, {"a": 1, "b": 1}, 1),
+         rho_eps(d5, flip, {"a": 2, "b": 2}, 1)),
+        (spec, spec),
+    ]
+
+
+def test_relabel_check_matches_whole_matrix_comparison(request):
+    for s1, s2 in _relabel_pairs(request):
+        alg = s1.alg
+        a, b = next(p for p in alg.poset.strict_pairs)
+        skew = DElem(alg.delta() + alg.e(a, b), alg.zero())
+        for alpha in alg.poset.automorphisms():
+            carrier = alpha.compose(s2.lam).compose(alpha.inverse()) == s1.lam
+            relabel = FiaMorphism.induced(alg, alpha)
+            moved = DElem(relabel.apply(s2.theta.f),
+                          relabel.apply(s2.theta.i))
+            # as `equivalent` builds it, then with a non-central factor
+            # that changes the map
+            for theta, expected in ((moved, carrier), (moved * skew, False)):
+                conjugated = InvolutionSpec(alg, theta, s1.lam, s2.k,
+                                            _validated=True)
+                new = _same_on_generators(_Relabelled(s2, alpha), conjugated)
+                old = ref_relabelled(s2, alpha) == conjugated.to_linear()
+                assert new == old == expected
+
+
+def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
+    alg = IncidenceAlgebra(wide_diamond, F3)
+    flip = next(m for m in wide_diamond.involutions()
+                if all(m.mapping[x] == x for x in "abc"))
+    s1 = rho_eps(alg, flip, {"a": 1, "b": 1, "c": 2}, 1)
+    s2 = rho_eps(alg, flip, {"a": 2, "b": 1, "c": 1}, 1)
+    # the only witness needs a non-identity relabel; dropping it must fail
+    monkeypatch.setattr(involutions, "_Relabelled", lambda spec, alpha: spec)
+    with pytest.raises(WitnessFailed):
+        equivalent(s1, s2)
