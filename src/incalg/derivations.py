@@ -3,15 +3,17 @@
 A derivation is a K-linear map D with D(fg) = D(f) g + f D(g).  Two
 families span them all: inner derivations f |-> f i - i f, and additive
 ones that scale each entry by an additive cocycle.  ``split_raw_derivation``
-recovers such a presentation from a raw matrix, after ``leibniz_check`` has
-checked the rule on each product of a generator with a basis element, which
-decides it exactly (see ``idealization.d_generators``).  ``der_equals_ider``
-decides whether the additive family adds anything beyond the inner one,
-reading the answer off ``morphisms.cocycle_obstruction`` (the same Smith
-normal form that decides ``mult_subset_inn``).
+recovers such a presentation from a raw matrix and accepts it only when the
+presentation reproduces the matrix on the whole basis.  ``leibniz_check``
+decides the rule for a map not known to be a derivation, on each product of
+a generator with a basis element, which is exact (see
+``idealization.d_generators``).  ``der_equals_ider`` decides whether the
+additive family adds anything beyond the inner one, reading the answer off
+``morphisms.cocycle_obstruction`` (the same Smith normal form that decides
+``mult_subset_inn``).
 """
 
-from .errors import ContextMismatch, NotADerivation, SplitFailed
+from .errors import ContextMismatch, InvalidCocycle, NotADerivation
 from .fia import IncFn
 from .linalg import nullspace, solve
 from .morphisms import (
@@ -152,28 +154,30 @@ def split_raw_derivation(raw):
 
     The additive cocycle is read off the basis images; the residual is an
     inner derivation found by exact linear solve and normalized by zeroing
-    the diagonal at the first element of each component.  Two derivations
-    that agree on the generators are equal, so the solve uses only the
-    generator rows and the recomposition compares only generator images;
-    the generator rows span the same row space as all basis rows, so the
-    reduced system and its particular solution are unchanged.  The
-    commutators e_g e_j - e_j e_g that make up those rows are read from
-    ``IncidenceAlgebra.basis_product`` rather than formed as products.
+    the diagonal at the first element of each component.  The solve uses
+    only the generator rows: for a derivation they span the same row space
+    as all basis rows, so the reduced system and its particular solution
+    are unchanged.  The commutators e_g e_j - e_j e_g that make up those
+    rows are read from ``IncidenceAlgebra.basis_product`` rather than formed
+    as products.  The presentation is a derivation by construction, so
+    accepting only when it equals the input on every basis column certifies
+    that the input is one; the Leibniz rule is never checked on the input.
+    Every rejection is NotADerivation.
     """
     alg = raw.alg
     field = alg.field
-    if not leibniz_check(alg, raw):
-        raise NotADerivation("map fails the Leibniz rule")
     tau = {}
     for x, y in alg.poset.strict_pairs:
         tau[(x, y)] = raw.apply(alg.e(x, y))[x, y]
-    additive = DerivationSpec(alg, tau=tau)
+    try:
+        additive = DerivationSpec(alg, tau=tau)
+    except InvalidCocycle as exc:
+        raise NotADerivation(f"entry scaling is not a cocycle: {exc}") from exc
     # solve (e_g i - i e_g) = residual(e_g) for the entries of i; column j
     # of generator g's block is the commutator e_g e_j - e_j e_g
     npairs = alg.npairs
     rows, rhs = [], []
-    gens = alg.generators()
-    for g, b in zip(alg.generator_indices(), gens):
+    for g, b in zip(alg.generator_indices(), alg.generators()):
         target = raw.apply(b) - additive.apply(b)
         block = [[field.zero] * npairs for _ in range(npairs)]
         for (i, j), k in alg.basis_product.items():
@@ -185,7 +189,7 @@ def split_raw_derivation(raw):
         rhs += target.vals
     sol = solve(field, rows, rhs)
     if sol is None:
-        raise SplitFailed("residual is not an inner derivation")
+        raise NotADerivation("residual is not an inner derivation")
     inner = IncFn(alg, tuple(sol))
     # zero the diagonal entry at the head of each component
     shift = {}
@@ -195,6 +199,6 @@ def split_raw_derivation(raw):
             shift[x] = inner[head, head]
     inner = inner - alg.diagonal(shift)
     spec = DerivationSpec(alg, inner=inner, tau=tau)
-    if any(spec.apply(g) != raw.apply(g) for g in gens):
-        raise SplitFailed("recomposition does not reproduce the input")
+    if spec.to_linear() != raw:
+        raise NotADerivation("recomposition does not reproduce the input")
     return spec

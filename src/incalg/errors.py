@@ -66,10 +66,6 @@ class NotADerivation(IncalgError):
     """Linear map fails the Leibniz rule."""
 
 
-class SplitFailed(IncalgError):
-    """Residual of a derivation split is not inner (defensive)."""
-
-
 class NotCentral(IncalgError):
     """A central element was required."""
 

@@ -249,10 +249,6 @@ class IncFn:
         return {x: self.vals[self.alg.pair_index[(x, x)]]
                 for x in self.alg.poset.elements}
 
-    def support(self):
-        zero = self.alg.field.zero
-        return tuple(p for p, v in zip(self.alg.pairs, self.vals) if v != zero)
-
     def is_central(self):
         return self.alg.is_central(self)
 

@@ -90,10 +90,6 @@ def d_one(alg):
     return DElem(alg.delta(), alg.zero())
 
 
-def d_zero(alg):
-    return DElem(alg.zero(), alg.zero())
-
-
 def d_from_coords(alg, coords):
     n = alg.npairs
     return DElem(IncFn(alg, tuple(coords[:n])), IncFn(alg, tuple(coords[n:])))
@@ -131,29 +127,9 @@ def d_generators(alg):
     (anti-)homomorphisms, or two derivations, agree is closed under sums
     and products, so agreeing on the generators makes them equal.
     """
-    basis = d_basis(alg)
-    return [basis[s] for s in d_generator_indices(alg)]
-
-
-def d_generator_indices(alg):
-    """Positions of ``d_generators`` in ``d_basis``, in the same order."""
-    n = alg.npairs
-    return alg.generator_indices() + [
-        n + k for k, (x, y) in enumerate(alg.pairs) if x == y]
-
-
-def d_basis_product(alg, s, t):
-    """The ``d_basis`` position of the product of basis elements s and t,
-    or None when it is zero.  [e; 0][e'; 0] = [e e'; 0], a mixed product
-    is e e' in the bimodule coordinate, and [0; e][0; e'] = 0, so with
-    ``IncidenceAlgebra.basis_product`` every product is a lookup."""
-    n = alg.npairs
-    if s >= n and t >= n:
-        return None
-    k = alg.basis_product.get((s % n, t % n))
-    if k is None or (s < n and t < n):
-        return k
-    return n + k
+    zero = alg.zero()
+    return ([DElem(g, zero) for g in alg.generators()]
+            + [DElem(zero, alg.e(x, y)) for x, y in alg.pairs if x == y])
 
 
 def d_center_basis(alg):

@@ -74,17 +74,6 @@ def nullspace(field, rows, ncols=None):
     return basis
 
 
-def invert_matrix(field, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
-
-
 class ColumnMap:
     """A K-linear endomorphism stored column-wise: ``cols[j]`` is the
     coordinate vector of the image of basis vector j.  Subclasses fix the

@@ -1,36 +1,43 @@
-"""Differential tests for the checks decided on ring generators.
+"""Differential tests for the exact checks against exhaustive references.
 
-Ring-involution validation, ``decompose``, ``leibniz_check``, the square
-test of ``InvolutionSpec``, ``split_raw_derivation`` and
+``recognize``, ``decompose`` and ``split_raw_derivation`` accept a raw
+matrix only when the form they factor it into reproduces it on the whole
+basis.  ``leibniz_check``, the square test of ``InvolutionSpec`` and
 ``_verify_intertwiner`` decide their identities on generators (see
 ``idealization.d_generators``).  The routines below are the exhaustive
-basis-pair and whole-matrix versions they replaced, kept verbatim as the
+basis-pair and whole-matrix versions those replaced, kept verbatim as the
 reference.  Both paths must accept and reject the same inputs with the
-same exception type, on every involution of the small fixtures and on
-perturbed copies of them.
+same exception type (``recognize`` against the old ring-involution
+validation, with NotAnInvolution or UpperRightNonzero as its rejection), on
+every involution of the small fixtures, on perturbed copies of them and on
+Hypothesis-drawn matrices.
 """
 
+import functools
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incalg.derivations import (
     DerivationSpec, leibniz_check, split_raw_derivation,
 )
 from incalg.errors import (
     IncalgError, NotADerivation, NotAMorphism, NotAnInvolution, NotInvolutive,
-    NotUnital, ParseError, SplitFailed,
+    NotUnital, ParseError, UpperRightNonzero,
 )
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, d_basis, d_generators, d_one, inner_auto,
+    DElem, DLinearMap, d_basis, d_generators, d_one, inner_auto,
+    lift_morphism,
 )
 from incalg.involutions import (
-    InvolutionSpec, _validate_ring_involution, _verify_intertwiner, build,
-    classify, equivalent_inner, rho_eps,
+    InvolutionSpec, _verify_intertwiner, build, classify, equivalent_inner,
+    recognize, rho_eps,
 )
 from incalg.linalg import solve
 from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
@@ -52,6 +59,11 @@ POSETS = {"chain3": chain(3), "chain4": chain(4), "diamond": DIAMOND,
 
 
 # -- reference: the exhaustive checks, verbatim ------------------------------
+
+
+class SplitFailed(IncalgError):
+    """The error ``ref_split_raw_derivation`` raised; the library now raises
+    NotADerivation there instead."""
 
 
 def ref_validate_ring_involution(raw):
@@ -194,6 +206,20 @@ def same_outcome(new, ref, *args, compare=None):
         assert compare(got[1]) == compare(want[1])
 
 
+def same_verdict_as_reference(raw):
+    """recognize accepts exactly when the exhaustive validation does, with a
+    normal form that reproduces raw; otherwise it raises UpperRightNonzero
+    when that block is nonzero and NotAnInvolution when it is not."""
+    got = outcome(recognize, raw)
+    if outcome(ref_validate_ring_involution, raw)[0] == "ok":
+        assert got[0] == "ok", got
+        assert got[1].to_linear() == raw
+        return
+    zero = raw.alg.field.zero
+    upper = any(v != zero for col in raw.blocks()[1] for v in col)
+    assert got == ("raise", UpperRightNonzero if upper else NotAnInvolution)
+
+
 def perturbed(m, i, j):
     """A copy of a column map with entry j of column i moved by one."""
     field = m.alg.field
@@ -255,18 +281,16 @@ def test_generator_checks_match_reference(name, field):
             full = finite or (l_index == 0 and s_index == 0)
             heavy = full and s_index == 0
             raw = conjugated(spec.to_linear(), small_unit(alg, rng))
-            # ring-involution validation: accepted, perturbed, not involutive
+            # recognize against ring-involution validation: accepted,
+            # perturbed, not involutive
             n = len(raw.cols)
             bad = perturbed(raw, rng.randrange(n), rng.randrange(n))
             if full:
-                same_outcome(_validate_ring_involution,
-                             ref_validate_ring_involution, raw)
-                same_outcome(_validate_ring_involution,
-                             ref_validate_ring_involution, bad)
+                same_verdict_as_reference(raw)
+                same_verdict_as_reference(bad)
             if heavy:
                 twisted = inner_auto(small_unit(alg, rng)).compose(raw)
-                same_outcome(_validate_ring_involution,
-                             ref_validate_ring_involution, twisted)
+                same_verdict_as_reference(twisted)
             # decompose on the ring block (an anti-automorphism), on a
             # perturbed copy, and with the wrong kind
             b11 = FiLinearMap(alg, raw.blocks()[0])
@@ -317,6 +341,55 @@ def _random_cocycle(alg, rng):
     return {(x, y): alg.field.sub(c[y], c[x]) for x, y in alg.poset.strict_pairs}
 
 
+# -- Hypothesis-drawn matrices -------------------------------------------------
+
+
+@functools.cache
+def _genuine(name, field_index):
+    """The involutions of ``involutions_of``, built once per context."""
+    alg = IncidenceAlgebra(POSETS[name], FIELDS[field_index])
+    return [s for specs in involutions_of(alg) for s in specs]
+
+
+@st.composite
+def gated_matrices(draw):
+    """A matrix on chain3 or the diamond over F3, F5 or Q that passes the
+    structural gates of ``recognize`` (a vanishing bimodule-to-ring block,
+    the unity fixed): random entries, or a conjugated genuine involution
+    with up to three entries changed."""
+    name = draw(st.sampled_from(("chain3", "diamond")))
+    field_index = draw(st.sampled_from(range(len(FIELDS))))
+    field = FIELDS[field_index]
+    alg = IncidenceAlgebra(POSETS[name], field)
+    n = alg.npairs
+    entry = st.integers(-2, 2).map(field)
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(_genuine(name, field_index)))
+        u = small_unit(alg, random.Random(draw(st.integers(0, 2 ** 16))))
+        raw = conjugated(spec.to_linear(), u)
+        cols = [list(c) for c in raw.cols]
+        for _ in range(draw(st.integers(0, 3))):
+            c = draw(st.integers(0, 2 * n - 1))
+            cols[c][draw(st.integers(0, 2 * n - 1))] = draw(entry)
+    else:
+        cols = [draw(st.lists(entry, min_size=2 * n, max_size=2 * n))
+                for _ in range(2 * n)]
+    for col in cols[n:]:
+        col[:n] = [field.zero] * n
+    # the diagonal ring columns must sum to the unity's coordinates
+    diag = [k for k, (x, y) in enumerate(alg.pairs) if x == y]
+    rest = [cols[k] for k in diag[1:]]
+    cols[diag[0]] = [field.sub(one, sum(vals, field.zero)) for one, *vals
+                     in zip(d_one(alg).coords(), *rest)]
+    return DLinearMap(alg, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gated_matrices())
+def test_recognize_matches_reference_on_drawn_matrices(raw):
+    same_verdict_as_reference(raw)
+
+
 # -- negative controls ---------------------------------------------------------
 
 
@@ -331,14 +404,17 @@ def _one_involution(poset, field):
 def _rejects_perturbation(raw, i, j):
     bad = perturbed(raw, i, j)
     with pytest.raises(NotAnInvolution):
-        _validate_ring_involution(bad)
-    with pytest.raises(NotAnInvolution):
         ref_validate_ring_involution(bad)
+    # column i, row j lies in the bimodule-to-ring block
+    upper = i >= raw.alg.npairs > j
+    with pytest.raises(UpperRightNonzero if upper else NotAnInvolution):
+        recognize(bad)
 
 
 def test_every_perturbation_rejected_chain3():
     alg, raw = _one_involution(chain(3), F3)
-    _validate_ring_involution(raw)
+    ref_validate_ring_involution(raw)
+    assert recognize(raw).to_linear() == raw
     n = len(raw.cols)
     for i in range(n):
         for j in range(n):
@@ -347,11 +423,28 @@ def test_every_perturbation_rejected_chain3():
 
 def test_sampled_perturbations_rejected_diamond():
     alg, raw = _one_involution(DIAMOND, F5)
-    _validate_ring_involution(raw)
+    ref_validate_ring_involution(raw)
+    assert recognize(raw).to_linear() == raw
     rng = random.Random(11)
     n = len(raw.cols)
     for _ in range(40):
         _rejects_perturbation(raw, rng.randrange(n), rng.randrange(n))
+
+
+def test_order_four_relabel_rejected():
+    # 0, 1 < 2 < 3, 4 has the anti-automorphism 0 -> 3 -> 1 -> 4 -> 0; its
+    # lift is a ring anti-automorphism that every factoring step accepts,
+    # but the poset map it induces is not an involution
+    poset = Poset.from_covers(["0", "1", "2", "3", "4"],
+                              [("0", "2"), ("1", "2"), ("2", "3"), ("2", "4")])
+    alg = IncidenceAlgebra(poset, F5)
+    alpha = PosetMap(poset, poset, {"0": "3", "3": "1", "1": "4", "4": "0",
+                                    "2": "2"}, anti=True)
+    raw = lift_morphism(FiaMorphism.induced(alg, alpha))
+    for m in (raw, conjugated(raw, small_unit(alg, random.Random(23)))):
+        with pytest.raises(NotAnInvolution, match="poset map is not an"):
+            recognize(m)
+        same_verdict_as_reference(m)
 
 
 def test_perturbed_automorphism_fails_decompose():
@@ -368,6 +461,24 @@ def test_perturbed_automorphism_fails_decompose():
                 decompose(bad)
             with pytest.raises(expected):
                 ref_decompose(bad)
+
+
+def test_decompose_matches_reference_on_unity_preserving_edits():
+    # moving one entry between two diagonal columns keeps the unity fixed;
+    # the factoring steps never read some of those entries, so a few edits
+    # are caught only by the final recomposition check, and a few give an
+    # automorphism again
+    alg = IncidenceAlgebra(DIAMOND, F5)
+    rng = random.Random(29)
+    raw = FiaMorphism.inner(alg, alg.random_unit(rng)).to_linear()
+    diag = [k for k, (x, y) in enumerate(alg.pairs) if x == y]
+    for c1, c2 in itertools.permutations(diag, 2):
+        for r in range(alg.npairs):
+            cols = [list(c) for c in raw.cols]
+            cols[c1][r] = alg.field.add(cols[c1][r], 1)
+            cols[c2][r] = alg.field.sub(cols[c2][r], 1)
+            same_outcome(decompose, ref_decompose, FiLinearMap(alg, cols),
+                         compare=lambda m: m.to_json())
 
 
 def test_perturbed_derivation_fails_leibniz():

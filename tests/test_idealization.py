@@ -13,7 +13,7 @@ from incalg.idealization import (
     lift_auto, lift_central, lift_derivation, lift_morphism, lift_scalar,
     random_d_unit, random_delem,
 )
-from incalg.linalg import invert_matrix
+from incalg.linalg import rref
 from incalg.morphisms import FiaMorphism, FiLinearMap
 
 from test_morphisms import random_morphism
@@ -23,9 +23,16 @@ F5 = PrimeField(5)
 
 
 def inverse_linear(m):
-    inv = invert_matrix(m.alg.field, m.matrix_rows())
-    assert inv is not None
-    return FiLinearMap(m.alg, [[row[j] for row in inv] for j in range(len(inv))])
+    """The inverse of an invertible column map, by row reduction of the
+    matrix augmented with the identity."""
+    field = m.alg.field
+    n = len(m.cols)
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+           for i, row in enumerate(zip(*m.cols))]
+    red, pivots = rref(field, aug)
+    assert pivots[:n] == list(range(n))
+    return FiLinearMap(m.alg, [[row[n + j] for row in red[:n]]
+                               for j in range(n)])
 
 
 def test_unity_and_inverse_formulas(chain2):

@@ -1,5 +1,6 @@
 """Internal checks on returned witnesses must survive ``python -O``: they
-raise WitnessFailed, never ``assert``, and the CLI maps that to exit 2."""
+raise WitnessFailed, never ``assert``, and the CLI maps that to exit 2.
+The same holds for the whole-basis check that certifies ``recognize``."""
 
 import ast
 import json
@@ -16,9 +17,9 @@ from incalg.cli import main
 from incalg.errors import WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField
-from incalg.idealization import d_one
+from incalg.idealization import DElem, DLinearMap, d_one, inner_auto
 from incalg.involutions import (
-    equivalent, equivalent_inner, rho_eps, verify_witness,
+    equivalent, equivalent_inner, recognize, rho_eps, verify_witness,
 )
 from incalg.posets import Poset
 
@@ -88,12 +89,12 @@ def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _run_cli(args, optimize):
+def _run_python(argv, optimize):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     flags = ["-O"] if optimize else []
-    proc = subprocess.run([sys.executable, *flags, "-m", "incalg.cli", *args],
+    proc = subprocess.run([sys.executable, *flags, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout
 
@@ -107,6 +108,55 @@ def test_optimized_interpreter_gives_same_output(diamond_files):
         ["equivalent", *base, "--general", "--check", str(f1), str(f2)],
     ]
     for args in commands:
-        plain = _run_cli(args, optimize=False)
+        argv = ["-m", "incalg.cli", *args]
+        plain = _run_python(argv, optimize=False)
         assert plain[0] == 0 and plain[1]
-        assert _run_cli(args, optimize=True) == plain, args
+        assert _run_python(argv, optimize=True) == plain, args
+
+
+RECOGNIZE = """
+import json, sys
+from incalg.errors import IncalgError
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import PrimeField
+from incalg.idealization import DLinearMap
+from incalg.involutions import recognize
+from incalg.posets import Poset
+
+alg = IncidenceAlgebra(Poset.from_json(json.loads(sys.argv[1])), PrimeField(5))
+for path in sys.argv[2:]:
+    with open(path) as fh:
+        raw = DLinearMap.from_json(alg, json.load(fh))
+    try:
+        print(json.dumps(recognize(raw).to_json(), sort_keys=True))
+    except IncalgError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_optimized_interpreter_certifies_recognize(tmp_path, diamond_pair):
+    """The whole-basis check that decides ``recognize`` is no ``assert``:
+    under -O it accepts a conjugated involution with the same normal form
+    and still rejects a copy with one bimodule entry moved, which only that
+    check catches."""
+    spec = diamond_pair[1]
+    alg = spec.alg
+    u = DElem(alg.delta() + alg.e("0", "a"), alg.e("a", "1") - alg.e("0", "b"))
+    raw = inner_auto(u).compose(spec.to_linear()).compose(
+        inner_auto(u.inverse()))
+    cols = [list(c) for c in raw.cols]
+    n = alg.npairs
+    col, row = n + alg.pair_index[("0", "a")], n + alg.pair_index[("0", "1")]
+    cols[col][row] = alg.field.add(cols[col][row], 1)
+    paths = []
+    for name, m in (("raw", raw), ("bad", DLinearMap(alg, cols))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(m.to_json()))
+    argv = ["-c", RECOGNIZE, json.dumps(DIAMOND), *map(str, paths)]
+    plain = _run_python(argv, optimize=False)
+    assert plain[0] == 0
+    accepted, rejected = plain[1].splitlines()
+    assert json.loads(accepted) == recognize(raw).to_json()
+    assert rejected == ("NotAnInvolution normal form does not reproduce "
+                        "the input")
+    assert _run_python(argv, optimize=True) == plain
