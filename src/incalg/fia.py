@@ -11,14 +11,25 @@ and the diagonal-ones function is the unity.
 
 The convolution is precomputed once per algebra as a flat term list: two
 gathers pick f(x, z) and g(z, y) for every term of every entry, one ``map``
-multiplies them pairwise, and each entry sums its slice, with one ``% p``
-per entry over a prime field.  On the interval basis the structure
-constants are 0 or 1 (e_xy e_zw is e_xw when y = z and zero otherwise), so
-a product of two basis elements needs no convolution at all: it is the
-lookup ``basis_product[(i, j)]``, which misses when the product is zero.
+multiplies them pairwise, and each entry sums its slice.  Over a prime
+field the sum takes one ``% p`` per entry.  Over Q the kernel runs on
+integers: each operand is lifted to numerators over the lcm of its
+denominators (``_numerators``), and each entry of the product is one
+reduced ``Fraction(sum, da * db)``, so values stay ``Fraction`` and no
+``Fraction`` arithmetic runs per term.  Every call multiplies all of its
+terms; products that vanish by structure are skipped by the callers:
+``idealization.DElem.__mul__`` forms only the coordinate products whose
+operands are both nonzero, and ``morphisms.FiaMorphism.apply`` does not
+conjugate by the unity.
+
+On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
+e_xw when y = z and zero otherwise), so a product of two basis elements
+needs no convolution at all: it is the lookup ``basis_product[(i, j)]``,
+which misses when the product is zero.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter, mul
 
 from .errors import ContextMismatch, NotAUnit, NotComparable
@@ -171,6 +182,13 @@ def _gather(indices):
     return lambda vals: tuple(vals[i] for i in indices)
 
 
+def _numerators(vals):
+    """A common denominator d of rational vals (the lcm of theirs, 1 for no
+    vals) and the integer numerators v * d."""
+    d = lcm(*[v.denominator for v in vals])
+    return d, [v.numerator * (d // v.denominator) for v in vals]
+
+
 def _check_context(a, b):
     if a.alg != b.alg:
         raise ContextMismatch("operands over different posets or fields")
@@ -211,12 +229,16 @@ class IncFn:
     def __mul__(self, other):
         _check_context(self, other)
         alg = self.alg
-        prods = list(map(mul, alg._left(self.vals), alg._right(other.vals)))
         p = alg.field.modulus
+        a, b = self.vals, other.vals
+        if p is None:
+            (da, a), (db, b) = _numerators(a), _numerators(b)
+        prods = list(map(mul, alg._left(a), alg._right(b)))
         if p is not None:
             return IncFn(alg, tuple([sum(prods[s]) % p for s in alg._bounds]))
-        zero = Fraction(0)
-        return IncFn(alg, tuple([sum(prods[s], zero) for s in alg._bounds]))
+        d = da * db
+        return IncFn(alg, tuple([Fraction(sum(prods[s]), d)
+                                 for s in alg._bounds]))
 
     def is_unit(self):
         zero = self.alg.field.zero

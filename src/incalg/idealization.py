@@ -49,8 +49,19 @@ class DElem:
         return DElem(self.f.scale(k), self.i.scale(k))
 
     def __mul__(self, other):
+        """[f; m][g; n] = [fg; fn + mg], multiplying only where both
+        operands are nonzero: a product with a zero operand is that zero
+        coordinate itself."""
         _check(self, other)
-        return DElem(self.f * other.f, self.f * other.i + self.i * other.f)
+        f, m, g, n = self.f, self.i, other.f, other.i
+        fz, mz = not any(f.vals), not any(m.vals)
+        gz, nz = not any(g.vals), not any(n.vals)
+        ring = f if fz else g if gz else f * g
+        fn = f if fz else n if nz else f * n
+        if mz or gz:
+            return DElem(ring, fn)
+        mg = m * g
+        return DElem(ring, mg if fz or nz else fn + mg)
 
     def is_unit(self):
         return self.f.is_unit()

@@ -90,6 +90,7 @@ class FiaMorphism:
         if not self.u.is_unit():
             raise NotAMorphism("conjugator must be a unit")
         self.u_inv = self.u.inverse()
+        self._conjugates = self.u != alg.delta()
         self.posetmap = posetmap if posetmap is not None else identity_map(alg.poset)
         self.anti = bool(anti)
         if self.posetmap.anti != self.anti:
@@ -125,7 +126,8 @@ class FiaMorphism:
         field = self.alg.field
         vals = tuple(field.mul(s, f.vals[i])
                      for s, i in zip(self._scale, self._perm))
-        return self.u * IncFn(self.alg, vals) * self.u_inv
+        moved = IncFn(self.alg, vals)
+        return self.u * moved * self.u_inv if self._conjugates else moved
 
     def to_linear(self):
         return FiLinearMap.from_function(self.alg, self.apply)

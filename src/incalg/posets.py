@@ -83,15 +83,29 @@ class Poset:
 
     @classmethod
     def from_json(cls, obj):
+        """Build from {"elements": [label, ...], "covers": [[x, y], ...]},
+        given as a dict or as its JSON text; labels are strings."""
         if isinstance(obj, str):
             try:
                 obj = json.loads(obj)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(exc)) from exc
         try:
-            return cls.from_covers(obj["elements"], [tuple(c) for c in obj["covers"]])
+            elements, covers = obj["elements"], obj["covers"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad poset object: {exc}") from exc
+        if not isinstance(elements, (list, tuple)):
+            raise ParseError(f"poset elements must be a list, not {elements!r}")
+        for x in elements:
+            if not isinstance(x, str):
+                raise ParseError(f"poset label {x!r} is not a string")
+        if not isinstance(covers, (list, tuple)):
+            raise ParseError(f"poset covers must be a list, not {covers!r}")
+        for c in covers:
+            if not (isinstance(c, (list, tuple)) and len(c) == 2
+                    and all(isinstance(x, str) for x in c)):
+                raise ParseError(f"cover {c!r} is not a pair of labels")
+        return cls.from_covers(elements, [tuple(c) for c in covers])
 
     @classmethod
     def from_lines(cls, text):

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from incalg.fia import IncidenceAlgebra
-from incalg.fields import PrimeField
+from incalg.fia import IncFn, IncidenceAlgebra
+from incalg.fields import QQ, PrimeField
+from incalg.idealization import DElem
 from incalg.posets import Poset
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -66,3 +67,31 @@ def test_flat_kernel_holds_exactly_the_traced_terms(poset):
         assert tuple(zip(left[cut], right[cut])) == terms
         start = cut.stop
     assert start == len(left)
+
+
+# The zero shortcuts of DElem.__mul__ sit above the traced IncFn.__mul__, so
+# every call the tracer sees multiplies all of conv's terms; a product with a
+# structurally zero coordinate is never formed, hence never counted.
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+def test_zero_coordinate_products_are_skipped_above_the_kernel(monkeypatch,
+                                                                field):
+    poset = Poset.from_covers(["0", "a", "b", "1"],
+                              [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    alg = IncidenceAlgebra(poset, field)
+    calls = []
+    kernel = IncFn.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return kernel(self, other)
+
+    monkeypatch.setattr(IncFn, "__mul__", counted)
+    f, g, m = alg.zeta(), alg.delta() + alg.e("0", "a"), alg.e("a", "1")
+    zero = alg.zero()
+    for left, right, products in ((DElem(zero, m), DElem(g, zero), 1),
+                                  (DElem(f, zero), DElem(g, zero), 1),
+                                  (DElem(f, m), DElem(zero, g), 1),
+                                  (DElem(f, m), DElem(g, m), 3)):
+        calls.clear()
+        left * right
+        assert len(calls) == products

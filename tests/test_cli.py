@@ -62,6 +62,26 @@ def test_poset_info_bad_file(tmp_path, capsys):
     assert main(["poset-info", "--poset", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("obj, named", [
+    ({"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]},
+     "['a', 'b', 'c']"),
+    ({"elements": ["a", "b"], "covers": [["a"]]}, "['a']"),
+    ({"elements": ["a", "b"], "covers": "ab"}, "'ab'"),
+    ({"elements": ["a", "b"], "covers": [["a", 2]]}, "['a', 2]"),
+    ({"elements": "ab", "covers": []}, "'ab'"),
+    ({"elements": [1, 2], "covers": [[1, 2]]}, "1"),
+    ({"elements": ["a", ["b"]], "covers": []}, "['b']"),
+], ids=["long-cover", "short-cover", "covers-string", "cover-int-label",
+        "elements-string", "int-labels", "list-label"])
+def test_poset_info_rejects_malformed_shapes(tmp_path, capsys, obj, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["poset-info", "--poset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_hypotheses_exit_codes(poset_files, capsys):
     assert main(["hypotheses", "--poset", str(poset_files["fence"]),
                  "--field", "F5"]) == 0

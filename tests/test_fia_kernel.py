@@ -4,7 +4,10 @@ lookup that replaces basis-times-basis products.
 The reference below is the textbook triple loop over x, y and the points z
 of the interval [x, y], kept verbatim; the kernel must agree with it on
 random and zero operands over F2, F3, F5 and Q, on every fixture poset and
-on the edge shapes (one point, an antichain, two components).  The lookup
+on the edge shapes (one point, an antichain, two components, no points).
+Over Q the kernel runs on integer numerators, so it is also held to the
+reference on operands whose denominators are large or differ entry by
+entry.  The lookup
 table must agree with the products it stands for.
 """
 
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from incalg.fia import IncidenceAlgebra
+from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import DElem, d_basis, d_generators
 from incalg.posets import Poset
@@ -86,8 +89,52 @@ def test_kernel_matches_textbook_convolution(request, name, field):
 
 
 def test_kernel_on_empty_poset():
-    alg = IncidenceAlgebra(Poset([], []), PrimeField(3))
-    assert (alg.zero() * alg.zero()).vals == ()
+    for field in (PrimeField(3), QQ):  # over Q: the lcm of no denominators
+        alg = IncidenceAlgebra(Poset([], []), field)
+        assert (alg.zero() * alg.zero()).vals == ()
+
+
+# -- the Q kernel: integer numerators over a common denominator --------------
+
+
+def _huge(rng):
+    """A signed rational with a denominator of 10**12 or more."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**15),
+                    rng.randrange(10**12, 10**14))
+
+
+def _q_operands(alg, rng):
+    n = alg.npairs
+    huge = IncFn(alg, tuple(_huge(rng) for _ in range(n)))
+    mixed = IncFn(alg, tuple(
+        Fraction(rng.randrange(-30, 31), rng.choice((1, 2, 3, 7, 12, 10**12 + 39)))
+        for _ in range(n)))
+    sparse = IncFn(alg, tuple(
+        _huge(rng) if rng.random() < 0.4 else Fraction(0) for _ in range(n)))
+    return [huge, -huge, mixed, sparse, alg.zero(), alg.delta(), alg.zeta()]
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
+def test_q_kernel_matches_fraction_arithmetic(request, name):
+    """Large, mixed-sign and mixed-denominator operands, zero entries, and
+    the zero, unity and zeta: every product equals the textbook Fraction
+    convolution and holds only Fractions, and a unit times its inverse is
+    the unity on both sides."""
+    alg = IncidenceAlgebra(_poset(request, name), QQ)
+    rng = random.Random(f"q:{name}")
+    operands = _q_operands(alg, rng)
+    for f in operands:
+        for g in operands:
+            got = f * g
+            assert got == ref_convolution(f, g)
+            assert all(type(v) is Fraction for v in got.vals)
+    units = [f for f in operands if f.is_unit()]
+    assert len(units) >= 4  # huge, -huge, the unity and zeta at least
+    for f in units:
+        inv = f.inverse()
+        for product in (f * inv, inv * f):
+            assert product == alg.delta()
+            assert all(type(v) is Fraction for v in product.vals)
 
 
 # -- the lookup tables -------------------------------------------------------

@@ -64,6 +64,33 @@ def test_ring_axioms_randomized(diamond):
             assert (a + b) * c == a * c + b * c
 
 
+@pytest.mark.parametrize("field", (F3, QQ), ids=("F3", "Q"))
+def test_product_matches_plain_formula_on_every_zero_pattern(diamond, field):
+    """The product skips the coordinate products that vanish by structure;
+    on each of the 16 zero/nonzero patterns of [f; m] and [g; n] it must
+    still equal the plain [fg; fn + mg], with nonzero coordinates drawn both
+    at random and as basis elements whose products vanish (e_a1 e_0a = 0)."""
+    alg = IncidenceAlgebra(diamond, field)
+    rng = random.Random(f"patterns:{field!r}")
+    zero = alg.zero()
+
+    def nonzero():
+        while True:
+            h = alg.random(rng)
+            if any(h.vals):
+                return h
+
+    draws = [lambda: (nonzero(), nonzero(), nonzero(), nonzero()),
+             lambda: (alg.e("a", "1"), alg.e("a", "1"),
+                      alg.e("0", "a"), alg.e("0", "a"))]
+    for pattern in itertools.product((False, True), repeat=4):
+        for draw in draws:
+            f, m, g, n = (c if on else zero for c, on in zip(draw(), pattern))
+            got = DElem(f, m) * DElem(g, n)
+            assert got == DElem(f * g, f * n + m * g), pattern
+            assert {type(v) for v in got.coords()} <= {type(field.zero)}
+
+
 def test_bimodule_coordinate_squares_to_zero(diamond):
     alg = IncidenceAlgebra(diamond, F5)
     rng = random.Random(2)

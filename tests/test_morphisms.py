@@ -42,6 +42,39 @@ def test_identity_and_basic_actions(chain2):
     assert m.apply(alg.delta()) == alg.delta()
 
 
+@pytest.mark.parametrize("field", (F5, QQ), ids=("F5", "Q"))
+def test_default_conjugator_matches_explicit_conjugation(diamond, field):
+    """With the default conjugator u = delta, ``apply`` skips u x u^-1; it
+    must give what explicit conjugation by ``alg.delta()`` of the relabeled,
+    scaled function gives, for every (anti-)automorphism of the poset, with
+    and without a cocycle scaling.  A conjugator other than the unity still
+    conjugates."""
+    alg = IncidenceAlgebra(diamond, field)
+    rng = random.Random(f"delta:{field!r}")
+    delta = alg.delta()
+    eta = {x: field.random_nonzero(rng) for x in diamond.elements}
+    coboundary = {(x, y): field.div(eta[x], eta[y])
+                  for x, y in diamond.strict_pairs}
+    for lam in diamond.automorphisms() + diamond.anti_automorphisms():
+        back = lam.inverse()
+        for sigma in ({}, coboundary):
+            m = FiaMorphism(alg, sigma=sigma, posetmap=lam, anti=lam.anti)
+            for f in (alg.random(rng), alg.delta(), alg.zero()):
+                # g(x, y) = sigma(x, y) f(lam^-1 x, lam^-1 y), the source
+                # pair reversed when lam reverses the order
+                moved = {}
+                for x, y in alg.pairs:
+                    src = ((back(y), back(x)) if lam.anti
+                           else (back(x), back(y)))
+                    moved[(x, y)] = field.mul(sigma.get((x, y), field.one),
+                                              f[src])
+                g = alg.element(moved)
+                assert m.apply(f) == delta * g * delta.inverse()
+    u = alg.random_unit(rng)
+    f = alg.random(rng)
+    assert FiaMorphism.inner(alg, u).apply(f) == u * f * u.inverse()
+
+
 def test_induced_map_images(diamond):
     alg = IncidenceAlgebra(diamond, F5)
     flip = next(m for m in diamond.involutions()

@@ -5,6 +5,7 @@ The same holds for the whole-basis check that certifies ``recognize``."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from incalg import involutions
 from incalg.cli import main
 from incalg.errors import WitnessFailed
 from incalg.fia import IncidenceAlgebra
-from incalg.fields import PrimeField
+from incalg.fields import PrimeField, parse_field
 from incalg.idealization import DElem, DLinearMap, d_one, inner_auto
 from incalg.involutions import (
     equivalent, equivalent_inner, recognize, rho_eps, verify_witness,
@@ -89,13 +90,14 @@ def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _run_python(argv, optimize):
+def _run_python(argv, optimize, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout
 
 
@@ -118,13 +120,14 @@ RECOGNIZE = """
 import json, sys
 from incalg.errors import IncalgError
 from incalg.fia import IncidenceAlgebra
-from incalg.fields import PrimeField
+from incalg.fields import parse_field
 from incalg.idealization import DLinearMap
 from incalg.involutions import recognize
 from incalg.posets import Poset
 
-alg = IncidenceAlgebra(Poset.from_json(json.loads(sys.argv[1])), PrimeField(5))
-for path in sys.argv[2:]:
+poset = Poset.from_json(json.loads(sys.argv[1]))
+alg = IncidenceAlgebra(poset, parse_field(sys.argv[2]))
+for path in sys.argv[3:]:
     with open(path) as fh:
         raw = DLinearMap.from_json(alg, json.load(fh))
     try:
@@ -134,29 +137,50 @@ for path in sys.argv[2:]:
 """
 
 
-def test_optimized_interpreter_certifies_recognize(tmp_path, diamond_pair):
+def test_optimized_interpreter_certifies_recognize(tmp_path):
     """The whole-basis check that decides ``recognize`` is no ``assert``:
     under -O it accepts a conjugated involution with the same normal form
     and still rejects a copy with one bimodule entry moved, which only that
-    check catches."""
-    spec = diamond_pair[1]
-    alg = spec.alg
-    u = DElem(alg.delta() + alg.e("0", "a"), alg.e("a", "1") - alg.e("0", "b"))
-    raw = inner_auto(u).compose(spec.to_linear()).compose(
-        inner_auto(u.inverse()))
-    cols = [list(c) for c in raw.cols]
-    n = alg.npairs
-    col, row = n + alg.pair_index[("0", "a")], n + alg.pair_index[("0", "1")]
-    cols[col][row] = alg.field.add(cols[col][row], 1)
-    paths = []
-    for name, m in (("raw", raw), ("bad", DLinearMap(alg, cols))):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps(m.to_json()))
-    argv = ["-c", RECOGNIZE, json.dumps(DIAMOND), *map(str, paths)]
-    plain = _run_python(argv, optimize=False)
-    assert plain[0] == 0
-    accepted, rejected = plain[1].splitlines()
-    assert json.loads(accepted) == recognize(raw).to_json()
-    assert rejected == ("NotAnInvolution normal form does not reproduce "
-                        "the input")
-    assert _run_python(argv, optimize=True) == plain
+    check catches.  Over Q the conjugator has proper fractions, so the
+    products run the integer-numerator kernel on real denominators."""
+    poset = Poset.from_json(DIAMOND)
+    flip = next(m for m in poset.involutions() if m.mapping == FLIP)
+    for field in ("F5", "Q"):
+        alg = IncidenceAlgebra(poset, parse_field(field))
+        spec = rho_eps(alg, flip, {"a": 2, "b": 2}, 1)
+        div = alg.field.div
+        third = div(alg.field(1), alg.field(3))
+        neg_two_sevenths = div(alg.field(-2), alg.field(7))
+        u = DElem(alg.delta() + alg.e("0", "a").scale(third),
+                  alg.e("a", "1").scale(neg_two_sevenths) - alg.e("0", "b"))
+        raw = inner_auto(u).compose(spec.to_linear()).compose(
+            inner_auto(u.inverse()))
+        cols = [list(c) for c in raw.cols]
+        n = alg.npairs
+        col = n + alg.pair_index[("0", "a")]
+        row = n + alg.pair_index[("0", "1")]
+        cols[col][row] = alg.field.add(cols[col][row], 1)
+        paths = []
+        for name, m in (("raw", raw), ("bad", DLinearMap(alg, cols))):
+            paths.append(tmp_path / f"{field}-{name}.json")
+            paths[-1].write_text(json.dumps(m.to_json()))
+        argv = ["-c", RECOGNIZE, json.dumps(DIAMOND), field, *map(str, paths)]
+        plain = _run_python(argv, optimize=False)
+        assert plain[0] == 0
+        accepted, rejected = plain[1].splitlines()
+        assert json.loads(accepted) == recognize(raw).to_json()
+        assert rejected == ("NotAnInvolution normal form does not reproduce "
+                            "the input")
+        assert _run_python(argv, optimize=True) == plain, field
+
+
+def test_acceptance_module_passes_under_optimized_interpreter():
+    """Every acceptance criterion also holds under ``python -O``, which
+    strips the library's own asserts (there must be none) but not pytest's
+    rewritten ones."""
+    module = Path(__file__).resolve().with_name("test_acceptance.py")
+    code, out = _run_python(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider", str(module)],
+        optimize=True, timeout=600)
+    assert code == 0, out
+    assert re.search(r"\b10 passed\b", out) and "failed" not in out, out
