@@ -35,8 +35,21 @@ EXIT_HYPOTHESIS = 3
 EXIT_CHAR2 = 4
 
 
+def read_input(path):
+    """The UTF-8 text of the file at ``path``; a file that cannot be read
+    (missing, a directory, no permission) or is not UTF-8 text raises
+    ParseError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})") from exc
+
+
 def load_poset(path):
-    text = Path(path).read_text()
+    text = read_input(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return Poset.from_json(text)
@@ -46,8 +59,12 @@ def load_poset(path):
 def load_lambda(poset, spec):
     """Inline JSON object, inline a:b,c:d pairs, or a file holding either."""
     text = spec
-    if Path(spec).is_file():
-        text = Path(spec).read_text()
+    try:
+        is_file = Path(spec).is_file()
+    except OSError:  # an inline map longer than a file name may be
+        is_file = False
+    if is_file:
+        text = read_input(spec)
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -144,7 +161,7 @@ def cmd_classify(args):
 
 def _load_involution(alg, path):
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad involution file {path}: {exc}") from exc
     try:
@@ -229,7 +246,11 @@ def cmd_verify(args):
                 count_units, enumerate_involutions_D, orbit_partition,
                 unit_group_generators,
             )
-            if count_units(alg, "D") <= args.oracle_limit:
+            units = count_units(alg, "D")
+            if units > args.oracle_limit:
+                print(f"info oracle check skipped: {units} units exceed "
+                      f"--oracle-limit {args.oracle_limit}")
+            else:
                 invs = enumerate_involutions_D(alg, limit=args.oracle_limit)
                 partition = orbit_partition(invs, unit_group_generators(alg))
                 want = sum(classify(poset, lam, field).count
@@ -239,6 +260,18 @@ def cmd_verify(args):
     else:
         print("info classification checks skipped (hypotheses or field)")
     return EXIT_OK if not failures else EXIT_INPUT
+
+
+def _count(text):
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -284,7 +317,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run the property checks on one instance")
     p.add_argument("--poset", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--oracle-limit", type=int, default=1000)
+    p.add_argument("--oracle-limit", type=_count, default=1000,
+                   help="largest unit group the brute-force oracle "
+                        "enumerates (default 1000)")
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -294,7 +329,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NotAnInvolution, FileNotFoundError, SizeLimit) as exc:
+    except (ParseError, NotAnInvolution, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HypothesisFailed as exc:

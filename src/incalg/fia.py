@@ -9,10 +9,13 @@ basis, multiplication is the convolution
 
 and the diagonal-ones function is the unity.
 
-The convolution is precomputed once per algebra as a flat term list: two
-gathers pick f(x, z) and g(z, y) for every term of every entry, one ``map``
-multiplies them pairwise, and each entry sums its slice.  Over a prime
-field the sum takes one ``% p`` per entry.  Over Q the kernel runs on
+Each algebra compiles its convolution once, in ``__init__``, into one
+straight-line function (``_compile_product``): it unpacks both value tuples
+into locals and returns the tuple of entries, each the sum of its
+``a_i*b_j`` terms, so a product runs no loop, gather or slice.  The source
+holds only integer pair indices and the integer modulus, never a poset
+label, so no label (quotes, newlines, code) reaches the compiler.  Over a
+prime field each entry takes one ``% p``.  Over Q the same function runs on
 integers: each operand is lifted to numerators over the lcm of its
 denominators (``_numerators``), and each entry of the product is one
 reduced ``Fraction(sum, da * db)``, so values stay ``Fraction`` and no
@@ -30,7 +33,6 @@ which misses when the product is zero.
 
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter, mul
 
 from .errors import ContextMismatch, NotAUnit, NotComparable
 
@@ -53,15 +55,8 @@ class IncidenceAlgebra:
                 terms.append((self.pair_index[(x, z)], self.pair_index[(z, y)]))
             conv.append(tuple(terms))
         self.conv = tuple(conv)
-        # the same terms flattened: entry k of a product sums
-        # f[_left][_bounds[k]] * g[_right][_bounds[k]] termwise
-        self._left = _gather([i for terms in conv for i, _ in terms])
-        self._right = _gather([j for terms in conv for _, j in terms])
-        bounds, start = [], 0
-        for terms in conv:
-            bounds.append(slice(start, start + len(terms)))
-            start += len(terms)
-        self._bounds = tuple(bounds)
+        # the same terms as one compiled straight-line function
+        self._product = _compile_product(self.conv, field.modulus)
         # e_i e_j = e_k for each composable (i, j); absent pairs multiply to 0
         self.basis_product = {
             ij: k for k, terms in enumerate(conv) for ij in terms}
@@ -172,14 +167,36 @@ class IncidenceAlgebra:
         return f"IncidenceAlgebra({self.poset!r}, {self.field!r})"
 
 
-def _gather(indices):
-    """vals -> the tuple of vals[i] for i in indices.  ``itemgetter`` does
-    this in C, but returns a bare value for a single index and takes no
-    empty index list, so those (the one-point and empty posets) fall back
-    to a plain tuple."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda vals: tuple(vals[i] for i in indices)
+# Entries with more terms than this are summed by ``sum`` over a tuple
+# display instead of a chain of ``+``: a chain nests one level per term, and
+# CPython's compiler overflows its recursion limit on a few thousand levels.
+_CHAIN = 32
+
+
+def _compile_product(conv, modulus):
+    """The convolution over ``conv`` as one compiled function.
+
+    ``product(a, b)`` unpacks both value tuples into locals ``a0, a1, ...``
+    and ``b0, b1, ...`` and returns the tuple whose entry k is the sum of
+    ``a{i}*b{j}`` over ``conv[k]``, in order, reduced ``% modulus`` over a
+    prime field and left as an integer sum over Q.  The source is formatted
+    from integers only (``:d`` refuses anything else)."""
+    n = len(conv)
+    lines = ["def product(a, b):"]
+    if n:
+        lines.append("    " + "".join(f"a{k:d}, " for k in range(n)) + "= a")
+        lines.append("    " + "".join(f"b{k:d}, " for k in range(n)) + "= b")
+    entries = []
+    for terms in conv:
+        prods = [f"a{i:d}*b{j:d}" for i, j in terms]
+        s = (" + ".join(prods) if len(prods) <= _CHAIN
+             else "sum((" + ", ".join(prods) + ",))")
+        entries.append(s if modulus is None else f"({s}) % {modulus:d}")
+    lines.append("    return (" + "".join(e + ", " for e in entries) + ")")
+    namespace = {}
+    exec(compile("\n".join(lines), "<incalg product kernel>", "exec"),
+         namespace)
+    return namespace["product"]
 
 
 def _numerators(vals):
@@ -229,16 +246,11 @@ class IncFn:
     def __mul__(self, other):
         _check_context(self, other)
         alg = self.alg
-        p = alg.field.modulus
-        a, b = self.vals, other.vals
-        if p is None:
-            (da, a), (db, b) = _numerators(a), _numerators(b)
-        prods = list(map(mul, alg._left(a), alg._right(b)))
-        if p is not None:
-            return IncFn(alg, tuple([sum(prods[s]) % p for s in alg._bounds]))
+        if alg.field.modulus is not None:
+            return IncFn(alg, alg._product(self.vals, other.vals))
+        (da, a), (db, b) = _numerators(self.vals), _numerators(other.vals)
         d = da * db
-        return IncFn(alg, tuple([Fraction(sum(prods[s]), d)
-                                 for s in alg._bounds]))
+        return IncFn(alg, tuple([Fraction(s, d) for s in alg._product(a, b)]))
 
     def is_unit(self):
         zero = self.alg.field.zero

@@ -45,9 +45,35 @@ def test_traced_callable_resolves(modname, path):
 
 
 # The tracer's fia.mul.terms adds sum(map(len, alg.conv)) per product.  That
-# counts the terms actually multiplied only while the flat gathers of
-# IncFn.__mul__ hold exactly conv's terms and _bounds cuts them into conv's
-# entries in order; gathering over range(npairs) reads the index lists back.
+# counts the terms actually multiplied only while IncFn.__mul__ makes one
+# call of the compiled kernel and the kernel's entry k multiplies exactly
+# conv[k]'s terms, in order.  Recording operands read both back: a_i * b_j
+# logs (i, j) and returns a _Terms, which adds up (also under sum() and
+# % p) into the list of the terms an entry was summed from.
+class _Terms:
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _Terms(self.terms + other.terms)
+
+    def __radd__(self, start):  # sum() starts from 0
+        assert start == 0
+        return self
+
+    def __mod__(self, p):
+        return self
+
+
+class _Operand:
+    def __init__(self, k, log):
+        self.k, self.log = k, log
+
+    def __mul__(self, other):
+        self.log.append((self.k, other.k))
+        return _Terms([(self.k, other.k)])
+
+
 @pytest.mark.parametrize("poset", [
     Poset.from_covers(["a"], []),
     Poset.from_covers(["a", "b", "c"], []),
@@ -56,17 +82,18 @@ def test_traced_callable_resolves(modname, path):
                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]),
 ], ids=["point", "antichain", "chain4", "diamond"])
 def test_flat_kernel_holds_exactly_the_traced_terms(poset):
-    alg = IncidenceAlgebra(poset, PrimeField(3))
-    positions = tuple(range(alg.npairs))
-    left, right = alg._left(positions), alg._right(positions)
-    assert len(left) == len(right) == sum(map(len, alg.conv))
-    start = 0
-    for terms, cut in zip(alg.conv, alg._bounds, strict=True):
-        assert (cut.start, cut.stop, cut.step) == (start, start + len(terms),
-                                                   None)
-        assert tuple(zip(left[cut], right[cut])) == terms
-        start = cut.stop
-    assert start == len(left)
+    for field in (PrimeField(3), QQ):
+        alg = IncidenceAlgebra(poset, field)
+        log = []
+        a = tuple(_Operand(k, log) for k in range(alg.npairs))
+        b = tuple(_Operand(k, log) for k in range(alg.npairs))
+        entries = alg._product(a, b)
+        assert [e.terms for e in entries] == [list(t) for t in alg.conv]
+        assert log == [ij for terms in alg.conv for ij in terms]
+        kernel, calls = alg._product, []
+        alg._product = lambda a, b: calls.append(1) or kernel(a, b)
+        alg.zeta() * alg.zeta()
+        assert len(calls) == 1
 
 
 # The zero shortcuts of DElem.__mul__ sit above the traced IncFn.__mul__, so

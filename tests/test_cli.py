@@ -6,6 +6,7 @@ from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField
 from incalg.involutions import base_involution, sigma_lambda
+from incalg.posets import Poset
 
 
 @pytest.fixture
@@ -60,6 +61,41 @@ def test_poset_info_bad_file(tmp_path, capsys):
     assert main(["poset-info", "--poset", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["poset-info", "--poset", str(missing)]) == 2
+
+
+def _unreadable(tmp_path):
+    """A directory and a file that is not UTF-8 text."""
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"elements": ["\u00e9"], "covers": []}'.encode("latin-1"))
+    return {"directory": tmp_path, "not-utf8": latin}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_inputs_exit_2(poset_files, tmp_path, capsys, kind):
+    path = str(_unreadable(tmp_path)[kind])
+    for argv in (["poset-info", "--poset", path],
+                 ["classify", "--poset", str(poset_files["chain2"]),
+                  "--field", "F3", "--lambda", path],
+                 ["equivalent", "--poset", str(poset_files["chain2"]),
+                  "--field", "F3", path, path]):
+        if kind == "directory" and argv[0] == "classify":
+            continue  # a directory is no map file; it parses as an inline map
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: "), err
+        assert "Traceback" not in err
+
+
+def test_long_inline_lambda_is_not_a_file_name(poset_files, capsys):
+    """An inline map longer than the system's file-name limit is parsed, not
+    probed as a path (which raised OSError: file name too long)."""
+    lam = json.dumps({"a": "b", "b": "a"})
+    argv = ["classify", "--poset", str(poset_files["chain2"]), "--field", "F3",
+            "--json", "--lambda"]
+    assert main(argv + [lam]) == 0
+    short = capsys.readouterr().out
+    assert main(argv + [lam + " " * 300]) == 0
+    assert capsys.readouterr().out == short
 
 
 @pytest.mark.parametrize("obj, named", [
@@ -232,6 +268,32 @@ def test_verify_commands(poset_files, capsys):
                  "--field", "F5"]) == 0
     out = capsys.readouterr().out
     assert "skipped" in out
+
+
+def test_verify_reports_a_skipped_oracle(poset_files, capsys):
+    from incalg.oracle import count_units
+    units = count_units(IncidenceAlgebra(
+        Poset.from_covers(["a", "b"], [("a", "b")]), PrimeField(3)), "D")
+    argv = ["verify", "--poset", str(poset_files["chain2"]), "--field", "F3"]
+    assert main(argv + ["--oracle-limit", str(units - 1)]) == 0
+    out = capsys.readouterr().out
+    assert (f"info oracle check skipped: {units} units exceed "
+            f"--oracle-limit {units - 1}\n") in out
+    assert "oracle orbit count" not in out and "FAIL" not in out
+    assert main(argv + ["--oracle-limit", str(units)]) == 0
+    out = capsys.readouterr().out
+    assert "ok   oracle orbit count matches classification" in out
+    assert "skipped" not in out
+
+
+@pytest.mark.parametrize("limit", ["-1", "ten"])
+def test_verify_rejects_a_bad_oracle_limit(poset_files, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--poset", str(poset_files["chain2"]), "--field", "F3",
+              "--oracle-limit", limit])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--oracle-limit" in err and repr(limit) in err
 
 
 def test_classify_lambda_from_file(poset_files, tmp_path, capsys):

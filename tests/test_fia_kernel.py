@@ -1,5 +1,5 @@
-"""The flat convolution kernel of ``IncFn.__mul__`` and the basis-product
-lookup that replaces basis-times-basis products.
+"""The compiled convolution kernel of ``IncFn.__mul__`` and the
+basis-product lookup that replaces basis-times-basis products.
 
 The reference below is the textbook triple loop over x, y and the points z
 of the interval [x, y], kept verbatim; the kernel must agree with it on
@@ -7,8 +7,11 @@ random and zero operands over F2, F3, F5 and Q, on every fixture poset and
 on the edge shapes (one point, an antichain, two components, no points).
 Over Q the kernel runs on integer numerators, so it is also held to the
 reference on operands whose denominators are large or differ entry by
-entry.  The lookup
-table must agree with the products it stands for.
+entry.  The kernel is compiled from generated source, so it is also held to
+the reference on an interval of 3,002 terms (a chain of ``+`` that long
+overflows CPython's compiler) and on labels that would break or inject
+code if they reached the source.  The lookup table must agree with the
+products it stands for.
 """
 
 import random
@@ -92,6 +95,62 @@ def test_kernel_on_empty_poset():
     for field in (PrimeField(3), QQ):  # over Q: the lcm of no denominators
         alg = IncidenceAlgebra(Poset([], []), field)
         assert (alg.zero() * alg.zero()).vals == ()
+
+
+# -- the generated source: long intervals, hostile labels --------------------
+
+
+@pytest.fixture(scope="module")
+def suspended_antichain():
+    """0 < a1, ..., a3000 < 1: 9,003 pairs, and entry (0, 1) has 3,002
+    terms.  The order is given as its relation rows; the closure of the
+    covers would cost seconds more and is tested elsewhere."""
+    n = 3002
+    elements = ["0"] + [f"a{k}" for k in range(1, n - 1)] + ["1"]
+    return Poset(elements, [[i == j or i == 0 or j == n - 1
+                             for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field", (PrimeField(3), QQ),
+                         ids=lambda f: getattr(f, "name", "Q"))
+def test_kernel_on_a_long_interval(suspended_antichain, field):
+    alg = IncidenceAlgebra(suspended_antichain, field)
+    assert alg.npairs == 9003
+    assert len(alg.conv[alg.pair_index[("0", "1")]]) == 3002
+    rng = random.Random(f"long:{field!r}")
+    f, g = alg.random(rng), alg.random(rng)
+    assert f * g == ref_convolution(f, g)
+
+
+HOSTILE = ['"); import os #', "it's", 'say "hi"', "line\nbreak", "back\\slash",
+           "a0*b0", "{0}", "ünïcødé λ ≤ ∑", ""]
+
+
+def test_kernel_is_blind_to_labels():
+    """Poset labels never reach the generated source: a poset labelled with
+    quotes, newlines, code and non-ASCII text multiplies as the reference
+    does, and compiles to the same code as the same order labelled p0, p1,
+    ...."""
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6),
+              (6, 7), (7, 8)]
+    hostile = Poset.from_covers(
+        HOSTILE, [(HOSTILE[i], HOSTILE[j]) for i, j in covers])
+    plain = Poset.from_covers(
+        [f"p{k}" for k in range(len(HOSTILE))],
+        [(f"p{i}", f"p{j}") for i, j in covers])
+    for field in FIELDS:
+        alg = IncidenceAlgebra(hostile, field)
+        rng = random.Random(f"labels:{field!r}")
+        operands = [alg.random(rng) for _ in range(3)]
+        operands += [alg.zero(), alg.delta(), alg.zeta()]
+        for f in operands:
+            for g in operands:
+                assert f * g == ref_convolution(f, g)
+        code = alg._product.__code__
+        twin = IncidenceAlgebra(plain, field)._product.__code__
+        assert (code.co_code, code.co_consts, code.co_varnames) == (
+            twin.co_code, twin.co_consts, twin.co_varnames)
+        assert code.co_filename == "<incalg product kernel>"
 
 
 # -- the Q kernel: integer numerators over a common denominator --------------
