@@ -120,7 +120,8 @@ def cmd_hypotheses(args):
     poset = load_poset(args.poset)
     field = parse_field(args.field)
     report = check_hypotheses(poset, field)
-    alg = IncidenceAlgebra(poset, field)
+    # the decision needs no algebra; only a counterexample search does
+    alg = None if all(report.values()) else IncidenceAlgebra(poset, field)
     payload = {"field": args.field}
     payload["mult_subset_inn"] = report["mult_subset_inn"]
     if not report["mult_subset_inn"]:

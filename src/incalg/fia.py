@@ -9,21 +9,23 @@ basis, multiplication is the convolution
 
 and the diagonal-ones function is the unity.
 
-Each algebra compiles its convolution once, in ``__init__``, into one
-straight-line function (``_compile_product``): it unpacks both value tuples
-into locals and returns the tuple of entries, each the sum of its
-``a_i*b_j`` terms, so a product runs no loop, gather or slice.  The source
-holds only integer pair indices and the integer modulus, never a poset
-label, so no label (quotes, newlines, code) reaches the compiler.  Over a
-prime field each entry takes one ``% p``.  Over Q the same function runs on
-integers: each operand is lifted to numerators over the lcm of its
-denominators (``_numerators``), and each entry of the product is one
-reduced ``Fraction(sum, da * db)``, so values stay ``Fraction`` and no
-``Fraction`` arithmetic runs per term.  Every call multiplies all of its
-terms; products that vanish by structure are skipped by the callers:
-``idealization.DElem.__mul__`` forms only the coordinate products whose
-operands are both nonzero, and ``morphisms.FiaMorphism.apply`` does not
-conjugate by the unity.
+Each algebra compiles two straight-line functions from ``conv`` in
+``__init__``: the convolution ``_product(a, b)``, which ``IncFn.__mul__``
+calls once per product, and the idealization product ``_dproduct(a, c, b,
+d)``, which returns both coordinates of [f; m][g; n] = [fg; fn + mg] in one
+call (``idealization.DElem.__mul__``).  Each unpacks its operands into
+locals and returns the tuples of entries, each the sum of its ``a_i*b_j``
+terms (``_entry`` writes every such sum), so a product runs no loop, gather
+or slice.  The source holds only integer pair indices and the integer
+modulus, never a poset label, so no label (quotes, newlines, code) reaches
+the compiler.  Over a prime field each entry takes one ``% p``.  Over Q the
+same functions run on integers: each operand is lifted to numerators over
+the lcm of its denominators (``_numerators``), and each entry of the
+product is one reduced ``Fraction(sum, da * db)``, so values stay
+``Fraction`` and no ``Fraction`` arithmetic runs per term.  Every call
+multiplies all of its terms, zero operands included; the one product that
+vanishes by structure and is skipped is ``morphisms.FiaMorphism.apply``'s
+conjugation by the unity.
 
 On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
 e_xw when y = z and zero otherwise), so a product of two basis elements
@@ -34,7 +36,7 @@ which misses when the product is zero.
 from fractions import Fraction
 from math import lcm
 
-from .errors import ContextMismatch, NotAUnit, NotComparable
+from .errors import ContextMismatch, NotAUnit, NotComparable, ParseError
 
 
 class IncidenceAlgebra:
@@ -55,8 +57,10 @@ class IncidenceAlgebra:
                 terms.append((self.pair_index[(x, z)], self.pair_index[(z, y)]))
             conv.append(tuple(terms))
         self.conv = tuple(conv)
-        # the same terms as one compiled straight-line function
+        # the same terms as compiled straight-line functions: the
+        # convolution, and the idealization product built from it
         self._product = _compile_product(self.conv, field.modulus)
+        self._dproduct = _compile_dproduct(self.conv, field.modulus)
         # e_i e_j = e_k for each composable (i, j); absent pairs multiply to 0
         self.basis_product = {
             ij: k for k, terms in enumerate(conv) for ij in terms}
@@ -106,8 +110,16 @@ class IncidenceAlgebra:
         return self.element({(x, x): v for x, v in values.items()})
 
     def from_json(self, obj):
+        """Build from {"entries": {"x,y": "value", ...}}, the shape
+        ``IncFn.to_json`` writes: an object whose entries, if present, are
+        an object of value strings (``field.parse`` rejects a non-string)."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"incidence function {obj!r} is not an object")
+        raw = obj.get("entries", {})
+        if not isinstance(raw, dict):
+            raise ParseError(f"entries {raw!r} are not an object")
         entries = {}
-        for key, sval in obj.get("entries", {}).items():
+        for key, sval in raw.items():
             x, _, y = key.partition(",")
             entries[(x.strip(), y.strip())] = self.field.parse(sval)
         return self.element(entries)
@@ -173,30 +185,62 @@ class IncidenceAlgebra:
 _CHAIN = 32
 
 
-def _compile_product(conv, modulus):
-    """The convolution over ``conv`` as one compiled function.
+def _entry(modulus, *parts):
+    """Source of one kernel entry: the sum of ``x{i}*y{j}`` over every
+    ``(x, y, terms)`` in ``parts`` and every ``(i, j)`` in its ``terms``, in
+    order, reduced ``% modulus`` over a prime field and left as an integer
+    sum over Q (``modulus`` None).  ``x`` and ``y`` are the kernel's own
+    local prefixes; indices and modulus are formatted with ``:d``, which
+    refuses anything but an integer."""
+    prods = [f"{x}{i:d}*{y}{j:d}" for x, y, terms in parts for i, j in terms]
+    s = (" + ".join(prods) if len(prods) <= _CHAIN
+         else "sum((" + ", ".join(prods) + ",))")
+    return s if modulus is None else f"({s}) % {modulus:d}"
 
-    ``product(a, b)`` unpacks both value tuples into locals ``a0, a1, ...``
-    and ``b0, b1, ...`` and returns the tuple whose entry k is the sum of
-    ``a{i}*b{j}`` over ``conv[k]``, in order, reduced ``% modulus`` over a
-    prime field and left as an integer sum over Q.  The source is formatted
-    from integers only (``:d`` refuses anything else)."""
-    n = len(conv)
-    lines = ["def product(a, b):"]
+
+def _kernel(name, operands, n, results):
+    """Compile ``def name(*operands)``: unpack each operand, a value tuple of
+    length ``n``, into locals ``{operand}0, {operand}1, ...``, and return
+    ``results``, a source expression over those locals.  The function is
+    popped out of its namespace, so it holds no reference to itself through
+    its globals and dies with the algebra that owns it."""
+    lines = [f"def {name}({', '.join(operands)}):"]
     if n:
-        lines.append("    " + "".join(f"a{k:d}, " for k in range(n)) + "= a")
-        lines.append("    " + "".join(f"b{k:d}, " for k in range(n)) + "= b")
-    entries = []
-    for terms in conv:
-        prods = [f"a{i:d}*b{j:d}" for i, j in terms]
-        s = (" + ".join(prods) if len(prods) <= _CHAIN
-             else "sum((" + ", ".join(prods) + ",))")
-        entries.append(s if modulus is None else f"({s}) % {modulus:d}")
-    lines.append("    return (" + "".join(e + ", " for e in entries) + ")")
+        lines += ["    " + "".join(f"{v}{k:d}, " for k in range(n)) + f"= {v}"
+                  for v in operands]
+    lines.append(f"    return {results}")
     namespace = {}
     exec(compile("\n".join(lines), "<incalg product kernel>", "exec"),
          namespace)
-    return namespace["product"]
+    return namespace.pop(name)
+
+
+def _tuple(entries):
+    return "(" + "".join(e + ", " for e in entries) + ")"
+
+
+def _compile_product(conv, modulus):
+    """The convolution over ``conv`` as one compiled function.
+
+    ``product(a, b)`` returns the tuple whose entry k is the sum of
+    ``a{i}*b{j}`` over ``conv[k]`` (see ``_entry``)."""
+    return _kernel("product", ("a", "b"), len(conv), _tuple(
+        _entry(modulus, ("a", "b", terms)) for terms in conv))
+
+
+def _compile_dproduct(conv, modulus):
+    """The idealization product [f; m][g; n] = [fg; fn + mg] as one
+    compiled function.
+
+    ``dproduct(a, c, b, d)`` takes the values of f, m, g and n and returns
+    the pair of tuples (fg, fn + mg): ring entry k sums ``a{i}*b{j}`` over
+    ``conv[k]``, bimodule entry k sums ``a{i}*d{j}`` over ``conv[k]`` and
+    then ``c{i}*b{j}`` over ``conv[k]``."""
+    ring = _tuple(_entry(modulus, ("a", "b", terms)) for terms in conv)
+    bimodule = _tuple(_entry(modulus, ("a", "d", terms), ("c", "b", terms))
+                      for terms in conv)
+    return _kernel("dproduct", ("a", "c", "b", "d"), len(conv),
+                   f"{ring}, {bimodule}")
 
 
 def _numerators(vals):
@@ -207,7 +251,7 @@ def _numerators(vals):
 
 
 def _check_context(a, b):
-    if a.alg != b.alg:
+    if a.alg is not b.alg and a.alg != b.alg:
         raise ContextMismatch("operands over different posets or fields")
 
 

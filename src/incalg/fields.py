@@ -165,6 +165,8 @@ class RationalField(Field):
         return 1 / a
 
     def parse(self, s):
+        if not isinstance(s, str):
+            raise ParseError(f"rational scalar {s!r} is not a string")
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -243,6 +245,8 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def parse(self, s):
+        if not isinstance(s, str):
+            raise ParseError(f"residue {s!r} is not a string")
         try:
             return int(s.strip()) % self.p
         except ValueError as exc:

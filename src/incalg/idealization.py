@@ -2,18 +2,23 @@
 squaring to zero.
 
 Multiplication is [f; m][g; n] = [f g; f n + m g], the unity is [delta; 0],
-and a pair is a unit exactly when its ring coordinate is.  Block-structured
+and a pair is a unit exactly when its ring coordinate is.  A product is one
+call of the algebra's compiled idealization kernel
+(``IncidenceAlgebra._dproduct``), which returns both coordinates at once;
+no coordinate product, sum or zero test runs in Python.  Block-structured
 lifts turn algebra data (automorphisms, anti-automorphisms, central units,
 derivations) into (anti-)automorphisms of the big ring.  They are stored as
 ``DLinearMap``: a ``linalg.ColumnMap`` over the doubled pair basis, ring
 coordinates first, so its 2x2 blocks are maps of the algebra.
 """
 
+from fractions import Fraction
+
 from .derivations import DerivationSpec, leibniz_check
 from .errors import (
     ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
 )
-from .fia import IncFn, IncidenceAlgebra
+from .fia import IncFn, IncidenceAlgebra, _check_context, _numerators
 from .linalg import ColumnMap
 from .morphisms import FiaMorphism
 from .posets import SEARCH_SIZE_BOUND
@@ -25,7 +30,7 @@ class DElem:
     __slots__ = ("f", "i")
 
     def __init__(self, f, i):
-        if f.alg != i.alg:
+        if f.alg is not i.alg and f.alg != i.alg:
             raise ContextMismatch("coordinates over different contexts")
         self.f = f
         self.i = i
@@ -35,11 +40,11 @@ class DElem:
         return self.f.alg
 
     def __add__(self, other):
-        _check(self, other)
+        _check_context(self, other)
         return DElem(self.f + other.f, self.i + other.i)
 
     def __sub__(self, other):
-        _check(self, other)
+        _check_context(self, other)
         return DElem(self.f - other.f, self.i - other.i)
 
     def __neg__(self):
@@ -49,19 +54,23 @@ class DElem:
         return DElem(self.f.scale(k), self.i.scale(k))
 
     def __mul__(self, other):
-        """[f; m][g; n] = [fg; fn + mg], multiplying only where both
-        operands are nonzero: a product with a zero operand is that zero
-        coordinate itself."""
-        _check(self, other)
-        f, m, g, n = self.f, self.i, other.f, other.i
-        fz, mz = not any(f.vals), not any(m.vals)
-        gz, nz = not any(g.vals), not any(n.vals)
-        ring = f if fz else g if gz else f * g
-        fn = f if fz else n if nz else f * n
-        if mz or gz:
-            return DElem(ring, fn)
-        mg = m * g
-        return DElem(ring, mg if fz or nz else fn + mg)
+        """[f; m][g; n] = [fg; fn + mg], in one call of the algebra's
+        compiled idealization kernel.  Over Q the kernel runs on integers:
+        each side is lifted to numerators over one common denominator, so
+        every entry of both coordinates is ``Fraction(sum, da * db)``."""
+        _check_context(self, other)
+        alg = self.f.alg
+        if alg.field.modulus is not None:
+            ring, bimodule = alg._dproduct(self.f.vals, self.i.vals,
+                                           other.f.vals, other.i.vals)
+            return DElem(IncFn(alg, ring), IncFn(alg, bimodule))
+        n = alg.npairs
+        da, left = _numerators(self.f.vals + self.i.vals)
+        db, right = _numerators(other.f.vals + other.i.vals)
+        d = da * db
+        ring, bimodule = alg._dproduct(left[:n], left[n:], right[:n], right[n:])
+        return DElem(IncFn(alg, tuple([Fraction(s, d) for s in ring])),
+                     IncFn(alg, tuple([Fraction(s, d) for s in bimodule])))
 
     def is_unit(self):
         return self.f.is_unit()
@@ -90,11 +99,6 @@ class DElem:
 
     def __repr__(self):
         return f"DElem({self.f!r}; {self.i!r})"
-
-
-def _check(a, b):
-    if a.alg != b.alg:
-        raise ContextMismatch("operands over different posets or fields")
 
 
 def d_one(alg):

@@ -96,29 +96,43 @@ def test_flat_kernel_holds_exactly_the_traced_terms(poset):
         assert len(calls) == 1
 
 
-# The zero shortcuts of DElem.__mul__ sit above the traced IncFn.__mul__, so
-# every call the tracer sees multiplies all of conv's terms; a product with a
-# structurally zero coordinate is never formed, hence never counted.
+# DElem.__mul__ multiplies in the idealization kernel, not through the traced
+# IncFn.__mul__: one D-product is one kernel call, whose ring entry k
+# multiplies exactly conv[k]'s terms on (f, g) and whose bimodule entry k
+# multiplies them on (f, n) and then on (m, g).  The tracer's IncFn counts
+# (calls, fia.mul.terms) therefore do not see the work inside D-products.
 @pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
-def test_zero_coordinate_products_are_skipped_above_the_kernel(monkeypatch,
-                                                                field):
+def test_delem_product_is_one_kernel_call_on_conv(monkeypatch, field):
     poset = Poset.from_covers(["0", "a", "b", "1"],
                               [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     alg = IncidenceAlgebra(poset, field)
-    calls = []
-    kernel = IncFn.__mul__
+    log = []
+    f, m, g, n = (tuple(_Operand((name, k), log) for k in range(alg.npairs))
+                  for name in "fmgn")
+    ring, bimodule = alg._dproduct(f, m, g, n)
+    assert [e.terms for e in ring] == [
+        [(("f", i), ("g", j)) for i, j in terms] for terms in alg.conv]
+    assert [e.terms for e in bimodule] == [
+        [(("f", i), ("n", j)) for i, j in terms]
+        + [(("m", i), ("g", j)) for i, j in terms] for terms in alg.conv]
+    assert log == [t for e in ring + bimodule for t in e.terms]
+
+    mul_calls, kernel_calls = [], []
+    product, kernel = IncFn.__mul__, alg._dproduct
 
     def counted(self, other):
-        calls.append(1)
-        return kernel(self, other)
+        mul_calls.append(1)
+        return product(self, other)
 
     monkeypatch.setattr(IncFn, "__mul__", counted)
-    f, g, m = alg.zeta(), alg.delta() + alg.e("0", "a"), alg.e("a", "1")
+    alg._dproduct = lambda *ops: kernel_calls.append(1) or kernel(*ops)
     zero = alg.zero()
-    for left, right, products in ((DElem(zero, m), DElem(g, zero), 1),
-                                  (DElem(f, zero), DElem(g, zero), 1),
-                                  (DElem(f, m), DElem(zero, g), 1),
-                                  (DElem(f, m), DElem(g, m), 3)):
-        calls.clear()
+    f, g, m = alg.zeta(), alg.delta() + alg.e("0", "a"), alg.e("a", "1")
+    for left, right in ((DElem(zero, m), DElem(g, zero)),
+                        (DElem(f, zero), DElem(g, zero)),
+                        (DElem(f, m), DElem(zero, g)),
+                        (DElem(f, m), DElem(g, m))):
+        mul_calls.clear()
+        kernel_calls.clear()
         left * right
-        assert len(calls) == products
+        assert (len(mul_calls), len(kernel_calls)) == (0, 1)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from incalg import fia
 from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
-from incalg.fields import PrimeField
+from incalg.fields import PrimeField, parse_field
 from incalg.involutions import base_involution, sigma_lambda
 from incalg.posets import Poset
 
@@ -140,6 +141,28 @@ def test_hypotheses_exit_codes(poset_files, capsys):
     assert "der_equals_ider: False" in out
 
 
+def test_hypotheses_compiles_kernels_only_for_a_counterexample(
+        poset_files, capsys, monkeypatch):
+    """The decision needs no incidence algebra: a passing poset compiles no
+    product kernel, and a failing one builds its algebra for the
+    counterexample search."""
+    compiled = []
+    kernel = fia._kernel
+    monkeypatch.setattr(
+        fia, "_kernel", lambda name, *rest: compiled.append(name)
+        or kernel(name, *rest))
+    assert main(["hypotheses", "--poset", str(poset_files["fence"]),
+                 "--field", "F5"]) == 0
+    assert "der_equals_ider: True" in capsys.readouterr().out
+    assert compiled == []
+    assert main(["hypotheses", "--poset", str(poset_files["crown"]),
+                 "--field", "F5"]) == 3
+    out = capsys.readouterr().out
+    assert "non_inner_cocycle: {" in out
+    assert "non_inner_additive_cocycle: {" in out
+    assert compiled == ["product", "dproduct"]
+
+
 def test_classify_chain3(poset_files, capsys):
     assert main(["classify", "--poset", str(poset_files["chain3"]),
                  "--field", "F5", "--lambda", "a:c,b:b,c:a", "--json"]) == 0
@@ -250,6 +273,48 @@ def test_equivalent_rejects_non_involution(poset_files, tmp_path, capsys):
     code = main(["equivalent", "--poset", str(poset_files["chain2"]),
                  "--field", "F3", str(f1), str(f1)])
     assert code == 2
+
+
+def _set_f(value):
+    def edit(theta):
+        theta["f"] = value
+    return edit
+
+
+def _set_entries(value):
+    def edit(theta):
+        theta["f"]["entries"] = value
+    return edit
+
+
+def _set_value(value):
+    def edit(theta):
+        theta["f"]["entries"]["a,a"] = value
+    return edit
+
+
+@pytest.mark.parametrize("field", ["F5", "Q"])
+@pytest.mark.parametrize("edit, named", [
+    (_set_f(42), "42"),
+    (_set_entries([["a,a", "1"]]), "[['a,a', '1']]"),
+    (_set_value(17), "17"),
+    (_set_value(None), "None"),
+    (_set_value(1.5), "1.5"),
+], ids=["f-number", "entries-list", "value-number", "value-null",
+        "value-float"])
+def test_equivalent_rejects_malformed_involution_shapes(
+        poset_files, tmp_path, capsys, field, edit, named):
+    poset = Poset.from_json(json.loads(poset_files["chain3"].read_text()))
+    alg = IncidenceAlgebra(poset, parse_field(field))
+    obj = base_involution(alg, poset.involutions()[0], 1).to_json()
+    edit(obj["theta"])
+    bad = tmp_path / "inv.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["equivalent", "--poset", str(poset_files["chain3"]),
+                 "--field", field, str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 def test_verify_commands(poset_files, capsys):

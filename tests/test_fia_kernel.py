@@ -1,5 +1,6 @@
-"""The compiled convolution kernel of ``IncFn.__mul__`` and the
-basis-product lookup that replaces basis-times-basis products.
+"""The compiled convolution kernel of ``IncFn.__mul__``, the compiled
+idealization kernel of ``DElem.__mul__`` and the basis-product lookup that
+replaces basis-times-basis products.
 
 The reference below is the textbook triple loop over x, y and the points z
 of the interval [x, y], kept verbatim; the kernel must agree with it on
@@ -7,14 +8,18 @@ random and zero operands over F2, F3, F5 and Q, on every fixture poset and
 on the edge shapes (one point, an antichain, two components, no points).
 Over Q the kernel runs on integer numerators, so it is also held to the
 reference on operands whose denominators are large or differ entry by
-entry.  The kernel is compiled from generated source, so it is also held to
-the reference on an interval of 3,002 terms (a chain of ``+`` that long
-overflows CPython's compiler) and on labels that would break or inject
-code if they reached the source.  The lookup table must agree with the
-products it stands for.
+entry.  The idealization kernel is held to [fg; fn + mg] formed from the
+same reference, on the same shapes and fields and on every pattern of zero
+coordinates.  Both kernels are compiled from generated source, so they are
+also held to the reference on an interval of 3,002 terms (a chain of ``+``
+that long overflows CPython's compiler; the bimodule entry has 6,004) and
+on labels that would break or inject code if they reached the source.  The
+lookup table must agree with the products it stands for.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -32,6 +37,7 @@ EDGE = {
     "antichain": Poset.from_covers(["a", "b", "c"], []),
     "two-components": Poset.from_covers(["a", "b", "c", "d", "e"],
                                         [("a", "b"), ("c", "d"), ("c", "e")]),
+    "empty": Poset([], []),
 }
 
 
@@ -57,6 +63,15 @@ def ref_convolution(f, g):
                     acc = field.add(acc, field.mul(f[x, z], g[z, y]))
             out[(x, y)] = acc
     return alg.element(out)
+
+
+def ref_dproduct(left, right):
+    """[f; m][g; n] = [fg; fn + mg], each product by ``ref_convolution``."""
+    f, m, g, n = left.f, left.i, right.f, right.i
+    fn, mg = ref_convolution(f, n), ref_convolution(m, g)
+    add = f.alg.field.add
+    return DElem(ref_convolution(f, g),
+                 IncFn(f.alg, tuple(map(add, fn.vals, mg.vals))))
 
 
 def ref_generators(alg):
@@ -119,7 +134,13 @@ def test_kernel_on_a_long_interval(suspended_antichain, field):
     assert len(alg.conv[alg.pair_index[("0", "1")]]) == 3002
     rng = random.Random(f"long:{field!r}")
     f, g = alg.random(rng), alg.random(rng)
-    assert f * g == ref_convolution(f, g)
+    fg = ref_convolution(f, g)
+    assert f * g == fg
+    # [f; 2f][g; 2g] = [fg; 4fg]: one reference product checks the D kernel,
+    # whose bimodule entry (0, 1) sums 6,004 terms
+    two = field(2)
+    assert DElem(f, f.scale(two)) * DElem(g, g.scale(two)) == DElem(
+        fg, fg.scale(field(4)))
 
 
 HOSTILE = ['"); import os #', "it's", 'say "hi"', "line\nbreak", "back\\slash",
@@ -146,11 +167,33 @@ def test_kernel_is_blind_to_labels():
         for f in operands:
             for g in operands:
                 assert f * g == ref_convolution(f, g)
-        code = alg._product.__code__
-        twin = IncidenceAlgebra(plain, field)._product.__code__
-        assert (code.co_code, code.co_consts, code.co_varnames) == (
-            twin.co_code, twin.co_consts, twin.co_varnames)
-        assert code.co_filename == "<incalg product kernel>"
+        pairs = [DElem(f, g) for f in operands for g in operands[::2]]
+        for left in pairs:
+            for right in pairs[::3]:
+                assert left * right == ref_dproduct(left, right)
+        twin = IncidenceAlgebra(plain, field)
+        for kernel in ("_product", "_dproduct"):
+            code = getattr(alg, kernel).__code__
+            other = getattr(twin, kernel).__code__
+            assert (code.co_code, code.co_consts, code.co_varnames) == (
+                other.co_code, other.co_consts, other.co_varnames)
+            assert code.co_filename == "<incalg product kernel>"
+
+
+def test_kernels_die_with_their_algebra(diamond):
+    """No reference cycle keeps a compiled kernel alive: with the cycle
+    collector off, both kernels are freed as soon as their algebra is."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for field in (PrimeField(3), QQ):
+            alg = IncidenceAlgebra(diamond, field)
+            refs = [weakref.ref(alg._product), weakref.ref(alg._dproduct)]
+            del alg
+            assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- the Q kernel: integer numerators over a common denominator --------------
@@ -194,6 +237,43 @@ def test_q_kernel_matches_fraction_arithmetic(request, name):
         for product in (f * inv, inv * f):
             assert product == alg.delta()
             assert all(type(v) is Fraction for v in product.vals)
+
+
+# -- the idealization kernel -------------------------------------------------
+
+
+def _zero_patterns(alg, f, m, g, n):
+    """[f; m], [g; n] with each of the four coordinates kept or zeroed:
+    all 16 patterns."""
+    zero = alg.zero()
+    for mask in range(16):
+        pick = [zero if mask >> bit & 1 else v
+                for bit, v in enumerate((f, m, g, n))]
+        yield DElem(pick[0], pick[1]), DElem(pick[2], pick[3])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: getattr(f, "name", "Q"))
+@pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
+def test_d_kernel_matches_textbook_convolution(request, name, field):
+    """Random pairs, the unity and zeta, every pattern of zero coordinates
+    and, over Q, large, mixed-sign and mixed-denominator coordinates: the
+    D kernel gives [fg; fn + mg] of the reference convolution, and over Q
+    holds only Fractions."""
+    alg = IncidenceAlgebra(_poset(request, name), field)
+    rng = random.Random(f"d:{name}:{field!r}")
+    coords = [alg.random(rng) for _ in range(4)]
+    if field is QQ:
+        coords += _q_operands(alg, rng)[:4]
+    coords += [alg.delta(), alg.zeta()]
+    pairs = [DElem(coords[k], coords[-1 - k]) for k in range(len(coords))]
+    cases = [(left, right) for left in pairs for right in pairs]
+    cases += list(_zero_patterns(alg, *coords[:4]))
+    cases += list(_zero_patterns(alg, *coords[-4:]))
+    for left, right in cases:
+        got = left * right
+        assert got == ref_dproduct(left, right)
+        if field is QQ:
+            assert all(type(v) is Fraction for v in got.coords())
 
 
 # -- the lookup tables -------------------------------------------------------
