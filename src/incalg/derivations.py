@@ -15,7 +15,7 @@ additive family adds anything beyond the inner one, reading the answer off
 
 from .errors import ContextMismatch, InvalidCocycle, NotADerivation
 from .fia import IncFn
-from .linalg import nullspace, solve
+from .linalg import nullspace
 from .morphisms import (
     FiLinearMap, _relation_rows, cocycle_obstruction, validate_cocycle,
 )
@@ -150,55 +150,29 @@ def find_non_inner_additive(alg):
 
 
 def split_raw_derivation(raw):
-    """Present a raw derivation matrix as inner part plus additive part.
+    """Present a raw derivation matrix as inner part plus additive part,
+    both read off raw's columns.
 
-    The additive cocycle is read off the basis images; the residual is an
-    inner derivation found by exact linear solve and normalized by zeroing
-    the diagonal at the first element of each component.  The solve uses
-    only the generator rows: for a derivation they span the same row space
-    as all basis rows, so the reduced system and its particular solution
-    are unchanged.  The commutators e_g e_j - e_j e_g that make up those
-    rows are read from ``IncidenceAlgebra.basis_product`` rather than formed
-    as products.  The presentation is a derivation by construction, so
-    accepting only when it equals the input on every basis column certifies
-    that the input is one; the Leibniz rule is never checked on the input.
-    Every rejection is NotADerivation.
+    The additive cocycle is tau(x,y) = D(e_xy)(x,y).  For a derivation the
+    residual D - tau is ad_i: f |-> f i - i f.  Its (x,y) entry at e_xy is
+    i(y,y) - i(x,x) and vanishes, so the diagonal of i is constant on each
+    component and is normalized to zero.  Its (x,y) entry at e_xx is
+    i(x,y) for x < y, and tau is zero on e_xx, so i(x,y) = D(e_xx)(x,y).
+    The presentation is a derivation by construction, so accepting only
+    when it equals the input on every basis column certifies that the input
+    is one; the Leibniz rule is never checked on the input.  Every rejection
+    is NotADerivation.
     """
     alg = raw.alg
-    field = alg.field
-    tau = {}
-    for x, y in alg.poset.strict_pairs:
-        tau[(x, y)] = raw.apply(alg.e(x, y))[x, y]
+    cols, index = raw.cols, alg.pair_index
+    tau = {(x, y): cols[k][k] for k, (x, y) in enumerate(alg.pairs) if x != y}
+    inner = IncFn(alg, tuple(
+        alg.field.zero if x == y else cols[index[(x, x)]][k]
+        for k, (x, y) in enumerate(alg.pairs)))
     try:
-        additive = DerivationSpec(alg, tau=tau)
+        spec = DerivationSpec(alg, inner=inner, tau=tau)
     except InvalidCocycle as exc:
         raise NotADerivation(f"entry scaling is not a cocycle: {exc}") from exc
-    # solve (e_g i - i e_g) = residual(e_g) for the entries of i; column j
-    # of generator g's block is the commutator e_g e_j - e_j e_g
-    npairs = alg.npairs
-    rows, rhs = [], []
-    for g, b in zip(alg.generator_indices(), alg.generators()):
-        target = raw.apply(b) - additive.apply(b)
-        block = [[field.zero] * npairs for _ in range(npairs)]
-        for (i, j), k in alg.basis_product.items():
-            if i == g:  # e_g e_j = e_k
-                block[k][j] = field.add(block[k][j], field.one)
-            if j == g:  # e_i e_g = e_k
-                block[k][i] = field.sub(block[k][i], field.one)
-        rows += block
-        rhs += target.vals
-    sol = solve(field, rows, rhs)
-    if sol is None:
-        raise NotADerivation("residual is not an inner derivation")
-    inner = IncFn(alg, tuple(sol))
-    # zero the diagonal entry at the head of each component
-    shift = {}
-    for comp in alg.poset.components():
-        head = comp[0]
-        for x in comp:
-            shift[x] = inner[head, head]
-    inner = inner - alg.diagonal(shift)
-    spec = DerivationSpec(alg, inner=inner, tau=tau)
     if spec.to_linear() != raw:
         raise NotADerivation("recomposition does not reproduce the input")
     return spec

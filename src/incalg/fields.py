@@ -25,6 +25,9 @@ _TRIAL_BOUND = 10**6
 # Exhaustive square-root scan is kept to desk-scale moduli.
 SQRT_SCAN_BOUND = 10**4
 
+# Primality is decided by trial division, so moduli stay at desk scale too.
+MODULUS_BOUND = 10**12
+
 
 def _is_prime(n):
     if n < 2:
@@ -215,6 +218,8 @@ class PrimeField(Field):
     """The prime field GF(p), values as ints in [0, p)."""
 
     def __init__(self, p):
+        if p > MODULUS_BOUND:
+            raise SizeLimit(f"modulus {p} exceeds the bound {MODULUS_BOUND}")
         if not _is_prime(p):
             raise ParseError(f"{p} is not prime")
         self.p = p

@@ -27,7 +27,6 @@ from .fia import IncFn, IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
     DElem, DLinearMap, central_pair, d_from_json, d_generators, d_one,
-    lift_morphism,
 )
 from .morphisms import (
     FiaMorphism, FiLinearMap, _mult_inner_rule, cocycle_obstruction, decompose,
@@ -339,9 +338,9 @@ def recognize(raw):
     """Factor a raw matrix ring involution into the normal form.
 
     Pipeline: gate on the structure (the bimodule-to-ring block vanishes and
-    the unity is fixed), peel the ring-coordinate block and decompose it,
-    divide out its lift, read the central scalar and the derivation from
-    what remains, and absorb everything into one conjugating unit.  The
+    the unity is fixed), decompose the ring-coordinate block, read the
+    central scalar and the derivation off the other columns through that
+    decomposition, and absorb everything into one conjugating unit.  The
     normal form is an involution by construction (``build`` checks its
     square), so the one check that decides the answer is that it equals
     ``raw`` on every basis column; the input is never checked for
@@ -358,7 +357,7 @@ def recognize(raw):
     if raw.apply(one) != one:
         raise NotAnInvolution("map does not fix the unity")
     try:
-        spec = _factor(raw, b11)
+        spec = _factor(raw, b11, b21)
     except (NotAMorphism, NotUnital, NotADerivation, NotAUnit, BadSign,
             NotInvolutive) as exc:
         raise NotAnInvolution(f"map is not an involution: {exc}") from exc
@@ -367,31 +366,31 @@ def recognize(raw):
     return spec
 
 
-def _factor(raw, b11):
+def _factor(raw, b11, b21):
     """The normal form ``recognize`` reads off raw, which for a genuine
     involution equals it; on any other input a step may raise a typed
-    rejection or return a form that differs from raw."""
+    rejection or return a form that differs from raw.
+
+    The ring block b11 decomposes as m11.  For an involution with vanishing
+    b12, b11 is its own inverse, and the block-diagonal lift of m11 after
+    raw is [[id, 0], [g D, g .]] for a central unit g and a derivation D.
+    Both are read off raw's columns through m11 alone: g is m11 of the
+    bimodule image of [0; delta], and column k of D is g^-1 m11(b21[k]).
+    """
     alg = raw.alg
     poset = alg.poset
     m11 = decompose(FiLinearMap(alg, b11), anti=True)
     lam = m11.posetmap
     if not lam.is_involution():
         raise NotAnInvolution("induced poset map is not an involution")
-    # for an involution with vanishing b12, b11 is its own inverse; on other
-    # inputs the certificate in recognize rejects whatever follows
-    remainder = lift_morphism(m11).compose(raw)
-    # remainder must be [[id, 0], [g D, g .]]
-    g = remainder.apply(DElem(alg.zero(), alg.delta())).i
+    g = m11.apply(raw.apply(DElem(alg.zero(), alg.delta())).i)
     if not (g.is_unit() and alg.is_central(g)):
         raise NotAnInvolution("residual bimodule action is not central")
     x0 = poset.elements[0]
     k = g[x0, x0]
     g_inv = g.inverse()
-
-    def derivation_action(f):
-        return g_inv * remainder.apply(DElem(f, alg.zero())).i
-
-    der_map = FiLinearMap.from_function(alg, derivation_action)
+    der_map = FiLinearMap(alg, [(g_inv * m11.apply(IncFn(alg, col))).vals
+                                for col in b21])
     spec_d = split_raw_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
     if diag_witness is None:

@@ -172,9 +172,12 @@ def compose(m1, m2):
 def decompose(raw, anti=False):
     """Factor a raw matrix as inner o multiplicative o relabeling.
 
-    After the unitality gate it recovers the induced poset map from
-    diagonal idempotent images, peels the conjugator off with
-    g = sum of raw'(e_x) e_x, and reads the cocycle from what remains.  The
+    After the unitality gate it recovers the induced poset map mu from the
+    diagonals of the point idempotents' images.  Everything else is read
+    off raw's columns: raw after the relabel by mu^-1 (call it raw') has
+    column k equal to raw's column ``mu.pair_permutation()[k]``, so no
+    matrix is composed.  The conjugator is g = sum of raw'(e_xx) e_xx, and
+    sigma(x,y) is the (x,y) entry of g^-1 raw'(e_xy) g.  The
     factored form is an (anti-)automorphism by construction (a unit
     conjugator, a validated cocycle, a poset (anti-)automorphism), so
     accepting only when it equals the input on every basis column certifies
@@ -188,9 +191,10 @@ def decompose(raw, anti=False):
         raise NotUnital("map does not fix the unity")
     # induced poset map: the image of a point idempotent is a conjugate of a
     # point idempotent, so its diagonal is an exact indicator
+    index = alg.pair_index
     mapping = {}
     for x in alg.poset.elements:
-        img = raw.apply(alg.e(x, x))
+        img = IncFn(alg, raw.cols[index[(x, x)]])
         hits = [y for y in alg.poset.elements if img[y, y] == field.one]
         zeros = [y for y in alg.poset.elements
                  if img[y, y] != field.one and img[y, y] != field.zero]
@@ -202,16 +206,17 @@ def decompose(raw, anti=False):
     except ParseError as exc:
         raise NotAMorphism(f"induced point map is not an order map: {exc}") from exc
 
-    stripped = raw.compose(FiaMorphism.induced(alg, mu.inverse()).to_linear())
+    # raw after the relabel by mu^-1: column k is raw's column perm[k]
+    stripped = [IncFn(alg, raw.cols[i]) for i in mu.pair_permutation()]
     g = alg.zero()
     for x in alg.poset.elements:
-        g = g + stripped.apply(alg.e(x, x)) * alg.e(x, x)
+        g = g + stripped[index[(x, x)]] * alg.e(x, x)
     if not g.is_unit():
         raise NotAMorphism("conjugator recovery produced a non-unit")
     g_inv = g.inverse()
     sigma = {}
     for x, y in alg.poset.strict_pairs:
-        img = g_inv * stripped.apply(alg.e(x, y)) * g
+        img = g_inv * stripped[index[(x, y)]] * g
         val = img[x, y]
         if val == field.zero or img != alg.e(x, y).scale(val):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")

@@ -59,12 +59,15 @@ class Poset:
     @classmethod
     def from_covers(cls, elements, cover_pairs):
         """Build from labels and relation pairs; the order is the
-        reflexive-transitive closure and must be acyclic."""
+        reflexive-transitive closure and must be acyclic.  A label may not
+        contain a comma, the separator of incidence-function JSON keys."""
         elements = list(elements)
         index = {}
         for x in elements:
             if x in index:
                 raise DuplicateLabel(f"duplicate label {x!r}")
+            if "," in str(x):
+                raise ParseError(f"label {x!r} contains a comma")
             index[x] = len(index)
         n = len(elements)
         leq = [[i == j for j in range(n)] for i in range(n)]
@@ -183,7 +186,7 @@ class Poset:
         return [sorted(comp, key=self.index.get) for comp in comps]
 
     def is_connected(self):
-        return len(self.components()) <= 1
+        return len(self.components()) == 1
 
     def all_comparable_elements(self):
         """Elements comparable with every element of the poset."""

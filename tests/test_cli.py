@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import incalg
 from incalg import fia
 from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
@@ -108,8 +113,10 @@ def test_long_inline_lambda_is_not_a_file_name(poset_files, capsys):
     ({"elements": "ab", "covers": []}, "'ab'"),
     ({"elements": [1, 2], "covers": [[1, 2]]}, "1"),
     ({"elements": ["a", ["b"]], "covers": []}, "['b']"),
+    # incidence-function JSON keys are "x,y", so "x,y" would not round-trip
+    ({"elements": ["x,y", "z"], "covers": []}, "'x,y'"),
 ], ids=["long-cover", "short-cover", "covers-string", "cover-int-label",
-        "elements-string", "int-labels", "list-label"])
+        "elements-string", "int-labels", "list-label", "comma-label"])
 def test_poset_info_rejects_malformed_shapes(tmp_path, capsys, obj, named):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -117,6 +124,44 @@ def test_poset_info_rejects_malformed_shapes(tmp_path, capsys, obj, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, code", [
+    ("classify", 2), ("equivalent", 2), ("verify", 0)])
+def test_empty_poset_exits_cleanly(tmp_path, capsys, command, code):
+    """The empty poset is not connected: classify and equivalent refuse it
+    with NotConnected, and verify skips the classification checks."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps(
+        {"theta": {"f": {}, "i": {}}, "lambda": {}, "k": 1}))
+    extra = {"classify": ["--lambda", "{}"],
+             "equivalent": [str(inv), str(inv)], "verify": []}[command]
+    argv = [command, "--poset", str(empty), "--field", "F3", *extra]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("error: ")
+        assert "a connected poset" in captured.err
+    else:
+        assert "classification checks skipped" in captured.out
+
+
+def test_huge_modulus_is_refused_at_once(poset_files):
+    """Primality is trial division, so a 31-digit modulus would spin for
+    hours; PrimeField refuses it before the loop (SizeLimit, exit 2)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(incalg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "incalg.cli", "hypotheses", "--poset",
+         str(poset_files["chain2"]), "--field",
+         "F1000000000000000000000000000057"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: modulus ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_hypotheses_exit_codes(poset_files, capsys):

@@ -448,19 +448,27 @@ def test_order_four_relabel_rejected():
 
 
 def test_perturbed_automorphism_fails_decompose():
-    alg = IncidenceAlgebra(DIAMOND, F5)
+    # decompose reads the relabel off raw's columns, so besides an inner
+    # automorphism of the diamond (trivial relabel) it sees one whose
+    # relabel has order three and so differs from its inverse
     rng = random.Random(13)
-    raw = FiaMorphism.inner(alg, alg.random_unit(rng)).to_linear()
-    decompose(raw)
-    for c, (x, y) in enumerate(alg.pairs):
-        for r in range(alg.npairs):
-            bad = perturbed(raw, c, r)
-            # a diagonal column moves the image of the unity
-            expected = NotUnital if x == y else NotAMorphism
-            with pytest.raises(expected):
-                decompose(bad)
-            with pytest.raises(expected):
-                ref_decompose(bad)
+    rotate = PosetMap(WIDE_DIAMOND, WIDE_DIAMOND,
+                      {"0": "0", "a": "b", "b": "c", "c": "a", "1": "1"}, False)
+    for poset, relabel in ((DIAMOND, None), (WIDE_DIAMOND, rotate)):
+        alg = IncidenceAlgebra(poset, F5)
+        raw = FiaMorphism(alg, u=alg.random_unit(rng),
+                          posetmap=relabel).to_linear()
+        same_outcome(decompose, ref_decompose, raw,
+                     compare=lambda m: m.to_json())
+        for c, (x, y) in enumerate(alg.pairs):
+            for r in range(alg.npairs):
+                bad = perturbed(raw, c, r)
+                # a diagonal column moves the image of the unity
+                expected = NotUnital if x == y else NotAMorphism
+                with pytest.raises(expected):
+                    decompose(bad)
+                with pytest.raises(expected):
+                    ref_decompose(bad)
 
 
 def test_decompose_matches_reference_on_unity_preserving_edits():
@@ -487,11 +495,16 @@ def test_perturbed_derivation_fails_leibniz():
     d = DerivationSpec(alg, inner=alg.random(rng),
                        tau=_random_cocycle(alg, rng)).to_linear()
     assert leibniz_check(alg, d)
+    split = split_raw_derivation(d)
+    assert split.inner != alg.zero()  # else the read entries go unseen
+    same_outcome(split_raw_derivation, ref_split_raw_derivation, d,
+                 compare=lambda s: (s.inner, sorted(s.tau.items())))
     for c in range(alg.npairs):
         for r in range(alg.npairs):
             bad = perturbed(d, c, r)
             assert not leibniz_check(alg, bad)
             assert not ref_leibniz_check(alg, bad)
+            same_outcome(split_raw_derivation, ref_split_raw_derivation, bad)
 
 
 def test_non_symmetric_theta_not_involutive():
