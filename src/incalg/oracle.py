@@ -1,15 +1,19 @@
 """Brute-force ground truth on tiny instances.
 
-Everything here works with raw ring arithmetic and exact matrix equality,
-sharing no logic with the decision procedures it cross-checks: units are
-enumerated coordinate by coordinate, involutions are found by exhausting
-conjugated relabel-and-sign maps and testing the square on the basis, and
-equivalence classes come from a union-find over explicit conjugations.
+Everything here works with raw ring arithmetic and exact matrix equality.
+It shares no logic with the decision procedures it cross-checks, so one
+mistake cannot hide in both: units are enumerated coordinate by coordinate,
+involutions are found by exhausting conjugated relabel-and-sign maps and
+testing the square on the basis, and equivalence classes come from a
+union-find over explicit conjugations.  The loops run on value tuples (a
+signed coordinate permutation, two compiled-kernel calls per conjugation by
+a unit, psi M psi^-1 summed over psi's nonzero entries); that speeds each
+candidate up but still tries every one and compares whole matrices.
 """
 
 from itertools import product
 
-from .errors import NotConnected, SizeLimit
+from .errors import NotConnected, SizeLimit, WitnessFailed
 from .fia import IncFn
 from .idealization import DElem, DLinearMap, d_basis, inner_auto
 from .morphisms import _primitive_root
@@ -75,7 +79,9 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
 
     Exhausts conjugates of every relabel-and-sign map by units taken one
     per central coset, keeps the maps that square to the identity on the
-    whole basis, and dedupes by exact matrix equality.
+    whole basis (in ``d_basis`` order, up to the first failure), and dedupes
+    by exact matrix equality.  The signed permutation's basis images are
+    computed once per (lam, k).
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -85,37 +91,30 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         raise SizeLimit("cannot enumerate over an infinite field")
     if total > limit:
         raise SizeLimit(f"{total} units exceeds the limit {limit}")
-    basis = d_basis(alg)
+    p, mul, dmul = field.modulus, alg._product, alg._dproduct
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
-    minus_one = field.neg(field.one)
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
-        for k in (field.one, minus_one):
-            def phi0(d, _perm=perm, _k=k):
-                fvals = tuple(d.f.vals[i] for i in _perm)
-                if _k == field.one:
-                    ivals = tuple(d.i.vals[i] for i in _perm)
-                else:
-                    ivals = tuple(field.mul(_k, d.i.vals[i]) for i in _perm)
-                return DElem(IncFn(alg, fvals), IncFn(alg, ivals))
-
+        for k in (field.one, field.neg(field.one)):
+            starts = [((b.f.vals, b.i.vals), tuple([b.f.vals[q] for q in perm]),
+                       tuple([k * b.i.vals[q] % p for q in perm]))
+                      for b in d_basis(alg)]
             for fvals in product(*f_ranges):
-                f = IncFn(alg, fvals)
-                f_inv = f.inverse()
+                f_inv = IncFn(alg, fvals).inverse().vals
                 for ivals in product(*i_ranges):
-                    i = IncFn(alg, ivals)
-                    theta = DElem(f, i)
-                    theta_inv = DElem(f_inv, -(f_inv * i * f_inv))
-
-                    def phi(d):
-                        return theta * phi0(d) * theta_inv
-
-                    if any(phi(phi(b)) != b for b in basis):
-                        continue
-                    mat = DLinearMap(alg, [phi(b).coords() for b in basis])
-                    found.setdefault(mat.cols, mat)
-    return list(found.values())
+                    j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
+                    cols = []
+                    for b, f0, i0 in starts:
+                        f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
+                        f2, i2 = dmul(fvals, ivals, tuple([f1[q] for q in perm]),
+                                      tuple([k * i1[q] % p for q in perm]))
+                        if dmul(f2, i2, f_inv, j_inv) != b:
+                            break
+                        cols.append(f1 + i1)
+                    else:
+                        found[tuple(cols)] = None  # an insertion-ordered set
+    return [DLinearMap(alg, cols) for cols in found]
 
 
 def unit_group_generators(alg):
@@ -143,7 +142,9 @@ def orbit_partition(items, conjugators, extra_maps=()):
 
     ``conjugators`` are units; ``extra_maps`` are (map, inverse) matrix
     pairs joined into the same closure (used for non-inner conjugations).
-    Returns a list of index lists; items must be closed under the action.
+    Returns a list of index lists.  Each action and its inverse are kept as
+    nonzero (row, value) entries per column; an image that is not an item
+    (compared as a full matrix) raises WitnessFailed.
     """
     index = {m.cols: i for i, m in enumerate(items)}
     parent = list(range(len(items)))
@@ -159,21 +160,34 @@ def orbit_partition(items, conjugators, extra_maps=()):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
+    def sparse(m):
+        return [[(r, v) for r, v in enumerate(col) if v] for col in m.cols]
+
     actions = {}
     for g in conjugators:
         psi = inner_auto(g)
         if psi.cols not in actions:
-            actions[psi.cols] = (psi, inner_auto(g.inverse()))
+            actions[psi.cols] = (sparse(psi), sparse(inner_auto(g.inverse())))
     for m, m_inv in extra_maps:
-        if m.cols not in actions:
-            actions[m.cols] = (m, m_inv)
+        actions.setdefault(m.cols, (sparse(m), sparse(m_inv)))
 
     for i, item in enumerate(items):
+        p, cols = item.alg.field.modulus, sparse(item)
         for psi, psi_inv in actions.values():
-            image = psi.compose(item).compose(psi_inv)
-            j = index.get(image.cols)
+            image = []
+            for col in psi_inv:  # column j: psi(M(psi^-1 e_j))
+                mid = {}
+                for r, v in col:
+                    for s, w in cols[r]:
+                        mid[s] = mid.get(s, 0) + v * w
+                acc = [0] * len(cols)
+                for s, c in mid.items():
+                    for t, w in psi[s]:
+                        acc[t] += c * w
+                image.append(tuple([v % p for v in acc]) if p else tuple(acc))
+            j = index.get(tuple(image))
             if j is None:
-                raise ValueError("items are not closed under conjugation")
+                raise WitnessFailed("items are not closed under conjugation")
             union(i, j)
 
     groups = {}

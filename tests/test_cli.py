@@ -396,6 +396,15 @@ def test_verify_reports_a_skipped_oracle(poset_files, capsys):
     assert "skipped" not in out
 
 
+def test_verify_runs_the_oracle_on_chain3(poset_files, capsys):
+    """chain3 over F3 has 157,464 unit pairs, the whole unit group."""
+    assert main(["verify", "--poset", str(poset_files["chain3"]),
+                 "--field", "F3", "--oracle-limit", "157464"]) == 0
+    out = capsys.readouterr().out
+    assert "ok   oracle orbit count matches classification" in out
+    assert "FAIL" not in out
+
+
 @pytest.mark.parametrize("limit", ["-1", "ten"])
 def test_verify_rejects_a_bad_oracle_limit(poset_files, capsys, limit):
     with pytest.raises(SystemExit) as exc:

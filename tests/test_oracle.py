@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from incalg.errors import SizeLimit
+from incalg.errors import SizeLimit, WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import DElem, central_pair, d_one, inner_auto
@@ -105,6 +105,13 @@ def test_orbit_partition_trivial_conjugators(chain2):
     central = orbit_partition(
         invs, [central_pair(alg, 1, 1), central_pair(alg, 2, 0)])
     assert len(central) == len(invs)
+
+
+def test_orbit_partition_rejects_a_set_that_is_not_closed(chain2):
+    alg = IncidenceAlgebra(chain2, F3)
+    invs = enumerate_involutions_D(alg)
+    with pytest.raises(WitnessFailed, match="not closed under conjugation"):
+        orbit_partition(invs[:1], unit_group_generators(alg))
 
 
 def test_sign_constant_on_orbits(chain2):

@@ -1,0 +1,216 @@
+"""Differential tests for the oracle against its object-based reference.
+
+``oracle.enumerate_involutions_D`` and ``oracle.orbit_partition`` run on
+value tuples: a precomputed signed permutation for the relabel-and-sign
+map, direct calls of the compiled product kernels, and conjugation of
+matrices by sparse columns.  The two functions below are the versions
+those replaced, kept verbatim as the reference: they build a ``DElem`` for
+every product and conjugate with dense ``DLinearMap.compose``.  Both must
+return the same matrices in the same order and the same partition, with
+and without ``python -O``.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import incalg
+from incalg import oracle
+from incalg.errors import NotConnected, SizeLimit
+from incalg.fia import IncFn, IncidenceAlgebra
+from incalg.fields import QQ, PrimeField
+from incalg.idealization import (
+    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto, lift_scalar,
+)
+from incalg.involutions import base_involution, sigma_lambda
+from incalg.oracle import (
+    UNIT_LIMIT, _canonical_unit_ranges, count_units, enumerate_units,
+    unit_group_generators,
+)
+from incalg.posets import Poset
+
+
+def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
+    """All ring involutions of the idealization, as deduplicated matrices.
+
+    Exhausts conjugates of every relabel-and-sign map by units taken one
+    per central coset, keeps the maps that square to the identity on the
+    whole basis, and dedupes by exact matrix equality.
+    """
+    poset, field = alg.poset, alg.field
+    if not poset.is_connected():
+        raise NotConnected("central cosets need a connected poset")
+    total = count_units(alg, "D")
+    if total is None:
+        raise SizeLimit("cannot enumerate over an infinite field")
+    if total > limit:
+        raise SizeLimit(f"{total} units exceeds the limit {limit}")
+    basis = d_basis(alg)
+    f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    minus_one = field.neg(field.one)
+    found = {}
+    for lam in poset.involutions():
+        perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
+        for k in (field.one, minus_one):
+            def phi0(d, _perm=perm, _k=k):
+                fvals = tuple(d.f.vals[i] for i in _perm)
+                if _k == field.one:
+                    ivals = tuple(d.i.vals[i] for i in _perm)
+                else:
+                    ivals = tuple(field.mul(_k, d.i.vals[i]) for i in _perm)
+                return DElem(IncFn(alg, fvals), IncFn(alg, ivals))
+
+            for fvals in product(*f_ranges):
+                f = IncFn(alg, fvals)
+                f_inv = f.inverse()
+                for ivals in product(*i_ranges):
+                    i = IncFn(alg, ivals)
+                    theta = DElem(f, i)
+                    theta_inv = DElem(f_inv, -(f_inv * i * f_inv))
+
+                    def phi(d):
+                        return theta * phi0(d) * theta_inv
+
+                    if any(phi(phi(b)) != b for b in basis):
+                        continue
+                    mat = DLinearMap(alg, [phi(b).coords() for b in basis])
+                    found.setdefault(mat.cols, mat)
+    return list(found.values())
+
+
+def orbit_partition(items, conjugators, extra_maps=()):
+    """Partition of ``items`` (matrices) under conjugation.
+
+    ``conjugators`` are units; ``extra_maps`` are (map, inverse) matrix
+    pairs joined into the same closure (used for non-inner conjugations).
+    Returns a list of index lists; items must be closed under the action.
+    """
+    index = {m.cols: i for i, m in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    actions = {}
+    for g in conjugators:
+        psi = inner_auto(g)
+        if psi.cols not in actions:
+            actions[psi.cols] = (psi, inner_auto(g.inverse()))
+    for m, m_inv in extra_maps:
+        if m.cols not in actions:
+            actions[m.cols] = (m, m_inv)
+
+    for i, item in enumerate(items):
+        for psi, psi_inv in actions.values():
+            image = psi.compose(item).compose(psi_inv)
+            j = index.get(image.cols)
+            if j is None:
+                raise ValueError("items are not closed under conjugation")
+            union(i, j)
+
+    groups = {}
+    for i in range(len(items)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def chain_algebra(n, p, bottom_up=True):
+    """The chain a < b < ... over GF(p), its elements listed bottom-up or
+    top-down (the order sets the basis order, so the oracle's early exits
+    and its output order)."""
+    labels = [chr(ord("a") + i) for i in range(n)]
+    order = labels if bottom_up else labels[::-1]
+    poset = Poset.from_covers(order, list(zip(labels, labels[1:])))
+    return IncidenceAlgebra(poset, PrimeField(p) if p else QQ)
+
+
+def compare(alg):
+    """Both oracles on ``alg``: the enumerated matrices (order and columns)
+    and their partition under the unit-group generators."""
+    fast = oracle.enumerate_involutions_D(alg)
+    ref = enumerate_involutions_D(alg)
+    gens = unit_group_generators(alg)
+    return ([m.cols for m in fast] == [m.cols for m in ref]
+            and oracle.orbit_partition(fast, gens) == orbit_partition(ref, gens))
+
+
+@pytest.mark.parametrize("bottom_up", [True, False])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fast_oracle_matches_reference_on_short_chains(n, p, bottom_up):
+    assert compare(chain_algebra(n, p, bottom_up))
+
+
+def test_fast_oracle_matches_reference_on_chain3():
+    assert compare(chain_algebra(3, 3))
+
+
+def test_partition_under_other_conjugators_matches_reference():
+    alg = chain_algebra(2, 3)
+    invs = oracle.enumerate_involutions_D(alg)
+    units = list(enumerate_units(alg, "D"))
+    central = [central_pair(alg, 1, 1), central_pair(alg, 2, 0)]
+    sign = lift_scalar(alg, 2)  # its own inverse over GF(3)
+    inner = (inner_auto(units[-1]), inner_auto(units[-1].inverse()))
+    cases = [(units, ()), ([d_one(alg)], ()), (central, ()),
+             ([], [(sign, sign)]), (central, [inner, (sign, sign)]),
+             (unit_group_generators(alg), [(sign, sign)])]
+    for conjugators, extra in cases:
+        got = oracle.orbit_partition(invs, conjugators, extra)
+        assert got == orbit_partition(invs, conjugators, extra)
+    assert len(oracle.orbit_partition(invs, units)) == 4
+    assert len(oracle.orbit_partition(invs, central)) == len(invs)
+
+
+def test_partition_over_the_rationals():
+    alg = chain_algebra(2, None)
+    rng = random.Random(11)
+    units = [DElem(alg.random_unit(rng), alg.random(rng)) for _ in range(4)]
+    units.append(central_pair(alg, Fraction(3, 2), Fraction(-1, 5)))
+    identity = DLinearMap.identity(alg)
+    assert oracle.orbit_partition([identity], units) == [[0]]
+    assert oracle.orbit_partition([], units) == []
+    assert orbit_partition([], units) == []
+    # central conjugators fix every matrix, and the sign lift fixes these
+    lam = alg.poset.involutions()[0]
+    items = [identity] + [f(alg, lam, k).to_linear()
+                          for f in (base_involution, sigma_lambda)
+                          for k in (1, -1)]
+    sign = lift_scalar(alg, -1)
+    central = [central_pair(alg, 5, 7), central_pair(alg, Fraction(1, 3), 1)]
+    got = oracle.orbit_partition(items, central, [(sign, sign)])
+    assert got == orbit_partition(items, central, [(sign, sign)])
+    assert got == [[i] for i in range(len(items))]
+
+
+OPTIMIZED = """
+import test_oracle_reference as t
+print(__debug__, t.compare(t.chain_algebra(2, 5)),
+      t.compare(t.chain_algebra(2, 5, bottom_up=False)))
+"""
+
+
+def test_fast_oracle_matches_reference_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(incalg.__file__).resolve().parents[1]),
+         str(Path(__file__).resolve().parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True True\n"

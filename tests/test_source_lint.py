@@ -1,10 +1,14 @@
 """Source checks on the library: every module other than the package
-``__init__`` (which re-exports) uses each name it imports."""
+``__init__`` (which re-exports) uses each name it imports, and no module
+asserts or raises an exception class outside the ``IncalgError`` tree
+beyond a fixed allow-list."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import incalg
+from incalg import errors
 
 SRC = Path(incalg.__file__).resolve().parent
 
@@ -37,3 +41,64 @@ def test_unused_import_is_reported():
               "    from .fia import IncFn\n"
               "    return os.sep, PE\n")
     assert unused_imports(source) == ["2: IncalgError", "4: IncFn"]
+
+
+TYPED = frozenset(name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.IncalgError))
+
+# (module, raised class) -> how many such raises the library may hold.  The
+# CLI's argparse type hook must raise argparse's own error, and the abstract
+# Field method raises NotImplementedError.  The rest predate this check and
+# are left for a change to fields.py and morphisms.py: Field.inv's
+# ZeroDivisionError (twice), and two AssertionErrors on states that number
+# theory rules out (an odd prime field without a non-square, a prime field
+# without a primitive root).  The comparison is exact: a new raise fails it,
+# and a mended one must be struck from the list.
+ALLOWED_RAISES = Counter({
+    ("cli.py", "argparse.ArgumentTypeError"): 1,
+    ("fields.py", "NotImplementedError"): 1,
+    ("fields.py", "ZeroDivisionError"): 2,
+    ("fields.py", "AssertionError"): 1,
+    ("morphisms.py", "AssertionError"): 1,
+})
+
+
+def untyped_raises(source, filename="<source>"):
+    """``(line, what)`` for each ``assert`` statement, which ``python -O``
+    strips, and for each ``raise`` whose class is not an ``IncalgError``
+    subclass.  A bare ``raise`` re-raises what was caught and is not
+    reported."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name not in TYPED:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_library_raises_only_typed_errors():
+    found = Counter((path.name, what) for path in sorted(SRC.glob("*.py"))
+                    for _, what in untyped_raises(path.read_text(), str(path)))
+    assert found == ALLOWED_RAISES
+
+
+def test_untyped_raise_is_reported():
+    source = ("import argparse\n"
+              "from .errors import ParseError\n"
+              "def f(x):\n"
+              "    assert x, 'stripped by -O'\n"
+              "    if x < 0:\n"
+              "        raise ValueError('untyped')\n"
+              "    try:\n"
+              "        return 1 / x\n"
+              "    except ZeroDivisionError:\n"
+              "        raise\n"
+              "    raise ParseError('typed')\n"
+              "def g():\n"
+              "    raise argparse.ArgumentTypeError\n")
+    assert untyped_raises(source) == [
+        (4, "assert"), (6, "ValueError"), (13, "argparse.ArgumentTypeError")]
