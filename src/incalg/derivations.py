@@ -10,14 +10,16 @@ a generator with a basis element, which is exact (see
 ``idealization.d_generators``).  ``der_equals_ider`` decides whether the
 additive family adds anything beyond the inner one, reading the answer off
 ``morphisms.cocycle_obstruction`` (the same Smith normal form that decides
-``mult_subset_inn``).
+``mult_subset_inn``), and ``find_non_inner_additive`` reads a counterexample
+off that form's column transform.
 """
 
-from .errors import ContextMismatch, InvalidCocycle, NotADerivation
+from .errors import (
+    ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
+)
 from .fia import IncFn
-from .linalg import nullspace
 from .morphisms import (
-    FiLinearMap, _relation_rows, cocycle_obstruction, validate_cocycle,
+    FiLinearMap, _smith_reading, cocycle_obstruction, validate_cocycle,
 )
 
 
@@ -130,23 +132,29 @@ def _der_inner_rule(factors, free_rank, field):
 
 
 def find_non_inner_additive(alg):
-    """A concrete additive cocycle with no inner witness, or None.
+    """An additive cocycle with no inner witness, or None exactly when
+    ``der_equals_ider`` holds.
 
-    Picks a basis vector of the cocycle solution space that the coboundary
-    test rejects; one exists exactly when der_equals_ider fails.
+    The argument of ``morphisms.find_non_inner_cocycle`` with K in place of
+    K*: on one Smith normal form U R V = diag(d) of the chain relations,
+    column j of V gives the functional tau_j(x,y) = V[(x,y)][j], which is
+    a cocycle when d_j = 0 or the characteristic divides d_j.  A torsion
+    column lies in ker d / R, so its tau_j is never inner; and some
+    free-column coordinate of a primitive vector of ker d / R is nonzero in
+    K, since those coordinates have gcd 1.  Each candidate is certified by
+    ``additive_is_inner``; if none is non-inner, WitnessFailed.
     """
     poset, field = alg.poset, alg.field
-    npairs = len(poset.strict_pairs)
-    if npairs == 0:
+    obstruction, columns = _smith_reading(poset)
+    if _der_inner_rule(*obstruction, field):
         return None
-    rel = [[field(v) for v in row] for row in _relation_rows(poset)]
-    basis = nullspace(field, rel, ncols=npairs) if rel else nullspace(
-        field, [], ncols=npairs)
-    for vec in basis:
-        tau = dict(zip(poset.strict_pairs, vec))
-        if additive_is_inner(alg, tau) is None:
-            return tau
-    return None
+    p = field.char
+    for dj, col in columns:
+        if dj == 0 or (p and dj % p == 0):
+            tau = {pair: field(e) for pair, e in zip(poset.strict_pairs, col)}
+            if additive_is_inner(alg, tau) is None:
+                return tau
+    raise WitnessFailed("no Smith-form functional is a non-inner cocycle")
 
 
 def split_raw_derivation(raw):

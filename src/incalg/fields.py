@@ -15,7 +15,9 @@ limited to desk scale (numerator and denominator at most ``10**12``).
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainMismatch, ParseError, SizeLimit, ZeroArgument
+from .errors import (
+    DomainMismatch, ParseError, SizeLimit, WitnessFailed, ZeroArgument,
+)
 
 # Trial division covers primes up to 10**6, enough to certify squarefree
 # parts for magnitudes up to SQUAREFREE_BOUND.
@@ -164,7 +166,7 @@ class RationalField(Field):
 
     def inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise ZeroArgument("inverse of zero")
         return 1 / a
 
     def parse(self, s):
@@ -246,7 +248,7 @@ class PrimeField(Field):
 
     def inv(self, a):
         if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise ZeroArgument("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def parse(self, s):
@@ -290,7 +292,7 @@ class PrimeField(Field):
         for t in range(2, self.p):
             if not self.is_square(t):
                 return [1, t]
-        raise AssertionError("odd prime field has a non-square")
+        raise WitnessFailed(f"F{self.p} has no non-square")
 
     def elements(self):
         return range(self.p)

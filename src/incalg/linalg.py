@@ -50,30 +50,6 @@ def solve(field, rows, rhs):
     return x
 
 
-def nullspace(field, rows, ncols=None):
-    """Basis of the solution space of A x = 0."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for k in range(ncols):
-            v = [field.zero] * ncols
-            v[k] = field.one
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
-    red, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
-        basis.append(v)
-    return basis
-
-
 class ColumnMap:
     """A K-linear endomorphism stored column-wise: ``cols[j]`` is the
     coordinate vector of the image of basis vector j.  Subclasses fix the

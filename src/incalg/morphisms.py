@@ -17,19 +17,23 @@ chain relations (x,z) + (z,y) - (x,y) gives the invariant factors and free
 rank of the group that measures cocycles modulo coboundaries.  Both
 hypotheses the involution classification needs are readings of it:
 ``mult_subset_inn`` here (no nontrivial character into K*) and
-``derivations.der_equals_ider`` (no nonzero K-linear functional).
+``derivations.der_equals_ider`` (no nonzero K-linear functional).  When
+one fails, the columns of the same form's transform V give the candidate
+characters, and ``find_non_inner_cocycle`` returns the first one that no
+diagonal witness produces.
 """
 
 from math import gcd
 
 from .errors import (
     ContextMismatch, InvalidCocycle, NotAMorphism, NotUnital, ParseError,
+    WitnessFailed,
 )
 from .fia import IncFn
 from .fields import PrimeField, RationalField
-from .linalg import ColumnMap, nullspace
+from .linalg import ColumnMap
 from .posets import PosetMap, identity_map
-from .snf import integer_kernel_basis, invariant_factors
+from .snf import smith_columns
 
 
 class FiLinearMap(ColumnMap):
@@ -265,6 +269,15 @@ def _relation_rows(poset):
     return rows
 
 
+def _smith_reading(poset):
+    """One Smith normal form U R V = diag(d) of the chain relations R: the
+    obstruction (invariant factors, free rank) read off d, and the pairs
+    (d_j, column j of V) over the strict pairs."""
+    d, columns = smith_columns(_relation_rows(poset), len(poset.strict_pairs))
+    rank_d = len(poset.elements) - len(poset.components())
+    return ([x for x in d if x > 1], d.count(0) - rank_d), zip(d, columns)
+
+
 def cocycle_obstruction(poset):
     """Invariant factors and free rank of the group whose characters are
     exactly the multiplicative cocycles modulo the inner (coboundary) ones.
@@ -277,9 +290,7 @@ def cocycle_obstruction(poset):
     rank d = #points - #components over every field (d is a signed graph
     incidence matrix).
     """
-    factors, rnk = invariant_factors(_relation_rows(poset))
-    rank_d = len(poset.elements) - len(poset.components())
-    return factors, len(poset.strict_pairs) - rnk - rank_d
+    return _smith_reading(poset)[0]
 
 
 def mult_subset_inn(poset, field):
@@ -298,67 +309,67 @@ def _mult_inner_rule(factors, free_rank, field):
     raise ParseError(f"unsupported field {field!r}")
 
 
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    return out + [n] if n > 1 else out
+
+
 def _primitive_root(p):
+    """The least generator of F_p*: t is one exactly when t^((p-1)/q) != 1
+    for every prime q dividing p - 1."""
     if p == 2:
         return 1
+    qs = _prime_factors(p - 1)
     for t in range(2, p):
-        seen = set()
-        v = 1
-        for _ in range(p - 1):
-            v = v * t % p
-            seen.add(v)
-        if len(seen) == p - 1:
+        if all(pow(t, (p - 1) // q, p) != 1 for q in qs):
             return t
-    raise AssertionError("prime field has a primitive root")
+    raise WitnessFailed(f"F{p} has no primitive root")
 
 
 def find_non_inner_cocycle(alg):
-    """Search for a concrete multiplicative cocycle with no inner witness.
+    """A multiplicative cocycle with no inner witness, or None exactly when
+    ``mult_subset_inn`` holds.
 
-    Candidates are built from integer exponent vectors orthogonal to the
-    chain relations (powers of a fixed base), plus sign patterns from the
-    mod-2 relation kernel.  Returns a sigma dict or None.
+    Both are read off one Smith normal form U R V = diag(d) of the chain
+    relations R.  In the basis of the rows of V^-1, Z^pairs / R is the sum
+    of the cyclic groups Z/d_j, and cocycles are its characters into K*.
+    Column j of V gives the character that sends generator j to zeta_j and
+    the others to 1: sigma_j(x,y) = zeta_j^V[(x,y)][j], where zeta_j
+    generates the gcd(d_j, p - 1)-torsion of F_p* (a primitive root when
+    d_j = 0); over Q, zeta_j is -1 for even d_j and 2 for d_j = 0.
+
+    A character is inner exactly when it is trivial on ker d / R, where d
+    is the pair-difference map.  When the rule fails, some sigma_j is not:
+    torsion lies in ker d / R (the quotient by it embeds in the free group
+    on points), so a character nontrivial on a torsion column is never
+    inner; and ker d / R is a direct summand whose free part holds a
+    primitive vector, whose free-column coordinates have gcd 1, so some
+    free-column character is nontrivial on it.  Each candidate is certified
+    by ``multiplicative_is_inner``; if none is non-inner, WitnessFailed.
     """
     poset, field = alg.poset, alg.field
-    pairs = poset.strict_pairs
-    if not pairs:
+    obstruction, columns = _smith_reading(poset)
+    if _mult_inner_rule(*obstruction, field):
         return None
-    rel = _relation_rows(poset)
-    exps = integer_kernel_basis(rel, ncols=len(pairs))
-    if isinstance(field, PrimeField):
-        base = _primitive_root(field.p)
-    else:
-        base = field(2)
-    candidates = []
-    for v in exps:
-        candidates.append(v)
-    for i in range(len(exps)):
-        for j in range(i + 1, len(exps)):
-            candidates.append([a + b for a, b in zip(exps[i], exps[j])])
-    for v in candidates:
-        sigma = {}
-        for p, e in zip(pairs, v):
-            val = field.one
-            for _ in range(abs(e)):
-                val = field.mul(val, base)
-            sigma[p] = val if e >= 0 else field.inv(val)
-        try:
-            if multiplicative_is_inner(alg, sigma) is None:
-                return sigma
-        except InvalidCocycle:
+    p = field.modulus
+    g = _primitive_root(p) if p else None
+    for dj, col in columns:
+        if p:
+            zeta = pow(g, (p - 1) // gcd(dj, p - 1), p)
+        else:
+            zeta = field(2 if dj == 0 else -1 if dj % 2 == 0 else 1)
+        if zeta == field.one:
             continue
-    if field.char != 2:
-        # sign patterns: solutions of the relations over GF(2)
-        rel2 = [[v % 2 for v in row] for row in rel]
-        for v in nullspace(PrimeField(2), rel2, ncols=len(pairs)):
-            if all(x == 0 for x in v):
-                continue
-            minus_one = field.neg(field.one)
-            sigma = {p: (minus_one if e else field.one)
-                     for p, e in zip(pairs, v)}
-            try:
-                if multiplicative_is_inner(alg, sigma) is None:
-                    return sigma
-            except InvalidCocycle:
-                continue
-    return None
+        sigma = {pair: pow(zeta, e, p) if p else zeta ** e
+                 for pair, e in zip(poset.strict_pairs, col)}
+        if multiplicative_is_inner(alg, sigma) is None:
+            return sigma
+    raise WitnessFailed("no Smith-form character is a non-inner cocycle")

@@ -1,4 +1,6 @@
-"""Smith normal form over the integers, with transform matrices.
+"""Smith normal form over the integers, with transform matrices, and
+``smith_columns``, the reading of its column transform that the cocycle
+counterexamples are built from.
 
 Sizes here are tiny (rows and columns bounded by the number of comparable
 pairs of a desk-scale poset), so a straightforward pivot-and-reduce loop
@@ -103,22 +105,20 @@ def invariant_factors(mat):
     return [x for x in d if x not in (0, 1)], sum(1 for x in d if x != 0)
 
 
-def integer_kernel_basis(mat, ncols=None):
-    """Lattice basis of {x : mat x = 0} over the integers.
+def smith_columns(mat, ncols):
+    """The Smith diagonal padded to ``ncols`` with zeros, and every column
+    of V, from U * mat * V = diag(d).
 
-    The kernel of an integer matrix is saturated, so the columns of V
-    matching zero columns of the Smith form are a basis.  ``ncols`` only
-    matters when ``mat`` has no rows.
+    Row j of V^-1 maps to a generator of order d[j] in Z^ncols / rowspace
+    (order infinite when d[j] == 0), and column j of V gives each unit
+    vector's coordinate on it; the columns with d[j] == 0 are a lattice
+    basis of {x : mat x = 0}.  With no rows V is the identity.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else (ncols or 0)
-    if n == 0:
-        return []
-    if m == 0:
-        return [list(row) for row in _identity(n)]
+    if not mat:
+        return [0] * ncols, [list(row) for row in _identity(ncols)]
     d, _, v = smith_normal_form(mat)
-    r = sum(1 for x in d if x != 0)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
+    return (d + [0] * (ncols - len(d)),
+            [[row[j] for row in v] for j in range(ncols)])
 
 
 def check_snf(mat, d, u, v):

@@ -12,7 +12,10 @@ from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
 from incalg.involutions import base_involution, sigma_lambda
+from incalg.morphisms import multiplicative_is_inner
 from incalg.posets import Poset
+
+from test_hypotheses_reference import moore3_face_poset
 
 
 @pytest.fixture
@@ -184,6 +187,48 @@ def test_hypotheses_exit_codes(poset_files, capsys):
     out = capsys.readouterr().out
     assert "mult_subset_inn: True" in out
     assert "der_equals_ider: False" in out
+
+
+def _certified_non_inner(poset, field, entries):
+    """Whether printed {"x,y": value} entries form a multiplicative cocycle
+    with no inner witness."""
+    alg = IncidenceAlgebra(poset, field)
+    sigma = {tuple(key.split(",")): field.parse(v) for key, v in entries.items()}
+    return multiplicative_is_inner(alg, sigma) is None
+
+
+@pytest.mark.parametrize("spec", ["F7", "F13"])
+def test_hypotheses_prints_an_order_three_counterexample(tmp_path, capsys,
+                                                         spec):
+    """The mod-3 Moore space's only obstruction is Z/3, so over F7 and F13
+    the counterexample is a character of order 3, not a sign pattern."""
+    poset = moore3_face_poset()
+    path = tmp_path / "moore3.json"
+    path.write_text(json.dumps(poset.to_json()))
+    assert main(["hypotheses", "--poset", str(path), "--field", spec,
+                 "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mult_subset_inn"] is False
+    assert payload["der_equals_ider"] is True
+    assert _certified_non_inner(poset, parse_field(spec),
+                                payload["non_inner_cocycle"])
+
+
+def test_hypotheses_over_a_large_prime(poset_files):
+    """The primitive root of a ten-digit modulus is found from the prime
+    factors of p - 1, not by listing powers."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(incalg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "incalg.cli", "hypotheses", "--poset",
+         str(poset_files["crown"]), "--field", "F1000000007", "--json"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    crown = Poset.from_json(poset_files["crown"].read_text())
+    assert _certified_non_inner(crown, PrimeField(1000000007),
+                                payload["non_inner_cocycle"])
+    assert "non_inner_additive_cocycle" in payload
 
 
 def test_hypotheses_compiles_kernels_only_for_a_counterexample(

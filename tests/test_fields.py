@@ -69,6 +69,13 @@ def test_square_class_zero_rejected():
         QQ.square_class(Fraction(0))
 
 
+def test_inverse_of_zero_rejected():
+    with pytest.raises(ZeroArgument):
+        F5.inv(10)
+    with pytest.raises(ZeroArgument):
+        QQ.inv(Fraction(0))
+
+
 def test_square_class_multiplicative():
     rng = random.Random(7)
     for _ in range(200):

@@ -11,7 +11,9 @@ from math import gcd
 
 import pytest
 
-from incalg.derivations import der_equals_ider, find_non_inner_additive
+from incalg.derivations import (
+    additive_is_inner, der_equals_ider, find_non_inner_additive,
+)
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, RationalField
 from incalg.involutions import check_hypotheses
@@ -21,11 +23,12 @@ from incalg.morphisms import (
     mult_subset_inn, multiplicative_is_inner,
 )
 from incalg.posets import Poset
-from incalg.snf import integer_kernel_basis, invariant_factors
+from incalg.snf import invariant_factors, smith_columns
 
 from conftest import chain
 
-FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), QQ)
+FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
+          PrimeField(13), QQ)
 
 
 # -- reference oracle --------------------------------------------------------
@@ -53,7 +56,8 @@ def _cocycle_obstruction_group(poset):
     group on strict pairs.
     """
     npairs = len(poset.strict_pairs)
-    kernel = integer_kernel_basis(_pair_difference_matrix(poset), ncols=npairs)
+    d, columns = smith_columns(_pair_difference_matrix(poset), npairs)
+    kernel = [col for dj, col in zip(d, columns) if dj == 0]
     if not kernel:
         return [], 0
     bcols = [list(v) for v in kernel]
@@ -198,9 +202,39 @@ def rp2_face_poset():
     return Poset.from_covers(labels, rels)
 
 
+def moore3_face_poset():
+    """Face poset of a mod-3 Moore space: a disc whose boundary 9-gon wraps
+    three times around the triangle a, b, c.  The disc is an outer ring of
+    9 boundary vertices, an inner ring u0..u8 and a centre z, so there are
+    13 vertices, 39 edges and 27 triangles, and the obstruction group is
+    H_1 = Z/3."""
+    n = 9
+    rim = ["abc"[i % 3] for i in range(n + 1)]
+    ring = [f"u{i}" for i in range(n)] + ["u0"]
+    tris = set()
+    for i in range(n):
+        tris.add(frozenset((rim[i], rim[i + 1], ring[i])))
+        tris.add(frozenset((rim[i + 1], ring[i], ring[i + 1])))
+        tris.add(frozenset(("z", ring[i], ring[i + 1])))
+    edges = {frozenset(e) for t in tris for e in itertools.combinations(t, 2)}
+    verts = {v for t in tris for v in t}
+
+    def name(face):
+        return "-".join(sorted(face))
+    labels = sorted(verts) + sorted(map(name, edges)) + sorted(map(name, tris))
+    rels = [(v, name(e)) for e in edges for v in e]
+    rels += [(name(e), name(t)) for t in tris for e in edges if e < t]
+    return Poset.from_covers(labels, sorted(rels))
+
+
 @pytest.fixture(scope="module")
 def rp2():
     return rp2_face_poset()
+
+
+@pytest.fixture(scope="module")
+def moore3():
+    return moore3_face_poset()
 
 
 def test_torsion_factor_of_projective_plane(rp2):
@@ -225,3 +259,44 @@ def test_torsion_verdicts(rp2, field, mult, der):
         assert sigma is not None
         assert multiplicative_is_inner(alg, sigma) is None
     assert (find_non_inner_additive(alg) is None) is der
+
+
+def test_face_poset_of_moore_space(moore3):
+    dims = [label.count("-") for label in moore3.elements]
+    assert [dims.count(k) for k in range(3)] == [13, 39, 27]
+    assert cocycle_obstruction(moore3) == ([3], 0)
+
+
+@pytest.mark.parametrize("field, mult, der", [
+    (PrimeField(2), True, True),
+    (PrimeField(3), True, False),
+    (PrimeField(5), True, True),
+    (PrimeField(7), False, True),
+    (PrimeField(13), False, True),
+    (QQ, True, True),
+])
+def test_moore_space_verdicts(moore3, field, mult, der):
+    # Z/3 has a character into K* exactly when 3 divides |K*|, and a
+    # nonzero functional into K exactly in characteristic 3
+    assert mult_subset_inn(moore3, field) is mult
+    assert der_equals_ider(moore3, field) is der
+
+
+def test_finders_certify_a_counterexample_exactly_when_a_rule_fails(
+        rp2, moore3):
+    """Each finder returns None exactly when its rule holds, and otherwise a
+    cocycle that the inner-witness search rejects; a failure to find one
+    would raise WitnessFailed."""
+    cases = all_cases() + [("rp2", rp2), ("moore3", moore3)]
+    for name, poset in cases:
+        for field in FIELDS:
+            report = check_hypotheses(poset, field)
+            alg = IncidenceAlgebra(poset, field)
+            sigma = find_non_inner_cocycle(alg)
+            assert (sigma is None) is report["mult_subset_inn"], (name, field)
+            if sigma is not None:
+                assert multiplicative_is_inner(alg, sigma) is None, (name, field)
+            tau = find_non_inner_additive(alg)
+            assert (tau is None) is report["der_equals_ider"], (name, field)
+            if tau is not None:
+                assert additive_is_inner(alg, tau) is None, (name, field)

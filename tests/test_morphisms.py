@@ -4,10 +4,10 @@ import pytest
 
 from incalg.errors import InvalidCocycle, NotAMorphism, NotUnital
 from incalg.fia import IncidenceAlgebra
-from incalg.fields import QQ, PrimeField
+from incalg.fields import QQ, PrimeField, _is_prime
 from incalg.morphisms import (
-    FiaMorphism, FiLinearMap, compose, decompose, find_non_inner_cocycle,
-    mult_subset_inn, multiplicative_is_inner,
+    FiaMorphism, FiLinearMap, _primitive_root, compose, decompose,
+    find_non_inner_cocycle, mult_subset_inn, multiplicative_is_inner,
 )
 
 F2 = PrimeField(2)
@@ -260,6 +260,26 @@ def test_mult_subset_inn_matches_witness_search(fence, crown, chain3, diamond):
             else:
                 assert sigma is not None
                 assert multiplicative_is_inner(alg, sigma) is None
+
+
+def orbit_primitive_root(p):
+    """The least t whose powers fill F_p*, by listing every power."""
+    if p == 2:
+        return 1
+    for t in range(2, p):
+        seen = set()
+        v = 1
+        for _ in range(p - 1):
+            v = v * t % p
+            seen.add(v)
+        if len(seen) == p - 1:
+            return t
+    raise LookupError(p)
+
+
+def test_primitive_root_matches_listing_every_power():
+    for p in filter(_is_prime, range(2000)):
+        assert _primitive_root(p) == orbit_primitive_root(p), p
 
 
 def test_every_cocycle_inner_on_crown_f2_by_exhaustion(crown):

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from incalg.snf import (
-    check_snf, integer_kernel_basis, invariant_factors, smith_normal_form,
+    check_snf, invariant_factors, smith_columns, smith_normal_form,
 )
 
 
@@ -68,13 +68,19 @@ def test_divisibility_and_transforms_random():
         assert all(x >= 0 for x in d)
 
 
+def kernel_columns(mat, ncols):
+    """The columns of V over a zero of the padded Smith diagonal."""
+    d, columns = smith_columns(mat, ncols)
+    return [col for dj, col in zip(d, columns) if dj == 0]
+
+
 def test_kernel_basis_is_exact_kernel():
     rng = random.Random(6)
     for _ in range(60):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        basis = integer_kernel_basis(mat)
+        basis = kernel_columns(mat, n)
         for vec in basis:
             assert all(sum(row[j] * vec[j] for j in range(n)) == 0 for row in mat)
         # rank of kernel + rank of matrix = n
@@ -83,8 +89,20 @@ def test_kernel_basis_is_exact_kernel():
 
 
 def test_kernel_of_zero_and_empty():
-    assert integer_kernel_basis([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
-    assert integer_kernel_basis([]) == []
+    assert kernel_columns([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
+    assert kernel_columns([], 0) == []
+    assert smith_columns([], 2) == ([0, 0], [[1, 0], [0, 1]])
+
+
+def test_columns_are_the_column_transform():
+    rng = random.Random(8)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        d, columns = smith_columns(mat, n)
+        want, _, v = smith_normal_form(mat)
+        assert d == want + [0] * (n - len(want))
+        assert columns == [list(col) for col in zip(*v)]
 
 
 def test_invariant_factors_filtering():

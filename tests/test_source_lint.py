@@ -48,18 +48,11 @@ TYPED = frozenset(name for name, obj in vars(errors).items()
 
 # (module, raised class) -> how many such raises the library may hold.  The
 # CLI's argparse type hook must raise argparse's own error, and the abstract
-# Field method raises NotImplementedError.  The rest predate this check and
-# are left for a change to fields.py and morphisms.py: Field.inv's
-# ZeroDivisionError (twice), and two AssertionErrors on states that number
-# theory rules out (an odd prime field without a non-square, a prime field
-# without a primitive root).  The comparison is exact: a new raise fails it,
-# and a mended one must be struck from the list.
+# Field method raises NotImplementedError.  The comparison is exact: a new
+# raise fails it, and a mended one must be struck from the list.
 ALLOWED_RAISES = Counter({
     ("cli.py", "argparse.ArgumentTypeError"): 1,
     ("fields.py", "NotImplementedError"): 1,
-    ("fields.py", "ZeroDivisionError"): 2,
-    ("fields.py", "AssertionError"): 1,
-    ("morphisms.py", "AssertionError"): 1,
 })
 
 
