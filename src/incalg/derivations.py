@@ -53,7 +53,23 @@ class DerivationSpec:
         return commutator + scaled
 
     def to_linear(self):
-        return FiLinearMap.from_function(self.alg, self.apply)
+        """The matrix of the map, each column in closed form: column e_pq is
+        e_pq i - i e_pq + tau(p, q) e_pq, that is row q of i moved to row
+        p, minus column p of i moved to column q, plus the tau entry."""
+        alg = self.alg
+        field, poset, index = alg.field, alg.poset, alg.pair_index
+        i = self.inner.vals
+        cols = []
+        for k, (p, q) in enumerate(alg.pairs):
+            col = [field.zero] * alg.npairs
+            for y in poset.up(q):
+                col[index[(p, y)]] = i[index[(q, y)]]
+            for x in poset.down(p):
+                t = index[(x, q)]
+                col[t] = field.sub(col[t], i[index[(x, p)]])
+            col[k] = field.add(col[k], self._tau_scale[k])
+            cols.append(col)
+        return FiLinearMap(alg, cols)
 
     def __repr__(self):
         return f"DerivationSpec(inner={self.inner!r}, tau={self.tau})"

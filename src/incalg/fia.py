@@ -30,7 +30,10 @@ conjugation by the unity.
 On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
 e_xw when y = z and zero otherwise), so a product of two basis elements
 needs no convolution at all: it is the lookup ``basis_product[(i, j)]``,
-which misses when the product is zero.
+which misses when the product is zero.  For the same reason a product
+u e_ab v with one basis element in the middle is rank one: its (x, y)
+entry is u(x, a) v(b, y) for x <= a and b <= y and zero elsewhere, one
+multiplication per entry and no sum (``rank_one``).
 """
 
 from fractions import Fraction
@@ -61,6 +64,19 @@ class IncidenceAlgebra:
         # convolution, and the idealization product built from it
         self._product = _compile_product(self.conv, field.modulus)
         self._dproduct = _compile_dproduct(self.conv, field.modulus)
+        # rank_one_terms[k] lists, for e_ab at pair index k, the triples
+        # (t, i, j) of pair indices t = (x, y), i = (x, a), j = (b, y), one
+        # per x <= a and b <= y: entry t of u e_ab v is u[i] v[j]
+        down = {x: [] for x in poset.elements}
+        up = {x: [] for x in poset.elements}
+        for x, y in self.pairs:
+            down[y].append(x)
+            up[x].append(y)
+        self.rank_one_terms = tuple(
+            tuple((self.pair_index[(x, y)], self.pair_index[(x, a)],
+                   self.pair_index[(b, y)])
+                  for x in down[a] for y in up[b])
+            for a, b in self.pairs)
         # e_i e_j = e_k for each composable (i, j); absent pairs multiply to 0
         self.basis_product = {
             ij: k for k, terms in enumerate(conv) for ij in terms}
@@ -146,6 +162,16 @@ class IncidenceAlgebra:
     def generators(self):
         """The basis elements at ``generator_indices``, in that order."""
         return [self.e(*self.pairs[k]) for k in self.generator_indices()]
+
+    def rank_one(self, u, k, v):
+        """The values of u e_k v, for value tuples u and v and the basis
+        element e_k = e_ab at pair index k: entry (x, y) is u(x, a) v(b, y)
+        for x <= a and b <= y, and zero elsewhere."""
+        mul = self.field.mul
+        vals = [self.field.zero] * self.npairs
+        for t, i, j in self.rank_one_terms[k]:
+            vals[t] = mul(u[i], v[j])
+        return vals
 
     # -- structure ---------------------------------------------------------
 

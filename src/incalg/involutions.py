@@ -55,7 +55,16 @@ def require_classifiable(poset, field):
 
 
 class InvolutionSpec:
-    """A validated involution in factored normal form."""
+    """A validated involution in factored normal form phi = conj(theta) o
+    base, where ``base`` relabels both coordinates by the poset involution
+    and scales the bimodule one by the sign.
+
+    ``base`` is an anti-automorphism with base o base = id, so phi o phi is
+    conjugation by theta base(theta)^-1.  The map is therefore an involution
+    exactly when the ratio r = base(theta) theta^-1 is central; the
+    constructor forms r once and raises NotInvolutive when it is not (unless
+    ``_validated``), and ``central_ratio`` reads it.
+    """
 
     def __init__(self, alg, theta, lam, k, _validated=False):
         self.alg = alg
@@ -72,10 +81,10 @@ class InvolutionSpec:
             raise BadSign("sign must square to one")
         self._theta_inv = theta.inverse()
         self._perm = lam.pair_permutation()
-        if not _validated:
-            bad = self._find_involution_failure()
-            if bad is not None:
-                raise NotInvolutive(f"square of the map moves basis element {bad}")
+        self._ratio = self.base_apply(theta) * self._theta_inv
+        if not (_validated or self._ratio.is_central()):
+            raise NotInvolutive("square of the map is conjugation by the "
+                                "non-central unit base(theta) theta^-1")
 
     # -- actions -----------------------------------------------------------
 
@@ -96,16 +105,27 @@ class InvolutionSpec:
         return self.theta * self.base_apply(d) * self._theta_inv
 
     def to_linear(self):
-        return DLinearMap.from_function(self.alg, self.apply)
-
-    def _find_involution_failure(self):
-        """A ring generator the square moves, or None.  The map is an
-        anti-automorphism by construction, so its square is an automorphism
-        and fixing every generator makes it the identity."""
-        for g in d_generators(self.alg):
-            if self.apply(self.apply(g)) != g:
-                return g
-        return None
+        """The matrix of the map, each column in closed form.  ``base``
+        sends [e_pq; 0] to [e_ab; 0] and [0; e_pq] to [0; k e_ab], where
+        (a, b) = self._perm[pq] is the pair the relabel carries (p, q) onto
+        (the pair permutation of an involution is its own inverse).  With
+        theta = [f; m] and theta^-1 = [f'; m'] the two columns are
+        [f e_ab f'; m e_ab f' + f e_ab m'] and [0; k f e_ab f'], sums of
+        rank-one products (``IncidenceAlgebra.rank_one``)."""
+        alg = self.alg
+        field = alg.field
+        f, m = self.theta.f.vals, self.theta.i.vals
+        f_inv, m_inv = self._theta_inv.f.vals, self._theta_inv.i.vals
+        zero = [field.zero] * alg.npairs
+        ring, bimodule = [], []
+        for t in self._perm:
+            outer = alg.rank_one(f, t, f_inv)
+            ring.append(outer + list(map(field.add, alg.rank_one(m, t, f_inv),
+                                         alg.rank_one(f, t, m_inv))))
+            if self.k != field.one:
+                outer = list(map(field.neg, outer))
+            bimodule.append(zero + outer)
+        return DLinearMap(alg, ring + bimodule)
 
     # -- invariants ---------------------------------------------------------
 
@@ -124,7 +144,7 @@ class InvolutionSpec:
         """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta; the
         factored form of a genuine involution always admits one."""
         alg = self.alg
-        c = self.base_apply(self.theta) * self._theta_inv
+        c = self._ratio
         if not c.is_central():
             raise NotAnInvolution("unit is not symmetric up to the center")
         x0 = alg.poset.elements[0]
@@ -341,11 +361,12 @@ def recognize(raw):
     the unity is fixed), decompose the ring-coordinate block, read the
     central scalar and the derivation off the other columns through that
     decomposition, and absorb everything into one conjugating unit.  The
-    normal form is an involution by construction (``build`` checks its
-    square), so the one check that decides the answer is that it equals
-    ``raw`` on every basis column; the input is never checked for
-    anti-multiplicativity itself.  A rejection from any factoring step, or
-    from that certificate, is NotAnInvolution.
+    normal form is an involution by construction (``build`` decides its
+    square from the centrality of one element), so the one check that
+    decides the answer is that it equals ``raw`` on every basis column,
+    with the form's columns written in closed form by ``to_linear``; the
+    input is never checked for anti-multiplicativity itself.  A rejection
+    from any factoring step, or from that certificate, is NotAnInvolution.
     """
     alg = raw.alg
     poset, field = alg.poset, alg.field
@@ -473,15 +494,20 @@ def _reduce_with_witness(spec):
     return base, gamma
 
 
-def _verify_intertwiner(s1, target, conjugator):
-    """Whether conj(conjugator) o s1 = target o conj(conjugator), where
-    ``target`` is a ring anti-automorphism given by its ``apply`` (a
-    DLinearMap or an InvolutionSpec).  Both sides are anti-automorphisms,
-    so comparing them on ``d_generators`` decides the equality."""
-    inv = conjugator.inverse()
-    return all(conjugator * s1.apply(g) * inv
-               == target.apply(conjugator * g * inv)
-               for g in d_generators(s1.alg))
+def _verify_intertwiner(s1, s2, conjugator):
+    """Whether conj(c) o s1 = s2 o conj(c) for the unit c = conjugator and
+    two InvolutionSpecs.
+
+    Inner conjugation keeps the poset involution and the sign a map
+    induces, so the two sides differ when ``lam`` or ``k`` do.  When both
+    agree, s1 and s2 share one ``base``, and base o conj(c) =
+    conj(base(c)^-1) o base since base is an anti-automorphism.  So the
+    sides are conj(c theta1) o base and conj(theta2 base(c)^-1) o base,
+    equal exactly when base(c) theta2^-1 c theta1 is central."""
+    if s1.lam != s2.lam or s1.k != s2.k or not conjugator.is_unit():
+        return False
+    w = s1.base_apply(conjugator) * s2._theta_inv * conjugator * s1.theta
+    return w.is_central()
 
 
 def _same_on_generators(a, b):
@@ -508,11 +534,24 @@ class _Relabelled:
         return DElem(self._move.apply(img.f), self._move.apply(img.i))
 
 
+def _relabelled_spec(spec, alpha):
+    """spec conjugated by the ring lift L of the relabeling induced by the
+    poset automorphism alpha, in factored form: L o conj(theta) o base o
+    L^-1 is conj(L(theta)) after the relabel by alpha lam alpha^-1 with
+    the same sign."""
+    alg = spec.alg
+    relabel = FiaMorphism.induced(alg, alpha)
+    moved = DElem(relabel.apply(spec.theta.f), relabel.apply(spec.theta.i))
+    lam = alpha.compose(spec.lam).compose(alpha.inverse())
+    return InvolutionSpec(alg, moved, lam, spec.k, _validated=True)
+
+
 def verify_witness(s1, s2, verdict):
     """Re-check a positive verdict's witness from scratch: the conjugator
     must intertwine s1 with s2, relabelled first for a general verdict.
     Raises WitnessFailed when it does not."""
-    target = s2 if verdict.alpha is None else _Relabelled(s2, verdict.alpha)
+    target = (s2 if verdict.alpha is None
+              else _relabelled_spec(s2, verdict.alpha))
     if not _verify_intertwiner(s1, target, verdict.conjugator):
         raise WitnessFailed("witness failed re-verification")
 
@@ -580,9 +619,7 @@ def equivalent(s1, s2):
     if not carriers:
         return Verdict(False, distinguisher="lambda")
     for alpha in carriers:
-        relabel = FiaMorphism.induced(alg, alpha)
-        moved = DElem(relabel.apply(s2.theta.f), relabel.apply(s2.theta.i))
-        conjugated = InvolutionSpec(alg, moved, s1.lam, s2.k, _validated=True)
+        conjugated = _relabelled_spec(s2, alpha)
         inner = equivalent_inner(s1, conjugated)
         if inner.equivalent:
             # both are anti-automorphisms, so the generators decide it

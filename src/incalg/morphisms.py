@@ -134,7 +134,18 @@ class FiaMorphism:
         return self.u * moved * self.u_inv if self._conjugates else moved
 
     def to_linear(self):
-        return FiLinearMap.from_function(self.alg, self.apply)
+        """The matrix of the map, each column in closed form.  The scaled
+        relabel sends e_pq to sigma(a, b) e_ab, where (a, b) is the pair it
+        carries (p, q) onto, so column e_pq is sigma(a, b) u e_ab u^-1, one
+        rank-one product (``IncidenceAlgebra.rank_one``)."""
+        alg = self.alg
+        mul, one = alg.field.mul, alg.field.one
+        u, u_inv = self.u.vals, self.u_inv.vals
+        cols = []
+        for t in self.posetmap.inverse().pair_permutation():
+            col, s = alg.rank_one(u, t, u_inv), self._scale[t]
+            cols.append(col if s == one else [mul(s, v) for v in col])
+        return FiLinearMap(alg, cols)
 
     def is_multiplicative_part_trivial(self):
         return all(v == self.alg.field.one for v in self.sigma.values())

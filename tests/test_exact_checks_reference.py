@@ -2,15 +2,20 @@
 
 ``recognize``, ``decompose`` and ``split_raw_derivation`` accept a raw
 matrix only when the form they factor it into reproduces it on the whole
-basis.  ``leibniz_check``, the square test of ``InvolutionSpec`` and
-``_verify_intertwiner`` decide their identities on generators (see
-``idealization.d_generators``).  The routines below are the exhaustive
-basis-pair and whole-matrix versions those replaced, kept verbatim as the
-reference.  Both paths must accept and reject the same inputs with the
-same exception type (``recognize`` against the old ring-involution
+basis; the three ``to_linear`` methods that write that form's matrix build
+each column in closed form from rank-one products
+(``IncidenceAlgebra.rank_one``).  ``leibniz_check`` decides its identity on
+generators (see ``idealization.d_generators``).  The square test of
+``InvolutionSpec`` and ``_verify_intertwiner`` each decide theirs by the
+centrality of one element: base(theta) theta^-1, and base(c) theta2^-1 c
+theta1.  The routines below are the exhaustive basis-pair and whole-matrix
+versions those replaced, kept verbatim as the reference, with the generator
+square check as a second reference and ``from_function`` of ``apply`` as
+the reference matrix.  Both paths must accept and reject the same inputs
+with the same exception type (``recognize`` against the old ring-involution
 validation, with NotAnInvolution or UpperRightNonzero as its rejection), on
 every involution of the small fixtures, on perturbed copies of them and on
-Hypothesis-drawn matrices.
+Hypothesis-drawn matrices and units.
 """
 
 import functools
@@ -20,20 +25,20 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from incalg.derivations import (
     DerivationSpec, leibniz_check, split_raw_derivation,
 )
 from incalg.errors import (
-    IncalgError, NotADerivation, NotAMorphism, NotAnInvolution, NotInvolutive,
-    NotUnital, ParseError, UpperRightNonzero,
+    IncalgError, NotADerivation, NotAMorphism, NotAnInvolution, NotAUnit,
+    NotInvolutive, NotUnital, ParseError, UpperRightNonzero,
 )
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, d_basis, d_generators, d_one, inner_auto,
-    lift_morphism,
+    DElem, DLinearMap, d_basis, d_from_coords, d_generators, d_one,
+    inner_auto, lift_morphism,
 )
 from incalg.involutions import (
     InvolutionSpec, _verify_intertwiner, build, classify, equivalent_inner,
@@ -111,7 +116,7 @@ def ref_decompose(raw, anti=False):
     except ParseError as exc:
         raise NotAMorphism(f"induced point map is not an order map: {exc}") from exc
 
-    stripped = raw.compose(FiaMorphism.induced(alg, mu.inverse()).to_linear())
+    stripped = raw.compose(ref_matrix(FiaMorphism.induced(alg, mu.inverse())))
     g = alg.zero()
     for x in alg.poset.elements:
         g = g + stripped.apply(alg.e(x, x)) * alg.e(x, x)
@@ -126,7 +131,7 @@ def ref_decompose(raw, anti=False):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val
     result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu, anti=anti)
-    if result.to_linear() != raw:
+    if ref_matrix(result) != raw:
         raise NotAMorphism("recomposition does not reproduce the input")
     return result
 
@@ -169,7 +174,7 @@ def ref_split_raw_derivation(raw):
             shift[x] = inner[head, head]
     inner = inner - alg.diagonal(shift)
     spec = DerivationSpec(alg, inner=inner, tau=tau)
-    if spec.to_linear() != raw:
+    if ref_matrix(spec) != raw:
         raise SplitFailed("recomposition does not reproduce the input")
     return spec
 
@@ -181,12 +186,39 @@ def ref_find_involution_failure(spec):
     return None
 
 
+def ref_generator_involution_failure(spec):
+    """The generator square check ``InvolutionSpec`` ran before the closed
+    form (``_find_involution_failure``), verbatim."""
+    for g in d_generators(spec.alg):
+        if spec.apply(spec.apply(g)) != g:
+            return g
+    return None
+
+
 def ref_verify_intertwiner(s1, target, conjugator):
     psi = inner_auto(conjugator)
-    return psi.compose(s1.to_linear()) == target.compose(psi)
+    return psi.compose(ref_matrix(s1)) == target.compose(psi)
+
+
+def ref_matrix(x):
+    """The matrix of an InvolutionSpec, FiaMorphism or DerivationSpec by
+    applying it to every basis element: the reference for ``to_linear``."""
+    if isinstance(x, InvolutionSpec):
+        return DLinearMap.from_function(x.alg, x.apply)
+    return FiLinearMap.from_function(x.alg, x.apply)
 
 
 # -- helpers -----------------------------------------------------------------
+
+
+def involutive(spec):
+    """The closed-form square test: whether the constructor, run without
+    ``_validated``, accepts the spec's data.  It raises NotInvolutive
+    exactly when base(theta) theta^-1 is not central."""
+    kind, value = outcome(InvolutionSpec, spec.alg, spec.theta, spec.lam,
+                          spec.k)
+    assert kind == "ok" or value is NotInvolutive, value
+    return kind == "ok"
 
 
 def outcome(fn, *args):
@@ -304,11 +336,11 @@ def test_generator_checks_match_reference(name, field):
             if heavy:
                 same_outcome(decompose, ref_decompose, b11, False)
             # the square test, on the spec and on a non-symmetric unit
-            assert spec._find_involution_failure() is None
+            assert involutive(spec)
             assert ref_find_involution_failure(spec) is None
             other = InvolutionSpec(alg, small_unit(alg, rng), spec.lam,
                                    spec.k, _validated=True)
-            assert ((other._find_involution_failure() is None)
+            assert (involutive(other)
                     == (ref_find_involution_failure(other) is None))
             # intertwiners: the identity, and a witness when one exists
             target = specs[(s_index + 1) % len(specs)]
@@ -316,13 +348,12 @@ def test_generator_checks_match_reference(name, field):
                 continue
             for conj in (d_one(alg), small_unit(alg, rng)):
                 assert (_verify_intertwiner(spec, target, conj)
-                        == ref_verify_intertwiner(spec, target.to_linear(),
+                        == ref_verify_intertwiner(spec, ref_matrix(target),
                                                   conj))
             verdict = equivalent_inner(spec, target)
             if verdict.equivalent:
-                assert _verify_intertwiner(spec, target.to_linear(),
-                                           verdict.conjugator)
-                assert ref_verify_intertwiner(spec, target.to_linear(),
+                assert _verify_intertwiner(spec, target, verdict.conjugator)
+                assert ref_verify_intertwiner(spec, ref_matrix(target),
                                               verdict.conjugator)
     # derivations: a random one, a perturbed one
     d = DerivationSpec(alg, inner=alg.random(rng),
@@ -388,6 +419,151 @@ def gated_matrices(draw):
 @given(gated_matrices())
 def test_recognize_matches_reference_on_drawn_matrices(raw):
     same_verdict_as_reference(raw)
+
+
+# -- the closed forms: square, intertwiner, certificate columns ---------------
+
+
+def inner_conjugate(spec, u, k=None, lam=None):
+    """The factored data of conj(u) o spec o conj(u)^-1, unvalidated, so
+    that it need not be an involution; ``k`` and ``lam`` replace the sign
+    and the poset involution (which makes a different map)."""
+    theta = u * spec.theta * spec.base_apply(u)
+    return InvolutionSpec(spec.alg, theta, spec.lam if lam is None else lam,
+                          spec.k if k is None else k, _validated=True)
+
+
+def same_closed_forms(spec, conjugators, targets):
+    """The square test and the matrix of one spec, and the intertwiner check
+    from it to each target under each conjugator, against the references."""
+    ok = ref_find_involution_failure(spec) is None
+    assert involutive(spec) == ok
+    assert (ref_generator_involution_failure(spec) is None) == ok
+    assert spec.to_linear() == ref_matrix(spec)
+    for target in targets:
+        matrix = ref_matrix(target)
+        for conj in conjugators:
+            assert (_verify_intertwiner(spec, target, conj)
+                    == ref_verify_intertwiner(spec, matrix, conj))
+
+
+def nudged(d, k):
+    """A copy of a pair with coordinate k (ring first) moved by one."""
+    field = d.alg.field
+    coords = list(d.coords())
+    coords[k] = field.add(coords[k], field.one)
+    return d_from_coords(d.alg, coords)
+
+
+def morphisms_of(alg, rng):
+    """For every poset automorphism and anti-automorphism, the plain
+    relabel and one with a random unit and a cocycle sigma = eta(x)/eta(y)
+    that is not identically one."""
+    field = alg.field
+    poset = alg.poset
+    out = []
+    for alpha in poset.automorphisms() + poset.anti_automorphisms():
+        out.append(FiaMorphism.induced(alg, alpha))
+        sigma = {}
+        while all(v == field.one for v in sigma.values()):
+            eta = {x: field.random_nonzero(rng) for x in poset.elements}
+            sigma = {(x, y): field.div(eta[x], eta[y])
+                     for x, y in poset.strict_pairs}
+        out.append(FiaMorphism(alg, u=alg.random_unit(rng), sigma=sigma,
+                               posetmap=alpha, anti=alpha.anti))
+    return out
+
+
+@pytest.mark.parametrize("name, field", CONTEXTS)
+def test_closed_forms_match_reference(name, field):
+    alg = IncidenceAlgebra(POSETS[name], field)
+    rng = random.Random(f"closed:{name}:{field!r}")
+    specs = [s for group in involutions_of(alg) for s in group]
+    for spec in specs:
+        u = small_unit(alg, rng)
+        near = u + DElem(alg.e(*alg.poset.strict_pairs[0]), alg.zero())
+        flipped = field.neg(spec.k)
+        others = [s for s in specs if s.lam != spec.lam]
+        targets = [spec, inner_conjugate(spec, u),
+                   inner_conjugate(spec, u, k=flipped)]
+        targets += [inner_conjugate(spec, u, lam=o.lam) for o in others[:1]]
+        same_closed_forms(spec, (d_one(alg), u, near), targets)
+        # a unit that is not symmetric up to the centre
+        other = InvolutionSpec(alg, small_unit(alg, rng), spec.lam, spec.k,
+                               _validated=True)
+        same_closed_forms(other, (d_one(alg), u), (spec,))
+    for m in morphisms_of(alg, rng):
+        assert m.to_linear() == ref_matrix(m)
+    tau = {}
+    while all(v == field.zero for v in tau.values()):
+        tau = _random_cocycle(alg, rng)
+    for d in (DerivationSpec(alg, inner=alg.random(rng), tau=tau),
+              DerivationSpec(alg, tau=tau),
+              DerivationSpec(alg, inner=alg.random(rng))):
+        assert d.to_linear() == ref_matrix(d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("F3", "F5", "Q"))
+@pytest.mark.parametrize("name", ("chain3", "diamond"))
+def test_every_theta_perturbation_matches_reference(name, field):
+    """Every one-entry change of every representative's theta: the square
+    test, the matrix and the intertwiner from the representative agree
+    with the references, and a change that kills a diagonal entry is
+    refused as a non-unit."""
+    alg = IncidenceAlgebra(POSETS[name], field)
+    for spec in (s for group in involutions_of(alg) for s in group):
+        for k in range(2 * alg.npairs):
+            theta = nudged(spec.theta, k)
+            if not theta.is_unit():
+                assert (outcome(InvolutionSpec, alg, theta, spec.lam, spec.k)
+                        == ("raise", NotAUnit))
+                continue
+            moved = InvolutionSpec(alg, theta, spec.lam, spec.k,
+                                   _validated=True)
+            same_closed_forms(moved, (d_one(alg),), ())
+            assert (_verify_intertwiner(spec, moved, d_one(alg))
+                    == ref_verify_intertwiner(spec, ref_matrix(moved),
+                                              d_one(alg)))
+
+
+@st.composite
+def drawn_specs(draw):
+    """An unvalidated spec on chain3 or the diamond over F3, F5 or Q and a
+    unit: theta is either drawn entry by entry, or an inner conjugate of a
+    genuine involution's theta with up to two coordinates moved by one."""
+    name = draw(st.sampled_from(("chain3", "diamond")))
+    field_index = draw(st.sampled_from(range(len(FIELDS))))
+    field = FIELDS[field_index]
+    alg = IncidenceAlgebra(POSETS[name], field)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    u = small_unit(alg, rng)
+    if draw(st.booleans()):
+        entry = st.integers(-2, 2).map(field)
+        unit = st.sampled_from((1, -1, 2)).map(field)
+        f = {(x, y): draw(unit if x == y else entry) for x, y in alg.pairs}
+        i = {p: draw(entry) for p in alg.pairs}
+        theta = DElem(alg.element(f), alg.element(i))
+        lam = draw(st.sampled_from(alg.poset.involutions()))
+        k = draw(st.sampled_from((1, -1)))
+    else:
+        genuine = draw(st.sampled_from(_genuine(name, field_index)))
+        theta = u * genuine.theta * genuine.base_apply(u)
+        for _ in range(draw(st.integers(0, 2))):
+            theta = nudged(theta, draw(st.integers(0, 2 * alg.npairs - 1)))
+        lam, k = genuine.lam, genuine.k
+    assume(theta.is_unit())
+    return InvolutionSpec(alg, theta, lam, k, _validated=True), u
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_specs())
+def test_closed_forms_match_reference_on_drawn_units(drawn):
+    spec, u = drawn
+    alg = spec.alg
+    near = u + DElem(alg.zero(), alg.e(*alg.pairs[-1]))
+    same_closed_forms(spec, (d_one(alg), u, near),
+                      (spec, inner_conjugate(spec, u)))
+    assert _verify_intertwiner(spec, inner_conjugate(spec, u), u)
 
 
 # -- negative controls ---------------------------------------------------------
@@ -530,9 +706,9 @@ def test_wrong_conjugator_fails_intertwiner():
     assert _verify_intertwiner(s1, s2, verdict.conjugator)
     wrong = verdict.conjugator + DElem(alg.e("0", "a"), alg.zero())
     assert not _verify_intertwiner(s1, s2, wrong)
-    assert not ref_verify_intertwiner(s1, s2.to_linear(), wrong)
+    assert not ref_verify_intertwiner(s1, ref_matrix(s2), wrong)
     assert not _verify_intertwiner(s1, s2, d_one(alg))
-    assert not ref_verify_intertwiner(s1, s2.to_linear(), d_one(alg))
+    assert not ref_verify_intertwiner(s1, ref_matrix(s2), d_one(alg))
 
 
 # -- the generator lemma -------------------------------------------------------

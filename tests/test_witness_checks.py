@@ -90,7 +90,9 @@ def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _run_python(argv, optimize, timeout=120):
+def _run_python(argv, optimize, timeout=120, stream="stdout"):
+    """(exit code, the named output stream) of a fresh interpreter, run
+    with ``-O`` when ``optimize``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -98,7 +100,7 @@ def _run_python(argv, optimize, timeout=120):
     proc = subprocess.run([sys.executable, *flags, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
-    return proc.returncode, proc.stdout
+    return proc.returncode, getattr(proc, stream)
 
 
 def test_optimized_interpreter_gives_same_output(diamond_files):
@@ -114,6 +116,54 @@ def test_optimized_interpreter_gives_same_output(diamond_files):
         plain = _run_python(argv, optimize=False)
         assert plain[0] == 0 and plain[1]
         assert _run_python(argv, optimize=True) == plain, args
+
+
+def _first_error_line(argv, optimize):
+    code, err = _run_python(argv, optimize, stream="stderr")
+    return code, err.partition("\n")[0]
+
+
+def test_optimized_interpreter_refuses_non_involutive_file(diamond_files):
+    """theta = [1 + e_0a; 0] is not symmetric up to the centre for the
+    flip, so loading it fails the closed-form square check, with or
+    without -O."""
+    poset, f1, _ = diamond_files
+    bad = f1.with_name("not-involutive.json")
+    bad.write_text(json.dumps({
+        "theta": {"f": {"entries": {"0,0": "1", "a,a": "1", "b,b": "1",
+                                    "1,1": "1", "0,a": "1"}},
+                  "i": {"entries": {}}},
+        "lambda": FLIP, "k": 1}))
+    argv = ["-m", "incalg.cli", "equivalent", "--poset", str(poset),
+            "--field", "F5", str(bad), str(f1)]
+    plain = _first_error_line(argv, optimize=False)
+    assert plain == (2, "error: square of the map is conjugation by the "
+                        "non-central unit base(theta) theta^-1")
+    assert _first_error_line(argv, optimize=True) == plain
+
+
+FORCED_WITNESS = """
+import sys
+from incalg import cli
+from incalg.idealization import d_one
+from incalg.involutions import Verdict
+
+# a positive verdict whose witness, the unity, intertwines only equal maps
+cli.equivalent_inner = lambda s1, s2: Verdict(True, conjugator=d_one(s1.alg))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_optimized_interpreter_rejects_forced_witness(diamond_files):
+    """``equivalent --check`` re-verifies a witness with the closed-form
+    intertwiner check, which is no ``assert``: a forced wrong witness
+    exits 2 with the same message with or without -O."""
+    poset, f1, f2 = diamond_files
+    argv = ["-c", FORCED_WITNESS, "equivalent", "--poset", str(poset),
+            "--field", "F5", "--check", str(f1), str(f2)]
+    plain = _first_error_line(argv, optimize=False)
+    assert plain == (2, "error: witness failed re-verification")
+    assert _first_error_line(argv, optimize=True) == plain
 
 
 RECOGNIZE = """
