@@ -17,7 +17,7 @@ off that form's column transform.
 from .errors import (
     ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
 )
-from .fia import IncFn
+from .fia import IncFn, _over_one
 from .morphisms import (
     FiLinearMap, _smith_reading, cocycle_obstruction, validate_cocycle,
 )
@@ -40,36 +40,34 @@ class DerivationSpec:
         for p in alg.poset.strict_pairs:
             tau.setdefault(p, alg.field.zero)
         self.tau = validate_additive_cocycle(alg, tau)
-        self._tau_scale = tuple(
-            self.tau[p] if p[0] != p[1] else alg.field.zero for p in alg.pairs)
+        self._tau_scale = IncFn(alg, tuple(
+            self.tau[p] if p[0] != p[1] else alg.field.zero for p in alg.pairs))
 
     def apply(self, f):
         if f.alg != self.alg:
             raise ContextMismatch("derivation and argument over different contexts")
-        field = self.alg.field
         commutator = f * self.inner - self.inner * f
-        scaled = IncFn(self.alg, tuple(
-            field.mul(t, v) for t, v in zip(self._tau_scale, f.vals)))
-        return commutator + scaled
+        return commutator + self._tau_scale.entrywise(f)
 
     def to_linear(self):
         """The matrix of the map, each column in closed form: column e_pq is
         e_pq i - i e_pq + tau(p, q) e_pq, that is row q of i moved to row
-        p, minus column p of i moved to column q, plus the tau entry."""
+        p, minus column p of i moved to column q, plus the tau entry.  The
+        columns are written on the numerators of i and tau over one
+        denominator."""
         alg = self.alg
-        field, poset, index = alg.field, alg.poset, alg.pair_index
-        i = self.inner.vals
+        poset, index = alg.poset, alg.pair_index
+        i, tau, den = _over_one(self.inner, self._tau_scale)
         cols = []
         for k, (p, q) in enumerate(alg.pairs):
-            col = [field.zero] * alg.npairs
+            col = [0] * alg.npairs
             for y in poset.up(q):
                 col[index[(p, y)]] = i[index[(q, y)]]
             for x in poset.down(p):
-                t = index[(x, q)]
-                col[t] = field.sub(col[t], i[index[(x, p)]])
-            col[k] = field.add(col[k], self._tau_scale[k])
-            cols.append(col)
-        return FiLinearMap(alg, cols)
+                col[index[(x, q)]] -= i[index[(x, p)]]
+            col[k] += tau[k]
+            cols.append(alg._normal(col, den))
+        return FiLinearMap._of(alg, cols)
 
     def __repr__(self):
         return f"DerivationSpec(inner={self.inner!r}, tau={self.tau})"
@@ -188,11 +186,10 @@ def split_raw_derivation(raw):
     is NotADerivation.
     """
     alg = raw.alg
-    cols, index = raw.cols, alg.pair_index
-    tau = {(x, y): cols[k][k] for k, (x, y) in enumerate(alg.pairs) if x != y}
-    inner = IncFn(alg, tuple(
-        alg.field.zero if x == y else cols[index[(x, x)]][k]
-        for k, (x, y) in enumerate(alg.pairs)))
+    cols, index = raw.columns(), alg.pair_index
+    tau = {(x, y): cols[k][x, y] for k, (x, y) in enumerate(alg.pairs) if x != y}
+    inner = alg.element({(x, y): cols[index[(x, x)]][x, y]
+                         for x, y in alg.poset.strict_pairs})
     try:
         spec = DerivationSpec(alg, inner=inner, tau=tau)
     except InvalidCocycle as exc:

@@ -9,6 +9,13 @@ basis, multiplication is the convolution
 
 and the diagonal-ones function is the unity.
 
+An ``IncFn`` stores its values as integer numerators ``num`` over one
+positive denominator ``den`` in lowest terms (gcd(den, *num) == 1): over a
+prime field the residues over 1.  So over Q too every product, inverse,
+sum, comparison and hash runs on ints, and ``Fraction``s are built only
+when ``vals``, ``f[x, y]`` or ``to_json`` asks for them.  ``IncFn(alg,
+vals)`` lifts field elements; library code builds the stored form directly.
+
 Each algebra compiles two straight-line functions from ``conv`` in
 ``__init__``: the convolution ``_product(a, b)``, which ``IncFn.__mul__``
 calls once per product, and the idealization product ``_dproduct(a, c, b,
@@ -19,13 +26,10 @@ terms (``_entry`` writes every such sum), so a product runs no loop, gather
 or slice.  The source holds only integer pair indices and the integer
 modulus, never a poset label, so no label (quotes, newlines, code) reaches
 the compiler.  Over a prime field each entry takes one ``% p``.  Over Q the
-same functions run on integers: each operand is lifted to numerators over
-the lcm of its denominators (``_numerators``), and each entry of the
-product is one reduced ``Fraction(sum, da * db)``, so values stay
-``Fraction`` and no ``Fraction`` arithmetic runs per term.  Every call
-multiplies all of its terms, zero operands included; the one product that
-vanishes by structure and is skipped is ``morphisms.FiaMorphism.apply``'s
-conjugation by the unity.
+same functions run on the numerators, the denominators multiply, and one
+gcd reduces the result.  Every call multiplies all of its terms, zero
+operands included; the one product that vanishes by structure and is
+skipped is ``morphisms.FiaMorphism.apply``'s conjugation by the unity.
 
 On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
 e_xw when y = z and zero otherwise), so a product of two basis elements
@@ -37,7 +41,8 @@ multiplication per entry and no sum (``rank_one``).
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import ContextMismatch, NotAUnit, NotComparable, ParseError
 
@@ -81,33 +86,86 @@ class IncidenceAlgebra:
         self.basis_product = {
             ij: k for k, terms in enumerate(conv) for ij in terms}
         self._diag = tuple(k for k, (x, y) in enumerate(self.pairs) if x == y)
-        # pair indices ordered by interval size, for back-substitution
-        self._by_interval = sorted(
-            range(self.npairs), key=lambda k: len(self.conv[k]))
+
+    @cached_property
+    def _inverse_plan(self):
+        """Back-substitution order for ``IncFn.inverse``: per pair index k
+        = (x, y), by interval size, the index of (x, x) and the terms of
+        conv[k] other than the one through (x, x)."""
+        plan = []
+        for k in sorted(range(self.npairs), key=lambda k: len(self.conv[k])):
+            x = self.pairs[k][0]
+            dk = self.pair_index[(x, x)]
+            plan.append((k, dk, tuple(ij for ij in self.conv[k] if ij[0] != dk)))
+        return tuple(plan)
+
+    @cached_property
+    def _centre(self):
+        """The off-diagonal pair indices, and the diagonal pair indices of
+        each connected component: an element is central exactly when it
+        vanishes on the first and is constant on each of the second."""
+        index = self.pair_index
+        return (tuple(k for k, (x, y) in enumerate(self.pairs) if x != y),
+                tuple(tuple(index[(x, x)] for x in comp)
+                      for comp in self.poset.components()))
+
+    # -- the stored form: integer numerators over one denominator ---------
+
+    def _lift(self, vals):
+        """The stored form (num, den) of a vector of field elements."""
+        if self.field.modulus is not None:
+            return tuple(vals), 1
+        den = lcm(*[v.denominator for v in vals])
+        return tuple([v.numerator * (den // v.denominator) for v in vals]), den
+
+    def _values(self, num, den):
+        """The field elements of a stored-form vector."""
+        if self.field.modulus is not None:
+            return num
+        return tuple([Fraction(v, den) for v in num])
+
+    def _normal(self, num, den):
+        """The stored form of integer numerators over a nonzero integer
+        denominator (prime to p over F_p): residues mod p over a prime
+        field, lowest terms with a positive denominator over Q."""
+        p = self.field.modulus
+        if p is not None:
+            c = 1 if den == 1 else pow(den, -1, p)
+            return tuple([v * c % p for v in num]), 1
+        if den < 0:
+            num, den = [-v for v in num], -den
+        return _lowest(num, den)
+
+    def _make(self, num, den):
+        """The element of integer numerators over a nonzero denominator."""
+        return _fn(self, *self._normal(num, den))
+
+    def _reduced(self, num, den):
+        """The element of a numerator tuple over a positive denominator
+        that needs at most a gcd division: over a prime field the tuple
+        holds residues already and den is 1."""
+        return _fn(self, num) if den == 1 else _fn(self, *_lowest(num, den))
 
     # -- constructors -----------------------------------------------------
 
     def zero(self):
-        return IncFn(self, (self.field.zero,) * self.npairs)
+        return _fn(self, (0,) * self.npairs)
 
     def delta(self):
         """The unity: ones on the diagonal."""
-        one, zero = self.field.one, self.field.zero
-        return IncFn(self, tuple(
-            one if x == y else zero for x, y in self.pairs))
+        return _fn(self, tuple([int(x == y) for x, y in self.pairs]))
 
     def e(self, x, y):
         """Indicator of the single comparable pair (x, y)."""
         if (x, y) not in self.pair_index:
             raise NotComparable(f"{x!r} is not below {y!r}")
-        k = self.pair_index[(x, y)]
-        zero = self.field.zero
-        return IncFn(self, tuple(
-            self.field.one if i == k else zero for i in range(self.npairs)))
+        num = [0] * self.npairs
+        num[self.pair_index[(x, y)]] = 1
+        return _fn(self, tuple(num))
 
     def zeta(self):
         """All ones; its inverse is the Mobius function."""
-        return IncFn(self, (self.field.one,) * self.npairs)
+        return _fn(self, (1,) * self.npairs)
 
     def mobius(self):
         return self.zeta().inverse()
@@ -164,34 +222,32 @@ class IncidenceAlgebra:
         return [self.e(*self.pairs[k]) for k in self.generator_indices()]
 
     def rank_one(self, u, k, v):
-        """The values of u e_k v, for value tuples u and v and the basis
-        element e_k = e_ab at pair index k: entry (x, y) is u(x, a) v(b, y)
-        for x <= a and b <= y, and zero elsewhere."""
-        mul = self.field.mul
-        vals = [self.field.zero] * self.npairs
+        """u e_k v, for elements u and v and the basis element e_k = e_ab
+        at pair index k: entry (x, y) is u(x, a) v(b, y) for x <= a and
+        b <= y, and zero elsewhere."""
+        a, b, p = u.num, v.num, self.field.modulus
+        num = [0] * self.npairs
+        if p is None:
+            for t, i, j in self.rank_one_terms[k]:
+                num[t] = a[i] * b[j]
+            return self._reduced(tuple(num), u.den * v.den)
         for t, i, j in self.rank_one_terms[k]:
-            vals[t] = mul(u[i], v[j])
-        return vals
+            num[t] = a[i] * b[j] % p
+        return _fn(self, tuple(num))
 
     # -- structure ---------------------------------------------------------
 
     def center_basis(self):
         """One diagonal component-indicator per connected component."""
-        out = []
-        for comp in self.poset.components():
-            out.append(self.element({(x, x): self.field.one for x in comp}))
-        return out
+        return [_fn(self, tuple([int(k in group) for k in range(self.npairs)]))
+                for group in self._centre[1]]
 
     def is_central(self, f):
         """Central means diagonal and constant on each component."""
-        if any(f.vals[k] != self.field.zero
-               for k in range(self.npairs) if k not in self._diag):
-            return False
-        for comp in self.poset.components():
-            vals = {f[x, x] for x in comp}
-            if len(vals) > 1:
-                return False
-        return True
+        off, groups = self._centre
+        num = f.num
+        return not any(num[k] for k in off) and all(
+            num[k] == num[group[0]] for group in groups for k in group)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, IncidenceAlgebra)
@@ -269,89 +325,137 @@ def _compile_dproduct(conv, modulus):
                    f"{ring}, {bimodule}")
 
 
-def _numerators(vals):
-    """A common denominator d of rational vals (the lcm of theirs, 1 for no
-    vals) and the integer numerators v * d."""
-    d = lcm(*[v.denominator for v in vals])
-    return d, [v.numerator * (d // v.denominator) for v in vals]
-
-
 def _check_context(a, b):
     if a.alg is not b.alg and a.alg != b.alg:
         raise ContextMismatch("operands over different posets or fields")
 
 
-class IncFn:
-    """An incidence function: dense values over the comparable-pair basis."""
+def _lowest(num, den):
+    """num / den in lowest terms, for den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple([v // g for v in num]), den // g
+    return tuple(num), den
 
-    __slots__ = ("alg", "vals")
+
+_new = object.__new__
+
+
+def _fn(alg, num, den=1):
+    """An IncFn from numerators already in the stored form."""
+    f = _new(IncFn)
+    f.alg, f.num, f.den = alg, num, den
+    return f
+
+
+def _over_one(f, g):
+    """The numerators of two elements over one common denominator, the
+    lcm of theirs, and that denominator."""
+    da, db = f.den, g.den
+    if da == db:
+        return f.num, g.num, da
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return tuple([v * sa for v in f.num]), tuple([v * sb for v in g.num]), d
+
+
+class IncFn:
+    """An incidence function: dense values over the comparable-pair basis,
+    stored as integer numerators ``num`` over the denominator ``den`` (see
+    the module docstring).  ``vals`` gives them as field elements."""
+
+    __slots__ = ("alg", "num", "den")
 
     def __init__(self, alg, vals):
         self.alg = alg
-        self.vals = vals
+        self.num, self.den = alg._lift(vals)
+
+    @property
+    def vals(self):
+        """The values as field elements, ``Fraction``s over Q."""
+        alg = self.alg
+        if alg.field.modulus is not None:  # the residues themselves
+            return self.num
+        return alg._values(self.num, self.den)
 
     def __getitem__(self, xy):
-        k = self.alg.pair_index.get(xy)
-        return self.alg.field.zero if k is None else self.vals[k]
+        alg = self.alg
+        k = alg.pair_index.get(xy)
+        if k is None:
+            return alg.field.zero
+        if alg.field.modulus is not None:
+            return self.num[k]
+        return Fraction(self.num[k], self.den)
 
     def __add__(self, other):
         _check_context(self, other)
-        add = self.alg.field.add
-        return IncFn(self.alg, tuple(map(add, self.vals, other.vals)))
+        a, b, den = _over_one(self, other)
+        return self.alg._make([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other):
         _check_context(self, other)
-        f = self.alg.field
-        return IncFn(self.alg, tuple(
-            f.sub(a, b) for a, b in zip(self.vals, other.vals)))
+        a, b, den = _over_one(self, other)
+        return self.alg._make([x - y for x, y in zip(a, b)], den)
 
     def __neg__(self):
-        neg = self.alg.field.neg
-        return IncFn(self.alg, tuple(map(neg, self.vals)))
+        return self.alg._make([-v for v in self.num], self.den)
 
     def scale(self, k):
-        mul = self.alg.field.mul
-        return IncFn(self.alg, tuple(mul(k, v) for v in self.vals))
+        """k f for a field element k."""
+        c = k.numerator
+        return self.alg._make([c * v for v in self.num],
+                              self.den * k.denominator)
+
+    def entrywise(self, other):
+        """The entrywise product: (f o g)(x, y) = f(x, y) g(x, y)."""
+        _check_context(self, other)
+        return self.alg._make([a * b for a, b in zip(self.num, other.num)],
+                              self.den * other.den)
+
+    def permuted(self, perm):
+        """The element whose entry t is entry perm[t] of this one."""
+        num = self.num
+        return _fn(self.alg, tuple([num[i] for i in perm]), self.den)
 
     def __mul__(self, other):
         _check_context(self, other)
         alg = self.alg
-        if alg.field.modulus is not None:
-            return IncFn(alg, alg._product(self.vals, other.vals))
-        (da, a), (db, b) = _numerators(self.vals), _numerators(other.vals)
-        d = da * db
-        return IncFn(alg, tuple([Fraction(s, d) for s in alg._product(a, b)]))
+        return alg._reduced(alg._product(self.num, other.num),
+                            self.den * other.den)
 
     def is_unit(self):
-        zero = self.alg.field.zero
-        return all(self.vals[k] != zero for k in self.alg._diag)
+        num = self.num
+        return all(num[k] for k in self.alg._diag)
 
     def inverse(self):
-        """Two-sided inverse by back-substitution along interval containment."""
-        alg, f = self.alg, self.alg.field
-        vals = self.vals
+        """Two-sided inverse by back-substitution along interval containment.
+
+        It runs on the integer numerator matrix F, which is triangular in
+        any linear extension: with D the product of its diagonal entries,
+        D F^-1 is the adjugate of F, an integer matrix, so every division in
+        the back-substitution is exact.  Then f^-1 = den (D F^-1) / D; over
+        F_p, D is a product of nonzero residues and so invertible mod p."""
+        alg = self.alg
+        num = self.num
         for k in alg._diag:
-            if vals[k] == f.zero:
+            if not num[k]:
                 x = alg.pairs[k][0]
                 raise NotAUnit(f"zero diagonal at {x!r}", x)
-        inv = [None] * alg.npairs
-        for k in alg._by_interval:
-            x, y = alg.pairs[k]
-            dx = f.inv(vals[alg.pair_index[(x, x)]])
-            if x == y:
-                inv[k] = dx
-                continue
-            acc = f.zero
-            for i, j in alg.conv[k]:
-                if alg.pairs[i] == (x, x):
-                    continue
-                acc = f.add(acc, f.mul(vals[i], inv[j]))
-            inv[k] = f.neg(f.mul(dx, acc))
-        return IncFn(alg, tuple(inv))
+        d = prod([num[k] for k in alg._diag])
+        inv = [0] * alg.npairs
+        for k, dk, terms in alg._inverse_plan:
+            acc = sum([num[i] * inv[j] for i, j in terms]) if terms else -d
+            inv[k] = -acc // num[dk]
+        den = self.den
+        return alg._make([v * den for v in inv], d)
+
+    def _vector(self):
+        """The stored form (num, den)."""
+        return self.num, self.den
 
     def diagonal_values(self):
-        return {x: self.vals[self.alg.pair_index[(x, x)]]
-                for x in self.alg.poset.elements}
+        return {x: self[x, x] for x in self.alg.poset.elements}
 
     def is_central(self):
         return self.alg.is_central(self)
@@ -364,10 +468,10 @@ class IncFn:
 
     def __eq__(self, other):
         return (isinstance(other, IncFn) and self.alg == other.alg
-                and self.vals == other.vals)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.vals)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         parts = [f"{v}*e({x},{y})"

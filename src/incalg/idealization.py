@@ -12,13 +12,13 @@ derivations) into (anti-)automorphisms of the big ring.  They are stored as
 coordinates first, so its 2x2 blocks are maps of the algebra.
 """
 
-from fractions import Fraction
-
 from .derivations import DerivationSpec, leibniz_check
 from .errors import (
     ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
 )
-from .fia import IncFn, IncidenceAlgebra, _check_context, _numerators
+from .fia import (
+    IncFn, IncidenceAlgebra, _check_context, _fn, _over_one,
+)
 from .linalg import ColumnMap
 from .morphisms import FiaMorphism
 from .posets import SEARCH_SIZE_BOUND
@@ -55,22 +55,21 @@ class DElem:
 
     def __mul__(self, other):
         """[f; m][g; n] = [fg; fn + mg], in one call of the algebra's
-        compiled idealization kernel.  Over Q the kernel runs on integers:
-        each side is lifted to numerators over one common denominator, so
-        every entry of both coordinates is ``Fraction(sum, da * db)``."""
+        compiled idealization kernel on the numerators.  Over Q each side's
+        two coordinates are put over one denominator first (over a prime
+        field it is 1 already), so both coordinates of the product have
+        numerators over the product of the two, each reduced once."""
         _check_context(self, other)
-        alg = self.f.alg
-        if alg.field.modulus is not None:
-            ring, bimodule = alg._dproduct(self.f.vals, self.i.vals,
-                                           other.f.vals, other.i.vals)
-            return DElem(IncFn(alg, ring), IncFn(alg, bimodule))
-        n = alg.npairs
-        da, left = _numerators(self.f.vals + self.i.vals)
-        db, right = _numerators(other.f.vals + other.i.vals)
-        d = da * db
-        ring, bimodule = alg._dproduct(left[:n], left[n:], right[:n], right[n:])
-        return DElem(IncFn(alg, tuple([Fraction(s, d) for s in ring])),
-                     IncFn(alg, tuple([Fraction(s, d) for s in bimodule])))
+        f, m, g, n = self.f, self.i, other.f, other.i
+        alg = f.alg
+        if f.den == m.den == g.den == n.den == 1:  # always over a prime field
+            ring, bimodule = alg._dproduct(f.num, m.num, g.num, n.num)
+            return DElem(_fn(alg, ring), _fn(alg, bimodule))
+        a, c, da = _over_one(f, m)
+        b, d, db = _over_one(g, n)
+        ring, bimodule = alg._dproduct(a, c, b, d)
+        den = da * db
+        return DElem(alg._reduced(ring, den), alg._reduced(bimodule, den))
 
     def is_unit(self):
         return self.f.is_unit()
@@ -84,6 +83,12 @@ class DElem:
     def coords(self):
         return self.f.vals + self.i.vals
 
+    def _vector(self):
+        """The stored form (num, den) of the coordinate vector: over the
+        lcm of two lowest-terms denominators it is in lowest terms."""
+        f, i, den = _over_one(self.f, self.i)
+        return f + i, den
+
     def is_central(self):
         alg = self.alg
         return alg.is_central(self.f) and alg.is_central(self.i)
@@ -95,7 +100,7 @@ class DElem:
         return isinstance(other, DElem) and self.f == other.f and self.i == other.i
 
     def __hash__(self):
-        return hash((self.f.vals, self.i.vals))
+        return hash((self.f, self.i))
 
     def __repr__(self):
         return f"DElem({self.f!r}; {self.i!r})"
@@ -108,6 +113,12 @@ def d_one(alg):
 def d_from_coords(alg, coords):
     n = alg.npairs
     return DElem(IncFn(alg, tuple(coords[:n])), IncFn(alg, tuple(coords[n:])))
+
+
+def _split(alg, num, den):
+    """The element whose stored-form coordinate vector is (num, den)."""
+    n = alg.npairs
+    return DElem(alg._reduced(num[:n], den), alg._reduced(num[n:], den))
 
 
 def d_from_json(alg, obj):
@@ -178,26 +189,29 @@ class DLinearMap(ColumnMap):
 
     @classmethod
     def from_function(cls, alg, fn):
-        return cls(alg, [fn(b).coords() for b in d_basis(alg)])
+        return cls._of(alg, [fn(b)._vector() for b in d_basis(alg)])
 
     def apply(self, d):
         if d.alg != self.alg:
             raise ContextMismatch("map and argument over different contexts")
-        return d_from_coords(self.alg, self.image(d.coords()))
+        return _split(self.alg, *self._image(*d._vector()))
 
     # bound here too, so that DLinearMap's own class dict holds it: the
     # benchmark tracer (bench/tracer.py) wraps methods through vars(cls)
     compose = ColumnMap.compose
 
+    def columns(self):
+        """The columns as elements of the idealization: the images of the
+        ``d_basis`` elements."""
+        return [_split(self.alg, num, den)
+                for num, den in zip(self.nums, self.dens)]
+
     def blocks(self):
         """(ring->ring, bimodule->ring, ring->bimodule, bimodule->bimodule)
         blocks as column lists."""
-        n = self.alg.npairs
-        b11 = [col[:n] for col in self.cols[:n]]
-        b21 = [col[n:] for col in self.cols[:n]]
-        b12 = [col[:n] for col in self.cols[n:]]
-        b22 = [col[n:] for col in self.cols[n:]]
-        return b11, b12, b21, b22
+        n, cols = self.alg.npairs, self.columns()
+        return ([c.f.vals for c in cols[:n]], [c.f.vals for c in cols[n:]],
+                [c.i.vals for c in cols[:n]], [c.i.vals for c in cols[n:]])
 
     def is_involution(self):
         return self.compose(self) == DLinearMap.identity(self.alg)
@@ -290,7 +304,7 @@ class CrossAntiMap:
         self._perm = lam.pair_permutation()
 
     def _move(self, f):
-        return IncFn(self.dst, tuple(f.vals[i] for i in self._perm))
+        return _fn(self.dst, tuple([f.num[i] for i in self._perm]), f.den)
 
     def apply(self, d):
         if d.alg != self.src:

@@ -23,7 +23,7 @@ from .errors import (
     NotConnected, NotInvolutive, NotSymmetric, NotASquare, NotUnital,
     ParseError, UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
-from .fia import IncFn, IncidenceAlgebra
+from .fia import IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
     DElem, DLinearMap, central_pair, d_from_json, d_generators, d_one,
@@ -81,6 +81,7 @@ class InvolutionSpec:
             raise BadSign("sign must square to one")
         self._theta_inv = theta.inverse()
         self._perm = lam.pair_permutation()
+        self._negates = self.k != alg.field.one
         self._ratio = self.base_apply(theta) * self._theta_inv
         if not (_validated or self._ratio.is_central()):
             raise NotInvolutive("square of the map is conjugation by the "
@@ -91,13 +92,8 @@ class InvolutionSpec:
     def base_apply(self, d):
         """The conjugation-free part: relabel both coordinates, scale the
         bimodule one by the sign."""
-        field = self.alg.field
-        fvals = tuple(d.f.vals[i] for i in self._perm)
-        if self.k == field.one:
-            ivals = tuple(d.i.vals[i] for i in self._perm)
-        else:
-            ivals = tuple(field.mul(self.k, d.i.vals[i]) for i in self._perm)
-        return DElem(IncFn(self.alg, fvals), IncFn(self.alg, ivals))
+        i = d.i.permuted(self._perm)
+        return DElem(d.f.permuted(self._perm), -i if self._negates else i)
 
     def apply(self, d):
         if d.alg != self.alg:
@@ -111,21 +107,19 @@ class InvolutionSpec:
         (the pair permutation of an involution is its own inverse).  With
         theta = [f; m] and theta^-1 = [f'; m'] the two columns are
         [f e_ab f'; m e_ab f' + f e_ab m'] and [0; k f e_ab f'], sums of
-        rank-one products (``IncidenceAlgebra.rank_one``)."""
+        rank-one products (``IncidenceAlgebra.rank_one``); k is 1 or -1."""
         alg = self.alg
-        field = alg.field
-        f, m = self.theta.f.vals, self.theta.i.vals
-        f_inv, m_inv = self._theta_inv.f.vals, self._theta_inv.i.vals
-        zero = [field.zero] * alg.npairs
+        f, m = self.theta.f, self.theta.i
+        f_inv, m_inv = self._theta_inv.f, self._theta_inv.i
+        zero = alg.zero()
         ring, bimodule = [], []
         for t in self._perm:
             outer = alg.rank_one(f, t, f_inv)
-            ring.append(outer + list(map(field.add, alg.rank_one(m, t, f_inv),
-                                         alg.rank_one(f, t, m_inv))))
-            if self.k != field.one:
-                outer = list(map(field.neg, outer))
-            bimodule.append(zero + outer)
-        return DLinearMap(alg, ring + bimodule)
+            ring.append(DElem(outer, alg.rank_one(m, t, f_inv)
+                              + alg.rank_one(f, t, m_inv))._vector())
+            bimodule.append(DElem(zero, -outer if self._negates
+                                  else outer)._vector())
+        return DLinearMap._of(alg, ring + bimodule)
 
     # -- invariants ---------------------------------------------------------
 
@@ -371,14 +365,14 @@ def recognize(raw):
     alg = raw.alg
     poset, field = alg.poset, alg.field
     require_classifiable(poset, field)
-    b11, b12, b21, b22 = raw.blocks()
-    if any(v != field.zero for col in b12 for v in col):
+    n, columns, zero = alg.npairs, raw.columns(), alg.zero()
+    if any(c.f != zero for c in columns[n:]):
         raise UpperRightNonzero("bimodule-to-ring block must vanish")
     one = d_one(alg)
     if raw.apply(one) != one:
         raise NotAnInvolution("map does not fix the unity")
     try:
-        spec = _factor(raw, b11, b21)
+        spec = _factor(raw, columns[:n])
     except (NotAMorphism, NotUnital, NotADerivation, NotAUnit, BadSign,
             NotInvolutive) as exc:
         raise NotAnInvolution(f"map is not an involution: {exc}") from exc
@@ -387,12 +381,14 @@ def recognize(raw):
     return spec
 
 
-def _factor(raw, b11, b21):
+def _factor(raw, ring_columns):
     """The normal form ``recognize`` reads off raw, which for a genuine
     involution equals it; on any other input a step may raise a typed
     rejection or return a form that differs from raw.
 
-    The ring block b11 decomposes as m11.  For an involution with vanishing
+    ``ring_columns`` are raw's images of the ring basis elements [e_k; 0];
+    their ring coordinates form the ring block b11 and their bimodule ones
+    the block b21.  b11 decomposes as m11.  For an involution with vanishing
     b12, b11 is its own inverse, and the block-diagonal lift of m11 after
     raw is [[id, 0], [g D, g .]] for a central unit g and a derivation D.
     Both are read off raw's columns through m11 alone: g is m11 of the
@@ -400,7 +396,8 @@ def _factor(raw, b11, b21):
     """
     alg = raw.alg
     poset = alg.poset
-    m11 = decompose(FiLinearMap(alg, b11), anti=True)
+    m11 = decompose(FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]),
+                    anti=True)
     lam = m11.posetmap
     if not lam.is_involution():
         raise NotAnInvolution("induced poset map is not an involution")
@@ -410,8 +407,8 @@ def _factor(raw, b11, b21):
     x0 = poset.elements[0]
     k = g[x0, x0]
     g_inv = g.inverse()
-    der_map = FiLinearMap(alg, [(g_inv * m11.apply(IncFn(alg, col))).vals
-                                for col in b21])
+    der_map = FiLinearMap._of(alg, [(g_inv * m11.apply(c.i))._vector()
+                                    for c in ring_columns])
     spec_d = split_raw_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
     if diag_witness is None:

@@ -44,12 +44,17 @@ class FiLinearMap(ColumnMap):
 
     @classmethod
     def from_function(cls, alg, fn):
-        return cls(alg, [fn(alg.e(x, y)).vals for x, y in alg.pairs])
+        return cls._of(alg, [fn(alg.e(x, y))._vector() for x, y in alg.pairs])
 
     def apply(self, f):
         if f.alg != self.alg:
             raise ContextMismatch("map and argument over different contexts")
-        return IncFn(self.alg, self.image(f.vals))
+        return self.alg._reduced(*self._image(f.num, f.den))
+
+    def columns(self):
+        """The columns as elements: the images of the basis elements."""
+        alg = self.alg
+        return [alg._reduced(num, den) for num, den in zip(self.nums, self.dens)]
 
 
 def validate_cocycle(alg, values, combine, kind):
@@ -104,8 +109,8 @@ class FiaMorphism:
             sigma.setdefault(p, alg.field.one)
         self.sigma = validate_multiplicative_cocycle(alg, sigma)
         # scale vector over all pairs (1 on the diagonal)
-        self._scale = tuple(
-            self.sigma[p] if p[0] != p[1] else alg.field.one for p in alg.pairs)
+        self._scale = IncFn(alg, tuple(
+            self.sigma[p] if p[0] != p[1] else alg.field.one for p in alg.pairs))
         self._perm = self.posetmap.pair_permutation()
 
     @classmethod
@@ -127,10 +132,7 @@ class FiaMorphism:
     def apply(self, f):
         if f.alg != self.alg:
             raise ContextMismatch("morphism and argument over different contexts")
-        field = self.alg.field
-        vals = tuple(field.mul(s, f.vals[i])
-                     for s, i in zip(self._scale, self._perm))
-        moved = IncFn(self.alg, vals)
+        moved = self._scale.entrywise(f.permuted(self._perm))
         return self.u * moved * self.u_inv if self._conjugates else moved
 
     def to_linear(self):
@@ -139,13 +141,12 @@ class FiaMorphism:
         carries (p, q) onto, so column e_pq is sigma(a, b) u e_ab u^-1, one
         rank-one product (``IncidenceAlgebra.rank_one``)."""
         alg = self.alg
-        mul, one = alg.field.mul, alg.field.one
-        u, u_inv = self.u.vals, self.u_inv.vals
+        sigma, pairs, one = self.sigma, alg.pairs, alg.field.one
         cols = []
         for t in self.posetmap.inverse().pair_permutation():
-            col, s = alg.rank_one(u, t, u_inv), self._scale[t]
-            cols.append(col if s == one else [mul(s, v) for v in col])
-        return FiLinearMap(alg, cols)
+            col, s = alg.rank_one(self.u, t, self.u_inv), sigma.get(pairs[t], one)
+            cols.append((col if s == one else col.scale(s))._vector())
+        return FiLinearMap._of(alg, cols)
 
     def is_multiplicative_part_trivial(self):
         return all(v == self.alg.field.one for v in self.sigma.values())
@@ -207,9 +208,10 @@ def decompose(raw, anti=False):
     # induced poset map: the image of a point idempotent is a conjugate of a
     # point idempotent, so its diagonal is an exact indicator
     index = alg.pair_index
+    columns = raw.columns()
     mapping = {}
     for x in alg.poset.elements:
-        img = IncFn(alg, raw.cols[index[(x, x)]])
+        img = columns[index[(x, x)]]
         hits = [y for y in alg.poset.elements if img[y, y] == field.one]
         zeros = [y for y in alg.poset.elements
                  if img[y, y] != field.one and img[y, y] != field.zero]
@@ -222,7 +224,7 @@ def decompose(raw, anti=False):
         raise NotAMorphism(f"induced point map is not an order map: {exc}") from exc
 
     # raw after the relabel by mu^-1: column k is raw's column perm[k]
-    stripped = [IncFn(alg, raw.cols[i]) for i in mu.pair_permutation()]
+    stripped = [columns[i] for i in mu.pair_permutation()]
     g = alg.zero()
     for x in alg.poset.elements:
         g = g + stripped[index[(x, x)]] * alg.e(x, x)

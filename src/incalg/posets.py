@@ -51,6 +51,7 @@ class Poset:
                 if self.leq_rows[i][k] and self.leq_rows[k][j])
         self.covers = tuple(
             (x, y) for x, y in self.strict_pairs if len(self._between[(x, y)]) == 2)
+        self._components = None  # built by components() on first use
         # every chain x < z < y, the triples the cocycle identities run over
         self.chains = tuple(
             (x, z, y) for x, y in self.strict_pairs
@@ -177,13 +178,17 @@ class Poset:
                         stack.append(w)
 
     def components(self):
-        """Connected components of the comparability graph, in element order."""
-        comps = []
-        for v, w in self.spanning_tree():
-            if v is None:
-                comps.append([])
-            comps[-1].append(w)
-        return [sorted(comp, key=self.index.get) for comp in comps]
+        """Connected components of the comparability graph, in element
+        order, as a tuple of tuples; walked once per poset."""
+        if self._components is None:
+            comps = []
+            for v, w in self.spanning_tree():
+                if v is None:
+                    comps.append([])
+                comps[-1].append(w)
+            self._components = tuple(
+                tuple(sorted(comp, key=self.index.get)) for comp in comps)
+        return self._components
 
     def is_connected(self):
         return len(self.components()) == 1

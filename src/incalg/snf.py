@@ -1,6 +1,7 @@
-"""Smith normal form over the integers, with transform matrices, and
-``smith_columns``, the reading of its column transform that the cocycle
-counterexamples are built from.
+"""Smith normal form over the integers, with its column transform, and
+``smith_columns``, the reading of that transform that the cocycle
+counterexamples are built from.  The row transform is never needed, so it
+is not tracked.
 
 Sizes here are tiny (rows and columns bounded by the number of comparable
 pairs of a desk-scale poset), so a straightforward pivot-and-reduce loop
@@ -13,17 +14,15 @@ def _identity(n):
 
 
 def smith_normal_form(mat):
-    """Return (d, U, V) with U * mat * V = diag(d), each d[i] >= 0 and
-    d[i] dividing d[i+1]; U, V are unimodular."""
+    """Return (d, V) with U * mat * V = diag(d) for some unimodular U, each
+    d[i] >= 0 and d[i] dividing d[i+1]; V is unimodular."""
     a = [list(row) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = _identity(m)
     v = _identity(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -33,7 +32,6 @@ def smith_normal_form(mat):
 
     def add_row(src, dst, c):  # row dst += c * row src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for row in a:
@@ -43,7 +41,6 @@ def smith_normal_form(mat):
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < m and t < n:
@@ -96,18 +93,18 @@ def smith_normal_form(mat):
             negate_row(t)
         t += 1
     d = [a[i][i] for i in range(min(m, n))]
-    return d, u, v
+    return d, v
 
 
 def invariant_factors(mat):
     """Nonzero diagonal entries of the Smith form."""
-    d, _, _ = smith_normal_form(mat)
+    d, _ = smith_normal_form(mat)
     return [x for x in d if x not in (0, 1)], sum(1 for x in d if x != 0)
 
 
 def smith_columns(mat, ncols):
     """The Smith diagonal padded to ``ncols`` with zeros, and every column
-    of V, from U * mat * V = diag(d).
+    of V, from U * mat * V = diag(d) (``smith_normal_form``).
 
     Row j of V^-1 maps to a generator of order d[j] in Z^ncols / rowspace
     (order infinite when d[j] == 0), and column j of V gives each unit
@@ -116,22 +113,6 @@ def smith_columns(mat, ncols):
     """
     if not mat:
         return [0] * ncols, [list(row) for row in _identity(ncols)]
-    d, _, v = smith_normal_form(mat)
+    d, v = smith_normal_form(mat)
     return (d + [0] * (ncols - len(d)),
             [[row[j] for row in v] for j in range(ncols)])
-
-
-def check_snf(mat, d, u, v):
-    """Exact check that u * mat * v is diag(d) (used in tests)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    um = [[sum(u[i][k] * mat[k][j] for k in range(m)) for j in range(n)]
-          for i in range(m)]
-    umv = [[sum(um[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-           for i in range(m)]
-    for i in range(m):
-        for j in range(n):
-            want = d[i] if i == j and i < len(d) else 0
-            if umv[i][j] != want:
-                return False
-    return True

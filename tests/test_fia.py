@@ -154,3 +154,73 @@ def test_element_and_json_round_trip(diamond):
     with pytest.raises(NotComparable):
         alg.e("1", "0")
     assert f["a", "b"] == 0  # incomparable reads as zero
+
+
+# -- the centre read off index lists, against the component walk it replaced
+
+
+def ref_components(poset):
+    """Connected components of the comparability graph, in element order."""
+    comps = []
+    for v, w in poset.spanning_tree():
+        if v is None:
+            comps.append([])
+        comps[-1].append(w)
+    return [sorted(comp, key=poset.index.get) for comp in comps]
+
+
+def ref_center_basis(alg):
+    """One diagonal component-indicator per connected component."""
+    out = []
+    for comp in ref_components(alg.poset):
+        out.append(alg.element({(x, x): alg.field.one for x in comp}))
+    return out
+
+
+def ref_is_central(alg, f):
+    """Central means diagonal and constant on each component."""
+    diag = tuple(k for k, (x, y) in enumerate(alg.pairs) if x == y)
+    if any(f.vals[k] != alg.field.zero
+           for k in range(alg.npairs) if k not in diag):
+        return False
+    for comp in ref_components(alg.poset):
+        vals = {f[x, x] for x in comp}
+        if len(vals) > 1:
+            return False
+    return True
+
+
+CENTRE_POSETS = ("chain2", "chain3", "diamond", "vee", "wedge", "fence",
+                 "crown", "two_chains", "wide_diamond")
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("name", CENTRE_POSETS + ("antichain", "empty"))
+def test_centre_matches_component_walk(request, name, field):
+    """components(), center_basis and is_central agree with the walk on
+    every fixture, disconnected ones included; components() is walked
+    once and returns tuples, which a caller cannot mutate."""
+    from incalg.posets import Poset
+    poset = {"antichain": Poset.from_covers(["a", "b", "c"], []),
+             "empty": Poset([], [])}.get(name) or request.getfixturevalue(name)
+    assert [list(c) for c in poset.components()] == ref_components(poset)
+    assert poset.components() is poset.components()
+    assert isinstance(poset.components(), tuple)
+    assert all(isinstance(c, tuple) for c in poset.components())
+    alg = IncidenceAlgebra(poset, field)
+    # built on first use, so a large algebra never used for this pays nothing
+    assert "_centre" not in vars(alg) and "_inverse_plan" not in vars(alg)
+    basis = alg.center_basis()
+    assert basis == ref_center_basis(alg)
+    rng = random.Random(f"centre:{name}")
+    candidates = basis + [alg.zero(), alg.delta(), alg.zeta()]
+    candidates += [alg.random(rng) for _ in range(4)]
+    candidates += [alg.diagonal({x: field(rng.randrange(1, 3))
+                                 for x in poset.elements}) for _ in range(4)]
+    candidates += [sum((c.scale(field(k + 2)) for k, c in enumerate(basis)),
+                       alg.zero())]
+    candidates += [c + alg.e(x, y) for c in basis[:1]
+                   for x, y in poset.strict_pairs[:2]]
+    for f in candidates:
+        assert f.is_central() == ref_is_central(alg, f)
+    assert sum(f.is_central() for f in candidates) >= len(basis) + 2
