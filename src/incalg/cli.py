@@ -78,7 +78,7 @@ def load_lambda(poset, spec):
             if not dst:
                 raise ParseError(f"bad map entry {part!r}")
             mapping[src.strip()] = dst.strip()
-    lam = PosetMap(poset, poset, mapping, anti=True)
+    lam = PosetMap.from_json(poset, poset, mapping, anti=True)
     if not lam.is_involution():
         raise ParseError("map is not an order-reversing involution")
     return lam

@@ -32,12 +32,10 @@ operands included; the one product that vanishes by structure and is
 skipped is ``morphisms.FiaMorphism.apply``'s conjugation by the unity.
 
 On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
-e_xw when y = z and zero otherwise), so a product of two basis elements
-needs no convolution at all: it is the lookup ``basis_product[(i, j)]``,
-which misses when the product is zero.  For the same reason a product
-u e_ab v with one basis element in the middle is rank one: its (x, y)
-entry is u(x, a) v(b, y) for x <= a and b <= y and zero elsewhere, one
-multiplication per entry and no sum (``rank_one``).
+e_xw when y = z and zero otherwise), so a product u e_ab v with one basis
+element in the middle is rank one: its (x, y) entry is u(x, a) v(b, y) for
+x <= a and b <= y and zero elsewhere, one multiplication per entry and no
+sum (``rank_one``).
 """
 
 from fractions import Fraction
@@ -82,9 +80,6 @@ class IncidenceAlgebra:
                    self.pair_index[(b, y)])
                   for x in down[a] for y in up[b])
             for a, b in self.pairs)
-        # e_i e_j = e_k for each composable (i, j); absent pairs multiply to 0
-        self.basis_product = {
-            ij: k for k, terms in enumerate(conv) for ij in terms}
         self._diag = tuple(k for k, (x, y) in enumerate(self.pairs) if x == y)
 
     @cached_property
@@ -207,19 +202,6 @@ class IncidenceAlgebra:
         return IncFn(self, tuple(
             f.random_nonzero(rng) if x == y else f.random(rng)
             for x, y in self.pairs))
-
-    def generator_indices(self):
-        """Pair indices of the point idempotents e_xx and the cover
-        elements e_xy (x covered by y): every basis element e_xy is the
-        product of the cover elements along a maximal chain from x to y, so
-        these generate the algebra."""
-        covers = set(self.poset.covers)
-        return [k for k, (x, y) in enumerate(self.pairs)
-                if x == y or (x, y) in covers]
-
-    def generators(self):
-        """The basis elements at ``generator_indices``, in that order."""
-        return [self.e(*self.pairs[k]) for k in self.generator_indices()]
 
     def rank_one(self, u, k, v):
         """u e_k v, for elements u and v and the basis element e_k = e_ab

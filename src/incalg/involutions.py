@@ -26,7 +26,7 @@ from .errors import (
 from .fia import IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
-    DElem, DLinearMap, central_pair, d_from_json, d_generators, d_one,
+    DElem, DLinearMap, central_pair, d_from_json, d_one,
 )
 from .morphisms import (
     FiaMorphism, FiLinearMap, _mult_inner_rule, cocycle_obstruction, decompose,
@@ -424,8 +424,7 @@ def _factor(raw, ring_columns):
 
 
 def involution_from_json(alg, obj):
-    lam = PosetMap(alg.poset, alg.poset,
-                   dict(obj["lambda"]), anti=True)
+    lam = PosetMap.from_json(alg.poset, alg.poset, obj["lambda"], anti=True)
     theta = d_from_json(alg, obj["theta"])
     return build(alg, theta, lam, alg.field.parse(str(obj["k"])))
 
@@ -507,30 +506,6 @@ def _verify_intertwiner(s1, s2, conjugator):
     return w.is_central()
 
 
-def _same_on_generators(a, b):
-    """Whether two ring (anti-)automorphisms of the same idealization, each
-    given by its ``apply``, agree on ``d_generators``, which makes them
-    equal."""
-    return all(a.apply(g) == b.apply(g) for g in d_generators(a.alg))
-
-
-class _Relabelled:
-    """spec conjugated by the ring lift L of the relabeling induced by the
-    poset automorphism alpha: ``apply`` is L o spec o L^-1, evaluated
-    pointwise without building a matrix."""
-
-    def __init__(self, spec, alpha):
-        self.alg = spec.alg
-        self.spec = spec
-        self._move = FiaMorphism.induced(self.alg, alpha)
-        self._back = FiaMorphism.induced(self.alg, alpha.inverse())
-
-    def apply(self, d):
-        back = self._back.apply
-        img = self.spec.apply(DElem(back(d.f), back(d.i)))
-        return DElem(self._move.apply(img.f), self._move.apply(img.i))
-
-
 def _relabelled_spec(spec, alpha):
     """spec conjugated by the ring lift L of the relabeling induced by the
     poset automorphism alpha, in factored form: L o conj(theta) o base o
@@ -541,6 +516,20 @@ def _relabelled_spec(spec, alpha):
     moved = DElem(relabel.apply(spec.theta.f), relabel.apply(spec.theta.i))
     lam = alpha.compose(spec.lam).compose(alpha.inverse())
     return InvolutionSpec(alg, moved, lam, spec.k, _validated=True)
+
+
+def _relabel_by_pairs(spec, alpha):
+    """The normal-form data (pair permutation, unit, sign) of spec
+    conjugated by the relabel L by alpha, read off pair permutations alone:
+    with (L f)[t] = f[pa[t]] and (L^-1 f)[t] = f[pb[t]], L o conj(theta) o
+    base o L^-1 relabels along t |-> pb[perm[pa[t]]] after conjugation by
+    L(theta), with the same sign.  ``equivalent`` holds ``_relabelled_spec``
+    to it."""
+    pa = alpha.pair_permutation()
+    pb = alpha.inverse().pair_permutation()
+    perm, theta = spec._perm, spec.theta
+    return (tuple([pb[perm[i]] for i in pa]),
+            DElem(theta.f.permuted(pa), theta.i.permuted(pa)), spec.k)
 
 
 def verify_witness(s1, s2, verdict):
@@ -557,8 +546,14 @@ def equivalent_inner(s1, s2):
     """Decide inner equivalence; emit a verified conjugator or name the
     distinguishing invariant ("lambda", "sign" or "chi")."""
     _check_same_context(s1, s2)
+    require_classifiable(s1.alg.poset, s1.alg.field)
+    return _equivalent_inner(s1, s2)
+
+
+def _equivalent_inner(s1, s2):
+    """``equivalent_inner`` after its context check and classification
+    gate, which the caller has run."""
     alg = s1.alg
-    require_classifiable(alg.poset, alg.field)
     if s1.lam != s2.lam:
         return Verdict(False, distinguisher="lambda")
     if s1.k != s2.k:
@@ -605,7 +600,12 @@ def _shift_conjugator(spec, base1, base2):
 def equivalent(s1, s2):
     """Decide equivalence under all ring automorphisms: the signs must
     agree and some poset automorphism must carry one induced involution to
-    the other with matching square-class data."""
+    the other with matching square-class data.
+
+    The classification gate runs once, not once per carrier.  Before a
+    positive verdict, the relabelled normal form that ``_relabelled_spec``
+    built is held to ``_relabel_by_pairs``, a second route on pair
+    permutations alone; a mismatch raises WitnessFailed."""
     _check_same_context(s1, s2)
     alg = s1.alg
     require_classifiable(alg.poset, alg.field)
@@ -617,10 +617,10 @@ def equivalent(s1, s2):
         return Verdict(False, distinguisher="lambda")
     for alpha in carriers:
         conjugated = _relabelled_spec(s2, alpha)
-        inner = equivalent_inner(s1, conjugated)
+        inner = _equivalent_inner(s1, conjugated)
         if inner.equivalent:
-            # both are anti-automorphisms, so the generators decide it
-            if not _same_on_generators(_Relabelled(s2, alpha), conjugated):
+            if _relabel_by_pairs(s2, alpha) != (
+                    conjugated._perm, conjugated.theta, conjugated.k):
                 raise WitnessFailed("relabel conjugation mismatch")
             return Verdict(True, conjugator=inner.conjugator,
                            alpha=alpha, k=alg.field.one)

@@ -114,7 +114,8 @@ class Poset:
     @classmethod
     def from_lines(cls, text):
         """Parse the line format: one "a<b" relation per line; a bare label
-        adds an isolated element."""
+        adds an isolated element.  A line with more than one "<" is a
+        ParseError."""
         elements, seen, rels = [], set(), []
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -123,7 +124,7 @@ class Poset:
             if "<" in line:
                 a, _, b = line.partition("<")
                 a, b = a.strip(), b.strip()
-                if not a or not b:
+                if not a or not b or "<" in b:
                     raise ParseError(f"bad relation line {raw!r}")
                 rels.append((a, b))
                 for x in (a, b):
@@ -287,6 +288,18 @@ class PosetMap:
                 if lhs != rhs:
                     kind = "anti-isomorphism" if self.anti else "isomorphism"
                     raise ParseError(f"not an order {kind}: fails at ({x!r}, {y!r})")
+
+    @classmethod
+    def from_json(cls, src, dst, obj, anti):
+        """The map written as an object from label strings to label
+        strings, the shape ``to_json`` writes; any other shape is a
+        ParseError naming the value."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"poset map {obj!r} is not an object")
+        for label in (*obj, *obj.values()):
+            if not isinstance(label, str):
+                raise ParseError(f"poset map label {label!r} is not a string")
+        return cls(src, dst, obj, anti)
 
     def __call__(self, x):
         return self.mapping[x]

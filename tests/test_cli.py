@@ -366,20 +366,26 @@ def test_equivalent_rejects_non_involution(poset_files, tmp_path, capsys):
 
 
 def _set_f(value):
-    def edit(theta):
-        theta["f"] = value
+    def edit(obj):
+        obj["theta"]["f"] = value
     return edit
 
 
 def _set_entries(value):
-    def edit(theta):
-        theta["f"]["entries"] = value
+    def edit(obj):
+        obj["theta"]["f"]["entries"] = value
     return edit
 
 
 def _set_value(value):
-    def edit(theta):
-        theta["f"]["entries"]["a,a"] = value
+    def edit(obj):
+        obj["theta"]["f"]["entries"]["a,a"] = value
+    return edit
+
+
+def _set_lambda(value):
+    def edit(obj):
+        obj["lambda"] = value
     return edit
 
 
@@ -390,14 +396,21 @@ def _set_value(value):
     (_set_value(17), "17"),
     (_set_value(None), "None"),
     (_set_value(1.5), "1.5"),
+    (_set_lambda("ab"), "'ab'"),
+    (_set_lambda([[1]]), "[[1]]"),
+    (_set_lambda([["a", "c"], ["b", "b"], ["c", "a"]]),
+     "[['a', 'c'], ['b', 'b'], ['c', 'a']]"),
+    (_set_lambda({"a": ["c"], "b": "b", "c": "a"}), "['c']"),
+    (_set_lambda({"a": 3, "b": "b", "c": "a"}), "3"),
 ], ids=["f-number", "entries-list", "value-number", "value-null",
-        "value-float"])
+        "value-float", "lambda-string", "lambda-nested-list",
+        "lambda-pair-list", "lambda-list-label", "lambda-int-label"])
 def test_equivalent_rejects_malformed_involution_shapes(
         poset_files, tmp_path, capsys, field, edit, named):
     poset = Poset.from_json(json.loads(poset_files["chain3"].read_text()))
     alg = IncidenceAlgebra(poset, parse_field(field))
     obj = base_involution(alg, poset.involutions()[0], 1).to_json()
-    edit(obj["theta"])
+    edit(obj)
     bad = tmp_path / "inv.json"
     bad.write_text(json.dumps(obj))
     assert main(["equivalent", "--poset", str(poset_files["chain3"]),
@@ -458,6 +471,31 @@ def test_verify_rejects_a_bad_oracle_limit(poset_files, capsys, limit):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--oracle-limit" in err and repr(limit) in err
+
+
+@pytest.mark.parametrize("lam, named", [
+    ({"0": ["1"], "1": "0", "a": "a", "b": "b"}, "['1']"),
+    ({"0": 1, "1": "0", "a": "a", "b": "b"}, "1"),
+    ({"0": None, "1": "0", "a": "a", "b": "b"}, "None"),
+    ({"0": {"1": "1"}, "1": "0", "a": "a", "b": "b"}, "{'1': '1'}"),
+], ids=["list-label", "int-label", "null-label", "object-label"])
+def test_classify_rejects_malformed_lambda_shapes(poset_files, capsys, lam,
+                                                  named):
+    assert main(["classify", "--poset", str(poset_files["diamond"]),
+                 "--field", "F3", "--lambda", json.dumps(lam)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["a<b<c", "a<<b", "a<b<"])
+def test_poset_info_rejects_a_line_with_two_relations(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"x<y\n{line}\n")
+    assert main(["poset-info", "--poset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(line) in err
+    assert "Traceback" not in err
 
 
 def test_classify_lambda_from_file(poset_files, tmp_path, capsys):

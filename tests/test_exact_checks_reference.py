@@ -4,8 +4,8 @@
 matrix only when the form they factor it into reproduces it on the whole
 basis; the three ``to_linear`` methods that write that form's matrix build
 each column in closed form from rank-one products
-(``IncidenceAlgebra.rank_one``).  ``leibniz_check`` decides its identity on
-generators (see ``idealization.d_generators``).  The square test of
+(``IncidenceAlgebra.rank_one``).  ``leibniz_check`` is the certificate of
+``split_raw_derivation`` on the map's matrix.  The square test of
 ``InvolutionSpec`` and ``_verify_intertwiner`` each decide theirs by the
 centrality of one element: base(theta) theta^-1, and base(c) theta2^-1 c
 theta1.  The routines below are the exhaustive basis-pair and whole-matrix
@@ -37,8 +37,8 @@ from incalg.errors import (
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, d_basis, d_from_coords, d_generators, d_one,
-    inner_auto, lift_morphism,
+    DElem, DLinearMap, d_basis, d_from_coords, d_one, inner_auto,
+    lift_morphism,
 )
 from incalg.involutions import (
     InvolutionSpec, _verify_intertwiner, build, classify, equivalent_inner,
@@ -49,6 +49,7 @@ from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
 from incalg.posets import PosetMap, Poset
 
 from conftest import chain
+from test_fia_kernel import EDGE, ref_d_generators
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -188,8 +189,9 @@ def ref_find_involution_failure(spec):
 
 def ref_generator_involution_failure(spec):
     """The generator square check ``InvolutionSpec`` ran before the closed
-    form (``_find_involution_failure``), verbatim."""
-    for g in d_generators(spec.alg):
+    form (``_find_involution_failure``), verbatim, on the test-side
+    generators."""
+    for g in ref_d_generators(spec.alg):
         if spec.apply(spec.apply(g)) != g:
             return g
     return None
@@ -665,21 +667,43 @@ def test_decompose_matches_reference_on_unity_preserving_edits():
                          compare=lambda m: m.to_json())
 
 
-def test_perturbed_derivation_fails_leibniz():
-    alg = IncidenceAlgebra(chain(3), F3)
+# chain3 has a chain through every strict pair; in the crown and the two
+# components (height one) no strict pair lies on a chain
+LEIBNIZ_POSETS = {
+    "chain3": chain(3),
+    "crown": Poset.from_covers(["a", "b", "c", "d"], [("a", "c"), ("a", "d"),
+                                                      ("b", "c"), ("b", "d")]),
+    **EDGE,
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: getattr(f, "name", "Q"))
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_POSETS))
+def test_perturbed_derivation_fails_leibniz(name, field):
+    """A derivation moved by one in one matrix entry is a derivation exactly
+    when the entry is the diagonal one of a strict pair that lies on no
+    chain x < z < y: the moved map adds the additive cocycle that is one on
+    that pair alone.  ``leibniz_check`` (the split's certificate) must say
+    so, with the exhaustive references."""
+    alg = IncidenceAlgebra(LEIBNIZ_POSETS[name], field)
     rng = random.Random(17)
     d = DerivationSpec(alg, inner=alg.random(rng),
                        tau=_random_cocycle(alg, rng)).to_linear()
-    assert leibniz_check(alg, d)
+    assert leibniz_check(alg, d) and ref_leibniz_check(alg, d)
     split = split_raw_derivation(d)
-    assert split.inner != alg.zero()  # else the read entries go unseen
+    if alg.poset.strict_pairs:
+        assert split.inner != alg.zero()  # else the read entries go unseen
     same_outcome(split_raw_derivation, ref_split_raw_derivation, d,
                  compare=lambda s: (s.inner, sorted(s.tau.items())))
+    on_chains = {p for x, z, y in alg.poset.chains
+                 for p in ((x, z), (z, y), (x, y))}
+    lone = set(alg.poset.strict_pairs) - on_chains
     for c in range(alg.npairs):
         for r in range(alg.npairs):
             bad = perturbed(d, c, r)
-            assert not leibniz_check(alg, bad)
-            assert not ref_leibniz_check(alg, bad)
+            expected = c == r and alg.pairs[c] in lone
+            assert leibniz_check(alg, bad) == expected
+            assert ref_leibniz_check(alg, bad) == expected
             same_outcome(split_raw_derivation, ref_split_raw_derivation, bad)
 
 
@@ -748,7 +772,7 @@ def test_generators_reach_every_basis_element(name):
     elements, covers = LADDER[name]
     poset = Poset.from_covers(elements, covers)
     alg = IncidenceAlgebra(poset, F3)
-    gens = d_generators(alg)
+    gens = ref_d_generators(alg)
     assert len(gens) == 2 * len(elements) + len(poset.covers)
     assert set(d_basis(alg)) <= product_closure(gens)
     # dropping a cover loses its basis element: covers are indecomposable

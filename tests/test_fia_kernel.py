@@ -1,6 +1,6 @@
 """The compiled convolution kernel of ``IncFn.__mul__``, the compiled
-idealization kernel of ``DElem.__mul__`` and the basis-product lookup that
-replaces basis-times-basis products.
+idealization kernel of ``DElem.__mul__`` and the term lists ``conv`` both
+are compiled from.
 
 The reference below is the textbook triple loop over x, y and the points z
 of the interval [x, y], kept verbatim; the kernel must agree with it on
@@ -14,7 +14,8 @@ coordinates.  Both kernels are compiled from generated source, so they are
 also held to the reference on an interval of 3,002 terms (a chain of ``+``
 that long overflows CPython's compiler; the bimodule entry has 6,004) and
 on labels that would break or inject code if they reached the source.  The
-lookup table must agree with the products it stands for.
+basis products that ``conv`` implies (e_i e_j = e_k for each term (i, j) of
+conv[k], zero otherwise) must agree with the products themselves.
 """
 
 import gc
@@ -26,7 +27,7 @@ import pytest
 
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import DElem, d_basis, d_generators
+from incalg.idealization import DElem, d_basis
 from incalg.posets import Poset
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), QQ)
@@ -75,12 +76,18 @@ def ref_dproduct(left, right):
 
 
 def ref_generators(alg):
+    """The point idempotents e_xx and the cover elements e_xy (x covered
+    by y): every basis element is a product of covers along a maximal
+    chain, so these generate the algebra."""
     covers = set(alg.poset.covers)
     return [alg.e(x, y) for x, y in alg.pairs
             if x == y or (x, y) in covers]
 
 
 def ref_d_generators(alg):
+    """Ring generators of the idealization: [g; 0] for each of
+    ``ref_generators``, then [0; e_xx] for each point, since [0; e_xy] =
+    [e_xy; 0][0; e_yy]."""
     out = [DElem(g, alg.zero()) for g in ref_generators(alg)]
     for x, y in alg.pairs:
         if x == y:
@@ -276,7 +283,7 @@ def test_d_kernel_matches_textbook_convolution(request, name, field):
             assert all(type(v) is Fraction for v in got.coords())
 
 
-# -- the lookup tables -------------------------------------------------------
+# -- basis products -------------------------------------------------------
 
 
 @pytest.mark.parametrize("field", (PrimeField(3), QQ),
@@ -285,12 +292,11 @@ def test_d_kernel_matches_textbook_convolution(request, name, field):
 def test_basis_product_table(request, name, field):
     alg = IncidenceAlgebra(_poset(request, name), field)
     basis = [alg.e(x, y) for x, y in alg.pairs]
+    table = {ij: k for k, terms in enumerate(alg.conv) for ij in terms}
     for i, ei in enumerate(basis):
         for j, ej in enumerate(basis):
-            k = alg.basis_product.get((i, j))
+            k = table.get((i, j))
             assert ei * ej == (alg.zero() if k is None else basis[k])
-    assert ([basis[k] for k in alg.generator_indices()] == alg.generators()
-            == ref_generators(alg))
 
 
 @pytest.mark.parametrize("field", (PrimeField(3), QQ),
@@ -298,8 +304,7 @@ def test_basis_product_table(request, name, field):
 @pytest.mark.parametrize("name", FIXTURES + tuple(EDGE))
 def test_d_basis_product_table(request, name, field):
     """The product of two ``d_basis`` elements is a basis element or zero,
-    which the generator lemma in ``d_generators`` relies on, and the
-    generators are the ones it names."""
+    and the generators of ``ref_d_generators`` are basis elements."""
     alg = IncidenceAlgebra(_poset(request, name), field)
     basis = d_basis(alg)
     zero = DElem(alg.zero(), alg.zero())
@@ -307,4 +312,4 @@ def test_d_basis_product_table(request, name, field):
     for bs in basis:
         for bt in basis:
             assert bs * bt in allowed
-    assert d_generators(alg) == ref_d_generators(alg)
+    assert set(ref_d_generators(alg)) <= set(basis)

@@ -11,12 +11,11 @@ from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg import involutions
 from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_one, inner_auto, lift_morphism,
-    random_d_unit,
+    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
+    lift_morphism, random_d_unit,
 )
 from incalg.involutions import (
-    Classification, InvolutionSpec, _Relabelled, _same_on_generators,
-    base_involution, build, check_hypotheses, classify, equivalent,
+    Classification, InvolutionSpec, _relabel_by_pairs, base_involution, build, check_hypotheses, classify, equivalent,
     equivalent_inner, involution_from_json, recognize, rho_eps, sigma_lambda,
     symmetric_decompose,
 )
@@ -588,7 +587,7 @@ def test_sigma_branch_over_rationals(chain2):
         assert psi.compose(spec.to_linear()) == sig.to_linear().compose(psi)
 
 
-# -- the relabel check of `equivalent`, on generators ------------------------
+# -- the relabel check of `equivalent`, in normal form -----------------------
 
 
 def ref_relabelled(spec, alpha):
@@ -597,6 +596,23 @@ def ref_relabelled(spec, alpha):
     lifted = lift_morphism(FiaMorphism.induced(alg, alpha))
     lifted_inv = lift_morphism(FiaMorphism.induced(alg, alpha.inverse()))
     return lifted.compose(spec.to_linear()).compose(lifted_inv)
+
+
+class RefRelabelled:
+    """spec conjugated by the ring lift L of the relabeling induced by the
+    poset automorphism alpha: ``apply`` is L o spec o L^-1, evaluated
+    pointwise without building a matrix (the relabel check compared it with
+    the relabelled spec on ring generators before the normal-form guard)."""
+
+    def __init__(self, spec, alpha):
+        self.spec = spec
+        self._move = FiaMorphism.induced(spec.alg, alpha)
+        self._back = FiaMorphism.induced(spec.alg, alpha.inverse())
+
+    def apply(self, d):
+        back = self._back.apply
+        img = self.spec.apply(DElem(back(d.f), back(d.i)))
+        return DElem(self._move.apply(img.f), self._move.apply(img.i))
 
 
 def _relabel_pairs(request):
@@ -622,6 +638,7 @@ def _relabel_pairs(request):
 def test_relabel_check_matches_whole_matrix_comparison(request):
     for s1, s2 in _relabel_pairs(request):
         alg = s1.alg
+        basis = d_basis(alg)
         a, b = next(p for p in alg.poset.strict_pairs)
         skew = DElem(alg.delta() + alg.e(a, b), alg.zero())
         for alpha in alg.poset.automorphisms():
@@ -629,14 +646,18 @@ def test_relabel_check_matches_whole_matrix_comparison(request):
             relabel = FiaMorphism.induced(alg, alpha)
             moved = DElem(relabel.apply(s2.theta.f),
                           relabel.apply(s2.theta.i))
+            pointwise = RefRelabelled(s2, alpha)
             # as `equivalent` builds it, then with a non-central factor
             # that changes the map
             for theta, expected in ((moved, carrier), (moved * skew, False)):
                 conjugated = InvolutionSpec(alg, theta, s1.lam, s2.k,
                                             _validated=True)
-                new = _same_on_generators(_Relabelled(s2, alpha), conjugated)
+                new = _relabel_by_pairs(s2, alpha) == (
+                    conjugated._perm, conjugated.theta, conjugated.k)
                 old = ref_relabelled(s2, alpha) == conjugated.to_linear()
-                assert new == old == expected
+                on_basis = all(pointwise.apply(d) == conjugated.apply(d)
+                               for d in basis)
+                assert new == old == on_basis == expected
 
 
 def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
@@ -645,7 +666,44 @@ def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
                 if all(m.mapping[x] == x for x in "abc"))
     s1 = rho_eps(alg, flip, {"a": 1, "b": 1, "c": 2}, 1)
     s2 = rho_eps(alg, flip, {"a": 2, "b": 1, "c": 1}, 1)
-    # the only witness needs a non-identity relabel; dropping it must fail
-    monkeypatch.setattr(involutions, "_Relabelled", lambda spec, alpha: spec)
+    # the only witness needs a non-identity relabel; a pair-permutation
+    # route that drops it must fail the guard
+    monkeypatch.setattr(involutions, "_relabel_by_pairs",
+                        lambda spec, alpha: (spec._perm, spec.theta, spec.k))
     with pytest.raises(WitnessFailed):
         equivalent(s1, s2)
+
+
+def _counting_hypotheses(monkeypatch):
+    calls = []
+    check = involutions.check_hypotheses
+
+    def counted(poset, field):
+        calls.append(poset)
+        return check(poset, field)
+
+    monkeypatch.setattr(involutions, "check_hypotheses", counted)
+    return calls
+
+
+def test_equivalent_runs_the_classification_gate_once(wide_diamond,
+                                                      monkeypatch):
+    alg = IncidenceAlgebra(wide_diamond, F5)
+    flip = next(m for m in wide_diamond.involutions()
+                if all(m.mapping[x] == x for x in "abc"))
+    s1 = rho_eps(alg, flip, {"a": 1, "b": 1, "c": 2}, 1)
+    positive = rho_eps(alg, flip, {"a": 2, "b": 1, "c": 1}, 1)
+    negative = rho_eps(alg, flip, {"a": 1, "b": 1, "c": 1}, 1)
+    carriers = [a for a in wide_diamond.automorphisms()
+                if a.compose(flip).compose(a.inverse()) == flip]
+    assert len(carriers) > 1
+    calls = _counting_hypotheses(monkeypatch)
+    assert equivalent(s1, positive).equivalent
+    assert len(calls) == 1
+    calls.clear()
+    verdict = equivalent(s1, negative)
+    assert not verdict.equivalent and verdict.distinguisher == "chi"
+    assert len(calls) == 1
+    calls.clear()
+    assert equivalent_inner(s1, s1).equivalent
+    assert len(calls) == 1
