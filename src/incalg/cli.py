@@ -5,6 +5,12 @@ Exit codes: 0 ok/equivalent, 1 not equivalent, 2 input error,
 3 hypothesis failure, 4 unsupported characteristic.  A witness, count or
 normal form that fails the library's internal exact check (WitnessFailed)
 also exits 2, with a one-line message and no traceback.
+
+Each process runs one subcommand, so this module imports at its top only
+what every subcommand shares: ``errors``, ``fields``, ``posets`` and the
+hypothesis decision in ``snf``.  Each ``cmd_*`` imports the rest itself,
+so ``poset-info`` and a passing ``hypotheses`` run never load the algebra,
+and only ``verify`` loads the oracle.
 """
 
 import argparse
@@ -13,20 +19,13 @@ import random
 import sys
 from pathlib import Path
 
-from .derivations import find_non_inner_additive
 from .errors import (
     Char2Unsupported, HypothesisFailed, IncalgError, NotAnInvolution,
     ParseError, SizeLimit,
 )
-from .fia import IncidenceAlgebra
 from .fields import parse_field
-from .idealization import d_one, random_d_unit, random_delem
-from .involutions import (
-    check_hypotheses, classify, equivalent, equivalent_inner,
-    involution_from_json, verify_witness,
-)
-from .morphisms import FiaMorphism, decompose, find_non_inner_cocycle
 from .posets import Poset, PosetMap
+from .snf import check_hypotheses
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -120,8 +119,12 @@ def cmd_hypotheses(args):
     poset = load_poset(args.poset)
     field = parse_field(args.field)
     report = check_hypotheses(poset, field)
-    # the decision needs no algebra; only certifying a counterexample does
-    alg = None if all(report.values()) else IncidenceAlgebra(poset, field)
+    if not all(report.values()):
+        # the decision needs no algebra; only certifying a counterexample does
+        from .derivations import find_non_inner_additive
+        from .fia import IncidenceAlgebra
+        from .morphisms import find_non_inner_cocycle
+        alg = IncidenceAlgebra(poset, field)
     payload = {"field": args.field}
     payload["mult_subset_inn"] = report["mult_subset_inn"]
     if not report["mult_subset_inn"]:
@@ -138,6 +141,7 @@ def cmd_hypotheses(args):
 
 
 def cmd_classify(args):
+    from .involutions import classify
     poset = load_poset(args.poset)
     field = parse_field(args.field)
     lam = load_lambda(poset, args.lam)
@@ -159,6 +163,7 @@ def cmd_classify(args):
 
 
 def _load_involution(alg, path):
+    from .involutions import involution_from_json
     try:
         obj = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
@@ -170,6 +175,8 @@ def _load_involution(alg, path):
 
 
 def cmd_equivalent(args):
+    from .fia import IncidenceAlgebra
+    from .involutions import equivalent, equivalent_inner, verify_witness
     poset = load_poset(args.poset)
     field = parse_field(args.field)
     alg = IncidenceAlgebra(poset, field)
@@ -183,6 +190,10 @@ def cmd_equivalent(args):
 
 
 def cmd_verify(args):
+    from .fia import IncidenceAlgebra
+    from .idealization import d_one, random_d_unit, random_delem
+    from .involutions import classify, equivalent_inner
+    from .morphisms import FiaMorphism, decompose
     poset = load_poset(args.poset)
     field = parse_field(args.field)
     alg = IncidenceAlgebra(poset, field)
@@ -240,7 +251,6 @@ def cmd_verify(args):
             check(f"classification for {json.dumps(lam.to_json(), sort_keys=True)}",
                   ok and pairwise)
         if field.order is not None:
-            # only verify needs the oracle; a top-level import slows every CLI start
             from .oracle import (
                 count_units, enumerate_involutions_D, orbit_partition,
                 unit_group_generators,

@@ -8,7 +8,7 @@ presentation reproduces the matrix on the whole basis, and
 ``leibniz_check`` decides the rule for a map not known to be a derivation
 by that same certificate.  ``der_equals_ider`` decides whether the
 additive family adds anything beyond the inner one, reading the answer off
-``morphisms.cocycle_obstruction`` (the same Smith normal form that decides
+``snf.cocycle_obstruction`` (the same Smith normal form that decides
 ``mult_subset_inn``), and ``find_non_inner_additive`` reads a counterexample
 off that form's column transform.
 """
@@ -17,9 +17,8 @@ from .errors import (
     ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
 )
 from .fia import IncFn, _over_one
-from .morphisms import (
-    FiLinearMap, _smith_reading, cocycle_obstruction, validate_cocycle,
-)
+from .morphisms import FiLinearMap, validate_cocycle
+from .snf import _der_inner_rule, _smith_reading, cocycle_obstruction
 
 
 def validate_additive_cocycle(alg, tau):
@@ -127,16 +126,8 @@ def additive_is_inner(alg, tau):
 
 def der_equals_ider(poset, field):
     """Whether every derivation is inner, i.e. every additive cocycle is a
-    diagonal coboundary.  Over K the cocycles exceed the coboundaries by
-    the free rank plus the number of invariant factors of the cocycle
-    obstruction group that the characteristic divides, so both must be
-    zero."""
+    diagonal coboundary, by the rule ``snf.check_hypotheses`` applies."""
     return _der_inner_rule(*cocycle_obstruction(poset), field)
-
-
-def _der_inner_rule(factors, free_rank, field):
-    p = field.char
-    return free_rank == 0 and (p == 0 or all(d % p for d in factors))
 
 
 def find_non_inner_additive(alg):

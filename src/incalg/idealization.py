@@ -16,9 +16,7 @@ from .derivations import DerivationSpec, leibniz_check
 from .errors import (
     ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
 )
-from .fia import (
-    IncFn, IncidenceAlgebra, _check_context, _fn, _over_one,
-)
+from .fia import IncidenceAlgebra, _check_context, _fn, _over_one
 from .linalg import ColumnMap
 from .morphisms import FiaMorphism
 from .posets import SEARCH_SIZE_BOUND
@@ -108,11 +106,6 @@ class DElem:
 
 def d_one(alg):
     return DElem(alg.delta(), alg.zero())
-
-
-def d_from_coords(alg, coords):
-    n = alg.npairs
-    return DElem(IncFn(alg, tuple(coords[:n])), IncFn(alg, tuple(coords[n:])))
 
 
 def _split(alg, num, den):
@@ -214,12 +207,6 @@ def lift_morphism(m):
         m.alg, lambda d: DElem(m.apply(d.f), m.apply(d.i)))
 
 
-def lift_auto(m):
-    if m.anti:
-        raise NotAMorphism("expected an automorphism")
-    return lift_morphism(m)
-
-
 def lift_anti(m):
     if not m.anti:
         raise NotAMorphism("expected an anti-automorphism")
@@ -231,11 +218,6 @@ def lift_central(alg, g):
     if not (g.is_unit() and alg.is_central(g)):
         raise NotCentral("lift requires a central unit")
     return DLinearMap.from_function(alg, lambda d: DElem(d.f, g * d.i))
-
-
-def lift_scalar(alg, k):
-    """The sign-style lift [f; i] |-> [f; k i]."""
-    return lift_central(alg, alg.delta().scale(alg.field(k)))
 
 
 def lift_derivation(alg, d):

@@ -14,9 +14,7 @@ returned witness, count or normal form raises WitnessFailed.
 
 import itertools
 
-from .derivations import (
-    _der_inner_rule, additive_is_inner, split_raw_derivation,
-)
+from .derivations import additive_is_inner, split_raw_derivation
 from .errors import (
     BadSign, Char2Unsupported, ContextMismatch, FixedPointsPresent,
     HypothesisFailed, NotADerivation, NotAMorphism, NotAnInvolution, NotAUnit,
@@ -29,18 +27,10 @@ from .idealization import (
     DElem, DLinearMap, central_pair, d_from_json, d_one,
 )
 from .morphisms import (
-    FiaMorphism, FiLinearMap, _mult_inner_rule, cocycle_obstruction, decompose,
-    multiplicative_is_inner,
+    FiaMorphism, FiLinearMap, decompose, multiplicative_is_inner,
 )
 from .posets import PosetMap, lambda_decomposition
-
-
-def check_hypotheses(poset, field):
-    """Report on the two classification hypotheses over this field, both
-    read off one cocycle obstruction."""
-    factors, free_rank = cocycle_obstruction(poset)
-    return {"mult_subset_inn": _mult_inner_rule(factors, free_rank, field),
-            "der_equals_ider": _der_inner_rule(factors, free_rank, field)}
+from .snf import check_hypotheses
 
 
 def require_classifiable(poset, field):

@@ -33,25 +33,6 @@ def rref(field, rows):
     return m, pivots
 
 
-def rank(field, rows):
-    return len(rref(field, rows)[1]) if rows else 0
-
-
-def solve(field, rows, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return [] if all(v == field.zero for v in rhs) else None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None  # pivot in the constant column
-    x = [field.zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
 class ColumnMap:
     """A K-linear endomorphism stored column-wise: column j, the image of
     basis vector j, is held in the stored form of ``fia.IncFn`` as the

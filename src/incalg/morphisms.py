@@ -12,15 +12,12 @@ recomposition on the whole basis.  The relabeling is the poset map's
 cocycles of ``derivations`` share; an inner witness for a cocycle is
 propagated along ``Poset.spanning_tree``.
 
-The module also holds ``cocycle_obstruction``: one Smith normal form of the
-chain relations (x,z) + (z,y) - (x,y) gives the invariant factors and free
-rank of the group that measures cocycles modulo coboundaries.  Both
-hypotheses the involution classification needs are readings of it:
-``mult_subset_inn`` here (no nontrivial character into K*) and
-``derivations.der_equals_ider`` (no nonzero K-linear functional).  When
-one fails, the columns of the same form's transform V give the candidate
-characters, and ``find_non_inner_cocycle`` returns the first one that no
-diagonal witness produces.
+``mult_subset_inn`` decides whether every multiplicative automorphism is
+inner by the rule ``snf.check_hypotheses`` applies to
+``snf.cocycle_obstruction``, one Smith normal form of the chain relations.
+When it fails, the columns of the same form's transform V give the
+candidate characters, and ``find_non_inner_cocycle`` returns the first one
+that no diagonal witness produces.
 """
 
 from math import gcd
@@ -30,10 +27,9 @@ from .errors import (
     WitnessFailed,
 )
 from .fia import IncFn
-from .fields import PrimeField, RationalField
 from .linalg import ColumnMap
 from .posets import PosetMap, identity_map
-from .snf import smith_columns
+from .snf import _mult_inner_rule, _smith_reading, cocycle_obstruction
 
 
 class FiLinearMap(ColumnMap):
@@ -148,9 +144,6 @@ class FiaMorphism:
             cols.append((col if s == one else col.scale(s))._vector())
         return FiLinearMap._of(alg, cols)
 
-    def is_multiplicative_part_trivial(self):
-        return all(v == self.alg.field.one for v in self.sigma.values())
-
     def to_json(self):
         field = self.alg.field
         return {
@@ -165,18 +158,6 @@ class FiaMorphism:
         kind = "anti" if self.anti else "auto"
         return (f"FiaMorphism({kind}, map={self.posetmap.mapping}, "
                 f"u={self.u!r})")
-
-
-def fia_morphism_from_json(alg, obj):
-    mapping = {str(k): str(v) for k, v in obj["map"].items()}
-    anti = bool(obj.get("anti", False))
-    posetmap = PosetMap(alg.poset, alg.poset, mapping, anti)
-    sigma = {}
-    for key, sval in obj.get("sigma", {}).items():
-        x, _, y = key.partition(",")
-        sigma[(x.strip(), y.strip())] = alg.field.parse(sval)
-    return FiaMorphism(alg, u=alg.from_json(obj["u"]), sigma=sigma,
-                       posetmap=posetmap, anti=anti)
 
 
 def compose(m1, m2):
@@ -270,56 +251,10 @@ def multiplicative_is_inner(alg, sigma):
     return eta
 
 
-def _relation_rows(poset):
-    pidx = {p: k for k, p in enumerate(poset.strict_pairs)}
-    rows = []
-    for x, z, y in poset.chains:
-        row = [0] * len(pidx)
-        row[pidx[(x, z)]] += 1
-        row[pidx[(z, y)]] += 1
-        row[pidx[(x, y)]] -= 1
-        rows.append(row)
-    return rows
-
-
-def _smith_reading(poset):
-    """One Smith normal form U R V = diag(d) of the chain relations R: the
-    obstruction (invariant factors, free rank) read off d, and the pairs
-    (d_j, column j of V) over the strict pairs."""
-    d, columns = smith_columns(_relation_rows(poset), len(poset.strict_pairs))
-    rank_d = len(poset.elements) - len(poset.components())
-    return ([x for x in d if x > 1], d.count(0) - rank_d), zip(d, columns)
-
-
-def cocycle_obstruction(poset):
-    """Invariant factors and free rank of the group whose characters are
-    exactly the multiplicative cocycles modulo the inner (coboundary) ones.
-
-    That group is (kernel of the pair-difference map d) / (chain relations
-    R).  The kernel is a direct summand of the free group on strict pairs,
-    so the invariant factors of R are the same in either lattice, and one
-    Smith normal form of the relation rows gives both readings: the
-    factors d_i > 1, and the free rank #pairs - rank R - rank d, where
-    rank d = #points - #components over every field (d is a signed graph
-    incidence matrix).
-    """
-    return _smith_reading(poset)[0]
-
-
 def mult_subset_inn(poset, field):
     """Whether every multiplicative automorphism over this field is inner:
     the obstruction group must have no characters into K*."""
     return _mult_inner_rule(*cocycle_obstruction(poset), field)
-
-
-def _mult_inner_rule(factors, free_rank, field):
-    if isinstance(field, PrimeField):
-        if free_rank and field.p != 2:
-            return False
-        return all(gcd(d, field.p - 1) == 1 for d in factors)
-    if isinstance(field, RationalField):
-        return free_rank == 0 and all(d % 2 == 1 for d in factors)
-    raise ParseError(f"unsupported field {field!r}")
 
 
 def _prime_factors(n):

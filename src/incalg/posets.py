@@ -60,15 +60,19 @@ class Poset:
     @classmethod
     def from_covers(cls, elements, cover_pairs):
         """Build from labels and relation pairs; the order is the
-        reflexive-transitive closure and must be acyclic.  A label may not
-        contain a comma, the separator of incidence-function JSON keys."""
+        reflexive-transitive closure and must be acyclic.  A label must
+        read back the same from an incidence-function JSON key "x,y", which
+        is split at the comma and stripped: so it may hold no comma and no
+        leading or trailing whitespace."""
         elements = list(elements)
         index = {}
         for x in elements:
             if x in index:
                 raise DuplicateLabel(f"duplicate label {x!r}")
-            if "," in str(x):
-                raise ParseError(f"label {x!r} contains a comma")
+            label = str(x)
+            if "," in label or label != label.strip():
+                raise ParseError(f"label {x!r} contains a comma or leading "
+                                 f"or trailing whitespace")
             index[x] = len(index)
         n = len(elements)
         leq = [[i == j for j in range(n)] for i in range(n)]

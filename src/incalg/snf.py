@@ -1,12 +1,26 @@
-"""Smith normal form over the integers, with its column transform, and
-``smith_columns``, the reading of that transform that the cocycle
-counterexamples are built from.  The row transform is never needed, so it
-is not tracked.
+"""Smith normal form over the integers, with its column transform, and the
+decision of both classification hypotheses that is read off it.
+
+``smith_columns`` gives the padded diagonal and every column of the
+transform V; the row transform is never needed, so it is not tracked.
+``cocycle_obstruction`` takes one such form of the chain relations
+(x,z) + (z,y) - (x,y) and reads off the invariant factors and free rank of
+the group that measures cocycles modulo coboundaries.  Both hypotheses
+depend only on that group and the field: ``check_hypotheses`` applies the
+multiplicative rule (no nontrivial character into K*) and the additive one
+(no nonzero K-linear functional).  The counterexample finders of
+``morphisms`` and ``derivations`` read the same form's columns through
+``_smith_reading``.  Nothing here needs the incidence algebra.
 
 Sizes here are tiny (rows and columns bounded by the number of comparable
 pairs of a desk-scale poset), so a straightforward pivot-and-reduce loop
 with arbitrary-precision ints is plenty.
 """
+
+from math import gcd
+
+from .errors import ParseError
+from .fields import PrimeField, RationalField
 
 
 def _identity(n):
@@ -96,12 +110,6 @@ def smith_normal_form(mat):
     return d, v
 
 
-def invariant_factors(mat):
-    """Nonzero diagonal entries of the Smith form."""
-    d, _ = smith_normal_form(mat)
-    return [x for x in d if x not in (0, 1)], sum(1 for x in d if x != 0)
-
-
 def smith_columns(mat, ncols):
     """The Smith diagonal padded to ``ncols`` with zeros, and every column
     of V, from U * mat * V = diag(d) (``smith_normal_form``).
@@ -116,3 +124,66 @@ def smith_columns(mat, ncols):
     d, v = smith_normal_form(mat)
     return (d + [0] * (ncols - len(d)),
             [[row[j] for row in v] for j in range(ncols)])
+
+
+def _relation_rows(poset):
+    pidx = {p: k for k, p in enumerate(poset.strict_pairs)}
+    rows = []
+    for x, z, y in poset.chains:
+        row = [0] * len(pidx)
+        row[pidx[(x, z)]] += 1
+        row[pidx[(z, y)]] += 1
+        row[pidx[(x, y)]] -= 1
+        rows.append(row)
+    return rows
+
+
+def _smith_reading(poset):
+    """One Smith normal form U R V = diag(d) of the chain relations R: the
+    obstruction (invariant factors, free rank) read off d, and the pairs
+    (d_j, column j of V) over the strict pairs."""
+    d, columns = smith_columns(_relation_rows(poset), len(poset.strict_pairs))
+    rank_d = len(poset.elements) - len(poset.components())
+    return ([x for x in d if x > 1], d.count(0) - rank_d), zip(d, columns)
+
+
+def cocycle_obstruction(poset):
+    """Invariant factors and free rank of the group whose characters are
+    exactly the multiplicative cocycles modulo the inner (coboundary) ones.
+
+    That group is (kernel of the pair-difference map d) / (chain relations
+    R).  The kernel is a direct summand of the free group on strict pairs,
+    so the invariant factors of R are the same in either lattice, and one
+    Smith normal form of the relation rows gives both readings: the
+    factors d_i > 1, and the free rank #pairs - rank R - rank d, where
+    rank d = #points - #components over every field (d is a signed graph
+    incidence matrix).
+    """
+    return _smith_reading(poset)[0]
+
+
+def _mult_inner_rule(factors, free_rank, field):
+    """Whether the obstruction group has no nontrivial character into K*."""
+    if isinstance(field, PrimeField):
+        if free_rank and field.p != 2:
+            return False
+        return all(gcd(d, field.p - 1) == 1 for d in factors)
+    if isinstance(field, RationalField):
+        return free_rank == 0 and all(d % 2 == 1 for d in factors)
+    raise ParseError(f"unsupported field {field!r}")
+
+
+def _der_inner_rule(factors, free_rank, field):
+    """Whether the obstruction group has no nonzero functional into K: the
+    cocycles exceed the coboundaries by the free rank plus the number of
+    invariant factors that the characteristic divides."""
+    p = field.char
+    return free_rank == 0 and (p == 0 or all(d % p for d in factors))
+
+
+def check_hypotheses(poset, field):
+    """Report on the two classification hypotheses over this field, both
+    read off one cocycle obstruction."""
+    factors, free_rank = cocycle_obstruction(poset)
+    return {"mult_subset_inn": _mult_inner_rule(factors, free_rank, field),
+            "der_equals_ider": _der_inner_rule(factors, free_rank, field)}

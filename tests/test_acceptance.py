@@ -96,7 +96,8 @@ def test_criterion_02_center_oracle():
         alg = IncidenceAlgebra(CHAIN2, F3)
         coords = list(itertools.product(range(3), repeat=6))
         assert len(coords) == 729
-        from incalg.idealization import d_basis, d_from_coords
+        from incalg.idealization import d_basis
+        from test_linalg import d_from_coords
         basis = d_basis(alg)
         commutant = [d for d in map(lambda c: d_from_coords(alg, c), coords)
                      if all(d * b == b * d for b in basis)]

@@ -514,3 +514,47 @@ def test_classify_general_flag(poset_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mode"] == "general"
     assert payload["count"] == 4
+
+
+@pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n"])
+@pytest.mark.parametrize("command", ["poset-info", "hypotheses", "classify"])
+def test_json_label_with_surrounding_whitespace_exits_2(tmp_path, capsys,
+                                                         label, command):
+    """Incidence-function keys "x,y" are read back stripped, so a label
+    " a" would not survive its own output: ``classify --json`` used to exit
+    0 on it, and feeding a representative back to ``equivalent`` exited 2
+    with "'a' is not below 'a'".  The label is now refused on input."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"elements": [label, "b", "c"], "covers": [[label, "b"], ["b", "c"]]}))
+    extra = {"poset-info": [], "hypotheses": ["--field", "F5"],
+             "classify": ["--field", "F5", "--json", "--lambda",
+                          json.dumps({label: "c", "b": "b", "c": label})]}
+    assert main([command, "--poset", str(bad), *extra[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: label ") and repr(label) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_line_format_strips_label_whitespace_so_output_round_trips(
+        tmp_path, capsys):
+    """The line format strips each label before building the poset, so it
+    cannot carry a label with surrounding whitespace: the same chain written
+    with padded labels reads as a, b, c, and each ``classify --json``
+    representative reads back through ``equivalent --check`` as equivalent
+    to itself."""
+    padded = tmp_path / "padded.txt"
+    padded.write_text(" a <b\n\tb< c \n")
+    assert main(["poset-info", "--poset", str(padded)]) == 0
+    assert "elements: a, b, c" in capsys.readouterr().out
+    assert main(["classify", "--poset", str(padded), "--field", "F5",
+                 "--lambda", " a : c , b : b , c : a ", "--json"]) == 0
+    representatives = json.loads(capsys.readouterr().out)["representatives"]
+    assert len(representatives) == 2
+    for n, rep in enumerate(representatives):
+        inv = tmp_path / f"rep{n}.json"
+        inv.write_text(json.dumps(rep))
+        assert main(["equivalent", "--poset", str(padded), "--field", "F5",
+                     "--check", str(inv), str(inv)]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True

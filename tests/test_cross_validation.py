@@ -10,13 +10,15 @@ import random
 
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField
-from incalg.idealization import DElem, inner_auto, lift_morphism, lift_scalar
+from incalg.idealization import DElem, inner_auto, lift_morphism
 from incalg.involutions import equivalent, equivalent_inner, recognize
 from incalg.morphisms import FiaMorphism
 from incalg.oracle import (
     enumerate_involutions_D, enumerate_units, orbit_partition,
     unit_group_generators,
 )
+
+from test_idealization import lift_scalar
 
 F3 = PrimeField(3)
 

@@ -37,19 +37,19 @@ from incalg.errors import (
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, d_basis, d_from_coords, d_one, inner_auto,
-    lift_morphism,
+    DElem, DLinearMap, d_basis, d_one, inner_auto, lift_morphism,
 )
 from incalg.involutions import (
     InvolutionSpec, _verify_intertwiner, build, classify, equivalent_inner,
     recognize, rho_eps,
 )
-from incalg.linalg import solve
 from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
 from incalg.posets import PosetMap, Poset
 
 from conftest import chain
 from test_fia_kernel import EDGE, ref_d_generators
+from test_hypotheses_reference import solve
+from test_linalg import d_from_coords
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

@@ -16,22 +16,42 @@ from incalg.derivations import (
 )
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, RationalField
-from incalg.involutions import check_hypotheses
-from incalg.linalg import rank, solve
+from incalg.linalg import rref
 from incalg.morphisms import (
-    _relation_rows, cocycle_obstruction, find_non_inner_cocycle,
-    mult_subset_inn, multiplicative_is_inner,
+    find_non_inner_cocycle, mult_subset_inn, multiplicative_is_inner,
 )
 from incalg.posets import Poset
-from incalg.snf import invariant_factors, smith_columns
+from incalg.snf import (
+    _relation_rows, check_hypotheses, cocycle_obstruction, smith_columns,
+)
 
 from conftest import chain
+from test_snf import invariant_factors
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
           PrimeField(13), QQ)
 
 
 # -- reference oracle --------------------------------------------------------
+
+
+def rank(field, rows):
+    return len(rref(field, rows)[1]) if rows else 0
+
+
+def solve(field, rows, rhs):
+    """One solution of A x = b, or None if inconsistent."""
+    if not rows:
+        return [] if all(v == field.zero for v in rhs) else None
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(field, aug)
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None  # pivot in the constant column
+    x = [field.zero] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
 
 
 def _pair_difference_matrix(poset):

@@ -4,19 +4,30 @@ import random
 import pytest
 
 from incalg.derivations import DerivationSpec
-from incalg.errors import NotAUnit, NotCentral
+from incalg.errors import NotAMorphism, NotAUnit, NotCentral
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
     CrossAntiMap, DElem, DLinearMap, central_pair, d_anti_isomorphic, d_basis,
     d_center_basis, d_from_json, d_one, factor_inner, inner_auto, lift_anti,
-    lift_auto, lift_central, lift_derivation, lift_morphism, lift_scalar,
-    random_d_unit, random_delem,
+    lift_central, lift_derivation, lift_morphism, random_d_unit, random_delem,
 )
 from incalg.linalg import rref
 from incalg.morphisms import FiaMorphism, FiLinearMap
 
 from test_morphisms import random_morphism
+
+
+def lift_auto(m):
+    """The block lift of an automorphism; an anti-automorphism is refused."""
+    if m.anti:
+        raise NotAMorphism("expected an automorphism")
+    return lift_morphism(m)
+
+
+def lift_scalar(alg, k):
+    """The sign-style lift [f; i] |-> [f; k i]."""
+    return lift_central(alg, alg.delta().scale(alg.field(k)))
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

@@ -7,10 +7,16 @@ import pytest
 
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import DLinearMap, d_from_coords
+from incalg.idealization import DElem, DLinearMap
 from incalg.morphisms import FiLinearMap
 
 from conftest import chain
+
+
+def d_from_coords(alg, coords):
+    """The pair whose coordinates, ring first, are ``coords``."""
+    n = alg.npairs
+    return DElem(IncFn(alg, tuple(coords[:n])), IncFn(alg, tuple(coords[n:])))
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

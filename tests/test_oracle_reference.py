@@ -26,7 +26,7 @@ from incalg.errors import NotConnected, SizeLimit
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto, lift_scalar,
+    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
 )
 from incalg.involutions import base_involution, sigma_lambda
 from incalg.oracle import (
@@ -34,6 +34,8 @@ from incalg.oracle import (
     unit_group_generators,
 )
 from incalg.posets import Poset
+
+from test_idealization import lift_scalar
 
 
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):

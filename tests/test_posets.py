@@ -45,6 +45,18 @@ def test_from_covers_errors():
         Poset.from_covers(["a"], [("a", "z")])
 
 
+@pytest.mark.parametrize("label", ["x,y", " a", "a ", "\ta", "a\u3000"])
+def test_label_that_would_not_read_back_is_refused(label):
+    """Incidence-function JSON keys are "x,y", split at the comma and
+    stripped: a label with a comma or surrounding whitespace (Unicode
+    whitespace too) would read back as another label."""
+    with pytest.raises(ParseError, match="comma or leading or trailing"):
+        Poset.from_covers([label, "b"], [(label, "b")])
+    with pytest.raises(ParseError):
+        Poset.from_json({"elements": [label], "covers": []})
+    assert Poset.from_covers(["a b", "\u200bc"], []).elements == ("a b", "\u200bc")
+
+
 def test_json_and_line_formats(diamond):
     assert Poset.from_json(diamond.to_json()) == diamond
     p = Poset.from_lines("a<b\nb<c\n# comment\nz\n")

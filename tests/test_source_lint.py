@@ -1,7 +1,8 @@
 """Source checks on the library: every module other than the package
-``__init__`` (which re-exports) uses each name it imports, and no module
+``__init__`` (which re-exports) uses each name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
-beyond a fixed allow-list."""
+beyond a fixed allow-list, and the CLI imports at module level only the
+modules every subcommand shares."""
 
 import ast
 from collections import Counter
@@ -53,6 +54,9 @@ TYPED = frozenset(name for name, obj in vars(errors).items()
 ALLOWED_RAISES = Counter({
     ("cli.py", "argparse.ArgumentTypeError"): 1,
     ("fields.py", "NotImplementedError"): 1,
+    # PEP 562: a module __getattr__ must raise AttributeError for an
+    # unknown name, or hasattr() and from-imports of submodules break
+    ("__init__.py", "AttributeError"): 1,
 })
 
 
@@ -95,3 +99,55 @@ def test_untyped_raise_is_reported():
               "    raise argparse.ArgumentTypeError\n")
     assert untyped_raises(source) == [
         (4, "assert"), (6, "ValueError"), (13, "argparse.ArgumentTypeError")]
+
+
+# Every CLI process runs one subcommand; what the module imports at its top
+# every subcommand pays for.  The rest is imported inside each cmd_*.
+CLI_TOP_LEVEL = {"errors", "fields", "posets", "snf"}
+
+
+def top_level_library_imports(source, filename="<source>"):
+    """The library modules a module imports outside every function body:
+    ``from .x import ...``, ``from . import x`` and ``import incalg.x``."""
+    found = set()
+    pending = list(ast.parse(source, filename=filename).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            package, _, module = ("incalg." * node.level + (node.module or "")
+                                  ).strip(".").partition(".")
+            if package == "incalg" and module:
+                found.add(module.split(".")[0])
+            elif package == "incalg":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("incalg."))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_cli_imports_only_shared_modules_at_top_level():
+    found = top_level_library_imports((SRC / "cli.py").read_text())
+    assert found <= CLI_TOP_LEVEL, found - CLI_TOP_LEVEL
+
+
+def test_top_level_import_is_reported():
+    source = ("import json\n"
+              "from .errors import ParseError\n"
+              "from . import oracle\n"
+              "import incalg.fia\n"
+              "from incalg import derivations\n"
+              "from incalg.linalg import rref\n"
+              "if json:\n"
+              "    from .involutions import classify\n"
+              "class C:\n"
+              "    from .idealization import DElem\n"
+              "def f():\n"
+              "    from .morphisms import decompose\n"
+              "    return decompose\n")
+    assert top_level_library_imports(source) == {
+        "errors", "oracle", "fia", "derivations", "linalg", "involutions",
+        "idealization"}

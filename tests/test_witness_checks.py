@@ -144,12 +144,14 @@ def test_optimized_interpreter_refuses_non_involutive_file(diamond_files):
 
 FORCED_WITNESS = """
 import sys
-from incalg import cli
+from incalg import cli, involutions
 from incalg.idealization import d_one
 from incalg.involutions import Verdict
 
-# a positive verdict whose witness, the unity, intertwines only equal maps
-cli.equivalent_inner = lambda s1, s2: Verdict(True, conjugator=d_one(s1.alg))
+# a positive verdict whose witness, the unity, intertwines only equal maps;
+# cmd_equivalent reads equivalent_inner from involutions when it runs
+involutions.equivalent_inner = (
+    lambda s1, s2: Verdict(True, conjugator=d_one(s1.alg)))
 sys.exit(cli.main(sys.argv[1:]))
 """
 
