@@ -7,15 +7,22 @@ involutions are found by exhausting conjugated relabel-and-sign maps and
 testing the square on the basis, and equivalence classes come from a
 union-find over explicit conjugations.  The loops run on value tuples (a
 signed coordinate permutation, two compiled-kernel calls per conjugation by
-a unit, psi M psi^-1 summed over psi's nonzero entries); that speeds each
-candidate up but still tries every one and compares whole matrices.
+a unit, psi M psi^-1 summed over psi's nonzero entries).
+
+A candidate is first rejected on its ring block, and that rejection is
+exact.  The ring coordinates of a product [a; c][b; d] = [ab; ad + cb] are
+the product of the ring coordinates, so on a ring basis vector b the ring
+coordinates of the candidate's square are f sigma(f sigma(b) f^-1) f^-1,
+fixed by the ring unit f alone.  If they miss b for one f, the whole-basis
+test fails for every bimodule coordinate j, so no j is tried.  Every
+candidate that passes still gets the whole-matrix test.
 """
 
 from itertools import product
 
-from .errors import NotConnected, SizeLimit, WitnessFailed
+from .errors import NotConnected, ParseError, SizeLimit, WitnessFailed
 from .fia import IncFn
-from .idealization import DElem, DLinearMap, d_basis, inner_auto
+from .idealization import DElem, DLinearMap, d_basis
 from .morphisms import _primitive_root
 
 UNIT_LIMIT = 200_000
@@ -23,6 +30,8 @@ UNIT_LIMIT = 200_000
 
 def count_units(alg, ring="FI"):
     """Number of units (FI) or of unit pairs (D); finite fields only."""
+    if ring not in ("FI", "D"):
+        raise ParseError(f"ring must be 'FI' or 'D', got {ring!r}")
     q = alg.field.order
     if q is None:
         return None
@@ -74,14 +83,38 @@ def _canonical_unit_ranges(alg):
     return f_ranges, i_ranges
 
 
+def _ring_involutive_units(alg, perm, units):
+    """The (f, f^-1) value pairs of ``units`` on whose ring block the
+    candidate squares to the identity: f sigma(f sigma(b) f^-1) f^-1 == b on
+    every ring basis vector b, with sigma(b) = b[perm] (the ring block of a
+    relabel-and-sign map carries no sign)."""
+    mul = alg._product
+    starts = [(b, tuple([b[q] for q in perm]))
+              for b in (alg.e(x, y).vals for x, y in alg.pairs)]
+    kept = []
+    for fvals, f_inv in units:
+        for b, b0 in starts:
+            r1 = mul(mul(fvals, b0), f_inv)
+            if mul(mul(fvals, tuple([r1[q] for q in perm])), f_inv) != b:
+                break
+        else:
+            kept.append((fvals, f_inv))
+    return kept
+
+
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
-    Exhausts conjugates of every relabel-and-sign map by units taken one
-    per central coset, keeps the maps that square to the identity on the
-    whole basis (in ``d_basis`` order, up to the first failure), and dedupes
-    by exact matrix equality.  The signed permutation's basis images are
-    computed once per (lam, k).
+    Exhausts conjugates of every relabel-and-sign map (over the distinct
+    signs, one in characteristic 2) by units taken one per central coset,
+    keeps the maps that square to the identity on the whole basis (in
+    ``d_basis`` order, up to the first failure), and dedupes by exact
+    matrix equality.  Each ring unit f is first tested, once per lam, on the
+    ring block of the square, which depends on f alone: an f that fails
+    there fails the whole-basis test for every bimodule coordinate j, so the
+    rejection is exact and its j are never tried.  Every candidate that
+    passes gets the whole-matrix test.  The signed permutation's basis
+    images are computed once per (lam, k).
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -93,15 +126,18 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         raise SizeLimit(f"{total} units exceeds the limit {limit}")
     p, mul, dmul = field.modulus, alg._product, alg._dproduct
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    units = [(fvals, IncFn(alg, fvals).inverse().vals)
+             for fvals in product(*f_ranges)]
+    signs = dict.fromkeys((field.one, field.neg(field.one)))
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
-        for k in (field.one, field.neg(field.one)):
+        kept = _ring_involutive_units(alg, perm, units)
+        for k in signs:
             starts = [((b.f.vals, b.i.vals), tuple([b.f.vals[q] for q in perm]),
                        tuple([k * b.i.vals[q] % p for q in perm]))
                       for b in d_basis(alg)]
-            for fvals in product(*f_ranges):
-                f_inv = IncFn(alg, fvals).inverse().vals
+            for fvals, f_inv in kept:
                 for ivals in product(*i_ranges):
                     j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
                     cols = []
@@ -137,12 +173,26 @@ def unit_group_generators(alg):
     return gens
 
 
+def _conjugation(g, h):
+    """The columns of d -> g d h over ``d_basis``: column e is the value
+    tuple of g e h, two calls of the D-product kernel.  Over Q the kernel is
+    an unreduced sum of products, so it takes ``Fraction`` values as is."""
+    alg, dmul = g.alg, g.alg._dproduct
+    gf, gi, hf, hi = g.f.vals, g.i.vals, h.f.vals, h.i.vals
+    zeros, eye = alg.zero().vals, [alg.e(x, y).vals for x, y in alg.pairs]
+    cols = ([dmul(*dmul(gf, gi, e, zeros), hf, hi) for e in eye]
+            + [dmul(*dmul(gf, gi, zeros, e), hf, hi) for e in eye])
+    return tuple([f + i for f, i in cols])
+
+
 def orbit_partition(items, conjugators, extra_maps=()):
     """Partition of ``items`` (matrices) under conjugation.
 
     ``conjugators`` are units; ``extra_maps`` are (map, inverse) matrix
     pairs joined into the same closure (used for non-inner conjugations).
-    Returns a list of index lists.  Each action and its inverse are kept as
+    Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
+    whose columns come straight from the D-product kernel (``_conjugation``);
+    a non-unit raises NotAUnit.  Each action and its inverse are kept as
     nonzero (row, value) entries per column; an image that is not an item
     (compared as a full matrix) raises WitnessFailed.
     """
@@ -160,19 +210,20 @@ def orbit_partition(items, conjugators, extra_maps=()):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    def sparse(m):
-        return [[(r, v) for r, v in enumerate(col) if v] for col in m.cols]
+    def sparse(cols):
+        return [[(r, v) for r, v in enumerate(col) if v] for col in cols]
 
     actions = {}
     for g in conjugators:
-        psi = inner_auto(g)
-        if psi.cols not in actions:
-            actions[psi.cols] = (sparse(psi), sparse(inner_auto(g.inverse())))
+        g_inv = g.inverse()
+        psi = _conjugation(g, g_inv)
+        if psi not in actions:
+            actions[psi] = (sparse(psi), sparse(_conjugation(g_inv, g)))
     for m, m_inv in extra_maps:
-        actions.setdefault(m.cols, (sparse(m), sparse(m_inv)))
+        actions.setdefault(m.cols, (sparse(m.cols), sparse(m_inv.cols)))
 
     for i, item in enumerate(items):
-        p, cols = item.alg.field.modulus, sparse(item)
+        p, cols = item.alg.field.modulus, sparse(item.cols)
         for psi, psi_inv in actions.values():
             image = []
             for col in psi_inv:  # column j: psi(M(psi^-1 e_j))

@@ -463,6 +463,37 @@ def test_verify_runs_the_oracle_on_chain3(poset_files, capsys):
     assert "FAIL" not in out
 
 
+VERIFY_CHAIN2_F3 = """\
+ok   algebra ring axioms
+ok   idealization ring axioms
+ok   unit inverses
+ok   inner decomposition round-trip
+info mult_subset_inn: True
+info der_equals_ider: True
+ok   classification for {"a": "b", "b": "a"}
+ok   oracle orbit count matches classification
+"""
+
+
+def test_verify_classifies_each_lambda_once(poset_files, capsys, monkeypatch):
+    """The oracle check sums the class counts of the classification loop:
+    one classify call per poset involution, and the same stdout."""
+    import incalg.involutions as involutions
+    calls = []
+    real = involutions.classify
+
+    def counting(poset, lam, *args, **kwargs):
+        calls.append(lam)
+        return real(poset, lam, *args, **kwargs)
+
+    monkeypatch.setattr(involutions, "classify", counting)
+    assert main(["verify", "--poset", str(poset_files["chain2"]),
+                 "--field", "F3"]) == 0
+    assert capsys.readouterr().out == VERIFY_CHAIN2_F3
+    lams = Poset.from_covers(["a", "b"], [("a", "b")]).involutions()
+    assert [lam.mapping for lam in calls] == [lam.mapping for lam in lams]
+
+
 @pytest.mark.parametrize("limit", ["-1", "ten"])
 def test_verify_rejects_a_bad_oracle_limit(poset_files, capsys, limit):
     with pytest.raises(SystemExit) as exc:

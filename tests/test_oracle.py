@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from incalg.errors import SizeLimit, WitnessFailed
+from incalg.errors import NotAUnit, ParseError, SizeLimit, WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import DElem, central_pair, d_one, inner_auto
+from incalg.idealization import (
+    DElem, DLinearMap, central_pair, d_one, inner_auto,
+)
 from incalg.involutions import base_involution, build, sigma_lambda
 from incalg.oracle import (
     count_units, enumerate_involutions_D, enumerate_units, orbit_partition,
@@ -23,6 +25,15 @@ def test_unit_counts(chain2, chain3):
     assert count_units(a2, "FI") == 12
     assert count_units(a2, "D") == 324
     assert count_units(a3, "D") == 157464
+
+
+@pytest.mark.parametrize("ring", ["fi", "d", "", None])
+def test_an_unknown_ring_is_refused(chain2, ring):
+    alg = IncidenceAlgebra(chain2, F3)
+    with pytest.raises(ParseError, match=repr(ring)):
+        count_units(alg, ring)
+    with pytest.raises(ParseError, match=repr(ring)):
+        list(enumerate_units(alg, ring))
 
 
 def test_enumerate_units_chain2(chain2):
@@ -48,7 +59,7 @@ def test_involution_enumeration_chain2(chain2):
     invs = enumerate_involutions_D(alg)
     # every matrix squares to the identity and is anti-multiplicative
     rng = random.Random(0)
-    from incalg.idealization import DLinearMap, random_delem
+    from incalg.idealization import random_delem
     ident = DLinearMap.identity(alg)
     for m in invs:
         assert m.compose(m) == ident
@@ -152,3 +163,36 @@ def test_unit_generators_generate(chain2):
                 seen.add(w)
                 frontier.append(w)
     assert len(seen) == count_units(alg, "D")
+
+
+def _units_and_a_non_unit(alg):
+    """Unit conjugators (the generators over a finite field, random units
+    over Q) and [e_xy; delta], whose ring coordinate is not a unit."""
+    if alg.field.order is not None:
+        units = unit_group_generators(alg)
+    else:
+        rng = random.Random(3)
+        units = [DElem(alg.random_unit(rng), alg.random(rng)) for _ in range(3)]
+    x, y = alg.poset.strict_pairs[0]
+    return units, DElem(alg.e(x, y), alg.delta())
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_orbit_partition_refuses_a_non_unit_conjugator(chain2, field):
+    alg = IncidenceAlgebra(chain2, field)
+    units, non_unit = _units_and_a_non_unit(alg)
+    items = [DLinearMap.identity(alg)]
+    for conjugators in ([non_unit], units + [non_unit], [non_unit] + units):
+        with pytest.raises(NotAUnit):
+            orbit_partition(items, conjugators)
+        with pytest.raises(NotAUnit):
+            orbit_partition([], conjugators)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_orbit_partition_of_no_items_is_empty(chain2, field):
+    alg = IncidenceAlgebra(chain2, field)
+    units, _ = _units_and_a_non_unit(alg)
+    assert orbit_partition([], units) == []
+    assert orbit_partition([], []) == []
+    assert orbit_partition([DLinearMap.identity(alg)], units) == [[0]]

@@ -3,11 +3,21 @@
 ``oracle.enumerate_involutions_D`` and ``oracle.orbit_partition`` run on
 value tuples: a precomputed signed permutation for the relabel-and-sign
 map, direct calls of the compiled product kernels, and conjugation of
-matrices by sparse columns.  The two functions below are the versions
-those replaced, kept verbatim as the reference: they build a ``DElem`` for
-every product and conjugate with dense ``DLinearMap.compose``.  Both must
-return the same matrices in the same order and the same partition, with
-and without ``python -O``.
+matrices by sparse columns.  The fast enumeration first rejects a candidate
+on its ring block, once per ring unit f: the ring coordinates of a
+D-product are the product of the ring coordinates, so those of the
+candidate's square on a ring basis vector depend on f alone, and an f that
+misses there fails the whole-basis test for every bimodule coordinate.  So
+the rejection is exact, and every candidate that passes it still gets the
+whole-matrix test.  The fast partition builds each conjugator's action from
+the D-product kernel.  The two functions below are the versions those
+replaced, kept verbatim as the reference: they build a ``DElem`` for every
+product, test every candidate on the whole basis, and conjugate with dense
+``DLinearMap.compose`` and ``inner_auto``.  Both must return the same
+matrices in the same order and the same partition, with and without
+``python -O``; the ring-block rejection must keep exactly the ring units
+that an ``IncFn`` computation of the ring block keeps, and each action must
+be ``inner_auto``'s matrix.
 """
 
 import os
@@ -151,10 +161,100 @@ def compare(alg):
 
 
 @pytest.mark.parametrize("bottom_up", [True, False])
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_fast_oracle_matches_reference_on_short_chains(n, p, bottom_up):
     assert compare(chain_algebra(n, p, bottom_up))
+
+
+def ring_units(alg):
+    """The (f, f^-1) value pairs of the ring units, one per central coset."""
+    f_ranges, _ = _canonical_unit_ranges(alg)
+    return [(fvals, IncFn(alg, fvals).inverse().vals)
+            for fvals in product(*f_ranges)]
+
+
+def relabel_perm(alg, lam):
+    return tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
+
+
+def ring_block_squares_to_identity_on(alg, lam, f, b):
+    """Whether the ring block of conjugation by f after the relabel map of
+    ``lam`` squares to the identity on the basis element b, computed on
+    ``IncFn`` objects."""
+    def sigma(g):
+        return IncFn(alg, tuple(g[lam(y), lam(x)] for x, y in alg.pairs))
+
+    f_inv = f.inverse()
+    return f * sigma(f * sigma(b) * f_inv) * f_inv == b
+
+
+def ring_block_squares_to_identity(alg, lam, f):
+    """The same on every basis element e_xy."""
+    return all(ring_block_squares_to_identity_on(alg, lam, f, alg.e(x, y))
+               for x, y in alg.pairs)
+
+
+@pytest.mark.parametrize("n, p, bottom_up", [
+    (2, 3, True), (2, 3, False), (2, 5, True), (2, 5, False), (2, 2, True),
+    (3, 3, True), (3, 3, False)])
+def test_ring_block_rejection_keeps_exactly_the_reference_units(n, p, bottom_up):
+    alg = chain_algebra(n, p, bottom_up)
+    units = ring_units(alg)
+    for lam in alg.poset.involutions():
+        perm = relabel_perm(alg, lam)
+        want = [u for u in units
+                if ring_block_squares_to_identity(alg, lam, IncFn(alg, u[0]))]
+        assert oracle._ring_involutive_units(alg, perm, units) == want
+        if p != 2:  # over F2 every ring unit passes
+            assert 0 < len(want) < len(units)
+
+
+@pytest.mark.parametrize("bottom_up", [True, False])
+def test_ring_block_test_computes_every_ring_column(bottom_up, monkeypatch):
+    """A ring unit that passes is tested on all ring basis columns, a unit
+    that fails on the first column on that one only.  Output comparisons
+    cannot see a skipped last column: it is the last element's diagonal
+    idempotent, and the unital square fixes it once it fixes the others."""
+    alg = chain_algebra(2, 3, bottom_up)
+    lam = alg.poset.involutions()[0]
+    perm = relabel_perm(alg, lam)
+    units = ring_units(alg)
+    passing = oracle._ring_involutive_units(alg, perm, units)
+    failing = [u for u in units if u not in passing]
+    calls = []
+    kernel = alg._product
+
+    def counting(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setattr(alg, "_product", counting)
+
+    def products(unit):
+        del calls[:]
+        oracle._ring_involutive_units(alg, perm, [unit])
+        return len(calls)
+
+    first = alg.e(*alg.pairs[0])
+    fails_first = next(
+        u for u in failing
+        if not ring_block_squares_to_identity_on(alg, lam, IncFn(alg, u[0]), first))
+    per_column = products(fails_first)
+    assert per_column > 0
+    assert all(products(u) == alg.npairs * per_column for u in passing)
+
+
+@pytest.mark.parametrize("p", [3, 5, None])
+def test_each_action_is_the_inner_automorphism(p):
+    alg = chain_algebra(3, p)
+    rng = random.Random(p or 0)
+    units = [DElem(alg.random_unit(rng), alg.random(rng)) for _ in range(6)]
+    units += [d_one(alg), central_pair(alg, 2, 1)]
+    for g in units:
+        g_inv = g.inverse()
+        assert oracle._conjugation(g, g_inv) == inner_auto(g).cols
+        assert oracle._conjugation(g_inv, g) == inner_auto(g_inv).cols
 
 
 def test_fast_oracle_matches_reference_on_chain3():
