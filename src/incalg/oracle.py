@@ -7,7 +7,7 @@ involutions are found by exhausting conjugated relabel-and-sign maps and
 testing the square on the basis, and equivalence classes come from a
 union-find over explicit conjugations.  The loops run on value tuples (a
 signed coordinate permutation, two compiled-kernel calls per conjugation by
-a unit, psi M psi^-1 summed over psi's nonzero entries).
+a unit, psi M psi^-1 summed over M's nonzero cells through an entry plan).
 
 A candidate is first rejected on its ring block, and that rejection is
 exact.  The ring coordinates of a product [a; c][b; d] = [ab; ad + cb] are
@@ -113,8 +113,8 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     ring block of the square, which depends on f alone: an f that fails
     there fails the whole-basis test for every bimodule coordinate j, so the
     rejection is exact and its j are never tried.  Every candidate that
-    passes gets the whole-matrix test.  The signed permutation's basis
-    images are computed once per (lam, k).
+    passes gets the whole-matrix test.  The signed basis images are built
+    once per (lam, k), and j^-1 once per (f, j) for both signs.
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -129,17 +129,18 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     units = [(fvals, IncFn(alg, fvals).inverse().vals)
              for fvals in product(*f_ranges)]
     signs = dict.fromkeys((field.one, field.neg(field.one)))
+    basis = [(b.f.vals, b.i.vals) for b in d_basis(alg)]
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
         kept = _ring_involutive_units(alg, perm, units)
-        for k in signs:
-            starts = [((b.f.vals, b.i.vals), tuple([b.f.vals[q] for q in perm]),
-                       tuple([k * b.i.vals[q] % p for q in perm]))
-                      for b in d_basis(alg)]
-            for fvals, f_inv in kept:
-                for ivals in product(*i_ranges):
-                    j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
+        by_sign = [(k, [(b, tuple([b[0][q] for q in perm]),
+                         tuple([k * b[1][q] % p for q in perm])) for b in basis],
+                    {}) for k in signs]
+        for fvals, f_inv in kept:
+            for ivals in product(*i_ranges):
+                j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
+                for k, starts, seen in by_sign:
                     cols = []
                     for b, f0, i0 in starts:
                         f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
@@ -149,14 +150,19 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
                             break
                         cols.append(f1 + i1)
                     else:
-                        found[tuple(cols)] = None  # an insertion-ordered set
+                        seen[tuple(cols)] = None  # an insertion-ordered set
+        for _, _, seen in by_sign:  # sign order; found keys keep their place
+            found.update(seen)
     return [DLinearMap(alg, cols) for cols in found]
 
 
 def unit_group_generators(alg):
-    """A generating set of the unit group of the idealization: diagonal
-    scalings by a primitive root, unipotent pair shifts, and bimodule
-    basis shifts."""
+    """A generating set of the whole unit group of the idealization: the
+    diagonal scalings by a primitive root, the shifts delta + e_xy for the
+    covers x < y, and the bimodule shifts [delta; e_xx].  The commutator of
+    the cover shifts 1 + e_xz and 1 + e_zy is 1 + e_xy, so they give every
+    pair shift; conjugating [delta; e_xx] by those gives e_xx - e_xy and
+    e_xx + e_wx, so every bimodule shift."""
     field = alg.field
     if field.order is None:
         raise SizeLimit("generators are enumerated for finite fields only")
@@ -166,11 +172,8 @@ def unit_group_generators(alg):
     for x in alg.poset.elements:
         vals = {y: (root if y == x else field.one) for y in alg.poset.elements}
         gens.append(DElem(alg.diagonal(vals), zero))
-    for x, y in alg.poset.strict_pairs:
-        gens.append(DElem(delta + alg.e(x, y), zero))
-    for x, y in alg.pairs:
-        gens.append(DElem(delta, alg.e(x, y)))
-    return gens
+    gens += [DElem(delta + alg.e(x, y), zero) for x, y in alg.poset.covers]
+    return gens + [DElem(delta, alg.e(x, x)) for x in alg.poset.elements]
 
 
 def _conjugation(g, h):
@@ -185,6 +188,18 @@ def _conjugation(g, h):
     return tuple([f + i for f, i in cols])
 
 
+def _entry_plan(psi, psi_inv):
+    """M -> psi M psi^-1 as, for each flat cell k = r d + s of M (column r,
+    row s), the (image cell j d + t, psi_inv[j][r] psi[s][t]) pairs over the
+    nonzero entries of row r of psi_inv and of column s of psi."""
+    d = len(psi)
+    rows = [[(j * d, col[r]) for j, col in enumerate(psi_inv) if col[r]]
+            for r in range(d)]
+    cols = [[(t, w) for t, w in enumerate(col) if w] for col in psi]
+    return [[(jd + t, v * w) for jd, v in rows[r] for t, w in cols[s]]
+            for r in range(d) for s in range(d)]
+
+
 def orbit_partition(items, conjugators, extra_maps=()):
     """Partition of ``items`` (matrices) under conjugation.
 
@@ -192,11 +207,13 @@ def orbit_partition(items, conjugators, extra_maps=()):
     pairs joined into the same closure (used for non-inner conjugations).
     Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
     whose columns come straight from the D-product kernel (``_conjugation``);
-    a non-unit raises NotAUnit.  Each action and its inverse are kept as
-    nonzero (row, value) entries per column; an image that is not an item
-    (compared as a full matrix) raises WitnessFailed.
+    a non-unit raises NotAUnit.  Each action becomes an entry plan
+    (``_entry_plan``), and an item's image sums its nonzero cells through
+    it; an image that is not an item (compared as a whole flat matrix)
+    raises WitnessFailed.
     """
-    index = {m.cols: i for i, m in enumerate(items)}
+    flats = [sum(m.cols, ()) for m in items]
+    index = {flat: i for i, flat in enumerate(flats)}
     parent = list(range(len(items)))
 
     def find(i):
@@ -210,33 +227,25 @@ def orbit_partition(items, conjugators, extra_maps=()):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    def sparse(cols):
-        return [[(r, v) for r, v in enumerate(col) if v] for col in cols]
-
     actions = {}
     for g in conjugators:
         g_inv = g.inverse()
         psi = _conjugation(g, g_inv)
         if psi not in actions:
-            actions[psi] = (sparse(psi), sparse(_conjugation(g_inv, g)))
+            actions[psi] = _conjugation(g_inv, g)
     for m, m_inv in extra_maps:
-        actions.setdefault(m.cols, (sparse(m.cols), sparse(m_inv.cols)))
+        actions.setdefault(m.cols, m_inv.cols)
+    plans = [_entry_plan(psi, psi_inv) for psi, psi_inv in actions.items()]
 
-    for i, item in enumerate(items):
-        p, cols = item.alg.field.modulus, sparse(item.cols)
-        for psi, psi_inv in actions.values():
-            image = []
-            for col in psi_inv:  # column j: psi(M(psi^-1 e_j))
-                mid = {}
-                for r, v in col:
-                    for s, w in cols[r]:
-                        mid[s] = mid.get(s, 0) + v * w
-                acc = [0] * len(cols)
-                for s, c in mid.items():
-                    for t, w in psi[s]:
-                        acc[t] += c * w
-                image.append(tuple([v % p for v in acc]) if p else tuple(acc))
-            j = index.get(tuple(image))
+    for i, (item, flat) in enumerate(zip(items, flats)):
+        p = item.alg.field.modulus
+        nonzero = [(k, v) for k, v in enumerate(flat) if v]
+        for plan in plans:
+            acc = [0] * len(flat)
+            for k, v in nonzero:
+                for c, w in plan[k]:
+                    acc[c] += v * w
+            j = index.get(tuple([v % p for v in acc]) if p else tuple(acc))
             if j is None:
                 raise WitnessFailed("items are not closed under conjugation")
             union(i, j)

@@ -149,10 +149,16 @@ def test_orbit_counts_match_classifier_chain2(chain2):
     assert res.count == len(partition)
 
 
-def test_unit_generators_generate(chain2):
-    # closure of the generators under multiplication is the whole unit group
-    alg = IncidenceAlgebra(chain2, F3)
+@pytest.mark.parametrize("name, p, count", [
+    ("chain2", 3, 5), ("chain3", 2, 8), ("vee", 2, 8), ("wedge", 3, 8)],
+    ids=["chain2-F3", "chain3-F2", "vee-F2", "wedge-F3"])
+def test_unit_generators_generate(name, p, count, request):
+    # n diagonal scalings, one shift per cover, n diagonal bimodule shifts;
+    # their closure under multiplication is the whole unit group
+    poset = request.getfixturevalue(name)
+    alg = IncidenceAlgebra(poset, PrimeField(p))
     gens = unit_group_generators(alg)
+    assert len(gens) == 2 * poset.n + len(poset.covers) == count
     seen = {d_one(alg)}
     frontier = [d_one(alg)]
     while frontier:

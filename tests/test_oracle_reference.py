@@ -3,21 +3,27 @@
 ``oracle.enumerate_involutions_D`` and ``oracle.orbit_partition`` run on
 value tuples: a precomputed signed permutation for the relabel-and-sign
 map, direct calls of the compiled product kernels, and conjugation of
-matrices by sparse columns.  The fast enumeration first rejects a candidate
-on its ring block, once per ring unit f: the ring coordinates of a
-D-product are the product of the ring coordinates, so those of the
-candidate's square on a ring basis vector depend on f alone, and an f that
-misses there fails the whole-basis test for every bimodule coordinate.  So
-the rejection is exact, and every candidate that passes it still gets the
-whole-matrix test.  The fast partition builds each conjugator's action from
-the D-product kernel.  The two functions below are the versions those
-replaced, kept verbatim as the reference: they build a ``DElem`` for every
-product, test every candidate on the whole basis, and conjugate with dense
-``DLinearMap.compose`` and ``inner_auto``.  Both must return the same
-matrices in the same order and the same partition, with and without
-``python -O``; the ring-block rejection must keep exactly the ring units
-that an ``IncFn`` computation of the ring block keeps, and each action must
-be ``inner_auto``'s matrix.
+flattened matrices through a per-action entry plan.  The fast enumeration
+first rejects a candidate on its ring block, once per ring unit f: the ring
+coordinates of a D-product are the product of the ring coordinates, so
+those of the candidate's square on a ring basis vector depend on f alone,
+and an f that misses there fails the whole-basis test for every bimodule
+coordinate.  So the rejection is exact, and every candidate that passes it
+still gets the whole-matrix test.  The fast partition builds each
+conjugator's action from the D-product kernel and, from the action and its
+inverse, a plan sending each cell of a matrix to the cells of its
+conjugate.  The three functions below are the versions those replaced,
+kept verbatim as the reference: they build a ``DElem`` for every product,
+test every candidate on the whole basis, conjugate with dense
+``DLinearMap.compose`` and ``inner_auto``, and generate the unit group
+with every pair shift and every bimodule shift (the oracle uses the cover
+shifts and the diagonal bimodule shifts only).  Both must return the same
+matrices in the same order, and the fast partition under the oracle's
+generators must equal the reference partition under the reference ones,
+with and without ``python -O``; the ring-block rejection must keep exactly
+the ring units that an ``IncFn`` computation of the ring block keeps, each
+action must be ``inner_auto``'s matrix, and each plan must send a matrix
+to its ``compose`` conjugate.
 """
 
 import os
@@ -39,9 +45,9 @@ from incalg.idealization import (
     DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
 )
 from incalg.involutions import base_involution, sigma_lambda
+from incalg.morphisms import _primitive_root
 from incalg.oracle import (
     UNIT_LIMIT, _canonical_unit_ranges, count_units, enumerate_units,
-    unit_group_generators,
 )
 from incalg.posets import Poset
 
@@ -140,6 +146,26 @@ def orbit_partition(items, conjugators, extra_maps=()):
     return [groups[r] for r in sorted(groups)]
 
 
+def unit_group_generators(alg):
+    """A generating set of the unit group of the idealization: diagonal
+    scalings by a primitive root, unipotent pair shifts, and bimodule
+    basis shifts."""
+    field = alg.field
+    if field.order is None:
+        raise SizeLimit("generators are enumerated for finite fields only")
+    gens = []
+    root = _primitive_root(field.order)
+    delta, zero = alg.delta(), alg.zero()
+    for x in alg.poset.elements:
+        vals = {y: (root if y == x else field.one) for y in alg.poset.elements}
+        gens.append(DElem(alg.diagonal(vals), zero))
+    for x, y in alg.poset.strict_pairs:
+        gens.append(DElem(delta + alg.e(x, y), zero))
+    for x, y in alg.pairs:
+        gens.append(DElem(delta, alg.e(x, y)))
+    return gens
+
+
 def chain_algebra(n, p, bottom_up=True):
     """The chain a < b < ... over GF(p), its elements listed bottom-up or
     top-down (the order sets the basis order, so the oracle's early exits
@@ -151,20 +177,22 @@ def chain_algebra(n, p, bottom_up=True):
 
 
 def compare(alg):
-    """Both oracles on ``alg``: the enumerated matrices (order and columns)
-    and their partition under the unit-group generators."""
+    """Both oracles on ``alg``: whether they enumerate the same matrices (in
+    order, column for column), and whether the fast partition under the
+    oracle's generators equals the reference partition under the reference
+    generators (every pair shift and every bimodule shift)."""
     fast = oracle.enumerate_involutions_D(alg)
     ref = enumerate_involutions_D(alg)
-    gens = unit_group_generators(alg)
-    return ([m.cols for m in fast] == [m.cols for m in ref]
-            and oracle.orbit_partition(fast, gens) == orbit_partition(ref, gens))
+    return ([m.cols for m in fast] == [m.cols for m in ref],
+            oracle.orbit_partition(fast, oracle.unit_group_generators(alg))
+            == orbit_partition(ref, unit_group_generators(alg)))
 
 
 @pytest.mark.parametrize("bottom_up", [True, False])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_fast_oracle_matches_reference_on_short_chains(n, p, bottom_up):
-    assert compare(chain_algebra(n, p, bottom_up))
+    assert compare(chain_algebra(n, p, bottom_up)) == (True, True)
 
 
 def ring_units(alg):
@@ -258,7 +286,65 @@ def test_each_action_is_the_inner_automorphism(p):
 
 
 def test_fast_oracle_matches_reference_on_chain3():
-    assert compare(chain_algebra(3, 3))
+    assert compare(chain_algebra(3, 3)) == (True, True)
+    assert compare(chain_algebra(3, 2)) == (True, True)
+
+
+def through_plan(plan, m):
+    """The columns of the image of the matrix ``m`` through an entry plan."""
+    flat, d, p = sum(m.cols, ()), len(m.cols), m.alg.field.modulus
+    acc = [0] * len(flat)
+    for k, v in enumerate(flat):
+        for c, w in plan[k]:
+            acc[c] += v * w
+    acc = [v % p for v in acc] if p else acc
+    return tuple(tuple(acc[j * d:(j + 1) * d]) for j in range(d))
+
+
+@pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
+def test_entry_plan_images_are_the_conjugates(p):
+    alg = chain_algebra(3, p)
+    rng = random.Random(p or 0)
+    d = 2 * alg.npairs
+
+    def value():  # often zero, so the plan skips cells
+        if p:
+            return rng.choice([0, 0] + list(range(p)))
+        return rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+    mats = [DLinearMap(alg, [[value() for _ in range(d)] for _ in range(d)])
+            for _ in range(4)] + [DLinearMap.identity(alg)]
+    units = [DElem(alg.random_unit(rng), alg.random(rng)) for _ in range(3)]
+    units.append(central_pair(alg, 2, 1))
+    actions = [(inner_auto(g), inner_auto(g.inverse())) for g in units]
+    k = alg.field(2)  # the lift [f; i] -> [f; 2i] is not inner
+    actions.append((lift_scalar(alg, k), lift_scalar(alg, alg.field.inv(k))))
+    for psi, psi_inv in actions:
+        assert psi.compose(psi_inv) == DLinearMap.identity(alg)
+        plan = oracle._entry_plan(psi.cols, psi_inv.cols)
+        for m in mats:
+            assert through_plan(plan, m) == psi.compose(m).compose(psi_inv).cols
+
+
+def test_orbit_partition_plans_each_action_ahead_of_its_inverse(monkeypatch):
+    """Partitions cannot tell an action from its inverse (a finite set
+    closed under one is closed under the other), so the order of the
+    arguments ``orbit_partition`` hands ``_entry_plan`` is checked here."""
+    alg = chain_algebra(2, 5)
+    gens = oracle.unit_group_generators(alg)
+    sign, sign_inv = lift_scalar(alg, 2), lift_scalar(alg, 3)
+    calls, plan = [], oracle._entry_plan
+
+    def recording(psi, psi_inv):
+        calls.append((psi, psi_inv))
+        return plan(psi, psi_inv)
+
+    monkeypatch.setattr(oracle, "_entry_plan", recording)
+    oracle.orbit_partition([DLinearMap.identity(alg)], gens, [(sign, sign_inv)])
+    want = dict.fromkeys((inner_auto(g).cols, inner_auto(g.inverse()).cols)
+                         for g in gens)
+    want.setdefault((sign.cols, sign_inv.cols))
+    assert calls == list(want)
 
 
 def test_partition_under_other_conjugators_matches_reference():
@@ -301,8 +387,8 @@ def test_partition_over_the_rationals():
 
 OPTIMIZED = """
 import test_oracle_reference as t
-print(__debug__, t.compare(t.chain_algebra(2, 5)),
-      t.compare(t.chain_algebra(2, 5, bottom_up=False)))
+print(__debug__, *t.compare(t.chain_algebra(2, 5)),
+      *t.compare(t.chain_algebra(2, 5, bottom_up=False)))
 """
 
 
@@ -315,4 +401,4 @@ def test_fast_oracle_matches_reference_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False True True\n"
+    assert proc.stdout == "False True True True True\n"
