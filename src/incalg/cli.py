@@ -6,18 +6,21 @@ Exit codes: 0 ok/equivalent, 1 not equivalent, 2 input error,
 normal form that fails the library's internal exact check (WitnessFailed)
 also exits 2, with a one-line message and no traceback.
 
-Each process runs one subcommand, so this module imports at its top only
+Each process runs one subcommand and, with bytecode writing off, compiles
+every library module it imports.  So the top of this module imports only
 what every subcommand shares: ``errors``, ``fields``, ``posets`` and the
-hypothesis decision in ``snf``.  Each ``cmd_*`` imports the rest itself,
-so ``poset-info`` and a passing ``hypotheses`` run never load the algebra,
-and only ``verify`` loads the oracle.
+hypothesis decision in ``snf``; each ``cmd_*`` imports the rest.
+``poset-info`` and a passing ``hypotheses`` run load no algebra.
+``classify`` and ``equivalent`` add ``involutions`` (the algebra and the
+idealization), and ``equivalent --general`` adds ``morphisms``.  ``verify``
+adds ``morphisms``, and the ``oracle`` only when the unit group is within
+``--oracle-limit``.
 """
 
 import argparse
 import json
-import random
+import os
 import sys
-from pathlib import Path
 
 from .errors import (
     Char2Unsupported, HypothesisFailed, IncalgError, NotAnInvolution,
@@ -34,12 +37,21 @@ EXIT_HYPOTHESIS = 3
 EXIT_CHAR2 = 4
 
 
+def _fs_path(path):
+    """The path ``pathlib.Path(path)`` names: empty is ``.``; ``.`` parts and
+    repeated or trailing slashes drop, two leading slashes stay two."""
+    rel = path.lstrip("/")
+    root = "//" if len(path) - len(rel) == 2 else "/" * (rel != path)
+    return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
+
+
 def read_input(path):
     """The UTF-8 text of the file at ``path``; a file that cannot be read
     (missing, a directory, no permission) or is not UTF-8 text raises
     ParseError naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(_fs_path(path), encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -58,11 +70,7 @@ def load_poset(path):
 def load_lambda(poset, spec):
     """Inline JSON object, inline a:b,c:d pairs, or a file holding either."""
     text = spec
-    try:
-        is_file = Path(spec).is_file()
-    except OSError:  # an inline map longer than a file name may be
-        is_file = False
-    if is_file:
+    if os.path.isfile(_fs_path(spec)):  # False for a map too long to stat
         text = read_input(spec)
     text = text.strip()
     if text.startswith("{"):
@@ -190,7 +198,9 @@ def cmd_equivalent(args):
 
 
 def cmd_verify(args):
-    from .fia import IncidenceAlgebra
+    import random
+
+    from .fia import IncidenceAlgebra, count_units
     from .idealization import d_one, random_d_unit, random_delem
     from .involutions import classify, equivalent_inner
     from .morphisms import FiaMorphism, decompose
@@ -253,15 +263,15 @@ def cmd_verify(args):
             check(f"classification for {json.dumps(lam.to_json(), sort_keys=True)}",
                   ok and pairwise)
         if field.order is not None:
-            from .oracle import (
-                count_units, enumerate_involutions_D, orbit_partition,
-                unit_group_generators,
-            )
             units = count_units(alg, "D")
             if units > args.oracle_limit:
                 print(f"info oracle check skipped: {units} units exceed "
                       f"--oracle-limit {args.oracle_limit}")
             else:
+                from .oracle import (
+                    enumerate_involutions_D, orbit_partition,
+                    unit_group_generators,
+                )
                 invs = enumerate_involutions_D(alg, limit=args.oracle_limit)
                 partition = orbit_partition(invs, unit_group_generators(alg))
                 check("oracle orbit count matches classification",

@@ -36,9 +36,11 @@ e_xw when y = z and zero otherwise), so a product u e_ab v with one basis
 element in the middle is rank one: its (x, y) entry is u(x, a) v(b, y) for
 x <= a and b <= y and zero elsewhere, one multiplication per entry and no
 sum (``rank_one``).
+
+``ColumnMap`` keeps a linear map's columns in the same stored form; both
+``morphisms.FiLinearMap`` and ``idealization.DLinearMap`` build on it.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -117,7 +119,8 @@ class IncidenceAlgebra:
         """The field elements of a stored-form vector."""
         if self.field.modulus is not None:
             return num
-        return tuple([Fraction(v, den) for v in num])
+        fraction = self.field.fraction
+        return tuple([fraction(v, den) for v in num])
 
     def _normal(self, num, den):
         """The stored form of integer numerators over a nonzero integer
@@ -368,7 +371,7 @@ class IncFn:
             return alg.field.zero
         if alg.field.modulus is not None:
             return self.num[k]
-        return Fraction(self.num[k], self.den)
+        return alg.field.fraction(self.num[k], self.den)
 
     def __add__(self, other):
         _check_context(self, other)
@@ -464,3 +467,94 @@ class IncFn:
 
 def center_basis(poset, field):
     return IncidenceAlgebra(poset, field).center_basis()
+
+
+def count_units(alg, ring="FI"):
+    """Number of units (FI) or of unit pairs (D); finite fields only."""
+    if ring not in ("FI", "D"):
+        raise ParseError(f"ring must be 'FI' or 'D', got {ring!r}")
+    q = alg.field.order
+    if q is None:
+        return None
+    n = len(alg.poset.elements)
+    strict = alg.npairs - n
+    fi_units = (q - 1) ** n * q ** strict
+    if ring == "FI":
+        return fi_units
+    return fi_units * q ** alg.npairs
+
+
+class ColumnMap:
+    """A K-linear endomorphism stored column-wise: column j, the image of
+    basis vector j, is held in the stored form of ``IncFn`` as the
+    numerators ``nums[j]`` over ``dens[j]``, so images, composition and
+    equality run on ints; ``cols`` gives the columns as field elements.
+    Subclasses fix the element type through ``from_function`` (which basis)
+    and ``apply``."""
+
+    __slots__ = ("alg", "nums", "dens")
+
+    def __init__(self, alg, cols):
+        if alg.field.modulus is None:
+            self._set(alg, [alg._lift(c) for c in cols])
+        else:  # the residues are the stored form
+            self.alg, self.nums = alg, tuple([tuple(c) for c in cols])
+            self.dens = (1,) * len(self.nums)
+
+    @classmethod
+    def _of(cls, alg, vecs):
+        """The map whose column j is vecs[j], a stored-form (num, den)."""
+        m = object.__new__(cls)
+        m._set(alg, vecs)
+        return m
+
+    def _set(self, alg, vecs):
+        self.alg = alg
+        self.nums = tuple([num for num, _ in vecs])
+        self.dens = tuple([den for _, den in vecs])
+
+    @classmethod
+    def identity(cls, alg):
+        return cls.from_function(alg, lambda v: v)
+
+    @property
+    def cols(self):
+        """The columns as field elements."""
+        if self.alg.field.modulus is not None:  # the residues themselves
+            return self.nums
+        return tuple([self.alg._values(num, den)
+                      for num, den in zip(self.nums, self.dens)])
+
+    def _image(self, num, den):
+        """The stored-form image of the stored-form vector (num, den): the
+        sum of num[j] col_j over the nonzero num[j], on integers over the
+        lcm of those columns' denominators."""
+        nums, dens = self.nums, self.dens
+        used = [j for j, c in enumerate(num) if c]
+        d = lcm(*[dens[j] for j in used])
+        acc = [0] * len(nums)
+        for j in used:
+            c = num[j] * (d // dens[j])
+            for r, v in enumerate(nums[j]):
+                if v:
+                    acc[r] += c * v
+        return self.alg._normal(acc, d * den)
+
+    def image(self, vec):
+        """The coordinate vector of the image of ``vec`` (field elements)."""
+        alg = self.alg
+        return alg._values(*self._image(*alg._lift(vec)))
+
+    def compose(self, other):
+        """self after other."""
+        if other.alg != self.alg:
+            raise ContextMismatch("maps over different contexts")
+        return self._of(self.alg, [self._image(num, den) for num, den
+                                   in zip(other.nums, other.dens)])
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.alg == other.alg
+                and self.nums == other.nums and self.dens == other.dens)
+
+    def __hash__(self):
+        return hash((self.nums, self.dens))

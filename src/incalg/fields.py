@@ -4,7 +4,9 @@ Values are kept in canonical raw form rather than wrapped: a rational is a
 ``fractions.Fraction`` (reduced, positive denominator) and a prime-field
 element is an ``int`` in ``[0, p)``.  A ``Field`` object supplies the
 operations, parsing, square detection and the square-class group
-``S_K = K*/(K*)^2``.
+``S_K = K*/(K*)^2``.  ``fractions`` is imported the first time a rational
+value is made or read (``RationalField.fraction``, ``zero`` and ``one``),
+so a process that works only over prime fields never loads it.
 
 Square classes are represented by ``SquareClass``: a one-bit square /
 non-square flag for GF(p), and a signed squarefree integer for Q.
@@ -12,7 +14,7 @@ Squarefree parts are found by trial division, so rational inputs are
 limited to desk scale (numerator and denominator at most ``10**12``).
 """
 
-from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import (
@@ -143,16 +145,23 @@ class RationalField(Field):
     """The field Q with Fraction values."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
     order = None
     square_class_count = None  # S_Q is infinite
 
+    @cached_property
+    def fraction(self):
+        """The ``Fraction`` class, imported on first use."""
+        from fractions import Fraction
+        return Fraction
+
+    zero = cached_property(lambda self: self.fraction(0))
+    one = cached_property(lambda self: self.fraction(1))
+
     def __call__(self, v):
-        if isinstance(v, Fraction):
+        if isinstance(v, self.fraction):
             return v
         if isinstance(v, int):
-            return Fraction(v)
+            return self.fraction(v)
         raise ParseError(f"not a rational value: {v!r}")
 
     def add(self, a, b):
@@ -173,7 +182,7 @@ class RationalField(Field):
         if not isinstance(s, str):
             raise ParseError(f"rational scalar {s!r} is not a string")
         try:
-            return Fraction(s.strip())
+            return self.fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational scalar {s!r}") from exc
 
@@ -185,7 +194,7 @@ class RationalField(Field):
             return None
         rn, rd = isqrt(a.numerator), isqrt(a.denominator)
         if rn * rn == a.numerator and rd * rd == a.denominator:
-            return Fraction(rn, rd)
+            return self.fraction(rn, rd)
         return None
 
     def square_class(self, a):
@@ -198,7 +207,7 @@ class RationalField(Field):
         raise SizeLimit("S_Q is infinite; no finite list of representatives")
 
     def random(self, rng, span=9):
-        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+        return self.fraction(rng.randint(-span, span), rng.randint(1, span))
 
     def random_nonzero(self, rng, span=9):
         while True:

@@ -8,17 +8,14 @@ call of the algebra's compiled idealization kernel
 no coordinate product, sum or zero test runs in Python.  Block-structured
 lifts turn algebra data (automorphisms, anti-automorphisms, central units,
 derivations) into (anti-)automorphisms of the big ring.  They are stored as
-``DLinearMap``: a ``linalg.ColumnMap`` over the doubled pair basis, ring
+``DLinearMap``: a ``fia.ColumnMap`` over the doubled pair basis, ring
 coordinates first, so its 2x2 blocks are maps of the algebra.
 """
 
-from .derivations import DerivationSpec, leibniz_check
 from .errors import (
     ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
 )
-from .fia import IncidenceAlgebra, _check_context, _fn, _over_one
-from .linalg import ColumnMap
-from .morphisms import FiaMorphism
+from .fia import ColumnMap, IncidenceAlgebra, _check_context, _fn, _over_one
 from .posets import SEARCH_SIZE_BOUND
 
 
@@ -222,6 +219,7 @@ def lift_central(alg, g):
 
 def lift_derivation(alg, d):
     """Unitriangular lift [f; i] |-> [f; D(f) + i]."""
+    from .derivations import DerivationSpec, leibniz_check
     if not isinstance(d, DerivationSpec) and not leibniz_check(alg, d):
         raise NotADerivation("lift requires a derivation")
     return DLinearMap.from_function(
@@ -240,6 +238,8 @@ def inner_auto(theta):
 def factor_inner(theta):
     """Split conjugation by [f; j] as the lifted ring conjugation followed
     by the derivation lift with -f^-1 j; returns (ring part, derivation)."""
+    from .derivations import DerivationSpec
+    from .morphisms import FiaMorphism
     if not theta.is_unit():
         raise NotAUnit("inner automorphism needs a unit")
     alg = theta.alg

@@ -14,7 +14,6 @@ returned witness, count or normal form raises WitnessFailed.
 
 import itertools
 
-from .derivations import additive_is_inner, split_raw_derivation
 from .errors import (
     BadSign, Char2Unsupported, ContextMismatch, FixedPointsPresent,
     HypothesisFailed, NotADerivation, NotAMorphism, NotAnInvolution, NotAUnit,
@@ -25,9 +24,6 @@ from .fia import IncidenceAlgebra
 from .fields import class_eq_up_to_shift
 from .idealization import (
     DElem, DLinearMap, central_pair, d_from_json, d_one,
-)
-from .morphisms import (
-    FiaMorphism, FiLinearMap, decompose, multiplicative_is_inner,
 )
 from .posets import PosetMap, lambda_decomposition
 from .snf import check_hypotheses
@@ -384,6 +380,10 @@ def _factor(raw, ring_columns):
     Both are read off raw's columns through m11 alone: g is m11 of the
     bimodule image of [0; delta], and column k of D is g^-1 m11(b21[k]).
     """
+    from .derivations import additive_is_inner, split_raw_derivation
+    from .morphisms import (
+        FiaMorphism, FiLinearMap, decompose, multiplicative_is_inner,
+    )
     alg = raw.alg
     poset = alg.poset
     m11 = decompose(FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]),
@@ -501,6 +501,7 @@ def _relabelled_spec(spec, alpha):
     poset automorphism alpha, in factored form: L o conj(theta) o base o
     L^-1 is conj(L(theta)) after the relabel by alpha lam alpha^-1 with
     the same sign."""
+    from .morphisms import FiaMorphism
     alg = spec.alg
     relabel = FiaMorphism.induced(alg, alpha)
     moved = DElem(relabel.apply(spec.theta.f), relabel.apply(spec.theta.i))

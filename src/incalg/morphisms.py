@@ -5,7 +5,7 @@ Every unital algebra (anti-)automorphism factors as
     inner conjugation  o  entrywise cocycle scaling  o  poset relabeling,
 
 and ``decompose`` recovers that factorization from a raw matrix (a
-``FiLinearMap``, the algebra's ``linalg.ColumnMap``), certified by exact
+``FiLinearMap``, the algebra's ``fia.ColumnMap``), certified by exact
 recomposition on the whole basis.  The relabeling is the poset map's
 ``pair_permutation``; the scaling is a cocycle checked by
 ``validate_cocycle`` on every chain x < z < y, the check the additive
@@ -26,8 +26,7 @@ from .errors import (
     ContextMismatch, InvalidCocycle, NotAMorphism, NotUnital, ParseError,
     WitnessFailed,
 )
-from .fia import IncFn
-from .linalg import ColumnMap
+from .fia import ColumnMap, IncFn
 from .posets import PosetMap, identity_map
 from .snf import _mult_inner_rule, _smith_reading, cocycle_obstruction
 

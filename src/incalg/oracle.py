@@ -20,27 +20,12 @@ candidate that passes still gets the whole-matrix test.
 
 from itertools import product
 
-from .errors import NotConnected, ParseError, SizeLimit, WitnessFailed
-from .fia import IncFn
+from .errors import NotConnected, SizeLimit, WitnessFailed
+from .fia import IncFn, count_units
 from .idealization import DElem, DLinearMap, d_basis
 from .morphisms import _primitive_root
 
 UNIT_LIMIT = 200_000
-
-
-def count_units(alg, ring="FI"):
-    """Number of units (FI) or of unit pairs (D); finite fields only."""
-    if ring not in ("FI", "D"):
-        raise ParseError(f"ring must be 'FI' or 'D', got {ring!r}")
-    q = alg.field.order
-    if q is None:
-        return None
-    n = len(alg.poset.elements)
-    strict = alg.npairs - n
-    fi_units = (q - 1) ** n * q ** strict
-    if ring == "FI":
-        return fi_units
-    return fi_units * q ** alg.npairs
 
 
 def enumerate_units(alg, ring="FI", limit=UNIT_LIMIT):

@@ -107,6 +107,21 @@ def test_long_inline_lambda_is_not_a_file_name(poset_files, capsys):
     assert capsys.readouterr().out == short
 
 
+def test_paths_read_as_pathlib_names_them(poset_files, tmp_path, capsys,
+                                         monkeypatch):
+    """A trailing slash and a ``.`` part drop, and an empty path is ``.``."""
+    chain2 = str(poset_files["chain2"])
+    assert main(["poset-info", "--poset", chain2 + "/"]) == 0
+    assert "connected: yes" in capsys.readouterr().out
+    (tmp_path / "lam.txt").write_text("a:b,b:a")
+    assert main(["classify", "--poset", chain2, "--field", "F3", "--lambda",
+                 f"{tmp_path}/./lam.txt/"]) == 0
+    assert "count: " in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(["poset-info", "--poset", ""]) == 2
+    assert capsys.readouterr().err == "error: cannot read : Is a directory\n"
+
+
 @pytest.mark.parametrize("obj, named", [
     ({"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]},
      "['a', 'b', 'c']"),

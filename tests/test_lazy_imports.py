@@ -9,6 +9,7 @@ tests have already imported everything."""
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,12 @@ from pathlib import Path
 import pytest
 
 import incalg
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import PrimeField
+from incalg.idealization import random_d_unit
+from incalg.involutions import InvolutionSpec, classify, recognize
+
+from conftest import chain
 
 SRC = Path(incalg.__file__).resolve().parents[1]
 
@@ -51,19 +58,29 @@ def test_submodule_attribute_access_still_works():
     assert incalg.fia.IncFn is incalg.IncFn
 
 
-def _loaded_after(script, *argv):
-    """Exit code, stdout and the incalg submodules loaded once ``script``
-    has run in a fresh interpreter; the script's last stdout line must be
-    the JSON list of ``sys.modules``."""
+def _modules_after(script, *argv, flags=()):
+    """Exit code, stdout and every module in ``sys.modules`` once ``script``
+    has run in a fresh interpreter started with ``flags``; the script's last
+    stdout line must be the JSON list of ``sys.modules``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert "Traceback" not in proc.stderr, proc.stderr
     *out, modules = proc.stdout.splitlines()
-    loaded = {m.split(".", 1)[1] for m in json.loads(modules)
-              if m.startswith("incalg.")}
-    return proc.returncode, "\n".join(out), loaded
+    return proc.returncode, "\n".join(out), set(json.loads(modules))
+
+
+def _incalg(modules):
+    """The incalg submodules among ``modules``, by short name."""
+    return {m.split(".", 1)[1] for m in modules if m.startswith("incalg.")}
+
+
+def _loaded_after(script, *argv):
+    """Exit code, stdout and the incalg submodules loaded once ``script``
+    has run in a fresh interpreter."""
+    code, out, modules = _modules_after(script, *argv)
+    return code, out, _incalg(modules)
 
 
 RUN_CLI = """
@@ -91,6 +108,8 @@ def posets(tmp_path):
     for name, covers in {
         "diamond": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
         "crown": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
+        "chain2": [["a", "b"]],
+        "chain4": [["a", "b"], ["b", "c"], ["c", "d"]],
     }.items():
         elements = sorted({x for pair in covers for x in pair})
         files[name] = tmp_path / f"{name}.json"
@@ -130,3 +149,128 @@ def test_classify_loads_no_oracle(posets):
         "F3", "--lambda", "0:1,1:0,a:a,b:b")
     assert code == 0 and "count: 4" in out
     assert "involutions" in loaded and "oracle" not in loaded
+
+
+# What a subcommand never runs it should not compile: classify and inner
+# equivalence need neither the raw-matrix factoring (morphisms,
+# derivations), nor row reduction, nor the oracle, and over F_p no Fraction.
+NOT_FOR_CLASSIFY = {"morphisms", "derivations", "linalg", "oracle"}
+CHAIN4_LAM = "a:d,b:c,c:b,d:a"
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["inner", "general"])
+def test_classify_over_fp_loads_no_recognize_path(posets, general):
+    argv = ["classify", "--poset", str(posets["chain4"]), "--field", "F5",
+            "--lambda", CHAIN4_LAM] + ["--general"] * general
+    code, out, modules = _modules_after(RUN_CLI, *argv)
+    assert code == 0 and "count: " in out
+    loaded = _incalg(modules)
+    assert "involutions" in loaded
+    assert not loaded & NOT_FOR_CLASSIFY, loaded & NOT_FOR_CLASSIFY
+    assert not modules & {"fractions", "decimal"}
+
+
+def test_classify_over_q_loads_fractions_and_prints_the_same(posets):
+    code, out, modules = _modules_after(
+        RUN_CLI, "classify", "--poset", str(posets["chain4"]), "--field", "Q",
+        "--lambda", CHAIN4_LAM)
+    assert code == 0 and "fractions" in modules
+    lam = '"lambda": {"a": "d", "b": "c", "c": "b", "d": "a"}'
+    lines = ["mode: inner", "fixed points: none", "count: 4"]
+    for kind, diag in (("plain", ("1", "1")), ("skew", ("-1", "-1"))):
+        for k in (1, -1):
+            theta = ('{"f": {"entries": {"a,a": "1", "b,b": "1", '
+                     f'"c,c": "{diag[0]}", "d,d": "{diag[1]}"}}}}, '
+                     '"i": {"entries": {}}}')
+            lines.append(f'  representative: {{"k": {k}, {lam}, '
+                         f'"theta": {theta}}}')
+            lines.append(f'    invariant: {{"kind": "{kind}", {lam}, '
+                         f'"sign": {k}}}')
+    assert out.splitlines() == lines
+
+
+def _conjugate(rep, seed):
+    """rep conjugated by a random unit u: its normal form has the unit
+    u theta base(u)."""
+    u = random_d_unit(rep.alg, random.Random(seed))
+    return InvolutionSpec(rep.alg, u * rep.theta * rep.base_apply(u),
+                          rep.lam, rep.k)
+
+
+@pytest.fixture
+def involution_files(tmp_path):
+    """Two inner-equivalent involutions on chain4 over F5: a representative
+    and a conjugate of it."""
+    alg = IncidenceAlgebra(chain(4), PrimeField(5))
+    lam = alg.poset.involutions()[0]
+    rep = classify(alg.poset, lam, alg.field).representatives[0]
+    files = []
+    for i, spec in enumerate((rep, _conjugate(rep, 7))):
+        files.append(tmp_path / f"inv{i}.json")
+        files[-1].write_text(json.dumps(spec.to_json()))
+    return [str(f) for f in files]
+
+
+def test_inner_equivalent_over_fp_loads_no_recognize_path(
+        posets, involution_files):
+    code, out, modules = _modules_after(
+        RUN_CLI, "equivalent", "--poset", str(posets["chain4"]), "--field",
+        "F5", "--check", *involution_files)
+    assert code == 0 and '"equivalent": true' in out
+    loaded = _incalg(modules)
+    assert not loaded & NOT_FOR_CLASSIFY, loaded & NOT_FOR_CLASSIFY
+    assert not modules & {"fractions", "decimal"}
+
+
+def test_general_equivalent_loads_morphisms_but_no_derivations(
+        posets, involution_files):
+    code, out, loaded = _loaded_after(
+        RUN_CLI, "equivalent", "--general", "--poset", str(posets["chain4"]),
+        "--field", "F5", "--check", *involution_files)
+    assert code == 0 and '"kind": "general"' in out
+    assert "morphisms" in loaded
+    assert not loaded & {"derivations", "linalg", "oracle"}
+
+
+def test_verify_loads_the_oracle_only_to_run_it(posets):
+    code, out, loaded = _loaded_after(
+        RUN_CLI, "verify", "--poset", str(posets["chain4"]), "--field", "F5")
+    assert code == 0 and "info oracle check skipped" in out
+    assert "oracle" not in loaded
+    code, out, loaded = _loaded_after(
+        RUN_CLI, "verify", "--poset", str(posets["chain2"]), "--field", "F3")
+    assert code == 0
+    assert "ok   oracle orbit count matches classification" in out
+    assert "oracle" in loaded
+
+
+def test_poset_info_loads_no_pathlib_or_random(posets):
+    """Under ``python -S`` no site hook imports ``pathlib`` or ``random``
+    first, so their absence is the CLI's own doing."""
+    code, out, modules = _modules_after(
+        RUN_CLI, "poset-info", "--poset", str(posets["diamond"]),
+        flags=("-S",))
+    assert code == 0 and "connected: yes" in out
+    assert not modules & {"pathlib", "random"}
+
+
+def test_deferred_imports_read_the_module_binding(monkeypatch):
+    """``recognize`` imports ``decompose`` and ``split_raw_derivation`` when
+    it runs, so a wrapper put on their home modules afterwards (as the
+    benchmark's tracer does) sees every call."""
+    import incalg.derivations
+    import incalg.morphisms
+    calls = []
+    for module, name in ((incalg.morphisms, "decompose"),
+                         (incalg.derivations, "split_raw_derivation")):
+        def counted(*args, _original=getattr(module, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    alg = IncidenceAlgebra(chain(3), PrimeField(5))
+    lam = alg.poset.involutions()[0]
+    rep = classify(alg.poset, lam, alg.field).representatives[-1]
+    raw = _conjugate(rep, 11).to_linear()
+    assert recognize(raw).to_linear() == raw
+    assert calls == ["decompose", "split_raw_derivation"]
