@@ -11,9 +11,9 @@ every library module it imports.  So the top of this module imports only
 what every subcommand shares: ``errors``, ``fields``, ``posets`` and the
 hypothesis decision in ``snf``; each ``cmd_*`` imports the rest.
 ``poset-info`` and a passing ``hypotheses`` run load no algebra.
-``classify`` and ``equivalent`` add ``involutions`` (the algebra and the
-idealization), and ``equivalent --general`` adds ``morphisms``.  ``verify``
-adds ``morphisms``, and the ``oracle`` only when the unit group is within
+``classify`` and ``equivalent``, inner or ``--general``, add
+``involutions`` (the algebra and the idealization).  ``verify`` adds
+``morphisms``, and the ``oracle`` only when the unit group is within
 ``--oracle-limit``.
 """
 
@@ -78,6 +78,8 @@ def load_lambda(poset, spec):
             mapping = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad map: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("bad map: JSON nested too deeply") from exc
     else:
         mapping = {}
         for part in text.split(","):
@@ -101,23 +103,24 @@ def _emit(payload, as_json):
 
 def cmd_poset_info(args):
     poset = load_poset(args.poset)
-    involutions = poset.involutions()
+    autos, antis = poset.automorphisms(), poset.anti_automorphisms()
+    involutions = [m for m in antis if m.is_involution()]
     payload = {
         "elements": ", ".join(str(x) for x in poset.elements),
         "covers": ", ".join(f"{x}<{y}" for x, y in poset.covers),
         "connected": "yes" if poset.is_connected() else "no",
         "all-comparable": ", ".join(
             sorted(str(x) for x in poset.all_comparable_elements())) or "none",
-        "automorphisms": len(poset.automorphisms()),
-        "anti-automorphisms": len(poset.anti_automorphisms()),
+        "automorphisms": len(autos),
+        "anti-automorphisms": len(antis),
         "involutions": "; ".join(
             json.dumps(m.to_json(), sort_keys=True) for m in involutions) or "none",
     }
-    if not poset.anti_automorphisms():
+    if not antis:
         payload["note"] = ("no anti-automorphisms: the idealization ring "
                            "admits no involution over any field")
     if args.json:
-        payload["automorphism_maps"] = [m.to_json() for m in poset.automorphisms()]
+        payload["automorphism_maps"] = [m.to_json() for m in autos]
         payload["involution_maps"] = [m.to_json() for m in involutions]
     _emit(payload, args.json)
     return EXIT_OK
@@ -176,6 +179,9 @@ def _load_involution(alg, path):
         obj = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad involution file {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"bad involution file {path}: JSON nested too "
+                         f"deeply") from exc
     try:
         return involution_from_json(alg, obj)
     except (KeyError, TypeError) as exc:

@@ -465,10 +465,6 @@ class IncFn:
         return "IncFn(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def center_basis(poset, field):
-    return IncidenceAlgebra(poset, field).center_basis()
-
-
 def count_units(alg, ring="FI"):
     """Number of units (FI) or of unit pairs (D); finite fields only."""
     if ring not in ("FI", "D"):

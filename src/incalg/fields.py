@@ -329,11 +329,12 @@ QQ = RationalField()
 
 
 def parse_field(spec):
-    """Parse a field spec string: "Q" or "F<p>" (e.g. "F5")."""
+    """Parse a field spec string: "Q" or "F<p>" (e.g. "F5"), p in ASCII
+    digits."""
     s = spec.strip()
     if s == "Q":
         return QQ
-    if s.startswith("F") and s[1:].isdigit():
+    if s.startswith("F") and s[1:].isascii() and s[1:].isdigit():
         return PrimeField(int(s[1:]))
     raise ParseError(f"bad field spec {spec!r}")
 

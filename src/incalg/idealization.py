@@ -12,9 +12,7 @@ derivations) into (anti-)automorphisms of the big ring.  They are stored as
 coordinates first, so its 2x2 blocks are maps of the algebra.
 """
 
-from .errors import (
-    ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, NotCentral,
-)
+from .errors import ContextMismatch, NotADerivation, NotAMorphism, NotAUnit
 from .fia import ColumnMap, IncidenceAlgebra, _check_context, _fn, _over_one
 from .posets import SEARCH_SIZE_BOUND
 
@@ -74,9 +72,6 @@ class DElem:
             raise NotAUnit("ring coordinate is not a unit")
         f_inv = self.f.inverse()
         return DElem(f_inv, -(f_inv * self.i * f_inv))
-
-    def coords(self):
-        return self.f.vals + self.i.vals
 
     def _vector(self):
         """The stored form (num, den) of the coordinate vector: over the
@@ -173,13 +168,6 @@ class DLinearMap(ColumnMap):
         return [_split(self.alg, num, den)
                 for num, den in zip(self.nums, self.dens)]
 
-    def blocks(self):
-        """(ring->ring, bimodule->ring, ring->bimodule, bimodule->bimodule)
-        blocks as column lists."""
-        n, cols = self.alg.npairs, self.columns()
-        return ([c.f.vals for c in cols[:n]], [c.f.vals for c in cols[n:]],
-                [c.i.vals for c in cols[:n]], [c.i.vals for c in cols[n:]])
-
     def is_involution(self):
         return self.compose(self) == DLinearMap.identity(self.alg)
 
@@ -208,13 +196,6 @@ def lift_anti(m):
     if not m.anti:
         raise NotAMorphism("expected an anti-automorphism")
     return lift_morphism(m)
-
-
-def lift_central(alg, g):
-    """[f; i] |-> [f; g i] for a central unit g."""
-    if not (g.is_unit() and alg.is_central(g)):
-        raise NotCentral("lift requires a central unit")
-    return DLinearMap.from_function(alg, lambda d: DElem(d.f, g * d.i))
 
 
 def lift_derivation(alg, d):

@@ -500,13 +500,19 @@ def _relabelled_spec(spec, alpha):
     """spec conjugated by the ring lift L of the relabeling induced by the
     poset automorphism alpha, in factored form: L o conj(theta) o base o
     L^-1 is conj(L(theta)) after the relabel by alpha lam alpha^-1 with
-    the same sign."""
-    from .morphisms import FiaMorphism
-    alg = spec.alg
-    relabel = FiaMorphism.induced(alg, alpha)
-    moved = DElem(relabel.apply(spec.theta.f), relabel.apply(spec.theta.i))
+    the same sign.  Entry t of L(f) is entry ``alpha.pair_permutation()[t]``
+    of f: the induced relabel has no cocycle scaling and no conjugator."""
+    perm = alpha.pair_permutation()
+    moved = DElem(spec.theta.f.permuted(perm), spec.theta.i.permuted(perm))
     lam = alpha.compose(spec.lam).compose(alpha.inverse())
-    return InvolutionSpec(alg, moved, lam, spec.k, _validated=True)
+    return InvolutionSpec(spec.alg, moved, lam, spec.k, _validated=True)
+
+
+def _intertwines(alpha, lam1, lam2):
+    """Whether alpha o lam2 = lam1 o alpha, read on the mappings: alpha
+    carries lam2 to lam1 by conjugation."""
+    a, l1, l2 = alpha.mapping, lam1.mapping, lam2.mapping
+    return all(a[l2[x]] == l1[a[x]] for x in a)
 
 
 def _relabel_by_pairs(spec, alpha):
@@ -603,7 +609,7 @@ def equivalent(s1, s2):
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
     carriers = [a for a in alg.poset.automorphisms()
-                if a.compose(s2.lam).compose(a.inverse()) == s1.lam]
+                if _intertwines(a, s1.lam, s2.lam)]
     if not carriers:
         return Verdict(False, distinguisher="lambda")
     for alpha in carriers:
@@ -665,12 +671,11 @@ class Classification:
 def _chi_orbit_fold(poset, lam, fixed, tuples):
     """Fold canonical square-class tuples by the automorphisms commuting
     with the involution; keeps the lexicographically first of each orbit."""
-    normalizer = [a for a in poset.automorphisms()
-                  if a.compose(lam) == lam.compose(a)]
-    index = {x: i for i, x in enumerate(fixed)}
+    normalizer = [a for a in poset.automorphisms() if _intertwines(a, lam, lam)]
 
     def act(alpha, tup):
-        moved = {x: tup[index[alpha.inverse()(x)]] for x in fixed}
+        # alpha commutes with lam, so it permutes the fixed points
+        moved = {alpha(x): v for x, v in zip(fixed, tup)}
         head = moved[fixed[0]]
         return tuple(moved[x] * head.inverse() for x in fixed)
 

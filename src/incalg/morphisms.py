@@ -109,16 +109,8 @@ class FiaMorphism:
         self._perm = self.posetmap.pair_permutation()
 
     @classmethod
-    def identity(cls, alg):
-        return cls(alg)
-
-    @classmethod
     def inner(cls, alg, u):
         return cls(alg, u=u)
-
-    @classmethod
-    def multiplicative(cls, alg, sigma):
-        return cls(alg, sigma=sigma)
 
     @classmethod
     def induced(cls, alg, posetmap):

@@ -33,6 +33,9 @@ class Poset:
         if len(self.index) != self.n:
             raise DuplicateLabel("poset labels must be distinct")
         self.leq_rows = tuple(tuple(row) for row in leq_rows)
+        # the dual order: an anti-isomorphism onto this poset is an
+        # isomorphism onto its dual
+        self.geq_rows = tuple(zip(*self.leq_rows))
         for i in range(self.n):
             for j in range(self.n):
                 if self.leq_rows[i][j] and self.leq_rows[j][i] and i != j:
@@ -98,6 +101,8 @@ class Poset:
                 obj = json.loads(obj)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(exc)) from exc
+            except RecursionError as exc:
+                raise ParseError("poset JSON nested too deeply") from exc
         try:
             elements, covers = obj["elements"], obj["covers"]
         except (KeyError, TypeError) as exc:
@@ -207,45 +212,41 @@ class Poset:
 
     def maps_to(self, other, anti=False, size_bound=SEARCH_SIZE_BOUND):
         """All order isomorphisms (anti=False) or anti-isomorphisms
-        (anti=True) from this poset onto ``other``, by backtracking."""
+        (anti=True) from this poset onto ``other``, by backtracking in
+        element order; an anti-isomorphism is an isomorphism onto the dual
+        of ``other``."""
         if self.n > size_bound or other.n > size_bound:
             raise SizeLimit(f"symmetry search limited to {size_bound} elements")
         if self.n != other.n:
             return []
-        src, dst = self.elements, other.elements
-        # degree profile must match (reversed for anti-isomorphisms)
-        def profile(P, x, flip):
-            d, u = len(P.down(x)), len(P.up(x))
-            return (u, d) if flip else (d, u)
+        n, src = self.n, self.leq_rows
+        dst = other.geq_rows if anti else other.leq_rows
+
+        def degrees(rows):  # (down, up) degree of each element
+            return [(sum(col), sum(row)) for row, col in zip(rows, zip(*rows))]
+
+        src_deg, dst_deg = degrees(src), degrees(dst)
         out = []
-        assign = {}
-        used = set()
+        image = []  # image[i]: index in ``other`` of element i's image
+        used = [False] * n
 
         def extend(k):
-            if k == self.n:
-                out.append(PosetMap(self, other, dict(assign), anti))
+            if k == n:
+                mapping = dict(zip(self.elements, (other.elements[j] for j in image)))
+                out.append(PosetMap(self, other, mapping, anti))
                 return
-            x = src[k]
-            for y in dst:
-                if y in used or profile(self, x, False) != profile(other, y, anti):
+            row = src[k]
+            for y in range(n):
+                if used[y] or src_deg[k] != dst_deg[y]:
                     continue
-                ok = True
-                for x0, y0 in assign.items():
-                    a, b = self.leq(x0, x), self.leq(x, x0)
-                    if anti:
-                        if a != other.leq(y, y0) or b != other.leq(y0, y):
-                            ok = False
-                            break
-                    else:
-                        if a != other.leq(y0, y) or b != other.leq(y, y0):
-                            ok = False
-                            break
-                if ok:
-                    assign[x] = y
-                    used.add(y)
+                dst_row = dst[y]
+                if all(src[x0][k] == dst[y0][y] and row[x0] == dst_row[y0]
+                       for x0, y0 in enumerate(image)):
+                    image.append(y)
+                    used[y] = True
                     extend(k + 1)
-                    del assign[x]
-                    used.discard(y)
+                    image.pop()
+                    used[y] = False
 
         extend(0)
         return out
@@ -284,12 +285,12 @@ class PosetMap:
             raise ParseError("map must be defined on every element")
         if set(self.mapping.values()) != set(dst.elements):
             raise ParseError("map must be a bijection onto the target")
-        for x in src.elements:
-            for y in src.elements:
-                lhs = src.leq(x, y)
-                rhs = (dst.leq(self.mapping[y], self.mapping[x]) if self.anti
-                       else dst.leq(self.mapping[x], self.mapping[y]))
-                if lhs != rhs:
+        rows = dst.geq_rows if self.anti else dst.leq_rows
+        image = [dst.index[self.mapping[x]] for x in src.elements]
+        for i, x in enumerate(src.elements):
+            image_row = rows[image[i]]
+            for j, y in enumerate(src.elements):
+                if src.leq_rows[i][j] != image_row[image[j]]:
                     kind = "anti-isomorphism" if self.anti else "isomorphism"
                     raise ParseError(f"not an order {kind}: fails at ({x!r}, {y!r})")
 
@@ -328,9 +329,6 @@ class PosetMap:
         if self.anti:
             return tuple(index[(inv[y], inv[x])] for x, y in self.dst.pairs)
         return tuple(index[(inv[x], inv[y])] for x, y in self.dst.pairs)
-
-    def is_identity(self):
-        return not self.anti and all(v == k for k, v in self.mapping.items())
 
     def is_involution(self):
         return (self.anti and self.src == self.dst
@@ -386,20 +384,15 @@ def lambda_decomposition(poset, lam):
 
     Each two-point orbit {x, lam(x)} goes to (lower, upper) one way or the
     other; the lower part must be down-closed and the upper part up-closed.
-    Orbits are decided in canonical element order with constraint
-    propagation, and the first valid assignment wins.
+    Orbits are decided in canonical element order, lower first, with
+    constraint propagation.  Every constraint links two orbits (2-SAT), so
+    a propagation that meets no conflict leaves a solvable rest whenever a
+    split exists: no decision is ever revisited, and the split is the first
+    valid assignment in that order.
     """
     if not (lam.anti and lam.src == poset and lam.is_involution()):
         raise ParseError("decomposition requires an involution on the poset")
-    fixed = set(lam.fixed_points())
-    orbits = []
-    seen = set(fixed)
-    for x in poset.elements:
-        if x not in seen:
-            seen.add(x)
-            seen.add(lam(x))
-            orbits.append((x, lam(x)))
-
+    fixed = lam.fixed_points()
     side = {x: 0 for x in fixed}  # -1 lower, +1 upper, 0 fixed
 
     def place(x, s, trail):
@@ -417,22 +410,15 @@ def lambda_decomposition(poset, lam):
         above = (y for y in poset.elements if poset.leq(x, y) and y != x)
         return all(place(y, 1, trail) for y in above)
 
-    def solve(k):
-        if k == len(orbits):
-            return True
-        x, y = orbits[k]
-        if side.get(x) is not None:
-            return solve(k + 1)
-        for sx in (-1, 1):
-            trail = []
-            if place(x, sx, trail) and solve(k + 1):
-                return True
+    for x in poset.elements:
+        if x in side:
+            continue
+        trail = []
+        if not place(x, -1, trail):
             for moved in trail:
                 del side[moved]
-        return False
-
-    if not solve(0):
-        raise NoDecomposition("no down-closed/up-closed split exists")
+            if not place(x, 1, []):
+                raise NoDecomposition("no down-closed/up-closed split exists")
     lower = [x for x in poset.elements if side[x] == -1]
     upper = [x for x in poset.elements if side[x] == 1]
-    return LambdaDecomposition(lower, upper, sorted(fixed, key=poset.index.get))
+    return LambdaDecomposition(lower, upper, fixed)

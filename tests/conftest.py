@@ -5,6 +5,25 @@ import pytest
 from incalg.posets import Poset
 
 
+def is_identity(m):
+    """Whether a poset map is the identity automorphism."""
+    return not m.anti and all(v == k for k, v in m.mapping.items())
+
+
+def coords(d):
+    """The coordinate vector of an idealization element: ring, then
+    bimodule coordinates."""
+    return d.f.vals + d.i.vals
+
+
+def blocks(m):
+    """(ring->ring, bimodule->ring, ring->bimodule, bimodule->bimodule)
+    blocks of an idealization map, as column lists."""
+    n, cols = m.alg.npairs, m.columns()
+    return ([c.f.vals for c in cols[:n]], [c.f.vals for c in cols[n:]],
+            [c.i.vals for c in cols[:n]], [c.i.vals for c in cols[n:]])
+
+
 def chain(n, labels=None):
     labels = labels or [chr(ord("a") + i) for i in range(n)]
     return Poset.from_covers(labels, list(zip(labels, labels[1:])))

@@ -604,3 +604,63 @@ def test_line_format_strips_label_whitespace_so_output_round_trips(
         assert main(["equivalent", "--poset", str(padded), "--field", "F5",
                      "--check", str(inv), str(inv)]) == 0
         assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+
+@pytest.mark.parametrize("spec", ["F²", "F٣", "F５"])
+def test_field_spec_takes_ascii_digits_only(poset_files, capsys, spec):
+    """str.isdigit accepts superscripts and other scripts' digits: int()
+    refuses the first and reads the second as an ASCII prime."""
+    assert main(["hypotheses", "--poset", str(poset_files["chain2"]),
+                 "--field", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad field spec {spec!r}\n"
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("site", ["poset", "lambda-inline", "lambda-file",
+                                  "involution"])
+def test_deeply_nested_json_exits_2(poset_files, tmp_path, capsys, site):
+    """json.loads raises RecursionError, not JSONDecodeError, on deep
+    nesting; each JSON input site reads it as a ParseError."""
+    deep = tmp_path / "deep.json"
+    if site == "poset":
+        deep.write_text('{"elements": ' + DEEP + "}")
+        argv = ["poset-info", "--poset", str(deep)]
+        named = "poset JSON nested too deeply"
+    elif site.startswith("lambda"):
+        deep.write_text('{"a": ' + DEEP + "}")
+        lam = str(deep) if site == "lambda-file" else deep.read_text()
+        argv = ["classify", "--poset", str(poset_files["chain2"]),
+                "--field", "F3", "--lambda", lam]
+        named = "bad map: JSON nested too deeply"
+    else:
+        deep.write_text(DEEP)
+        argv = ["equivalent", "--poset", str(poset_files["chain2"]),
+                "--field", "F3", str(deep), str(deep)]
+        named = f"bad involution file {deep}: JSON nested too deeply"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):
+    """Aut(X) and anti-Aut(X) are listed once each; the involutions are
+    read off the anti-automorphisms."""
+    calls = []
+    real = Poset.maps_to
+
+    def counting(self, other, anti=False, *args, **kwargs):
+        calls.append(anti)
+        return real(self, other, anti, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "maps_to", counting)
+    assert main(["poset-info", "--poset", str(poset_files["diamond"]),
+                 "--json"]) == 0
+    assert sorted(calls) == [False, True]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["automorphisms"] == 2 and payload["anti-automorphisms"] == 2
+    assert len(payload["involution_maps"]) == 2

@@ -46,7 +46,7 @@ from incalg.involutions import (
 from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
 from incalg.posets import PosetMap, Poset
 
-from conftest import chain
+from conftest import blocks, chain, coords
 from test_fia_kernel import EDGE, ref_d_generators
 from test_hypotheses_reference import solve
 from test_linalg import d_from_coords
@@ -250,7 +250,7 @@ def same_verdict_as_reference(raw):
         assert got[1].to_linear() == raw
         return
     zero = raw.alg.field.zero
-    upper = any(v != zero for col in raw.blocks()[1] for v in col)
+    upper = any(v != zero for col in blocks(raw)[1] for v in col)
     assert got == ("raise", UpperRightNonzero if upper else NotAnInvolution)
 
 
@@ -327,7 +327,7 @@ def test_generator_checks_match_reference(name, field):
                 same_verdict_as_reference(twisted)
             # decompose on the ring block (an anti-automorphism), on a
             # perturbed copy, and with the wrong kind
-            b11 = FiLinearMap(alg, raw.blocks()[0])
+            b11 = FiLinearMap(alg, blocks(raw)[0])
             if full:
                 same_outcome(decompose, ref_decompose, b11, True,
                              compare=lambda m: m.to_json())
@@ -413,7 +413,7 @@ def gated_matrices(draw):
     diag = [k for k, (x, y) in enumerate(alg.pairs) if x == y]
     rest = [cols[k] for k in diag[1:]]
     cols[diag[0]] = [field.sub(one, sum(vals, field.zero)) for one, *vals
-                     in zip(d_one(alg).coords(), *rest)]
+                     in zip(coords(d_one(alg)), *rest)]
     return DLinearMap(alg, cols)
 
 
@@ -452,9 +452,9 @@ def same_closed_forms(spec, conjugators, targets):
 def nudged(d, k):
     """A copy of a pair with coordinate k (ring first) moved by one."""
     field = d.alg.field
-    coords = list(d.coords())
-    coords[k] = field.add(coords[k], field.one)
-    return d_from_coords(d.alg, coords)
+    vals = list(coords(d))
+    vals[k] = field.add(vals[k], field.one)
+    return d_from_coords(d.alg, vals)
 
 
 def morphisms_of(alg, rng):

@@ -280,7 +280,7 @@ def test_d_kernel_matches_textbook_convolution(request, name, field):
         got = left * right
         assert got == ref_dproduct(left, right)
         if field is QQ:
-            assert all(type(v) is Fraction for v in got.coords())
+            assert all(type(v) is Fraction for v in got.f.vals + got.i.vals)
 
 
 # -- basis products -------------------------------------------------------

@@ -22,6 +22,8 @@ from incalg.involutions import (
 from incalg.morphisms import FiaMorphism
 from incalg.posets import lambda_decomposition
 
+from conftest import is_identity
+
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
@@ -435,7 +437,7 @@ def test_general_equivalence_needs_relabeling_on_three_middles(wide_diamond):
     assert not equivalent_inner(s1, s2).equivalent
     v = equivalent(s1, s2)
     assert v.equivalent
-    assert v.alpha is not None and not v.alpha.is_identity()
+    assert v.alpha is not None and not is_identity(v.alpha)
     assert v.k == alg.field.one
     psi = inner_auto(v.conjugator)
     from incalg.morphisms import FiaMorphism
@@ -658,6 +660,31 @@ def test_relabel_check_matches_whole_matrix_comparison(request):
                 on_basis = all(pointwise.apply(d) == conjugated.apply(d)
                                for d in basis)
                 assert new == old == on_basis == expected
+
+
+@pytest.mark.parametrize("field", (F5, QQ), ids=("F5", "Q"))
+def test_relabelled_theta_is_the_induced_morphism_image(request, field):
+    """``_relabelled_spec`` moves theta by the pair permutation alone; that
+    is the image under ``FiaMorphism.induced``, whose conjugator is the
+    unity and whose cocycle scaling is all ones.  Checked on the relabel
+    pairs and on random units, for every automorphism."""
+    specs = [s for pair in _relabel_pairs(request) for s in pair]
+    rng = random.Random(f"relabel:{field!r}")
+    for name in ("diamond", "wide_diamond"):
+        poset = request.getfixturevalue(name)
+        alg = IncidenceAlgebra(poset, field)
+        for lam in poset.involutions():
+            specs += [InvolutionSpec(alg, random_d_unit(alg, rng), lam, k,
+                                     _validated=True) for k in (1, -1)]
+    for spec in specs:
+        alg = spec.alg
+        for alpha in alg.poset.automorphisms():
+            relabel = FiaMorphism.induced(alg, alpha)
+            got = involutions._relabelled_spec(spec, alpha)
+            assert got.theta == DElem(relabel.apply(spec.theta.f),
+                                      relabel.apply(spec.theta.i))
+            assert got.lam == alpha.compose(spec.lam).compose(alpha.inverse())
+            assert got.k == spec.k
 
 
 def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):

@@ -222,14 +222,14 @@ def test_inner_equivalent_over_fp_loads_no_recognize_path(
     assert not modules & {"fractions", "decimal"}
 
 
-def test_general_equivalent_loads_morphisms_but_no_derivations(
-        posets, involution_files):
+def test_general_equivalent_loads_no_recognize_path(posets, involution_files):
+    """The relabel by a poset automorphism is a pair permutation: the
+    general verdict and its re-check load no factored morphisms."""
     code, out, loaded = _loaded_after(
         RUN_CLI, "equivalent", "--general", "--poset", str(posets["chain4"]),
         "--field", "F5", "--check", *involution_files)
     assert code == 0 and '"kind": "general"' in out
-    assert "morphisms" in loaded
-    assert not loaded & {"derivations", "linalg", "oracle"}
+    assert not loaded & NOT_FOR_CLASSIFY
 
 
 def test_verify_loads_the_oracle_only_to_run_it(posets):

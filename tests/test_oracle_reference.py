@@ -51,6 +51,7 @@ from incalg.oracle import (
 )
 from incalg.posets import Poset
 
+from conftest import coords
 from test_idealization import lift_scalar
 
 
@@ -97,7 +98,7 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
 
                     if any(phi(phi(b)) != b for b in basis):
                         continue
-                    mat = DLinearMap(alg, [phi(b).coords() for b in basis])
+                    mat = DLinearMap(alg, [coords(phi(b)) for b in basis])
                     found.setdefault(mat.cols, mat)
     return list(found.values())
 
