@@ -136,7 +136,7 @@ def cmd_hypotheses(args):
         from .fia import IncidenceAlgebra
         from .morphisms import find_non_inner_cocycle
         alg = IncidenceAlgebra(poset, field)
-    payload = {"field": args.field}
+    payload = {"field": field.name}
     payload["mult_subset_inn"] = report["mult_subset_inn"]
     if not report["mult_subset_inn"]:
         payload["non_inner_cocycle"] = {
@@ -259,7 +259,7 @@ def cmd_verify(args):
             res = classify(poset, lam, field)
             counts.append(res.count)
             if res.representatives is None:
-                print(f"info classification over {args.field}: infinite family")
+                print(f"info classification over {field.name}: infinite family")
                 continue
             ok = all(s.to_linear().is_involution() for s in res.representatives)
             pairwise = all(

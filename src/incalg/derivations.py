@@ -17,7 +17,7 @@ from .errors import (
     ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
 )
 from .fia import IncFn, _over_one
-from .morphisms import FiLinearMap, validate_cocycle
+from .morphisms import FiLinearMap, coboundary, validate_cocycle
 from .snf import _der_inner_rule, _smith_reading, cocycle_obstruction
 
 
@@ -90,38 +90,15 @@ def leibniz_check(alg, d):
 
 
 def additive_is_inner(alg, tau):
-    """A diagonal witness f with tau(x,y) = f(y,y) - f(x,x), or None.
-
-    When some point is comparable with everything, the witness is explicit:
-    -tau(x, x0) below the first such point x0 (in element order) and
-    tau(x0, x) above it.  Otherwise the diagonal is propagated along a
-    spanning tree of the comparability graph and the remaining pairs are
-    checked.
-    """
+    """A diagonal witness f with tau(x,y) = f(y,y) - f(x,x), or None: f is
+    -phi for the ``morphisms.coboundary`` phi of tau over K, so f is zero
+    at the first element of each component of the comparability graph."""
     field = alg.field
     tau = validate_additive_cocycle(alg, tau)
-    poset = alg.poset
-    anchors = poset.all_comparable_elements()
-    diag = {}
-    if anchors:
-        x0 = min(anchors, key=poset.index.get)
-        for x in poset.elements:
-            if poset.leq(x, x0):
-                diag[x] = field.neg(tau.get((x, x0), field.zero))
-            else:
-                diag[x] = tau.get((x0, x), field.zero)
-    else:
-        for v, w in poset.spanning_tree():
-            if v is None:
-                diag[w] = field.zero
-            elif poset.leq(v, w):
-                diag[w] = field.add(diag[v], tau[(v, w)])
-            else:
-                diag[w] = field.sub(diag[v], tau[(w, v)])
-    for (x, y), v in tau.items():
-        if field.sub(diag[y], diag[x]) != v:
-            return None
-    return alg.diagonal(diag)
+    phi = coboundary(alg.poset, tau, field.sub, field.add, field.zero)
+    if phi is None:
+        return None
+    return alg.diagonal({x: field.neg(v) for x, v in phi.items()})
 
 
 def der_equals_ider(poset, field):

@@ -66,10 +66,6 @@ class NotADerivation(IncalgError):
     """Linear map fails the Leibniz rule."""
 
 
-class NotCentral(IncalgError):
-    """A central element was required."""
-
-
 class NotInvolutive(IncalgError):
     """Candidate map does not square to the identity."""
 

@@ -137,9 +137,6 @@ class Field:
     def square_class(self, a):
         raise NotImplementedError
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class RationalField(Field):
     """The field Q with Fraction values."""
@@ -337,11 +334,6 @@ def parse_field(spec):
     if s.startswith("F") and s[1:].isascii() and s[1:].isdigit():
         return PrimeField(int(s[1:]))
     raise ParseError(f"bad field spec {spec!r}")
-
-
-def square_class(field, a):
-    """The image of a nonzero element in S_K; constant on square multiples."""
-    return field.square_class(a)
 
 
 def class_eq_up_to_shift(chi1, chi2):

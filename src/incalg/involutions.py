@@ -402,11 +402,13 @@ def _factor(raw, ring_columns):
     spec_d = split_raw_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
     if diag_witness is None:
-        raise WitnessFailed("hypothesis check admitted a bad poset")
+        raise WitnessFailed("hypothesis check admitted a bad poset: no "
+                            "additive witness")
     j = spec_d.inner + diag_witness
     eta = multiplicative_is_inner(alg, m11.sigma)
     if eta is None:
-        raise WitnessFailed("hypothesis check admitted a bad poset")
+        raise WitnessFailed("hypothesis check admitted a bad poset: no "
+                            "multiplicative witness")
     m = m11.u * alg.diagonal(eta)
     rho = FiaMorphism.induced(alg, lam)
     theta = DElem(m, (m * rho.apply(j)).scale(k))
@@ -467,17 +469,11 @@ def _reduce_with_witness(spec):
     if decomp.fixed:
         eps = {x: theta_sym.f[x, x] for x in decomp.fixed}
         base = rho_eps(alg, spec.lam, eps, spec.k)
-        small = theta_sym * base.theta.inverse()
-        gamma = symmetric_decompose(small, base)
-        return base, gamma
-    if k0 == alg.field.one:
+    elif k0 == alg.field.one:
         base = base_involution(alg, spec.lam, spec.k)
-        gamma = symmetric_decompose(theta_sym, base)
-        return base, gamma
-    base = sigma_lambda(alg, spec.lam, spec.k)
-    skew_adjusted = theta_sym * base.theta
-    gamma = symmetric_decompose(skew_adjusted, base)
-    return base, gamma
+    else:
+        base = sigma_lambda(alg, spec.lam, spec.k)
+    return base, symmetric_decompose(theta_sym * base._theta_inv, base)
 
 
 def _verify_intertwiner(s1, s2, conjugator):
@@ -516,17 +512,16 @@ def _intertwines(alpha, lam1, lam2):
 
 
 def _relabel_by_pairs(spec, alpha):
-    """The normal-form data (pair permutation, unit, sign) of spec
-    conjugated by the relabel L by alpha, read off pair permutations alone:
-    with (L f)[t] = f[pa[t]] and (L^-1 f)[t] = f[pb[t]], L o conj(theta) o
-    base o L^-1 relabels along t |-> pb[perm[pa[t]]] after conjugation by
-    L(theta), with the same sign.  ``equivalent`` holds ``_relabelled_spec``
-    to it."""
+    """The pair permutation of spec conjugated by the relabel L by alpha,
+    read off pair permutations alone: with (L f)[t] = f[pa[t]] and
+    (L^-1 f)[t] = f[pb[t]], L o conj(theta) o base o L^-1 relabels along
+    t |-> pb[perm[pa[t]]].  ``equivalent`` holds ``_relabelled_spec``'s
+    permutation, built from the composed poset maps, to it; its unit
+    L(theta) is held to ``FiaMorphism.induced`` by the test
+    ``test_relabelled_theta_is_the_induced_morphism_image``."""
     pa = alpha.pair_permutation()
     pb = alpha.inverse().pair_permutation()
-    perm, theta = spec._perm, spec.theta
-    return (tuple([pb[perm[i]] for i in pa]),
-            DElem(theta.f.permuted(pa), theta.i.permuted(pa)), spec.k)
+    return tuple([pb[spec._perm[i]] for i in pa])
 
 
 def verify_witness(s1, s2, verdict):
@@ -600,9 +595,10 @@ def equivalent(s1, s2):
     the other with matching square-class data.
 
     The classification gate runs once, not once per carrier.  Before a
-    positive verdict, the relabelled normal form that ``_relabelled_spec``
-    built is held to ``_relabel_by_pairs``, a second route on pair
-    permutations alone; a mismatch raises WitnessFailed."""
+    positive verdict, the pair permutation of the relabelled normal form
+    that ``_relabelled_spec`` built is held to ``_relabel_by_pairs``, a
+    second route on pair permutations alone; a mismatch raises
+    WitnessFailed."""
     _check_same_context(s1, s2)
     alg = s1.alg
     require_classifiable(alg.poset, alg.field)
@@ -616,8 +612,7 @@ def equivalent(s1, s2):
         conjugated = _relabelled_spec(s2, alpha)
         inner = _equivalent_inner(s1, conjugated)
         if inner.equivalent:
-            if _relabel_by_pairs(s2, alpha) != (
-                    conjugated._perm, conjugated.theta, conjugated.k):
+            if _relabel_by_pairs(s2, alpha) != conjugated._perm:
                 raise WitnessFailed("relabel conjugation mismatch")
             return Verdict(True, conjugator=inner.conjugator,
                            alpha=alpha, k=alg.field.one)

@@ -8,9 +8,9 @@ and ``decompose`` recovers that factorization from a raw matrix (a
 ``FiLinearMap``, the algebra's ``fia.ColumnMap``), certified by exact
 recomposition on the whole basis.  The relabeling is the poset map's
 ``pair_permutation``; the scaling is a cocycle checked by
-``validate_cocycle`` on every chain x < z < y, the check the additive
-cocycles of ``derivations`` share; an inner witness for a cocycle is
-propagated along ``Poset.spanning_tree``.
+``validate_cocycle`` on every chain x < z < y, and an inner witness for
+it is found by ``coboundary`` along ``Poset.spanning_tree``; the additive
+cocycles of ``derivations`` share both, over K in place of K*.
 
 ``mult_subset_inn`` decides whether every multiplicative automorphism is
 inner by the rule ``snf.check_hypotheses`` applies to
@@ -66,6 +66,24 @@ def validate_cocycle(alg, values, combine, kind):
         if combine(full[(x, z)], full[(z, y)]) != full[(x, y)]:
             raise InvalidCocycle(f"{kind} fails on {x},{z},{y}")
     return full
+
+
+def coboundary(poset, values, div, mul, one):
+    """A potential phi with div(phi(x), phi(y)) = values(x, y) on every
+    strict pair, or None: propagated along ``Poset.spanning_tree`` from
+    ``one`` at each root, where mul(div(a, b), b) = a, then checked."""
+    phi = {}
+    for v, w in poset.spanning_tree():
+        if v is None:
+            phi[w] = one
+        elif poset.leq(v, w):
+            phi[w] = div(phi[v], values[(v, w)])
+        else:
+            phi[w] = mul(values[(w, v)], phi[v])
+    for x, y in poset.strict_pairs:
+        if div(phi[x], phi[y]) != values[(x, y)]:
+            return None
+    return phi
 
 
 def validate_multiplicative_cocycle(alg, sigma):
@@ -220,26 +238,10 @@ def decompose(raw, anti=False):
 
 
 def multiplicative_is_inner(alg, sigma):
-    """A diagonal witness eta with sigma(x,y) = eta(x) / eta(y), or None.
-
-    Found by propagating along a spanning tree of the comparability graph
-    and checking the non-tree comparable pairs.
-    """
+    """A diagonal witness eta with sigma(x,y) = eta(x) / eta(y), or None."""
     field = alg.field
-    poset = alg.poset
     sigma = validate_multiplicative_cocycle(alg, sigma)
-    eta = {}
-    for v, w in poset.spanning_tree():
-        if v is None:
-            eta[w] = field.one
-        elif poset.leq(v, w):
-            eta[w] = field.div(eta[v], sigma[(v, w)])
-        else:
-            eta[w] = field.mul(sigma[(w, v)], eta[v])
-    for (x, y), val in sigma.items():
-        if field.div(eta[x], eta[y]) != val:
-            return None
-    return eta
+    return coboundary(alg.poset, sigma, field.div, field.mul, field.one)
 
 
 def mult_subset_inn(poset, field):

@@ -204,6 +204,27 @@ def test_hypotheses_exit_codes(poset_files, capsys):
     assert "der_equals_ider: False" in out
 
 
+@pytest.mark.parametrize("spec", ["F05", " F5"])
+def test_hypotheses_echoes_the_parsed_field(poset_files, capsys, spec):
+    """A spec is stripped and its digits read as a number, so "F05" and
+    " F5" both run over F5, and both outputs say so."""
+    argv = ["hypotheses", "--poset", str(poset_files["fence"]), "--field", spec]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "field: F5"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == "F5"
+
+
+def test_verify_echoes_the_parsed_field(poset_files, capsys):
+    """The diamond's flip fixes its two middle points, so over Q its
+    classes form an infinite family, and the line naming the field is
+    printed."""
+    assert main(["verify", "--poset", str(poset_files["diamond"]),
+                 "--field", " Q"]) == 0
+    out = capsys.readouterr().out
+    assert "info classification over Q: infinite family\n" in out
+
+
 def _certified_non_inner(poset, field, entries):
     """Whether printed {"x,y": value} entries form a multiplicative cocycle
     with no inner witness."""

@@ -90,11 +90,11 @@ def test_additive_is_inner_explicit_witness(chain3):
     tau = {("a", "b"): 1, ("b", "c"): 2, ("a", "c"): 3}
     f = additive_is_inner(alg, tau)
     assert f is not None
-    # anchored at the first all-comparable point a: 0, tau(a,b), tau(a,c)
+    # zero at the first element a: 0, tau(a,b), tau(a,c)
     assert f.diagonal_values() == {"a": 0, "b": 1, "c": 3}
     assert DerivationSpec(alg, inner=f).to_linear() == \
         DerivationSpec(alg, tau=tau).to_linear()
-    # listed middle point first, the anchor is b: -tau(a,b), 0, tau(b,c)
+    # listed middle point first, zero at b: -tau(a,b), 0, tau(b,c)
     middle_first = Poset.from_covers(["b", "a", "c"], [("a", "b"), ("b", "c")])
     alg = IncidenceAlgebra(middle_first, F5)
     f = additive_is_inner(alg, tau)
@@ -113,7 +113,7 @@ def test_additive_is_inner_crown_counterexample(crown):
 def test_additive_is_inner_fence_always_witnessed(fence):
     alg = IncidenceAlgebra(fence, QQ)
     rng = random.Random(2)
-    # fence has no anchor, so this exercises the spanning-tree branch
+    # the fence has no point comparable with everything
     assert fence.all_comparable_elements() == set()
     for _ in range(20):
         tau = random_cocycle(alg, rng)

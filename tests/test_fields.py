@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from incalg.errors import DomainMismatch, ParseError, ZeroArgument
 from incalg.fields import (
-    QQ, PrimeField, SquareClass, class_eq_up_to_shift, parse_field, square_class,
+    QQ, PrimeField, SquareClass, class_eq_up_to_shift, parse_field,
 )
 
 F2 = PrimeField(2)

@@ -1,8 +1,16 @@
-"""Differential tests for the hypothesis decisions.
+"""Differential tests for the hypothesis decisions and witness searches.
 
 ``cocycle_obstruction`` reads both hypotheses off one Smith normal form of
 the chain relations.  The routines below are the kernel-and-solve and
 field-rank decisions it replaced, kept verbatim as the reference oracle.
+
+``multiplicative_is_inner`` and ``additive_is_inner`` both solve with
+``morphisms.coboundary``.  Their references are the two spanning-tree
+propagations that solver replaced, the additive one with its explicit
+branch for a point comparable with everything (a cone point).  The
+multiplicative witnesses agree exactly; the additive ones agree exactly
+when the first element is a cone point or no cone point exists, and
+otherwise differ by one constant.
 """
 
 import itertools
@@ -10,15 +18,19 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incalg.derivations import (
     additive_is_inner, der_equals_ider, find_non_inner_additive,
+    validate_additive_cocycle,
 )
+from incalg.errors import InvalidCocycle
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, RationalField
 from incalg.linalg import rref
 from incalg.morphisms import (
     find_non_inner_cocycle, mult_subset_inn, multiplicative_is_inner,
+    validate_multiplicative_cocycle,
 )
 from incalg.posets import Poset
 from incalg.snf import (
@@ -320,3 +332,219 @@ def test_finders_certify_a_counterexample_exactly_when_a_rule_fails(
             assert (tau is None) is report["der_equals_ider"], (name, field)
             if tau is not None:
                 assert additive_is_inner(alg, tau) is None, (name, field)
+
+
+# -- witness searches ----------------------------------------------------------
+
+
+def ref_multiplicative_is_inner(alg, sigma):
+    """A diagonal witness eta with sigma(x,y) = eta(x) / eta(y), or None.
+
+    Found by propagating along a spanning tree of the comparability graph
+    and checking the non-tree comparable pairs.
+    """
+    field = alg.field
+    poset = alg.poset
+    sigma = validate_multiplicative_cocycle(alg, sigma)
+    eta = {}
+    for v, w in poset.spanning_tree():
+        if v is None:
+            eta[w] = field.one
+        elif poset.leq(v, w):
+            eta[w] = field.div(eta[v], sigma[(v, w)])
+        else:
+            eta[w] = field.mul(sigma[(w, v)], eta[v])
+    for (x, y), val in sigma.items():
+        if field.div(eta[x], eta[y]) != val:
+            return None
+    return eta
+
+
+def ref_additive_is_inner(alg, tau):
+    """A diagonal witness f with tau(x,y) = f(y,y) - f(x,x), or None.
+
+    When some point is comparable with everything, the witness is explicit:
+    -tau(x, x0) below the first such point x0 (in element order) and
+    tau(x0, x) above it.  Otherwise the diagonal is propagated along a
+    spanning tree of the comparability graph and the remaining pairs are
+    checked.
+    """
+    field = alg.field
+    tau = validate_additive_cocycle(alg, tau)
+    poset = alg.poset
+    anchors = poset.all_comparable_elements()
+    diag = {}
+    if anchors:
+        x0 = min(anchors, key=poset.index.get)
+        for x in poset.elements:
+            if poset.leq(x, x0):
+                diag[x] = field.neg(tau.get((x, x0), field.zero))
+            else:
+                diag[x] = tau.get((x0, x), field.zero)
+    else:
+        for v, w in poset.spanning_tree():
+            if v is None:
+                diag[w] = field.zero
+            elif poset.leq(v, w):
+                diag[w] = field.add(diag[v], tau[(v, w)])
+            else:
+                diag[w] = field.sub(diag[v], tau[(w, v)])
+    for (x, y), v in tau.items():
+        if field.sub(diag[y], diag[x]) != v:
+            return None
+    return alg.diagonal(diag)
+
+
+WITNESS_FIELDS = (PrimeField(3), PrimeField(5), QQ)
+
+
+def cocycles(alg, rng):
+    """(multiplicative, additive) cocycle lists: two random coboundaries of
+    each kind, the Smith-form non-inner cocycle when the hypothesis fails,
+    and that cocycle times (plus) a random coboundary."""
+    field, poset = alg.field, alg.poset
+    mult, add = [], []
+    for _ in range(2):
+        eta = {x: field.random_nonzero(rng) for x in poset.elements}
+        mult.append({(x, y): field.div(eta[x], eta[y])
+                     for x, y in poset.strict_pairs})
+        f = {x: field.random(rng) for x in poset.elements}
+        add.append({(x, y): field.sub(f[y], f[x])
+                    for x, y in poset.strict_pairs})
+    sigma, tau = find_non_inner_cocycle(alg), find_non_inner_additive(alg)
+    if sigma is not None:
+        mult += [sigma, {p: field.mul(v, mult[0][p]) for p, v in sigma.items()}]
+    if tau is not None:
+        add += [tau, {p: field.add(v, add[0][p]) for p, v in tau.items()}]
+    return mult, add
+
+
+def check_witnesses(poset, rng):
+    """The solver's answers against the references over F3, F5 and Q;
+    returns the additive branches of the reference that ran (cone point or
+    spanning tree)."""
+    cones = poset.all_comparable_elements()
+    exact = not cones or poset.elements[0] in cones
+    branches = set()
+    for field in WITNESS_FIELDS:
+        alg = IncidenceAlgebra(poset, field)
+        mult, add = cocycles(alg, rng)
+        for sigma in mult:
+            want = ref_multiplicative_is_inner(alg, sigma)
+            got = multiplicative_is_inner(alg, sigma)
+            assert (got is None) is (want is None), (poset.elements, field)
+            if got is not None:
+                assert list(got.items()) == list(want.items())
+        for tau in add:
+            want = ref_additive_is_inner(alg, tau)
+            got = additive_is_inner(alg, tau)
+            branches.add("cone" if cones else "tree")
+            assert (got is None) is (want is None), (poset.elements, field)
+            if got is None:
+                continue
+            g, w = got.diagonal_values(), want.diagonal_values()
+            assert all(field.sub(g[y], g[x]) == field(v)
+                       for (x, y), v in tau.items())
+            shifts = {field.sub(g[x], w[x]) for x in poset.elements}
+            if exact:
+                assert got == want
+            else:
+                assert len(shifts) == 1, (poset.elements, field)
+    return branches
+
+
+FIXTURES = ["chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
+            "two_chains", "wide_diamond"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_witness_searches_match_reference_on_fixtures(request, name):
+    check_witnesses(request.getfixturevalue(name),
+                    random.Random(f"witness:{name}"))
+
+
+def test_fixtures_run_both_reference_branches_and_both_answers(request):
+    """The fixtures include a poset whose first element is not its cone
+    point (where the additive witnesses differ by a constant), posets with
+    no cone point, and failing posets, so each comparison above is live."""
+    branches, moved, failing = set(), [], []
+    for name in FIXTURES:
+        poset = request.getfixturevalue(name)
+        branches |= check_witnesses(poset, random.Random(name))
+        cones = poset.all_comparable_elements()
+        if cones and poset.elements[0] not in cones:
+            moved.append(name)
+        if not all(check_hypotheses(poset, QQ).values()):
+            failing.append(name)
+    assert branches == {"cone", "tree"}
+    assert moved == ["wedge"] and failing == ["crown"]
+
+
+@pytest.mark.parametrize("name", ["crown", "crown3", "fence"])
+def test_smith_form_cocycles_match_reference(request, name):
+    """The finders' cocycles are non-inner on the crowns, and the fence
+    (a tree) has none; every cocycle gets the same answer from both."""
+    poset = crown_k(3) if name == "crown3" else request.getfixturevalue(name)
+    for field in WITNESS_FIELDS:
+        alg = IncidenceAlgebra(poset, field)
+        sigma, tau = find_non_inner_cocycle(alg), find_non_inner_additive(alg)
+        assert (sigma is None) is (tau is None) is (name == "fence")
+        if sigma is not None:
+            assert multiplicative_is_inner(alg, sigma) is None
+            assert ref_multiplicative_is_inner(alg, sigma) is None
+            assert additive_is_inner(alg, tau) is None
+            assert ref_additive_is_inner(alg, tau) is None
+    check_witnesses(poset, random.Random(f"smith:{name}"))
+
+
+@st.composite
+def witness_posets(draw, max_size=7):
+    """A poset on at most ``max_size`` points, connected or not: a drawn
+    relation that only rises along a drawn linear order, and when drawn a
+    cone point c placed above a down-set (a prefix of a linear extension)
+    and below the rest, listed at a drawn place."""
+    cone = draw(st.booleans())
+    n = draw(st.integers(2, max_size - cone))
+    rise = draw(st.permutations(range(n)))
+    rels = [(f"p{rise[i]}", f"p{rise[j]}") for i in range(n)
+            for j in range(i + 1, n) if draw(st.booleans())]
+    labels = [f"p{i}" for i in draw(st.permutations(range(n)))]
+    if cone:
+        base = Poset.from_covers(labels, rels)
+        extension = sorted(labels, key=lambda x: len(base.down(x)))
+        cut = draw(st.integers(0, n))
+        rels += [(x, "c") for x in extension[:cut]]
+        rels += [("c", x) for x in extension[cut:]]
+        labels.insert(draw(st.integers(0, n)), "c")
+    return Poset.from_covers(labels, rels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_posets(), st.integers(0, 2**32))
+def test_witness_searches_match_reference_on_drawn_posets(poset, seed):
+    check_witnesses(poset, random.Random(seed))
+
+
+def test_non_cocycles_raise_the_same_invalid_cocycle(request):
+    """A missing pair, a value off the chain identity and (multiplicative)
+    a zero value each raise InvalidCocycle with the reference's message."""
+    searches = [(multiplicative_is_inner, ref_multiplicative_is_inner, "one"),
+                (additive_is_inner, ref_additive_is_inner, "zero")]
+    for name in ("chain3", "diamond", "fence"):
+        poset = request.getfixturevalue(name)
+        first = poset.strict_pairs[0]
+        for field in WITNESS_FIELDS:
+            alg = IncidenceAlgebra(poset, field)
+            for search, ref, unit in searches:
+                trivial = dict.fromkeys(poset.strict_pairs, getattr(field, unit))
+                bad = [{p: v for p, v in trivial.items() if p != first}]
+                bad += [{**trivial, (x, y): field(2)}
+                        for x, _, y in poset.chains[:1]]
+                if search is multiplicative_is_inner:
+                    bad.append({**trivial, first: field.zero})
+                for values in bad:
+                    with pytest.raises(InvalidCocycle) as want:
+                        ref(alg, values)
+                    with pytest.raises(InvalidCocycle) as got:
+                        search(alg, values)
+                    assert str(got.value) == str(want.value)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from incalg.derivations import DerivationSpec
-from incalg.errors import NotAMorphism, NotAUnit, NotCentral
+from incalg.errors import IncalgError, NotAMorphism, NotAUnit
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
@@ -17,6 +17,10 @@ from incalg.morphisms import FiaMorphism, FiLinearMap
 
 from conftest import blocks, coords
 from test_morphisms import random_morphism
+
+
+class NotCentral(IncalgError):
+    """A central element was required."""
 
 
 def lift_central(alg, g):

@@ -641,25 +641,20 @@ def test_relabel_check_matches_whole_matrix_comparison(request):
     for s1, s2 in _relabel_pairs(request):
         alg = s1.alg
         basis = d_basis(alg)
-        a, b = next(p for p in alg.poset.strict_pairs)
-        skew = DElem(alg.delta() + alg.e(a, b), alg.zero())
         for alpha in alg.poset.automorphisms():
             carrier = alpha.compose(s2.lam).compose(alpha.inverse()) == s1.lam
             relabel = FiaMorphism.induced(alg, alpha)
             moved = DElem(relabel.apply(s2.theta.f),
                           relabel.apply(s2.theta.i))
             pointwise = RefRelabelled(s2, alpha)
-            # as `equivalent` builds it, then with a non-central factor
-            # that changes the map
-            for theta, expected in ((moved, carrier), (moved * skew, False)):
-                conjugated = InvolutionSpec(alg, theta, s1.lam, s2.k,
-                                            _validated=True)
-                new = _relabel_by_pairs(s2, alpha) == (
-                    conjugated._perm, conjugated.theta, conjugated.k)
-                old = ref_relabelled(s2, alpha) == conjugated.to_linear()
-                on_basis = all(pointwise.apply(d) == conjugated.apply(d)
-                               for d in basis)
-                assert new == old == on_basis == expected
+            # as `equivalent` builds it, on s1's involution
+            conjugated = InvolutionSpec(alg, moved, s1.lam, s2.k,
+                                        _validated=True)
+            new = _relabel_by_pairs(s2, alpha) == conjugated._perm
+            old = ref_relabelled(s2, alpha) == conjugated.to_linear()
+            on_basis = all(pointwise.apply(d) == conjugated.apply(d)
+                           for d in basis)
+            assert new == old == on_basis == carrier
 
 
 @pytest.mark.parametrize("field", (F5, QQ), ids=("F5", "Q"))
@@ -693,10 +688,10 @@ def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
                 if all(m.mapping[x] == x for x in "abc"))
     s1 = rho_eps(alg, flip, {"a": 1, "b": 1, "c": 2}, 1)
     s2 = rho_eps(alg, flip, {"a": 2, "b": 1, "c": 1}, 1)
-    # the only witness needs a non-identity relabel; a pair-permutation
-    # route that drops it must fail the guard
+    # a pair-permutation route that returns a wrong permutation (here the
+    # identity, which the flip is not) must fail the guard
     monkeypatch.setattr(involutions, "_relabel_by_pairs",
-                        lambda spec, alpha: (spec._perm, spec.theta, spec.k))
+                        lambda spec, alpha: tuple(range(len(spec._perm))))
     with pytest.raises(WitnessFailed):
         equivalent(s1, s2)
 

@@ -1,8 +1,9 @@
 """Source checks on the library: every module other than the package
 ``__init__`` (which re-exports) uses each name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
-beyond a fixed allow-list, and the CLI imports at module level only the
-modules every subcommand shares."""
+beyond a fixed allow-list, every ``IncalgError`` subclass is raised
+somewhere, each ``WitnessFailed`` raise has its own message, and the CLI
+imports at module level only the modules every subcommand shares."""
 
 import ast
 from collections import Counter
@@ -99,6 +100,72 @@ def test_untyped_raise_is_reported():
               "    raise argparse.ArgumentTypeError\n")
     assert untyped_raises(source) == [
         (4, "assert"), (6, "ValueError"), (13, "argparse.ArgumentTypeError")]
+
+
+def raise_sites(source, filename="<source>"):
+    """``(class, message)`` for each ``raise C(...)`` or ``raise C``: the
+    message is the first argument's source text, or None."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            exc = call.func if call else node.exc
+            message = ast.unparse(call.args[0]) if call and call.args else None
+            found.append((ast.unparse(exc), message))
+    return found
+
+
+def unraised_classes(sources, classes):
+    """The names in ``classes`` that no raise in ``sources`` names."""
+    raised = {name for source in sources for name, _ in raise_sites(source)}
+    return sorted(set(classes) - raised)
+
+
+def repeated_messages(sources, cls="WitnessFailed"):
+    """Each message that more than one ``raise cls(...)`` site uses."""
+    counts = Counter(message for source in sources
+                     for name, message in raise_sites(source) if name == cls)
+    return sorted(message for message, n in counts.items() if n > 1)
+
+
+def library_sources():
+    return [path.read_text() for path in sorted(SRC.glob("*.py"))]
+
+
+def test_every_error_class_is_raised():
+    """An error class no library code raises is dead: a caller catching it
+    waits for nothing."""
+    assert unraised_classes(library_sources(), TYPED - {"IncalgError"}) == []
+
+
+def test_unraised_error_class_is_reported():
+    sources = ["from .errors import ParseError, SizeLimit\n"
+               "def f(x):\n"
+               "    if x:\n"
+               "        raise ParseError('bad')\n"
+               "    return SizeLimit\n",
+               "def g():\n"
+               "    raise CycleDetected\n"]
+    assert unraised_classes(sources, {"ParseError", "SizeLimit",
+                                      "CycleDetected", "NotCentral"}) == [
+        "NotCentral", "SizeLimit"]
+
+
+def test_witness_failed_messages_are_unique():
+    """A WitnessFailed signals a library defect; its message must name the
+    one check that failed."""
+    assert repeated_messages(library_sources()) == []
+
+
+def test_repeated_witness_message_is_reported():
+    sources = ["def f(ok):\n"
+               "    if not ok:\n"
+               "        raise WitnessFailed('bad poset')\n"
+               "    raise WitnessFailed(f'bad {ok}')\n",
+               "def g():\n"
+               "    raise ParseError('bad poset')\n"
+               "    raise WitnessFailed('bad ' 'poset')\n"]
+    assert repeated_messages(sources) == ["'bad poset'"]
 
 
 # Every CLI process runs one subcommand; what the module imports at its top
