@@ -10,8 +10,8 @@ import random
 from incalg import IncidenceAlgebra, Poset, PrimeField
 from incalg.derivations import DerivationSpec
 from incalg.idealization import (
-    DElem, central_pair, d_center_basis, d_one, factor_inner, inner_auto,
-    lift_anti, lift_derivation, lift_morphism, random_d_unit,
+    DElem, central_pair, d_center_basis, factor_inner, inner_auto, lift_anti,
+    lift_derivation, lift_morphism, random_d_unit,
 )
 from incalg.morphisms import FiaMorphism
 

@@ -59,6 +59,17 @@ def read_input(path):
                          f"({exc.reason} at byte {exc.start})") from exc
 
 
+def _parse_json(text, what):
+    """The value the JSON ``text`` holds; malformed or too deeply nested
+    JSON raises ParseError, its message led by ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: JSON nested too deeply") from exc
+
+
 def load_poset(path):
     text = read_input(path)
     stripped = text.lstrip()
@@ -74,12 +85,7 @@ def load_lambda(poset, spec):
         text = read_input(spec)
     text = text.strip()
     if text.startswith("{"):
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad map: {exc}") from exc
-        except RecursionError as exc:
-            raise ParseError("bad map: JSON nested too deeply") from exc
+        mapping = _parse_json(text, "bad map")
     else:
         mapping = {}
         for part in text.split(","):
@@ -175,13 +181,7 @@ def cmd_classify(args):
 
 def _load_involution(alg, path):
     from .involutions import involution_from_json
-    try:
-        obj = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad involution file {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"bad involution file {path}: JSON nested too "
-                         f"deeply") from exc
+    obj = _parse_json(read_input(path), f"bad involution file {path}")
     try:
         return involution_from_json(alg, obj)
     except (KeyError, TypeError) as exc:
@@ -221,20 +221,12 @@ def cmd_verify(args):
         if not ok:
             failures.append(name)
 
-    for _ in range(50):
-        f, g, h = (alg.random(rng) for _ in range(3))
-        if (f * g) * h != f * (g * h) or f * (g + h) != f * g + f * h:
-            check("algebra ring axioms", False)
-            break
-    else:
-        check("algebra ring axioms", True)
-    for _ in range(50):
-        a, b, c = (random_delem(alg, rng) for _ in range(3))
-        if (a * b) * c != a * (b * c) or a * (b + c) != a * b + a * c:
-            check("idealization ring axioms", False)
-            break
-    else:
-        check("idealization ring axioms", True)
+    for name, draw in (("algebra", alg.random),
+                       ("idealization", lambda r: random_delem(alg, r))):
+        triples = ([draw(rng) for _ in range(3)] for _ in range(50))
+        check(f"{name} ring axioms",
+              all((a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
+                  for a, b, c in triples))
     ok = True
     for _ in range(20):
         u = random_d_unit(alg, rng)

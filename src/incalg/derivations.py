@@ -16,8 +16,10 @@ off that form's column transform.
 from .errors import (
     ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
 )
-from .fia import IncFn, _over_one
-from .morphisms import FiLinearMap, coboundary, validate_cocycle
+from .fia import _over_one
+from .morphisms import (
+    FiLinearMap, coboundary, _complete_cocycle, validate_cocycle,
+)
 from .snf import _der_inner_rule, _smith_reading, cocycle_obstruction
 
 
@@ -34,12 +36,8 @@ class DerivationSpec:
         self.inner = inner if inner is not None else alg.zero()
         if self.inner.alg != alg:
             raise ContextMismatch("inner part over a different context")
-        tau = dict(tau or {})
-        for p in alg.poset.strict_pairs:
-            tau.setdefault(p, alg.field.zero)
-        self.tau = validate_additive_cocycle(alg, tau)
-        self._tau_scale = IncFn(alg, tuple(
-            self.tau[p] if p[0] != p[1] else alg.field.zero for p in alg.pairs))
+        self.tau, self._tau_scale = _complete_cocycle(
+            alg, tau, alg.field.zero, validate_additive_cocycle)
 
     def apply(self, f):
         if f.alg != self.alg:

@@ -15,7 +15,7 @@ limited to desk scale (numerator and denominator at most ``10**12``).
 """
 
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     DomainMismatch, ParseError, SizeLimit, WitnessFailed, ZeroArgument,
@@ -80,7 +80,9 @@ class SquareClass:
     """An element of the square-class group S_K = K*/(K*)^2.
 
     Multiplication of classes matches multiplication of representatives and
-    every class is its own inverse (S_K has exponent 2).
+    every class is its own inverse (S_K has exponent 2).  Over Q the
+    product of the signed squarefree a and b is a b / gcd(a, b)^2, in
+    closed form: no factorization runs.
     """
 
     __slots__ = ("kind", "rep")
@@ -94,7 +96,8 @@ class SquareClass:
             raise DomainMismatch("square classes over different fields")
         if self.kind == "F":
             return SquareClass("F", self.rep == other.rep)
-        return SquareClass("Q", _signed_squarefree(self.rep * other.rep, 1))
+        a, b = self.rep, other.rep
+        return SquareClass("Q", a * b // gcd(a, b) ** 2)
 
     def inverse(self):
         return self
@@ -133,9 +136,6 @@ class Field:
 
     def is_square(self, a):
         return self.sqrt(a) is not None
-
-    def square_class(self, a):
-        raise NotImplementedError
 
 
 class RationalField(Field):

@@ -14,7 +14,6 @@ coordinates first, so its 2x2 blocks are maps of the algebra.
 
 from .errors import ContextMismatch, NotADerivation, NotAMorphism, NotAUnit
 from .fia import ColumnMap, IncidenceAlgebra, _check_context, _fn, _over_one
-from .posets import SEARCH_SIZE_BOUND
 
 
 class DElem:
@@ -255,10 +254,10 @@ class CrossAntiMap:
         return CrossAntiMap(self.dst, self.src, self.lam.inverse())
 
 
-def d_anti_isomorphic(x_poset, y_poset, field, size_bound=SEARCH_SIZE_BOUND):
+def d_anti_isomorphic(x_poset, y_poset, field):
     """An order-reversing bijection and the induced ring anti-isomorphism,
     or None when the posets admit no such bijection."""
-    maps = x_poset.maps_to(y_poset, anti=True, size_bound=size_bound)
+    maps = x_poset.maps_to(y_poset, anti=True)
     if not maps:
         return None
     lam = maps[0]

@@ -153,17 +153,16 @@ class InvolutionSpec:
         """The inner-equivalence invariant: induced map, sign, and either
         the fixed-point square-class tuple (up to one global shift) or the
         plain/skew type tag."""
-        decomp = self.decomposition()
+        fixed = self.lam.fixed_points()
         theta_sym, k0 = self.symmetric_form()
         field = self.alg.field
-        if not decomp.fixed:
+        if not fixed:
             kind = "plain" if k0 == field.one else "skew"
-            return ClassInvariant(self.lam, self.k, kind=kind, field=field)
+            return ClassInvariant(self.lam, self.k, field, kind=kind)
         if k0 != field.one:
             raise NotAnInvolution("skew units cannot occur with fixed points")
-        chi = {x: field.square_class(theta_sym.f[x, x]) for x in decomp.fixed}
-        return ClassInvariant(self.lam, self.k, chi=chi, fixed=decomp.fixed,
-                              field=field)
+        chi = {x: field.square_class(theta_sym.f[x, x]) for x in fixed}
+        return ClassInvariant(self.lam, self.k, field, chi=chi, fixed=fixed)
 
     def sign_int(self):
         return 1 if self.k == self.alg.field.one else -1
@@ -183,7 +182,7 @@ class ClassInvariant:
     and the square-class data (or the plain/skew tag when there are no
     fixed points)."""
 
-    def __init__(self, lam, sign, kind=None, chi=None, fixed=(), field=None):
+    def __init__(self, lam, sign, field, kind=None, chi=None, fixed=()):
         self.lam = lam
         self.sign = sign
         self.kind = kind
@@ -199,10 +198,8 @@ class ClassInvariant:
         return class_eq_up_to_shift(self.chi, other.chi)
 
     def to_json(self):
-        sign = self.sign
-        if self.field is not None:
-            sign = 1 if sign == self.field.one else -1
-        out = {"lambda": self.lam.to_json(), "sign": sign}
+        out = {"lambda": self.lam.to_json(),
+               "sign": 1 if self.sign == self.field.one else -1}
         if self.kind is not None:
             out["kind"] = self.kind
         if self.chi is not None:
@@ -236,58 +233,42 @@ def base_involution(alg, lam, k=1):
     return build(alg, d_one(alg), lam, k)
 
 
-def eps_diagonal(alg, decomp, eps):
-    """The diagonal unit carrying a nonzero scaling on the fixed points."""
-    field = alg.field
-    vals = {}
-    for x in alg.poset.elements:
-        if x in decomp.fixed:
-            v = field(eps[x])
-            if v == field.zero:
-                raise ZeroEpsilon(f"scaling must be nonzero at {x!r}")
-            vals[x] = v
-        else:
-            vals[x] = field.one
-    return alg.diagonal(vals)
-
-
-def split_sign_diagonal(alg, decomp):
-    """The diagonal unit that is +1 on the lower part and -1 on the upper
-    part (defined when there are no fixed points)."""
-    field = alg.field
-    vals = {}
-    for x in decomp.lower:
-        vals[x] = field.one
-    for x in decomp.upper:
-        vals[x] = field.neg(field.one)
-    return alg.diagonal(vals)
-
-
 def rho_eps(alg, lam, eps, k=1):
-    """The involution conjugated by the fixed-point scaling unit; equals
-    the plain relabel involution when the scaling is trivial or there are
-    no fixed points."""
-    decomp = lambda_decomposition(alg.poset, lam)
-    u = eps_diagonal(alg, decomp, eps)
-    return build(alg, DElem(u, alg.zero()), lam, k)
+    """The involution conjugated by the diagonal unit that is eps(x) at
+    each fixed point x of lam and one elsewhere.  A zero eps(x) raises
+    ZeroEpsilon.  Without fixed points the unit is the unity, and rho_eps
+    is the plain relabel involution ``base_involution``."""
+    field = alg.field
+    vals = dict.fromkeys(alg.poset.elements, field.one)
+    for x in lam.fixed_points():
+        vals[x] = field(eps[x])
+        if vals[x] == field.zero:
+            raise ZeroEpsilon(f"scaling must be nonzero at {x!r}")
+    return build(alg, DElem(alg.diagonal(vals), alg.zero()), lam, k)
 
 
 def sigma_lambda(alg, lam, k=1):
-    """The sign-split involution; requires a fixed-point-free involution."""
+    """The sign-split involution, conjugated by the diagonal unit that is
+    one on the lower part of lam's split and -1 on the upper part; a fixed
+    point raises FixedPointsPresent."""
     decomp = lambda_decomposition(alg.poset, lam)
     if decomp.fixed:
         raise FixedPointsPresent(
             f"fixed points {list(decomp.fixed)} block the sign-split form")
-    w = split_sign_diagonal(alg, decomp)
+    w = alg.diagonal({x: alg.field(-decomp.side(x)) for x in alg.poset.elements})
     return build(alg, DElem(w, alg.zero()), lam, k)
 
 
 def symmetric_decompose(theta, base):
-    """Express a base-symmetric unit as gamma * base(gamma).
+    """Express a base-symmetric unit theta = [f; i] as gamma * base(gamma).
 
-    The entries of gamma come from a six-case table over the
-    lower/upper/fixed split; on fixed points the ring coordinate needs an
-    exact square root, otherwise NotASquare lists the offenders.
+    Entry (x, y) of gamma is read off the sides of x and y in the
+    lower/upper/fixed split: half of theta's entry from the lower to the
+    upper part; the unity's entry and zero from the lower part to the
+    lower part or a fixed point; theta's entry from a fixed point or the
+    upper part to the upper part.  What is left is x = y fixed, where the
+    ring coordinate is an exact square root of f(x, x), and otherwise
+    NotASquare lists the offenders.
     """
     alg = base.alg
     field = alg.field
@@ -305,26 +286,16 @@ def symmetric_decompose(theta, base):
     v_vals, j_vals = {}, {}
     for x, y in alg.pairs:
         sx, sy = side(x), side(y)
-        if sx == -1 and sy == -1:
-            v_vals[(x, y)] = field.one if x == y else field.zero
-            j_vals[(x, y)] = field.zero
-        elif sx == 1 and sy == 1:
-            v_vals[(x, y)] = f[x, y]
-            j_vals[(x, y)] = i[x, y]
-        elif sx == -1 and sy == 1:
-            v_vals[(x, y)] = field.mul(f[x, y], half)
-            j_vals[(x, y)] = field.mul(i[x, y], half)
-        elif sx == -1 and sy == 0:
-            v_vals[(x, y)] = field.zero
-            j_vals[(x, y)] = field.zero
-        elif sx == 0 and sy == 1:
-            v_vals[(x, y)] = f[x, y]
-            j_vals[(x, y)] = i[x, y]
+        if sx == -1 and sy == 1:
+            v, j = field.mul(f[x, y], half), field.mul(i[x, y], half)
+        elif sx == -1:
+            v, j = field.one if x == y else field.zero, field.zero
+        elif sy == 1:
+            v, j = f[x, y], i[x, y]
         else:  # x == y in the fixed part
-            root = field.sqrt(f[x, x])
-            v_vals[(x, y)] = root
-            j_vals[(x, y)] = field.mul(i[x, x],
-                                       field.inv(field.mul(field(2), root)))
+            v = field.sqrt(f[x, x])
+            j = field.mul(i[x, x], field.inv(field.mul(field(2), v)))
+        v_vals[(x, y)], j_vals[(x, y)] = v, j
     gamma = DElem(alg.element(v_vals), alg.element(j_vals))
     if gamma * base.apply(gamma) != theta:
         raise NotSymmetric("table construction failed to factor the unit")
@@ -464,13 +435,10 @@ def _reduce_with_witness(spec):
     """(base, gamma) with conj(gamma^-1) o spec = base o conj(gamma^-1),
     where base is the canonical representative of spec's inner class."""
     alg = spec.alg
-    decomp = spec.decomposition()
     theta_sym, k0 = spec.symmetric_form()
-    if decomp.fixed:
-        eps = {x: theta_sym.f[x, x] for x in decomp.fixed}
+    if k0 == alg.field.one:  # always so with fixed points
+        eps = {x: theta_sym.f[x, x] for x in spec.lam.fixed_points()}
         base = rho_eps(alg, spec.lam, eps, spec.k)
-    elif k0 == alg.field.one:
-        base = base_involution(alg, spec.lam, spec.k)
     else:
         base = sigma_lambda(alg, spec.lam, spec.k)
     return base, symmetric_decompose(theta_sym * base._theta_inv, base)
@@ -649,7 +617,7 @@ class Classification:
     def to_json(self):
         out = {
             "poset": self.poset.to_json(),
-            "field": getattr(self.field, "name", "Q"),
+            "field": self.field.name,
             "lambda": self.lam.to_json(),
             "fixed_points": [str(x) for x in self.fixed],
             "mode": "general" if self.general else "inner",

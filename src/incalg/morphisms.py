@@ -54,13 +54,17 @@ class FiLinearMap(ColumnMap):
 
 def validate_cocycle(alg, values, combine, kind):
     """Check that values: strict-pair -> scalar is defined on every strict
-    pair and satisfies combine(v(x,z), v(z,y)) = v(x,y) on every chain
-    x < z < y; ``kind`` names that identity in the error.  Returns the
-    values as field elements."""
+    pair and on nothing else, and satisfies combine(v(x,z), v(z,y)) =
+    v(x,y) on every chain x < z < y; ``kind`` names that identity in the
+    error.  A missing strict pair, or the first key that is not one, raises
+    InvalidCocycle.  Returns the values as field elements."""
     field = alg.field
     for p in alg.poset.strict_pairs:
         if p not in values:
             raise InvalidCocycle(f"missing value at {p}")
+    for p in values:
+        if p not in alg.pair_index or p[0] == p[1]:
+            raise InvalidCocycle(f"value at {p!r}, which is not a strict pair")
     full = {p: field(v) for p, v in values.items()}
     for x, z, y in alg.poset.chains:
         if combine(full[(x, z)], full[(z, y)]) != full[(x, y)]:
@@ -84,6 +88,17 @@ def coboundary(poset, values, div, mul, one):
         if div(phi[x], phi[y]) != values[(x, y)]:
             return None
     return phi
+
+
+def _complete_cocycle(alg, values, default, validate):
+    """(full, scale): ``values`` with ``default`` on each strict pair it
+    omits, checked by ``validate``, and the entrywise scaling by it, an
+    IncFn that is ``default`` on the diagonal."""
+    full = dict(values or {})
+    for p in alg.poset.strict_pairs:
+        full.setdefault(p, default)
+    full = validate(alg, full)
+    return full, IncFn(alg, tuple(full.get(p, default) for p in alg.pairs))
 
 
 def validate_multiplicative_cocycle(alg, sigma):
@@ -117,13 +132,8 @@ class FiaMorphism:
         self.anti = bool(anti)
         if self.posetmap.anti != self.anti:
             raise NotAMorphism("poset map kind must match the anti flag")
-        sigma = dict(sigma or {})
-        for p in alg.poset.strict_pairs:
-            sigma.setdefault(p, alg.field.one)
-        self.sigma = validate_multiplicative_cocycle(alg, sigma)
-        # scale vector over all pairs (1 on the diagonal)
-        self._scale = IncFn(alg, tuple(
-            self.sigma[p] if p[0] != p[1] else alg.field.one for p in alg.pairs))
+        self.sigma, self._scale = _complete_cocycle(
+            alg, sigma, alg.field.one, validate_multiplicative_cocycle)
         self._perm = self.posetmap.pair_permutation()
 
     @classmethod

@@ -210,13 +210,15 @@ class Poset:
 
     # -- symmetry enumeration -------------------------------------------
 
-    def maps_to(self, other, anti=False, size_bound=SEARCH_SIZE_BOUND):
+    def maps_to(self, other, anti=False):
         """All order isomorphisms (anti=False) or anti-isomorphisms
         (anti=True) from this poset onto ``other``, by backtracking in
         element order; an anti-isomorphism is an isomorphism onto the dual
-        of ``other``."""
-        if self.n > size_bound or other.n > size_bound:
-            raise SizeLimit(f"symmetry search limited to {size_bound} elements")
+        of ``other``.  Either poset above ``SEARCH_SIZE_BOUND`` elements
+        raises SizeLimit."""
+        if max(self.n, other.n) > SEARCH_SIZE_BOUND:
+            raise SizeLimit(f"symmetry search limited to {SEARCH_SIZE_BOUND} "
+                            f"elements")
         if self.n != other.n:
             return []
         n, src = self.n, self.leq_rows
@@ -251,15 +253,15 @@ class Poset:
         extend(0)
         return out
 
-    def automorphisms(self, size_bound=SEARCH_SIZE_BOUND):
-        return self.maps_to(self, False, size_bound)
+    def automorphisms(self):
+        return self.maps_to(self, False)
 
-    def anti_automorphisms(self, size_bound=SEARCH_SIZE_BOUND):
-        return self.maps_to(self, True, size_bound)
+    def anti_automorphisms(self):
+        return self.maps_to(self, True)
 
-    def involutions(self, size_bound=SEARCH_SIZE_BOUND):
+    def involutions(self):
         """Anti-automorphisms squaring to the identity."""
-        return [m for m in self.anti_automorphisms(size_bound) if m.is_involution()]
+        return [m for m in self.anti_automorphisms() if m.is_involution()]
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Poset)

@@ -9,7 +9,6 @@ stated time budgets are asserted as hard ceilings.  Run with
 import itertools
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -17,10 +16,7 @@ from incalg.derivations import der_equals_ider
 from incalg.errors import NotASquare
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import (
-    DElem, central_pair, d_anti_isomorphic, d_one, inner_auto, random_d_unit,
-    random_delem,
-)
+from incalg.idealization import central_pair, d_anti_isomorphic, random_delem
 from incalg.involutions import (
     base_involution, build, classify, recognize, rho_eps, sigma_lambda,
     symmetric_decompose,

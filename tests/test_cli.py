@@ -11,7 +11,7 @@ from incalg import fia
 from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
-from incalg.involutions import base_involution, sigma_lambda
+from incalg.involutions import base_involution, rho_eps, sigma_lambda
 from incalg.morphisms import multiplicative_is_inner
 from incalg.posets import Poset
 
@@ -685,3 +685,23 @@ def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["automorphisms"] == 2 and payload["anti-automorphisms"] == 2
     assert len(payload["involution_maps"]) == 2
+
+
+def test_equivalent_tells_large_prime_scalings_apart(poset_files, tmp_path,
+                                                     capsys):
+    poset = Poset.from_json(poset_files["diamond"].read_text())
+    alg = IncidenceAlgebra(poset, parse_field("Q"))
+    flip = next(m for m in poset.involutions()
+                if m.mapping == {"0": "1", "1": "0", "a": "a", "b": "b"})
+    files = []
+    for prime in (999999999989, 999999999959):
+        path = tmp_path / f"eps{prime}.json"
+        path.write_text(json.dumps(
+            rho_eps(alg, flip, {"a": 1, "b": prime}, 1).to_json()))
+        files.append(str(path))
+    code = main(["equivalent", "--poset", str(poset_files["diamond"]),
+                 "--field", "Q", *files])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert json.loads(captured.out) == {"equivalent": False,
+                                        "distinguisher": "chi"}

@@ -10,7 +10,7 @@ import random
 
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField
-from incalg.idealization import DElem, inner_auto, lift_morphism
+from incalg.idealization import inner_auto, lift_morphism
 from incalg.involutions import equivalent, equivalent_inner, recognize
 from incalg.morphisms import FiaMorphism
 from incalg.oracle import (

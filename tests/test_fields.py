@@ -142,3 +142,12 @@ def test_squarefree_parts():
     big = 999983 * 999979  # two primes above the trial-division range
     assert QQ.square_class(Fraction(big)) == SquareClass("Q", big)
     assert QQ.square_class(Fraction(999983**2)).is_identity
+
+
+def test_rational_classes_multiply_in_closed_form():
+    """Classes of primes above the trial-division range multiply without
+    factorizing the product, which is past the squarefree bound."""
+    p, q = 999999999989, 999999999959
+    assert (SquareClass("Q", p) * SquareClass("Q", -q)).rep == -p * q
+    assert (SquareClass("Q", p) * SquareClass("Q", p)).is_identity
+    assert SquareClass("Q", -6) * SquareClass("Q", 10) == SquareClass("Q", -15)

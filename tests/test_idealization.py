@@ -8,9 +8,9 @@ from incalg.errors import IncalgError, NotAMorphism, NotAUnit
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    CrossAntiMap, DElem, DLinearMap, central_pair, d_anti_isomorphic, d_basis,
-    d_center_basis, d_from_json, d_one, factor_inner, inner_auto, lift_anti,
-    lift_derivation, lift_morphism, random_d_unit, random_delem,
+    DElem, DLinearMap, central_pair, d_anti_isomorphic, d_center_basis,
+    d_from_json, d_one, factor_inner, inner_auto, lift_anti, lift_derivation,
+    lift_morphism, random_d_unit, random_delem,
 )
 from incalg.linalg import rref
 from incalg.morphisms import FiaMorphism, FiLinearMap

@@ -15,12 +15,12 @@ from incalg.idealization import (
     lift_morphism, random_d_unit,
 )
 from incalg.involutions import (
-    Classification, InvolutionSpec, _relabel_by_pairs, base_involution, build, check_hypotheses, classify, equivalent,
-    equivalent_inner, involution_from_json, recognize, rho_eps, sigma_lambda,
+    InvolutionSpec, _relabel_by_pairs, base_involution, build,
+    check_hypotheses, classify, equivalent, equivalent_inner,
+    involution_from_json, recognize, rho_eps, sigma_lambda,
     symmetric_decompose,
 )
 from incalg.morphisms import FiaMorphism
-from incalg.posets import lambda_decomposition
 
 from conftest import is_identity
 
@@ -729,3 +729,15 @@ def test_equivalent_runs_the_classification_gate_once(wide_diamond,
     calls.clear()
     assert equivalent_inner(s1, s1).equivalent
     assert len(calls) == 1
+
+
+def test_large_prime_scalings_differ_in_chi(diamond):
+    """Fixed-point scalings by two primes above the trial-division range
+    are told apart by their square classes, whose ratio is never
+    factorized."""
+    alg = IncidenceAlgebra(diamond, QQ)
+    flip = diamond_flip(diamond)
+    s1 = rho_eps(alg, flip, {"a": 1, "b": 999999999989}, 1)
+    s2 = rho_eps(alg, flip, {"a": 1, "b": 999999999959}, 1)
+    verdict = equivalent_inner(s1, s2)
+    assert not verdict.equivalent and verdict.distinguisher == "chi"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from incalg.derivations import DerivationSpec, additive_is_inner
 from incalg.errors import InvalidCocycle, NotAMorphism, NotUnital
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, _is_prime
@@ -339,3 +340,25 @@ def test_fia_morphism_json_round_trip(diamond):
         m = random_morphism(alg, rng, anti)
         again = fia_morphism_from_json(alg, m.to_json())
         assert again.to_linear() == m.to_linear()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda alg, values: FiaMorphism(alg, sigma=values),
+    multiplicative_is_inner,
+    lambda alg, values: DerivationSpec(alg, tau=values),
+    additive_is_inner,
+], ids=["FiaMorphism", "multiplicative_is_inner", "DerivationSpec",
+        "additive_is_inner"])
+@pytest.mark.parametrize("values, first", [
+    ({("a", "b"): 2, ("b", "a"): 3, ("a", "z"): 1}, ("b", "a")),
+    ({("a", "a"): 2, ("a", "b"): 2}, ("a", "a")),
+    ({("a", "b"): 2, ("a", "z"): 1}, ("a", "z")),
+], ids=["reversed", "diagonal", "unknown-label"])
+def test_cocycle_keys_must_be_strict_pairs(chain2, entry, values, first):
+    """A cocycle key that is not a strict pair is refused, and the first
+    one is named, where a morphism or a derivation completes its cocycle
+    and where an inner witness is searched for."""
+    alg = IncidenceAlgebra(chain2, F5)
+    with pytest.raises(InvalidCocycle, match="not a strict pair") as exc:
+        entry(alg, values)
+    assert repr(first) in str(exc.value)

@@ -5,9 +5,7 @@ import pytest
 from incalg.errors import NotAUnit, ParseError, SizeLimit, WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_one, inner_auto,
-)
+from incalg.idealization import DElem, DLinearMap, central_pair, d_one
 from incalg.involutions import base_involution, build, sigma_lambda
 from incalg.oracle import (
     count_units, enumerate_involutions_D, enumerate_units, orbit_partition,

@@ -5,6 +5,9 @@ import pytest
 from incalg.errors import (
     CycleDetected, DuplicateLabel, NotComparable, ParseError, SizeLimit,
 )
+from incalg import posets
+from incalg.fields import PrimeField
+from incalg.idealization import d_anti_isomorphic
 from incalg.posets import Poset, PosetMap, identity_map, lambda_decomposition
 
 from conftest import chain, is_identity
@@ -137,11 +140,28 @@ def test_poset_map_validation(chain2):
     assert is_identity(ident) and not ident.is_involution()
 
 
-def test_size_limit():
+def test_size_limit(monkeypatch):
+    """Every symmetry search reads the one bound
+    ``posets.SEARCH_SIZE_BOUND``: a 13-element chain is refused by each
+    entry point, and accepted by each once the bound is 13."""
     big = chain(13)
-    with pytest.raises(SizeLimit):
-        big.automorphisms()
-    assert len(big.automorphisms(size_bound=13)) == 1
+    searches = {
+        "maps_to": lambda: big.maps_to(big, anti=True),
+        "automorphisms": big.automorphisms,
+        "anti_automorphisms": big.anti_automorphisms,
+        "involutions": big.involutions,
+        "d_anti_isomorphic": lambda: d_anti_isomorphic(big, big, PrimeField(3)),
+    }
+    for search in searches.values():
+        with pytest.raises(SizeLimit):
+            search()
+    monkeypatch.setattr(posets, "SEARCH_SIZE_BOUND", 13)
+    found = {name: search() for name, search in searches.items()}
+    assert len(found["maps_to"]) == 1
+    assert len(found["automorphisms"]) == len(found["anti_automorphisms"]) == 1
+    assert len(found["involutions"]) == 1
+    lam, _ = found["d_anti_isomorphic"]
+    assert lam == found["involutions"][0]
 
 
 def test_between_not_comparable(diamond):

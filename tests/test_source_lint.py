@@ -1,5 +1,6 @@
 """Source checks on the library: every module other than the package
-``__init__`` (which re-exports) uses each name it imports, no module
+``__init__`` (which re-exports), and every test and demo script, uses each
+name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
 somewhere, each ``WitnessFailed`` raise has its own message, and the CLI
@@ -13,6 +14,8 @@ import incalg
 from incalg import errors
 
 SRC = Path(incalg.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(source, filename="<source>"):
@@ -36,6 +39,15 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
+def test_tests_and_demos_have_no_unused_imports():
+    """Fixtures reach tests through ``conftest.py`` by name, never by an
+    import, so an imported name a test file never reads is dead too."""
+    found = [f"{path.parent.name}/{path.name}:{entry}"
+             for folder in (TESTS, DEMOS) for path in sorted(folder.glob("*.py"))
+             for entry in unused_imports(path.read_text(), str(path))]
+    assert found == []
+
+
 def test_unused_import_is_reported():
     source = ("import os.path\n"
               "from .errors import IncalgError, ParseError as PE\n"
@@ -49,12 +61,11 @@ TYPED = frozenset(name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, errors.IncalgError))
 
 # (module, raised class) -> how many such raises the library may hold.  The
-# CLI's argparse type hook must raise argparse's own error, and the abstract
-# Field method raises NotImplementedError.  The comparison is exact: a new
-# raise fails it, and a mended one must be struck from the list.
+# CLI's argparse type hook must raise argparse's own error.  The comparison
+# is exact: a new raise fails it, and a mended one must be struck from the
+# list.
 ALLOWED_RAISES = Counter({
     ("cli.py", "argparse.ArgumentTypeError"): 1,
-    ("fields.py", "NotImplementedError"): 1,
     # PEP 562: a module __getattr__ must raise AttributeError for an
     # unknown name, or hasattr() and from-imports of submodules break
     ("__init__.py", "AttributeError"): 1,
