@@ -72,9 +72,8 @@ def _parse_json(text, what):
 
 def load_poset(path):
     text = read_input(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return Poset.from_json(text)
+    if text.lstrip().startswith("{"):
+        return Poset.from_json(_parse_json(text, f"bad poset file {path}"))
     return Poset.from_lines(text)
 
 
@@ -184,7 +183,7 @@ def _load_involution(alg, path):
     obj = _parse_json(read_input(path), f"bad involution file {path}")
     try:
         return involution_from_json(alg, obj)
-    except (KeyError, TypeError) as exc:
+    except ParseError as exc:
         raise ParseError(f"bad involution object in {path}: {exc}") from exc
 
 

@@ -72,11 +72,8 @@ class IncidenceAlgebra:
         # rank_one_terms[k] lists, for e_ab at pair index k, the triples
         # (t, i, j) of pair indices t = (x, y), i = (x, a), j = (b, y), one
         # per x <= a and b <= y: entry t of u e_ab v is u[i] v[j]
-        down = {x: [] for x in poset.elements}
-        up = {x: [] for x in poset.elements}
-        for x, y in self.pairs:
-            down[y].append(x)
-            up[x].append(y)
+        down = {x: poset.down(x) for x in poset.elements}
+        up = {x: poset.up(x) for x in poset.elements}
         self.rank_one_terms = tuple(
             tuple((self.pair_index[(x, y)], self.pair_index[(x, a)],
                    self.pair_index[(b, y)])

@@ -335,13 +335,3 @@ def parse_field(spec):
         return PrimeField(int(s[1:]))
     raise ParseError(f"bad field spec {spec!r}")
 
-
-def class_eq_up_to_shift(chi1, chi2):
-    """Whether two square-class maps on the same domain differ by one global
-    S_K factor, i.e. chi2(x) * chi1(x)^-1 is constant."""
-    if set(chi1) != set(chi2):
-        raise DomainMismatch("square-class maps on different domains")
-    if not chi1:
-        return True
-    ratios = {chi2[x] * chi1[x].inverse() for x in chi1}
-    return len(ratios) == 1

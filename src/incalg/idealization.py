@@ -14,6 +14,7 @@ coordinates first, so its 2x2 blocks are maps of the algebra.
 
 from .errors import ContextMismatch, NotADerivation, NotAMorphism, NotAUnit
 from .fia import ColumnMap, IncidenceAlgebra, _check_context, _fn, _over_one
+from .posets import _members
 
 
 class DElem:
@@ -106,7 +107,8 @@ def _split(alg, num, den):
 
 
 def d_from_json(alg, obj):
-    return DElem(alg.from_json(obj["f"]), alg.from_json(obj["i"]))
+    f, i = _members(obj, "idealization element", "f", "i")
+    return DElem(alg.from_json(f), alg.from_json(i))
 
 
 def d_basis(alg):

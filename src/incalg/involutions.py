@@ -21,11 +21,10 @@ from .errors import (
     ParseError, UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
 from .fia import IncidenceAlgebra
-from .fields import class_eq_up_to_shift
 from .idealization import (
     DElem, DLinearMap, central_pair, d_from_json, d_one,
 )
-from .posets import PosetMap, lambda_decomposition
+from .posets import PosetMap, _members, lambda_decomposition
 from .snf import check_hypotheses
 
 
@@ -162,7 +161,7 @@ class InvolutionSpec:
         if k0 != field.one:
             raise NotAnInvolution("skew units cannot occur with fixed points")
         chi = {x: field.square_class(theta_sym.f[x, x]) for x in fixed}
-        return ClassInvariant(self.lam, self.k, field, chi=chi, fixed=fixed)
+        return ClassInvariant(self.lam, self.k, field, chi=chi)
 
     def sign_int(self):
         return 1 if self.k == self.alg.field.one else -1
@@ -182,20 +181,23 @@ class ClassInvariant:
     and the square-class data (or the plain/skew tag when there are no
     fixed points)."""
 
-    def __init__(self, lam, sign, field, kind=None, chi=None, fixed=()):
+    def __init__(self, lam, sign, field, kind=None, chi=None):
         self.lam = lam
         self.sign = sign
         self.kind = kind
-        self.fixed = tuple(fixed)
         self.chi = dict(chi) if chi else None
         self.field = field
 
+    def key(self, alpha=None):
+        """The plain/skew tag, or ``_chi_key`` of chi; a carrier alpha
+        moves chi by alpha, as relabelling the involution by it does."""
+        if self.kind is not None:
+            return self.kind
+        return _chi_key(self.chi, alpha)
+
     def same_inner_class(self, other):
-        if self.lam != other.lam or self.sign != other.sign:
-            return False
-        if self.kind is not None or other.kind is not None:
-            return self.kind == other.kind
-        return class_eq_up_to_shift(self.chi, other.chi)
+        return (self.lam == other.lam and self.sign == other.sign
+                and self.key() == other.key())
 
     def to_json(self):
         out = {"lambda": self.lam.to_json(),
@@ -205,6 +207,17 @@ class ClassInvariant:
         if self.chi is not None:
             out["chi"] = {str(x): _class_json(c) for x, c in self.chi.items()}
         return out
+
+
+def _chi_key(chi, alpha=None):
+    """chi on the fixed points in element order, divided by its value at
+    the first: equal exactly for chi up to one global shift.  A poset
+    automorphism alpha first moves each point x to alpha(x)."""
+    if alpha is not None:
+        moved = {alpha(x): c for x, c in chi.items()}
+        chi = {x: moved[x] for x in sorted(moved, key=alpha.dst.index.get)}
+    head = next(iter(chi.values())).inverse()
+    return tuple(c * head for c in chi.values())
 
 
 def _class_json(cls):
@@ -387,9 +400,10 @@ def _factor(raw, ring_columns):
 
 
 def involution_from_json(alg, obj):
-    lam = PosetMap.from_json(alg.poset, alg.poset, obj["lambda"], anti=True)
-    theta = d_from_json(alg, obj["theta"])
-    return build(alg, theta, lam, alg.field.parse(str(obj["k"])))
+    """The involution in the shape ``InvolutionSpec.to_json`` writes."""
+    lam, theta, k = _members(obj, "involution", "lambda", "theta", "k")
+    lam = PosetMap.from_json(alg.poset, alg.poset, lam, anti=True)
+    return build(alg, d_from_json(alg, theta), lam, alg.field.parse(str(k)))
 
 
 # -- equivalence -------------------------------------------------------------
@@ -562,11 +576,13 @@ def equivalent(s1, s2):
     agree and some poset automorphism must carry one induced involution to
     the other with matching square-class data.
 
-    The classification gate runs once, not once per carrier.  Before a
-    positive verdict, the pair permutation of the relabelled normal form
-    that ``_relabelled_spec`` built is held to ``_relabel_by_pairs``, a
-    second route on pair permutations alone; a mismatch raises
-    WitnessFailed."""
+    The classification gate runs once, not once per carrier.  Each
+    carrier alpha is tested on the invariants alone: relabelling s2 by
+    alpha moves its key by alpha.  Only the first carrier whose key
+    matches s1's is built into a relabelled normal form, whose inner
+    witness must then exist.  Before a positive verdict, that form's pair
+    permutation is held to ``_relabel_by_pairs``, a second route on pair
+    permutations alone; a mismatch raises WitnessFailed."""
     _check_same_context(s1, s2)
     alg = s1.alg
     require_classifiable(alg.poset, alg.field)
@@ -576,15 +592,18 @@ def equivalent(s1, s2):
                 if _intertwines(a, s1.lam, s2.lam)]
     if not carriers:
         return Verdict(False, distinguisher="lambda")
-    for alpha in carriers:
-        conjugated = _relabelled_spec(s2, alpha)
-        inner = _equivalent_inner(s1, conjugated)
-        if inner.equivalent:
-            if _relabel_by_pairs(s2, alpha) != conjugated._perm:
-                raise WitnessFailed("relabel conjugation mismatch")
-            return Verdict(True, conjugator=inner.conjugator,
-                           alpha=alpha, k=alg.field.one)
-    return Verdict(False, distinguisher="chi")
+    key, inv2 = s1.invariant().key(), s2.invariant()
+    alpha = next((a for a in carriers if inv2.key(a) == key), None)
+    if alpha is None:
+        return Verdict(False, distinguisher="chi")
+    conjugated = _relabelled_spec(s2, alpha)
+    inner = _equivalent_inner(s1, conjugated)
+    if not inner.equivalent:
+        raise WitnessFailed("matching carrier key gives no inner witness")
+    if _relabel_by_pairs(s2, alpha) != conjugated._perm:
+        raise WitnessFailed("relabel conjugation mismatch")
+    return Verdict(True, conjugator=inner.conjugator, alpha=alpha,
+                   k=alg.field.one)
 
 
 # -- classification ----------------------------------------------------------
@@ -632,23 +651,16 @@ class Classification:
 
 
 def _chi_orbit_fold(poset, lam, fixed, tuples):
-    """Fold canonical square-class tuples by the automorphisms commuting
-    with the involution; keeps the lexicographically first of each orbit."""
+    """Fold canonical square-class tuples (each its own ``_chi_key``) by
+    the automorphisms commuting with lam, keeping the first of each orbit."""
     normalizer = [a for a in poset.automorphisms() if _intertwines(a, lam, lam)]
-
-    def act(alpha, tup):
-        # alpha commutes with lam, so it permutes the fixed points
-        moved = {alpha(x): v for x, v in zip(fixed, tup)}
-        head = moved[fixed[0]]
-        return tuple(moved[x] * head.inverse() for x in fixed)
-
     keep = []
     seen = set()
     for tup in tuples:
         if tup in seen:
             continue
-        orbit = {act(a, tup) for a in normalizer}
-        seen |= orbit
+        chi = dict(zip(fixed, tup))
+        seen |= {_chi_key(chi, a) for a in normalizer}
         keep.append(tup)
     return keep
 

@@ -6,8 +6,6 @@ downstream (incidence functions, morphism matrices) uses the lexicographic
 (x, y) order over this element order.
 """
 
-import json
-
 from .errors import (
     CycleDetected, DuplicateLabel, NoDecomposition, NotComparable, ParseError,
     SizeLimit,
@@ -15,6 +13,17 @@ from .errors import (
 
 # Backtracking symmetry search is exhaustive; keep it to desk scale.
 SEARCH_SIZE_BOUND = 12
+
+
+def _members(obj, what, *keys):
+    """The values at ``keys`` of the parsed JSON object ``obj``; a value
+    that is not an object, or a missing key, raises ParseError naming it."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} {obj!r} is not an object")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{what} has no {key!r}")
+    return [obj[key] for key in keys]
 
 
 class Poset:
@@ -94,19 +103,9 @@ class Poset:
 
     @classmethod
     def from_json(cls, obj):
-        """Build from {"elements": [label, ...], "covers": [[x, y], ...]},
-        given as a dict or as its JSON text; labels are strings."""
-        if isinstance(obj, str):
-            try:
-                obj = json.loads(obj)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc)) from exc
-            except RecursionError as exc:
-                raise ParseError("poset JSON nested too deeply") from exc
-        try:
-            elements, covers = obj["elements"], obj["covers"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad poset object: {exc}") from exc
+        """Build from the parsed JSON object {"elements": [label, ...],
+        "covers": [[x, y], ...]}; labels are strings."""
+        elements, covers = _members(obj, "poset", "elements", "covers")
         if not isinstance(elements, (list, tuple)):
             raise ParseError(f"poset elements must be a list, not {elements!r}")
         for x in elements:

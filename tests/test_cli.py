@@ -261,7 +261,7 @@ def test_hypotheses_over_a_large_prime(poset_files):
         capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == 3, proc.stderr
     payload = json.loads(proc.stdout)
-    crown = Poset.from_json(poset_files["crown"].read_text())
+    crown = Poset.from_json(json.loads(poset_files["crown"].read_text()))
     assert _certified_non_inner(crown, PrimeField(1000000007),
                                 payload["non_inner_cocycle"])
     assert "non_inner_additive_cocycle" in payload
@@ -454,6 +454,20 @@ def test_equivalent_rejects_malformed_involution_shapes(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_equivalent_names_the_file_missing_a_key(poset_files, tmp_path,
+                                                 capsys):
+    poset = Poset.from_json(json.loads(poset_files["chain2"].read_text()))
+    obj = base_involution(IncidenceAlgebra(poset, PrimeField(3)),
+                          poset.involutions()[0], 1).to_json()
+    del obj["theta"]
+    bad = tmp_path / "inv.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["equivalent", "--poset", str(poset_files["chain2"]),
+                 "--field", "F3", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad involution object in {bad}: involution has no 'theta'\n")
 
 
 def test_verify_commands(poset_files, capsys):
@@ -650,7 +664,7 @@ def test_deeply_nested_json_exits_2(poset_files, tmp_path, capsys, site):
     if site == "poset":
         deep.write_text('{"elements": ' + DEEP + "}")
         argv = ["poset-info", "--poset", str(deep)]
-        named = "poset JSON nested too deeply"
+        named = f"bad poset file {deep}: JSON nested too deeply"
     elif site.startswith("lambda"):
         deep.write_text('{"a": ' + DEEP + "}")
         lam = str(deep) if site == "lambda-file" else deep.read_text()
@@ -666,6 +680,18 @@ def test_deeply_nested_json_exits_2(poset_files, tmp_path, capsys, site):
     captured = capsys.readouterr()
     assert captured.err == f"error: {named}\n"
     assert "Traceback" not in captured.err
+
+
+def test_malformed_poset_file_names_the_file(tmp_path, capsys):
+    """Poset JSON is read by the same reader as the other JSON inputs, so
+    a decode error names the file it came from."""
+    bad = tmp_path / "cut.json"
+    bad.write_text('{"elements": [')
+    assert main(["poset-info", "--poset", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: bad poset file {bad}: Expecting value: "
+                            f"line 1 column 15 (char 14)\n")
+    assert captured.out == ""
 
 
 def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):
@@ -689,7 +715,7 @@ def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):
 
 def test_equivalent_tells_large_prime_scalings_apart(poset_files, tmp_path,
                                                      capsys):
-    poset = Poset.from_json(poset_files["diamond"].read_text())
+    poset = Poset.from_json(json.loads(poset_files["diamond"].read_text()))
     alg = IncidenceAlgebra(poset, parse_field("Q"))
     flip = next(m for m in poset.involutions()
                 if m.mapping == {"0": "1", "1": "0", "a": "a", "b": "b"})

@@ -224,3 +224,25 @@ def test_centre_matches_component_walk(request, name, field):
     for f in candidates:
         assert f.is_central() == ref_is_central(alg, f)
     assert sum(f.is_central() for f in candidates) >= len(basis) + 2
+
+
+def ref_rank_one_terms(alg):
+    """The rank-one plan built from down- and up-lists gathered over the
+    pairs, as ``IncidenceAlgebra`` did before it read ``Poset.down`` and
+    ``Poset.up``."""
+    down = {x: [] for x in alg.poset.elements}
+    up = {x: [] for x in alg.poset.elements}
+    for x, y in alg.pairs:
+        down[y].append(x)
+        up[x].append(y)
+    index = alg.pair_index
+    return tuple(
+        tuple((index[(x, y)], index[(x, a)], index[(b, y)])
+              for x in down[a] for y in up[b])
+        for a, b in alg.pairs)
+
+
+@pytest.mark.parametrize("name", CENTRE_POSETS)
+def test_rank_one_terms_match_the_pair_lists(request, name):
+    alg = IncidenceAlgebra(request.getfixturevalue(name), F3)
+    assert alg.rank_one_terms == ref_rank_one_terms(alg)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from incalg.errors import DomainMismatch, ParseError, ZeroArgument
-from incalg.fields import (
-    QQ, PrimeField, SquareClass, class_eq_up_to_shift, parse_field,
-)
+from incalg.errors import ParseError, ZeroArgument
+from incalg.fields import QQ, PrimeField, SquareClass, parse_field
+from incalg.involutions import ClassInvariant
+from incalg.posets import Poset
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -121,18 +121,29 @@ def test_char2_field_is_constructible():
 
 
 def test_class_shift_examples():
+    """Square-class tuples on the fixed points x and y of the diamond's
+    flip are one inner class exactly when they differ by one global
+    class; the key divides by the value at x."""
+    diamond = Poset.from_covers(["0", "x", "y", "1"], [
+        ("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+    flip = next(m for m in diamond.involutions() if m("x") == "x")
+
+    def invariant(field, chi):
+        return ClassInvariant(flip, field.one, field, chi=chi)
+
     ident = F5.square_class(1)
     nonsq = F5.square_class(2)
-    assert class_eq_up_to_shift({"x": ident, "y": ident}, {"x": nonsq, "y": nonsq})
-    assert not class_eq_up_to_shift({"x": ident, "y": ident}, {"x": ident, "y": nonsq})
-    chi1 = {"x": QQ.square_class(2), "y": QQ.square_class(3)}
-    chi2 = {"x": QQ.square_class(10), "y": QQ.square_class(15)}
+    same = invariant(F5, {"x": ident, "y": ident})
+    assert same.same_inner_class(invariant(F5, {"x": nonsq, "y": nonsq}))
+    assert not same.same_inner_class(invariant(F5, {"x": ident, "y": nonsq}))
+    assert invariant(F5, {"x": nonsq, "y": ident}).key() == (ident, nonsq)
+    chi1 = invariant(QQ, {"x": QQ.square_class(2), "y": QQ.square_class(3)})
+    chi2 = invariant(QQ, {"x": QQ.square_class(10), "y": QQ.square_class(15)})
     # ratio has class 5 at both points
     assert QQ.square_class(10) * QQ.square_class(2).inverse() == QQ.square_class(5)
-    assert class_eq_up_to_shift(chi1, chi2)
-    with pytest.raises(DomainMismatch):
-        class_eq_up_to_shift({"x": ident}, {"y": ident})
-    assert class_eq_up_to_shift({}, {})
+    assert chi1.same_inner_class(chi2)
+    assert chi1.key() == chi2.key() == (SquareClass("Q", 1),
+                                        SquareClass("Q", 6))
 
 
 def test_squarefree_parts():

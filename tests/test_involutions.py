@@ -4,8 +4,8 @@ import pytest
 
 from incalg.errors import (
     BadSign, Char2Unsupported, FixedPointsPresent, HypothesisFailed,
-    NotASquare, NotConnected, NotInvolutive, NotSymmetric, UpperRightNonzero,
-    WitnessFailed, ZeroEpsilon,
+    NotASquare, NotConnected, NotInvolutive, NotSymmetric, ParseError,
+    UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
@@ -178,6 +178,45 @@ def test_involution_spec_json_round_trip(diamond):
     spec = rho_eps(alg, flip, {"a": 2, "b": 3}, -1)
     again = involution_from_json(alg, spec.to_json())
     assert again.to_linear() == spec.to_linear()
+
+
+def _drop(*path):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    return edit
+
+
+def _replace(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("lambda"), "involution has no 'lambda'"),
+    (_drop("theta"), "involution has no 'theta'"),
+    (_drop("k"), "involution has no 'k'"),
+    (_drop("theta", "f"), "idealization element has no 'f'"),
+    (_drop("theta", "i"), "idealization element has no 'i'"),
+    (_replace("theta", [1]), "idealization element [1] is not an object"),
+], ids=["lambda", "theta", "k", "theta-f", "theta-i", "theta-list"])
+def test_involution_from_json_names_what_is_missing(diamond, edit, message):
+    alg = IncidenceAlgebra(diamond, F5)
+    obj = rho_eps(alg, diamond_flip(diamond), {"a": 2, "b": 3}, -1).to_json()
+    edit(obj)
+    with pytest.raises(ParseError) as info:
+        involution_from_json(alg, obj)
+    assert str(info.value) == message
+
+
+def test_involution_from_json_refuses_a_non_object(diamond):
+    alg = IncidenceAlgebra(diamond, F5)
+    for value in ([["0", "1"]], "theta", 3, None):
+        with pytest.raises(ParseError) as info:
+            involution_from_json(alg, value)
+        assert str(info.value) == f"involution {value!r} is not an object"
 
 
 def test_symmetric_decompose_identity_target(diamond):
@@ -694,6 +733,22 @@ def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
                         lambda spec, alpha: tuple(range(len(spec._perm))))
     with pytest.raises(WitnessFailed):
         equivalent(s1, s2)
+
+
+def test_carrier_moves_the_key_as_relabelling_moves_the_spec(wide_diamond):
+    """Relabelling an involution by a poset automorphism alpha moves its
+    χ key by alpha: the key ``equivalent`` compares per carrier is the key
+    of the normal form it would build."""
+    specs = [spec for lam in wide_diamond.involutions()
+             for spec in classify(wide_diamond, lam, F5).representatives]
+    moves = 0
+    for alpha in wide_diamond.automorphisms():
+        for spec in specs:
+            moved = involutions._relabelled_spec(spec, alpha).invariant()
+            key = spec.invariant().key(alpha)
+            assert moved.key() == key
+            moves += key != spec.invariant().key()
+    assert moves > 0
 
 
 def _counting_hypotheses(monkeypatch):

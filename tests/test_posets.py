@@ -62,6 +62,11 @@ def test_label_that_would_not_read_back_is_refused(label):
 
 def test_json_and_line_formats(diamond):
     assert Poset.from_json(diamond.to_json()) == diamond
+    for obj, message in (({"elements": ["a"]}, "poset has no 'covers'"),
+                         (["a"], "poset ['a'] is not an object")):
+        with pytest.raises(ParseError) as info:
+            Poset.from_json(obj)
+        assert str(info.value) == message
     p = Poset.from_lines("a<b\nb<c\n# comment\nz\n")
     assert p.leq("a", "c")
     assert p.elements == ("a", "b", "c", "z")

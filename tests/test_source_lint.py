@@ -3,8 +3,9 @@
 name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
-somewhere, each ``WitnessFailed`` raise has its own message, and the CLI
-imports at module level only the modules every subcommand shares."""
+somewhere, each ``WitnessFailed`` raise has its own message, every private
+module-level helper is read somewhere, and the CLI imports at module level
+only the modules every subcommand shares."""
 
 import ast
 from collections import Counter
@@ -55,6 +56,53 @@ def test_unused_import_is_reported():
               "    from .fia import IncFn\n"
               "    return os.sep, PE\n")
     assert unused_imports(source) == ["2: IncalgError", "4: IncFn"]
+
+
+def unread_helpers(sources):
+    """``module: name`` for each module-level function named with a leading
+    underscore (dunders aside) that no code in ``sources``, a dict from
+    module name to source, reads outside the function's own body: by name
+    or as an attribute."""
+    trees = {module: ast.parse(source, filename=module)
+             for module, source in sources.items()}
+
+    def reads(node, name):
+        return sum(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(node))
+
+    return [f"{module}: {node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and sum(reads(t, node.name) for t in trees.values())
+            == reads(node, node.name)]
+
+
+def test_library_has_no_unread_helpers():
+    """A helper orphaned by a simplification is dead code."""
+    assert unread_helpers({path.name: path.read_text()
+                           for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_unread_helper_is_reported():
+    sources = {"a.py": ("def _used(x):\n"
+                        "    return x\n"
+                        "def _recursive(n):\n"
+                        "    return _recursive(n - 1) if n else 0\n"
+                        "def _orphan():\n"
+                        "    return _used(1)\n"
+                        "def __getattr__(name):\n"
+                        "    raise AttributeError(name)\n"
+                        "class C:\n"
+                        "    def _method(self):\n"
+                        "        return 0\n"
+                        "def _attr_read():\n"
+                        "    return 1\n"),
+               "b.py": ("from . import a\n"
+                        "def public():\n"
+                        "    return a._attr_read()\n")}
+    assert unread_helpers(sources) == ["a.py: _recursive", "a.py: _orphan"]
 
 
 TYPED = frozenset(name for name, obj in vars(errors).items()

@@ -9,6 +9,11 @@ earlier label-lookup search, the label-lookup order check, the recursive
 backtracking split and the compose-chain conjugacy tests.  They must agree
 on every fixture and on drawn posets: the same maps in the same order, the
 same accept or reject with the same message, the same split.
+
+``ref_equivalent`` is the per-carrier loop ``equivalent`` replaced: it
+built a relabelled normal form and ran a whole inner-equivalence attempt
+for each carrier, where ``equivalent`` compares χ keys per carrier and
+builds one.  The verdicts must agree byte for byte as JSON.
 """
 
 import itertools
@@ -16,10 +21,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from incalg.errors import NoDecomposition, ParseError, SizeLimit
-from incalg.involutions import _intertwines
+from incalg.errors import (
+    IncalgError, NoDecomposition, ParseError, SizeLimit, WitnessFailed,
+)
+from incalg.fia import IncidenceAlgebra
+from incalg.fields import QQ, PrimeField
+from incalg.idealization import d_one, random_d_unit
+from incalg import involutions
+from incalg.involutions import (
+    InvolutionSpec, Verdict, _check_same_context, _equivalent_inner,
+    _intertwines, _relabel_by_pairs, _relabelled_spec, build, classify,
+    equivalent, require_classifiable, rho_eps,
+)
 from incalg.posets import (
     SEARCH_SIZE_BOUND, Poset, PosetMap, lambda_decomposition,
 )
@@ -154,6 +169,29 @@ def ref_carries(alpha, lam1, lam2):
 def ref_commutes(alpha, lam):
     """The compose-chain normalizer test of the χ-fold."""
     return alpha.compose(lam) == lam.compose(alpha)
+
+
+def ref_equivalent(s1, s2):
+    """The per-carrier loop of ``equivalent``: one relabelled normal form
+    and one inner attempt per carrier, until one succeeds."""
+    _check_same_context(s1, s2)
+    alg = s1.alg
+    require_classifiable(alg.poset, alg.field)
+    if s1.k != s2.k:
+        return Verdict(False, distinguisher="sign")
+    carriers = [a for a in alg.poset.automorphisms()
+                if _intertwines(a, s1.lam, s2.lam)]
+    if not carriers:
+        return Verdict(False, distinguisher="lambda")
+    for alpha in carriers:
+        conjugated = _relabelled_spec(s2, alpha)
+        inner = _equivalent_inner(s1, conjugated)
+        if inner.equivalent:
+            if _relabel_by_pairs(s2, alpha) != conjugated._perm:
+                raise WitnessFailed("relabel conjugation mismatch")
+            return Verdict(True, conjugator=inner.conjugator,
+                           alpha=alpha, k=alg.field.one)
+    return Verdict(False, distinguisher="chi")
 
 
 # -- comparisons --------------------------------------------------------------
@@ -346,3 +384,114 @@ def test_split_and_conjugacy_match_reference_on_drawn_self_dual_posets(drawn):
     assert lam in poset.involutions()
     check_search(poset, poset)
     check_split_and_conjugacy(poset)
+
+
+# -- general equivalence ------------------------------------------------------
+
+FIELDS = {"F3": PrimeField(3), "F5": PrimeField(5), "Q": QQ}
+RATIONAL_SCALINGS = (1, 2, -1, 3, 6, -2)
+
+
+def involution_specs(poset, field, rng, per_lam=4):
+    """Up to ``per_lam`` class representatives of each involution of the
+    poset, each followed by a random inner conjugate.  Over Q with two or
+    more fixed points, where the classes form a family, the representatives
+    are rho_eps with drawn scalings."""
+    alg = IncidenceAlgebra(poset, field)
+    specs = []
+    for lam in poset.involutions():
+        reps = classify(poset, lam, field).representatives
+        if reps is None:
+            reps = [rho_eps(alg, lam, {x: rng.choice(RATIONAL_SCALINGS)
+                                       for x in lam.fixed_points()}, k)
+                    for k in (1, -1, 1, -1)]
+        for spec in spread(reps, per_lam):
+            u = random_d_unit(alg, rng)
+            while not u.is_unit():
+                u = random_d_unit(alg, rng)
+            specs += [spec, build(alg, u * spec.theta * spec.base_apply(u),
+                                  spec.lam, spec.k)]
+    return specs
+
+
+def verdict_json(decide, s1, s2):
+    try:
+        return decide(s1, s2).to_json()
+    except IncalgError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def check_general_verdicts(poset, field, rng, per_lam=4, pairs=None):
+    """``equivalent`` against ``ref_equivalent`` on every pair of specs,
+    or on ``pairs`` drawn pairs; a poset that cannot be classified raises
+    the same error from both."""
+    try:
+        require_classifiable(poset, field)
+    except IncalgError:
+        alg = IncidenceAlgebra(poset, field)
+        specs = [InvolutionSpec(alg, d_one(alg), lam, 1)
+                 for lam in poset.involutions()]
+    else:
+        specs = involution_specs(poset, field, rng, per_lam)
+    todo = list(itertools.product(specs, repeat=2))
+    if pairs is not None and len(todo) > pairs:
+        todo = rng.sample(todo, pairs)
+    for s1, s2 in todo:
+        assert verdict_json(equivalent, s1, s2) == \
+            verdict_json(ref_equivalent, s1, s2)
+    return todo
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_equivalent_matches_reference_on_fixtures(request, name, field):
+    poset = request.getfixturevalue(name)
+    check_general_verdicts(poset, FIELDS[field], random.Random(name + field))
+
+
+@st.composite
+def connected_self_dual_posets(draw, max_size=9):
+    """A drawn self-dual poset, put between a new bottom and top (which
+    its involution swaps) when drawn so; kept only when connected and
+    with at most 720 automorphisms, so that the reference loop, which
+    builds a normal form per carrier, stays quick."""
+    poset, _ = draw(self_dual_posets(max_size=max_size - 2))
+    if draw(st.booleans()):
+        inner = poset.elements
+        poset = Poset.from_covers(
+            ["lo", *inner, "hi"],
+            [*poset.covers, *(("lo", x) for x in inner),
+             *((x, "hi") for x in inner)])
+    assume(poset.is_connected() and len(poset.automorphisms()) <= 720)
+    return poset
+
+
+@settings(max_examples=12, deadline=None)
+@given(connected_self_dual_posets(), st.sampled_from(sorted(FIELDS)),
+       st.randoms(use_true_random=False))
+def test_equivalent_matches_reference_on_drawn_self_dual_posets(
+        poset, field, rng):
+    check_general_verdicts(poset, FIELDS[field], rng, per_lam=2, pairs=40)
+
+
+def test_equivalent_builds_at_most_one_relabelled_spec(wide_diamond,
+                                                       monkeypatch):
+    """Carriers are compared on their χ keys; only the first match is
+    relabelled into a normal form.  Over F5 the flip of the wide diamond
+    has six carriers, and each pair of specs is decided with at most one
+    relabelled normal form."""
+    built = []
+    relabel = involutions._relabelled_spec
+    monkeypatch.setattr(involutions, "_relabelled_spec",
+                        lambda spec, alpha: built.append(alpha)
+                        or relabel(spec, alpha))
+    alg = IncidenceAlgebra(wide_diamond, PrimeField(5))
+    flip = next(m for m in wide_diamond.involutions()
+                if all(m.mapping[x] == x for x in "abc"))
+    reps = classify(wide_diamond, flip, alg.field).representatives
+    verdicts = []
+    for s1, s2 in itertools.product(reps, repeat=2):
+        built.clear()
+        verdicts.append(equivalent(s1, s2).to_json())
+        assert len(built) == (1 if verdicts[-1]["equivalent"] else 0)
+    assert {"equivalent": False, "distinguisher": "chi"} in verdicts

@@ -20,7 +20,8 @@ from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
 from incalg.idealization import DElem, DLinearMap, d_one, inner_auto
 from incalg.involutions import (
-    equivalent, equivalent_inner, recognize, rho_eps, verify_witness,
+    ClassInvariant, Verdict, classify, equivalent, equivalent_inner,
+    recognize, rho_eps, verify_witness,
 )
 from incalg.posets import Poset
 
@@ -88,6 +89,84 @@ def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- negative controls on the equivalence path -------------------------------
+#
+# Each row names one ``raise WitnessFailed`` site by its message, a patch that
+# breaks what the site guards, and the library call and CLI command that
+# reach it.  A check that cannot fail any more fails its row.
+
+
+def _no_inner_witness(monkeypatch):
+    """The inner attempt finds no witness for a carrier whose χ key
+    matched."""
+    monkeypatch.setattr(involutions, "_equivalent_inner",
+                        lambda s1, s2: Verdict(False, distinguisher="chi"))
+
+
+def _every_class_the_same(monkeypatch):
+    """The invariant puts every pair of involutions in one inner class."""
+    monkeypatch.setattr(ClassInvariant, "same_inner_class",
+                        lambda self, other: True)
+
+
+def _one_square_class(monkeypatch):
+    """The field lists one square-class representative where it has two."""
+    monkeypatch.setattr(PrimeField, "square_class_reps", lambda self: [1])
+
+
+def _diamond_flip():
+    poset = Poset.from_json(DIAMOND)
+    return poset, next(m for m in poset.involutions() if m.mapping == FLIP)
+
+
+def _diamond_spec(a, b):
+    """rho_eps over F5 on the diamond's flip, scaled by a and b at the
+    fixed points."""
+    poset, flip = _diamond_flip()
+    alg = IncidenceAlgebra(poset, PrimeField(5))
+    return rho_eps(alg, flip, {"a": a, "b": b}, 1)
+
+
+# (message, patch, library call, CLI arguments after --poset and --field,
+# where a scaling pair stands for the file of its ``_diamond_spec``)
+NEGATIVE_CONTROLS = [
+    ("matching carrier key gives no inner witness", _no_inner_witness,
+     lambda: equivalent(_diamond_spec(1, 1), _diamond_spec(2, 2)),
+     ["equivalent", "--general", (1, 1), (2, 2)]),
+    ("shift ratio must be a square", _every_class_the_same,
+     lambda: equivalent_inner(_diamond_spec(1, 1), _diamond_spec(1, 2)),
+     ["equivalent", (1, 1), (1, 2)]),
+    ("representative count disagrees with theory", _one_square_class,
+     lambda: classify(*_diamond_flip(), PrimeField(5)),
+     ["classify", "--lambda", json.dumps(FLIP)]),
+]
+
+
+@pytest.mark.parametrize("message, patch, call, argv", NEGATIVE_CONTROLS,
+                         ids=[row[0] for row in NEGATIVE_CONTROLS])
+def test_negative_control_fires(tmp_path, monkeypatch, capsys, message,
+                                patch, call, argv):
+    patch(monkeypatch)
+    with pytest.raises(WitnessFailed) as info:
+        call()
+    assert str(info.value) == message
+    poset = tmp_path / "diamond.json"
+    poset.write_text(json.dumps(DIAMOND))
+
+    def written(arg):
+        if isinstance(arg, str):
+            return arg
+        path = tmp_path / "eps{}-{}.json".format(*arg)
+        path.write_text(json.dumps(_diamond_spec(*arg).to_json()))
+        return str(path)
+
+    code = main([argv[0], "--poset", str(poset), "--field", "F5",
+                 *map(written, argv[1:])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def _run_python(argv, optimize, timeout=120, stream="stdout"):
