@@ -45,6 +45,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import ContextMismatch, NotAUnit, NotComparable, ParseError
+from .posets import _members
 
 
 class IncidenceAlgebra:
@@ -182,8 +183,7 @@ class IncidenceAlgebra:
         """Build from {"entries": {"x,y": "value", ...}}, the shape
         ``IncFn.to_json`` writes: an object whose entries, if present, are
         an object of value strings (``field.parse`` rejects a non-string)."""
-        if not isinstance(obj, dict):
-            raise ParseError(f"incidence function {obj!r} is not an object")
+        _members(obj, "incidence function")
         raw = obj.get("entries", {})
         if not isinstance(raw, dict):
             raise ParseError(f"entries {raw!r} are not an object")

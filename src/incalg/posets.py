@@ -3,7 +3,8 @@ and the lower/upper/fixed split of the point set induced by an involution.
 
 Element order is the user-supplied order; all interval-indexed data
 downstream (incidence functions, morphism matrices) uses the lexicographic
-(x, y) order over this element order.
+(x, y) order over this element order.  The order is held once, as integer
+bitsets: one up-set and one down-set per element.
 """
 
 from .errors import (
@@ -26,48 +27,66 @@ def _members(obj, what, *keys):
     return [obj[key] for key in keys]
 
 
+def _bits(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
     """An immutable finite poset.
 
-    ``elements`` is the canonical ordered tuple of labels; ``leq[i][j]``
-    says whether element i is below element j.  ``pairs`` lists all
-    comparable ordered pairs (x, y), diagonal included, in lexicographic
-    index order; this is the interval basis used by the algebra modules.
+    ``elements`` is the canonical ordered tuple of labels; bit j of the
+    ``int`` ``ups[i]`` says whether element i is below element j, and
+    ``downs`` is the dual order.  ``ups`` must be reflexive and transitive
+    (else ParseError) and antisymmetric (else CycleDetected).  ``pairs``
+    lists all comparable ordered pairs (x, y), diagonal included, in
+    lexicographic index order; this is the interval basis used by the
+    algebra modules.
     """
 
-    def __init__(self, elements, leq_rows):
+    def __init__(self, elements, ups):
         self.elements = tuple(elements)
-        self.n = len(self.elements)
+        self.n = n = len(self.elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != self.n:
+        if len(self.index) != n:
             raise DuplicateLabel("poset labels must be distinct")
-        self.leq_rows = tuple(tuple(row) for row in leq_rows)
-        # the dual order: an anti-isomorphism onto this poset is an
-        # isomorphism onto its dual
-        self.geq_rows = tuple(zip(*self.leq_rows))
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.leq_rows[i][j] and self.leq_rows[j][i] and i != j:
+        self.ups = ups = tuple(ups)
+        if len(ups) != n:
+            raise ParseError(f"up-set count {len(ups)} differs from "
+                             f"element count {n}")
+        for x, up in zip(self.elements, ups):
+            if not isinstance(up, int) or up < 0 or up >> n:
+                raise ParseError(f"the up-set of {x!r} is not an int in "
+                                 f"[0, 2**{n})")
+        downs, pairs = [0] * n, []
+        for i, (x, up) in enumerate(zip(self.elements, ups)):
+            if not up >> i & 1:
+                raise ParseError(f"{x!r} is not below itself")
+            for j in _bits(up):
+                if ups[j] | up != up:
+                    y, z = self.elements[j], self.elements[
+                        next(_bits(ups[j] & ~up))]
+                    raise ParseError(f"{x!r} is below {y!r} and {y!r} below "
+                                     f"{z!r}, but {x!r} is not below {z!r}")
+                if j != i and ups[j] >> i & 1:
                     raise CycleDetected(
-                        f"{self.elements[i]} and {self.elements[j]} are in a cycle")
-        self.pairs = tuple(
-            (self.elements[i], self.elements[j])
-            for i in range(self.n) for j in range(self.n) if self.leq_rows[i][j])
+                        f"{x} and {self.elements[j]} are in a cycle")
+                downs[j] |= 1 << i
+                pairs.append((x, self.elements[j]))
+        self.downs = tuple(downs)
+        self.pairs = tuple(pairs)
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
         self.strict_pairs = tuple((x, y) for x, y in self.pairs if x != y)
-        self._between = {}
-        for x, y in self.pairs:
-            i, j = self.index[x], self.index[y]
-            self._between[(x, y)] = tuple(
-                self.elements[k] for k in range(self.n)
-                if self.leq_rows[i][k] and self.leq_rows[k][j])
-        self.covers = tuple(
-            (x, y) for x, y in self.strict_pairs if len(self._between[(x, y)]) == 2)
+        self.covers = tuple((x, y) for x, y in self.strict_pairs
+                            if len(self.between(x, y)) == 2)
         self._components = None  # built by components() on first use
         # every chain x < z < y, the triples the cocycle identities run over
         self.chains = tuple(
             (x, z, y) for x, y in self.strict_pairs
-            for z in self._between[(x, y)] if z != x and z != y)
+            for z in self.between(x, y) if z != x and z != y)
 
     @classmethod
     def from_covers(cls, elements, cover_pairs):
@@ -87,19 +106,21 @@ class Poset:
                                  f"or trailing whitespace")
             index[x] = len(index)
         n = len(elements)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        ups = [1 << i for i in range(n)]
+        downs = ups[:]
         for x, y in cover_pairs:
             if x not in index or y not in index:
                 raise ParseError(f"relation ({x!r}, {y!r}) uses unknown labels")
-            leq[index[x]][index[y]] = True
-        for k in range(n):  # Warshall closure
-            for i in range(n):
-                if leq[i][k]:
-                    row_i, row_k = leq[i], leq[k]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return cls(elements, leq)
+            ups[index[x]] |= 1 << index[y]
+            downs[index[y]] |= 1 << index[x]
+        # Warshall: step k joins every point below k to every point above k
+        for k in range(n):
+            up, down = ups[k], downs[k]
+            for i in _bits(down):
+                ups[i] |= up
+            for j in _bits(up):
+                downs[j] |= down
+        return cls(elements, ups)
 
     @classmethod
     def from_json(cls, obj):
@@ -150,22 +171,22 @@ class Poset:
                 "covers": [list(c) for c in self.covers]}
 
     def leq(self, x, y):
-        return self.leq_rows[self.index[x]][self.index[y]]
+        return (x, y) in self.pair_index
 
     def comparable(self, x, y):
         return self.leq(x, y) or self.leq(y, x)
 
     def between(self, x, y):
-        try:
-            return self._between[(x, y)]
-        except KeyError:
-            raise NotComparable(f"{x!r} is not below {y!r}") from None
+        if (x, y) not in self.pair_index:
+            raise NotComparable(f"{x!r} is not below {y!r}")
+        mask = self.ups[self.index[x]] & self.downs[self.index[y]]
+        return tuple(self.elements[i] for i in _bits(mask))
 
     def down(self, x):
-        return tuple(y for y in self.elements if self.leq(y, x))
+        return tuple(self.elements[i] for i in _bits(self.downs[self.index[x]]))
 
     def up(self, x):
-        return tuple(y for y in self.elements if self.leq(x, y))
+        return tuple(self.elements[i] for i in _bits(self.ups[self.index[x]]))
 
     def spanning_tree(self):
         """Depth-first spanning forest of the comparability graph, taking
@@ -204,8 +225,8 @@ class Poset:
 
     def all_comparable_elements(self):
         """Elements comparable with every element of the poset."""
-        return {x for x in self.elements
-                if all(self.comparable(x, y) for y in self.elements)}
+        return {x for x, up, down in zip(self.elements, self.ups, self.downs)
+                if up | down == (1 << self.n) - 1}
 
     # -- symmetry enumeration -------------------------------------------
 
@@ -220,36 +241,32 @@ class Poset:
                             f"elements")
         if self.n != other.n:
             return []
-        n, src = self.n, self.leq_rows
-        dst = other.geq_rows if anti else other.leq_rows
-
-        def degrees(rows):  # (down, up) degree of each element
-            return [(sum(col), sum(row)) for row, col in zip(rows, zip(*rows))]
-
-        src_deg, dst_deg = degrees(src), degrees(dst)
+        targets = [(1 << y, u, d) for y, (u, d) in enumerate(
+            zip(other.downs, other.ups) if anti else zip(other.ups, other.downs))]
+        # per point k: earlier points above and below it; targets of equal degrees
+        plan = [(list(_bits(u & (1 << k) - 1)), list(_bits(d & (1 << k) - 1)),
+                 [t for t in targets if t[1].bit_count() == u.bit_count()
+                  and t[2].bit_count() == d.bit_count()])
+                for k, (u, d) in enumerate(zip(self.ups, self.downs))]
         out = []
-        image = []  # image[i]: index in ``other`` of element i's image
-        used = [False] * n
+        image = []  # image[i]: the bit of element i's image in ``other``
 
-        def extend(k):
-            if k == n:
-                mapping = dict(zip(self.elements, (other.elements[j] for j in image)))
+        def extend(k, used):  # ``used``: the images of the first k points
+            if k == self.n:
+                mapping = dict(zip(self.elements, (other.elements[b.bit_length() - 1]
+                                                   for b in image)))
                 out.append(PosetMap(self, other, mapping, anti))
                 return
-            row = src[k]
-            for y in range(n):
-                if used[y] or src_deg[k] != dst_deg[y]:
-                    continue
-                dst_row = dst[y]
-                if all(src[x0][k] == dst[y0][y] and row[x0] == dst_row[y0]
-                       for x0, y0 in enumerate(image)):
-                    image.append(y)
-                    used[y] = True
-                    extend(k + 1)
+            above, below, candidates = plan[k]
+            up = sum(image[i] for i in above)
+            down = sum(image[i] for i in below)
+            for bit, dst_up, dst_down in candidates:
+                if not used & bit and dst_up & used == up and dst_down & used == down:
+                    image.append(bit)
+                    extend(k + 1, used | bit)
                     image.pop()
-                    used[y] = False
 
-        extend(0)
+        extend(0, 0)
         return out
 
     def automorphisms(self):
@@ -265,10 +282,10 @@ class Poset:
     def __eq__(self, other):
         return self is other or (isinstance(other, Poset)
                                  and self.elements == other.elements
-                                 and self.leq_rows == other.leq_rows)
+                                 and self.ups == other.ups)
 
     def __hash__(self):
-        return hash((self.elements, self.leq_rows))
+        return hash((self.elements, self.ups))
 
     def __repr__(self):
         return f"Poset({list(self.elements)}, covers={list(self.covers)})"
@@ -284,24 +301,26 @@ class PosetMap:
         self.anti = bool(anti)
         if set(self.mapping) != set(src.elements):
             raise ParseError("map must be defined on every element")
-        if set(self.mapping.values()) != set(dst.elements):
+        if set(self.mapping.values()) != set(dst.elements) or src.n != dst.n:
             raise ParseError("map must be a bijection onto the target")
-        rows = dst.geq_rows if self.anti else dst.leq_rows
-        image = [dst.index[self.mapping[x]] for x in src.elements]
-        for i, x in enumerate(src.elements):
-            image_row = rows[image[i]]
-            for j, y in enumerate(src.elements):
-                if src.leq_rows[i][j] != image_row[image[j]]:
-                    kind = "anti-isomorphism" if self.anti else "isomorphism"
-                    raise ParseError(f"not an order {kind}: fails at ({x!r}, {y!r})")
+        ups = dst.downs if self.anti else dst.ups
+        bit = {x: 1 << dst.index[y] for x, y in self.mapping.items()}
+        moved = dict.fromkeys(src.elements, 0)  # each up-set, moved
+        for x, y in src.pairs:
+            moved[x] |= bit[y]
+        for x in src.elements:
+            wrong = moved[x] ^ ups[dst.index[self.mapping[x]]]
+            if wrong:
+                y = next(y for y in src.elements if wrong & bit[y])
+                kind = "anti-isomorphism" if self.anti else "isomorphism"
+                raise ParseError(f"not an order {kind}: fails at ({x!r}, {y!r})")
 
     @classmethod
     def from_json(cls, src, dst, obj, anti):
         """The map written as an object from label strings to label
         strings, the shape ``to_json`` writes; any other shape is a
         ParseError naming the value."""
-        if not isinstance(obj, dict):
-            raise ParseError(f"poset map {obj!r} is not an object")
+        _members(obj, "poset map")
         for label in (*obj, *obj.values()):
             if not isinstance(label, str):
                 raise ParseError(f"poset map label {label!r} is not a string")
@@ -405,11 +424,8 @@ def lambda_decomposition(poset, lam):
         trail.append(x)
         if not place(lam(x), -s, trail):
             return False
-        if s == -1:
-            below = (y for y in poset.elements if poset.leq(y, x) and y != x)
-            return all(place(y, -1, trail) for y in below)
-        above = (y for y in poset.elements if poset.leq(x, y) and y != x)
-        return all(place(y, 1, trail) for y in above)
+        near = poset.down(x) if s == -1 else poset.up(x)
+        return all(place(y, s, trail) for y in near if y != x)
 
     for x in poset.elements:
         if x in side:

@@ -470,6 +470,34 @@ def test_equivalent_names_the_file_missing_a_key(poset_files, tmp_path,
         f"error: bad involution object in {bad}: involution has no 'theta'\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_set_f([1]), "incidence function [1] is not an object"),
+    (_set_lambda([1]), "poset map [1] is not an object"),
+], ids=["f-list", "lambda-list"])
+def test_non_object_function_and_map_exit_2(poset_files, tmp_path, capsys,
+                                            edit, message):
+    """The incidence-function and poset-map readers share the poset
+    reader's "is not an object" check; each message reads as before."""
+    poset = Poset.from_json(json.loads(poset_files["chain2"].read_text()))
+    obj = base_involution(IncidenceAlgebra(poset, PrimeField(3)),
+                          poset.involutions()[0], 1).to_json()
+    edit(obj)
+    bad = tmp_path / "inv.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["equivalent", "--poset", str(poset_files["chain2"]),
+                 "--field", "F3", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad involution object in {bad}: {message}\n")
+
+
+def test_inline_list_lambda_is_a_bad_map_entry(poset_files, capsys):
+    """Inline ``--lambda`` text is JSON only when it opens with "{"; "[1]"
+    is read as a:b pairs and refused there, before the map reader."""
+    assert main(["classify", "--poset", str(poset_files["diamond"]),
+                 "--field", "F5", "--lambda", "[1]"]) == 2
+    assert capsys.readouterr().err == "error: bad map entry '[1]'\n"
+
+
 def test_verify_commands(poset_files, capsys):
     assert main(["verify", "--poset", str(poset_files["chain2"]),
                  "--field", "F3"]) == 0

@@ -125,12 +125,14 @@ def test_kernel_on_empty_poset():
 @pytest.fixture(scope="module")
 def suspended_antichain():
     """0 < a1, ..., a3000 < 1: 9,003 pairs, and entry (0, 1) has 3,002
-    terms.  The order is given as its relation rows; the closure of the
-    covers would cost seconds more and is tested elsewhere."""
+    terms.  The order is given as its up-set bitsets: "0" is below
+    everything, each a_k below itself and "1", and "1" below itself; the
+    closure of the covers is tested elsewhere."""
     n = 3002
     elements = ["0"] + [f"a{k}" for k in range(1, n - 1)] + ["1"]
-    return Poset(elements, [[i == j or i == 0 or j == n - 1
-                             for j in range(n)] for i in range(n)])
+    top = 1 << n - 1
+    return Poset(elements, [(1 << n) - 1]
+                 + [1 << k | top for k in range(1, n - 1)] + [top])
 
 
 @pytest.mark.parametrize("field", (PrimeField(3), QQ),

@@ -48,6 +48,35 @@ def test_from_covers_errors():
         Poset.from_covers(["a"], [("a", "z")])
 
 
+@pytest.mark.parametrize("elements, ups, message", [
+    (["a", "b"], [0b10, 0b00], "'a' is not below itself"),
+    (["a", "b"], [0b01, 0b110], "the up-set of 'b' is not an int in [0, 2**2)"),
+    (["a"], [-1], "the up-set of 'a' is not an int in [0, 2**1)"),
+    (["a", "b"], [[True, True], [False, True]],
+     "the up-set of 'a' is not an int in [0, 2**2)"),
+    (["a", "b", "c"], [0b011, 0b110, 0b100],
+     "'a' is below 'b' and 'b' below 'c', but 'a' is not below 'c'"),
+    (["a", "b"], [0b11], "up-set count 1 differs from element count 2"),
+])
+def test_constructor_refuses_a_relation_that_is_not_an_order(elements, ups,
+                                                             message):
+    """A missing diagonal bit, a bit outside the elements (or no bitset at
+    all) and a missing transitive pair are each refused, naming the point
+    or the pair; none of them reaches the algebra."""
+    with pytest.raises(ParseError) as info:
+        Poset(elements, ups)
+    assert str(info.value) == message
+
+
+def test_constructor_takes_up_set_bitsets():
+    p = Poset(["a", "b", "c"], [0b111, 0b110, 0b100])
+    assert p == chain(3, ["a", "b", "c"])
+    assert p.ups == (0b111, 0b110, 0b100) and p.downs == (0b001, 0b011, 0b111)
+    assert p.leq("a", "c") is True and p.leq("c", "a") is False
+    with pytest.raises(CycleDetected, match="^a and b are in a cycle$"):
+        Poset(["a", "b"], [0b11, 0b11])
+
+
 @pytest.mark.parametrize("label", ["x,y", " a", "a ", "\ta", "a\u3000"])
 def test_label_that_would_not_read_back_is_refused(label):
     """Incidence-function JSON keys are "x,y", split at the comma and
@@ -143,6 +172,10 @@ def test_poset_map_validation(chain2):
         PosetMap(chain2, chain2, {"a": "b", "b": "a"}, anti=False)
     ident = identity_map(chain2)
     assert is_identity(ident) and not ident.is_involution()
+    # onto a smaller poset no map is a bijection, whatever it does to pairs
+    point = Poset.from_covers(["p"], [])
+    with pytest.raises(ParseError, match="^map must be a bijection onto the target$"):
+        PosetMap(chain2, point, {"a": "p", "b": "p"}, anti=False)
 
 
 def test_size_limit(monkeypatch):
@@ -279,3 +312,30 @@ def test_pair_permutation_follows_the_map(diamond, chain3, vee, wedge, case):
     for i, (x, y) in enumerate(m.src.pairs):
         assert perm[m.dst.pair_index[_carried_pair(m, x, y)]] == i
     assert sorted(perm) == list(range(len(m.src.pairs)))
+
+
+def _small_posets(max_size):
+    """The closure of every set of pairs rising along p0, p1, ... on up to
+    ``max_size`` points, with the labels listed in that order and in
+    reverse: every poset of that size, up to isomorphism, and more."""
+    for n in range(1, max_size + 1):
+        rising = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(rising)):
+            rels = [(f"p{i}", f"p{j}") for (i, j), c in zip(rising, chosen) if c]
+            labels = [f"p{i}" for i in range(n)]
+            yield Poset.from_covers(labels, rels)
+            yield Poset.from_covers(labels[::-1], rels)
+
+
+def test_symmetry_search_matches_brute_force_on_small_posets():
+    """The backtracking search lists exactly the order-preserving (or
+    -reversing) permutations, in the order ``itertools.permutations``
+    lists the images."""
+    for p in _small_posets(4):
+        for anti in (False, True):
+            want = [dict(zip(p.elements, image))
+                    for image in itertools.permutations(p.elements)
+                    if all(p.leq(x, y) == p.leq(*((b, a) if anti else (a, b)))
+                           for (x, a), (y, b) in itertools.product(
+                               zip(p.elements, image), repeat=2))]
+            assert [m.mapping for m in p.maps_to(p, anti)] == want

@@ -4,7 +4,8 @@ name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
 somewhere, each ``WitnessFailed`` raise has its own message, every private
-module-level helper is read somewhere, and the CLI imports at module level
+module-level helper is read somewhere, no module but ``posets`` reads the
+order bitsets, and the CLI imports at module level
 only the modules every subcommand shares."""
 
 import ast
@@ -225,6 +226,32 @@ def test_repeated_witness_message_is_reported():
                "    raise ParseError('bad poset')\n"
                "    raise WitnessFailed('bad ' 'poset')\n"]
     assert repeated_messages(sources) == ["'bad poset'"]
+
+
+def order_readers(sources, attributes=("ups", "downs")):
+    """``module:line`` for each read of an ``attributes`` attribute in
+    ``sources``, a dict from module name to source."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source, filename=module))
+            if isinstance(node, ast.Attribute) and node.attr in attributes]
+
+
+def test_only_posets_reads_the_order_bitsets():
+    """``Poset.ups`` and ``Poset.downs`` are the order's one stored form;
+    every other module reads the order through ``pairs``, ``leq``,
+    ``between``, ``down``, ``up`` and the rest."""
+    assert order_readers({path.name: path.read_text()
+                          for path in sorted(SRC.glob("*.py"))
+                          if path.name != "posets.py"}) == []
+
+
+def test_order_reader_is_reported():
+    sources = {"a.py": ("def f(poset, ups):\n"
+                        "    n = poset.ups[0] | ups\n"
+                        "    return n, poset.pairs\n"),
+               "b.py": ("def g(p):\n"
+                        "    return (p.downs, p.down('x'))\n")}
+    assert order_readers(sources) == ["a.py:2", "b.py:2"]
 
 
 # Every CLI process runs one subcommand; what the module imports at its top

@@ -1,6 +1,9 @@
 """Internal checks on returned witnesses must survive ``python -O``: they
 raise WitnessFailed, never ``assert``, and the CLI maps that to exit 2.
-The same holds for the whole-basis check that certifies ``recognize``."""
+The same holds for the whole-basis check that certifies ``recognize``.
+Every ``raise WitnessFailed`` in the library has a negative control: a row
+here that makes it fire, the older test that does, or the reason nothing
+can."""
 
 import ast
 import json
@@ -13,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import incalg
-from incalg import involutions
+from incalg import derivations, involutions, morphisms
 from incalg.cli import main
+from incalg.derivations import find_non_inner_additive
 from incalg.errors import WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
@@ -23,12 +27,16 @@ from incalg.involutions import (
     ClassInvariant, Verdict, classify, equivalent, equivalent_inner,
     recognize, rho_eps, verify_witness,
 )
+from incalg.morphisms import find_non_inner_cocycle
 from incalg.posets import Poset
 
 SRC = Path(incalg.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 DIAMOND = {"elements": ["0", "a", "b", "1"],
            "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
 FLIP = {"0": "1", "1": "0", "a": "a", "b": "b"}
+CROWN = {"elements": ["a", "b", "c", "d"],
+         "covers": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]}
 
 
 def test_library_has_no_assert_statements():
@@ -91,11 +99,13 @@ def test_cli_check_failure_exits_2(diamond_files, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-# -- negative controls on the equivalence path -------------------------------
+# -- negative controls: one row per ``raise WitnessFailed`` site --------------
 #
-# Each row names one ``raise WitnessFailed`` site by its message, a patch that
+# Each row of NEGATIVE_CONTROLS names one site by its message, a patch that
 # breaks what the site guards, and the library call and CLI command that
-# reach it.  A check that cannot fail any more fails its row.
+# reach it (None where no command does).  A check that cannot fail any more
+# fails its row.  CONTROLLED_BY_TESTS names the older test that makes each
+# other site fire, and UNREACHABLE says why nothing can reach the rest.
 
 
 def _no_inner_witness(monkeypatch):
@@ -116,6 +126,33 @@ def _one_square_class(monkeypatch):
     monkeypatch.setattr(PrimeField, "square_class_reps", lambda self: [1])
 
 
+def _every_character_inner(monkeypatch):
+    """Every multiplicative cocycle has an inner witness."""
+    monkeypatch.setattr(morphisms, "multiplicative_is_inner",
+                        lambda alg, sigma: {x: 1 for x in alg.poset.elements})
+
+
+def _every_functional_inner(monkeypatch):
+    """Every additive cocycle has an inner witness."""
+    monkeypatch.setattr(derivations, "additive_is_inner",
+                        lambda alg, tau: alg.zero())
+
+
+def _no_additive_witness(monkeypatch):
+    """No additive cocycle has an inner witness."""
+    monkeypatch.setattr(derivations, "additive_is_inner", lambda alg, tau: None)
+
+
+def _no_multiplicative_witness(monkeypatch):
+    """No multiplicative cocycle has an inner witness."""
+    monkeypatch.setattr(morphisms, "multiplicative_is_inner",
+                        lambda alg, sigma: None)
+
+
+def _crown_f5():
+    return IncidenceAlgebra(Poset.from_json(CROWN), PrimeField(5))
+
+
 def _diamond_flip():
     poset = Poset.from_json(DIAMOND)
     return poset, next(m for m in poset.involutions() if m.mapping == FLIP)
@@ -129,18 +166,49 @@ def _diamond_spec(a, b):
     return rho_eps(alg, flip, {"a": a, "b": b}, 1)
 
 
-# (message, patch, library call, CLI arguments after --poset and --field,
-# where a scaling pair stands for the file of its ``_diamond_spec``)
+# (message, patch, library call, CLI arguments: the subcommand, the poset
+# object, then the arguments after --poset and --field F5, where a scaling
+# pair stands for the file of its ``_diamond_spec``)
 NEGATIVE_CONTROLS = [
     ("matching carrier key gives no inner witness", _no_inner_witness,
      lambda: equivalent(_diamond_spec(1, 1), _diamond_spec(2, 2)),
-     ["equivalent", "--general", (1, 1), (2, 2)]),
+     ["equivalent", DIAMOND, "--general", (1, 1), (2, 2)]),
     ("shift ratio must be a square", _every_class_the_same,
      lambda: equivalent_inner(_diamond_spec(1, 1), _diamond_spec(1, 2)),
-     ["equivalent", (1, 1), (1, 2)]),
+     ["equivalent", DIAMOND, (1, 1), (1, 2)]),
     ("representative count disagrees with theory", _one_square_class,
      lambda: classify(*_diamond_flip(), PrimeField(5)),
-     ["classify", "--lambda", json.dumps(FLIP)]),
+     ["classify", DIAMOND, "--lambda", json.dumps(FLIP)]),
+    ("no Smith-form character is a non-inner cocycle", _every_character_inner,
+     lambda: find_non_inner_cocycle(_crown_f5()), ["hypotheses", CROWN]),
+    ("no Smith-form functional is a non-inner cocycle", _every_functional_inner,
+     lambda: find_non_inner_additive(_crown_f5()), ["hypotheses", CROWN]),
+    ("hypothesis check admitted a bad poset: no additive witness",
+     _no_additive_witness,
+     lambda: recognize(_diamond_spec(1, 1).to_linear()), None),
+    ("hypothesis check admitted a bad poset: no multiplicative witness",
+     _no_multiplicative_witness,
+     lambda: recognize(_diamond_spec(1, 1).to_linear()), None),
+]
+
+# (message, the test that makes the site fire)
+CONTROLLED_BY_TESTS = [
+    ("witness failed re-verification",
+     "test_witness_checks.py::test_verify_witness_accepts_and_rejects"),
+    ("constructed witness fails to intertwine",
+     "test_witness_checks.py::test_failed_intertwiner_raises"),
+    ("relabel conjugation mismatch",
+     "test_involutions.py::test_relabel_mismatch_raises_witness_failed"),
+    ("items are not closed under conjugation",
+     "test_oracle.py::test_orbit_partition_rejects_a_set_that_is_not_closed"),
+]
+
+# (message, why no input or patch reaches the site)
+UNREACHABLE = [
+    ("F{p} has no primitive root",
+     "F_p* is cyclic, so a generator exists for every prime p"),
+    ("F{self.p} has no non-square",
+     "an odd prime p has (p - 1) / 2 non-squares, and p = 2 returns first"),
 ]
 
 
@@ -152,21 +220,80 @@ def test_negative_control_fires(tmp_path, monkeypatch, capsys, message,
     with pytest.raises(WitnessFailed) as info:
         call()
     assert str(info.value) == message
-    poset = tmp_path / "diamond.json"
-    poset.write_text(json.dumps(DIAMOND))
+    if argv is None:
+        return
 
     def written(arg):
         if isinstance(arg, str):
             return arg
+        if isinstance(arg, dict):
+            path = tmp_path / "poset.json"
+            path.write_text(json.dumps(arg))
+            return str(path)
         path = tmp_path / "eps{}-{}.json".format(*arg)
         path.write_text(json.dumps(_diamond_spec(*arg).to_json()))
         return str(path)
 
-    code = main([argv[0], "--poset", str(poset), "--field", "F5",
-                 *map(written, argv[1:])])
+    code = main([argv[0], "--poset", written(argv[1]), "--field", "F5",
+                 *map(written, argv[2:])])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("message, test", CONTROLLED_BY_TESTS,
+                         ids=[row[0] for row in CONTROLLED_BY_TESTS])
+def test_named_control_exists(message, test):
+    module, _, name = test.partition("::")
+    tree = ast.parse((TESTS / module).read_text())
+    assert name in {node.name for node in tree.body
+                    if isinstance(node, ast.FunctionDef)}
+
+
+def witness_messages(sources):
+    """The message of each ``raise WitnessFailed(...)`` in ``sources`` as
+    written: an f-string keeps its replacement fields as source text, so
+    f"F{p} ..." reads "F{p} ..."."""
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) == "WitnessFailed"):
+                continue
+            arg = node.exc.args[0] if node.exc.args else ast.Constant("")
+            parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+            found.append("".join(
+                part.value if isinstance(part, ast.Constant)
+                else "{" + ast.unparse(part.value) + "}" for part in parts))
+    return found
+
+
+def missing_controls(sources, rows):
+    """(site messages with no row, rows that name no site)."""
+    sites = witness_messages(sources)
+    return ([m for m in sites if m not in rows],
+            [m for m in rows if m not in sites])
+
+
+def test_every_witness_check_has_a_control():
+    rows = [row[0] for row in
+            (*NEGATIVE_CONTROLS, *CONTROLLED_BY_TESTS, *UNREACHABLE)]
+    assert len(rows) == len(set(rows))
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert missing_controls(sources, rows) == ([], [])
+
+
+def test_uncontrolled_witness_check_is_reported():
+    sources = ["def f(p, ok):\n"
+               "    if not ok:\n"
+               "        raise WitnessFailed('known ' 'check')\n"
+               "    raise WitnessFailed(f'F{p} lost its {ok!r} root')\n"
+               "    raise ParseError('not a witness check')\n",
+               "def g(x):\n"
+               "    raise WitnessFailed(f'new {x.y} check')\n"]
+    assert missing_controls(sources, ["known check", "F{p} lost its {ok} root",
+                                      "gone check"]) == (
+        ["new {x.y} check"], ["gone check"])
 
 
 def _run_python(argv, optimize, timeout=120, stream="stdout"):
