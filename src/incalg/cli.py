@@ -169,12 +169,12 @@ def cmd_classify(args):
         print(f"mode: {payload['mode']}")
         print(f"fixed points: {', '.join(payload['fixed_points']) or 'none'}")
         print(f"count: {payload['count']}")
-        if result.representatives is not None:
-            for spec, inv in zip(result.representatives, result.invariants()):
-                print(f"  representative: {json.dumps(spec.to_json(), sort_keys=True)}")
-                print(f"    invariant: {json.dumps(inv.to_json(), sort_keys=True)}")
-        if result.family is not None:
-            print(f"family: {json.dumps(result.family, sort_keys=True)}")
+        for spec, inv in zip(payload.get("representatives", ()),
+                             payload.get("invariants", ())):
+            print(f"  representative: {json.dumps(spec, sort_keys=True)}")
+            print(f"    invariant: {json.dumps(inv, sort_keys=True)}")
+        if "family" in payload:
+            print(f"family: {json.dumps(payload['family'], sort_keys=True)}")
     return EXIT_OK
 
 

@@ -178,10 +178,12 @@ class RationalField(Field):
     def parse(self, s):
         if not isinstance(s, str):
             raise ParseError(f"rational scalar {s!r} is not a string")
-        try:
-            return self.fraction(s.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational scalar {s!r}") from exc
+        if s.isascii() and "_" not in s:  # as parse_field: ASCII digits only
+            try:
+                return self.fraction(s.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(f"bad rational scalar {s!r}")
 
     def format(self, v):
         return str(v)
@@ -260,10 +262,12 @@ class PrimeField(Field):
     def parse(self, s):
         if not isinstance(s, str):
             raise ParseError(f"residue {s!r} is not a string")
-        try:
-            return int(s.strip()) % self.p
-        except ValueError as exc:
-            raise ParseError(f"bad residue {s!r}") from exc
+        if s.isascii() and "_" not in s:  # as parse_field: ASCII digits only
+            try:
+                return int(s.strip()) % self.p
+            except ValueError:
+                pass
+        raise ParseError(f"bad residue {s!r}")
 
     def format(self, v):
         return str(v % self.p)

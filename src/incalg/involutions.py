@@ -120,8 +120,8 @@ class InvolutionSpec:
         return lambda_decomposition(self.alg.poset, self.lam)
 
     def central_ratio(self):
-        """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta; the
-        factored form of a genuine involution always admits one."""
+        """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta, k1 = 0
+        for the positive sign; a genuine involution always admits one."""
         alg = self.alg
         c = self._ratio
         if not c.is_central():
@@ -132,17 +132,18 @@ class InvolutionSpec:
             raise NotAnInvolution("central ratio is not a scalar pair")
         if alg.field.mul(k0, k0) != alg.field.one:
             raise NotAnInvolution("central ratio has a bad ring part")
+        if self.k == alg.field.one and k1 != alg.field.zero:
+            raise NotAnInvolution("positive sign forces a plain ratio")
         return k0, k1
 
     def symmetric_form(self):
         """(theta', k0) with theta' defining the same involution and
-        base(theta') = k0 theta'; k0 = -1 is the skew (sigma-type) branch,
-        possible only without fixed points."""
+        base(theta') = k0 theta': theta for the positive sign, else
+        [k0 delta; k1/2 delta] theta.  k0 = -1 is the skew (sigma-type)
+        branch, possible only without fixed points."""
         field = self.alg.field
         k0, k1 = self.central_ratio()
         if self.k == field.one:
-            if k1 != field.zero:
-                raise NotAnInvolution("positive sign forces a plain ratio")
             return self.theta, k0
         half = field.inv(field(2))
         gamma = central_pair(self.alg, k0, field.mul(k1, half)) * self.theta
@@ -151,16 +152,17 @@ class InvolutionSpec:
     def invariant(self):
         """The inner-equivalence invariant: induced map, sign, and either
         the fixed-point square-class tuple (up to one global shift) or the
-        plain/skew type tag."""
+        plain/skew type tag.  With a fixed point k0 = 1, so the symmetric
+        form has theta's ring diagonal, and chi is read off theta."""
         fixed = self.lam.fixed_points()
-        theta_sym, k0 = self.symmetric_form()
+        k0, _ = self.central_ratio()
         field = self.alg.field
         if not fixed:
             kind = "plain" if k0 == field.one else "skew"
             return ClassInvariant(self.lam, self.k, field, kind=kind)
         if k0 != field.one:
             raise NotAnInvolution("skew units cannot occur with fixed points")
-        chi = {x: field.square_class(theta_sym.f[x, x]) for x in fixed}
+        chi = {x: field.square_class(self.theta.f[x, x]) for x in fixed}
         return ClassInvariant(self.lam, self.k, field, chi=chi)
 
     def sign_int(self):
@@ -362,14 +364,12 @@ def _factor(raw, ring_columns):
     b12, b11 is its own inverse, and the block-diagonal lift of m11 after
     raw is [[id, 0], [g D, g .]] for a central unit g and a derivation D.
     Both are read off raw's columns through m11 alone: g is m11 of the
-    bimodule image of [0; delta], and column k of D is g^-1 m11(b21[k]).
+    bimodule image of [0; delta], k delta on the connected poset, and
+    column t of D is k^-1 m11(b21[t]).
     """
     from .derivations import additive_is_inner, split_raw_derivation
-    from .morphisms import (
-        FiaMorphism, FiLinearMap, decompose, multiplicative_is_inner,
-    )
+    from .morphisms import FiLinearMap, decompose, multiplicative_is_inner
     alg = raw.alg
-    poset = alg.poset
     m11 = decompose(FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]),
                     anti=True)
     lam = m11.posetmap
@@ -378,10 +378,10 @@ def _factor(raw, ring_columns):
     g = m11.apply(raw.apply(DElem(alg.zero(), alg.delta())).i)
     if not (g.is_unit() and alg.is_central(g)):
         raise NotAnInvolution("residual bimodule action is not central")
-    x0 = poset.elements[0]
+    x0 = alg.poset.elements[0]
     k = g[x0, x0]
-    g_inv = g.inverse()
-    der_map = FiLinearMap._of(alg, [(g_inv * m11.apply(c.i))._vector()
+    k_inv = alg.field.inv(k)
+    der_map = FiLinearMap._of(alg, [m11.apply(c.i).scale(k_inv)._vector()
                                     for c in ring_columns])
     spec_d = split_raw_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
@@ -394,8 +394,7 @@ def _factor(raw, ring_columns):
         raise WitnessFailed("hypothesis check admitted a bad poset: no "
                             "multiplicative witness")
     m = m11.u * alg.diagonal(eta)
-    rho = FiaMorphism.induced(alg, lam)
-    theta = DElem(m, (m * rho.apply(j)).scale(k))
+    theta = DElem(m, (m * j.permuted(lam.pair_permutation())).scale(k))
     return build(alg, theta, lam, k)
 
 

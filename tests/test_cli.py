@@ -680,6 +680,47 @@ def test_field_spec_takes_ascii_digits_only(poset_files, capsys, spec):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field", ["F5", "Q"])
+@pytest.mark.parametrize("scalar", ["٢", "1_2"])
+def test_involution_scalar_takes_ascii_digits_only(poset_files, tmp_path,
+                                                    capsys, field, scalar):
+    """An entry "٢" or "1_2" in an involution file is refused with exit 2,
+    as a field spec "F٣" is, rather than read as 2 or 12."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps(
+        {"lambda": {"0": "1", "1": "0", "a": "a", "b": "b"}, "k": 1,
+         "theta": {"f": {"entries": {"0,0": "1", "a,a": scalar, "b,b": "1",
+                                     "1,1": "1"}},
+                   "i": {"entries": {}}}}, ensure_ascii=False),
+        encoding="utf-8")
+    assert main(["equivalent", "--poset", str(poset_files["diamond"]),
+                 "--field", field, str(inv), str(inv)]) == 2
+    captured = capsys.readouterr()
+    kind = "residue" if field == "F5" else "rational scalar"
+    assert captured.err == (f"error: bad involution object in {inv}: "
+                            f"bad {kind} {scalar!r}\n")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_classify_text_builds_each_invariant_once(poset_files, capsys,
+                                                  monkeypatch):
+    """The text output prints from the JSON payload: one ``invariant()``
+    call per representative, and the same lines as before."""
+    import incalg.involutions as involutions
+    calls = []
+    real = involutions.InvolutionSpec.invariant
+    monkeypatch.setattr(involutions.InvolutionSpec, "invariant",
+                        lambda self: calls.append(self) or real(self))
+    lam = json.dumps({"0": "1", "1": "0", "a": "a", "b": "b"})
+    assert main(["classify", "--poset", str(poset_files["diamond"]),
+                 "--field", "F3", "--lambda", lam]) == 0
+    out = capsys.readouterr().out.splitlines()
+    reps = [line for line in out if line.startswith("  representative: ")]
+    assert out[:3] == ["mode: inner", "fixed points: a, b", "count: 4"]
+    assert len(reps) == 4 and len(calls) == 4
+    assert len({id(spec) for spec in calls}) == 4
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

@@ -15,7 +15,10 @@ the reference matrix.  Both paths must accept and reject the same inputs
 with the same exception type (``recognize`` against the old ring-involution
 validation, with NotAnInvolution or UpperRightNonzero as its rejection), on
 every involution of the small fixtures, on perturbed copies of them and on
-Hypothesis-drawn matrices and units.
+Hypothesis-drawn matrices and units; an accepted ``decompose`` must also
+give the reference's factors.  ``InvolutionSpec.invariant`` reads chi off
+theta's own ring diagonal; ``ref_invariant`` is the version that built the
+symmetric form first, and both must give the same invariant or refusal.
 """
 
 import functools
@@ -37,14 +40,15 @@ from incalg.errors import (
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, d_basis, d_one, inner_auto, lift_morphism,
+    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
+    lift_morphism,
 )
 from incalg.involutions import (
-    InvolutionSpec, _verify_intertwiner, build, classify, equivalent_inner,
-    recognize, rho_eps,
+    ClassInvariant, InvolutionSpec, _verify_intertwiner, build, classify,
+    equivalent_inner, recognize, rho_eps,
 )
 from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
-from incalg.posets import PosetMap, Poset
+from incalg.posets import PosetMap, Poset, lambda_decomposition
 
 from conftest import blocks, chain, coords
 from test_fia_kernel import EDGE, ref_d_generators
@@ -180,6 +184,49 @@ def ref_split_raw_derivation(raw):
     return spec
 
 
+def ref_central_ratio(spec):
+    """``central_ratio`` before it took over the positive-sign check."""
+    alg = spec.alg
+    c = spec._ratio
+    if not c.is_central():
+        raise NotAnInvolution("unit is not symmetric up to the center")
+    x0 = alg.poset.elements[0]
+    k0, k1 = c.f[x0, x0], c.i[x0, x0]
+    if c != central_pair(alg, k0, k1):
+        raise NotAnInvolution("central ratio is not a scalar pair")
+    if alg.field.mul(k0, k0) != alg.field.one:
+        raise NotAnInvolution("central ratio has a bad ring part")
+    return k0, k1
+
+
+def ref_symmetric_form(spec):
+    """``symmetric_form`` with its own positive-sign check."""
+    field = spec.alg.field
+    k0, k1 = ref_central_ratio(spec)
+    if spec.k == field.one:
+        if k1 != field.zero:
+            raise NotAnInvolution("positive sign forces a plain ratio")
+        return spec.theta, k0
+    half = field.inv(field(2))
+    gamma = central_pair(spec.alg, k0, field.mul(k1, half)) * spec.theta
+    return gamma, k0
+
+
+def ref_invariant(spec):
+    """``InvolutionSpec.invariant`` when it read chi off the symmetric
+    form, verbatim."""
+    fixed = spec.lam.fixed_points()
+    theta_sym, k0 = ref_symmetric_form(spec)
+    field = spec.alg.field
+    if not fixed:
+        kind = "plain" if k0 == field.one else "skew"
+        return ClassInvariant(spec.lam, spec.k, field, kind=kind)
+    if k0 != field.one:
+        raise NotAnInvolution("skew units cannot occur with fixed points")
+    chi = {x: field.square_class(theta_sym.f[x, x]) for x in fixed}
+    return ClassInvariant(spec.lam, spec.k, field, chi=chi)
+
+
 def ref_find_involution_failure(spec):
     for b in d_basis(spec.alg):
         if spec.apply(spec.apply(b)) != b:
@@ -238,6 +285,10 @@ def same_outcome(new, ref, *args, compare=None):
         assert got[1] is want[1], (got, want)
     elif compare is not None:
         assert compare(got[1]) == compare(want[1])
+
+
+def to_json(m):
+    return m.to_json()
 
 
 def same_verdict_as_reference(raw):
@@ -305,10 +356,11 @@ def test_generator_checks_match_reference(name, field):
     alg = IncidenceAlgebra(POSETS[name], field)
     rng = random.Random(f"{name}:{field!r}")
     # Over Q exact arithmetic is about ten times slower, so there the
-    # comparisons that run a reference loop over every basis pair (an
-    # accepted or perturbed ring involution, an accepted ring block) are
-    # made on the first representative of the first poset involution only;
-    # every representative still goes through the rest.
+    # comparisons that run a reference loop over every basis pair of D (an
+    # accepted or perturbed ring involution) are made on the first
+    # representative of the first poset involution only; every
+    # representative still goes through the rest, the ring block's
+    # decomposition among them.
     finite = field.order is not None
     for l_index, specs in enumerate(involutions_of(alg)):
         for s_index, spec in enumerate(specs):
@@ -328,15 +380,16 @@ def test_generator_checks_match_reference(name, field):
             # decompose on the ring block (an anti-automorphism), on a
             # perturbed copy, and with the wrong kind
             b11 = FiLinearMap(alg, blocks(raw)[0])
-            if full:
-                same_outcome(decompose, ref_decompose, b11, True,
-                             compare=lambda m: m.to_json())
+            same_outcome(decompose, ref_decompose, b11, True,
+                         compare=to_json)
             npairs = alg.npairs
             same_outcome(decompose, ref_decompose,
                          perturbed(b11, rng.randrange(npairs),
-                                   rng.randrange(npairs)), True)
+                                   rng.randrange(npairs)), True,
+                         compare=to_json)
             if heavy:
-                same_outcome(decompose, ref_decompose, b11, False)
+                same_outcome(decompose, ref_decompose, b11, False,
+                             compare=to_json)
             # the square test, on the spec and on a non-symmetric unit
             assert involutive(spec)
             assert ref_find_involution_failure(spec) is None
@@ -568,6 +621,72 @@ def test_closed_forms_match_reference_on_drawn_units(drawn):
     assert _verify_intertwiner(spec, inner_conjugate(spec, u), u)
 
 
+# -- the invariant -------------------------------------------------------------
+
+
+# the conftest fixtures that carry an involution (the vee and the wedge
+# are each other's duals, and have none)
+INVARIANT_FIXTURES = ["chain2", "chain3", "diamond", "fence", "crown",
+                      "two_chains", "wide_diamond"]
+
+
+def invariant_outcome(read, spec):
+    """The invariant's JSON and chi key, or the exception type and message."""
+    try:
+        inv = read(spec)
+    except IncalgError as exc:
+        return type(exc), str(exc)
+    return inv.to_json(), inv.key()
+
+
+def invariant_specs(alg, lam, k, rng):
+    """Specs inducing lam with sign k, built without the classification
+    gate (which refuses disconnected posets): diagonal units with drawn
+    values at the fixed points, or the sign-split unit without fixed
+    points; an inner conjugate and a central multiple [+-1; t] of each;
+    and an unvalidated unit that is not symmetric up to the centre."""
+    field = alg.field
+    fixed = lam.fixed_points()
+    units = [d_one(alg)]
+    if fixed:
+        units.append(DElem(alg.diagonal(
+            {x: field.random_nonzero(rng) if x in fixed else field.one
+             for x in alg.poset.elements}), alg.zero()))
+    elif alg.poset.is_connected():
+        side = lambda_decomposition(alg.poset, lam).side
+        units.append(DElem(alg.diagonal(
+            {x: field(-side(x)) for x in alg.poset.elements}), alg.zero()))
+    specs = []
+    for theta in units:
+        u = small_unit(alg, rng)
+        c = central_pair(alg, rng.choice((1, -1)), field.random_nonzero(rng))
+        spec = InvolutionSpec(alg, theta, lam, k)
+        specs += [spec, InvolutionSpec(alg, u * theta * spec.base_apply(u),
+                                       lam, k),
+                  InvolutionSpec(alg, c * theta, lam, k)]
+    specs.append(InvolutionSpec(alg, small_unit(alg, rng), lam, k,
+                                _validated=True))
+    return specs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("F3", "F5", "Q"))
+@pytest.mark.parametrize("name", INVARIANT_FIXTURES)
+def test_invariant_matches_reference(request, name, field):
+    """``invariant`` reads k0 off the central ratio and chi off theta's
+    own ring diagonal; the reference built the symmetric form and read
+    both off it.  Same JSON, same key, same refusal, for both signs."""
+    poset = request.getfixturevalue(name)
+    alg = IncidenceAlgebra(poset, field)
+    rng = random.Random(f"invariant:{name}:{field!r}")
+    lams = poset.involutions()
+    assert lams
+    for lam in lams:
+        for k in (1, -1):
+            for spec in invariant_specs(alg, lam, k, rng):
+                assert (invariant_outcome(InvolutionSpec.invariant, spec)
+                        == invariant_outcome(ref_invariant, spec))
+
+
 # -- negative controls ---------------------------------------------------------
 
 
@@ -637,7 +756,7 @@ def test_perturbed_automorphism_fails_decompose():
         raw = FiaMorphism(alg, u=alg.random_unit(rng),
                           posetmap=relabel).to_linear()
         same_outcome(decompose, ref_decompose, raw,
-                     compare=lambda m: m.to_json())
+                     compare=to_json)
         for c, (x, y) in enumerate(alg.pairs):
             for r in range(alg.npairs):
                 bad = perturbed(raw, c, r)
@@ -664,7 +783,7 @@ def test_decompose_matches_reference_on_unity_preserving_edits():
             cols[c1][r] = alg.field.add(cols[c1][r], 1)
             cols[c2][r] = alg.field.sub(cols[c2][r], 1)
             same_outcome(decompose, ref_decompose, FiLinearMap(alg, cols),
-                         compare=lambda m: m.to_json())
+                         compare=to_json)
 
 
 # chain3 has a chain through every strict pair; in the crown and the two

@@ -36,6 +36,28 @@ def test_scalar_parsing_round_trip():
     assert F5.format(12) == "2"
 
 
+NON_ASCII_SCALARS = ["٢", "３", "1٣", "1_2", "-1_0"]
+
+
+@pytest.mark.parametrize("field, text", [
+    *((F5, t) for t in NON_ASCII_SCALARS),
+    *((QQ, t) for t in NON_ASCII_SCALARS + ["1/٣", "1_0/3"])])
+def test_scalar_takes_ascii_digits_only(field, text):
+    """int() and Fraction() read other scripts' digits and underscore
+    groupings ("٢" as 2, "1_2" as 12); a scalar is ASCII digits, as a
+    field spec is."""
+    with pytest.raises(ParseError, match="^bad (residue|rational scalar) "):
+        field.parse(text)
+
+
+@pytest.mark.parametrize("field, text, value", [
+    (F5, " 12 ", 2), (F5, "-3", 2), (F5, "+4", 4),
+    (QQ, " -6/4 ", Fraction(-3, 2)), (QQ, "+5", Fraction(5)),
+    (QQ, "1.25", Fraction(5, 4))])
+def test_scalar_ascii_forms_still_parse(field, text, value):
+    assert field.parse(text) == value
+
+
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_rational_field_axioms(a, b, c):
     assert QQ.add(QQ.add(a, b), c) == QQ.add(a, QQ.add(b, c))

@@ -311,6 +311,47 @@ def test_recognize_random_round_trip(diamond, chain3):
                     assert got.lam == lam and got.k == alg.field(k)
 
 
+def test_recognize_builds_one_morphism(diamond, monkeypatch):
+    """recognize factors the ring block once (``decompose``), and relabels
+    the inner derivation's unit by the pair permutation, with no induced
+    morphism of its own."""
+    built = []
+    real = FiaMorphism.__init__
+    monkeypatch.setattr(FiaMorphism, "__init__",
+                        lambda self, *args, **kwargs: built.append(1)
+                        or real(self, *args, **kwargs))
+    rng = random.Random(8)
+    alg = IncidenceAlgebra(diamond, F5)
+    for lam in diamond.involutions():
+        for k in (1, -1):
+            theta = random_symmetric_theta(alg, lam, alg.field(k), rng)
+            raw = build(alg, theta, lam, k).to_linear()
+            built.clear()
+            assert recognize(raw).to_linear() == raw
+            assert len(built) == 1
+
+
+def test_equivalent_inner_builds_one_symmetric_form_per_spec(diamond,
+                                                             monkeypatch):
+    """The invariants read chi off theta itself; only the reduction to the
+    canonical representative builds a symmetric form, once per spec."""
+    formed = []
+    real = InvolutionSpec.symmetric_form
+    monkeypatch.setattr(InvolutionSpec, "symmetric_form",
+                        lambda self: formed.append(self) or real(self))
+    rng = random.Random(9)
+    alg = IncidenceAlgebra(diamond, F5)
+    for lam in diamond.involutions():
+        for rep in classify(diamond, lam, F5).representatives:
+            u = random_d_unit(alg, rng)
+            while not u.is_unit():
+                u = random_d_unit(alg, rng)
+            other = build(alg, u * rep.theta * rep.base_apply(u), lam, rep.k)
+            formed.clear()
+            assert equivalent_inner(rep, other).equivalent
+            assert sorted(map(id, formed)) == sorted([id(rep), id(other)])
+
+
 def test_recognize_rejects_upper_right_block(chain2):
     alg = IncidenceAlgebra(chain2, F3)
     lam = swap_involution(chain2)

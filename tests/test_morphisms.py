@@ -4,7 +4,7 @@ import pytest
 
 from incalg.derivations import DerivationSpec, additive_is_inner
 from incalg.errors import InvalidCocycle, NotAMorphism, NotUnital
-from incalg.fia import IncidenceAlgebra
+from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, _is_prime
 from incalg.morphisms import (
     FiaMorphism, FiLinearMap, _primitive_root, compose, decompose,
@@ -143,6 +143,35 @@ def test_decompose_round_trip_random(diamond, chain3, fence):
                     got = decompose(m.to_linear(), anti=anti)
                     assert got.to_linear() == m.to_linear()
                     assert got.posetmap == m.posetmap
+
+
+def test_decompose_reads_factors_without_products(diamond, fence,
+                                                  monkeypatch):
+    """The conjugator and the cocycle are read off single entries of the
+    input's columns, and the recomposition is written in closed form, so
+    decompose makes no ``IncFn`` product, accepting or rejecting."""
+    products = []
+    real = IncFn.__mul__
+    monkeypatch.setattr(IncFn, "__mul__",
+                        lambda f, g: products.append(1) or real(f, g))
+    rng = random.Random(6)
+    for poset in (diamond, fence):
+        for field in (F5, QQ):
+            alg = IncidenceAlgebra(poset, field)
+            for anti in (False, True):
+                if anti and not poset.anti_automorphisms():
+                    continue
+                raw = random_morphism(alg, rng, anti).to_linear()
+                products.clear()
+                decompose(raw, anti=anti)
+                # the image of e_xy gets a diagonal entry: not nilpotent
+                x, y = poset.strict_pairs[0]
+                k, d = alg.pair_index[(x, y)], alg.pair_index[(x, x)]
+                cols = [list(c) for c in raw.cols]
+                cols[k][d] = field.add(cols[k][d], field.one)
+                with pytest.raises(NotAMorphism):
+                    decompose(FiLinearMap(alg, cols), anti=anti)
+                assert products == []
 
 
 def test_decompose_specific_conjugation(chain2):

@@ -1,8 +1,12 @@
 """The poset symmetry code against the routines it replaced.
 
-``Poset.maps_to`` runs one comparison path over the target's order rows,
-or over its dual rows for anti-isomorphisms; ``PosetMap`` checks a map on
-the same rows through an index list; ``lambda_decomposition`` places each
+``Poset.maps_to`` places the points in element order and keeps a
+candidate image only when, among the points placed so far, the images of
+those above and of those below it are exactly the target's up-set and
+down-set bitsets there (swapped for anti-isomorphisms, which map onto the
+dual); ``PosetMap`` checks a map by moving each point's up-set bitset onto
+the target and comparing it with the image's up-set (its down-set for an
+anti-isomorphism); ``lambda_decomposition`` places each
 orbit once, since its constraints are 2-SAT; and ``equivalent`` and the
 χ-fold test conjugacy on the mappings.  The references below are the
 earlier label-lookup search, the label-lookup order check, the recursive
@@ -294,6 +298,28 @@ def test_search_matches_reference_between_vee_and_wedge(vee, wedge):
     check_search(vee, wedge)
     check_search(wedge, vee)
     check_maps(vee, wedge, bijections(vee, wedge, random.Random(0)))
+
+
+# Posets from a seeded sample of 3,000 random posets on up to 7 points on
+# which a search that matched up-sets alone would build a map that is no
+# isomorphism: each has two points with equal up-sets among the points
+# placed before them but different down-sets.  Labels are p0..p(n-1).
+DOWN_SET_WITNESSES = [
+    (4, [(0, 3), (1, 2)]),
+    (5, [(0, 4), (1, 3), (2, 0), (2, 3)]),
+    (6, [(0, 3), (2, 4), (2, 5), (3, 1), (5, 1)]),
+    (6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 1), (2, 4)]),
+    (7, [(0, 2), (1, 5), (1, 6), (2, 4), (3, 1), (4, 6)]),
+    (7, [(0, 4), (1, 5), (1, 6), (3, 6), (4, 6), (5, 2), (6, 2)]),
+]
+
+
+@pytest.mark.parametrize("n, covers", DOWN_SET_WITNESSES)
+def test_search_matches_reference_on_down_set_witnesses(n, covers):
+    poset = Poset.from_covers([f"p{i}" for i in range(n)],
+                              [(f"p{a}", f"p{b}") for a, b in covers])
+    for dst in (poset, relabelled(poset, random.Random(n))):
+        check_search(poset, dst)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
