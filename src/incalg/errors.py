@@ -33,11 +33,6 @@ class DuplicateLabel(IncalgError):
     """Poset element labels must be distinct."""
 
 
-class NoDecomposition(IncalgError):
-    """No valid lower/upper/fixed split exists (defensive; should not occur
-    for a genuine poset involution)."""
-
-
 class ContextMismatch(IncalgError):
     """Operands live over different posets or fields."""
 

@@ -29,21 +29,34 @@ _TRIAL_BOUND = 10**6
 # Exhaustive square-root scan is kept to desk-scale moduli.
 SQRT_SCAN_BOUND = 10**4
 
-# Primality is decided by trial division, so moduli stay at desk scale too.
+# Primality is decided by trial division (``_prime_factors``, which also
+# serves ``_primitive_root``), so moduli stay at desk scale too.
 MODULUS_BOUND = 10**12
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def _prime_factors(n):
+    """Distinct prime factors of n by trial division: [n] iff n is prime."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    return out + [n] if n > 1 else out
+
+
+def _primitive_root(p):
+    """The least generator of F_p*: t is one exactly when t^((p-1)/q) != 1
+    for every prime q dividing p - 1."""
+    if p == 2:
+        return 1
+    qs = _prime_factors(p - 1)
+    for t in range(2, p):
+        if all(pow(t, (p - 1) // q, p) != 1 for q in qs):
+            return t
+    raise WitnessFailed(f"F{p} has no primitive root")
 
 
 def _signed_squarefree(n, d):
@@ -230,7 +243,7 @@ class PrimeField(Field):
     def __init__(self, p):
         if p > MODULUS_BOUND:
             raise SizeLimit(f"modulus {p} exceeds the bound {MODULUS_BOUND}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ParseError(f"{p} is not prime")
         self.p = p
         self.modulus = p

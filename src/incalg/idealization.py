@@ -12,7 +12,9 @@ derivations) into (anti-)automorphisms of the big ring.  They are stored as
 coordinates first, so its 2x2 blocks are maps of the algebra.
 """
 
-from .errors import ContextMismatch, NotADerivation, NotAMorphism, NotAUnit
+from .errors import (
+    ContextMismatch, NotADerivation, NotAMorphism, NotAUnit, ParseError,
+)
 from .fia import ColumnMap, IncidenceAlgebra, _check_context, _fn, _over_one
 from .posets import _members
 
@@ -178,8 +180,13 @@ class DLinearMap(ColumnMap):
 
     @classmethod
     def from_json(cls, alg, obj):
+        (blocks,) = _members(obj, "linear map", "blocks")
+        size = 2 * alg.npairs
+        if not (isinstance(blocks, list) and len(blocks) == size
+                and all(isinstance(c, list) and len(c) == size for c in blocks)):
+            raise ParseError(f"blocks must be {size} lists of {size} values")
         parse = alg.field.parse
-        return cls(alg, [[parse(v) for v in col] for col in obj["blocks"]])
+        return cls(alg, [[parse(v) for v in col] for col in blocks])
 
 
 # -- block lifts ------------------------------------------------------------

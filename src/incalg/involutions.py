@@ -120,8 +120,8 @@ class InvolutionSpec:
         return lambda_decomposition(self.alg.poset, self.lam)
 
     def central_ratio(self):
-        """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta, k1 = 0
-        for the positive sign; a genuine involution always admits one."""
+        """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta.  r base(r)
+        = 1 gives k0^2 = 1, and k1 = 0 for the positive sign except over F2."""
         alg = self.alg
         c = self._ratio
         if not c.is_central():
@@ -130,8 +130,6 @@ class InvolutionSpec:
         k0, k1 = c.f[x0, x0], c.i[x0, x0]
         if c != central_pair(alg, k0, k1):
             raise NotAnInvolution("central ratio is not a scalar pair")
-        if alg.field.mul(k0, k0) != alg.field.one:
-            raise NotAnInvolution("central ratio has a bad ring part")
         if self.k == alg.field.one and k1 != alg.field.zero:
             raise NotAnInvolution("positive sign forces a plain ratio")
         return k0, k1
@@ -160,8 +158,6 @@ class InvolutionSpec:
         if not fixed:
             kind = "plain" if k0 == field.one else "skew"
             return ClassInvariant(self.lam, self.k, field, kind=kind)
-        if k0 != field.one:
-            raise NotAnInvolution("skew units cannot occur with fixed points")
         chi = {x: field.square_class(self.theta.f[x, x]) for x in fixed}
         return ClassInvariant(self.lam, self.k, field, chi=chi)
 
@@ -250,13 +246,14 @@ def base_involution(alg, lam, k=1):
 
 def rho_eps(alg, lam, eps, k=1):
     """The involution conjugated by the diagonal unit that is eps(x) at
-    each fixed point x of lam and one elsewhere.  A zero eps(x) raises
-    ZeroEpsilon.  Without fixed points the unit is the unity, and rho_eps
-    is the plain relabel involution ``base_involution``."""
+    each fixed point x of lam and one elsewhere; an eps(x) that is missing
+    raises ParseError, and a zero one ZeroEpsilon.  Without fixed points
+    the unit is the unity, and rho_eps is ``base_involution``."""
     field = alg.field
     vals = dict.fromkeys(alg.poset.elements, field.one)
-    for x in lam.fixed_points():
-        vals[x] = field(eps[x])
+    fixed = lam.fixed_points()
+    for x, v in zip(fixed, _members(eps, "scaling eps", *fixed)):
+        vals[x] = field(v)
         if vals[x] == field.zero:
             raise ZeroEpsilon(f"scaling must be nonzero at {x!r}")
     return build(alg, DElem(alg.diagonal(vals), alg.zero()), lam, k)
@@ -363,9 +360,9 @@ def _factor(raw, ring_columns):
     the block b21.  b11 decomposes as m11.  For an involution with vanishing
     b12, b11 is its own inverse, and the block-diagonal lift of m11 after
     raw is [[id, 0], [g D, g .]] for a central unit g and a derivation D.
-    Both are read off raw's columns through m11 alone: g is m11 of the
-    bimodule image of [0; delta], k delta on the connected poset, and
-    column t of D is k^-1 m11(b21[t]).
+    Both are read off raw's columns: g is the bimodule image of [0; delta],
+    k delta on the connected poset (so m11 fixes it), and column t of g D
+    is m11(b21[t]); the split and witness of k D are k times those of D.
     """
     from .derivations import additive_is_inner, split_raw_derivation
     from .morphisms import FiLinearMap, decompose, multiplicative_is_inner
@@ -375,13 +372,12 @@ def _factor(raw, ring_columns):
     lam = m11.posetmap
     if not lam.is_involution():
         raise NotAnInvolution("induced poset map is not an involution")
-    g = m11.apply(raw.apply(DElem(alg.zero(), alg.delta())).i)
+    g = raw.apply(DElem(alg.zero(), alg.delta())).i
     if not (g.is_unit() and alg.is_central(g)):
         raise NotAnInvolution("residual bimodule action is not central")
     x0 = alg.poset.elements[0]
     k = g[x0, x0]
-    k_inv = alg.field.inv(k)
-    der_map = FiLinearMap._of(alg, [m11.apply(c.i).scale(k_inv)._vector()
+    der_map = FiLinearMap._of(alg, [m11.apply(c.i)._vector()
                                     for c in ring_columns])
     spec_d = split_raw_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
@@ -394,7 +390,7 @@ def _factor(raw, ring_columns):
         raise WitnessFailed("hypothesis check admitted a bad poset: no "
                             "multiplicative witness")
     m = m11.u * alg.diagonal(eta)
-    theta = DElem(m, (m * j.permuted(lam.pair_permutation())).scale(k))
+    theta = DElem(m, m * j.permuted(lam.pair_permutation()))
     return build(alg, theta, lam, k)
 
 
@@ -649,18 +645,18 @@ class Classification:
         return out
 
 
-def _chi_orbit_fold(poset, lam, fixed, tuples):
-    """Fold canonical square-class tuples (each its own ``_chi_key``) by
-    the automorphisms commuting with lam, keeping the first of each orbit."""
+def _chi_orbit_fold(field, poset, lam, fixed, tuples):
+    """Fold scaling tuples on the fixed points by the automorphisms
+    commuting with lam, keeping the first of each orbit of chi keys."""
     normalizer = [a for a in poset.automorphisms() if _intertwines(a, lam, lam)]
     keep = []
     seen = set()
-    for tup in tuples:
-        if tup in seen:
+    for eps in tuples:
+        chi = {x: field.square_class(v) for x, v in zip(fixed, eps)}
+        if _chi_key(chi) in seen:
             continue
-        chi = dict(zip(fixed, tup))
         seen |= {_chi_key(chi, a) for a in normalizer}
-        keep.append(tup)
+        keep.append(eps)
     return keep
 
 
@@ -692,19 +688,12 @@ def classify(poset, lam, field, general=False):
                                  "automorphisms commuting with the involution")
         return Classification(poset, field, lam, fixed, None, None, general,
                               family=family)
-    reps_scalars = field.square_class_reps()
-    tuples = [(field.square_class(field.one),) + tuple(
-        field.square_class(v) for v in rest)
-        for rest in itertools.product(reps_scalars, repeat=len(fixed) - 1)]
+    tuples = [(field.one,) + rest for rest in itertools.product(
+        field.square_class_reps(), repeat=len(fixed) - 1)]
     if general:
-        tuples = _chi_orbit_fold(poset, lam, fixed, tuples)
-    reps = []
-    for tup in tuples:
-        eps = {}
-        for x, cls in zip(fixed, tup):
-            eps[x] = field.one if cls.is_identity else reps_scalars[-1]
-        for k in (1, -1):
-            reps.append(rho_eps(alg, lam, eps, k))
+        tuples = _chi_orbit_fold(field, poset, lam, fixed, tuples)
+    reps = [rho_eps(alg, lam, dict(zip(fixed, eps)), k)
+            for eps in tuples for k in (1, -1)]
     count = len(reps)
     if not general:
         expected = 2 * field.square_class_count ** (len(fixed) - 1)

@@ -27,6 +27,7 @@ from .errors import (
     WitnessFailed,
 )
 from .fia import ColumnMap, IncFn
+from .fields import _primitive_root
 from .posets import PosetMap, identity_map
 from .snf import _mult_inner_rule, _smith_reading, cocycle_obstruction
 
@@ -252,31 +253,6 @@ def mult_subset_inn(poset, field):
     """Whether every multiplicative automorphism over this field is inner:
     the obstruction group must have no characters into K*."""
     return _mult_inner_rule(*cocycle_obstruction(poset), field)
-
-
-def _prime_factors(n):
-    """The distinct prime factors of n >= 1, by trial division."""
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    return out + [n] if n > 1 else out
-
-
-def _primitive_root(p):
-    """The least generator of F_p*: t is one exactly when t^((p-1)/q) != 1
-    for every prime q dividing p - 1."""
-    if p == 2:
-        return 1
-    qs = _prime_factors(p - 1)
-    for t in range(2, p):
-        if all(pow(t, (p - 1) // q, p) != 1 for q in qs):
-            return t
-    raise WitnessFailed(f"F{p} has no primitive root")
 
 
 def find_non_inner_cocycle(alg):

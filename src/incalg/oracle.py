@@ -22,8 +22,8 @@ from itertools import product
 
 from .errors import NotConnected, SizeLimit, WitnessFailed
 from .fia import IncFn, count_units
+from .fields import _primitive_root
 from .idealization import DElem, DLinearMap, d_basis
-from .morphisms import _primitive_root
 
 UNIT_LIMIT = 200_000
 

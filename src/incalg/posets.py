@@ -8,8 +8,7 @@ bitsets: one up-set and one down-set per element.
 """
 
 from .errors import (
-    CycleDetected, DuplicateLabel, NoDecomposition, NotComparable, ParseError,
-    SizeLimit,
+    CycleDetected, DuplicateLabel, NotComparable, ParseError, SizeLimit,
 )
 
 # Backtracking symmetry search is exhaustive; keep it to desk scale.
@@ -404,10 +403,10 @@ def lambda_decomposition(poset, lam):
 
     Each two-point orbit {x, lam(x)} goes to (lower, upper) one way or the
     other; the lower part must be down-closed and the upper part up-closed.
-    Orbits are decided in canonical element order, lower first, with
-    constraint propagation.  Every constraint links two orbits (2-SAT), so
-    a propagation that meets no conflict leaves a solvable rest whenever a
-    split exists: no decision is ever revisited, and the split is the first
+    A split exists: r = height - depth rises along the order and r(lam x)
+    = -r(x).  Orbits are decided in canonical element order, lower first,
+    by 2-SAT propagation: when one choice conflicts the other leaves a
+    solvable rest, so no decision is revisited, and the split is the first
     valid assignment in that order.
     """
     if not (lam.anti and lam.src == poset and lam.is_involution()):
@@ -434,8 +433,7 @@ def lambda_decomposition(poset, lam):
         if not place(x, -1, trail):
             for moved in trail:
                 del side[moved]
-            if not place(x, 1, []):
-                raise NoDecomposition("no down-closed/up-closed split exists")
+            place(x, 1, [])
     lower = [x for x in poset.elements if side[x] == -1]
     upper = [x for x in poset.elements if side[x] == 1]
     return LambdaDecomposition(lower, upper, fixed)

@@ -19,6 +19,20 @@ def brute_squares(p):
     return {x * x % p for x in range(1, p)}
 
 
+def test_prime_field_takes_exactly_the_primes():
+    """The modulus is prime exactly when ``_prime_factors`` gives [p]; held
+    to a listing of divisors, and at both ends of the trial division."""
+    for n in range(-2, 600):
+        if n > 1 and all(n % d for d in range(2, n)):
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(ParseError, match="is not prime"):
+                PrimeField(n)
+    assert PrimeField(999983).p == 999983
+    with pytest.raises(ParseError, match="is not prime"):
+        PrimeField(999983 * 999979)
+
+
 def test_parse_field():
     assert parse_field("Q") is QQ or parse_field("Q") == QQ
     assert parse_field("F5") == F5

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from incalg.derivations import DerivationSpec
-from incalg.errors import IncalgError, NotAMorphism, NotAUnit
+from incalg.errors import IncalgError, NotAMorphism, NotAUnit, ParseError
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
@@ -326,6 +326,21 @@ def test_dlinearmap_json_round_trip(chain2):
     swap = chain2.involutions()[0]
     m = lift_anti(FiaMorphism.induced(alg, swap))
     assert DLinearMap.from_json(alg, m.to_json()) == m
+
+
+def test_dlinearmap_from_json_refuses_malformed_blocks(chain2):
+    """Anything but an object whose blocks are 2 npairs lists of 2 npairs
+    value strings is a ParseError: {} used to raise KeyError, [] TypeError,
+    one column reached ``recognize`` as an IndexError, and short columns
+    read as a map that does not fix the unity."""
+    alg = IncidenceAlgebra(chain2, F3)
+    good = lift_anti(FiaMorphism.induced(alg, chain2.involutions()[0]))
+    cols = good.to_json()["blocks"]
+    for obj in ({}, [], {"blocks": None}, {"blocks": cols[:1]},
+                {"blocks": cols + cols[:1]}, {"blocks": [c[:-1] for c in cols]},
+                {"blocks": [",".join(cols[0])] + cols[1:]}):
+        with pytest.raises(ParseError):
+            DLinearMap.from_json(alg, obj)
 
 
 def test_char2_lifts_are_constructible(chain2):

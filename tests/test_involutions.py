@@ -4,8 +4,8 @@ import pytest
 
 from incalg.errors import (
     BadSign, Char2Unsupported, FixedPointsPresent, HypothesisFailed,
-    NotASquare, NotConnected, NotInvolutive, NotSymmetric, ParseError,
-    UpperRightNonzero, WitnessFailed, ZeroEpsilon,
+    NotAnInvolution, NotASquare, NotConnected, NotInvolutive, NotSymmetric,
+    ParseError, UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
@@ -21,6 +21,7 @@ from incalg.involutions import (
     symmetric_decompose,
 )
 from incalg.morphisms import FiaMorphism
+from incalg.posets import lambda_decomposition
 
 from conftest import is_identity
 
@@ -170,6 +171,67 @@ def test_rho_eps_trivial_cases(chain2, diamond):
     assert ones.theta == d_one(algd)
     with pytest.raises(ZeroEpsilon):
         rho_eps(algd, flip, {"a": 0, "b": 1}, 1)
+
+
+def test_rho_eps_names_a_missing_fixed_point(diamond):
+    alg = IncidenceAlgebra(diamond, F5)
+    with pytest.raises(ParseError, match="has no 'b'"):
+        rho_eps(alg, diamond_flip(diamond), {"a": 2}, 1)
+
+
+def test_positive_sign_plain_ratio_check_is_reachable_over_f2(chain2):
+    """Why ``central_ratio`` keeps "positive sign forces a plain ratio":
+    (1 + k) k0 k1 = 0 leaves k1 free when 1 + k = 0, as over F2 with k = 1.
+    On chain2 with its flip, theta = [delta; e_aa] has the central ratio
+    [delta; delta], so the map is an involution with k1 = 1."""
+    alg = IncidenceAlgebra(chain2, PrimeField(2))
+    spec = InvolutionSpec(alg, DElem(alg.delta(), alg.e("a", "a")),
+                          swap_involution(chain2), 1)
+    assert spec.to_linear().is_involution()
+    with pytest.raises(NotAnInvolution,
+                       match="positive sign forces a plain ratio"):
+        spec.central_ratio()
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F3, F5, QQ],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["chain2", "chain3", "diamond"])
+def test_every_central_ratio_has_k0_squared_one(request, name, field):
+    """r base(r) = 1 for the ratio r = base(theta) theta^-1, so a central
+    r = [k0 delta; k1 delta] has k0^2 = 1 and (1 + k) k0 k1 = 0: the reason
+    ``central_ratio`` never checks k0, and checks k1 only for F2.  Drawn
+    units: random ones, c u base(u) for a central unit c (k1 != 0 for the
+    negative sign), and u w base(u) for the sign-split diagonal w (k0 =
+    -1)."""
+    poset = request.getfixturevalue(name)
+    alg = IncidenceAlgebra(poset, field)
+    rng = random.Random(f"{name}:{field.name}")
+    one, x0 = field.one, poset.elements[0]
+    kinds = set()
+    for lam in poset.involutions():
+        split = lambda_decomposition(poset, lam)
+        w = None if split.fixed else DElem(alg.diagonal(
+            {x: field(-split.side(x)) for x in poset.elements}), alg.zero())
+        for k in dict.fromkeys((field(1), field(-1))):  # one sign over F2
+            base = InvolutionSpec(alg, d_one(alg), lam, k).base_apply
+            for _ in range(8):
+                u = random_d_unit(alg, rng)
+                c = central_pair(alg, field.random_nonzero(rng),
+                                 field.random(rng))
+                thetas = [u, c * u * base(u)] + ([u * w * base(u)] if w else [])
+                for theta in thetas:
+                    r = InvolutionSpec(alg, theta, lam, k, _validated=True)._ratio
+                    if not r.is_central():
+                        continue
+                    k0, k1 = r.f[x0, x0], r.i[x0, x0]
+                    assert field.mul(k0, k0) == one
+                    assert field.mul(field.add(one, k), field.mul(k0, k1)) == 0
+                    kinds.add((k0 == one, k1 == 0))
+    assert (True, True) in kinds
+    if field.char != 2:
+        assert (True, False) in kinds
+    if field.char != 2 and name == "chain2":
+        assert (False, True) in kinds
 
 
 def test_involution_spec_json_round_trip(diamond):

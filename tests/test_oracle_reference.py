@@ -40,12 +40,11 @@ import incalg
 from incalg import oracle
 from incalg.errors import NotConnected, SizeLimit
 from incalg.fia import IncFn, IncidenceAlgebra
-from incalg.fields import QQ, PrimeField
+from incalg.fields import QQ, PrimeField, _primitive_root
 from incalg.idealization import (
     DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
 )
 from incalg.involutions import base_involution, sigma_lambda
-from incalg.morphisms import _primitive_root
 from incalg.oracle import (
     UNIT_LIMIT, _canonical_unit_ranges, count_units, enumerate_units,
 )

@@ -5,8 +5,9 @@ asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
 somewhere, each ``WitnessFailed`` raise has its own message, every private
 module-level helper is read somewhere, no module but ``posets`` reads the
-order bitsets, and the CLI imports at module level
-only the modules every subcommand shares."""
+order bitsets, the CLI imports at module level
+only the modules every subcommand shares, and the brute-force oracle
+imports no decision module."""
 
 import ast
 from collections import Counter
@@ -259,14 +260,16 @@ def test_order_reader_is_reported():
 CLI_TOP_LEVEL = {"errors", "fields", "posets", "snf"}
 
 
-def top_level_library_imports(source, filename="<source>"):
-    """The library modules a module imports outside every function body:
-    ``from .x import ...``, ``from . import x`` and ``import incalg.x``."""
+def top_level_library_imports(source, filename="<source>", everywhere=False):
+    """The library modules a module imports outside every function body
+    (inside them too when ``everywhere``): ``from .x import ...``,
+    ``from . import x`` and ``import incalg.x``."""
     found = set()
     pending = list(ast.parse(source, filename=filename).body)
     while pending:
         node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not everywhere):
             continue
         if isinstance(node, ast.ImportFrom):
             package, _, module = ("incalg." * node.level + (node.module or "")
@@ -304,3 +307,25 @@ def test_top_level_import_is_reported():
     assert top_level_library_imports(source) == {
         "errors", "oracle", "fia", "derivations", "linalg", "involutions",
         "idealization"}
+
+
+# The oracle is the ground truth the decision procedures are held to, so it
+# must share none of their code.
+DECISION_MODULES = {"morphisms", "derivations", "involutions", "snf"}
+
+
+def test_oracle_imports_no_decision_module():
+    found = top_level_library_imports((SRC / "oracle.py").read_text(),
+                                      everywhere=True)
+    assert found & DECISION_MODULES == set()
+
+
+def test_decision_import_is_reported_anywhere():
+    source = ("from .fields import _primitive_root\n"
+              "from .morphisms import decompose\n"
+              "def f():\n"
+              "    from .snf import check_hypotheses\n"
+              "    return decompose, check_hypotheses\n")
+    found = top_level_library_imports(source, everywhere=True)
+    assert found & DECISION_MODULES == {"morphisms", "snf"}
+    assert top_level_library_imports(source) == {"fields", "morphisms"}

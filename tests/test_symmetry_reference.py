@@ -12,7 +12,9 @@ orbit once, since its constraints are 2-SAT; and ``equivalent`` and the
 earlier label-lookup search, the label-lookup order check, the recursive
 backtracking split and the compose-chain conjugacy tests.  They must agree
 on every fixture and on drawn posets: the same maps in the same order, the
-same accept or reject with the same message, the same split.
+same accept or reject with the same message, the same split.  The
+reference split keeps its raise for a poset with no split, which must
+never fire: r = height - depth shows that a split always exists.
 
 ``ref_equivalent`` is the per-carrier loop ``equivalent`` replaced: it
 built a relabelled normal form and ran a whole inner-equivalence attempt
@@ -20,6 +22,7 @@ for each carrier, where ``equivalent`` compares χ keys per carrier and
 builds one.  The verdicts must agree byte for byte as JSON.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -27,9 +30,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from incalg.errors import (
-    IncalgError, NoDecomposition, ParseError, SizeLimit, WitnessFailed,
-)
+from incalg.errors import IncalgError, ParseError, SizeLimit, WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import d_one, random_d_unit
@@ -113,6 +114,11 @@ def ref_check(src, dst, mapping, anti):
                 kind = "anti-isomorphism" if anti else "isomorphism"
                 return f"not an order {kind}: fails at ({x!r}, {y!r})"
     return None
+
+
+class NoDecomposition(Exception):
+    """The reference found no split; ``lambda_decomposition`` no longer has
+    this case, since a split always exists."""
 
 
 def ref_lambda_decomposition(poset, lam):
@@ -268,12 +274,7 @@ def check_split_and_conjugacy(poset):
     lams = poset.involutions()
     autos = poset.automorphisms()
     for lam in lams:
-        try:
-            want = ref_lambda_decomposition(poset, lam)
-        except NoDecomposition:
-            with pytest.raises(NoDecomposition):
-                lambda_decomposition(poset, lam)
-            continue
+        want = ref_lambda_decomposition(poset, lam)  # never NoDecomposition
         d = lambda_decomposition(poset, lam)
         assert (d.lower, d.upper, d.fixed) == want
     some = spread(lams, 12)
@@ -410,6 +411,41 @@ def test_split_and_conjugacy_match_reference_on_drawn_self_dual_posets(drawn):
     assert lam in poset.involutions()
     check_search(poset, poset)
     check_split_and_conjugacy(poset)
+
+
+def ref_height_minus_depth(poset):
+    """r(x) = height(x) - depth(x): the most points on a chain ending at x
+    less the most points on a chain starting at x."""
+    @functools.cache
+    def longest(x, rising):
+        nxt = [y for y in poset.elements if y != x
+               and (poset.leq(x, y) if rising else poset.leq(y, x))]
+        return 1 + max((longest(y, rising) for y in nxt), default=0)
+
+    return {x: longest(x, False) - longest(x, True) for x in poset.elements}
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_dual_posets())
+def test_height_minus_depth_is_odd_under_lambda_and_strictly_monotone(drawn):
+    """Why ``lambda_decomposition`` has no failure case: r strictly rises
+    along the order and r(lam x) = -r(x) for every involution lam, so the
+    points with r < 0, plus one point of each two-point orbit with r = 0,
+    form a down-closed part whose image is up-closed."""
+    poset, _ = drawn
+    r = ref_height_minus_depth(poset)
+    assert all(r[x] < r[y] for x, y in poset.strict_pairs)
+    for lam in poset.involutions():
+        assert all(r[lam(x)] == -r[x] for x in poset.elements)
+        lower = {x for x in poset.elements if r[x] < 0}
+        for x in poset.elements:
+            if r[x] == 0 and lam(x) not in lower | {x}:
+                lower.add(x)
+        upper = {lam(x) for x in lower}
+        assert not lower & upper
+        assert all(set(poset.down(x)) <= lower for x in lower)
+        assert all(set(poset.up(x)) <= upper for x in upper)
+        assert all(lam(x) == x for x in set(poset.elements) - lower - upper)
 
 
 # -- general equivalence ------------------------------------------------------
