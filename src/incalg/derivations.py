@@ -8,9 +8,9 @@ presentation reproduces the matrix on the whole basis, and
 ``leibniz_check`` decides the rule for a map not known to be a derivation
 by that same certificate.  ``der_equals_ider`` decides whether the
 additive family adds anything beyond the inner one, reading the answer off
-``snf.cocycle_obstruction`` (the same Smith normal form that decides
+``snf.cocycle_obstruction`` (the same reading that decides
 ``mult_subset_inn``), and ``find_non_inner_additive`` reads a counterexample
-off that form's column transform.
+off the column transform of the whole poset's Smith form.
 """
 
 from .errors import (

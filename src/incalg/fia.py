@@ -187,10 +187,10 @@ class IncidenceAlgebra:
         raw = obj.get("entries", {})
         if not isinstance(raw, dict):
             raise ParseError(f"entries {raw!r} are not an object")
-        entries = {}
+        entries, parse = {}, self.field.parser()
         for key, sval in raw.items():
             x, _, y = key.partition(",")
-            entries[(x.strip(), y.strip())] = self.field.parse(sval)
+            entries[(x.strip(), y.strip())] = parse(sval)
         return self.element(entries)
 
     def random(self, rng):

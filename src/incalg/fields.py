@@ -115,10 +115,6 @@ class SquareClass:
     def inverse(self):
         return self
 
-    @property
-    def is_identity(self):
-        return self.rep is True if self.kind == "F" else self.rep == 1
-
     def __eq__(self, other):
         return (isinstance(other, SquareClass)
                 and self.kind == other.kind and self.rep == other.rep)
@@ -149,6 +145,20 @@ class Field:
 
     def is_square(self, a):
         return self.sqrt(a) is not None
+
+    def parser(self):
+        """``parse`` for one document, which repeats few strings many
+        times: each distinct string is parsed once.  A value that is not a
+        string, hashable or not, still raises ParseError."""
+        memo = {}
+
+        def parse(s):
+            try:
+                return memo[s]
+            except (KeyError, TypeError):
+                memo[s] = value = self.parse(s)
+                return value
+        return parse
 
 
 class RationalField(Field):

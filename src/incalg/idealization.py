@@ -45,9 +45,6 @@ class DElem:
     def __neg__(self):
         return DElem(-self.f, -self.i)
 
-    def scale(self, k):
-        return DElem(self.f.scale(k), self.i.scale(k))
-
     def __mul__(self, other):
         """[f; m][g; n] = [fg; fn + mg], in one call of the algebra's
         compiled idealization kernel on the numerators.  Over Q each side's
@@ -185,7 +182,7 @@ class DLinearMap(ColumnMap):
         if not (isinstance(blocks, list) and len(blocks) == size
                 and all(isinstance(c, list) and len(c) == size for c in blocks)):
             raise ParseError(f"blocks must be {size} lists of {size} values")
-        parse = alg.field.parse
+        parse = alg.field.parser()
         return cls(alg, [[parse(v) for v in col] for col in blocks])
 
 

@@ -14,10 +14,11 @@ cocycles of ``derivations`` share both, over K in place of K*.
 
 ``mult_subset_inn`` decides whether every multiplicative automorphism is
 inner by the rule ``snf.check_hypotheses`` applies to
-``snf.cocycle_obstruction``, one Smith normal form of the chain relations.
-When it fails, the columns of the same form's transform V give the
-candidate characters, and ``find_non_inner_cocycle`` returns the first one
-that no diagonal witness produces.
+``snf.cocycle_obstruction``, the Smith normal form of the chain relations
+of the poset's core.  When it fails, the columns of the transform V of
+the whole poset's form give the candidate characters, and
+``find_non_inner_cocycle`` returns the first one that no diagonal witness
+produces.
 """
 
 from math import gcd

@@ -5,12 +5,15 @@ decision of both classification hypotheses that is read off it.
 transform V; the row transform is never needed, so it is not tracked.
 ``cocycle_obstruction`` takes one such form of the chain relations
 (x,z) + (z,y) - (x,y) and reads off the invariant factors and free rank of
-the group that measures cocycles modulo coboundaries.  Both hypotheses
-depend only on that group and the field: ``check_hypotheses`` applies the
+the group that measures cocycles modulo coboundaries: H_1 of the order
+complex.  It reads them on the poset's core (``Poset.core``, beat points
+removed; Stong 1966, Barmak LNM 2032), which has the same H_1, so a poset
+with a cone point needs no Smith form at all.  Both hypotheses depend only
+on that group and the field: ``check_hypotheses`` applies the
 multiplicative rule (no nontrivial character into K*) and the additive one
 (no nonzero K-linear functional).  The counterexample finders of
-``morphisms`` and ``derivations`` read the same form's columns through
-``_smith_reading``.  Nothing here needs the incidence algebra.
+``morphisms`` and ``derivations`` read the columns of the whole poset's
+form through ``_smith_reading``.  Nothing here needs the incidence algebra.
 
 Sizes here are tiny (rows and columns bounded by the number of comparable
 pairs of a desk-scale poset), so a straightforward pivot-and-reduce loop
@@ -158,8 +161,14 @@ def cocycle_obstruction(poset):
     factors d_i > 1, and the free rank #pairs - rank R - rank d, where
     rank d = #points - #components over every field (d is a signed graph
     incidence matrix).
+
+    The group is H_1 of the order complex, the chain relations being the
+    boundaries of its 2-simplices, so it is read on the core, where it is
+    the same (``Poset.core``).  A core with no chain, such as the one point
+    left of a poset with a cone point, has no relation rows and so takes no
+    Smith form (``smith_columns``).
     """
-    return _smith_reading(poset)[0]
+    return _smith_reading(poset.core())[0]
 
 
 def _mult_inner_rule(factors, free_rank, field):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from incalg.errors import ContextMismatch, NotAUnit, NotComparable
+from incalg.errors import ContextMismatch, NotAUnit, NotComparable, ParseError
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 
@@ -154,6 +154,18 @@ def test_element_and_json_round_trip(diamond):
     with pytest.raises(NotComparable):
         alg.e("1", "0")
     assert f["a", "b"] == 0  # incomparable reads as zero
+
+
+@pytest.mark.parametrize("field", [F5, QQ])
+def test_from_json_refuses_lists_and_repeated_bad_strings(diamond, field):
+    """Entries share one parse per distinct string; a list value is still
+    a ParseError, and so is a bad string met twice."""
+    alg = IncidenceAlgebra(diamond, field)
+    assert alg.from_json({"entries": {"0,1": "3", "a,a": "3", "0,a": "2"}}) \
+        == alg.element({("0", "1"): 3, ("a", "a"): 3, ("0", "a"): 2})
+    for entries in ({"0,1": "3", "a,a": ["3"]}, {"0,1": "y", "a,a": "y"}):
+        with pytest.raises(ParseError, match="is not a string|^bad "):
+            alg.from_json({"entries": entries})
 
 
 # -- the centre read off index lists, against the component walk it replaced

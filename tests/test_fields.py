@@ -72,6 +72,35 @@ def test_scalar_ascii_forms_still_parse(field, text, value):
     assert field.parse(text) == value
 
 
+@pytest.mark.parametrize("field", [F5, QQ])
+def test_parser_parses_each_distinct_string_once(field, monkeypatch):
+    """A document's parser calls ``parse`` once per distinct string and
+    gives the same values; a string that fails is not remembered."""
+    texts = ["1", "3", "1", " 1", "3", "1"]
+    want = [field.parse(t) for t in texts]
+    seen = []
+    parse = field.parse
+    monkeypatch.setattr(field, "parse", lambda s: seen.append(s) or parse(s))
+    read = field.parser()
+    assert [read(t) for t in texts] == want
+    assert seen == ["1", "3", " 1"]
+    for _ in range(2):
+        with pytest.raises(ParseError, match="^bad "):
+            read("x")
+    assert seen[3:] == ["x", "x"]
+
+
+@pytest.mark.parametrize("field", [F5, QQ])
+@pytest.mark.parametrize("value", [["1"], {"1": "1"}, 1, None])
+def test_parser_refuses_a_non_string_as_parse_does(field, value):
+    """A list is unhashable, so the memo cannot hold it; it must still be
+    the ParseError ``parse`` raises, not a TypeError."""
+    read = field.parser()
+    read("1")
+    with pytest.raises(ParseError, match="is not a string"):
+        read(value)
+
+
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_rational_field_axioms(a, b, c):
     assert QQ.add(QQ.add(a, b), c) == QQ.add(a, QQ.add(b, c))
@@ -92,9 +121,9 @@ def test_prime_field_axioms(a, b, c):
 
 
 def test_square_class_examples():
-    assert F5.square_class(4).is_identity          # 4 = 2**2
+    assert F5.square_class(4) == F5.square_class(1)  # 4 = 2**2
     assert 2 not in brute_squares(5)
-    assert not F5.square_class(2).is_identity
+    assert F5.square_class(2) != F5.square_class(1)
     assert QQ.square_class(Fraction(8)) == SquareClass("Q", 2)
 
 
@@ -141,15 +170,17 @@ def test_sqrt_examples():
 def test_sqrt_iff_identity_class():
     for F in (F3, F5, F7, PrimeField(13)):
         for a in F.nonzero_elements():
-            assert (F.sqrt(a) is not None) == F.square_class(a).is_identity
+            assert (F.sqrt(a) is not None) == (
+                F.square_class(a) == F.square_class(1))
     rng = random.Random(3)
     for _ in range(100):
         a = QQ.random_nonzero(rng)
-        assert (QQ.sqrt(a) is not None) == QQ.square_class(a).is_identity
+        assert (QQ.sqrt(a) is not None) == (
+            QQ.square_class(a) == QQ.square_class(1))
 
 
 def test_char2_field_is_constructible():
-    assert F2.square_class(1).is_identity
+    assert F2.square_class(1) == SquareClass("F", True)
     assert F2.square_class_count == 1
     assert F2.square_class_reps() == [1]
     assert F5.square_class_count == 2
@@ -188,7 +219,7 @@ def test_squarefree_parts():
     assert QQ.square_class(Fraction(49)) == SquareClass("Q", 1)
     big = 999983 * 999979  # two primes above the trial-division range
     assert QQ.square_class(Fraction(big)) == SquareClass("Q", big)
-    assert QQ.square_class(Fraction(999983**2)).is_identity
+    assert QQ.square_class(Fraction(999983**2)) == QQ.square_class(1)
 
 
 def test_rational_classes_multiply_in_closed_form():
@@ -196,5 +227,5 @@ def test_rational_classes_multiply_in_closed_form():
     factorizing the product, which is past the squarefree bound."""
     p, q = 999999999989, 999999999959
     assert (SquareClass("Q", p) * SquareClass("Q", -q)).rep == -p * q
-    assert (SquareClass("Q", p) * SquareClass("Q", p)).is_identity
+    assert SquareClass("Q", p) * SquareClass("Q", p) == QQ.square_class(1)
     assert SquareClass("Q", -6) * SquareClass("Q", 10) == SquareClass("Q", -15)

@@ -3,6 +3,9 @@
 ``cocycle_obstruction`` reads both hypotheses off one Smith normal form of
 the chain relations.  The routines below are the kernel-and-solve and
 field-rank decisions it replaced, kept verbatim as the reference oracle.
+It takes that form on the poset's core (``Poset.core``, beat points
+removed), and the form on the whole poset (``_smith_reading``) is the
+reference for that step.
 
 ``multiplicative_is_inner`` and ``additive_is_inner`` both solve with
 ``morphisms.coboundary``.  Their references are the two spanning-tree
@@ -33,11 +36,14 @@ from incalg.morphisms import (
     validate_multiplicative_cocycle,
 )
 from incalg.posets import Poset
+from incalg import snf
 from incalg.snf import (
-    _relation_rows, check_hypotheses, cocycle_obstruction, smith_columns,
+    _relation_rows, _smith_reading, check_hypotheses, cocycle_obstruction,
+    smith_columns,
 )
 
 from conftest import chain
+from test_cli_pinned import POSETS
 from test_snf import invariant_factors
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
@@ -498,12 +504,12 @@ def test_smith_form_cocycles_match_reference(request, name):
 
 
 @st.composite
-def witness_posets(draw, max_size=7):
+def witness_posets(draw, max_size=7, cone=None):
     """A poset on at most ``max_size`` points, connected or not: a drawn
-    relation that only rises along a drawn linear order, and when drawn a
-    cone point c placed above a down-set (a prefix of a linear extension)
-    and below the rest, listed at a drawn place."""
-    cone = draw(st.booleans())
+    relation that only rises along a drawn linear order, and when drawn (or
+    when ``cone`` says so) a cone point c placed above a down-set (a prefix
+    of a linear extension) and below the rest, listed at a drawn place."""
+    cone = draw(st.booleans()) if cone is None else cone
     n = draw(st.integers(2, max_size - cone))
     rise = draw(st.permutations(range(n)))
     rels = [(f"p{rise[i]}", f"p{rise[j]}") for i in range(n)
@@ -548,3 +554,162 @@ def test_non_cocycles_raise_the_same_invalid_cocycle(request):
                     with pytest.raises(InvalidCocycle) as got:
                         search(alg, values)
                     assert str(got.value) == str(want.value)
+
+
+# -- the core ------------------------------------------------------------------
+
+
+def is_beat_point(poset, x):
+    """Whether the points strictly above x have a least element, or those
+    strictly below it a greatest one: exactly one upper or lower cover."""
+    for near, leq in ((poset.up(x), poset.leq),
+                      (poset.down(x), lambda a, b: poset.leq(b, a))):
+        strict = [y for y in near if y != x]
+        if any(all(leq(m, y) for y in strict) for m in strict):
+            return True
+    return False
+
+
+def induced(poset, kept):
+    return Poset.from_covers(kept, [(x, y) for x, y in poset.strict_pairs
+                                    if x in kept and y in kept])
+
+
+def ref_core(poset, strips=is_beat_point):
+    """Remove the first point that ``strips`` names, in element order, and
+    rebuild the induced poset, until no point is named."""
+    while True:
+        x = next((x for x in poset.elements if strips(poset, x)), None)
+        if x is None:
+            return poset
+        poset = induced(poset, [y for y in poset.elements if y != x])
+
+
+def with_tail(poset, top, length):
+    """``poset`` with a chain of ``length`` new points hung above ``top``."""
+    tail = [f"t{i}" for i in range(length)]
+    return Poset.from_covers(poset.elements + tuple(tail),
+                             list(poset.covers) + list(zip([top] + tail, tail)))
+
+
+def level_poset(*sizes):
+    """Antichains of the given sizes, each wholly below the next."""
+    levels = [[f"l{i}_{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    return Poset.from_covers(
+        [x for level in levels for x in level],
+        [(x, y) for low, high in zip(levels, levels[1:])
+         for x in low for y in high])
+
+
+def crowns_with_tails(request):
+    """The 4- and 6-point crowns, each with a chain of 1 or 3 points hung
+    above one maximum, beside the crown itself."""
+    return [(f"{name}+tail{t}", crown, with_tail(crown, top, t))
+            for name, crown, top in (
+                ("crown", request.getfixturevalue("crown"), "d"),
+                ("crown3", crown_k(3), "b0"))
+            for t in (1, 3)]
+
+
+def chain12():
+    return chain(12, [f"c{i}" for i in range(12)])
+
+
+def core_cases(request):
+    cases = [(name, request.getfixturevalue(name)) for name in FIXTURES]
+    cases += [(f"named {name}", p) for name, p in named_cases().items()]
+    cases += [(f"crown_k{k}", crown_k(k)) for k in (4, 5)]
+    cases += [(name, poset) for name, _, poset in crowns_with_tails(request)]
+    return cases + [("chain12", chain12()),
+                    ("B3", Poset.from_covers(*POSETS["B3"])),
+                    ("levels222", level_poset(2, 2, 2)),
+                    ("levels333", level_poset(3, 3, 3))]
+
+
+def test_core_obstruction_matches_full_smith_form(request, rp2, moore3):
+    """The core's reading equals the whole poset's on every fixture, every
+    crown, RP^2 and the mod-3 Moore space; the core has no beat point, is
+    induced, keeps the components and matches the one-at-a-time reference
+    in size (the core is unique up to isomorphism)."""
+    for name, poset in core_cases(request) + [("rp2", rp2),
+                                               ("moore3", moore3)]:
+        assert cocycle_obstruction(poset) == _smith_reading(poset)[0], name
+        core = poset.core()
+        assert not any(is_beat_point(core, x) for x in core.elements), name
+        assert core == induced(poset, list(core.elements)), name
+        assert len(core.components()) == len(poset.components()), name
+        assert core.n == ref_core(poset).n, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(witness_posets(max_size=8))
+def test_core_obstruction_matches_full_smith_form_on_drawn_posets(poset):
+    core = poset.core()
+    assert cocycle_obstruction(poset) == _smith_reading(poset)[0]
+    assert core.n == ref_core(poset).n
+    assert not any(is_beat_point(core, x) for x in core.elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_posets(max_size=8, cone=True))
+def test_a_cone_point_gives_a_one_point_core(poset):
+    assert poset.all_comparable_elements()
+    assert poset.core().n == 1
+    assert cocycle_obstruction(poset) == ([], 0)
+
+
+def test_core_sizes(request):
+    sizes = {name: poset.core().n for name, poset in core_cases(request)}
+    assert sizes["chain12"] == sizes["B3"] == 1
+    for name, crown, poset in crowns_with_tails(request):
+        assert sizes[name] == crown.n and crown.maps_to(poset.core()), name
+    assert sizes["levels222"] == 6 and sizes["levels333"] == 9
+    crown = request.getfixturevalue("crown")
+    assert crown.core() is crown
+
+
+def test_a_core_that_strips_too_much_fails_the_reference(crown, monkeypatch):
+    """A mutant that also strips a point with two upper covers turns the
+    crown (a circle, free rank 1) into its two maxima, free rank 0, and the
+    comparison with the whole poset's reading catches it."""
+    def two_upper_covers(poset, x):
+        return sum(1 for y in poset.up(x) if y != x and (x, y) in
+                   poset.covers) == 2
+    monkeypatch.setattr(Poset, "core", lambda poset: ref_core(
+        poset, lambda p, x: is_beat_point(p, x) or two_upper_covers(p, x)))
+    assert _smith_reading(crown)[0] == ([], 1)
+    assert crown.core().elements == ("c", "d")
+    assert cocycle_obstruction(crown) != _smith_reading(crown)[0]
+
+
+def count_smith_forms(monkeypatch):
+    calls = []
+    full = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda mat: calls.append(len(mat)) or full(mat))
+    return calls
+
+
+def test_gate_runs_no_smith_form_when_the_core_has_no_chain(request,
+                                                            monkeypatch):
+    """Every fixture and chain12 reduce to a core with no chain x < z < y
+    (one point on the cone-point ones), so ``check_hypotheses`` runs no
+    Smith form on them, although chain12 has 220 chains."""
+    calls = count_smith_forms(monkeypatch)
+    cases = [request.getfixturevalue(name) for name in FIXTURES]
+    for poset in cases + [chain12()]:
+        for field in (PrimeField(3), QQ):
+            check_hypotheses(poset, field)
+        assert calls == [], poset
+    assert len(chain12().chains) == 220
+
+
+def test_gate_runs_one_smith_form_when_the_core_has_a_chain(rp2, monkeypatch):
+    """A core with a chain takes exactly one Smith form per call, of its
+    own relation rows."""
+    calls = count_smith_forms(monkeypatch)
+    for poset in (level_poset(2, 2, 2), rp2):
+        for field in (PrimeField(3), QQ):
+            del calls[:]
+            check_hypotheses(poset, field)
+            assert calls == [len(poset.core().chains)]

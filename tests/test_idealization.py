@@ -343,6 +343,18 @@ def test_dlinearmap_from_json_refuses_malformed_blocks(chain2):
             DLinearMap.from_json(alg, obj)
 
 
+def test_dlinearmap_from_json_refuses_lists_and_repeated_bad_strings(chain2):
+    """Each distinct scalar string is parsed once, but a list entry is
+    still a ParseError (not the TypeError of hashing it), and a bad string
+    that repeats is refused wherever it is met."""
+    alg = IncidenceAlgebra(chain2, F3)
+    cols = lift_anti(FiaMorphism.induced(
+        alg, chain2.involutions()[0])).to_json()["blocks"]
+    for bad in (["1"], "x"):
+        with pytest.raises(ParseError, match="is not a string|^bad residue"):
+            DLinearMap.from_json(alg, {"blocks": [[bad] + c[1:] for c in cols]})
+
+
 def test_char2_lifts_are_constructible(chain2):
     # classification refuses characteristic 2, but the ring and its lifted
     # symmetries still work there

@@ -477,7 +477,7 @@ def test_plus_minus_theta_property(chain2):
             if k == 1:
                 assert k1 == alg.field.zero
             sym, k0b = spec.symmetric_form()
-            assert spec.base_apply(sym) == sym.scale(k0b)
+            assert spec.base_apply(sym) == DElem(sym.f.scale(k0b), sym.i.scale(k0b))
 
 
 def test_equivalent_inner_sign_distinguishes(chain3):
