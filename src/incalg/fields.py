@@ -34,17 +34,34 @@ SQRT_SCAN_BOUND = 10**4
 MODULUS_BOUND = 10**12
 
 
-def _prime_factors(n):
-    """Distinct prime factors of n by trial division: [n] iff n is prime."""
+def _factorization(n):
+    """The (prime, exponent) pairs of n, primes ascending, by trial division
+    up to _TRIAL_BOUND; [] for n <= 1.  A cofactor left over is a prime
+    square or, up to SQUAREFREE_BOUND, a prime; any other raises SizeLimit."""
     out = []
     q = 2
-    while q * q <= n:
+    while q <= _TRIAL_BOUND and q * q <= n:
         if n % q == 0:
-            out.append(q)
+            e = 0
             while n % q == 0:
                 n //= q
+                e += 1
+            out.append((q, e))
         q += 1 if q == 2 else 2
-    return out + [n] if n > 1 else out
+    if n > 1:
+        r = isqrt(n)
+        if r * r == n:
+            out.append((r, 2))
+        elif n <= SQUAREFREE_BOUND:
+            out.append((n, 1))
+        else:
+            raise SizeLimit(f"cannot certify squarefree part of {n}")
+    return out
+
+
+def _prime_factors(n):
+    """Distinct prime factors of n <= MODULUS_BOUND: [n] iff n is prime."""
+    return [q for q, _ in _factorization(n)]
 
 
 def _primitive_root(p):
@@ -66,26 +83,9 @@ def _signed_squarefree(n, d):
     if m > SQUAREFREE_BOUND * SQUAREFREE_BOUND:
         raise SizeLimit(f"magnitude {m} exceeds the squarefree factorization bound")
     out = 1
-    q = 2
-    while q <= _TRIAL_BOUND and q * q <= m:
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            if e % 2:
-                out *= q
-        q += 1 if q == 2 else 2
-    if m > 1:
-        r = isqrt(m)
-        if r * r == m:
-            pass  # leftover is a prime square
-        elif m <= SQUAREFREE_BOUND:
-            # no factor <= 10**6 and not a square: prime or product of two
-            # distinct primes, squarefree either way
-            out *= m
-        else:
-            raise SizeLimit(f"cannot certify squarefree part of {m}")
+    for q, e in _factorization(m):
+        if e % 2:
+            out *= q
     return sign * out
 
 

@@ -13,6 +13,7 @@ returned witness, count or normal form raises WitnessFailed.
 """
 
 import itertools
+from functools import cached_property
 
 from .errors import (
     BadSign, Char2Unsupported, ContextMismatch, FixedPointsPresent,
@@ -146,6 +147,20 @@ class InvolutionSpec:
         half = field.inv(field(2))
         gamma = central_pair(self.alg, k0, field.mul(k1, half)) * self.theta
         return gamma, k0
+
+    @cached_property
+    def _reduction(self):
+        """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1),
+        where base is the canonical representative of the inner class;
+        computed once per spec."""
+        alg = self.alg
+        theta_sym, k0 = self.symmetric_form()
+        if k0 == alg.field.one:  # always so with fixed points
+            eps = {x: theta_sym.f[x, x] for x in self.lam.fixed_points()}
+            base = rho_eps(alg, self.lam, eps, self.k)
+        else:
+            base = sigma_lambda(alg, self.lam, self.k)
+        return base, symmetric_decompose(theta_sym * base._theta_inv, base)
 
     def invariant(self):
         """The inner-equivalence invariant: induced map, sign, and either
@@ -440,19 +455,6 @@ def _check_same_context(s1, s2):
         raise ContextMismatch("involutions over different contexts")
 
 
-def _reduce_with_witness(spec):
-    """(base, gamma) with conj(gamma^-1) o spec = base o conj(gamma^-1),
-    where base is the canonical representative of spec's inner class."""
-    alg = spec.alg
-    theta_sym, k0 = spec.symmetric_form()
-    if k0 == alg.field.one:  # always so with fixed points
-        eps = {x: theta_sym.f[x, x] for x in spec.lam.fixed_points()}
-        base = rho_eps(alg, spec.lam, eps, spec.k)
-    else:
-        base = sigma_lambda(alg, spec.lam, spec.k)
-    return base, symmetric_decompose(theta_sym * base._theta_inv, base)
-
-
 def _verify_intertwiner(s1, s2, conjugator):
     """Whether conj(c) o s1 = s2 o conj(c) for the unit c = conjugator and
     two InvolutionSpecs.
@@ -530,8 +532,8 @@ def _equivalent_inner(s1, s2):
     inv1, inv2 = s1.invariant(), s2.invariant()
     if not inv1.same_inner_class(inv2):
         return Verdict(False, distinguisher="chi")
-    base1, gamma1 = _reduce_with_witness(s1)
-    base2, gamma2 = _reduce_with_witness(s2)
+    base1, gamma1 = s1._reduction
+    base2, gamma2 = s2._reduction
     if base1.theta == base2.theta:
         shift = d_one(alg)
     else:

@@ -82,6 +82,7 @@ class Poset:
         self.covers = tuple((x, y) for x, y in self.strict_pairs
                             if len(self.between(x, y)) == 2)
         self._components = None  # built by components() on first use
+        self._core = None  # built by core() on first use; False if it is self
         # every chain x < z < y, the triples the cocycle identities run over
         self.chains = tuple(
             (x, z, y) for x, y in self.strict_pairs
@@ -234,7 +235,10 @@ class Poset:
         below, have a least, or greatest, element).  Each removal is a
         strong deformation retraction of the order complex (Stong, Trans.
         AMS 123, 1966; Barmak, LNM 2032), so its homology is unchanged.
-        ``self`` when no point is a beat point."""
+        ``self`` when no point is a beat point.  Computed once per poset:
+        every later call returns the same object."""
+        if self._core is not None:
+            return self._core or self
         kept = full = (1 << self.n) - 1
         stripped = True
         while stripped:
@@ -247,11 +251,13 @@ class Poset:
                         stripped = True
                         break
         if kept == full:
+            self._core = False
             return self
         keep = list(_bits(kept))
         ups = [sum(1 << t for t, j in enumerate(keep) if self.ups[i] >> j & 1)
                for i in keep]
-        return Poset([self.elements[i] for i in keep], ups)
+        self._core = Poset([self.elements[i] for i in keep], ups)
+        return self._core
 
     # -- symmetry enumeration -------------------------------------------
 
@@ -280,7 +286,7 @@ class Poset:
             if k == self.n:
                 mapping = dict(zip(self.elements, (other.elements[b.bit_length() - 1]
                                                    for b in image)))
-                out.append(PosetMap(self, other, mapping, anti))
+                out.append(PosetMap(self, other, mapping, anti, _validated=True))
                 return
             above, below, candidates = plan[k]
             up = sum(image[i] for i in above)
@@ -317,13 +323,17 @@ class Poset:
 
 
 class PosetMap:
-    """A bijection between posets, order-preserving or order-reversing."""
+    """A bijection between posets, order-preserving or order-reversing.
+    The order is checked unless ``_validated``: ``Poset.maps_to`` has
+    matched every pair of each map it finds."""
 
-    def __init__(self, src, dst, mapping, anti):
+    def __init__(self, src, dst, mapping, anti, _validated=False):
         self.src = src
         self.dst = dst
         self.mapping = dict(mapping)
         self.anti = bool(anti)
+        if _validated:
+            return
         if set(self.mapping) != set(src.elements):
             raise ParseError("map must be defined on every element")
         if set(self.mapping.values()) != set(dst.elements) or src.n != dst.n:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from incalg.errors import ParseError, ZeroArgument
+from incalg import fields
+from incalg.errors import ParseError, SizeLimit, ZeroArgument
 from incalg.fields import QQ, PrimeField, SquareClass, parse_field
 from incalg.involutions import ClassInvariant
 from incalg.posets import Poset
@@ -220,6 +222,74 @@ def test_squarefree_parts():
     big = 999983 * 999979  # two primes above the trial-division range
     assert QQ.square_class(Fraction(big)) == SquareClass("Q", big)
     assert QQ.square_class(Fraction(999983**2)) == QQ.square_class(1)
+
+
+def ref_signed_squarefree(n, d):
+    """The signed squarefree part of n/d by its own trial division, the
+    routine ``fields._factorization`` replaced."""
+    m = abs(n * d)
+    sign = -1 if (n < 0) != (d < 0) else 1
+    if m > fields.SQUAREFREE_BOUND * fields.SQUAREFREE_BOUND:
+        raise SizeLimit(f"magnitude {m} exceeds the squarefree factorization bound")
+    out = 1
+    q = 2
+    while q <= fields._TRIAL_BOUND and q * q <= m:
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            if e % 2:
+                out *= q
+        q += 1 if q == 2 else 2
+    if m > 1:
+        r = isqrt(m)
+        if r * r == m:
+            pass  # leftover is a prime square
+        elif m <= fields.SQUAREFREE_BOUND:
+            # no factor <= 10**6 and not a square: prime or product of two
+            # distinct primes, squarefree either way
+            out *= m
+        else:
+            raise SizeLimit(f"cannot certify squarefree part of {m}")
+    return sign * out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SizeLimit as err:
+        return str(err)
+
+
+P12, Q12 = 999999999989, 999999999959  # primes just below 10**12
+
+
+@pytest.mark.parametrize("n, d", [
+    (999983 * 999979, 1), (-(999983 ** 2), 7), (P12, 1), (-P12, 3),
+    (P12 ** 2, 1), (999983 ** 2 * P12, -1), (P12 * Q12, 1), (10**12 + 39, 1),
+    (P12 ** 2 * 4, 1), (1, 10**24 + 1), (-3, 4 * Q12)])
+def test_squarefree_part_matches_its_own_trial_division(n, d):
+    """The shared factorization gives the old routine's squarefree parts
+    and its SizeLimit messages: a prime square left over, a prime up to
+    the bound, a cofactor above it, and a magnitude past the bound."""
+    assert (outcome(fields._signed_squarefree, n, d)
+            == outcome(ref_signed_squarefree, n, d))
+
+
+def test_squarefree_part_matches_on_a_range():
+    for n in range(-10**4, 10**4):
+        for d in (1, 12):
+            assert (fields._signed_squarefree(n, d)
+                    == ref_signed_squarefree(n, d)), (n, d)
+
+
+def test_factorization_multiplies_back_to_primes():
+    for n in range(1, 5000):
+        pairs = fields._factorization(n)
+        assert prod(q ** e for q, e in pairs) == n
+        assert [q for q, _ in pairs] == sorted({q for q, _ in pairs})
+        assert all(q % d for q, _ in pairs for d in range(2, isqrt(q) + 1))
 
 
 def test_rational_classes_multiply_in_closed_form():

@@ -16,8 +16,10 @@ when the first element is a cone point or no cone point exists, and
 otherwise differ by one constant.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from math import gcd
 
 import pytest
@@ -666,6 +668,31 @@ def test_core_sizes(request):
     assert sizes["levels222"] == 6 and sizes["levels333"] == 9
     crown = request.getfixturevalue("crown")
     assert crown.core() is crown
+
+
+def test_core_is_computed_once(request, rp2):
+    """Each poset strips its beat points once: every later call returns the
+    object the first one built, and that core is its own core."""
+    for name, poset in core_cases(request) + [("rp2", rp2)]:
+        core = poset.core()
+        assert poset.core() is core and core.core() is core, name
+
+
+def test_cores_die_with_their_poset(request):
+    """No reference cycle keeps a poset or its stored core alive: with the
+    cycle collector off, both are freed as soon as the poset is, whether
+    the core is a smaller poset or the poset itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, poset in core_cases(request):
+            fresh = Poset.from_covers(poset.elements, poset.covers)
+            refs = [weakref.ref(fresh), weakref.ref(fresh.core())]
+            del fresh
+            assert [r() for r in refs] == [None, None], name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_core_that_strips_too_much_fails_the_reference(crown, monkeypatch):

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 
@@ -17,8 +20,8 @@ from incalg.idealization import (
 from incalg.involutions import (
     InvolutionSpec, _relabel_by_pairs, base_involution, build,
     check_hypotheses, classify, equivalent, equivalent_inner,
-    involution_from_json, recognize, rho_eps, sigma_lambda,
-    symmetric_decompose,
+    involution_from_json, recognize, require_classifiable, rho_eps,
+    sigma_lambda, symmetric_decompose,
 )
 from incalg.morphisms import FiaMorphism
 from incalg.posets import lambda_decomposition
@@ -899,3 +902,100 @@ def test_large_prime_scalings_differ_in_chi(diamond):
     s2 = rho_eps(alg, flip, {"a": 1, "b": 999999999959}, 1)
     verdict = equivalent_inner(s1, s2)
     assert not verdict.equivalent and verdict.distinguisher == "chi"
+
+
+# -- the reduction each spec holds ------------------------------------------
+
+FIXTURES = ("chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
+            "two_chains", "wide_diamond")
+
+
+def conjugate_of(spec, rng):
+    """A random inner conjugate of ``spec``, built as a new spec."""
+    alg = spec.alg
+    u = random_d_unit(alg, rng)
+    return build(alg, u * spec.theta * spec.base_apply(u), spec.lam, spec.k)
+
+
+def representatives(alg, lam):
+    """The class representatives of ``lam``; over Q, where two or more fixed
+    points give infinitely many classes, those of rho_eps with eps in
+    {1, 2} and the first point's value 1."""
+    field = alg.field
+    reps = classify(alg.poset, lam, field).representatives
+    if reps is None:
+        fixed = lam.fixed_points()
+        reps = [rho_eps(alg, lam, dict(zip(fixed, (1,) + rest)), k)
+                for rest in itertools.product((1, 2), repeat=len(fixed) - 1)
+                for k in (1, -1)]
+    return reps
+
+
+def test_repeated_queries_reduce_a_representative_once(diamond, monkeypatch):
+    """Over repeated ``equivalent_inner(x, rep)`` calls the representative
+    is reduced to its canonical form once: one ``symmetric_decompose`` for
+    it, one for each new x, and none for an x asked again."""
+    calls = []
+    real = involutions.symmetric_decompose
+    monkeypatch.setattr(involutions, "symmetric_decompose",
+                        lambda theta, base: calls.append(base)
+                        or real(theta, base))
+    rng = random.Random(10)
+    alg = IncidenceAlgebra(diamond, F5)
+    for lam in diamond.involutions():
+        for rep in representatives(alg, lam):
+            xs = [conjugate_of(rep, rng) for _ in range(4)]
+            calls.clear()
+            for x in xs + xs:
+                assert equivalent_inner(x, rep).equivalent
+            assert len(calls) == len(xs) + 1
+
+
+@pytest.mark.parametrize("field", (F3, F5, QQ), ids=("F3", "F5", "Q"))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reused_representative_answers_as_a_fresh_copy(request, name, field):
+    """Verdict and witness JSON against a representative whose reduction
+    is already stored equal those against a copy built afresh from its
+    JSON, with the representative on either side.  The crown (its H_1 is
+    not zero) and the two chains (not connected) fail the gate, and the
+    vee and the wedge have no involution."""
+    poset = request.getfixturevalue(name)
+    try:
+        require_classifiable(poset, field)
+    except (HypothesisFailed, NotConnected):
+        assert name in ("crown", "two_chains")
+        return
+    assert bool(poset.involutions()) == (name not in ("vee", "wedge"))
+    rng = random.Random(name)
+    alg = IncidenceAlgebra(poset, field)
+    for lam in poset.involutions():
+        reps = representatives(alg, lam)
+        for rep in reps:
+            for x in reps + [conjugate_of(rep, rng)]:
+                fresh = involution_from_json(alg, rep.to_json())
+                assert (equivalent_inner(x, rep).to_json()
+                        == equivalent_inner(x, fresh).to_json())
+                assert (equivalent_inner(rep, x).to_json()
+                        == equivalent_inner(fresh, x).to_json())
+            assert "_reduction" in vars(rep)
+
+
+def test_cached_reduction_dies_with_its_spec(diamond):
+    """No reference cycle keeps a spec or its stored reduction alive: with
+    the cycle collector off, the spec and its canonical representative are
+    freed as soon as the last reference to the spec goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rng = random.Random(11)
+        alg = IncidenceAlgebra(diamond, F5)
+        for lam in diamond.involutions():
+            for rep in representatives(alg, lam):
+                spec = conjugate_of(rep, rng)
+                assert equivalent_inner(spec, rep).equivalent
+                refs = [weakref.ref(spec), weakref.ref(spec._reduction[0])]
+                del spec
+                assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -339,3 +339,20 @@ def test_symmetry_search_matches_brute_force_on_small_posets():
                            for (x, a), (y, b) in itertools.product(
                                zip(p.elements, image), repeat=2))]
             assert [m.mapping for m in p.maps_to(p, anti)] == want
+
+
+FIXTURES = ("chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
+            "two_chains", "wide_diamond")
+
+
+def test_found_maps_pass_the_public_constructor(request):
+    """``maps_to`` builds its maps without the order check; each one it
+    finds, on every small poset and between every two fixtures of one
+    size, passes that check in the public constructor."""
+    fixtures = [request.getfixturevalue(name) for name in FIXTURES]
+    pairs = [(p, p) for p in _small_posets(4)]
+    pairs += [(p, q) for p in fixtures for q in fixtures if p.n == q.n]
+    for p, q in pairs:
+        for anti in (False, True):
+            for m in p.maps_to(q, anti):
+                assert PosetMap(p, q, m.mapping, anti) == m

@@ -4,8 +4,9 @@ name it imports, no module
 asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
 somewhere, each ``WitnessFailed`` raise has its own message, every private
-module-level helper is read somewhere, no module but ``posets`` reads the
-order bitsets, the CLI imports at module level
+module-level helper is read somewhere, no module keeps a module-level memo,
+no module but ``posets`` reads the order bitsets, the CLI imports at module
+level
 only the modules every subcommand shares, and the brute-force oracle
 imports no decision module."""
 
@@ -105,6 +106,54 @@ def test_unread_helper_is_reported():
                         "def public():\n"
                         "    return a._attr_read()\n")}
     assert unread_helpers(sources) == ["a.py: _recursive", "a.py: _orphan"]
+
+
+def module_memos(source, filename="<source>"):
+    """``line: what`` for each ``functools.cache`` or ``lru_cache``
+    decorator, however imported and whether called or not, and for each
+    ``global`` statement: a value remembered there outlives every object
+    it was derived from."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global")
+        for deco in getattr(node, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = ast.unparse(target).rpartition(".")[2]
+            if name in ("cache", "lru_cache"):
+                found.append(f"{deco.lineno}: {name}")
+    return found
+
+
+def test_library_keeps_no_module_level_memo():
+    """A derived value is cached on the object it comes from
+    (``cached_property``, or an attribute filled on first use), so it dies
+    with that object."""
+    found = [f"{path.name}:{entry}" for path in sorted(SRC.glob("*.py"))
+             for entry in module_memos(path.read_text(), str(path))]
+    assert found == []
+
+
+def test_module_memo_is_reported():
+    source = ("import functools\n"
+              "from functools import cache, cached_property, lru_cache\n"
+              "_seen = {}\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def f(x):\n"
+              "    return x\n"
+              "@cache\n"
+              "def g(x):\n"
+              "    global _seen\n"
+              "    return x\n"
+              "class C:\n"
+              "    @cached_property\n"
+              "    def h(self):\n"
+              "        return 0\n"
+              "    @lru_cache\n"
+              "    def k(self):\n"
+              "        return 1\n")
+    assert module_memos(source) == ["4: lru_cache", "7: cache", "9: global",
+                                    "15: lru_cache"]
 
 
 TYPED = frozenset(name for name, obj in vars(errors).items()
