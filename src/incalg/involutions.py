@@ -122,7 +122,13 @@ class InvolutionSpec:
 
     def central_ratio(self):
         """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta.  r base(r)
-        = 1 gives k0^2 = 1, and k1 = 0 for the positive sign except over F2."""
+        = 1 gives k0^2 = 1, and k1 = 0 for the positive sign except over F2.
+        Computed once per spec; a spec that fails a check raises on every
+        call."""
+        return self._central_ratio
+
+    @cached_property
+    def _central_ratio(self):
         alg = self.alg
         c = self._ratio
         if not c.is_central():
@@ -166,7 +172,12 @@ class InvolutionSpec:
         """The inner-equivalence invariant: induced map, sign, and either
         the fixed-point square-class tuple (up to one global shift) or the
         plain/skew type tag.  With a fixed point k0 = 1, so the symmetric
-        form has theta's ring diagonal, and chi is read off theta."""
+        form has theta's ring diagonal, and chi is read off theta.  Built
+        once per spec."""
+        return self._invariant
+
+    @cached_property
+    def _invariant(self):
         fixed = self.lam.fixed_points()
         k0, _ = self.central_ratio()
         field = self.alg.field

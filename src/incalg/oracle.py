@@ -14,8 +14,14 @@ exact.  The ring coordinates of a product [a; c][b; d] = [ab; ad + cb] are
 the product of the ring coordinates, so on a ring basis vector b the ring
 coordinates of the candidate's square are f sigma(f sigma(b) f^-1) f^-1,
 fixed by the ring unit f alone.  If they miss b for one f, the whole-basis
-test fails for every bimodule coordinate j, so no j is tried.  Every
-candidate that passes still gets the whole-matrix test.
+test fails for every bimodule coordinate j, so no j is tried.  On a
+bimodule basis vector [0; e] the candidate and its square depend on f and
+the sign k alone, so those columns are computed and tested once per
+(f, k), and each j is tried on the ring basis only.  Every candidate that
+passes still gets the whole-matrix test.  Orbits are joined under a
+generating set of the unit group that spends one scaling and one bimodule
+shift per component on central units; their action is the identity, which
+joins nothing, so it is never planned.
 """
 
 from itertools import product
@@ -87,6 +93,24 @@ def _ring_involutive_units(alg, perm, units):
     return kept
 
 
+def _conjugated_columns(alg, perm, k, u, u_inv, starts):
+    """The columns u beta(b) u^-1, as value tuples, for the (b, beta(b))
+    pairs in ``starts``, with beta(b) = (f0, i0) for the relabel-and-sign
+    map of ``perm`` and ``k``; None at the first b on which the candidate's
+    square misses b.  u and u_inv are (ring, bimodule) value pairs."""
+    p, dmul = alg.field.modulus, alg._dproduct
+    (fvals, ivals), (f_inv, j_inv) = u, u_inv
+    cols = []
+    for b, f0, i0 in starts:
+        f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
+        f2, i2 = dmul(fvals, ivals, tuple([f1[q] for q in perm]),
+                      tuple([k * i1[q] % p for q in perm]))
+        if dmul(f2, i2, f_inv, j_inv) != b:
+            return None
+        cols.append(f1 + i1)
+    return tuple(cols)
+
+
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
@@ -97,7 +121,11 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     matrix equality.  Each ring unit f is first tested, once per lam, on the
     ring block of the square, which depends on f alone: an f that fails
     there fails the whole-basis test for every bimodule coordinate j, so the
-    rejection is exact and its j are never tried.  Every candidate that
+    rejection is exact and its j are never tried.  The bimodule-basis
+    columns, [0; k f sigma(e) f^-1] for b = [0; e], and their squares depend
+    on (f, k) alone, so they are computed and tested once per (f, k), with
+    j = 0; a k whose block fails is skipped for every j, and otherwise each
+    j is tested on the ring-basis columns only.  Every candidate that
     passes gets the whole-matrix test.  The signed basis images are built
     once per (lam, k), and j^-1 once per (f, j) for both signs.
     """
@@ -109,56 +137,77 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         raise SizeLimit("cannot enumerate over an infinite field")
     if total > limit:
         raise SizeLimit(f"{total} units exceeds the limit {limit}")
-    p, mul, dmul = field.modulus, alg._product, alg._dproduct
+    p, mul, n = field.modulus, alg._product, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     units = [(fvals, IncFn(alg, fvals).inverse().vals)
              for fvals in product(*f_ranges)]
     signs = dict.fromkeys((field.one, field.neg(field.one)))
     basis = [(b.f.vals, b.i.vals) for b in d_basis(alg)]
+    zeros = alg.zero().vals
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
         kept = _ring_involutive_units(alg, perm, units)
-        by_sign = [(k, [(b, tuple([b[0][q] for q in perm]),
-                         tuple([k * b[1][q] % p for q in perm])) for b in basis],
-                    {}) for k in signs]
+        by_sign = []
+        for k in signs:
+            starts = [(b, tuple([b[0][q] for q in perm]),
+                       tuple([k * b[1][q] % p for q in perm])) for b in basis]
+            by_sign.append((k, starts[:n], starts[n:], {}))
         for fvals, f_inv in kept:
+            live = []
+            for k, ring, bimodule, seen in by_sign:
+                block = _conjugated_columns(alg, perm, k, (fvals, zeros),
+                                            (f_inv, zeros), bimodule)
+                if block is not None:
+                    live.append((k, ring, seen, block))
+            if not live:
+                continue
             for ivals in product(*i_ranges):
                 j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
-                for k, starts, seen in by_sign:
-                    cols = []
-                    for b, f0, i0 in starts:
-                        f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
-                        f2, i2 = dmul(fvals, ivals, tuple([f1[q] for q in perm]),
-                                      tuple([k * i1[q] % p for q in perm]))
-                        if dmul(f2, i2, f_inv, j_inv) != b:
-                            break
-                        cols.append(f1 + i1)
-                    else:
-                        seen[tuple(cols)] = None  # an insertion-ordered set
-        for _, _, seen in by_sign:  # sign order; found keys keep their place
+                for k, ring, seen, block in live:
+                    cols = _conjugated_columns(alg, perm, k, (fvals, ivals),
+                                               (f_inv, j_inv), ring)
+                    if cols is not None:
+                        seen[cols + block] = None  # an insertion-ordered set
+        for _, _, _, seen in by_sign:  # sign order; found keys keep their place
             found.update(seen)
     return [DLinearMap(alg, cols) for cols in found]
 
 
 def unit_group_generators(alg):
-    """A generating set of the whole unit group of the idealization: the
-    diagonal scalings by a primitive root, the shifts delta + e_xy for the
-    covers x < y, and the bimodule shifts [delta; e_xx].  The commutator of
-    the cover shifts 1 + e_xz and 1 + e_zy is 1 + e_xy, so they give every
-    pair shift; conjugating [delta; e_xx] by those gives e_xx - e_xy and
-    e_xx + e_wx, so every bimodule shift."""
+    """A generating set of the whole unit group of the idealization, with
+    2n + #covers elements: per connected component C with first element h,
+    the scaling by a primitive root on all of C and at each other x of C;
+    the shifts delta + e_xy for the covers x < y; and per component the
+    bimodule shift [delta; delta_C] and [delta; e_xx] for each other x.
+    The scaling on C and [delta; delta_C] are central, so their conjugation
+    is the identity; the scaling at h is the one on C times the inverses of
+    the others, and [delta; e_hh] is [delta; delta_C] times the inverses
+    [delta; -e_xx] of the others.  The commutator of the cover shifts
+    1 + e_xz and 1 + e_zy is 1 + e_xy, so they give every pair shift;
+    conjugating [delta; e_xx] by those gives e_xx - e_xy and e_xx + e_wx,
+    so every bimodule shift."""
     field = alg.field
     if field.order is None:
         raise SizeLimit("generators are enumerated for finite fields only")
-    gens = []
     root = _primitive_root(field.order)
     delta, zero = alg.delta(), alg.zero()
-    for x in alg.poset.elements:
-        vals = {y: (root if y == x else field.one) for y in alg.poset.elements}
-        gens.append(DElem(alg.diagonal(vals), zero))
-    gens += [DElem(delta + alg.e(x, y), zero) for x, y in alg.poset.covers]
-    return gens + [DElem(delta, alg.e(x, x)) for x in alg.poset.elements]
+    elements = alg.poset.elements
+    component = {c[0]: c for c in alg.poset.components()}
+    scalings, shifts = [], []
+    for x in elements:
+        moved = component.get(x, (x,))
+        scalings.append(DElem(alg.diagonal(
+            {y: (root if y in moved else field.one) for y in elements}), zero))
+        shifts.append(DElem(delta, alg.diagonal(dict.fromkeys(moved, field.one))))
+    covers = [DElem(delta + alg.e(x, y), zero) for x, y in alg.poset.covers]
+    return scalings + covers + shifts
+
+
+def _is_identity(cols):
+    """Whether the columns ``cols`` form the identity matrix."""
+    return all(v == int(r == c) for c, col in enumerate(cols)
+               for r, v in enumerate(col))
 
 
 def _conjugation(g, h):
@@ -192,7 +241,9 @@ def orbit_partition(items, conjugators, extra_maps=()):
     pairs joined into the same closure (used for non-inner conjugations).
     Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
     whose columns come straight from the D-product kernel (``_conjugation``);
-    a non-unit raises NotAUnit.  Each action becomes an entry plan
+    a non-unit raises NotAUnit.  An action that is the identity matrix,
+    from a conjugator (a central unit) or from ``extra_maps``, joins
+    nothing and is skipped.  Each other action becomes an entry plan
     (``_entry_plan``), and an item's image sums its nonzero cells through
     it; an image that is not an item (compared as a whole flat matrix)
     raises WitnessFailed.
@@ -216,10 +267,11 @@ def orbit_partition(items, conjugators, extra_maps=()):
     for g in conjugators:
         g_inv = g.inverse()
         psi = _conjugation(g, g_inv)
-        if psi not in actions:
+        if psi not in actions and not _is_identity(psi):
             actions[psi] = _conjugation(g_inv, g)
     for m, m_inv in extra_maps:
-        actions.setdefault(m.cols, m_inv.cols)
+        if not _is_identity(m.cols):
+            actions.setdefault(m.cols, m_inv.cols)
     plans = [_entry_plan(psi, psi_inv) for psi, psi_inv in actions.items()]
 
     for i, (item, flat) in enumerate(zip(items, flats)):

@@ -59,15 +59,12 @@ def ref_convolution(f, g):
     up = {x: poset.up(x) for x in poset.elements}
     down = {y: poset.down(y) for y in poset.elements}
     out = {}
-    for x in poset.elements:
-        for y in poset.elements:
-            if (x, y) not in leq:
-                continue
-            acc = field.zero
-            for z in min(up[x], down[y], key=len):
-                if (x, z) in leq and (z, y) in leq:
-                    acc = field.add(acc, field.mul(f[x, z], g[z, y]))
-            out[(x, y)] = acc
+    for x, y in poset.pairs:
+        acc = field.zero
+        for z in min(up[x], down[y], key=len):
+            if (x, z) in leq and (z, y) in leq:
+                acc = field.add(acc, field.mul(f[x, z], g[z, y]))
+        out[(x, y)] = acc
     return alg.element(out)
 
 

@@ -999,3 +999,48 @@ def test_cached_reduction_dies_with_its_spec(diamond):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_central_ratio_and_invariant_are_computed_once_per_spec(
+        diamond, monkeypatch):
+    """However often ``central_ratio``, ``symmetric_form`` and
+    ``invariant`` ask, a spec tests its ratio's centrality once after the
+    constructor's test, and builds its invariant once."""
+    calls = []
+    real = DElem.is_central
+    monkeypatch.setattr(DElem, "is_central",
+                        lambda self: calls.append(self) or real(self))
+    rng = random.Random(12)
+    alg = IncidenceAlgebra(diamond, F5)
+    for lam in diamond.involutions():
+        for rep in representatives(alg, lam):
+            spec = conjugate_of(rep, rng)
+            calls.clear()
+            first = spec.invariant()
+            for _ in range(3):
+                assert spec.invariant() is first
+                spec.symmetric_form()
+                assert spec.central_ratio() == spec._central_ratio
+            assert len(calls) == 1
+
+
+def test_a_spec_that_fails_its_ratio_check_raises_on_every_call(chain2):
+    # over F2 with k = 1 the ratio [delta; delta] is central but not plain
+    alg = IncidenceAlgebra(chain2, PrimeField(2))
+    plain = InvolutionSpec(alg, DElem(alg.delta(), alg.e("a", "a")),
+                           swap_involution(chain2), 1)
+    # a unit whose ratio is not central, let through unchecked
+    alg5 = IncidenceAlgebra(chain2, F5)
+    rng = random.Random(13)
+    lam = swap_involution(chain2)
+    skewed = next(s for s in (InvolutionSpec(alg5, random_d_unit(alg5, rng),
+                                             lam, 1, _validated=True)
+                              for _ in range(50))
+                  if not s._ratio.is_central())
+    for spec, match in ((plain, "positive sign forces a plain ratio"),
+                        (skewed, "not symmetric up to the center")):
+        for ask in (spec.central_ratio, spec.symmetric_form, spec.invariant) * 2:
+            with pytest.raises(NotAnInvolution, match=match):
+                ask()
+        assert "_central_ratio" not in vars(spec)
+        assert "_invariant" not in vars(spec)

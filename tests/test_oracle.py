@@ -5,8 +5,12 @@ import pytest
 from incalg.errors import NotAUnit, ParseError, SizeLimit, WitnessFailed
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import DElem, DLinearMap, central_pair, d_one
+from incalg.idealization import (
+    DElem, DLinearMap, central_pair, d_one, inner_auto,
+)
 from incalg.involutions import base_involution, build, sigma_lambda
+from incalg.posets import Poset
+from incalg import oracle
 from incalg.oracle import (
     count_units, enumerate_involutions_D, enumerate_units, orbit_partition,
     unit_group_generators,
@@ -147,9 +151,17 @@ def test_orbit_counts_match_classifier_chain2(chain2):
     assert res.count == len(partition)
 
 
+@pytest.fixture
+def chain2_and_point():
+    # two components: a < b, and c alone
+    return Poset.from_covers(["a", "b", "c"], [("a", "b")])
+
+
 @pytest.mark.parametrize("name, p, count", [
-    ("chain2", 3, 5), ("chain3", 2, 8), ("vee", 2, 8), ("wedge", 3, 8)],
-    ids=["chain2-F3", "chain3-F2", "vee-F2", "wedge-F3"])
+    ("chain2", 3, 5), ("chain3", 2, 8), ("vee", 2, 8), ("wedge", 3, 8),
+    ("chain2_and_point", 3, 7), ("two_chains", 2, 10)],
+    ids=["chain2-F3", "chain3-F2", "vee-F2", "wedge-F3", "chain2+point-F3",
+         "two-chains-F2"])
 def test_unit_generators_generate(name, p, count, request):
     # n diagonal scalings, one shift per cover, n diagonal bimodule shifts;
     # their closure under multiplication is the whole unit group
@@ -167,6 +179,57 @@ def test_unit_generators_generate(name, p, count, request):
                 seen.add(w)
                 frontier.append(w)
     assert len(seen) == count_units(alg, "D")
+
+
+@pytest.mark.parametrize("name, p", [
+    ("chain2_and_point", 3), ("two_chains", 2), ("chain2_and_point", 2)],
+    ids=["chain2+point-F3", "two-chains-F2", "chain2+point-F2"])
+def test_generators_partition_like_the_whole_group_on_two_components(
+        name, p, request):
+    # per component one scaling and one bimodule shift are central; the
+    # inner automorphisms are closed under conjugation, and their orbits
+    # are the conjugacy classes modulo the center
+    poset = request.getfixturevalue(name)
+    alg = IncidenceAlgebra(poset, PrimeField(p))
+    units = list(enumerate_units(alg, "D"))
+    items = list({m.cols: m for m in map(inner_auto, units)}.values())
+    full = orbit_partition(items, units)
+    assert orbit_partition(items, unit_group_generators(alg)) == full
+    assert len(full) < len(items)
+    # the scaling on each component and [delta; delta_C] act as the
+    # identity, and over F2 (root 1) so does every scaling
+    identity = DLinearMap.identity(alg)
+    central = [g for g in unit_group_generators(alg)
+               if inner_auto(g) == identity]
+    comps = len(poset.components())
+    assert len(central) == (poset.n if p == 2 else comps) + comps
+
+
+def test_generators_partition_like_the_whole_group_over_F2(chain3):
+    # the primitive root is 1, so every scaling acts as the identity
+    alg = IncidenceAlgebra(chain3, PrimeField(2))
+    invs = enumerate_involutions_D(alg)
+    full = orbit_partition(invs, list(enumerate_units(alg, "D")))
+    assert orbit_partition(invs, unit_group_generators(alg)) == full
+
+
+def test_identity_actions_are_never_planned(chain2, monkeypatch):
+    alg = IncidenceAlgebra(chain2, F3)
+    invs = enumerate_involutions_D(alg)
+    identity = DLinearMap.identity(alg)
+    plans, plan = [], oracle._entry_plan
+
+    def recording(psi, psi_inv):
+        plans.append(psi)
+        return plan(psi, psi_inv)
+
+    monkeypatch.setattr(oracle, "_entry_plan", recording)
+    central = [d_one(alg), central_pair(alg, 2, 1), central_pair(alg, 1, 2)]
+    got = orbit_partition(invs, central, [(identity, identity)])
+    assert got == [[i] for i in range(len(invs))] and plans == []
+    orbit_partition(invs, unit_group_generators(alg) + central,
+                    [(identity, identity)])
+    assert len(plans) == 3 and identity.cols not in plans
 
 
 def _units_and_a_non_unit(alg):
