@@ -7,7 +7,8 @@ involutions are found by exhausting conjugated relabel-and-sign maps and
 testing the square on the basis, and equivalence classes come from a
 union-find over explicit conjugations.  The loops run on value tuples (a
 signed coordinate permutation, two compiled-kernel calls per conjugation by
-a unit, psi M psi^-1 summed over M's nonzero cells through an entry plan).
+a unit, psi M psi^-1 as M plus the corrections an entry plan makes to the
+identity, over M's nonzero cells).
 
 A candidate is first rejected on its ring block, and that rejection is
 exact.  The ring coordinates of a product [a; c][b; d] = [ab; ad + cb] are
@@ -17,14 +18,21 @@ fixed by the ring unit f alone.  If they miss b for one f, the whole-basis
 test fails for every bimodule coordinate j, so no j is tried.  On a
 bimodule basis vector [0; e] the candidate and its square depend on f and
 the sign k alone, so those columns are computed and tested once per
-(f, k), and each j is tried on the ring basis only.  Every candidate that
-passes still gets the whole-matrix test.  Orbits are joined under a
-generating set of the unit group that spends one scaling and one bimodule
-shift per component on central units; their action is the identity, which
-joins nothing, so it is never planned.
+(f, k).  For a kept f the bimodule coordinates of the square on the first
+ring basis vector are linear in j (the D-product is bilinear, I I = 0, and
+j^-1's bimodule part -f^-1 j f^-1 is linear in j), so each j is first
+tested on that linear form, built from the kernels at the unit vectors
+e_t once per (f, k); it vanishes exactly when the first ring column's
+square test passes.  Each j that passes is tried on the ring basis, and
+every candidate that passes still gets the whole-matrix test.  Orbits are
+joined under a generating set of the unit group that spends one scaling
+and one bimodule shift per component on central units; a central
+conjugator acts as the identity, which joins nothing, so it is skipped
+before its action is built.
 """
 
 from itertools import product
+from operator import mul as _mul
 
 from .errors import NotConnected, SizeLimit, WitnessFailed
 from .fia import IncFn, count_units
@@ -111,6 +119,34 @@ def _conjugated_columns(alg, perm, k, u, u_inv, starts):
     return tuple(cols)
 
 
+def _square_form(alg, perm, k, fvals, f_inv, start, free):
+    """The bimodule coordinates of the candidate's square on the ring basis
+    vector b of ``start`` (a (b, beta(b)) triple as in the starts lists),
+    as a linear form in the bimodule coordinate j of u = [f; j]: row r
+    holds, at each coordinate t in ``free``, coordinate r of that square at
+    j = e_t, and 0 at the other coordinates.  It is linear because the
+    D-product is bilinear, I I = 0 and the bimodule part -f^-1 j f^-1 of
+    u^-1 is linear in j; it vanishes at j = 0, where the square is b.  Each
+    row entry comes from the kernels, as in ``_conjugated_columns``: j^-1
+    from two ring products, the column from two D-products, the square from
+    two more."""
+    p, mul, dmul = alg.field.modulus, alg._product, alg._dproduct
+    _, f0, i0 = start
+    zeros = (0,) * len(f0)
+    images = []
+    for t in range(len(zeros)):
+        if t not in free:
+            images.append(zeros)
+            continue
+        e = zeros[:t] + (1,) + zeros[t + 1:]
+        e_inv = tuple([-v % p for v in mul(mul(f_inv, e), f_inv)])
+        f1, i1 = dmul(*dmul(fvals, e, f0, i0), f_inv, e_inv)
+        f2, i2 = dmul(fvals, e, tuple([f1[q] for q in perm]),
+                      tuple([k * i1[q] % p for q in perm]))
+        images.append(dmul(f2, i2, f_inv, e_inv)[1])
+    return list(zip(*images))
+
+
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
@@ -124,10 +160,15 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     rejection is exact and its j are never tried.  The bimodule-basis
     columns, [0; k f sigma(e) f^-1] for b = [0; e], and their squares depend
     on (f, k) alone, so they are computed and tested once per (f, k), with
-    j = 0; a k whose block fails is skipped for every j, and otherwise each
-    j is tested on the ring-basis columns only.  Every candidate that
-    passes gets the whole-matrix test.  The signed basis images are built
-    once per (lam, k), and j^-1 once per (f, j) for both signs.
+    j = 0; a k whose block fails is skipped for every j.  For a kept f the
+    square's ring coordinates on the first ring basis vector are that
+    vector's, and its bimodule coordinates are a linear form in j
+    (``_square_form``), built once per live (f, k); each j, in ``product``
+    order, is rejected at the form's first nonzero entry, which is exactly
+    where the first ring column's square test fails.  A j that passes for
+    some k gets its j^-1 and the ring-basis columns' test unchanged, and
+    every candidate that passes gets the whole-matrix test.  The signed
+    basis images are built once per (lam, k).
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -139,6 +180,7 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         raise SizeLimit(f"{total} units exceeds the limit {limit}")
     p, mul, n = field.modulus, alg._product, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
     units = [(fvals, IncFn(alg, fvals).inverse().vals)
              for fvals in product(*f_ranges)]
     signs = dict.fromkeys((field.one, field.neg(field.one)))
@@ -159,12 +201,24 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
                 block = _conjugated_columns(alg, perm, k, (fvals, zeros),
                                             (f_inv, zeros), bimodule)
                 if block is not None:
-                    live.append((k, ring, seen, block))
+                    form = _square_form(alg, perm, k, fvals, f_inv, ring[0],
+                                        free)
+                    live.append(([row for row in form if any(row)],
+                                 k, ring, seen, block))
             if not live:
                 continue
             for ivals in product(*i_ranges):
+                passing = []
+                for entry in live:
+                    for row in entry[0]:
+                        if sum(map(_mul, row, ivals)) % p:
+                            break
+                    else:
+                        passing.append(entry)
+                if not passing:
+                    continue
                 j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
-                for k, ring, seen, block in live:
+                for _, k, ring, seen, block in passing:
                     cols = _conjugated_columns(alg, perm, k, (fvals, ivals),
                                                (f_inv, j_inv), ring)
                     if cols is not None:
@@ -234,6 +288,22 @@ def _entry_plan(psi, psi_inv):
             for r in range(d) for s in range(d)]
 
 
+def _corrections(plan, p):
+    """An entry plan as changes to the identity: for each source cell k,
+    the (cell, weight) pairs of plan[k] minus (k, 1), weights reduced mod p
+    (none over Q, p None) and zero terms dropped.  The image of M is M plus
+    v w at cell c for each nonzero cell k of M, of value v, and each (c, w)
+    of k's corrections."""
+    out = []
+    for k, terms in enumerate(plan):
+        weights = dict(terms)
+        weights[k] = weights.get(k, 0) - 1
+        if p:
+            weights = {c: w % p for c, w in weights.items()}
+        out.append([(c, w) for c, w in weights.items() if w])
+    return out
+
+
 def orbit_partition(items, conjugators, extra_maps=()):
     """Partition of ``items`` (matrices) under conjugation.
 
@@ -241,12 +311,13 @@ def orbit_partition(items, conjugators, extra_maps=()):
     pairs joined into the same closure (used for non-inner conjugations).
     Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
     whose columns come straight from the D-product kernel (``_conjugation``);
-    a non-unit raises NotAUnit.  An action that is the identity matrix,
-    from a conjugator (a central unit) or from ``extra_maps``, joins
-    nothing and is skipped.  Each other action becomes an entry plan
-    (``_entry_plan``), and an item's image sums its nonzero cells through
-    it; an image that is not an item (compared as a whole flat matrix)
-    raises WitnessFailed.
+    a non-unit raises NotAUnit.  A central conjugator acts as the identity,
+    as does an identity matrix from ``extra_maps``; either joins nothing and
+    is skipped.  Each other action becomes an entry plan (``_entry_plan``)
+    and then its corrections to the identity (``_corrections``): an item's
+    image is a copy of the item with the corrections of its nonzero cells
+    added, and only the cells they touch reduced.  An image that is not an
+    item (compared as a whole flat matrix) raises WitnessFailed.
     """
     flats = [sum(m.cols, ()) for m in items]
     index = {flat: i for i, flat in enumerate(flats)}
@@ -266,23 +337,25 @@ def orbit_partition(items, conjugators, extra_maps=()):
     actions = {}
     for g in conjugators:
         g_inv = g.inverse()
+        if g.is_central():
+            continue
         psi = _conjugation(g, g_inv)
-        if psi not in actions and not _is_identity(psi):
-            actions[psi] = _conjugation(g_inv, g)
+        if psi not in actions:
+            actions[psi] = (_conjugation(g_inv, g), g.alg.field.modulus)
     for m, m_inv in extra_maps:
         if not _is_identity(m.cols):
-            actions.setdefault(m.cols, m_inv.cols)
-    plans = [_entry_plan(psi, psi_inv) for psi, psi_inv in actions.items()]
+            actions.setdefault(m.cols, (m_inv.cols, m.alg.field.modulus))
+    plans = [(_corrections(_entry_plan(psi, psi_inv), p), p)
+             for psi, (psi_inv, p) in actions.items()]
 
-    for i, (item, flat) in enumerate(zip(items, flats)):
-        p = item.alg.field.modulus
+    for i, flat in enumerate(flats):
         nonzero = [(k, v) for k, v in enumerate(flat) if v]
-        for plan in plans:
-            acc = [0] * len(flat)
+        for plan, p in plans:
+            image = list(flat)
             for k, v in nonzero:
                 for c, w in plan[k]:
-                    acc[c] += v * w
-            j = index.get(tuple([v % p for v in acc]) if p else tuple(acc))
+                    image[c] = (image[c] + v * w) % p if p else image[c] + v * w
+            j = index.get(tuple(image))
             if j is None:
                 raise WitnessFailed("items are not closed under conjugation")
             union(i, j)

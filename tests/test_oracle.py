@@ -232,6 +232,40 @@ def test_identity_actions_are_never_planned(chain2, monkeypatch):
     assert len(plans) == 3 and identity.cols not in plans
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_central_conjugators_are_never_conjugated(chain2, p, monkeypatch):
+    """A central unit acts as the identity, so ``orbit_partition`` skips it
+    before building its action; partitions cannot see the two calls of
+    ``_conjugation`` that building it would cost, so they are counted."""
+    alg = IncidenceAlgebra(chain2, PrimeField(p))
+    invs = enumerate_involutions_D(alg)
+    gens = unit_group_generators(alg)
+    calls, conjugation = [], oracle._conjugation
+
+    def counting(g, h):
+        calls.append(None)
+        return conjugation(g, h)
+
+    monkeypatch.setattr(oracle, "_conjugation", counting)
+    central = [d_one(alg), central_pair(alg, 2, 1)]
+    assert orbit_partition(invs, central) == [[i] for i in range(len(invs))]
+    assert calls == []
+    orbit_partition(invs, gens + central)
+    # the scaling on the component and [delta; delta_C] are central
+    assert len(gens) == 5 and sum(g.is_central() for g in gens) == 2
+    assert len(calls) == 2 * 3
+
+
+def test_a_central_non_unit_conjugator_is_refused(chain2):
+    alg = IncidenceAlgebra(chain2, F3)
+    non_unit = DElem(alg.zero(), alg.delta())  # [0; delta]
+    assert non_unit.is_central()
+    units = unit_group_generators(alg)
+    for conjugators in ([non_unit], units + [non_unit]):
+        with pytest.raises(NotAUnit):
+            orbit_partition([DLinearMap.identity(alg)], conjugators)
+
+
 def _units_and_a_non_unit(alg):
     """Unit conjugators (the generators over a finite field, random units
     over Q) and [e_xy; delta], whose ring coordinate is not a unit."""

@@ -11,22 +11,28 @@ and an f that misses there fails the whole-basis test for every bimodule
 coordinate.  So the rejection is exact, and every candidate that passes it
 still gets the whole-matrix test.  The bimodule-basis columns and their
 square depend on f and the sign alone, so they are tested once per
-(f, sign), with the kernel calls counted.  The fast partition builds each
-conjugator's action from the D-product kernel and, from the action and its
-inverse, a plan sending each cell of a matrix to the cells of its
-conjugate.  The three functions below are the versions those replaced,
-kept verbatim as the reference: they build a ``DElem`` for every product,
-test every candidate on the whole basis, conjugate with dense
-``DLinearMap.compose`` and ``inner_auto``, and generate the unit group
-with every pair shift and every bimodule shift (the oracle uses the cover
-shifts and the diagonal bimodule shifts only, with per component one
-scaling and one bimodule shift central, and never plans an action that is
-the identity).  Both must return the same matrices in the same order, and
-the fast partition under the oracle's generators must equal the reference
-partition under the reference ones, with and without ``python -O``; the
-ring-block rejection must keep exactly the ring units that an ``IncFn``
-computation of the ring block keeps, each action must be ``inner_auto``'s
-matrix, and each plan must send a matrix to its ``compose`` conjugate.
+(f, sign).  For a kept f the bimodule coordinates of the square on the
+first ring basis vector are linear in the bimodule coordinate j, so each j
+is first tested on that linear form, built from the kernels at the unit
+vectors; the form must equal the ``DElem`` square at every j and vanish
+exactly when it fixes the vector, and the kernel calls are counted.  The
+fast partition skips central conjugators, builds each other conjugator's
+action from the D-product kernel and, from the action and its inverse, a
+plan sending each cell of a matrix to the cells of its conjugate, kept as
+its corrections to the identity.  The three functions below are the
+versions those replaced, kept verbatim as the reference: they build a
+``DElem`` for every product, test every candidate on the whole basis,
+conjugate with dense ``DLinearMap.compose`` and ``inner_auto``, and
+generate the unit group with every pair shift and every bimodule shift
+(the oracle uses the cover shifts and the diagonal bimodule shifts only,
+with per component one scaling and one bimodule shift central, and never
+plans an action that is the identity).  Both must return the same matrices
+in the same order, and the fast partition under the oracle's generators
+must equal the reference partition under the reference ones, with and
+without ``python -O``; the ring-block rejection must keep exactly the ring
+units that an ``IncFn`` computation of the ring block keeps, each action
+must be ``inner_auto``'s matrix, and each plan and its corrections must
+send a matrix to its ``compose`` conjugate.
 """
 
 import os
@@ -276,11 +282,9 @@ def test_ring_block_test_computes_every_ring_column(bottom_up, monkeypatch):
     assert all(products(u) == alg.npairs * per_column for u in passing)
 
 
-def columns_tested(alg, lam, k, u, basis):
-    """(t, ok): the candidate u beta u^-1 of ``lam`` and the sign k, on
-    ``DElem`` objects, squared on ``basis`` in order up to and including
-    the first element its square misses; t counts the elements tried and
-    ok says whether the square fixes them all."""
+def candidate(alg, lam, k, u):
+    """The candidate u beta u^-1 of ``lam`` and the sign k, as a function
+    on ``DElem`` objects."""
     perm = relabel_perm(alg, lam)
     u_inv = u.inverse()
 
@@ -289,6 +293,15 @@ def columns_tested(alg, lam, k, u, basis):
                      IncFn(alg, tuple(d.i.vals[q] for q in perm)).scale(k))
         return u * beta * u_inv
 
+    return phi
+
+
+def columns_tested(alg, lam, k, u, basis):
+    """(t, ok): the candidate of ``lam``, k and u squared on ``basis`` in
+    order up to and including the first element its square misses; t
+    counts the elements tried and ok says whether the square fixes them
+    all."""
+    phi = candidate(alg, lam, k, u)
     for t, b in enumerate(basis, 1):
         if phi(phi(b)) != b:
             return t, False
@@ -297,12 +310,15 @@ def columns_tested(alg, lam, k, u, basis):
 
 def expected_kernel_calls(alg):
     """D-kernel calls of an enumeration that tests the bimodule-basis
-    columns once per (f, k) with j = 0, then, for a k that passes, each j
-    on the ring-basis columns only, at four kernel calls per column tried:
+    columns once per (f, k) with j = 0; for a k that passes, builds the
+    square's linear form at four kernel calls per free bimodule
+    coordinate; and tests on the ring-basis columns only the j whose first
+    ring column squares to itself, at four kernel calls per column tried:
     two for u beta(b) u^-1, one for u times beta of that, one for the
     square's last factor u^-1."""
     field, n = alg.field, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    free = sum(len(r) > 1 for r in i_ranges)
     basis = d_basis(alg)
     signs = dict.fromkeys((field.one, field.neg(field.one)))
     calls = 0
@@ -318,10 +334,12 @@ def expected_kernel_calls(alg):
                 calls += 4 * t
                 if ok:
                     live.append(k)
+                    calls += 4 * free
             for ivals in product(*i_ranges):
                 u = DElem(f, IncFn(alg, ivals))
                 calls += sum(4 * columns_tested(alg, lam, k, u, basis[:n])[0]
-                             for k in live)
+                             for k in live
+                             if columns_tested(alg, lam, k, u, basis[:1])[1])
     return calls
 
 
@@ -331,9 +349,12 @@ def expected_kernel_calls(alg):
 def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
                                                           monkeypatch):
     """The bimodule-basis columns and their square depend on (f, k) alone,
-    so they cost one test per (f, k), not one per j.  Outputs cannot see a
+    so they cost one test per (f, k), not one per j; the linear form costs
+    one square per free coordinate per live (f, k), and only the j it
+    passes are tested on the ring-basis columns.  Outputs cannot see a
     block whose square test is dropped (k^2 = 1, so the ring test implies
-    it) or one recomputed for every j, so the kernel calls are counted."""
+    it), one recomputed for every j, or a j tested although its form does
+    not vanish, so the kernel calls are counted exactly."""
     alg = chain_algebra(n, p, bottom_up)
     calls, kernel = [], alg._dproduct
 
@@ -344,6 +365,49 @@ def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
     monkeypatch.setattr(alg, "_dproduct", counting)
     invs = oracle.enumerate_involutions_D(alg)
     assert invs and len(calls) == expected_kernel_calls(alg)
+
+
+@pytest.mark.parametrize("n, p, bottom_up", [
+    (2, 3, True), (2, 3, False), (2, 5, True), (2, 5, False), (2, 7, True),
+    (2, 7, False), (3, 3, True)])
+def test_linear_rejection_is_exact(n, p, bottom_up):
+    """For every kept ring unit f, live sign k and bimodule coordinate j,
+    the square form (built from the kernels at j = e_t) evaluated at j is
+    the bimodule part of the square on the first ring basis vector, which
+    ``DElem`` products compute, and it vanishes exactly when the square
+    fixes that vector."""
+    alg = chain_algebra(n, p, bottom_up)
+    basis = d_basis(alg)
+    first = basis[0]
+    f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
+    signs = dict.fromkeys((alg.field.one, alg.field.neg(alg.field.one)))
+    forms = rejected = 0
+    for lam in alg.poset.involutions():
+        perm = relabel_perm(alg, lam)
+        start = ((first.f.vals, first.i.vals),
+                 tuple(first.f.vals[q] for q in perm), first.i.vals)
+        for fvals in product(*f_ranges):
+            f = IncFn(alg, fvals)
+            if not ring_block_squares_to_identity(alg, lam, f):
+                continue
+            for k in signs:
+                if not columns_tested(alg, lam, k, DElem(f, alg.zero()),
+                                      basis[alg.npairs:])[1]:
+                    continue
+                form = oracle._square_form(alg, perm, k, fvals,
+                                           f.inverse().vals, start, free)
+                forms += 1
+                for ivals in product(*i_ranges):
+                    phi = candidate(alg, lam, k, DElem(f, IncFn(alg, ivals)))
+                    square = phi(phi(first))
+                    assert square.f == first.f
+                    value = tuple(sum(j * c for j, c in zip(ivals, row)) % p
+                                  for row in form)
+                    assert value == square.i.vals
+                    assert (not any(value)) == (square == first)
+                    rejected += any(value)
+    assert forms and rejected
 
 
 @pytest.mark.parametrize("p", [3, 5, None])
@@ -374,6 +438,22 @@ def through_plan(plan, m):
     return tuple(tuple(acc[j * d:(j + 1) * d]) for j in range(d))
 
 
+def through_corrections(corrections, m):
+    """The same image built as ``orbit_partition`` builds it: a copy of the
+    flattened ``m`` plus the corrections of its nonzero cells, reduced on
+    the cells they touch only."""
+    flat, d, p = sum(m.cols, ()), len(m.cols), m.alg.field.modulus
+    image, touched = list(flat), set()
+    for k, v in enumerate(flat):
+        if v:
+            for c, w in corrections[k]:
+                image[c] += v * w
+                touched.add(c)
+    for c in touched if p else ():
+        image[c] %= p
+    return tuple(tuple(image[j * d:(j + 1) * d]) for j in range(d))
+
+
 @pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
 def test_entry_plan_images_are_the_conjugates(p):
     alg = chain_algebra(3, p)
@@ -395,8 +475,15 @@ def test_entry_plan_images_are_the_conjugates(p):
     for psi, psi_inv in actions:
         assert psi.compose(psi_inv) == DLinearMap.identity(alg)
         plan = oracle._entry_plan(psi.cols, psi_inv.cols)
+        corrections = oracle._corrections(plan, p)
+        weights = [w for terms in corrections for _, w in terms]
+        assert all(0 < w < p for w in weights) if p else all(weights)
         for m in mats:
-            assert through_plan(plan, m) == psi.compose(m).compose(psi_inv).cols
+            image = psi.compose(m).compose(psi_inv).cols
+            assert through_plan(plan, m) == image
+            assert through_corrections(corrections, m) == image
+    identity = DLinearMap.identity(alg).cols
+    assert not any(oracle._corrections(oracle._entry_plan(identity, identity), p))
 
 
 def test_orbit_partition_plans_each_action_ahead_of_its_inverse(monkeypatch):
@@ -468,7 +555,9 @@ OPTIMIZED = """
 import test_oracle_reference as t
 print(__debug__, *t.compare(t.chain_algebra(2, 5)),
       *t.compare(t.chain_algebra(2, 5, bottom_up=False)),
-      *t.compare(t.chain_algebra(3, 3)), *t.compare(t.chain_algebra(2, 2)))
+      *t.compare(t.chain_algebra(3, 3)), *t.compare(t.chain_algebra(2, 2)),
+      *t.compare(t.chain_algebra(2, 7)),
+      *t.compare(t.chain_algebra(2, 7, bottom_up=False)))
 """
 
 
@@ -481,4 +570,4 @@ def test_fast_oracle_matches_reference_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False" + " True" * 8 + "\n"
+    assert proc.stdout == "False" + " True" * 12 + "\n"
