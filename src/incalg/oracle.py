@@ -7,28 +7,30 @@ involutions are found by exhausting conjugated relabel-and-sign maps and
 testing the square on the basis, and equivalence classes come from a
 union-find over explicit conjugations.  The loops run on value tuples (a
 signed coordinate permutation, two compiled-kernel calls per conjugation by
-a unit, psi M psi^-1 as M plus the corrections an entry plan makes to the
-identity, over M's nonzero cells).
+a unit, psi M psi^-1 as M plus the changes a plan lists for the cells psi
+moves, over M's nonzero listed cells).
 
-A candidate is first rejected on its ring block, and that rejection is
-exact.  The ring coordinates of a product [a; c][b; d] = [ab; ad + cb] are
-the product of the ring coordinates, so on a ring basis vector b the ring
-coordinates of the candidate's square are f sigma(f sigma(b) f^-1) f^-1,
-fixed by the ring unit f alone.  If they miss b for one f, the whole-basis
-test fails for every bimodule coordinate j, so no j is tried.  On a
-bimodule basis vector [0; e] the candidate and its square depend on f and
-the sign k alone, so those columns are computed and tested once per
-(f, k).  For a kept f the bimodule coordinates of the square on the first
-ring basis vector are linear in j (the D-product is bilinear, I I = 0, and
-j^-1's bimodule part -f^-1 j f^-1 is linear in j), so each j is first
-tested on that linear form, built from the kernels at the unit vectors
-e_t once per (f, k); it vanishes exactly when the first ring column's
-square test passes.  Each j that passes is tried on the ring basis, and
-every candidate that passes still gets the whole-matrix test.  Orbits are
-joined under a generating set of the unit group that spends one scaling
-and one bimodule shift per component on central units; a central
-conjugator acts as the identity, which joins nothing, so it is skipped
-before its action is built.
+A candidate u beta u^-1, u = [f; j], is first rejected on its ring block,
+and that rejection is exact.  The ring coordinates of a product
+[a; c][b; d] = [ab; ad + cb] are the product of the ring coordinates, so
+on a ring basis vector b the ring coordinates of the candidate's square are
+f sigma(f sigma(b) f^-1) f^-1, fixed by the ring unit f alone.  If they
+miss b for one f, the whole-basis test fails for every bimodule coordinate
+j, so no j is tried.  On a bimodule basis vector [0; e] the candidate and
+its square depend on f and the sign k alone, so those columns are computed
+and tested once per (f, k).  The rest is decided by linear forms in j: the
+D-product is bilinear, I I = 0, and u^-1 = [f^-1; -f^-1 j f^-1] has a
+bimodule part linear in j, so on every ring basis vector the bimodule
+coordinates of the candidate's column and of its square are linear in j.
+Both are built from the kernels at the unit vectors j = e_t, the columns
+once per f and the squares once per (f, k); a j is accepted exactly when
+the stacked square form vanishes at it, and its ring columns are the ring
+parts plus the sum of j_t times the images at e_t, with no kernel call per
+j.  The explicit per-candidate kernel test is kept in the tests as the
+reference.  Orbits are joined under a generating set of the unit group that
+spends one scaling and one bimodule shift per component on central units; a
+central conjugator acts as the identity, which joins nothing, so it is
+skipped before its action is built.
 """
 
 from itertools import product
@@ -83,92 +85,114 @@ def _canonical_unit_ranges(alg):
 
 
 def _ring_involutive_units(alg, perm, units):
-    """The (f, f^-1) value pairs of ``units`` on whose ring block the
-    candidate squares to the identity: f sigma(f sigma(b) f^-1) f^-1 == b on
-    every ring basis vector b, with sigma(b) = b[perm] (the ring block of a
-    relabel-and-sign map carries no sign)."""
+    """The (f, f^-1, ring) value triples of ``units`` on whose ring block
+    the candidate squares to the identity: f sigma(r) f^-1 == b on every
+    ring basis vector b, with r = f sigma(b) f^-1 and sigma(b) = b[perm]
+    (the ring block of a relabel-and-sign map carries no sign).  ``ring``
+    holds the r, the ring part of the candidate's column on each b."""
     mul = alg._product
     starts = [(b, tuple([b[q] for q in perm]))
               for b in (alg.e(x, y).vals for x, y in alg.pairs)]
     kept = []
     for fvals, f_inv in units:
+        ring = []
         for b, b0 in starts:
             r1 = mul(mul(fvals, b0), f_inv)
             if mul(mul(fvals, tuple([r1[q] for q in perm])), f_inv) != b:
                 break
+            ring.append(r1)
         else:
-            kept.append((fvals, f_inv))
+            kept.append((fvals, f_inv, ring))
     return kept
 
 
-def _conjugated_columns(alg, perm, k, u, u_inv, starts):
-    """The columns u beta(b) u^-1, as value tuples, for the (b, beta(b))
+def _conjugated_block(alg, perm, k, fvals, f_inv, starts):
+    """The columns f beta(b) f^-1, as value tuples, for the (b, beta(b))
     pairs in ``starts``, with beta(b) = (f0, i0) for the relabel-and-sign
     map of ``perm`` and ``k``; None at the first b on which the candidate's
-    square misses b.  u and u_inv are (ring, bimodule) value pairs."""
+    square misses b.  On a bimodule basis vector b the candidate
+    u beta(b) u^-1 is the same for every bimodule coordinate j of
+    u = [f; j], so it is computed with j = 0."""
     p, dmul = alg.field.modulus, alg._dproduct
-    (fvals, ivals), (f_inv, j_inv) = u, u_inv
+    zeros = (0,) * len(fvals)
     cols = []
     for b, f0, i0 in starts:
-        f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
-        f2, i2 = dmul(fvals, ivals, tuple([f1[q] for q in perm]),
+        f1, i1 = dmul(*dmul(fvals, zeros, f0, i0), f_inv, zeros)
+        f2, i2 = dmul(fvals, zeros, tuple([f1[q] for q in perm]),
                       tuple([k * i1[q] % p for q in perm]))
-        if dmul(f2, i2, f_inv, j_inv) != b:
+        if dmul(f2, i2, f_inv, zeros) != b:
             return None
         cols.append(f1 + i1)
     return tuple(cols)
 
 
-def _square_form(alg, perm, k, fvals, f_inv, start, free):
-    """The bimodule coordinates of the candidate's square on the ring basis
-    vector b of ``start`` (a (b, beta(b)) triple as in the starts lists),
-    as a linear form in the bimodule coordinate j of u = [f; j]: row r
-    holds, at each coordinate t in ``free``, coordinate r of that square at
-    j = e_t, and 0 at the other coordinates.  It is linear because the
-    D-product is bilinear, I I = 0 and the bimodule part -f^-1 j f^-1 of
-    u^-1 is linear in j; it vanishes at j = 0, where the square is b.  Each
-    row entry comes from the kernels, as in ``_conjugated_columns``: j^-1
-    from two ring products, the column from two D-products, the square from
-    two more."""
+def _column_images(alg, fvals, f_inv, sigmas, free):
+    """For a kept ring unit f: the pairs (e_t, e_t^-1), with e_t the unit
+    vector of each free bimodule coordinate t and e_t^-1 = -f^-1 e_t f^-1
+    the bimodule part of [f; e_t]^-1, and, for each ring basis vector b
+    (sigma(b) in ``sigmas``), the bimodule parts of the candidate's column
+    u sigma(b) u^-1 at u = [f; e_t], one per t.  The column's ring part
+    f sigma(b) f^-1 does not depend on j, and its bimodule part is linear
+    in j, so at j it is the sum of j_t times those images."""
     p, mul, dmul = alg.field.modulus, alg._product, alg._dproduct
-    _, f0, i0 = start
-    zeros = (0,) * len(f0)
-    images = []
-    for t in range(len(zeros)):
-        if t not in free:
-            images.append(zeros)
-            continue
+    zeros = (0,) * len(fvals)
+    directions = []
+    for t in free:
         e = zeros[:t] + (1,) + zeros[t + 1:]
         e_inv = tuple([-v % p for v in mul(mul(f_inv, e), f_inv)])
-        f1, i1 = dmul(*dmul(fvals, e, f0, i0), f_inv, e_inv)
-        f2, i2 = dmul(fvals, e, tuple([f1[q] for q in perm]),
-                      tuple([k * i1[q] % p for q in perm]))
-        images.append(dmul(f2, i2, f_inv, e_inv)[1])
-    return list(zip(*images))
+        directions.append((e, e_inv))
+    images = [[dmul(*dmul(fvals, e, f0, zeros), f_inv, e_inv)[1]
+               for e, e_inv in directions] for f0 in sigmas]
+    return directions, images
+
+
+def _square_form(alg, perm, k, fvals, f_inv, directions, ring, images):
+    """The bimodule coordinates of the candidate's square on every ring
+    basis vector, stacked, as a linear form in the free bimodule
+    coordinates of j: row (b, r) holds, for each (e_t, e_t^-1) in
+    ``directions``, coordinate r of the square on b at j = e_t.  It is
+    linear because the D-product is bilinear, I I = 0 and the bimodule part
+    -f^-1 j f^-1 of u^-1 is linear in j; it vanishes at j = 0, where the
+    square is b.  ``ring`` and ``images`` are the columns' ring parts and
+    bimodule images (``_column_images``); each square at e_t is two calls
+    of the D-product kernel."""
+    p, dmul = alg.field.modulus, alg._dproduct
+    rows = []
+    for r, column in zip(ring, images):
+        r0 = tuple([r[q] for q in perm])
+        squares = []
+        for (e, e_inv), i in zip(directions, column):
+            i0 = tuple([k * i[q] % p for q in perm])
+            squares.append(dmul(*dmul(fvals, e, r0, i0), f_inv, e_inv)[1])
+        rows += [tuple([s[x] for s in squares]) for x in range(len(r))]
+    return rows
 
 
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
     Exhausts conjugates of every relabel-and-sign map (over the distinct
-    signs, one in characteristic 2) by units taken one per central coset,
-    keeps the maps that square to the identity on the whole basis (in
-    ``d_basis`` order, up to the first failure), and dedupes by exact
-    matrix equality.  Each ring unit f is first tested, once per lam, on the
-    ring block of the square, which depends on f alone: an f that fails
-    there fails the whole-basis test for every bimodule coordinate j, so the
-    rejection is exact and its j are never tried.  The bimodule-basis
-    columns, [0; k f sigma(e) f^-1] for b = [0; e], and their squares depend
-    on (f, k) alone, so they are computed and tested once per (f, k), with
-    j = 0; a k whose block fails is skipped for every j.  For a kept f the
-    square's ring coordinates on the first ring basis vector are that
-    vector's, and its bimodule coordinates are a linear form in j
-    (``_square_form``), built once per live (f, k); each j, in ``product``
-    order, is rejected at the form's first nonzero entry, which is exactly
-    where the first ring column's square test fails.  A j that passes for
-    some k gets its j^-1 and the ring-basis columns' test unchanged, and
-    every candidate that passes gets the whole-matrix test.  The signed
-    basis images are built once per (lam, k).
+    signs, one in characteristic 2) by units u = [f; j] taken one per
+    central coset, keeps the maps that square to the identity on the whole
+    basis, and dedupes by exact matrix equality.  Each ring unit f is first
+    tested, once per lam, on the ring block of the square, which depends on
+    f alone: an f that fails there fails the whole-basis test for every
+    bimodule coordinate j, so the rejection is exact and its j are never
+    tried.  The bimodule-basis columns, [0; k f sigma(e) f^-1] for
+    b = [0; e], and their squares depend on (f, k) alone, so they are
+    computed and tested once per (f, k) (``_conjugated_block``); a k whose
+    block fails is skipped for every j.  On the ring basis the square's
+    ring coordinates are b's for a kept f, and the bimodule coordinates of
+    the columns and of the square are linear in j (the D-product is
+    bilinear, I I = 0, and u^-1's bimodule part -f^-1 j f^-1 is linear in
+    j).  So once per kept f with a live k the columns are evaluated at
+    j = e_t for each free coordinate t (``_column_images``), and once per
+    live (f, k) the squares, stacked over every ring basis vector with
+    their zero rows dropped (``_square_form``).  Each j, in ``product``
+    order, is accepted for k exactly when every row vanishes mod p, and its
+    ring columns are the ring parts plus the sum of j_t times the images,
+    so no kernel call is made per j.  The signed basis images are built
+    once per (lam, k).
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -178,52 +202,55 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         raise SizeLimit("cannot enumerate over an infinite field")
     if total > limit:
         raise SizeLimit(f"{total} units exceeds the limit {limit}")
-    p, mul, n = field.modulus, alg._product, alg.npairs
+    p, n = field.modulus, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
+    j_ranges = [i_ranges[t] for t in free]
     units = [(fvals, IncFn(alg, fvals).inverse().vals)
              for fvals in product(*f_ranges)]
     signs = dict.fromkeys((field.one, field.neg(field.one)))
     basis = [(b.f.vals, b.i.vals) for b in d_basis(alg)]
-    zeros = alg.zero().vals
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
         kept = _ring_involutive_units(alg, perm, units)
-        by_sign = []
-        for k in signs:
-            starts = [(b, tuple([b[0][q] for q in perm]),
-                       tuple([k * b[1][q] % p for q in perm])) for b in basis]
-            by_sign.append((k, starts[:n], starts[n:], {}))
-        for fvals, f_inv in kept:
+        sigmas = [tuple([b[0][q] for q in perm]) for b in basis[:n]]
+        by_sign = [(k, [(b, tuple([b[0][q] for q in perm]),
+                         tuple([k * b[1][q] % p for q in perm]))
+                        for b in basis[n:]], {}) for k in signs]
+        for fvals, f_inv, ring in kept:
             live = []
-            for k, ring, bimodule, seen in by_sign:
-                block = _conjugated_columns(alg, perm, k, (fvals, zeros),
-                                            (f_inv, zeros), bimodule)
+            for k, bimodule, seen in by_sign:
+                block = _conjugated_block(alg, perm, k, fvals, f_inv, bimodule)
                 if block is not None:
-                    form = _square_form(alg, perm, k, fvals, f_inv, ring[0],
-                                        free)
-                    live.append(([row for row in form if any(row)],
-                                 k, ring, seen, block))
+                    live.append((k, seen, block))
             if not live:
                 continue
-            for ivals in product(*i_ranges):
+            directions, images = _column_images(alg, fvals, f_inv, sigmas,
+                                                free)
+            tests = []
+            for k, seen, block in live:
+                form = _square_form(alg, perm, k, fvals, f_inv, directions,
+                                    ring, images)
+                tests.append(([row for row in form if any(row)], seen, block))
+            columns = [(r, [tuple([i[x] for i in column]) for x in range(n)])
+                       for r, column in zip(ring, images)]
+            for j in product(*j_ranges):
                 passing = []
-                for entry in live:
-                    for row in entry[0]:
-                        if sum(map(_mul, row, ivals)) % p:
+                for rows, seen, block in tests:
+                    for row in rows:
+                        if sum(map(_mul, row, j)) % p:
                             break
                     else:
-                        passing.append(entry)
+                        passing.append((seen, block))
                 if not passing:
                     continue
-                j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
-                for _, k, ring, seen, block in passing:
-                    cols = _conjugated_columns(alg, perm, k, (fvals, ivals),
-                                               (f_inv, j_inv), ring)
-                    if cols is not None:
-                        seen[cols + block] = None  # an insertion-ordered set
-        for _, _, _, seen in by_sign:  # sign order; found keys keep their place
+                cols = tuple([r + tuple([sum(map(_mul, row, j)) % p
+                                         for row in matrix])
+                              for r, matrix in columns])
+                for seen, block in passing:
+                    seen[cols + block] = None  # an insertion-ordered set
+        for _, _, seen in by_sign:  # sign order; found keys keep their place
             found.update(seen)
     return [DLinearMap(alg, cols) for cols in found]
 
@@ -258,12 +285,6 @@ def unit_group_generators(alg):
     return scalings + covers + shifts
 
 
-def _is_identity(cols):
-    """Whether the columns ``cols`` form the identity matrix."""
-    return all(v == int(r == c) for c, col in enumerate(cols)
-               for r, v in enumerate(col))
-
-
 def _conjugation(g, h):
     """The columns of d -> g d h over ``d_basis``: column e is the value
     tuple of g e h, two calls of the D-product kernel.  Over Q the kernel is
@@ -276,32 +297,34 @@ def _conjugation(g, h):
     return tuple([f + i for f, i in cols])
 
 
-def _entry_plan(psi, psi_inv):
-    """M -> psi M psi^-1 as, for each flat cell k = r d + s of M (column r,
-    row s), the (image cell j d + t, psi_inv[j][r] psi[s][t]) pairs over the
-    nonzero entries of row r of psi_inv and of column s of psi."""
+def _action_plan(psi, psi_inv, p):
+    """M -> psi M psi^-1 as its changes to M, over the flat cells
+    k = r d + s of M (column r, row s) that it moves: those where row r of
+    psi^-1 or column s of psi is not the identity's.  Each gets the pairs
+    (image cell j d + t, psi_inv[j][r] psi[s][t]) of that row and column,
+    less (k, 1), weights reduced mod p (none over Q, p None), zero terms
+    dropped, and a cell left with none dropped too (a scaled row and column
+    can cancel).  The image of M is M plus v w at cell c for each listed
+    cell k of M, of value v, and each (c, w) of k's terms.  The plan is
+    empty exactly when the conjugation fixes every M, so psi is a scalar
+    matrix: for a ring automorphism, which fixes 1, the identity."""
     d = len(psi)
     rows = [[(j * d, col[r]) for j, col in enumerate(psi_inv) if col[r]]
             for r in range(d)]
     cols = [[(t, w) for t, w in enumerate(col) if w] for col in psi]
-    return [[(jd + t, v * w) for jd, v in rows[r] for t, w in cols[s]]
-            for r in range(d) for s in range(d)]
-
-
-def _corrections(plan, p):
-    """An entry plan as changes to the identity: for each source cell k,
-    the (cell, weight) pairs of plan[k] minus (k, 1), weights reduced mod p
-    (none over Q, p None) and zero terms dropped.  The image of M is M plus
-    v w at cell c for each nonzero cell k of M, of value v, and each (c, w)
-    of k's corrections."""
-    out = []
-    for k, terms in enumerate(plan):
-        weights = dict(terms)
-        weights[k] = weights.get(k, 0) - 1
-        if p:
-            weights = {c: w % p for c, w in weights.items()}
-        out.append([(c, w) for c, w in weights.items() if w])
-    return out
+    moved = [s for s in range(d) if cols[s] != [(s, 1)]]
+    plan = []
+    for r in range(d):
+        for s in moved if rows[r] == [(r * d, 1)] else range(d):
+            k = r * d + s
+            weights = {jd + t: v * w for jd, v in rows[r] for t, w in cols[s]}
+            weights[k] = weights.get(k, 0) - 1
+            if p:
+                weights = {c: w % p for c, w in weights.items()}
+            terms = [(c, w) for c, w in weights.items() if w]
+            if terms:
+                plan.append((k, terms))
+    return plan
 
 
 def orbit_partition(items, conjugators, extra_maps=()):
@@ -311,13 +334,14 @@ def orbit_partition(items, conjugators, extra_maps=()):
     pairs joined into the same closure (used for non-inner conjugations).
     Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
     whose columns come straight from the D-product kernel (``_conjugation``);
-    a non-unit raises NotAUnit.  A central conjugator acts as the identity,
-    as does an identity matrix from ``extra_maps``; either joins nothing and
-    is skipped.  Each other action becomes an entry plan (``_entry_plan``)
-    and then its corrections to the identity (``_corrections``): an item's
-    image is a copy of the item with the corrections of its nonzero cells
-    added, and only the cells they touch reduced.  An image that is not an
-    item (compared as a whole flat matrix) raises WitnessFailed.
+    a non-unit raises NotAUnit.  A central conjugator acts as the identity
+    and is skipped before its action is built.  Each other action, with its
+    inverse, becomes a plan of the cells it moves (``_action_plan``); an
+    empty plan is the identity, which joins nothing (an identity matrix
+    from ``extra_maps`` too), and is dropped.  An item's image is a copy of
+    the item with the terms of its nonzero listed cells added, and only the
+    cells they touch reduced.  An image that is not an item (compared as a
+    whole flat matrix) raises WitnessFailed.
     """
     flats = [sum(m.cols, ()) for m in items]
     index = {flat: i for i, flat in enumerate(flats)}
@@ -343,18 +367,22 @@ def orbit_partition(items, conjugators, extra_maps=()):
         if psi not in actions:
             actions[psi] = (_conjugation(g_inv, g), g.alg.field.modulus)
     for m, m_inv in extra_maps:
-        if not _is_identity(m.cols):
-            actions.setdefault(m.cols, (m_inv.cols, m.alg.field.modulus))
-    plans = [(_corrections(_entry_plan(psi, psi_inv), p), p)
-             for psi, (psi_inv, p) in actions.items()]
+        actions.setdefault(m.cols, (m_inv.cols, m.alg.field.modulus))
+    plans = []
+    for psi, (psi_inv, p) in actions.items():
+        plan = _action_plan(psi, psi_inv, p)
+        if plan:
+            plans.append((plan, p))
 
     for i, flat in enumerate(flats):
-        nonzero = [(k, v) for k, v in enumerate(flat) if v]
         for plan, p in plans:
             image = list(flat)
-            for k, v in nonzero:
-                for c, w in plan[k]:
-                    image[c] = (image[c] + v * w) % p if p else image[c] + v * w
+            for k, terms in plan:
+                v = flat[k]
+                if v:
+                    for c, w in terms:
+                        image[c] = ((image[c] + v * w) % p if p
+                                    else image[c] + v * w)
             j = index.get(tuple(image))
             if j is None:
                 raise WitnessFailed("items are not closed under conjugation")

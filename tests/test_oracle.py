@@ -214,22 +214,28 @@ def test_generators_partition_like_the_whole_group_over_F2(chain3):
 
 
 def test_identity_actions_are_never_planned(chain2, monkeypatch):
+    """Central conjugators never reach the plan builder, and an identity
+    extra map gets an empty plan, which ``orbit_partition`` drops."""
     alg = IncidenceAlgebra(chain2, F3)
     invs = enumerate_involutions_D(alg)
     identity = DLinearMap.identity(alg)
-    plans, plan = [], oracle._entry_plan
+    plans, plan = [], oracle._action_plan
 
-    def recording(psi, psi_inv):
-        plans.append(psi)
-        return plan(psi, psi_inv)
+    def recording(psi, psi_inv, p):
+        plans.append((psi, plan(psi, psi_inv, p)))
+        return plans[-1][1]
 
-    monkeypatch.setattr(oracle, "_entry_plan", recording)
+    monkeypatch.setattr(oracle, "_action_plan", recording)
     central = [d_one(alg), central_pair(alg, 2, 1), central_pair(alg, 1, 2)]
     got = orbit_partition(invs, central, [(identity, identity)])
-    assert got == [[i] for i in range(len(invs))] and plans == []
+    assert got == [[i] for i in range(len(invs))]
+    assert plans == [(identity.cols, [])]
+    del plans[:]
     orbit_partition(invs, unit_group_generators(alg) + central,
                     [(identity, identity)])
-    assert len(plans) == 3 and identity.cols not in plans
+    planned = [psi for psi, moves in plans if moves]
+    assert len(planned) == 3 and identity.cols not in planned
+    assert plans[-1] == (identity.cols, [])
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -3,36 +3,41 @@
 ``oracle.enumerate_involutions_D`` and ``oracle.orbit_partition`` run on
 value tuples: a precomputed signed permutation for the relabel-and-sign
 map, direct calls of the compiled product kernels, and conjugation of
-flattened matrices through a per-action entry plan.  The fast enumeration
-first rejects a candidate on its ring block, once per ring unit f: the ring
-coordinates of a D-product are the product of the ring coordinates, so
-those of the candidate's square on a ring basis vector depend on f alone,
-and an f that misses there fails the whole-basis test for every bimodule
-coordinate.  So the rejection is exact, and every candidate that passes it
-still gets the whole-matrix test.  The bimodule-basis columns and their
-square depend on f and the sign alone, so they are tested once per
-(f, sign).  For a kept f the bimodule coordinates of the square on the
-first ring basis vector are linear in the bimodule coordinate j, so each j
-is first tested on that linear form, built from the kernels at the unit
-vectors; the form must equal the ``DElem`` square at every j and vanish
-exactly when it fixes the vector, and the kernel calls are counted.  The
-fast partition skips central conjugators, builds each other conjugator's
-action from the D-product kernel and, from the action and its inverse, a
-plan sending each cell of a matrix to the cells of its conjugate, kept as
-its corrections to the identity.  The three functions below are the
-versions those replaced, kept verbatim as the reference: they build a
-``DElem`` for every product, test every candidate on the whole basis,
-conjugate with dense ``DLinearMap.compose`` and ``inner_auto``, and
-generate the unit group with every pair shift and every bimodule shift
-(the oracle uses the cover shifts and the diagonal bimodule shifts only,
-with per component one scaling and one bimodule shift central, and never
-plans an action that is the identity).  Both must return the same matrices
-in the same order, and the fast partition under the oracle's generators
-must equal the reference partition under the reference ones, with and
-without ``python -O``; the ring-block rejection must keep exactly the ring
-units that an ``IncFn`` computation of the ring block keeps, each action
-must be ``inner_auto``'s matrix, and each plan and its corrections must
-send a matrix to its ``compose`` conjugate.
+flattened matrices through a per-action plan of the cells it moves.  The
+fast enumeration first rejects a candidate on its ring block, once per ring
+unit f: the ring coordinates of a D-product are the product of the ring
+coordinates, so those of the candidate's square on a ring basis vector
+depend on f alone, and an f that misses there fails the whole-basis test
+for every bimodule coordinate.  So the rejection is exact.  The
+bimodule-basis columns and their square depend on f and the sign alone, so
+they are tested once per (f, sign).  For a kept f the bimodule coordinates
+of each ring basis column and of its square are linear in the bimodule
+coordinate j, so a j is accepted by the stacked square form alone, built
+from the kernels at the unit vectors, and its columns are read off the
+column images there; the form must equal the ``DElem`` square on every ring
+basis vector at every j, the columns must equal the ``DElem`` candidate's,
+and the kernel calls are counted.  The fast partition skips central
+conjugators, builds each other conjugator's action from the D-product
+kernel and, from the action and its inverse, a plan of the cells it moves.
+
+The versions those replaced are kept below as the reference: the
+object-based functions build a ``DElem`` for every product, test every
+candidate on the whole basis, conjugate with dense ``DLinearMap.compose``
+and ``inner_auto``, and generate the unit group with every pair shift and
+every bimodule shift (the oracle uses the cover shifts and the diagonal
+bimodule shifts only, with per component one scaling and one bimodule
+shift central, and never conjugates by a central unit).  The kernel
+enumeration tests every candidate j that its first ring column's linear
+form passes with explicit kernel calls on the ring basis; the entry plan
+sends every cell of a matrix to the cells of its conjugate, and its
+corrections are that plan less the identity.  Both enumerations must
+return the oracle's matrices in the same order, and the fast partition
+under the oracle's generators must equal the reference partition under the
+reference ones, with and without ``python -O``; the ring-block rejection
+must keep exactly the ring units that an ``IncFn`` computation of the ring
+block keeps, each action must be ``inner_auto``'s matrix, and each plan
+must be the reference corrections of the cells it lists and send a matrix
+to its ``compose`` conjugate.
 """
 
 import os
@@ -41,6 +46,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from operator import mul as _mul
 from pathlib import Path
 
 import pytest
@@ -109,6 +115,128 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
                     mat = DLinearMap(alg, [coords(phi(b)) for b in basis])
                     found.setdefault(mat.cols, mat)
     return list(found.values())
+
+
+def kernel_columns(alg, perm, k, u, u_inv, starts):
+    """The columns u beta(b) u^-1, as value tuples, for the (b, beta(b))
+    pairs in ``starts``, with beta(b) = (f0, i0) for the relabel-and-sign
+    map of ``perm`` and ``k``; None at the first b on which the candidate's
+    square misses b.  u and u_inv are (ring, bimodule) value pairs."""
+    p, dmul = alg.field.modulus, alg._dproduct
+    (fvals, ivals), (f_inv, j_inv) = u, u_inv
+    cols = []
+    for b, f0, i0 in starts:
+        f1, i1 = dmul(*dmul(fvals, ivals, f0, i0), f_inv, j_inv)
+        f2, i2 = dmul(fvals, ivals, tuple([f1[q] for q in perm]),
+                      tuple([k * i1[q] % p for q in perm]))
+        if dmul(f2, i2, f_inv, j_inv) != b:
+            return None
+        cols.append(f1 + i1)
+    return tuple(cols)
+
+
+def first_column_form(alg, perm, k, fvals, f_inv, start, free):
+    """The bimodule coordinates of the candidate's square on the ring basis
+    vector b of ``start``, as a linear form in the bimodule coordinate j:
+    row r holds, at each coordinate t in ``free``, coordinate r of that
+    square at j = e_t, and 0 at the other coordinates."""
+    p, mul, dmul = alg.field.modulus, alg._product, alg._dproduct
+    _, f0, i0 = start
+    zeros = (0,) * len(f0)
+    images = []
+    for t in range(len(zeros)):
+        if t not in free:
+            images.append(zeros)
+            continue
+        e = zeros[:t] + (1,) + zeros[t + 1:]
+        e_inv = tuple([-v % p for v in mul(mul(f_inv, e), f_inv)])
+        f1, i1 = dmul(*dmul(fvals, e, f0, i0), f_inv, e_inv)
+        f2, i2 = dmul(fvals, e, tuple([f1[q] for q in perm]),
+                      tuple([k * i1[q] % p for q in perm]))
+        images.append(dmul(f2, i2, f_inv, e_inv)[1])
+    return list(zip(*images))
+
+
+def kernel_enumeration(alg):
+    """The oracle's enumeration with per-candidate kernel acceptance: each
+    j that the first ring column's linear form passes gets j^-1 and the
+    explicit square test on the ring basis (``kernel_columns``), at four
+    kernel calls per column tried."""
+    poset, field = alg.poset, alg.field
+    p, mul, n = field.modulus, alg._product, alg.npairs
+    f_ranges, i_ranges = _canonical_unit_ranges(alg)
+    free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
+    units = [(fvals, IncFn(alg, fvals).inverse().vals)
+             for fvals in product(*f_ranges)]
+    signs = dict.fromkeys((field.one, field.neg(field.one)))
+    basis = [(b.f.vals, b.i.vals) for b in d_basis(alg)]
+    zeros = alg.zero().vals
+    found = {}
+    for lam in poset.involutions():
+        perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
+        kept = oracle._ring_involutive_units(alg, perm, units)
+        by_sign = []
+        for k in signs:
+            starts = [(b, tuple([b[0][q] for q in perm]),
+                       tuple([k * b[1][q] % p for q in perm])) for b in basis]
+            by_sign.append((k, starts[:n], starts[n:], {}))
+        for fvals, f_inv, _ in kept:
+            live = []
+            for k, ring, bimodule, seen in by_sign:
+                block = kernel_columns(alg, perm, k, (fvals, zeros),
+                                       (f_inv, zeros), bimodule)
+                if block is not None:
+                    form = first_column_form(alg, perm, k, fvals, f_inv,
+                                             ring[0], free)
+                    live.append(([row for row in form if any(row)],
+                                 k, ring, seen, block))
+            if not live:
+                continue
+            for ivals in product(*i_ranges):
+                passing = []
+                for entry in live:
+                    for row in entry[0]:
+                        if sum(map(_mul, row, ivals)) % p:
+                            break
+                    else:
+                        passing.append(entry)
+                if not passing:
+                    continue
+                j_inv = tuple([-v % p for v in mul(mul(f_inv, ivals), f_inv)])
+                for _, k, ring, seen, block in passing:
+                    cols = kernel_columns(alg, perm, k, (fvals, ivals),
+                                          (f_inv, j_inv), ring)
+                    if cols is not None:
+                        seen[cols + block] = None
+        for _, _, _, seen in by_sign:
+            found.update(seen)
+    return [DLinearMap(alg, cols) for cols in found]
+
+
+def entry_plan(psi, psi_inv):
+    """M -> psi M psi^-1 as, for each flat cell k = r d + s of M (column r,
+    row s), the (image cell j d + t, psi_inv[j][r] psi[s][t]) pairs over the
+    nonzero entries of row r of psi_inv and of column s of psi."""
+    d = len(psi)
+    rows = [[(j * d, col[r]) for j, col in enumerate(psi_inv) if col[r]]
+            for r in range(d)]
+    cols = [[(t, w) for t, w in enumerate(col) if w] for col in psi]
+    return [[(jd + t, v * w) for jd, v in rows[r] for t, w in cols[s]]
+            for r in range(d) for s in range(d)]
+
+
+def corrections(plan, p):
+    """An entry plan as changes to the identity: for each source cell k,
+    the (cell, weight) pairs of plan[k] minus (k, 1), weights reduced mod p
+    (none over Q, p None) and zero terms dropped."""
+    out = []
+    for k, terms in enumerate(plan):
+        weights = dict(terms)
+        weights[k] = weights.get(k, 0) - 1
+        if p:
+            weights = {c: w % p for c, w in weights.items()}
+        out.append([(c, w) for c, w in weights.items() if w])
+    return out
 
 
 def orbit_partition(items, conjugators, extra_maps=()):
@@ -232,6 +360,15 @@ def ring_block_squares_to_identity(alg, lam, f):
                for x, y in alg.pairs)
 
 
+def ring_parts(alg, lam, f):
+    """The values of f sigma(e_xy) f^-1 over the basis, on ``IncFn``
+    objects: the ring parts of the candidate's ring basis columns."""
+    sigma = [IncFn(alg, tuple(b[lam(y), lam(x)] for x, y in alg.pairs))
+             for b in (alg.e(x, y) for x, y in alg.pairs)]
+    f_inv = f.inverse()
+    return [(f * s * f_inv).vals for s in sigma]
+
+
 @pytest.mark.parametrize("n, p, bottom_up", [
     (2, 3, True), (2, 3, False), (2, 5, True), (2, 5, False), (2, 2, True),
     (3, 3, True), (3, 3, False)])
@@ -242,7 +379,10 @@ def test_ring_block_rejection_keeps_exactly_the_reference_units(n, p, bottom_up)
         perm = relabel_perm(alg, lam)
         want = [u for u in units
                 if ring_block_squares_to_identity(alg, lam, IncFn(alg, u[0]))]
-        assert oracle._ring_involutive_units(alg, perm, units) == want
+        kept = oracle._ring_involutive_units(alg, perm, units)
+        assert [(fvals, f_inv) for fvals, f_inv, _ in kept] == want
+        assert all(ring == ring_parts(alg, lam, IncFn(alg, fvals))
+                   for fvals, _, ring in kept)
         if p != 2:  # over F2 every ring unit passes
             assert 0 < len(want) < len(units)
 
@@ -257,7 +397,7 @@ def test_ring_block_test_computes_every_ring_column(bottom_up, monkeypatch):
     lam = alg.poset.involutions()[0]
     perm = relabel_perm(alg, lam)
     units = ring_units(alg)
-    passing = oracle._ring_involutive_units(alg, perm, units)
+    passing = [u[:2] for u in oracle._ring_involutive_units(alg, perm, units)]
     failing = [u for u in units if u not in passing]
     calls = []
     kernel = alg._product
@@ -310,12 +450,12 @@ def columns_tested(alg, lam, k, u, basis):
 
 def expected_kernel_calls(alg):
     """D-kernel calls of an enumeration that tests the bimodule-basis
-    columns once per (f, k) with j = 0; for a k that passes, builds the
-    square's linear form at four kernel calls per free bimodule
-    coordinate; and tests on the ring-basis columns only the j whose first
-    ring column squares to itself, at four kernel calls per column tried:
-    two for u beta(b) u^-1, one for u times beta of that, one for the
-    square's last factor u^-1."""
+    columns once per (f, k) with j = 0, at four kernel calls per column
+    tried: two for f beta(b) f^-1, one for f times beta of that, one for
+    the square's last factor f^-1.  For a kept f with a live k it evaluates
+    every ring basis column at j = e_t for each free bimodule coordinate t,
+    two calls each, and for each live k the column's square there, two
+    more.  No kernel call is made per j."""
     field, n = alg.field, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     free = sum(len(r) > 1 for r in i_ranges)
@@ -327,19 +467,14 @@ def expected_kernel_calls(alg):
             f = IncFn(alg, fvals)
             if not ring_block_squares_to_identity(alg, lam, f):
                 continue
-            live = []
+            live = 0
             for k in signs:
                 t, ok = columns_tested(alg, lam, k, DElem(f, alg.zero()),
                                        basis[n:])
                 calls += 4 * t
-                if ok:
-                    live.append(k)
-                    calls += 4 * free
-            for ivals in product(*i_ranges):
-                u = DElem(f, IncFn(alg, ivals))
-                calls += sum(4 * columns_tested(alg, lam, k, u, basis[:n])[0]
-                             for k in live
-                             if columns_tested(alg, lam, k, u, basis[:1])[1])
+                live += ok
+            if live:
+                calls += 2 * n * free * (1 + live)
     return calls
 
 
@@ -349,12 +484,12 @@ def expected_kernel_calls(alg):
 def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
                                                           monkeypatch):
     """The bimodule-basis columns and their square depend on (f, k) alone,
-    so they cost one test per (f, k), not one per j; the linear form costs
-    one square per free coordinate per live (f, k), and only the j it
-    passes are tested on the ring-basis columns.  Outputs cannot see a
-    block whose square test is dropped (k^2 = 1, so the ring test implies
-    it), one recomputed for every j, or a j tested although its form does
-    not vanish, so the kernel calls are counted exactly."""
+    so they cost one test per (f, k), not one per j; the ring basis
+    columns cost one evaluation per free coordinate per kept f with a live
+    k, and their squares one more per live (f, k); a j costs no kernel
+    call.  Outputs cannot see a block whose square test is dropped (k^2 = 1,
+    so the ring test implies it), one recomputed for every j, or columns
+    rebuilt per k or per j, so the kernel calls are counted exactly."""
     alg = chain_algebra(n, p, bottom_up)
     calls, kernel = [], alg._dproduct
 
@@ -368,46 +503,56 @@ def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
 
 
 @pytest.mark.parametrize("n, p, bottom_up", [
-    (2, 3, True), (2, 3, False), (2, 5, True), (2, 5, False), (2, 7, True),
-    (2, 7, False), (3, 3, True)])
+    (2, 2, True), (2, 2, False), (2, 3, True), (2, 3, False), (2, 5, True),
+    (2, 5, False), (2, 7, True), (2, 7, False), (3, 3, True)])
 def test_linear_rejection_is_exact(n, p, bottom_up):
     """For every kept ring unit f, live sign k and bimodule coordinate j,
-    the square form (built from the kernels at j = e_t) evaluated at j is
-    the bimodule part of the square on the first ring basis vector, which
-    ``DElem`` products compute, and it vanishes exactly when the square
-    fixes that vector."""
+    the stacked square form (built from the kernels at j = e_t) evaluated
+    at j is the bimodule part of the square on every ring basis vector, in
+    basis order, which ``DElem`` products compute, and it vanishes exactly
+    when the square fixes every ring basis vector; and the ring parts plus
+    the column images weighted by j are the candidate's columns
+    u beta(b) u^-1 on the ring basis."""
     alg = chain_algebra(n, p, bottom_up)
     basis = d_basis(alg)
-    first = basis[0]
+    ring_basis = basis[:alg.npairs]
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
     signs = dict.fromkeys((alg.field.one, alg.field.neg(alg.field.one)))
-    forms = rejected = 0
+    forms = accepted = rejected = 0
     for lam in alg.poset.involutions():
         perm = relabel_perm(alg, lam)
-        start = ((first.f.vals, first.i.vals),
-                 tuple(first.f.vals[q] for q in perm), first.i.vals)
+        sigmas = [tuple(b.f.vals[q] for q in perm) for b in ring_basis]
         for fvals in product(*f_ranges):
             f = IncFn(alg, fvals)
             if not ring_block_squares_to_identity(alg, lam, f):
                 continue
+            f_inv, ring = f.inverse().vals, ring_parts(alg, lam, f)
+            directions, images = oracle._column_images(alg, fvals, f_inv,
+                                                       sigmas, free)
             for k in signs:
                 if not columns_tested(alg, lam, k, DElem(f, alg.zero()),
                                       basis[alg.npairs:])[1]:
                     continue
-                form = oracle._square_form(alg, perm, k, fvals,
-                                           f.inverse().vals, start, free)
+                form = oracle._square_form(alg, perm, k, fvals, f_inv,
+                                           directions, ring, images)
                 forms += 1
                 for ivals in product(*i_ranges):
+                    j = [ivals[t] for t in free]
                     phi = candidate(alg, lam, k, DElem(f, IncFn(alg, ivals)))
-                    square = phi(phi(first))
-                    assert square.f == first.f
-                    value = tuple(sum(j * c for j, c in zip(ivals, row)) % p
-                                  for row in form)
-                    assert value == square.i.vals
-                    assert (not any(value)) == (square == first)
+                    columns = [phi(b) for b in ring_basis]
+                    squares = [phi(c) for c in columns]
+                    assert [s.f for s in squares] == [b.f for b in ring_basis]
+                    value = tuple(sum(map(_mul, row, j)) % p for row in form)
+                    assert value == sum((s.i.vals for s in squares), ())
+                    assert (not any(value)) == (squares == ring_basis)
+                    cols = [r + tuple(sum(jt * i[x] for jt, i in zip(j, col))
+                                      % p for x in range(alg.npairs))
+                            for r, col in zip(ring, images)]
+                    assert cols == [coords(c) for c in columns]
+                    accepted += not any(value)
                     rejected += any(value)
-    assert forms and rejected
+    assert forms and accepted and rejected
 
 
 @pytest.mark.parametrize("p", [3, 5, None])
@@ -420,6 +565,22 @@ def test_each_action_is_the_inner_automorphism(p):
         g_inv = g.inverse()
         assert oracle._conjugation(g, g_inv) == inner_auto(g).cols
         assert oracle._conjugation(g_inv, g) == inner_auto(g_inv).cols
+
+
+@pytest.mark.parametrize("poset, p, bottom_up", [
+    *((2, p, b) for p in (2, 3, 5, 7) for b in (True, False)),
+    (3, 3, True), (3, 3, False), (3, 2, True),
+    ("diamond", 2, True), ("crown", 2, True)])
+def test_fast_enumeration_matches_the_kernel_reference(poset, p, bottom_up,
+                                                       request):
+    """The stacked-form acceptance lists the matrices that per-candidate
+    kernel acceptance lists, in the same order, on chains (by length) and
+    on two connected posets that are not chains."""
+    alg = (chain_algebra(poset, p, bottom_up) if isinstance(poset, int) else
+           IncidenceAlgebra(request.getfixturevalue(poset), PrimeField(p)))
+    fast = oracle.enumerate_involutions_D(alg)
+    assert fast and [m.cols for m in fast] == [
+        m.cols for m in kernel_enumeration(alg)]
 
 
 def test_fast_oracle_matches_reference_on_chain3():
@@ -454,8 +615,27 @@ def through_corrections(corrections, m):
     return tuple(tuple(image[j * d:(j + 1) * d]) for j in range(d))
 
 
+def through_moves(plan, m):
+    """The image of the matrix ``m`` as ``orbit_partition`` builds it: a
+    copy of the flattened ``m`` plus the terms of its nonzero listed cells,
+    reduced on the cells they touch only."""
+    flat, d, p = sum(m.cols, ()), len(m.cols), m.alg.field.modulus
+    image, touched = list(flat), set()
+    for k, terms in plan:
+        if flat[k]:
+            for c, w in terms:
+                image[c] += flat[k] * w
+                touched.add(c)
+    for c in touched if p else ():
+        image[c] %= p
+    return tuple(tuple(image[j * d:(j + 1) * d]) for j in range(d))
+
+
 @pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
 def test_entry_plan_images_are_the_conjugates(p):
+    """Each action's plan lists exactly the cells whose reference
+    corrections are not empty, with those corrections, and sends a matrix
+    to its conjugate, as the reference entry plan and corrections do."""
     alg = chain_algebra(3, p)
     rng = random.Random(p or 0)
     d = 2 * alg.npairs
@@ -472,45 +652,56 @@ def test_entry_plan_images_are_the_conjugates(p):
     actions = [(inner_auto(g), inner_auto(g.inverse())) for g in units]
     k = alg.field(2)  # the lift [f; i] -> [f; 2i] is not inner
     actions.append((lift_scalar(alg, k), lift_scalar(alg, alg.field.inv(k))))
+    identity = DLinearMap.identity(alg)
     for psi, psi_inv in actions:
-        assert psi.compose(psi_inv) == DLinearMap.identity(alg)
-        plan = oracle._entry_plan(psi.cols, psi_inv.cols)
-        corrections = oracle._corrections(plan, p)
-        weights = [w for terms in corrections for _, w in terms]
+        assert psi.compose(psi_inv) == identity
+        plan = entry_plan(psi.cols, psi_inv.cols)
+        reference = corrections(plan, p)
+        moves = oracle._action_plan(psi.cols, psi_inv.cols, p)
+        assert moves == [(c, terms) for c, terms in enumerate(reference)
+                         if terms]
+        assert (moves == []) == (psi == identity)
+        weights = [w for _, terms in moves for _, w in terms]
         assert all(0 < w < p for w in weights) if p else all(weights)
         for m in mats:
             image = psi.compose(m).compose(psi_inv).cols
             assert through_plan(plan, m) == image
-            assert through_corrections(corrections, m) == image
-    identity = DLinearMap.identity(alg).cols
-    assert not any(oracle._corrections(oracle._entry_plan(identity, identity), p))
+            assert through_corrections(reference, m) == image
+            assert through_moves(moves, m) == image
+    assert not any(corrections(entry_plan(identity.cols, identity.cols), p))
+    assert oracle._action_plan(identity.cols, identity.cols, p) == []
 
 
 def test_orbit_partition_plans_each_action_ahead_of_its_inverse(monkeypatch):
     """Partitions cannot tell an action from its inverse (a finite set
     closed under one is closed under the other), so the order of the
-    arguments ``orbit_partition`` hands ``_entry_plan`` is checked here."""
+    arguments ``orbit_partition`` hands ``_action_plan`` is checked here."""
     alg = chain_algebra(2, 5)
     gens = oracle.unit_group_generators(alg)
     sign, sign_inv = lift_scalar(alg, 2), lift_scalar(alg, 3)
-    calls, plan = [], oracle._entry_plan
+    calls, plans, plan = [], [], oracle._action_plan
 
-    def recording(psi, psi_inv):
+    def recording(psi, psi_inv, p):
         calls.append((psi, psi_inv))
-        return plan(psi, psi_inv)
+        plans.append(plan(psi, psi_inv, p))
+        return plans[-1]
 
-    monkeypatch.setattr(oracle, "_entry_plan", recording)
+    monkeypatch.setattr(oracle, "_action_plan", recording)
     identity = DLinearMap.identity(alg)
     oracle.orbit_partition([identity], gens,
                            [(sign, sign_inv), (identity, identity)])
     want = dict.fromkeys((inner_auto(g).cols, inner_auto(g.inverse()).cols)
                          for g in gens if inner_auto(g) != identity)
     want.setdefault((sign.cols, sign_inv.cols))
+    want.setdefault((identity.cols, identity.cols))
     assert calls == list(want)
-    # the two central generators act as the identity, which is never
-    # planned: the scaling at b, the cover shift, [delta; e_bb], the lift
-    assert len(gens) == 5 and len(want) == 4
-    assert identity.cols not in [psi for psi, _ in calls]
+    # the two central generators act as the identity and are never
+    # conjugated: the scaling at b, the cover shift, [delta; e_bb] and the
+    # lift are planned, and the identity extra map gets an empty plan,
+    # which is dropped
+    assert len(gens) == 5 and len(want) == 5
+    assert [psi for (psi, _), moves in zip(calls, plans) if not moves] == [
+        identity.cols]
 
 
 def test_partition_under_other_conjugators_matches_reference():
