@@ -4,11 +4,10 @@ Everything here works with raw ring arithmetic and exact matrix equality.
 It shares no logic with the decision procedures it cross-checks, so one
 mistake cannot hide in both: units are enumerated coordinate by coordinate,
 involutions are found by exhausting conjugated relabel-and-sign maps and
-testing the square on the basis, and equivalence classes come from a
-union-find over explicit conjugations.  The loops run on value tuples (a
-signed coordinate permutation, two compiled-kernel calls per conjugation by
-a unit, psi M psi^-1 as M plus the changes a plan lists for the cells psi
-moves, over M's nonzero listed cells).
+testing the square on the basis, and equivalence classes are the orbits of
+explicit conjugations.  The loops run on value tuples: a signed coordinate
+permutation, two compiled-kernel calls per conjugation by a unit, and
+psi M psi^-1 as M plus the changes a plan lists for the cells psi moves.
 
 A candidate u beta u^-1, u = [f; j], is first rejected on its ring block,
 and that rejection is exact.  The ring coordinates of a product
@@ -16,21 +15,26 @@ and that rejection is exact.  The ring coordinates of a product
 on a ring basis vector b the ring coordinates of the candidate's square are
 f sigma(f sigma(b) f^-1) f^-1, fixed by the ring unit f alone.  If they
 miss b for one f, the whole-basis test fails for every bimodule coordinate
-j, so no j is tried.  On a bimodule basis vector [0; e] the candidate and
-its square depend on f and the sign k alone, so those columns are computed
-and tested once per (f, k).  The rest is decided by linear forms in j: the
-D-product is bilinear, I I = 0, and u^-1 = [f^-1; -f^-1 j f^-1] has a
-bimodule part linear in j, so on every ring basis vector the bimodule
-coordinates of the candidate's column and of its square are linear in j.
-Both are built from the kernels at the unit vectors j = e_t, the columns
-once per f and the squares once per (f, k); a j is accepted exactly when
-the stacked square form vanishes at it, and its ring columns are the ring
-parts plus the sum of j_t times the images at e_t, with no kernel call per
-j.  The explicit per-candidate kernel test is kept in the tests as the
-reference.  Orbits are joined under a generating set of the unit group that
-spends one scaling and one bimodule shift per component on central units; a
-central conjugator acts as the identity, which joins nothing, so it is
-skipped before its action is built.
+j, so no j is tried.  For a kept f the bimodule-basis block needs no test:
+on [0; e] the candidate is [0; k r_e], r_e = f sigma(e) f^-1 being the ring
+part the ring test computes, and its square is [0; f sigma(r_e) f^-1],
+which is [0; e] because k^2 = 1 and the ring test passed on e.  The rest is
+decided by linear forms in j: the D-product is bilinear, I I = 0, and
+u^-1 = [f^-1; -f^-1 j f^-1] has a bimodule part linear in j, so on every
+ring basis vector the bimodule coordinates of the candidate's column and of
+its square are linear in j.  Both are built from the kernels at the unit
+vectors j = e_t, the columns once per f and the squares once per (f, k).
+The j at which the stacked square form vanishes are solved for, not
+scanned: the last coordinate is read off a row whose last coefficient is
+nonzero.  A j's ring columns are the ring parts plus the sum of j_t times
+the images at e_t, with no kernel call per j.  The explicit per-candidate
+kernel test is kept in the tests as the reference.
+
+Orbits are searched under a generating set of the unit group that spends
+one scaling and one bimodule shift per component on central units; a
+central conjugator acts as the identity, so it is skipped before its action
+is built.  Only the cells some item holds are planned, and items and images
+are compared on those cells and the cells the plans write to.
 """
 
 from itertools import product
@@ -39,7 +43,7 @@ from operator import mul as _mul
 from .errors import NotConnected, SizeLimit, WitnessFailed
 from .fia import IncFn, count_units
 from .fields import _primitive_root
-from .idealization import DElem, DLinearMap, d_basis
+from .idealization import DElem, DLinearMap
 
 UNIT_LIMIT = 200_000
 
@@ -106,26 +110,6 @@ def _ring_involutive_units(alg, perm, units):
     return kept
 
 
-def _conjugated_block(alg, perm, k, fvals, f_inv, starts):
-    """The columns f beta(b) f^-1, as value tuples, for the (b, beta(b))
-    pairs in ``starts``, with beta(b) = (f0, i0) for the relabel-and-sign
-    map of ``perm`` and ``k``; None at the first b on which the candidate's
-    square misses b.  On a bimodule basis vector b the candidate
-    u beta(b) u^-1 is the same for every bimodule coordinate j of
-    u = [f; j], so it is computed with j = 0."""
-    p, dmul = alg.field.modulus, alg._dproduct
-    zeros = (0,) * len(fvals)
-    cols = []
-    for b, f0, i0 in starts:
-        f1, i1 = dmul(*dmul(fvals, zeros, f0, i0), f_inv, zeros)
-        f2, i2 = dmul(fvals, zeros, tuple([f1[q] for q in perm]),
-                      tuple([k * i1[q] % p for q in perm]))
-        if dmul(f2, i2, f_inv, zeros) != b:
-            return None
-        cols.append(f1 + i1)
-    return tuple(cols)
-
-
 def _column_images(alg, fvals, f_inv, sigmas, free):
     """For a kept ring unit f: the pairs (e_t, e_t^-1), with e_t the unit
     vector of each free bimodule coordinate t and e_t^-1 = -f^-1 e_t f^-1
@@ -168,6 +152,40 @@ def _square_form(alg, perm, k, fvals, f_inv, directions, ring, images):
     return rows
 
 
+def _solutions(rows, ranges, p):
+    """The points j of product(*ranges) at which every row, a linear form
+    in j with one coefficient per range, vanishes mod p, in ``product``
+    order; each range must hold every residue mod p once.  The heads (all
+    coordinates but the last) are visited in ``product`` order.  A row
+    whose last coefficient is nonzero mod p fixes the last coordinate of
+    each head, and the other rows are tested at that one point; if no row
+    has one, a head at which every row vanishes passes with the whole last
+    range.  With no range the one point () passes."""
+    if not ranges:
+        yield ()
+        return
+    pivot = next((row for row in rows if row[-1] % p), None)
+    if pivot is None:
+        last = ranges[-1]
+        for head in product(*ranges[:-1]):
+            for row in rows:
+                if sum(map(_mul, row, head)) % p:
+                    break
+            else:
+                for v in last:
+                    yield head + (v,)
+        return
+    rest = [row for row in rows if row is not pivot]
+    scale = -pow(pivot[-1], -1, p)
+    for head in product(*ranges[:-1]):
+        j = head + (scale * sum(map(_mul, pivot, head)) % p,)
+        for row in rest:
+            if sum(map(_mul, row, j)) % p:
+                break
+        else:
+            yield j
+
+
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
@@ -178,21 +196,20 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     tested, once per lam, on the ring block of the square, which depends on
     f alone: an f that fails there fails the whole-basis test for every
     bimodule coordinate j, so the rejection is exact and its j are never
-    tried.  The bimodule-basis columns, [0; k f sigma(e) f^-1] for
-    b = [0; e], and their squares depend on (f, k) alone, so they are
-    computed and tested once per (f, k) (``_conjugated_block``); a k whose
-    block fails is skipped for every j.  On the ring basis the square's
-    ring coordinates are b's for a kept f, and the bimodule coordinates of
-    the columns and of the square are linear in j (the D-product is
-    bilinear, I I = 0, and u^-1's bimodule part -f^-1 j f^-1 is linear in
-    j).  So once per kept f with a live k the columns are evaluated at
-    j = e_t for each free coordinate t (``_column_images``), and once per
-    live (f, k) the squares, stacked over every ring basis vector with
-    their zero rows dropped (``_square_form``).  Each j, in ``product``
-    order, is accepted for k exactly when every row vanishes mod p, and its
-    ring columns are the ring parts plus the sum of j_t times the images,
-    so no kernel call is made per j.  The signed basis images are built
-    once per (lam, k).
+    tried.  For a kept f and each sign k the bimodule-basis columns are
+    [0; k r] for the ring parts r = f sigma(e) f^-1 that test returns, and
+    they square to the basis because k^2 = 1, so every sign is live and
+    the block costs no kernel call.  On the ring basis the square's ring
+    coordinates are b's for a kept f, and the bimodule coordinates of the
+    columns and of the square are linear in j (the D-product is bilinear,
+    I I = 0, and u^-1's bimodule part -f^-1 j f^-1 is linear in j).  So
+    once per kept f the columns are evaluated at j = e_t for each free
+    coordinate t (``_column_images``), and once per (f, k) the squares,
+    stacked over every ring basis vector with their zero rows dropped
+    (``_square_form``).  The j at which the form vanishes are solved for,
+    in ``product`` order (``_solutions``), and a j's ring columns are the
+    ring parts plus the sum of j_t times the images, so no kernel call is
+    made per j.
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -209,48 +226,31 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     units = [(fvals, IncFn(alg, fvals).inverse().vals)
              for fvals in product(*f_ranges)]
     signs = dict.fromkeys((field.one, field.neg(field.one)))
-    basis = [(b.f.vals, b.i.vals) for b in d_basis(alg)]
+    basis = [alg.e(x, y).vals for x, y in alg.pairs]
+    zeros = (0,) * n
     found = {}
     for lam in poset.involutions():
         perm = tuple(alg.pair_index[(lam(y), lam(x))] for x, y in alg.pairs)
         kept = _ring_involutive_units(alg, perm, units)
-        sigmas = [tuple([b[0][q] for q in perm]) for b in basis[:n]]
-        by_sign = [(k, [(b, tuple([b[0][q] for q in perm]),
-                         tuple([k * b[1][q] % p for q in perm]))
-                        for b in basis[n:]], {}) for k in signs]
+        sigmas = [tuple([b[q] for q in perm]) for b in basis]
+        by_sign = [(k, {}) for k in signs]
         for fvals, f_inv, ring in kept:
-            live = []
-            for k, bimodule, seen in by_sign:
-                block = _conjugated_block(alg, perm, k, fvals, f_inv, bimodule)
-                if block is not None:
-                    live.append((k, seen, block))
-            if not live:
-                continue
             directions, images = _column_images(alg, fvals, f_inv, sigmas,
                                                 free)
-            tests = []
-            for k, seen, block in live:
-                form = _square_form(alg, perm, k, fvals, f_inv, directions,
-                                    ring, images)
-                tests.append(([row for row in form if any(row)], seen, block))
             columns = [(r, [tuple([i[x] for i in column]) for x in range(n)])
                        for r, column in zip(ring, images)]
-            for j in product(*j_ranges):
-                passing = []
-                for rows, seen, block in tests:
-                    for row in rows:
-                        if sum(map(_mul, row, j)) % p:
-                            break
-                    else:
-                        passing.append((seen, block))
-                if not passing:
-                    continue
-                cols = tuple([r + tuple([sum(map(_mul, row, j)) % p
-                                         for row in matrix])
-                              for r, matrix in columns])
-                for seen, block in passing:
+            for k, seen in by_sign:
+                form = _square_form(alg, perm, k, fvals, f_inv, directions,
+                                    ring, images)
+                block = tuple([zeros + tuple([k * v % p for v in r])
+                               for r in ring])
+                for j in _solutions([row for row in form if any(row)],
+                                    j_ranges, p):
+                    cols = tuple([r + tuple([sum(map(_mul, row, j)) % p
+                                             for row in matrix])
+                                  for r, matrix in columns])
                     seen[cols + block] = None  # an insertion-ordered set
-        for _, _, seen in by_sign:  # sign order; found keys keep their place
+        for _, seen in by_sign:  # sign order; found keys keep their place
             found.update(seen)
     return [DLinearMap(alg, cols) for cols in found]
 
@@ -297,33 +297,37 @@ def _conjugation(g, h):
     return tuple([f + i for f, i in cols])
 
 
-def _action_plan(psi, psi_inv, p):
+def _action_plan(psi, psi_inv, p, cells):
     """M -> psi M psi^-1 as its changes to M, over the flat cells
-    k = r d + s of M (column r, row s) that it moves: those where row r of
-    psi^-1 or column s of psi is not the identity's.  Each gets the pairs
-    (image cell j d + t, psi_inv[j][r] psi[s][t]) of that row and column,
-    less (k, 1), weights reduced mod p (none over Q, p None), zero terms
-    dropped, and a cell left with none dropped too (a scaled row and column
-    can cancel).  The image of M is M plus v w at cell c for each listed
-    cell k of M, of value v, and each (c, w) of k's terms.  The plan is
-    empty exactly when the conjugation fixes every M, so psi is a scalar
-    matrix: for a ring automorphism, which fixes 1, the identity."""
+    k = r d + s of M (column r, row s) in ``cells``, in their order, that
+    it moves: those where row r of psi^-1 or column s of psi is not the
+    identity's.  Each gets the pairs (image cell j d + t,
+    psi_inv[j][r] psi[s][t]) of that row and column, less (k, 1), weights
+    reduced mod p (none over Q, p None), zero terms dropped, and a cell
+    left with none dropped too (a scaled row and column can cancel).  The
+    image of an M that is zero outside ``cells`` is M plus v w at cell c
+    for each listed cell k of M, of value v, and each (c, w) of k's terms.
+    Over every cell the plan is empty exactly when the conjugation fixes
+    every M, so psi is a scalar matrix: for a ring automorphism, which
+    fixes 1, the identity."""
     d = len(psi)
     rows = [[(j * d, col[r]) for j, col in enumerate(psi_inv) if col[r]]
             for r in range(d)]
     cols = [[(t, w) for t, w in enumerate(col) if w] for col in psi]
-    moved = [s for s in range(d) if cols[s] != [(s, 1)]]
+    moved_rows = [rows[r] != [(r * d, 1)] for r in range(d)]
+    moved_cols = [cols[s] != [(s, 1)] for s in range(d)]
     plan = []
-    for r in range(d):
-        for s in moved if rows[r] == [(r * d, 1)] else range(d):
-            k = r * d + s
-            weights = {jd + t: v * w for jd, v in rows[r] for t, w in cols[s]}
-            weights[k] = weights.get(k, 0) - 1
-            if p:
-                weights = {c: w % p for c, w in weights.items()}
-            terms = [(c, w) for c, w in weights.items() if w]
-            if terms:
-                plan.append((k, terms))
+    for k in cells:
+        r, s = divmod(k, d)
+        if not (moved_rows[r] or moved_cols[s]):
+            continue
+        weights = {jd + t: v * w for jd, v in rows[r] for t, w in cols[s]}
+        weights[k] = weights.get(k, 0) - 1
+        if p:
+            weights = {c: w % p for c, w in weights.items()}
+        terms = [(c, w) for c, w in weights.items() if w]
+        if terms:
+            plan.append((k, terms))
     return plan
 
 
@@ -332,32 +336,28 @@ def orbit_partition(items, conjugators, extra_maps=()):
 
     ``conjugators`` are units; ``extra_maps`` are (map, inverse) matrix
     pairs joined into the same closure (used for non-inner conjugations).
-    Returns a list of index lists.  A conjugator g acts by d -> g d g^-1,
-    whose columns come straight from the D-product kernel (``_conjugation``);
-    a non-unit raises NotAUnit.  A central conjugator acts as the identity
-    and is skipped before its action is built.  Each other action, with its
-    inverse, becomes a plan of the cells it moves (``_action_plan``); an
-    empty plan is the identity, which joins nothing (an identity matrix
-    from ``extra_maps`` too), and is dropped.  An item's image is a copy of
-    the item with the terms of its nonzero listed cells added, and only the
-    cells they touch reduced.  An image that is not an item (compared as a
-    whole flat matrix) raises WitnessFailed.
+    Returns a list of index lists, each in increasing order, ordered by
+    their first index.  A conjugator g acts by d -> g d g^-1, whose columns
+    come straight from the D-product kernel (``_conjugation``); a non-unit
+    raises NotAUnit.  A central conjugator acts as the identity and is
+    skipped before its action is built.  Each other action, with its
+    inverse, becomes a plan of the cells it moves among the cells some item
+    holds (``_action_plan``); an empty plan fixes every item, so it joins
+    nothing (an identity matrix from ``extra_maps`` too) and is dropped.
+    Items and images are compared on the held cells plus the cells the
+    plans write to: an image is zero on every other cell, as the items
+    are, so an image with a nonzero where no item has one differs from
+    every item there.  An image is a copy of the item plus the terms of its
+    nonzero listed cells, only the touched cells reduced; one that is not
+    an item raises WitnessFailed.  Each action permutes the items, a closed
+    finite set, so the orbit of an item is what a breadth-first search
+    along the actions reaches from it; the search starts from the smallest
+    unlabelled item, and every item's images are formed once.
     """
-    flats = [sum(m.cols, ()) for m in items]
-    index = {flat: i for i, flat in enumerate(flats)}
-    parent = list(range(len(items)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    d = len(items[0].cols) if items else 0
+    held = [r * d + s
+            for r, columns in enumerate(zip(*[m.cols for m in items]))
+            for s, entries in enumerate(zip(*columns)) if any(entries)]
     actions = {}
     for g in conjugators:
         g_inv = g.inverse()
@@ -370,25 +370,41 @@ def orbit_partition(items, conjugators, extra_maps=()):
         actions.setdefault(m.cols, (m_inv.cols, m.alg.field.modulus))
     plans = []
     for psi, (psi_inv, p) in actions.items():
-        plan = _action_plan(psi, psi_inv, p)
+        plan = _action_plan(psi, psi_inv, p, held)
         if plan:
             plans.append((plan, p))
+    cells = sorted(set(held).union(
+        c for plan, _ in plans for _, terms in plan for c, _ in terms))
+    at = {c: i for i, c in enumerate(cells)}
+    plans = [([(at[k], [(at[c], w) for c, w in terms]) for k, terms in plan],
+              p) for plan, p in plans]
+    places = [divmod(c, d) for c in cells]
+    points = [tuple([m.cols[r][s] for r, s in places]) for m in items]
+    index = {point: i for i, point in enumerate(points)}
 
-    for i, flat in enumerate(flats):
-        for plan, p in plans:
-            image = list(flat)
-            for k, terms in plan:
-                v = flat[k]
-                if v:
-                    for c, w in terms:
-                        image[c] = ((image[c] + v * w) % p if p
-                                    else image[c] + v * w)
-            j = index.get(tuple(image))
-            if j is None:
-                raise WitnessFailed("items are not closed under conjugation")
-            union(i, j)
-
-    groups = {}
-    for i in range(len(items)):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    labelled = [False] * len(points)
+    groups = []
+    for first in range(len(points)):
+        if labelled[first]:
+            continue
+        labelled[first] = True
+        orbit = [first]
+        for i in orbit:  # grows while it is read
+            point = points[i]
+            for plan, p in plans:
+                image = list(point)
+                for k, terms in plan:
+                    v = point[k]
+                    if v:
+                        for c, w in terms:
+                            image[c] = ((image[c] + v * w) % p if p
+                                        else image[c] + v * w)
+                j = index.get(tuple(image))
+                if j is None:
+                    raise WitnessFailed(
+                        "items are not closed under conjugation")
+                if not labelled[j]:
+                    labelled[j] = True
+                    orbit.append(j)
+        groups.append(sorted(orbit))
+    return groups

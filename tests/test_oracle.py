@@ -221,8 +221,8 @@ def test_identity_actions_are_never_planned(chain2, monkeypatch):
     identity = DLinearMap.identity(alg)
     plans, plan = [], oracle._action_plan
 
-    def recording(psi, psi_inv, p):
-        plans.append((psi, plan(psi, psi_inv, p)))
+    def recording(psi, psi_inv, p, cells):
+        plans.append((psi, plan(psi, psi_inv, p, cells)))
         return plans[-1][1]
 
     monkeypatch.setattr(oracle, "_action_plan", recording)

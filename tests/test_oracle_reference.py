@@ -3,41 +3,49 @@
 ``oracle.enumerate_involutions_D`` and ``oracle.orbit_partition`` run on
 value tuples: a precomputed signed permutation for the relabel-and-sign
 map, direct calls of the compiled product kernels, and conjugation of
-flattened matrices through a per-action plan of the cells it moves.  The
+projected matrices through a per-action plan of the cells it moves.  The
 fast enumeration first rejects a candidate on its ring block, once per ring
 unit f: the ring coordinates of a D-product are the product of the ring
 coordinates, so those of the candidate's square on a ring basis vector
 depend on f alone, and an f that misses there fails the whole-basis test
-for every bimodule coordinate.  So the rejection is exact.  The
-bimodule-basis columns and their square depend on f and the sign alone, so
-they are tested once per (f, sign).  For a kept f the bimodule coordinates
-of each ring basis column and of its square are linear in the bimodule
-coordinate j, so a j is accepted by the stacked square form alone, built
-from the kernels at the unit vectors, and its columns are read off the
-column images there; the form must equal the ``DElem`` square on every ring
-basis vector at every j, the columns must equal the ``DElem`` candidate's,
-and the kernel calls are counted.  The fast partition skips central
-conjugators, builds each other conjugator's action from the D-product
-kernel and, from the action and its inverse, a plan of the cells it moves.
+for every bimodule coordinate.  So the rejection is exact.  For a kept f
+the bimodule-basis block is read off the ring test with no kernel call:
+the candidate sends [0; e] to [0; k f sigma(e) f^-1] and squares it back,
+which the ``DElem`` candidate must confirm for every kept f, sign and
+sample j.  The bimodule coordinates of each ring basis column and of its
+square are linear in j, so a j is accepted by the stacked square form
+alone, built from the kernels at the unit vectors, with the last
+coordinate solved for rather than scanned; the solve must list what a
+plain ``product`` scan lists, in order, the form must equal the ``DElem``
+square on every ring basis vector at every j, the columns must equal the
+``DElem`` candidate's, and the kernel calls are counted.  The fast
+partition skips central conjugators, builds each other conjugator's action
+from the D-product kernel and, from the action and its inverse, a plan of
+the cells it moves among the cells the items hold; it compares items and
+images on those cells and the cells the plans write to, and labels orbits
+by a breadth-first search.
 
 The versions those replaced are kept below as the reference: the
 object-based functions build a ``DElem`` for every product, test every
 candidate on the whole basis, conjugate with dense ``DLinearMap.compose``
-and ``inner_auto``, and generate the unit group with every pair shift and
-every bimodule shift (the oracle uses the cover shifts and the diagonal
-bimodule shifts only, with per component one scaling and one bimodule
-shift central, and never conjugates by a central unit).  The kernel
-enumeration tests every candidate j that its first ring column's linear
-form passes with explicit kernel calls on the ring basis; the entry plan
-sends every cell of a matrix to the cells of its conjugate, and its
-corrections are that plan less the identity.  Both enumerations must
-return the oracle's matrices in the same order, and the fast partition
-under the oracle's generators must equal the reference partition under the
-reference ones, with and without ``python -O``; the ring-block rejection
-must keep exactly the ring units that an ``IncFn`` computation of the ring
-block keeps, each action must be ``inner_auto``'s matrix, and each plan
-must be the reference corrections of the cells it lists and send a matrix
-to its ``compose`` conjugate.
+and ``inner_auto``, join orbits with a union-find, and generate the unit
+group with every pair shift and every bimodule shift (the oracle uses the
+cover shifts and the diagonal bimodule shifts only, with per component one
+scaling and one bimodule shift central, and never conjugates by a central
+unit).  The kernel enumeration tests the bimodule block with explicit
+kernel calls per (f, sign), and every candidate j that its first ring
+column's linear form passes with explicit kernel calls on the ring basis;
+the entry plan sends every cell of a matrix to the cells of its conjugate,
+and its corrections are that plan less the identity.  Both enumerations
+must return the oracle's matrices in the same order, and the fast
+partition under the oracle's generators must equal the reference partition
+under the reference ones, with and without ``python -O``; the ring-block
+rejection must keep exactly the ring units that an ``IncFn`` computation
+of the ring block keeps, each action must be ``inner_auto``'s matrix, each
+plan must be the reference corrections of the cells it lists and send a
+matrix to its ``compose`` conjugate, a plan over some cells must be the
+full plan restricted to them, and an image nonzero on a cell no item holds
+must raise ``WitnessFailed``.
 """
 
 import os
@@ -50,10 +58,11 @@ from operator import mul as _mul
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import incalg
 from incalg import oracle
-from incalg.errors import NotConnected, SizeLimit
+from incalg.errors import NotConnected, SizeLimit, WitnessFailed
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, _primitive_root
 from incalg.idealization import (
@@ -449,47 +458,32 @@ def columns_tested(alg, lam, k, u, basis):
 
 
 def expected_kernel_calls(alg):
-    """D-kernel calls of an enumeration that tests the bimodule-basis
-    columns once per (f, k) with j = 0, at four kernel calls per column
-    tried: two for f beta(b) f^-1, one for f times beta of that, one for
-    the square's last factor f^-1.  For a kept f with a live k it evaluates
-    every ring basis column at j = e_t for each free bimodule coordinate t,
-    two calls each, and for each live k the column's square there, two
-    more.  No kernel call is made per j."""
+    """D-kernel calls of an enumeration that reads the bimodule-basis block
+    off the ring test, with no kernel call: for a kept f it evaluates every
+    ring basis column at j = e_t for each free bimodule coordinate t, two
+    calls each, and for each sign k the column's square there, two more.
+    No kernel call is made per j."""
     field, n = alg.field, alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     free = sum(len(r) > 1 for r in i_ranges)
-    basis = d_basis(alg)
-    signs = dict.fromkeys((field.one, field.neg(field.one)))
-    calls = 0
-    for lam in alg.poset.involutions():
-        for fvals in product(*f_ranges):
-            f = IncFn(alg, fvals)
-            if not ring_block_squares_to_identity(alg, lam, f):
-                continue
-            live = 0
-            for k in signs:
-                t, ok = columns_tested(alg, lam, k, DElem(f, alg.zero()),
-                                       basis[n:])
-                calls += 4 * t
-                live += ok
-            if live:
-                calls += 2 * n * free * (1 + live)
-    return calls
+    signs = len(dict.fromkeys((field.one, field.neg(field.one))))
+    kept = sum(ring_block_squares_to_identity(alg, lam, IncFn(alg, fvals))
+               for lam in alg.poset.involutions()
+               for fvals in product(*f_ranges))
+    return kept * 2 * n * free * (1 + signs)
 
 
 @pytest.mark.parametrize("n, p, bottom_up", [
     (2, 2, True), (2, 3, True), (2, 3, False), (2, 5, True), (2, 5, False),
     (3, 2, True)])
-def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
-                                                          monkeypatch):
-    """The bimodule-basis columns and their square depend on (f, k) alone,
-    so they cost one test per (f, k), not one per j; the ring basis
-    columns cost one evaluation per free coordinate per kept f with a live
-    k, and their squares one more per live (f, k); a j costs no kernel
-    call.  Outputs cannot see a block whose square test is dropped (k^2 = 1,
-    so the ring test implies it), one recomputed for every j, or columns
-    rebuilt per k or per j, so the kernel calls are counted exactly."""
+def test_kernel_calls_are_counted_per_unit_and_sign(n, p, bottom_up,
+                                                    monkeypatch):
+    """The ring basis columns cost one evaluation per free coordinate per
+    kept f, their squares one more per (f, k), and the bimodule-basis block
+    and each j cost no kernel call.  Outputs cannot see a block whose
+    kernel test is added back (k^2 = 1, so the ring test implies it), or
+    columns rebuilt per k or per j, so the kernel calls are counted
+    exactly."""
     alg = chain_algebra(n, p, bottom_up)
     calls, kernel = [], alg._dproduct
 
@@ -500,6 +494,50 @@ def test_bimodule_block_is_tested_once_per_unit_and_sign(n, p, bottom_up,
     monkeypatch.setattr(alg, "_dproduct", counting)
     invs = oracle.enumerate_involutions_D(alg)
     assert invs and len(calls) == expected_kernel_calls(alg)
+
+
+ENUMERATION_CASES = [
+    *((2, p, b) for p in (2, 3, 5, 7) for b in (True, False)),
+    (3, 3, True), (3, 3, False), (3, 2, True),
+    ("diamond", 2, True), ("crown", 2, True)]
+
+
+def enumeration_algebra(poset, p, bottom_up, request):
+    """A chain of that length, or the named connected poset fixture."""
+    if isinstance(poset, int):
+        return chain_algebra(poset, p, bottom_up)
+    return IncidenceAlgebra(request.getfixturevalue(poset), PrimeField(p))
+
+
+@pytest.mark.parametrize("poset, p, bottom_up", ENUMERATION_CASES)
+def test_bimodule_block_is_read_off_the_ring_test(poset, p, bottom_up,
+                                                  request):
+    """For every ring unit f the ring test keeps, every sign k and every
+    bimodule coordinate j, the ``DElem`` candidate of u = [f; j] sends the
+    bimodule basis vector [0; e] to [0; k r], r = f sigma(e) f^-1 being the
+    ring part the ring test returns for e, and squares it back to [0; e]:
+    the identity that lets the oracle build the block with no kernel
+    call and keep every sign."""
+    alg = enumeration_algebra(poset, p, bottom_up, request)
+    n, zeros = alg.npairs, alg.zero()
+    bimodule_basis = d_basis(alg)[n:]
+    _, i_ranges = _canonical_unit_ranges(alg)
+    j_vals = [tuple(r[0] for r in i_ranges), tuple(r[-1] for r in i_ranges)]
+    signs = dict.fromkeys((alg.field.one, alg.field.neg(alg.field.one)))
+    tested = 0
+    for lam in alg.poset.involutions():
+        for fvals, _, ring in oracle._ring_involutive_units(
+                alg, relabel_perm(alg, lam), ring_units(alg)):
+            f = IncFn(alg, fvals)
+            for k, ivals in product(signs, j_vals):
+                phi = candidate(alg, lam, k, DElem(f, IncFn(alg, ivals)))
+                for b, r in zip(bimodule_basis, ring):
+                    image = phi(b)
+                    assert image == DElem(zeros, IncFn(
+                        alg, tuple(k * v % p for v in r)))
+                    assert phi(image) == b
+                    tested += 1
+    assert tested
 
 
 @pytest.mark.parametrize("n, p, bottom_up", [
@@ -567,17 +605,13 @@ def test_each_action_is_the_inner_automorphism(p):
         assert oracle._conjugation(g_inv, g) == inner_auto(g_inv).cols
 
 
-@pytest.mark.parametrize("poset, p, bottom_up", [
-    *((2, p, b) for p in (2, 3, 5, 7) for b in (True, False)),
-    (3, 3, True), (3, 3, False), (3, 2, True),
-    ("diamond", 2, True), ("crown", 2, True)])
+@pytest.mark.parametrize("poset, p, bottom_up", ENUMERATION_CASES)
 def test_fast_enumeration_matches_the_kernel_reference(poset, p, bottom_up,
                                                        request):
-    """The stacked-form acceptance lists the matrices that per-candidate
-    kernel acceptance lists, in the same order, on chains (by length) and
-    on two connected posets that are not chains."""
-    alg = (chain_algebra(poset, p, bottom_up) if isinstance(poset, int) else
-           IncidenceAlgebra(request.getfixturevalue(poset), PrimeField(p)))
+    """The solved stacked-form acceptance lists the matrices that
+    per-candidate kernel acceptance lists, in the same order, on chains (by
+    length) and on two connected posets that are not chains."""
+    alg = enumeration_algebra(poset, p, bottom_up, request)
     fast = oracle.enumerate_involutions_D(alg)
     assert fast and [m.cols for m in fast] == [
         m.cols for m in kernel_enumeration(alg)]
@@ -631,12 +665,10 @@ def through_moves(plan, m):
     return tuple(tuple(image[j * d:(j + 1) * d]) for j in range(d))
 
 
-@pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
-def test_entry_plan_images_are_the_conjugates(p):
-    """Each action's plan lists exactly the cells whose reference
-    corrections are not empty, with those corrections, and sends a matrix
-    to its conjugate, as the reference entry plan and corrections do."""
-    alg = chain_algebra(3, p)
+def matrices_and_actions(alg, p):
+    """Random matrices, often zero in a cell, with the identity, and
+    (action, inverse) pairs: inner automorphisms of random units and of a
+    central unit, and the lift [f; i] -> [f; 2i], which is not inner."""
     rng = random.Random(p or 0)
     d = 2 * alg.npairs
 
@@ -650,14 +682,26 @@ def test_entry_plan_images_are_the_conjugates(p):
     units = [DElem(alg.random_unit(rng), alg.random(rng)) for _ in range(3)]
     units.append(central_pair(alg, 2, 1))
     actions = [(inner_auto(g), inner_auto(g.inverse())) for g in units]
-    k = alg.field(2)  # the lift [f; i] -> [f; 2i] is not inner
+    k = alg.field(2)
     actions.append((lift_scalar(alg, k), lift_scalar(alg, alg.field.inv(k))))
+    return mats, actions
+
+
+@pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
+def test_entry_plan_images_are_the_conjugates(p):
+    """Each action's plan over every cell lists exactly the cells whose
+    reference corrections are not empty, with those corrections, and sends
+    a matrix to its conjugate, as the reference entry plan and corrections
+    do."""
+    alg = chain_algebra(3, p)
+    every = range((2 * alg.npairs) ** 2)
+    mats, actions = matrices_and_actions(alg, p)
     identity = DLinearMap.identity(alg)
     for psi, psi_inv in actions:
         assert psi.compose(psi_inv) == identity
         plan = entry_plan(psi.cols, psi_inv.cols)
         reference = corrections(plan, p)
-        moves = oracle._action_plan(psi.cols, psi_inv.cols, p)
+        moves = oracle._action_plan(psi.cols, psi_inv.cols, p, every)
         assert moves == [(c, terms) for c, terms in enumerate(reference)
                          if terms]
         assert (moves == []) == (psi == identity)
@@ -669,7 +713,33 @@ def test_entry_plan_images_are_the_conjugates(p):
             assert through_corrections(reference, m) == image
             assert through_moves(moves, m) == image
     assert not any(corrections(entry_plan(identity.cols, identity.cols), p))
-    assert oracle._action_plan(identity.cols, identity.cols, p) == []
+    assert oracle._action_plan(identity.cols, identity.cols, p, every) == []
+
+
+@pytest.mark.parametrize("p", [5, None], ids=["F5", "Q"])
+def test_plan_on_some_cells_is_the_full_plan_restricted(p):
+    """A plan over a list of cells is the plan over every cell restricted
+    to those cells, in the same order; on a matrix zero outside them it
+    still sends the matrix to its conjugate."""
+    alg = chain_algebra(3, p)
+    d = 2 * alg.npairs
+    rng = random.Random(7)
+    mats, actions = matrices_and_actions(alg, p)
+    diagonal = [r * d + r for r in range(d)]
+    samples = [[], diagonal, list(range(d * d))] + [
+        sorted(rng.sample(range(d * d), t)) for t in (1, 5, d * d // 2)]
+    for psi, psi_inv in actions:
+        full = oracle._action_plan(psi.cols, psi_inv.cols, p, range(d * d))
+        for cells in samples:
+            moves = oracle._action_plan(psi.cols, psi_inv.cols, p, cells)
+            assert moves == [(k, terms) for k, terms in full if k in cells]
+            held = set(cells)
+            for m in mats:
+                m = DLinearMap(alg, [[v if r * d + s in held else 0
+                                      for s, v in enumerate(col)]
+                                     for r, col in enumerate(m.cols)])
+                image = psi.compose(m).compose(psi_inv).cols
+                assert through_moves(moves, m) == image
 
 
 def test_orbit_partition_plans_each_action_ahead_of_its_inverse(monkeypatch):
@@ -681,14 +751,16 @@ def test_orbit_partition_plans_each_action_ahead_of_its_inverse(monkeypatch):
     sign, sign_inv = lift_scalar(alg, 2), lift_scalar(alg, 3)
     calls, plans, plan = [], [], oracle._action_plan
 
-    def recording(psi, psi_inv, p):
+    def recording(psi, psi_inv, p, cells):
         calls.append((psi, psi_inv))
-        plans.append(plan(psi, psi_inv, p))
+        plans.append(plan(psi, psi_inv, p, cells))
         return plans[-1]
 
     monkeypatch.setattr(oracle, "_action_plan", recording)
     identity = DLinearMap.identity(alg)
-    oracle.orbit_partition([identity], gens,
+    # every involution, so that each moving action moves some held cell
+    # (on the identity alone a scaling moves none)
+    oracle.orbit_partition(oracle.enumerate_involutions_D(alg), gens,
                            [(sign, sign_inv), (identity, identity)])
     want = dict.fromkeys((inner_auto(g).cols, inner_auto(g.inverse()).cols)
                          for g in gens if inner_auto(g) != identity)
@@ -719,6 +791,85 @@ def test_partition_under_other_conjugators_matches_reference():
         assert got == orbit_partition(invs, conjugators, extra)
     assert len(oracle.orbit_partition(invs, units)) == 4
     assert len(oracle.orbit_partition(invs, central)) == len(invs)
+
+
+def test_breadth_first_partition_matches_the_union_find_reference():
+    """Orbits are labelled by a breadth-first search from the smallest
+    unlabelled item.  The items are shuffled, so that orbits interleave in
+    index order, and the groups, each in increasing order, and their order
+    must be the union-find reference's under every unit of chain2 over F3
+    as a conjugator, with and without extra maps."""
+    alg = chain_algebra(2, 3)
+    items = oracle.enumerate_involutions_D(alg)
+    random.Random(5).shuffle(items)
+    units = list(enumerate_units(alg, "D"))
+    sign = lift_scalar(alg, 2)  # its own inverse over GF(3)
+    inner = (inner_auto(units[100]), inner_auto(units[100].inverse()))
+    assert len(units) == 324
+    for conjugators, extra in [(units, ()), (units, [(sign, sign)]),
+                               ([], [inner]), ([], [inner, (sign, sign)])]:
+        got = oracle.orbit_partition(items, conjugators, extra)
+        assert got == orbit_partition(items, conjugators, extra)
+        assert any(a[-1] > b[0] for a, b in zip(got, got[1:]))
+    assert len(oracle.orbit_partition(items, units)) == 4
+
+
+def test_an_image_off_the_held_cells_is_not_an_item(chain2):
+    """The one item holds cell (0, 0) only, and the action sends it to
+    itself plus a nonzero at (column 0, row 1), which no item holds.  The
+    two agree on every held cell, so only the cells the plan writes to tell
+    the image from the item."""
+    alg = IncidenceAlgebra(chain2, PrimeField(5))
+    d = 2 * alg.npairs
+
+    def matrix(entries):  # {(column, row): value}
+        return DLinearMap(alg, [[entries.get((r, s), 0) for s in range(d)]
+                                for r in range(d)])
+
+    eye = {(r, r): 1 for r in range(d)}
+    item = matrix({(0, 0): 1})
+    psi, psi_inv = matrix({**eye, (0, 1): 1}), matrix({**eye, (0, 1): 4})
+    assert psi.compose(psi_inv) == DLinearMap.identity(alg)
+    image = psi.compose(item).compose(psi_inv)
+    assert image == matrix({(0, 0): 1, (0, 1): 1})
+    with pytest.raises(WitnessFailed, match="not closed under conjugation"):
+        oracle.orbit_partition([item], [], [(psi, psi_inv)])
+
+
+def scan(rows, ranges, p):
+    """Every point of product(*ranges) at which every row vanishes mod p,
+    in ``product`` order."""
+    return [j for j in product(*ranges)
+            if all(sum(map(_mul, row, j)) % p == 0 for row in rows)]
+
+
+@st.composite
+def linear_systems(draw):
+    """(p, m, rows): up to four rows of m <= 3 coefficients mod p, among
+    them rows whose last coefficient is zero and rows that are all zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(0, 3))
+    coefficient = st.integers(0, p - 1)
+    row = st.one_of(st.tuples(*[coefficient] * m),
+                    st.tuples(*[coefficient] * (m - 1), st.just(0))
+                    if m else st.just(()),
+                    st.just((0,) * m))
+    return p, m, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+@example((7, 2, []))
+@example((7, 2, [(3, 0)]))
+@example((7, 2, [(0, 0)]))
+@example((7, 0, []))
+@example((2, 3, [(1, 1, 1), (0, 1, 1)]))
+def test_solved_last_coordinate_matches_the_product_scan(system):
+    """The solve lists exactly the points a plain scan accepts, in the same
+    order, with one usable row, several, none, or no rows at all."""
+    p, m, rows = system
+    ranges = [tuple(range(p))] * m
+    assert list(oracle._solutions(rows, ranges, p)) == scan(rows, ranges, p)
 
 
 def test_partition_over_the_rationals():
