@@ -4,31 +4,32 @@ Everything here works with raw ring arithmetic and exact matrix equality.
 It shares no logic with the decision procedures it cross-checks, so one
 mistake cannot hide in both: units are enumerated coordinate by coordinate,
 involutions are found by exhausting conjugated relabel-and-sign maps and
-testing the square on the basis, and equivalence classes are the orbits of
-explicit conjugations.  The loops run on value tuples: a signed coordinate
-permutation, two compiled-kernel calls per conjugation by a unit, and
-psi M psi^-1 as M plus the changes a plan lists for the cells psi moves.
+squaring the matrix of each, and equivalence classes are the orbits of
+explicit conjugations.  The loops run on value tuples and the compiled
+product kernels.
 
-A candidate u beta u^-1, u = [f; j], is first rejected on its ring block,
-and that rejection is exact.  The ring coordinates of a product
-[a; c][b; d] = [ab; ad + cb] are the product of the ring coordinates, so
-on a ring basis vector b the ring coordinates of the candidate's square are
-f sigma(f sigma(b) f^-1) f^-1, fixed by the ring unit f alone.  If they
-miss b for one f, the whole-basis test fails for every bimodule coordinate
-j, so no j is tried.  For a kept f the bimodule-basis block needs no test:
-on [0; e] the candidate is [0; k r_e], r_e = f sigma(e) f^-1 being the ring
-part the ring test computes, and its square is [0; f sigma(r_e) f^-1],
-which is [0; e] because k^2 = 1 and the ring test passed on e.  The rest is
-decided by linear forms in j: the D-product is bilinear, I I = 0, and
-u^-1 = [f^-1; -f^-1 j f^-1] has a bimodule part linear in j, so on every
-ring basis vector the bimodule coordinates of the candidate's column and of
-its square are linear in j.  Both are built from the kernels at the unit
-vectors j = e_t, the columns once per f and the squares once per (f, k).
-The j at which the stacked square form vanishes are solved for, not
-scanned: the last coordinate is read off a row whose last coefficient is
-nonzero.  A j's ring columns are the ring parts plus the sum of j_t times
-the images at e_t, with no kernel call per j.  The explicit per-candidate
-kernel test is kept in the tests as the reference.
+A candidate is u beta u^-1, beta the relabel-and-sign map of a poset
+involution and a sign k, u = [f; j] a unit.  Over the ring basis and then
+the bimodule basis its matrix is M(j) = [[R, 0], [L(j), kR]].  Column b of
+R is r_b = f sigma(b) f^-1, the ring part of the column on the ring basis
+vector b; the bimodule basis vector [0; b] goes to [0; k r_b]; and
+L(j) = sum_t j_t L_t is linear in j, because the D-product is bilinear,
+I I = 0 and u^-1 = [f^-1; -f^-1 j f^-1] has a bimodule part linear in j.
+Column b of L_t is the bimodule part of the column on b at j = e_t.  As
+k^2 = 1 and the lower-left block squares to zero,
+
+    M(j)^2 = [[R^2, 0], [L(j) R + k R L(j), R^2]].
+
+R^2 = 1 depends on f alone: an f that fails it fails for every j and sign,
+so it is tested once, and its j are never tried.  For a kept f the accepted
+j are the zeros of the stacked form sum_t j_t (L_t R + k R L_t), solved for
+rather than scanned: the last coordinate is read off a row whose last
+coefficient is nonzero.  The L_t cost two kernel calls per column; L_t R
+and R L_t are mod-p products built from them once per f, so a sign enters
+only as the scalar k; and a j's columns are the r_b plus the j-combination
+of the L_t columns.  So no kernel call is made per sign or per j, and the
+square is decided on the very matrix that is returned.  The explicit
+per-candidate kernel test is kept in the tests as the reference.
 
 Orbits are searched under a generating set of the unit group that spends
 one scaling and one bimodule shift per component on central units; a
@@ -111,105 +112,72 @@ def _ring_involutive_units(alg, perm, units):
 
 
 def _column_images(alg, fvals, f_inv, sigmas, free):
-    """For a kept ring unit f: the pairs (e_t, e_t^-1), with e_t the unit
-    vector of each free bimodule coordinate t and e_t^-1 = -f^-1 e_t f^-1
-    the bimodule part of [f; e_t]^-1, and, for each ring basis vector b
-    (sigma(b) in ``sigmas``), the bimodule parts of the candidate's column
-    u sigma(b) u^-1 at u = [f; e_t], one per t.  The column's ring part
-    f sigma(b) f^-1 does not depend on j, and its bimodule part is linear
-    in j, so at j it is the sum of j_t times those images."""
+    """For a kept ring unit f, one matrix L_t per free bimodule coordinate
+    t, as its columns: column b is the bimodule part of the candidate's
+    column u sigma(b) u^-1 at u = [f; e_t], for each ring basis vector b
+    (sigma(b) in ``sigmas``), e_t being the unit vector at t and
+    [f; e_t]^-1 = [f^-1; -f^-1 e_t f^-1].  The candidate's lower-left block
+    at j is the sum of j_t L_t.  Each column is two calls of the D-product
+    kernel."""
     p, mul, dmul = alg.field.modulus, alg._product, alg._dproduct
     zeros = (0,) * len(fvals)
-    directions = []
+    images = []
     for t in free:
         e = zeros[:t] + (1,) + zeros[t + 1:]
         e_inv = tuple([-v % p for v in mul(mul(f_inv, e), f_inv)])
-        directions.append((e, e_inv))
-    images = [[dmul(*dmul(fvals, e, f0, zeros), f_inv, e_inv)[1]
-               for e, e_inv in directions] for f0 in sigmas]
-    return directions, images
+        images.append([dmul(*dmul(fvals, e, f0, zeros), f_inv, e_inv)[1]
+                       for f0 in sigmas])
+    return images
 
 
-def _square_form(alg, perm, k, fvals, f_inv, directions, ring, images):
-    """The bimodule coordinates of the candidate's square on every ring
-    basis vector, stacked, as a linear form in the free bimodule
-    coordinates of j: row (b, r) holds, for each (e_t, e_t^-1) in
-    ``directions``, coordinate r of the square on b at j = e_t.  It is
-    linear because the D-product is bilinear, I I = 0 and the bimodule part
-    -f^-1 j f^-1 of u^-1 is linear in j; it vanishes at j = 0, where the
-    square is b.  ``ring`` and ``images`` are the columns' ring parts and
-    bimodule images (``_column_images``); each square at e_t is two calls
-    of the D-product kernel."""
-    p, dmul = alg.field.modulus, alg._dproduct
-    rows = []
-    for r, column in zip(ring, images):
-        r0 = tuple([r[q] for q in perm])
-        squares = []
-        for (e, e_inv), i in zip(directions, column):
-            i0 = tuple([k * i[q] % p for q in perm])
-            squares.append(dmul(*dmul(fvals, e, r0, i0), f_inv, e_inv)[1])
-        rows += [tuple([s[x] for s in squares]) for x in range(len(r))]
-    return rows
+def _combine(rows, weights, p):
+    """The columns of the matrix whose rows are ``rows``, weighted by
+    ``weights`` and summed mod p: the matrix times the weight vector.  A
+    matrix with no column still has its rows, each empty, so its
+    combination is zero in every row."""
+    return tuple([sum(map(_mul, row, weights)) % p for row in rows])
 
 
 def _solutions(rows, ranges, p):
     """The points j of product(*ranges) at which every row, a linear form
     in j with one coefficient per range, vanishes mod p, in ``product``
-    order; each range must hold every residue mod p once.  The heads (all
-    coordinates but the last) are visited in ``product`` order.  A row
-    whose last coefficient is nonzero mod p fixes the last coordinate of
-    each head, and the other rows are tested at that one point; if no row
-    has one, a head at which every row vanishes passes with the whole last
-    range.  With no range the one point () passes."""
+    order; each range must hold every residue mod p once.  Zero rows are
+    dropped.  The heads (all coordinates but the last) are visited in
+    ``product`` order.  A row whose last coefficient is nonzero mod p fixes
+    the last coordinate of each head, and the other rows are tested at that
+    one point; if no row has one, a head at which every row vanishes passes
+    with the whole last range.  With no range the one point () passes."""
     if not ranges:
         yield ()
         return
+    rows = [row for row in rows if any(row)]
     pivot = next((row for row in rows if row[-1] % p), None)
-    if pivot is None:
-        last = ranges[-1]
-        for head in product(*ranges[:-1]):
-            for row in rows:
-                if sum(map(_mul, row, head)) % p:
-                    break
-            else:
-                for v in last:
-                    yield head + (v,)
-        return
     rest = [row for row in rows if row is not pivot]
-    scale = -pow(pivot[-1], -1, p)
+    scale = -pow(pivot[-1], -1, p) if pivot else None
     for head in product(*ranges[:-1]):
-        j = head + (scale * sum(map(_mul, pivot, head)) % p,)
+        last = ranges[-1] if pivot is None else (
+            scale * sum(map(_mul, pivot, head)) % p,)
+        j = head + last[:1]  # without a pivot no row reads the last value
         for row in rest:
             if sum(map(_mul, row, j)) % p:
                 break
         else:
-            yield j
+            for v in last:
+                yield head + (v,)
 
 
 def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
     """All ring involutions of the idealization, as deduplicated matrices.
 
-    Exhausts conjugates of every relabel-and-sign map (over the distinct
-    signs, one in characteristic 2) by units u = [f; j] taken one per
-    central coset, keeps the maps that square to the identity on the whole
-    basis, and dedupes by exact matrix equality.  Each ring unit f is first
-    tested, once per lam, on the ring block of the square, which depends on
-    f alone: an f that fails there fails the whole-basis test for every
-    bimodule coordinate j, so the rejection is exact and its j are never
-    tried.  For a kept f and each sign k the bimodule-basis columns are
-    [0; k r] for the ring parts r = f sigma(e) f^-1 that test returns, and
-    they square to the basis because k^2 = 1, so every sign is live and
-    the block costs no kernel call.  On the ring basis the square's ring
-    coordinates are b's for a kept f, and the bimodule coordinates of the
-    columns and of the square are linear in j (the D-product is bilinear,
-    I I = 0, and u^-1's bimodule part -f^-1 j f^-1 is linear in j).  So
-    once per kept f the columns are evaluated at j = e_t for each free
-    coordinate t (``_column_images``), and once per (f, k) the squares,
-    stacked over every ring basis vector with their zero rows dropped
-    (``_square_form``).  The j at which the form vanishes are solved for,
-    in ``product`` order (``_solutions``), and a j's ring columns are the
-    ring parts plus the sum of j_t times the images, so no kernel call is
-    made per j.
+    The candidates are the conjugates u beta u^-1 of the relabel-and-sign
+    maps beta, one per involution of the poset and distinct sign (one sign
+    in characteristic 2), by the units u = [f; j] taken one per central
+    coset; those that square to the identity are kept, deduplicated by
+    exact matrix equality.  Matrices are listed in the order in which they
+    first occur when the poset's involutions, then the signs, then the
+    units in lexicographic coordinate order are run through.  Raises
+    NotConnected on a disconnected poset and SizeLimit over an infinite
+    field or when the idealization has more than ``limit`` units.
     """
     poset, field = alg.poset, alg.field
     if not poset.is_connected():
@@ -235,20 +203,24 @@ def enumerate_involutions_D(alg, limit=UNIT_LIMIT):
         sigmas = [tuple([b[q] for q in perm]) for b in basis]
         by_sign = [(k, {}) for k in signs]
         for fvals, f_inv, ring in kept:
-            directions, images = _column_images(alg, fvals, f_inv, sigmas,
-                                                free)
-            columns = [(r, [tuple([i[x] for i in column]) for x in range(n)])
-                       for r, column in zip(ring, images)]
+            images = _column_images(alg, fvals, f_inv, sigmas, free)
+            ring_rows = list(zip(*ring))
+            halves = []  # L_t R and R L_t, each stacked column by column
+            for l_t in images:
+                rows = list(zip(*l_t))
+                halves.append(
+                    (sum([_combine(rows, r, p) for r in ring], ()),
+                     sum([_combine(ring_rows, c, p) for c in l_t], ())))
+            lower = [[tuple([l_t[b][x] for l_t in images]) for x in range(n)]
+                     for b in range(n)]
             for k, seen in by_sign:
-                form = _square_form(alg, perm, k, fvals, f_inv, directions,
-                                    ring, images)
+                form = list(zip(*[[(a + k * c) % p for a, c in zip(*half)]
+                                  for half in halves]))
                 block = tuple([zeros + tuple([k * v % p for v in r])
                                for r in ring])
-                for j in _solutions([row for row in form if any(row)],
-                                    j_ranges, p):
-                    cols = tuple([r + tuple([sum(map(_mul, row, j)) % p
-                                             for row in matrix])
-                                  for r, matrix in columns])
+                for j in _solutions(form, j_ranges, p):
+                    cols = tuple([r + _combine(rows, j, p)
+                                  for r, rows in zip(ring, lower)])
                     seen[cols + block] = None  # an insertion-ordered set
         for _, seen in by_sign:  # sign order; found keys keep their place
             found.update(seen)
@@ -354,10 +326,8 @@ def orbit_partition(items, conjugators, extra_maps=()):
     along the actions reaches from it; the search starts from the smallest
     unlabelled item, and every item's images are formed once.
     """
-    d = len(items[0].cols) if items else 0
-    held = [r * d + s
-            for r, columns in enumerate(zip(*[m.cols for m in items]))
-            for s, entries in enumerate(zip(*columns)) if any(entries)]
+    flats = [sum(m.cols, ()) for m in items]  # cell r d + s: column r, row s
+    held = [c for c, entries in enumerate(zip(*flats)) if any(entries)]
     actions = {}
     for g in conjugators:
         g_inv = g.inverse()
@@ -378,8 +348,7 @@ def orbit_partition(items, conjugators, extra_maps=()):
     at = {c: i for i, c in enumerate(cells)}
     plans = [([(at[k], [(at[c], w) for c, w in terms]) for k, terms in plan],
               p) for plan, p in plans]
-    places = [divmod(c, d) for c in cells]
-    points = [tuple([m.cols[r][s] for r, s in places]) for m in items]
+    points = [tuple([flat[c] for c in cells]) for flat in flats]
     index = {point: i for i, point in enumerate(points)}
 
     labelled = [False] * len(points)

@@ -9,21 +9,22 @@ unit f: the ring coordinates of a D-product are the product of the ring
 coordinates, so those of the candidate's square on a ring basis vector
 depend on f alone, and an f that misses there fails the whole-basis test
 for every bimodule coordinate.  So the rejection is exact.  For a kept f
-the bimodule-basis block is read off the ring test with no kernel call:
-the candidate sends [0; e] to [0; k f sigma(e) f^-1] and squares it back,
-which the ``DElem`` candidate must confirm for every kept f, sign and
-sample j.  The bimodule coordinates of each ring basis column and of its
-square are linear in j, so a j is accepted by the stacked square form
-alone, built from the kernels at the unit vectors, with the last
-coordinate solved for rather than scanned; the solve must list what a
-plain ``product`` scan lists, in order, the form must equal the ``DElem``
-square on every ring basis vector at every j, the columns must equal the
-``DElem`` candidate's, and the kernel calls are counted.  The fast
-partition skips central conjugators, builds each other conjugator's action
-from the D-product kernel and, from the action and its inverse, a plan of
-the cells it moves among the cells the items hold; it compares items and
-images on those cells and the cells the plans write to, and labels orbits
-by a breadth-first search.
+the candidate's matrix is [[R, 0], [L(j), kR]], the bimodule-basis block
+read off the ring test with no kernel call, which the ``DElem`` candidate
+must confirm for every kept f, sign and sample j.  L(j) is linear in j, so
+the square is 1 plus L(j) R + k R L(j) in the lower-left block, and a j is
+accepted by the stacked form sum_t j_t (L_t R + k R L_t) alone, with the
+last coordinate solved for rather than scanned.  The solve must list what a
+plain ``product`` scan lists, in order; the form must equal the per-sign
+kernel form it replaced row for row, evaluate at j to the ``DElem`` square
+on every ring basis vector, and vanish exactly when the matrix built at j
+squares to the identity; the columns must equal the ``DElem`` candidate's;
+and the kernel calls are counted.  The fast partition skips central
+conjugators, builds each other conjugator's action from the D-product
+kernel and, from the action and its inverse, a plan of the cells it moves
+among the cells the items hold; it compares items and images on those cells
+and the cells the plans write to, and labels orbits by a breadth-first
+search.
 
 The versions those replaced are kept below as the reference: the
 object-based functions build a ``DElem`` for every product, test every
@@ -35,17 +36,18 @@ scaling and one bimodule shift central, and never conjugates by a central
 unit).  The kernel enumeration tests the bimodule block with explicit
 kernel calls per (f, sign), and every candidate j that its first ring
 column's linear form passes with explicit kernel calls on the ring basis;
-the entry plan sends every cell of a matrix to the cells of its conjugate,
-and its corrections are that plan less the identity.  Both enumerations
-must return the oracle's matrices in the same order, and the fast
-partition under the oracle's generators must equal the reference partition
-under the reference ones, with and without ``python -O``; the ring-block
-rejection must keep exactly the ring units that an ``IncFn`` computation
-of the ring block keeps, each action must be ``inner_auto``'s matrix, each
-plan must be the reference corrections of the cells it lists and send a
-matrix to its ``compose`` conjugate, a plan over some cells must be the
-full plan restricted to them, and an image nonzero on a cell no item holds
-must raise ``WitnessFailed``.
+the per-sign square form squares each column at j = e_t with two more
+kernel calls; the entry plan sends every cell of a matrix to the cells of
+its conjugate, and its corrections are that plan less the identity.  Both
+enumerations must return the oracle's matrices in the same order, and the
+fast partition under the oracle's generators must equal the reference
+partition under the reference ones, with and without ``python -O``; the
+ring-block rejection must keep exactly the ring units that an ``IncFn``
+computation of the ring block keeps, each action must be ``inner_auto``'s
+matrix, each plan must be the reference corrections of the cells it lists
+and send a matrix to its ``compose`` conjugate, a plan over some cells must
+be the full plan restricted to them, and an image nonzero on a cell no item
+holds must raise ``WitnessFailed``.
 """
 
 import os
@@ -164,6 +166,32 @@ def first_column_form(alg, perm, k, fvals, f_inv, start, free):
                       tuple([k * i1[q] % p for q in perm]))
         images.append(dmul(f2, i2, f_inv, e_inv)[1])
     return list(zip(*images))
+
+
+def square_form(alg, perm, k, fvals, f_inv, free, ring, images):
+    """The bimodule coordinates of the candidate's square on every ring
+    basis vector, stacked, as a linear form in the free bimodule
+    coordinates of j: row (b, r) holds, for each t in ``free``, coordinate
+    r of the square on b at j = e_t, squared with two more calls of the
+    D-product kernel from the column there, whose ring part is ``ring[b]``
+    and whose bimodule part is column b of the t-th of ``images``
+    (``oracle._column_images``)."""
+    p, mul, dmul = alg.field.modulus, alg._product, alg._dproduct
+    zeros = (0,) * len(fvals)
+    directions = []
+    for t in free:
+        e = zeros[:t] + (1,) + zeros[t + 1:]
+        directions.append((e, tuple([-v % p for v in
+                                     mul(mul(f_inv, e), f_inv)])))
+    rows = []
+    for b, r in enumerate(ring):
+        r0 = tuple([r[q] for q in perm])
+        squares = []
+        for (e, e_inv), l_t in zip(directions, images):
+            i0 = tuple([k * l_t[b][q] % p for q in perm])
+            squares.append(dmul(*dmul(fvals, e, r0, i0), f_inv, e_inv)[1])
+        rows += [tuple([s[x] for s in squares]) for x in range(len(r))]
+    return rows
 
 
 def kernel_enumeration(alg):
@@ -459,18 +487,17 @@ def columns_tested(alg, lam, k, u, basis):
 
 def expected_kernel_calls(alg):
     """D-kernel calls of an enumeration that reads the bimodule-basis block
-    off the ring test, with no kernel call: for a kept f it evaluates every
-    ring basis column at j = e_t for each free bimodule coordinate t, two
-    calls each, and for each sign k the column's square there, two more.
-    No kernel call is made per j."""
-    field, n = alg.field, alg.npairs
+    off the ring test and decides each j by the square of the matrix it
+    builds: for a kept f it evaluates every ring basis column at j = e_t
+    for each free bimodule coordinate t, two calls each.  No kernel call
+    is made per sign or per j."""
+    n = alg.npairs
     f_ranges, i_ranges = _canonical_unit_ranges(alg)
     free = sum(len(r) > 1 for r in i_ranges)
-    signs = len(dict.fromkeys((field.one, field.neg(field.one))))
     kept = sum(ring_block_squares_to_identity(alg, lam, IncFn(alg, fvals))
                for lam in alg.poset.involutions()
                for fvals in product(*f_ranges))
-    return kept * 2 * n * free * (1 + signs)
+    return kept * 2 * n * free
 
 
 @pytest.mark.parametrize("n, p, bottom_up", [
@@ -479,11 +506,11 @@ def expected_kernel_calls(alg):
 def test_kernel_calls_are_counted_per_unit_and_sign(n, p, bottom_up,
                                                     monkeypatch):
     """The ring basis columns cost one evaluation per free coordinate per
-    kept f, their squares one more per (f, k), and the bimodule-basis block
-    and each j cost no kernel call.  Outputs cannot see a block whose
-    kernel test is added back (k^2 = 1, so the ring test implies it), or
-    columns rebuilt per k or per j, so the kernel calls are counted
-    exactly."""
+    kept f, and each sign, the bimodule-basis block and each j cost no
+    kernel call.  Outputs cannot see a block whose kernel test is added
+    back (k^2 = 1, so the ring test implies it), a square form rebuilt from
+    the kernels per sign, or columns rebuilt per k or per j, so the kernel
+    calls are counted exactly."""
     alg = chain_algebra(n, p, bottom_up)
     calls, kernel = [], alg._dproduct
 
@@ -540,17 +567,57 @@ def test_bimodule_block_is_read_off_the_ring_test(poset, p, bottom_up,
     assert tested
 
 
+def built_matrix(alg, k, ring, images, j):
+    """The matrix the oracle builds at the free bimodule coordinates j for
+    a kept ring unit with ring parts ``ring``, the sign k and the
+    ``oracle._column_images`` matrices ``images``: [[R, 0], [L(j), kR]],
+    with column b of R the ring part ``ring[b]`` and L(j) the sum of j_t
+    times the t-th of ``images``."""
+    p, n = alg.field.modulus, alg.npairs
+    return DLinearMap(alg, [
+        r + tuple(sum(jt * l_t[b][x] for jt, l_t in zip(j, images)) % p
+                  for x in range(n)) for b, r in enumerate(ring)] + [
+        (0,) * n + tuple(k * v % p for v in r) for r in ring])
+
+
+def kept_cases(alg):
+    """(perm, k, fvals, f_inv, ring) for every poset involution, ring unit
+    the ring test keeps and sign, in the order the enumeration takes them:
+    involution, then unit, then sign."""
+    signs = dict.fromkeys((alg.field.one, alg.field.neg(alg.field.one)))
+    return [(perm, k, fvals, f_inv, ring)
+            for perm in (relabel_perm(alg, lam)
+                         for lam in alg.poset.involutions())
+            for fvals, f_inv, ring in oracle._ring_involutive_units(
+                alg, perm, ring_units(alg))
+            for k in signs]
+
+
+def recorded_forms(alg, monkeypatch):
+    """The enumeration's list, and the forms it hands ``_solutions``, one
+    per kept ring unit and sign, in call order."""
+    forms, solve = [], oracle._solutions
+
+    def recording(rows, ranges, p):
+        forms.append(list(rows))
+        return solve(rows, ranges, p)
+
+    monkeypatch.setattr(oracle, "_solutions", recording)
+    return oracle.enumerate_involutions_D(alg), forms
+
+
 @pytest.mark.parametrize("n, p, bottom_up", [
     (2, 2, True), (2, 2, False), (2, 3, True), (2, 3, False), (2, 5, True),
     (2, 5, False), (2, 7, True), (2, 7, False), (3, 3, True)])
 def test_linear_rejection_is_exact(n, p, bottom_up):
     """For every kept ring unit f, live sign k and bimodule coordinate j,
-    the stacked square form (built from the kernels at j = e_t) evaluated
-    at j is the bimodule part of the square on every ring basis vector, in
-    basis order, which ``DElem`` products compute, and it vanishes exactly
-    when the square fixes every ring basis vector; and the ring parts plus
-    the column images weighted by j are the candidate's columns
-    u beta(b) u^-1 on the ring basis."""
+    the reference square form (``square_form``, built from the kernels at
+    j = e_t) evaluated at j is the bimodule part of the square on every
+    ring basis vector, in basis order, which ``DElem`` products compute,
+    and it vanishes exactly when the square fixes every ring basis vector;
+    and the ring parts plus the columns of the ``oracle._column_images``
+    matrices weighted by j are the candidate's columns u beta(b) u^-1 on
+    the ring basis."""
     alg = chain_algebra(n, p, bottom_up)
     basis = d_basis(alg)
     ring_basis = basis[:alg.npairs]
@@ -566,14 +633,13 @@ def test_linear_rejection_is_exact(n, p, bottom_up):
             if not ring_block_squares_to_identity(alg, lam, f):
                 continue
             f_inv, ring = f.inverse().vals, ring_parts(alg, lam, f)
-            directions, images = oracle._column_images(alg, fvals, f_inv,
-                                                       sigmas, free)
+            images = oracle._column_images(alg, fvals, f_inv, sigmas, free)
             for k in signs:
                 if not columns_tested(alg, lam, k, DElem(f, alg.zero()),
                                       basis[alg.npairs:])[1]:
                     continue
-                form = oracle._square_form(alg, perm, k, fvals, f_inv,
-                                           directions, ring, images)
+                form = square_form(alg, perm, k, fvals, f_inv, free, ring,
+                                   images)
                 forms += 1
                 for ivals in product(*i_ranges):
                     j = [ivals[t] for t in free]
@@ -584,10 +650,8 @@ def test_linear_rejection_is_exact(n, p, bottom_up):
                     value = tuple(sum(map(_mul, row, j)) % p for row in form)
                     assert value == sum((s.i.vals for s in squares), ())
                     assert (not any(value)) == (squares == ring_basis)
-                    cols = [r + tuple(sum(jt * i[x] for jt, i in zip(j, col))
-                                      % p for x in range(alg.npairs))
-                            for r, col in zip(ring, images)]
-                    assert cols == [coords(c) for c in columns]
+                    assert built_matrix(alg, k, ring, images, j).cols[
+                        :alg.npairs] == tuple(coords(c) for c in columns)
                     accepted += not any(value)
                     rejected += any(value)
     assert forms and accepted and rejected
@@ -615,6 +679,58 @@ def test_fast_enumeration_matches_the_kernel_reference(poset, p, bottom_up,
     fast = oracle.enumerate_involutions_D(alg)
     assert fast and [m.cols for m in fast] == [
         m.cols for m in kernel_enumeration(alg)]
+
+
+@pytest.mark.parametrize("poset, p, bottom_up", ENUMERATION_CASES)
+def test_square_form_matches_the_per_sign_kernel_reference(
+        poset, p, bottom_up, request, monkeypatch):
+    """The stacked form sum_t j_t (L_t R + k R L_t), built from mod-p
+    products once per kept ring unit, equals row for row the per-sign form
+    it replaced, which squares every column at each j = e_t with two more
+    kernel calls, for every kept ring unit and sign."""
+    alg = enumeration_algebra(poset, p, bottom_up, request)
+    _, forms = recorded_forms(alg, monkeypatch)
+    _, i_ranges = _canonical_unit_ranges(alg)
+    free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
+    basis = [alg.e(x, y).vals for x, y in alg.pairs]
+    want = []
+    for perm, k, fvals, f_inv, ring in kept_cases(alg):
+        sigmas = [tuple(b[q] for q in perm) for b in basis]
+        images = oracle._column_images(alg, fvals, f_inv, sigmas, free)
+        want.append(square_form(alg, perm, k, fvals, f_inv, free, ring,
+                                images))
+    assert want and forms == want
+
+
+@pytest.mark.parametrize("bottom_up", [True, False])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_form_vanishes_exactly_where_the_built_matrix_squares_to_one(
+        p, bottom_up, monkeypatch):
+    """At every j in the free ranges, for every kept ring unit and sign,
+    the form the enumeration solves vanishes exactly when the matrix it
+    builds at j satisfies M M = 1 under ``DLinearMap.compose``; and the
+    enumeration lists exactly the matrices built where the form vanishes."""
+    alg = chain_algebra(2, p, bottom_up)
+    invs, forms = recorded_forms(alg, monkeypatch)
+    identity = DLinearMap.identity(alg)
+    _, i_ranges = _canonical_unit_ranges(alg)
+    free = [t for t, r in enumerate(i_ranges) if len(r) > 1]
+    basis = [alg.e(x, y).vals for x, y in alg.pairs]
+    cases = kept_cases(alg)
+    assert len(forms) == len(cases)
+    accepted, rejected = set(), 0
+    for form, (perm, k, fvals, f_inv, ring) in zip(forms, cases):
+        sigmas = [tuple(b[q] for q in perm) for b in basis]
+        images = oracle._column_images(alg, fvals, f_inv, sigmas, free)
+        for j in product(*[i_ranges[t] for t in free]):
+            m = built_matrix(alg, k, ring, images, j)
+            vanishes = not any(sum(map(_mul, row, j)) % p for row in form)
+            assert vanishes == (m.compose(m) == identity)
+            if vanishes:
+                accepted.add(m.cols)
+            else:
+                rejected += 1
+    assert rejected and accepted == {m.cols for m in invs}
 
 
 def test_fast_oracle_matches_reference_on_chain3():
