@@ -156,9 +156,12 @@ class InvolutionSpec:
 
     @cached_property
     def _reduction(self):
-        """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1),
-        where base is the canonical representative of the inner class;
-        computed once per spec."""
+        """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1);
+        computed once per spec.  base is rho_eps at the symmetric form's own
+        fixed-point diagonal (sigma_lambda without fixed points), not one
+        representative per inner class: two specs of one class may get
+        scalings that differ by a global shift, which ``_shift_conjugator``
+        bridges."""
         alg = self.alg
         theta_sym, k0 = self.symmetric_form()
         if k0 == alg.field.one:  # always so with fixed points
@@ -335,8 +338,8 @@ def symmetric_decompose(theta, base):
             j = field.mul(i[x, x], field.inv(field.mul(field(2), v)))
         v_vals[(x, y)], j_vals[(x, y)] = v, j
     gamma = DElem(alg.element(v_vals), alg.element(j_vals))
-    if gamma * base.apply(gamma) != theta:
-        raise NotSymmetric("table construction failed to factor the unit")
+    if gamma * base.apply(gamma) != theta:  # only a library defect gets here
+        raise WitnessFailed("symmetric table does not factor the unit")
     return gamma
 
 

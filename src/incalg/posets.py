@@ -192,20 +192,20 @@ class Poset:
         """Depth-first spanning forest of the comparability graph, taking
         roots and neighbours in element order: yields (None, root) when a
         component starts, then (v, w) as each w is reached from v."""
-        placed = set()
-        for root in self.elements:
-            if root in placed:
+        elements, placed = self.elements, 0
+        for root in range(self.n):
+            if placed >> root & 1:
                 continue
-            placed.add(root)
-            yield None, root
+            placed |= 1 << root
+            yield None, elements[root]
             stack = [root]
             while stack:
                 v = stack.pop()
-                for w in self.elements:
-                    if w not in placed and self.comparable(v, w):
-                        placed.add(w)
-                        yield v, w
-                        stack.append(w)
+                fresh = (self.ups[v] | self.downs[v]) & ~placed
+                placed |= fresh
+                for w in _bits(fresh):
+                    yield elements[v], elements[w]
+                    stack.append(w)
 
     def components(self):
         """Connected components of the comparability graph, in element
@@ -415,19 +415,17 @@ def identity_map(poset):
 
 class LambdaDecomposition:
     """Split of the point set under an involution: a down-closed part,
-    its image (up-closed), and the fixed points."""
+    its image (up-closed), and the fixed points.  ``side`` is -1 on the
+    lower part, 1 on the upper part and 0 elsewhere, read off one map."""
 
     def __init__(self, lower, upper, fixed):
         self.lower = tuple(lower)
         self.upper = tuple(upper)
         self.fixed = tuple(fixed)
+        self._side = dict.fromkeys(self.lower, -1) | dict.fromkeys(self.upper, 1)
 
     def side(self, x):
-        if x in self.lower:
-            return -1
-        if x in self.upper:
-            return 1
-        return 0
+        return self._side.get(x, 0)
 
     def __repr__(self):
         return (f"LambdaDecomposition(lower={list(self.lower)}, "
@@ -435,41 +433,29 @@ class LambdaDecomposition:
 
 
 def lambda_decomposition(poset, lam):
-    """Deterministic lower/upper/fixed split for a poset involution.
-
-    Each two-point orbit {x, lam(x)} goes to (lower, upper) one way or the
-    other; the lower part must be down-closed and the upper part up-closed.
-    A split exists: r = height - depth rises along the order and r(lam x)
-    = -r(x).  Orbits are decided in canonical element order, lower first,
-    by 2-SAT propagation: when one choice conflicts the other leaves a
-    solvable rest, so no decision is revisited, and the split is the first
-    valid assignment in that order.
+    """Deterministic lower/upper/fixed split for a poset involution: each
+    orbit {x, lam x} goes to (lower, upper) one way or the other, in
+    element order, lower first, keeping the lower part down-closed and the
+    upper part its image.  Placing an unplaced, unfixed x lower forces
+    exactly down(x) lower and up(lam x) upper, and clashes iff lam x < x:
+      - the lower part so far is a union of down-sets and the upper part
+        its image, so nothing below x, or above lam x, is placed already;
+      - a fixed z <= x (or z >= lam x) gives lam x <= z <= x;
+      - so the only clash is a point of down(x) & up(lam x): lam x <= x.
+    When lam x < x the other choice cannot clash.  So one comparison per
+    orbit finds its lower end a (x, or lam x when lam x < x), and down(a)
+    joins the lower mask and up(lam a) the upper mask.
     """
     if not (lam.anti and lam.src == poset and lam.is_involution()):
         raise ParseError("decomposition requires an involution on the poset")
-    fixed = lam.fixed_points()
-    side = {x: 0 for x in fixed}  # -1 lower, +1 upper, 0 fixed
-
-    def place(x, s, trail):
-        """Force x onto side s, propagating closure; append moves to trail."""
-        cur = side.get(x)
-        if cur is not None:
-            return cur == s
-        side[x] = s
-        trail.append(x)
-        if not place(lam(x), -s, trail):
-            return False
-        near = poset.down(x) if s == -1 else poset.up(x)
-        return all(place(y, s, trail) for y in near if y != x)
-
-    for x in poset.elements:
-        if x in side:
+    image = [poset.index[lam(x)] for x in poset.elements]
+    lower = upper = 0
+    for x, y in enumerate(image):
+        if x == y or (lower | upper) >> x & 1:
             continue
-        trail = []
-        if not place(x, -1, trail):
-            for moved in trail:
-                del side[moved]
-            place(x, 1, [])
-    lower = [x for x in poset.elements if side[x] == -1]
-    upper = [x for x in poset.elements if side[x] == 1]
-    return LambdaDecomposition(lower, upper, fixed)
+        a, b = (y, x) if poset.downs[x] >> y & 1 else (x, y)
+        lower |= poset.downs[a]
+        upper |= poset.ups[b]
+    return LambdaDecomposition([poset.elements[i] for i in _bits(lower)],
+                               [poset.elements[i] for i in _bits(upper)],
+                               lam.fixed_points())

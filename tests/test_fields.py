@@ -169,6 +169,12 @@ def test_sqrt_examples():
     assert QQ.sqrt(Fraction(2)) is None
 
 
+def test_sqrt_scan_is_bounded():
+    # 10007 is the least prime above fields.SQRT_SCAN_BOUND = 10**4
+    with pytest.raises(SizeLimit, match="square-root scan limited"):
+        PrimeField(10007).sqrt(4)
+
+
 def test_sqrt_iff_identity_class():
     for F in (F3, F5, F7, PrimeField(13)):
         for a in F.nonzero_elements():

@@ -1,16 +1,22 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from incalg.derivations import DerivationSpec
-from incalg.errors import IncalgError, NotAMorphism, NotAUnit, ParseError
+from incalg.errors import (
+    ContextMismatch, IncalgError, NotAMorphism, NotAUnit, ParseError,
+)
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_anti_isomorphic, d_center_basis,
-    d_from_json, d_one, factor_inner, inner_auto, lift_anti, lift_derivation,
-    lift_morphism, random_d_unit, random_delem,
+    CrossAntiMap, DElem, DLinearMap, central_pair, d_anti_isomorphic,
+    d_center_basis, d_from_json, d_one, factor_inner, inner_auto, lift_anti,
+    lift_derivation, lift_morphism, random_d_unit, random_delem,
+)
+from incalg.involutions import (
+    InvolutionSpec, equivalent_inner, symmetric_decompose,
 )
 from incalg.linalg import rref
 from incalg.morphisms import FiaMorphism, FiLinearMap
@@ -368,3 +374,52 @@ def test_char2_lifts_are_constructible(chain2):
         a, b = random_delem(alg, rng), random_delem(alg, rng)
         assert rho.apply(a * b) == rho.apply(b) * rho.apply(a)
     assert d_anti_isomorphic(chain2, chain2, PrimeField(2)) is not None
+
+
+def test_delem_difference_is_taken_coordinatewise(chain2):
+    alg = IncidenceAlgebra(chain2, F5)
+    e, one = alg.e("a", "b"), alg.delta()
+    assert DElem(e, one) - DElem(one, e) == DElem(e - one, one - e)
+
+
+def _spec(alg):
+    """The involution spec with unit theta on the poset's first involution."""
+    return InvolutionSpec(alg, d_one(alg), alg.poset.involutions()[0], 1)
+
+
+# (module, message, a call whose two operands are over contexts a and b)
+CONTEXT_GUARDS = [
+    ("derivations", "inner part over a different context",
+     lambda a, b: DerivationSpec(a, inner=b.zero())),
+    ("derivations", "derivation and argument over different contexts",
+     lambda a, b: DerivationSpec(a).apply(b.delta())),
+    ("fia", "maps over different contexts",
+     lambda a, b: DLinearMap.identity(a).compose(DLinearMap.identity(b))),
+    ("idealization", "coordinates over different contexts",
+     lambda a, b: DElem(a.delta(), b.zero())),
+    ("idealization", "map and argument over different contexts",
+     lambda a, b: DLinearMap.identity(a).apply(d_one(b))),
+    ("idealization", "argument over the wrong source ring",
+     lambda a, b: CrossAntiMap(a, a, a.poset.involutions()[0]).apply(d_one(b))),
+    ("involutions", "unit over a different context",
+     lambda a, b: InvolutionSpec(a, d_one(b), a.poset.involutions()[0], 1)),
+    ("involutions", "involution and argument over different contexts",
+     lambda a, b: _spec(a).apply(d_one(b))),
+    ("involutions", "unit over a different context",
+     lambda a, b: symmetric_decompose(d_one(b), _spec(a))),
+    ("involutions", "involutions over different contexts",
+     lambda a, b: equivalent_inner(_spec(a), _spec(b))),
+    ("morphisms", "map and argument over different contexts",
+     lambda a, b: FiLinearMap.identity(a).apply(b.delta())),
+    ("morphisms", "morphism and argument over different contexts",
+     lambda a, b: FiaMorphism(a).apply(b.delta())),
+]
+
+
+@pytest.mark.parametrize("module, message, call", CONTEXT_GUARDS,
+                         ids=[f"{m}-{k}" for k, (m, _, _) in
+                              enumerate(CONTEXT_GUARDS)])
+def test_operands_over_different_contexts_are_refused(chain2, chain3, module,
+                                                      message, call):
+    with pytest.raises(ContextMismatch, match=f"^{re.escape(message)}$"):
+        call(IncidenceAlgebra(chain2, F5), IncidenceAlgebra(chain3, F5))

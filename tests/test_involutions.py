@@ -399,7 +399,7 @@ def test_recognize_builds_one_morphism(diamond, monkeypatch):
 def test_equivalent_inner_builds_one_symmetric_form_per_spec(diamond,
                                                              monkeypatch):
     """The invariants read chi off theta itself; only the reduction to the
-    canonical representative builds a symmetric form, once per spec."""
+    base involution builds a symmetric form, once per spec."""
     formed = []
     real = InvolutionSpec.symmetric_form
     monkeypatch.setattr(InvolutionSpec, "symmetric_form",
@@ -666,6 +666,10 @@ def test_classify_general_folds_wide_diamond(wide_diamond):
     for i, a in enumerate(reps):
         for b in reps[i + 1:]:
             assert not equivalent(a, b).equivalent
+
+
+def test_rational_family_lists_no_invariants(diamond):
+    assert classify(diamond, diamond_flip(diamond), QQ).invariants() is None
 
 
 def test_classify_rational_schema(diamond):
@@ -982,7 +986,7 @@ def test_reused_representative_answers_as_a_fresh_copy(request, name, field):
 
 def test_cached_reduction_dies_with_its_spec(diamond):
     """No reference cycle keeps a spec or its stored reduction alive: with
-    the cycle collector off, the spec and its canonical representative are
+    the cycle collector off, the spec and its base involution are
     freed as soon as the last reference to the spec goes."""
     enabled = gc.isenabled()
     gc.disable()

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from incalg.errors import NotAUnit, ParseError, SizeLimit, WitnessFailed
+from incalg.errors import (
+    NotAUnit, NotConnected, ParseError, SizeLimit, WitnessFailed,
+)
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
@@ -54,6 +56,26 @@ def test_enumerate_units_guards(chain3, chain2):
         list(enumerate_units(IncidenceAlgebra(chain3, F3), "D", limit=1000))
     with pytest.raises(SizeLimit):
         list(enumerate_units(IncidenceAlgebra(chain2, QQ), "FI"))
+
+
+def test_involution_enumeration_refuses_a_disconnected_poset(two_chains):
+    with pytest.raises(NotConnected, match="need a connected poset"):
+        enumerate_involutions_D(IncidenceAlgebra(two_chains, F3))
+
+
+def test_involution_enumeration_refuses_an_infinite_field(chain2):
+    with pytest.raises(SizeLimit, match="over an infinite field"):
+        enumerate_involutions_D(IncidenceAlgebra(chain2, QQ))
+
+
+def test_involution_enumeration_refuses_more_units_than_the_limit(chain2):
+    with pytest.raises(SizeLimit, match="^324 units exceeds the limit 323$"):
+        enumerate_involutions_D(IncidenceAlgebra(chain2, F3), limit=323)
+
+
+def test_unit_group_generators_refuse_an_infinite_field(chain2):
+    with pytest.raises(SizeLimit, match="for finite fields only"):
+        unit_group_generators(IncidenceAlgebra(chain2, QQ))
 
 
 def test_involution_enumeration_chain2(chain2):

@@ -356,3 +356,13 @@ def test_found_maps_pass_the_public_constructor(request):
         for anti in (False, True):
             for m in p.maps_to(q, anti):
                 assert PosetMap(p, q, m.mapping, anti) == m
+
+
+def test_decomposition_refuses_a_map_that_is_not_an_involution(chain2):
+    with pytest.raises(ParseError, match="requires an involution"):
+        lambda_decomposition(chain2, identity_map(chain2))
+
+
+def test_maps_that_do_not_chain_do_not_compose(chain2, chain3):
+    with pytest.raises(ParseError, match="^maps not composable$"):
+        identity_map(chain2).compose(identity_map(chain3))

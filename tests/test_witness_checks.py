@@ -149,6 +149,12 @@ def _no_multiplicative_witness(monkeypatch):
                         lambda alg, sigma: None)
 
 
+def _non_root_sqrt(monkeypatch):
+    """The prime field's square root returns a nonzero non-root."""
+    monkeypatch.setattr(PrimeField, "sqrt", lambda self, a: next(
+        s for s in range(1, self.p) if (s * s - a) % self.p))
+
+
 def _crown_f5():
     return IncidenceAlgebra(Poset.from_json(CROWN), PrimeField(5))
 
@@ -183,6 +189,9 @@ NEGATIVE_CONTROLS = [
      lambda: find_non_inner_cocycle(_crown_f5()), ["hypotheses", CROWN]),
     ("no Smith-form functional is a non-inner cocycle", _every_functional_inner,
      lambda: find_non_inner_additive(_crown_f5()), ["hypotheses", CROWN]),
+    ("symmetric table does not factor the unit", _non_root_sqrt,
+     lambda: equivalent_inner(_diamond_spec(1, 1), _diamond_spec(2, 2)),
+     ["equivalent", DIAMOND, (1, 1), (2, 2)]),
     ("hypothesis check admitted a bad poset: no additive witness",
      _no_additive_witness,
      lambda: recognize(_diamond_spec(1, 1).to_linear()), None),
