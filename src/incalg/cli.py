@@ -22,10 +22,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    Char2Unsupported, HypothesisFailed, IncalgError, NotAnInvolution,
-    ParseError, SizeLimit,
-)
+from .errors import Char2Unsupported, HypothesisFailed, IncalgError, ParseError
 from .fields import parse_field
 from .posets import Poset, PosetMap
 from .snf import check_hypotheses
@@ -279,9 +276,11 @@ def cmd_verify(args):
 
 
 def _count(text):
-    """argparse type: a non-negative integer."""
+    """argparse type: a non-negative integer, read by the scalar rule of
+    ``Field.parse``: ASCII with no underscore, so ``٢`` and ``1_000`` are
+    refused."""
     try:
-        value = int(text)
+        value = int(text) if text.isascii() and "_" not in text else -1
     except ValueError:
         value = -1
     if value < 0:
@@ -345,9 +344,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NotAnInvolution, SizeLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except HypothesisFailed as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

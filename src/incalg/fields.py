@@ -26,9 +26,6 @@ from .errors import (
 SQUAREFREE_BOUND = 10**12
 _TRIAL_BOUND = 10**6
 
-# Exhaustive square-root scan is kept to desk-scale moduli.
-SQRT_SCAN_BOUND = 10**4
-
 # Primality is decided by trial division (``_prime_factors``, which also
 # serves ``_primitive_root``), so moduli stay at desk scale too.
 MODULUS_BOUND = 10**12
@@ -146,6 +143,20 @@ class Field:
     def is_square(self, a):
         return self.sqrt(a) is not None
 
+    def parse(self, s):
+        """The value a scalar string names.  One rule serves both fields, as
+        it does ``parse_field``: the string must be ASCII with no underscore
+        (so no digit outside ASCII and no ``1_2``); it is stripped and
+        converted, and anything else raises ParseError naming the value."""
+        if not isinstance(s, str):
+            raise ParseError(f"{self.scalar} {s!r} is not a string")
+        if s.isascii() and "_" not in s:
+            try:
+                return self.convert(s.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(f"bad {self.scalar} {s!r}")
+
     def parser(self):
         """``parse`` for one document, which repeats few strings many
         times: each distinct string is parsed once.  A value that is not a
@@ -165,6 +176,7 @@ class RationalField(Field):
     """The field Q with Fraction values."""
 
     name = "Q"
+    scalar = "rational scalar"
     order = None
     square_class_count = None  # S_Q is infinite
 
@@ -198,15 +210,7 @@ class RationalField(Field):
             raise ZeroArgument("inverse of zero")
         return 1 / a
 
-    def parse(self, s):
-        if not isinstance(s, str):
-            raise ParseError(f"rational scalar {s!r} is not a string")
-        if s.isascii() and "_" not in s:  # as parse_field: ASCII digits only
-            try:
-                return self.fraction(s.strip())
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise ParseError(f"bad rational scalar {s!r}")
+    convert = property(lambda self: self.fraction)
 
     def format(self, v):
         return str(v)
@@ -250,6 +254,8 @@ class RationalField(Field):
 class PrimeField(Field):
     """The prime field GF(p), values as ints in [0, p)."""
 
+    scalar = "residue"
+
     def __init__(self, p):
         if p > MODULUS_BOUND:
             raise SizeLimit(f"modulus {p} exceeds the bound {MODULUS_BOUND}")
@@ -282,15 +288,8 @@ class PrimeField(Field):
             raise ZeroArgument("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def parse(self, s):
-        if not isinstance(s, str):
-            raise ParseError(f"residue {s!r} is not a string")
-        if s.isascii() and "_" not in s:  # as parse_field: ASCII digits only
-            try:
-                return int(s.strip()) % self.p
-            except ValueError:
-                pass
-        raise ParseError(f"bad residue {s!r}")
+    def convert(self, s):
+        return int(s) % self.p
 
     def format(self, v):
         return str(v % self.p)
@@ -302,15 +301,28 @@ class PrimeField(Field):
         return pow(a, (self.p - 1) // 2, self.p) == 1  # Euler criterion
 
     def sqrt(self, a):
-        a %= self.p
-        if self.p > SQRT_SCAN_BOUND:
-            raise SizeLimit(f"square-root scan limited to p < {SQRT_SCAN_BOUND}")
+        """The smaller square root r <= p - r of a, or None when a is not a
+        square, by Tonelli-Shanks in O(log^2 p) multiplications.  With
+        p - 1 = q 2^m, q odd, and c = z^q for a non-square z, the loop keeps
+        r^2 = a t, with t of order 2^i < 2^m and c of order 2^m, and each
+        pass multiplies r by b = c^(2^(m-i-1)), which lowers the order of t,
+        until t = 1.  z is the last of ``square_class_reps``: a non-square,
+        or 1 over F2, where m = 0 and t = a leaves the loop unrun.  At a = 0,
+        t = r = 0."""
+        p = self.p
         if not self.is_square(a):
             return None
-        for s in range(self.p):  # smaller root first
-            if s * s % self.p == a:
-                return s
-        return None
+        m = ((p - 1) & (1 - p)).bit_length() - 1
+        q = (p - 1) >> m
+        c = pow(self.square_class_reps()[-1], q, p)
+        r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+        while t > 1:
+            i, u = 0, t
+            while u != 1:
+                i, u = i + 1, u * u % p
+            b = pow(c, 1 << (m - i - 1), p)
+            r, c, t, m = r * b % p, b * b % p, t * b * b % p, i
+        return min(r, p - r)
 
     def square_class(self, a):
         a = a % self.p

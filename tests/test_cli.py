@@ -572,7 +572,7 @@ def test_verify_classifies_each_lambda_once(poset_files, capsys, monkeypatch):
     assert [lam.mapping for lam in calls] == [lam.mapping for lam in lams]
 
 
-@pytest.mark.parametrize("limit", ["-1", "ten"])
+@pytest.mark.parametrize("limit", ["-1", "ten", "٢", "1_000"])
 def test_verify_rejects_a_bad_oracle_limit(poset_files, capsys, limit):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--poset", str(poset_files["chain2"]), "--field", "F3",
@@ -667,6 +667,22 @@ def test_line_format_strips_label_whitespace_so_output_round_trips(
         assert main(["equivalent", "--poset", str(padded), "--field", "F5",
                      "--check", str(inv), str(inv)]) == 0
         assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_equivalent_reduces_over_a_prime_above_10_000(poset_files, tmp_path,
+                                                      capsys, check):
+    """Reducing a representative takes a square root of each fixed-point
+    diagonal entry, so over F10007 the first ``classify`` representative of
+    the diamond's flip reads back as equivalent to itself."""
+    argv = ["--poset", str(poset_files["diamond"]), "--field", "F10007"]
+    assert main(["classify", *argv, "--lambda", "0:1,1:0,a:a,b:b",
+                 "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["representatives"][0]
+    inv = tmp_path / "rep.json"
+    inv.write_text(json.dumps(rep))
+    assert main(["equivalent", *argv, *check, str(inv), str(inv)]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
 
 @pytest.mark.parametrize("spec", ["F²", "F٣", "F５"])

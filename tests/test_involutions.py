@@ -21,7 +21,7 @@ from incalg.involutions import (
     InvolutionSpec, _relabel_by_pairs, base_involution, build,
     check_hypotheses, classify, equivalent, equivalent_inner,
     involution_from_json, recognize, require_classifiable, rho_eps,
-    sigma_lambda, symmetric_decompose,
+    sigma_lambda, symmetric_decompose, verify_witness,
 )
 from incalg.morphisms import FiaMorphism
 from incalg.posets import lambda_decomposition
@@ -518,6 +518,21 @@ def test_equivalent_inner_chi_difference(diamond):
     s2 = rho_eps(alg, flip, {"a": 1, "b": 2}, 1)
     v = equivalent_inner(s1, s2)
     assert not v.equivalent and v.distinguisher == "chi"
+
+
+@pytest.mark.parametrize("decide", [equivalent_inner, equivalent])
+@pytest.mark.parametrize("p", [10007, 1000003])
+def test_equivalence_shifts_by_roots_modulo_large_primes(diamond, decide, p):
+    """rho_eps at eps = (1, 3) and (4, 12) on the diamond's flip differ by
+    the global square 4, so ``_shift_conjugator`` takes square roots of the
+    fixed-point ratios, here modulo primes above 10^4."""
+    alg = IncidenceAlgebra(diamond, PrimeField(p))
+    flip = diamond_flip(diamond)
+    s1 = rho_eps(alg, flip, {"a": 1, "b": 3}, 1)
+    s2 = rho_eps(alg, flip, {"a": 4, "b": 12}, 1)
+    v = decide(s1, s2)
+    assert v.equivalent
+    verify_witness(s1, s2, v)
 
 
 def test_equivalent_inner_rho_vs_sigma(chain2):
