@@ -497,11 +497,16 @@ def _relabelled_spec(spec, alpha):
     return InvolutionSpec(spec.alg, moved, lam, spec.k, _validated=True)
 
 
-def _intertwines(alpha, lam1, lam2):
-    """Whether alpha o lam2 = lam1 o alpha, read on the mappings: alpha
-    carries lam2 to lam1 by conjugation."""
-    a, l1, l2 = alpha.mapping, lam1.mapping, lam2.mapping
-    return all(a[l2[x]] == l1[a[x]] for x in a)
+def _carriers(poset, lam1, lam2):
+    """The automorphisms alpha with alpha o lam2 = lam1 o alpha (which
+    carry lam2 to lam1 by conjugation), in the order ``automorphisms``
+    lists them, found by the search itself.  Placing alpha(k) = j, with
+    m = lam2(k) <= k, needs alpha(m) = lam1(j) (so lam1(j) = j when
+    m = k); when m > k the placement of m checks the same equation,
+    since lam1 and lam2 are involutions."""
+    on1, on2 = ([poset.index[lam(x)] for x in poset.elements] for lam in (lam1, lam2))
+    return poset.maps_to(poset, _accept=lambda k, j, image: (
+        on2[k] > k or image[on2[k]] == 1 << on1[j]))
 
 
 def _relabel_by_pairs(spec, alpha):
@@ -599,8 +604,7 @@ def equivalent(s1, s2):
     require_classifiable(alg.poset, alg.field)
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
-    carriers = [a for a in alg.poset.automorphisms()
-                if _intertwines(a, s1.lam, s2.lam)]
+    carriers = _carriers(alg.poset, s1.lam, s2.lam)
     if not carriers:
         return Verdict(False, distinguisher="lambda")
     key, inv2 = s1.invariant().key(), s2.invariant()
@@ -664,7 +668,7 @@ class Classification:
 def _chi_orbit_fold(field, poset, lam, fixed, tuples):
     """Fold scaling tuples on the fixed points by the automorphisms
     commuting with lam, keeping the first of each orbit of chi keys."""
-    normalizer = [a for a in poset.automorphisms() if _intertwines(a, lam, lam)]
+    normalizer = _carriers(poset, lam, lam)
     keep = []
     seen = set()
     for eps in tuples:

@@ -261,23 +261,29 @@ class Poset:
 
     # -- symmetry enumeration -------------------------------------------
 
-    def maps_to(self, other, anti=False):
+    def maps_to(self, other, anti=False, _accept=None):
         """All order isomorphisms (anti=False) or anti-isomorphisms
         (anti=True) from this poset onto ``other``, by backtracking in
         element order; an anti-isomorphism is an isomorphism onto the dual
         of ``other``.  Either poset above ``SEARCH_SIZE_BOUND`` elements
-        raises SizeLimit."""
+        raises SizeLimit.  A caller's rule ``_accept(k, j, image)`` can
+        refuse to send point k to point j of ``other``, given ``image``,
+        the bits of the images of points 0..k (the last is 1 << j).
+        Pruning keeps the order of the maps still found: a rule that
+        accepts every prefix of each map a caller wants, and refuses some
+        prefix of every other map, gives the full list filtered, in the
+        same order."""
         if max(self.n, other.n) > SEARCH_SIZE_BOUND:
             raise SizeLimit(f"symmetry search limited to {SEARCH_SIZE_BOUND} "
                             f"elements")
         if self.n != other.n:
             return []
-        targets = [(1 << y, u, d) for y, (u, d) in enumerate(
+        targets = [(y, 1 << y, u, d) for y, (u, d) in enumerate(
             zip(other.downs, other.ups) if anti else zip(other.ups, other.downs))]
         # per point k: earlier points above and below it; targets of equal degrees
         plan = [(list(_bits(u & (1 << k) - 1)), list(_bits(d & (1 << k) - 1)),
-                 [t for t in targets if t[1].bit_count() == u.bit_count()
-                  and t[2].bit_count() == d.bit_count()])
+                 [t for t in targets if t[2].bit_count() == u.bit_count()
+                  and t[3].bit_count() == d.bit_count()])
                 for k, (u, d) in enumerate(zip(self.ups, self.downs))]
         out = []
         image = []  # image[i]: the bit of element i's image in ``other``
@@ -291,10 +297,11 @@ class Poset:
             above, below, candidates = plan[k]
             up = sum(image[i] for i in above)
             down = sum(image[i] for i in below)
-            for bit, dst_up, dst_down in candidates:
+            for j, bit, dst_up, dst_down in candidates:
                 if not used & bit and dst_up & used == up and dst_down & used == down:
                     image.append(bit)
-                    extend(k + 1, used | bit)
+                    if _accept is None or _accept(k, j, image):
+                        extend(k + 1, used | bit)
                     image.pop()
 
         extend(0, 0)
@@ -307,8 +314,14 @@ class Poset:
         return self.maps_to(self, True)
 
     def involutions(self):
-        """Anti-automorphisms squaring to the identity."""
-        return [m for m in self.anti_automorphisms() if m.is_involution()]
+        """Anti-automorphisms squaring to the identity, in the order
+        ``anti_automorphisms`` lists them, found by the search itself:
+        point k may go to a point j <= k only if j went to k (so j = k
+        fixes k), and to a later point j only if no earlier point went
+        to k.  The first test alone keeps only involutions, as a longer
+        cycle fails at its largest point; the second prunes sooner."""
+        return self.maps_to(self, True, _accept=lambda k, j, image: (
+            image[j] == 1 << k if j <= k else 1 << k not in image))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Poset)

@@ -29,6 +29,25 @@ def chain(n, labels=None):
     return Poset.from_covers(labels, list(zip(labels, labels[1:])))
 
 
+def suspension(m):
+    """0 < a1, ..., am < 1: an m-point antichain between a bottom and a
+    top, "suspM" for short."""
+    middle = [f"a{i}" for i in range(1, m + 1)]
+    return Poset.from_covers(["0", *middle, "1"],
+                             [("0", x) for x in middle] + [(x, "1") for x in middle])
+
+
+def levels(*sizes):
+    """Antichains of the given sizes, each wholly below the next, labelled
+    a0, a1, ... on the first level, b0, ... on the second; levels(4, 4, 4)
+    is "lvl444": 12 points, 13,824 automorphisms and 240 involutions."""
+    rows = [[f"{chr(ord('a') + r)}{i}" for i in range(size)]
+            for r, size in enumerate(sizes)]
+    return Poset.from_covers([x for row in rows for x in row],
+                             [(x, y) for low, high in zip(rows, rows[1:])
+                              for x in low for y in high])
+
+
 @pytest.fixture
 def chain2():
     return chain(2)

@@ -9,21 +9,30 @@ the target and comparing it with the image's up-set (its down-set for an
 anti-isomorphism); ``lambda_decomposition`` places each
 orbit by one comparison, from its lower end, on the up-set and down-set
 bitsets; ``spanning_tree`` places all the unplaced neighbours of a popped
-point at once, from its bitsets; and ``equivalent`` and the χ-fold test
-conjugacy on the mappings.  The references below are the earlier
-label-lookup search, the label-lookup order check, the recursive
-backtracking split, the element-order scan of the spanning forest and the
-compose-chain conjugacy tests.  They must agree on every fixture, on drawn
-posets and on every order of at most 4 points: the same maps in the same
-order, the same accept or reject with the same message, the same split,
-the same forest edges in the same order.  The reference split keeps its
-raise for a poset with no split, which must never fire: placing an orbit
-from its lower end never clashes (see ``lambda_decomposition``).
+point at once, from its bitsets; ``involutions`` prunes the
+anti-automorphism search by the involution rule (point k goes to a point
+j <= k only if j went to k, and to a later j only if no earlier point
+went to k); and ``equivalent`` and the χ-fold find their carriers, the
+automorphisms alpha with alpha o lam2 = lam1 o alpha, by ``_carriers``,
+which prunes the automorphism search by that equation at the later of k
+and lam2(k).  The references below are the earlier label-lookup search,
+the label-lookup order check, the recursive backtracking split, the
+element-order scan of the spanning forest, the anti-automorphisms
+filtered by ``is_involution``, and the automorphisms filtered by the
+mapping check ``ref_intertwines``, which is held in turn to the
+compose-chain conjugacy tests.  They must agree on every fixture, on
+drawn posets, on every order of at most 4 points, and at the search
+bound on lvl444 and susp7: the same maps in the same order, the same
+accept or reject with the same message, the same split, the same forest
+edges in the same order.  The reference split keeps its raise for a
+poset with no split, which must never fire: placing an orbit from its
+lower end never clashes (see ``lambda_decomposition``).
 
 ``ref_equivalent`` is the per-carrier loop ``equivalent`` replaced: it
 built a relabelled normal form and ran a whole inner-equivalence attempt
 for each carrier, where ``equivalent`` compares χ keys per carrier and
-builds one.  The verdicts must agree byte for byte as JSON.
+builds one.  It takes its carriers from the reference filter, never from
+``_carriers``.  The verdicts must agree byte for byte as JSON.
 """
 
 import functools
@@ -40,13 +49,15 @@ from incalg.fields import QQ, PrimeField
 from incalg.idealization import d_one, random_d_unit
 from incalg import involutions
 from incalg.involutions import (
-    InvolutionSpec, Verdict, _check_same_context, _equivalent_inner,
-    _intertwines, _relabel_by_pairs, _relabelled_spec, build, classify,
+    InvolutionSpec, Verdict, _carriers, _check_same_context,
+    _equivalent_inner, _relabel_by_pairs, _relabelled_spec, build, classify,
     equivalent, require_classifiable, rho_eps,
 )
 from incalg.posets import (
     SEARCH_SIZE_BOUND, Poset, PosetMap, lambda_decomposition,
 )
+
+from conftest import levels, suspension
 
 FIXTURES = ["chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
             "two_chains", "wide_diamond"]
@@ -204,6 +215,23 @@ def ref_components(poset):
     return tuple(tuple(sorted(comp, key=poset.index.get)) for comp in comps)
 
 
+def ref_involutions(poset):
+    """The anti-automorphisms filtered by ``is_involution``."""
+    return [m for m in poset.anti_automorphisms() if m.is_involution()]
+
+
+def ref_intertwines(alpha, lam1, lam2):
+    """Whether alpha o lam2 = lam1 o alpha, read on the mappings: alpha
+    carries lam2 to lam1 by conjugation."""
+    a, l1, l2 = alpha.mapping, lam1.mapping, lam2.mapping
+    return all(a[l2[x]] == l1[a[x]] for x in a)
+
+
+def ref_carriers(autos, lam1, lam2):
+    """The automorphisms ``autos`` filtered by ``ref_intertwines``."""
+    return [a for a in autos if ref_intertwines(a, lam1, lam2)]
+
+
 def ref_carries(alpha, lam1, lam2):
     """The compose-chain carrier test of ``equivalent``."""
     return alpha.compose(lam2).compose(alpha.inverse()) == lam1
@@ -222,8 +250,7 @@ def ref_equivalent(s1, s2):
     require_classifiable(alg.poset, alg.field)
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
-    carriers = [a for a in alg.poset.automorphisms()
-                if _intertwines(a, s1.lam, s2.lam)]
+    carriers = ref_carriers(alg.poset.automorphisms(), s1.lam, s2.lam)
     if not carriers:
         return Verdict(False, distinguisher="lambda")
     for alpha in carriers:
@@ -316,19 +343,32 @@ def check_forest(poset):
     assert poset.components() == ref_components(poset)
 
 
-def check_split_and_conjugacy(poset):
-    """Every split; the conjugacy tests over a spread of the group and of
-    the involutions, since their product grows as the group squared."""
+def check_involutions_and_carriers(poset, pairs=3):
+    """The involutions, and the carriers between each two of a spread of
+    about ``pairs`` of them, each the same list as its reference, in the
+    same order; returns the involutions and the automorphisms."""
     lams = poset.involutions()
+    assert lams == ref_involutions(poset)
     autos = poset.automorphisms()
+    for lam1, lam2 in itertools.product(spread(lams, pairs), repeat=2):
+        assert _carriers(poset, lam1, lam2) == ref_carriers(autos, lam1, lam2)
+    return lams, autos
+
+
+def check_split_and_conjugacy(poset):
+    """The involutions and carriers; every split; the mapping check of
+    conjugacy against the compose chains over a spread of the group and of
+    the involutions, since their product grows as the group squared."""
+    lams, autos = check_involutions_and_carriers(poset)
     for lam in lams:
         check_split(poset, lam)
     some = spread(lams, 12)
     for alpha in spread(autos, 48):
         for lam1, lam2 in itertools.product(some, repeat=2):
-            assert _intertwines(alpha, lam1, lam2) == ref_carries(alpha, lam1, lam2)
+            assert ref_intertwines(alpha, lam1, lam2) == \
+                ref_carries(alpha, lam1, lam2)
         for lam in lams:
-            assert _intertwines(alpha, lam, lam) == ref_commutes(alpha, lam)
+            assert ref_intertwines(alpha, lam, lam) == ref_commutes(alpha, lam)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -392,9 +432,12 @@ def rising_orders(n):
 def test_split_and_forest_match_reference_on_every_order_of_at_most_4_points():
     """Every transitively closed relation on at most 4 points that rises
     along the index order, listed in every element order, so every poset
-    on at most 4 points in every element order; with every involution.
-    That is 1,007 posets and 1,063 (poset, involution) pairs, checked in
-    about 0.2 s on a 2-core x86-64 machine."""
+    on at most 4 points in every element order; with the involutions,
+    each split and the carriers between every two involutions.  That is
+    1,007 posets and 1,063 (poset, involution) pairs, checked in about
+    0.6 s on a 2-core x86-64 machine.  The compose-chain cross-check of
+    the references in ``check_split_and_conjugacy`` is left to the other
+    layers: here it would take 1.9 s."""
     posets = pairs = 0
     for n in range(1, 5):
         for rel in rising_orders(n):
@@ -402,10 +445,11 @@ def test_split_and_forest_match_reference_on_every_order_of_at_most_4_points():
                 poset = Poset.from_covers([f"p{i}" for i in order],
                                           [(f"p{a}", f"p{b}") for a, b in rel])
                 check_forest(poset)
-                posets += 1
-                for lam in poset.involutions():
+                lams, _ = check_involutions_and_carriers(poset, pairs=10)
+                for lam in lams:
                     check_split(poset, lam)
-                    pairs += 1
+                posets += 1
+                pairs += len(lams)
     assert (posets, pairs) == (1007, 1063)
 
 
@@ -428,6 +472,14 @@ def test_split_and_conjugacy_match_reference_on_symmetric_posets():
         assert poset.involutions()
         check_split_and_conjugacy(poset)
         check_search(poset, poset)
+
+
+def test_involutions_and_carriers_match_reference_at_the_bound():
+    """lvl444 (12 points, 13,824 automorphisms, 240 involutions) and
+    susp7 (9 points, 5,040 automorphisms, 232 involutions): the pruned
+    searches list what the full ones filter, in the same order."""
+    for poset in (levels(4, 4, 4), suspension(7)):
+        check_involutions_and_carriers(poset)
 
 
 # -- drawn posets -------------------------------------------------------------
@@ -483,6 +535,7 @@ def test_search_and_check_match_reference_on_drawn_posets(poset, rng):
         check_search(poset, dst)
         check_maps(poset, dst,
                    bijections(poset, dst, rng, limit=60) + broken(poset, dst))
+    check_split_and_conjugacy(poset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -624,6 +677,25 @@ def connected_self_dual_posets(draw, max_size=9):
 def test_equivalent_matches_reference_on_drawn_self_dual_posets(
         poset, field, rng):
     check_general_verdicts(poset, FIELDS[field], rng, per_lam=2, pairs=40)
+
+
+def test_equivalent_matches_reference_at_the_bound():
+    """lvl444 over F5: representatives of one involution fixing all four
+    middle points (576 carriers between it and itself), and of two
+    conjugate involutions fixing two (96 carriers between them).  The
+    pairs take both verdicts, "chi" and positive, the positive one
+    through a carrier that is not the identity."""
+    poset, field = levels(4, 4, 4), PrimeField(5)
+    lams = poset.involutions()
+    four = next(lam for lam in lams if len(lam.fixed_points()) == 4)
+    two = [lam for lam in lams if len(lam.fixed_points()) == 2]
+    reps = [classify(poset, lam, field).representatives
+            for lam in (four, two[0], two[-1])]
+    pairs = [(reps[0][0], reps[0][2]), (reps[1][0], reps[2][0]),
+             (reps[1][0], reps[2][2])]
+    verdicts = [verdict_json(equivalent, *pair) for pair in pairs]
+    assert verdicts == [verdict_json(ref_equivalent, *pair) for pair in pairs]
+    assert [v.get("distinguisher") for v in verdicts] == ["chi", None, "chi"]
 
 
 def test_equivalent_builds_at_most_one_relabelled_spec(wide_diamond,
