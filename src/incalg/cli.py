@@ -10,7 +10,11 @@ Each process runs one subcommand and, with bytecode writing off, compiles
 every library module it imports.  So the top of this module imports only
 what every subcommand shares: ``errors``, ``fields``, ``posets`` and the
 hypothesis decision in ``snf``; each ``cmd_*`` imports the rest.
-``poset-info`` and a passing ``hypotheses`` run load no algebra.
+``poset-info`` and a passing ``hypotheses`` run load no algebra.  A
+failing ``hypotheses`` run builds one to certify its counterexamples, but
+multiplies in it nothing, so it compiles no product kernel; both finders
+read the Smith form the poset keeps (``snf._smith_reading``), so the run
+takes one form in all when the poset is its own core.
 ``classify`` and ``equivalent``, inner or ``--general``, add
 ``involutions`` (the algebra and the idealization).  ``verify`` adds
 ``morphisms``, and the ``oracle`` only when the unit group is within
@@ -106,7 +110,7 @@ def _emit(payload, as_json):
 def cmd_poset_info(args):
     poset = load_poset(args.poset)
     autos, antis = poset.automorphisms(), poset.anti_automorphisms()
-    involutions = [m for m in antis if m.is_involution()]
+    involutions = poset.involutions()
     payload = {
         "elements": ", ".join(str(x) for x in poset.elements),
         "covers": ", ".join(f"{x}<{y}" for x, y in poset.covers),

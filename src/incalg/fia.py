@@ -16,8 +16,9 @@ sum, comparison and hash runs on ints, and ``Fraction``s are built only
 when ``vals``, ``f[x, y]`` or ``to_json`` asks for them.  ``IncFn(alg,
 vals)`` lifts field elements; library code builds the stored form directly.
 
-Each algebra compiles two straight-line functions from ``conv`` in
-``__init__``: the convolution ``_product(a, b)``, which ``IncFn.__mul__``
+Each algebra compiles two straight-line functions from ``conv``, each the
+first time it is used (so an algebra that never multiplies compiles
+neither): the convolution ``_product(a, b)``, which ``IncFn.__mul__``
 calls once per product, and the idealization product ``_dproduct(a, c, b,
 d)``, which returns both coordinates of [f; m][g; n] = [fg; fn + mg] in one
 call (``idealization.DElem.__mul__``).  Each unpacks its operands into
@@ -66,10 +67,6 @@ class IncidenceAlgebra:
                 terms.append((self.pair_index[(x, z)], self.pair_index[(z, y)]))
             conv.append(tuple(terms))
         self.conv = tuple(conv)
-        # the same terms as compiled straight-line functions: the
-        # convolution, and the idealization product built from it
-        self._product = _compile_product(self.conv, field.modulus)
-        self._dproduct = _compile_dproduct(self.conv, field.modulus)
         # rank_one_terms[k] lists, for e_ab at pair index k, the triples
         # (t, i, j) of pair indices t = (x, y), i = (x, a), j = (b, y), one
         # per x <= a and b <= y: entry t of u e_ab v is u[i] v[j]
@@ -81,6 +78,16 @@ class IncidenceAlgebra:
                   for x in down[a] for y in up[b])
             for a, b in self.pairs)
         self._diag = tuple(k for k, (x, y) in enumerate(self.pairs) if x == y)
+
+    @cached_property
+    def _product(self):
+        """The convolution over ``conv``, compiled on first use."""
+        return _compile_product(self.conv, self.field.modulus)
+
+    @cached_property
+    def _dproduct(self):
+        """The idealization product over ``conv``, compiled on first use."""
+        return _compile_dproduct(self.conv, self.field.modulus)
 
     @cached_property
     def _inverse_plan(self):

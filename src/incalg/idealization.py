@@ -169,7 +169,11 @@ class DLinearMap(ColumnMap):
                 for num, den in zip(self.nums, self.dens)]
 
     def is_involution(self):
-        return self.compose(self) == DLinearMap.identity(self.alg)
+        """Whether M(M(e_b)) == e_b for every basis vector e_b, decided
+        column by column on the stored form, stopping at the first miss."""
+        n = len(self.nums)
+        return all(self._image(*col) == ((0,) * b + (1,) + (0,) * (n - b - 1), 1)
+                   for b, col in enumerate(zip(self.nums, self.dens)))
 
     def to_json(self):
         fmt = self.alg.field.format

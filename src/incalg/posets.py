@@ -83,6 +83,7 @@ class Poset:
                             if len(self.between(x, y)) == 2)
         self._components = None  # built by components() on first use
         self._core = None  # built by core() on first use; False if it is self
+        self._smith = None  # built by snf._smith_reading on first use
         # every chain x < z < y, the triples the cocycle identities run over
         self.chains = tuple(
             (x, z, y) for x, y in self.strict_pairs

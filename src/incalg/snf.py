@@ -13,7 +13,11 @@ on that group and the field: ``check_hypotheses`` applies the
 multiplicative rule (no nontrivial character into K*) and the additive one
 (no nonzero K-linear functional).  The counterexample finders of
 ``morphisms`` and ``derivations`` read the columns of the whole poset's
-form through ``_smith_reading``.  Nothing here needs the incidence algebra.
+form through ``_smith_reading``.  Each poset object takes its form once and
+keeps it (``Poset._smith``), so the gate and both finders of a failing
+``incalg hypotheses`` run share one form when the poset is its own core,
+and repeated gate calls on one poset take none after the first; the field
+rule still runs on every call.  Nothing here needs the incidence algebra.
 
 Sizes here are tiny (rows and columns bounded by the number of comparable
 pairs of a desk-scale poset), so a straightforward pivot-and-reduce loop
@@ -144,10 +148,16 @@ def _relation_rows(poset):
 def _smith_reading(poset):
     """One Smith normal form U R V = diag(d) of the chain relations R: the
     obstruction (invariant factors, free rank) read off d, and the pairs
-    (d_j, column j of V) over the strict pairs."""
-    d, columns = smith_columns(_relation_rows(poset), len(poset.strict_pairs))
-    rank_d = len(poset.elements) - len(poset.components())
-    return ([x for x in d if x > 1], d.count(0) - rank_d), zip(d, columns)
+    (d_j, column j of V) over the strict pairs.  Taken once per poset
+    object and kept on it, as ``Poset.core`` keeps its core: the gate, the
+    two wrappers and both counterexample finders share it."""
+    if poset._smith is None:
+        d, columns = smith_columns(_relation_rows(poset),
+                                   len(poset.strict_pairs))
+        rank_d = len(poset.elements) - len(poset.components())
+        poset._smith = (([x for x in d if x > 1], d.count(0) - rank_d),
+                        tuple(zip(d, columns)))
+    return poset._smith
 
 
 def cocycle_obstruction(poset):
@@ -166,9 +176,11 @@ def cocycle_obstruction(poset):
     boundaries of its 2-simplices, so it is read on the core, where it is
     the same (``Poset.core``).  A core with no chain, such as the one point
     left of a poset with a cone point, has no relation rows and so takes no
-    Smith form (``smith_columns``).
+    Smith form (``smith_columns``).  The factors are a fresh list, so a
+    caller cannot change the reading the core keeps.
     """
-    return _smith_reading(poset.core())[0]
+    factors, free_rank = _smith_reading(poset.core())[0]
+    return list(factors), free_rank
 
 
 def _mult_inner_rule(factors, free_rank, field):

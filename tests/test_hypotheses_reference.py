@@ -18,6 +18,7 @@ otherwise differ by one constant.
 
 import gc
 import itertools
+import json
 import random
 import weakref
 from math import gcd
@@ -731,12 +732,185 @@ def test_gate_runs_no_smith_form_when_the_core_has_no_chain(request,
     assert len(chain12().chains) == 220
 
 
-def test_gate_runs_one_smith_form_when_the_core_has_a_chain(rp2, monkeypatch):
-    """A core with a chain takes exactly one Smith form per call, of its
-    own relation rows."""
+def test_gate_runs_one_smith_form_when_the_core_has_a_chain(monkeypatch):
+    """A core with a chain takes exactly one Smith form, of its own
+    relation rows, on the first call; the core keeps that reading, so
+    later calls over any field take none."""
     calls = count_smith_forms(monkeypatch)
-    for poset in (level_poset(2, 2, 2), rp2):
-        for field in (PrimeField(3), QQ):
-            del calls[:]
+    for poset in (level_poset(2, 2, 2), rp2_face_poset()):
+        del calls[:]
+        for field in (PrimeField(3), QQ, PrimeField(3)):
             check_hypotheses(poset, field)
-            assert calls == [len(poset.core().chains)]
+        assert calls == [len(poset.core().chains)]
+
+
+# -- the stored reading --------------------------------------------------------
+
+
+def fresh_reading(poset):
+    """``_smith_reading``'s reading taken anew: one new Smith form of the
+    relation rows, stored nowhere."""
+    d, columns = smith_columns(_relation_rows(poset), len(poset.strict_pairs))
+    rank_d = poset.n - len(poset.components())
+    return (([x for x in d if x > 1], d.count(0) - rank_d),
+            tuple(zip(d, columns)))
+
+
+def test_stored_reading_equals_a_fresh_one(request, rp2, moore3):
+    """On every fixture, crown, RP^2 and the mod-3 Moore space, the reading
+    each poset and its core keep equals a fresh one, is kept as a tuple
+    that can be read twice, and every later call returns that object."""
+    for name, poset in core_cases(request) + [("rp2", rp2),
+                                               ("moore3", moore3)]:
+        for p in (poset, poset.core()):
+            stored = _smith_reading(p)
+            assert stored == fresh_reading(p), name
+            assert _smith_reading(p) is stored is p._smith, name
+            assert isinstance(stored[1], tuple), name
+            assert len(stored[1]) == len(p.strict_pairs), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_posets(max_size=8), st.sampled_from(FIELDS))
+def test_stored_reading_equals_a_fresh_one_on_drawn_posets(poset, field):
+    """After the gate and both finders have read it, the stored reading of
+    a drawn poset and of its core equals a fresh one."""
+    check_hypotheses(poset, field)
+    alg = IncidenceAlgebra(poset, field)
+    find_non_inner_cocycle(alg)
+    find_non_inner_additive(alg)
+    for p in (poset, poset.core()):
+        assert p._smith == fresh_reading(p)
+
+
+def test_a_caller_cannot_change_the_stored_obstruction(rp2):
+    factors, _ = cocycle_obstruction(rp2)
+    factors.append(7)
+    assert cocycle_obstruction(rp2) == ([2], 0)
+    assert not check_hypotheses(rp2, PrimeField(3))["mult_subset_inn"]
+
+
+RP2_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), QQ)
+
+
+def rp2_answers(poset, field, first):
+    """The gate's report, both wrappers and both finders' cocycles over
+    ``field``, asked in an order that starts at entry ``first``."""
+    alg = IncidenceAlgebra(poset, field)
+    asks = [("report", lambda: check_hypotheses(poset, field)),
+            ("mult", lambda: mult_subset_inn(poset, field)),
+            ("der", lambda: der_equals_ider(poset, field)),
+            ("sigma", lambda: find_non_inner_cocycle(alg)),
+            ("tau", lambda: find_non_inner_additive(alg))]
+    return dict((key, ask()) for key, ask in asks[first:] + asks[:first])
+
+
+def test_rp2_verdicts_do_not_depend_on_the_call_order():
+    """RP^2's reading has the factor 2, which decides differently over F2
+    (multiplicative inner, a non-inner derivation) and over every odd field
+    (a non-inner character, derivations inner).  Over a fresh poset object
+    per order of the five fields, in all 120 orders, and with the first
+    call rotating through the gate, the wrappers and the finders, every
+    answer equals the one a fresh object gives over that field alone, and
+    the verdicts equal the reference decisions.  The 120 orders take about
+    2 s on a 2-core x86-64 machine, one Smith form each."""
+    group = ([2], 0)  # H_1(RP^2): test_torsion_factor_of_projective_plane
+    alone = {}
+    for field in RP2_FIELDS:
+        alone[field.name] = rp2_answers(rp2_face_poset(), field, 0)
+        want = {"mult_subset_inn": reference_mult_subset_inn(group, field),
+                "der_equals_ider": reference_der_equals_ider(
+                    rp2_face_poset(), field)}
+        assert alone[field.name]["report"] == want, field
+        assert (alone[field.name]["mult"], alone[field.name]["der"]) == (
+            want["mult_subset_inn"], want["der_equals_ider"])
+    assert [a["sigma"] is None for a in alone.values()] == [
+        True, False, False, False, False]
+    assert [a["tau"] is None for a in alone.values()] == [
+        False, True, True, True, True]
+    for n, order in enumerate(itertools.permutations(RP2_FIELDS)):
+        poset = rp2_face_poset()
+        for k, field in enumerate(order):
+            got = rp2_answers(poset, field, (n + k) % 5)
+            assert got == alone[field.name], ([f.name for f in order], field)
+
+
+def test_one_smith_form_per_poset_object(monkeypatch):
+    """The gate, both wrappers, both finders, and repeated ``classify`` and
+    ``equivalent_inner`` calls over several fields share one Smith form
+    when the poset is its own core.  A poset whose core is smaller takes
+    one for the core (the gate) and one for itself (the finders), and an
+    equal poset built anew takes its own."""
+    from incalg.involutions import classify, equivalent_inner
+    calls = count_smith_forms(monkeypatch)
+    poset = level_poset(2, 2, 2)
+    assert poset.core() is poset and poset.chains
+    for field in FIELDS:
+        check_hypotheses(poset, field)
+        mult_subset_inn(poset, field)
+        der_equals_ider(poset, field)
+        alg = IncidenceAlgebra(poset, field)
+        assert find_non_inner_cocycle(alg) is None
+        assert find_non_inner_additive(alg) is None
+    lam = poset.involutions()[0]
+    for field in (PrimeField(3), PrimeField(5), PrimeField(3)):
+        reps = classify(poset, lam, field).representatives
+        assert equivalent_inner(reps[0], reps[0]).equivalent
+        assert not equivalent_inner(reps[0], reps[1]).equivalent
+    assert calls == [len(poset.chains)]
+
+    del calls[:]
+    tailed = with_tail(poset, "l2_0", 2)
+    core = tailed.core()
+    assert core is not tailed and core.n == poset.n
+    for field in (PrimeField(2), PrimeField(3), QQ):
+        check_hypotheses(tailed, field)
+        alg = IncidenceAlgebra(tailed, field)
+        find_non_inner_cocycle(alg)
+        find_non_inner_additive(alg)
+    assert calls == [len(core.chains), len(tailed.chains)]
+
+    del calls[:]
+    twin = Poset.from_covers(poset.elements, poset.covers)
+    check_hypotheses(twin, QQ)
+    check_hypotheses(twin, PrimeField(7))
+    assert twin == poset and calls == [len(poset.chains)]
+
+
+@pytest.mark.parametrize("name, field, code", [
+    ("rp2", "F7", 3), ("moore3", "F7", 3), ("moore3", "F3", 3),
+    ("rp2", "F2", 3), ("moore3", "Q", 0),
+])
+def test_a_hypotheses_run_takes_one_smith_form(request, tmp_path, monkeypatch,
+                                               capsys, name, field, code):
+    """``incalg hypotheses`` on a poset that is its own core takes one Smith
+    form in all, whether it passes or prints one or two counterexamples:
+    the gate and the finders read the one the poset keeps."""
+    from incalg.cli import main
+    poset = request.getfixturevalue(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(poset.to_json()))
+    calls = count_smith_forms(monkeypatch)
+    assert main(["hypotheses", "--poset", str(path), "--field", field]) == code
+    assert calls == [len(poset.chains)]
+    assert ("non_inner" in capsys.readouterr().out) is (code == 3)
+
+
+def test_stored_readings_die_with_their_poset(request, rp2):
+    """The stored reading makes no reference cycle: with the cycle collector
+    off, a poset that has kept its reading and its core's is freed as soon
+    as it is, and so is its core."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, poset in core_cases(request) + [("rp2", rp2)]:
+            fresh = Poset.from_covers(poset.elements, poset.covers)
+            check_hypotheses(fresh, QQ)
+            find_non_inner_cocycle(IncidenceAlgebra(fresh, QQ))
+            assert fresh._smith is not None, name
+            refs = [weakref.ref(fresh), weakref.ref(fresh.core())]
+            del fresh
+            assert [r() for r in refs] == [None, None], name
+    finally:
+        if enabled:
+            gc.enable()

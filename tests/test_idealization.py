@@ -423,3 +423,47 @@ def test_operands_over_different_contexts_are_refused(chain2, chain3, module,
                                                       message, call):
     with pytest.raises(ContextMismatch, match=f"^{re.escape(message)}$"):
         call(IncidenceAlgebra(chain2, F5), IncidenceAlgebra(chain3, F5))
+
+
+def square_is_identity(m):
+    """The check ``DLinearMap.is_involution`` replaced: the whole square,
+    compared with the identity map that ``from_function`` builds."""
+    return m.compose(m) == DLinearMap.identity(m.alg)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), QQ],
+                         ids=lambda f: f.name)
+def test_is_involution_agrees_with_the_square_against_the_identity(
+        request, field):
+    """The column-by-column check gives the verdict of the full square on
+    lifted relabels, their inner conjugates and products, inner
+    automorphisms, the scalars -1 and 2 (2 squares to 1 over F3 only), the
+    zero map, random maps, and involutions with one column changed, first
+    or last, so the early exit and the full pass both run."""
+    rng = random.Random(f"square:{field.name}")
+    maps = []
+    for name in ("chain2", "chain3", "diamond", "crown"):
+        poset = request.getfixturevalue(name)
+        alg = IncidenceAlgebra(poset, field)
+        n = 2 * alg.npairs
+
+        def scalar(c, n=n, alg=alg):
+            return DLinearMap(alg, [[c if r == b else field.zero
+                                     for r in range(n)] for b in range(n)])
+        maps += [scalar(field.one), scalar(field(-1)), scalar(field(2)),
+                 scalar(field.zero)]
+        maps += [DLinearMap(alg, [[field.random(rng) for _ in range(n)]
+                                  for _ in range(n)]) for _ in range(2)]
+        for lam in poset.involutions():
+            rho = lift_anti(FiaMorphism.induced(alg, lam))
+            u = random_d_unit(alg, rng)
+            inner, back = inner_auto(u), inner_auto(u.inverse())
+            maps += [rho, inner.compose(rho).compose(back),
+                     rho.compose(inner), inner]
+            for k in (0, n - 1):
+                cols = [list(c) for c in rho.cols]
+                cols[k][k] = field.add(cols[k][k], field.one)
+                maps.append(DLinearMap(alg, cols))
+    verdicts = [m.is_involution() for m in maps]
+    assert verdicts == [square_is_identity(m) for m in maps]
+    assert verdicts.count(True) >= 12 and verdicts.count(False) >= 12
