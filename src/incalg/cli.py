@@ -110,7 +110,7 @@ def _emit(payload, as_json):
 def cmd_poset_info(args):
     poset = load_poset(args.poset)
     autos, antis = poset.automorphisms(), poset.anti_automorphisms()
-    involutions = poset.involutions()
+    involutions = [m for m in antis if m.is_involution()]
     payload = {
         "elements": ", ".join(str(x) for x in poset.elements),
         "covers": ", ".join(f"{x}<{y}" for x, y in poset.covers),
