@@ -326,9 +326,8 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("inv1")
     p.add_argument("inv2")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--inner", action="store_true", default=True)
-    mode.add_argument("--general", action="store_true")
+    p.add_argument("--general", action="store_true",
+                   help="decide under all ring automorphisms, not only inner")
     p.add_argument("--check", action="store_true",
                    help="re-verify the witness before printing")
     p.set_defaults(fn=cmd_equivalent)

@@ -29,8 +29,7 @@ modulus, never a poset label, so no label (quotes, newlines, code) reaches
 the compiler.  Over a prime field each entry takes one ``% p``.  Over Q the
 same functions run on the numerators, the denominators multiply, and one
 gcd reduces the result.  Every call multiplies all of its terms, zero
-operands included; the one product that vanishes by structure and is
-skipped is ``morphisms.FiaMorphism.apply``'s conjugation by the unity.
+operands included.
 
 On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
 e_xw when y = z and zero otherwise), so a product u e_ab v with one basis

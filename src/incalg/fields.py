@@ -146,11 +146,13 @@ class Field:
     def parse(self, s):
         """The value a scalar string names.  One rule serves both fields, as
         it does ``parse_field``: the string must be ASCII with no underscore
-        (so no digit outside ASCII and no ``1_2``); it is stripped and
-        converted, and anything else raises ParseError naming the value."""
+        and no exponent (so no digit outside ASCII, no ``1_2``, and no
+        ``1e9999999``, whose value alone has 33 million bits); it is
+        stripped and converted, and anything else raises ParseError naming
+        the value."""
         if not isinstance(s, str):
             raise ParseError(f"{self.scalar} {s!r} is not a string")
-        if s.isascii() and "_" not in s:
+        if s.isascii() and "_" not in s and "e" not in s.lower():
             try:
                 return self.convert(s.strip())
             except (ValueError, ZeroDivisionError):
@@ -366,11 +368,16 @@ QQ = RationalField()
 
 def parse_field(spec):
     """Parse a field spec string: "Q" or "F<p>" (e.g. "F5"), p in ASCII
-    digits."""
+    digits.  A p with more digits than MODULUS_BOUND raises SizeLimit
+    before it is converted."""
     s = spec.strip()
     if s == "Q":
         return QQ
     if s.startswith("F") and s[1:].isascii() and s[1:].isdigit():
-        return PrimeField(int(s[1:]))
+        digits = s[1:].lstrip("0") or "0"
+        if len(digits) > len(str(MODULUS_BOUND)):
+            raise SizeLimit(f"modulus of {len(digits)} digits exceeds the "
+                            f"bound {MODULUS_BOUND}")
+        return PrimeField(int(digits))
     raise ParseError(f"bad field spec {spec!r}")
 

@@ -157,16 +157,27 @@ class InvolutionSpec:
     @cached_property
     def _reduction(self):
         """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1);
-        computed once per spec.  base is rho_eps at the symmetric form's own
-        fixed-point diagonal (sigma_lambda without fixed points), not one
-        representative per inner class: two specs of one class may get
-        scalings that differ by a global shift, which ``_shift_conjugator``
-        bridges."""
+        computed once per spec.  base is the representative ``classify``
+        lists for the spec's inner class, so specs of one class share it:
+        with fixed points, rho_eps at the representatives (``_class_rep``)
+        of the classes in the invariant's key; without, the base involution
+        or sigma_lambda.  With fixed points the symmetric form is first
+        divided by its ring entry at the first one, a central scalar that
+        leaves the involution unchanged; its entry at each fixed point x is
+        then eps(x) times a square, whose root ``symmetric_decompose``
+        takes."""
         alg = self.alg
+        field = alg.field
         theta_sym, k0 = self.symmetric_form()
-        if k0 == alg.field.one:  # always so with fixed points
-            eps = {x: theta_sym.f[x, x] for x in self.lam.fixed_points()}
+        fixed = self.lam.fixed_points()
+        if fixed:  # then k0 = 1
+            head = field.inv(theta_sym.f[fixed[0], fixed[0]])
+            theta_sym = central_pair(alg, head, field.zero) * theta_sym
+            eps = {x: _class_rep(field, c)
+                   for x, c in zip(fixed, self.invariant().key())}
             base = rho_eps(alg, self.lam, eps, self.k)
+        elif k0 == field.one:
+            base = base_involution(alg, self.lam, self.k)
         else:
             base = sigma_lambda(alg, self.lam, self.k)
         return base, symmetric_decompose(theta_sym * base._theta_inv, base)
@@ -245,6 +256,14 @@ def _chi_key(chi, alpha=None):
         chi = {x: moved[x] for x in sorted(moved, key=alpha.dst.index.get)}
     head = next(iter(chi.values())).inverse()
     return tuple(c * head for c in chi.values())
+
+
+def _class_rep(field, cls):
+    """The scaling ``classify`` lists for a square class: the signed
+    squarefree integer over Q, else one of ``square_class_reps``."""
+    if cls.kind == "Q":
+        return field(cls.rep)
+    return field.square_class_reps()[0 if cls.rep else 1]
 
 
 def _class_json(cls):
@@ -543,7 +562,6 @@ def equivalent_inner(s1, s2):
 def _equivalent_inner(s1, s2):
     """``equivalent_inner`` after its context check and classification
     gate, which the caller has run."""
-    alg = s1.alg
     if s1.lam != s2.lam:
         return Verdict(False, distinguisher="lambda")
     if s1.k != s2.k:
@@ -551,40 +569,10 @@ def _equivalent_inner(s1, s2):
     inv1, inv2 = s1.invariant(), s2.invariant()
     if not inv1.same_inner_class(inv2):
         return Verdict(False, distinguisher="chi")
-    base1, gamma1 = s1._reduction
-    base2, gamma2 = s2._reduction
-    if base1.theta == base2.theta:
-        shift = d_one(alg)
-    else:
-        shift = _shift_conjugator(s1, base1, base2)
-    conjugator = gamma2 * shift * gamma1.inverse()
+    conjugator = s2._reduction[1] * s1._reduction[1].inverse()
     if not _verify_intertwiner(s1, s2, conjugator):
         raise WitnessFailed("constructed witness fails to intertwine")
     return Verdict(True, conjugator=conjugator)
-
-
-def _shift_conjugator(spec, base1, base2):
-    """A unit v with conj(v) o base1 = base2 o conj(v), built from a global
-    square-class shift between the two fixed-point scalings."""
-    alg = spec.alg
-    field = alg.field
-    decomp = spec.decomposition()
-    eps1 = {x: base1.theta.f[x, x] for x in decomp.fixed}
-    eps2 = {x: base2.theta.f[x, x] for x in decomp.fixed}
-    x0 = decomp.fixed[0]
-    g0 = field.div(eps2[x0], eps1[x0])
-    diag = {}
-    for x in decomp.lower:
-        diag[x] = g0
-    for x in decomp.upper:
-        diag[x] = field.one
-    for x in decomp.fixed:
-        val = field.mul(g0, field.div(eps2[x], eps1[x]))
-        root = field.sqrt(val)
-        if root is None:
-            raise WitnessFailed("shift ratio must be a square")
-        diag[x] = root
-    return DElem(alg.diagonal(diag), alg.zero())
 
 
 def equivalent(s1, s2):

@@ -129,7 +129,6 @@ class FiaMorphism:
         if not self.u.is_unit():
             raise NotAMorphism("conjugator must be a unit")
         self.u_inv = self.u.inverse()
-        self._conjugates = self.u != alg.delta()
         self.posetmap = posetmap if posetmap is not None else identity_map(alg.poset)
         self.anti = bool(anti)
         if self.posetmap.anti != self.anti:
@@ -150,7 +149,7 @@ class FiaMorphism:
         if f.alg != self.alg:
             raise ContextMismatch("morphism and argument over different contexts")
         moved = self._scale.entrywise(f.permuted(self._perm))
-        return self.u * moved * self.u_inv if self._conjugates else moved
+        return self.u * moved * self.u_inv
 
     def to_linear(self):
         """The matrix of the map, each column in closed form.  The scaled

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,49 @@ def test_huge_modulus_is_refused_at_once(poset_files):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: modulus ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_modulus_past_the_int_digit_limit_exits_2(poset_files, capsys):
+    """A 5,000-digit modulus is past the digit count int() converts; it is
+    refused by its length, before any conversion, in one stderr line."""
+    start = time.perf_counter()
+    assert main(["hypotheses", "--poset", str(poset_files["chain2"]),
+                 "--field", "F" + "9" * 5000]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: modulus of 5000 digits exceeds the "
+                            "bound 1000000000000\n")
+    assert captured.out == ""
+
+
+def test_a_rational_exponent_exits_2_before_the_value_is_built(
+        poset_files, tmp_path, capsys):
+    """Fraction("1e9999999") builds a 33-million-bit numerator; a scalar
+    with an exponent is refused first, in one stderr line."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps(
+        {"lambda": {"0": "1", "1": "0", "a": "a", "b": "b"}, "k": 1,
+         "theta": {"f": {"entries": {"0,0": "1", "a,a": "1e9999999",
+                                     "b,b": "1", "1,1": "1"}},
+                   "i": {"entries": {}}}}))
+    start = time.perf_counter()
+    assert main(["equivalent", "--poset", str(poset_files["diamond"]),
+                 "--field", "Q", str(inv), str(inv)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: bad involution object in {inv}: "
+                            "bad rational scalar '1e9999999'\n")
+    assert captured.out == ""
+
+
+def test_equivalent_has_no_inner_flag(poset_files, capsys):
+    """Inner equivalence is the default and ``--general`` the one mode
+    flag, so ``--inner`` is an unknown option: a usage error, exit 2."""
+    with pytest.raises(SystemExit) as info:
+        main(["equivalent", "--poset", str(poset_files["diamond"]),
+              "--field", "F5", "--inner", "inv1.json", "inv2.json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --inner" in capsys.readouterr().err
 
 
 def test_hypotheses_exit_codes(poset_files, capsys):

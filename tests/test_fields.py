@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from incalg import fields
-from incalg.errors import ParseError, SizeLimit, ZeroArgument
+from incalg.errors import DomainMismatch, ParseError, SizeLimit, ZeroArgument
 from incalg.fields import QQ, PrimeField, SquareClass, parse_field
 from incalg.involutions import ClassInvariant
 from incalg.posets import Poset
@@ -341,3 +341,39 @@ def test_rational_classes_multiply_in_closed_form():
     assert (SquareClass("Q", p) * SquareClass("Q", -q)).rep == -p * q
     assert SquareClass("Q", p) * SquareClass("Q", p) == QQ.square_class(1)
     assert SquareClass("Q", -6) * SquareClass("Q", 10) == SquareClass("Q", -15)
+
+
+# -- typed guards -------------------------------------------------------------
+
+
+def test_a_modulus_above_the_bound_raises_size_limit():
+    with pytest.raises(SizeLimit, match="exceeds the bound"):
+        PrimeField(fields.MODULUS_BOUND + 39)
+
+
+def test_a_modulus_spec_is_bounded_by_its_digit_count():
+    """A spec is refused by the length of its modulus before int() reads
+    it, so a spec past int()'s digit limit is a SizeLimit too; leading
+    zeros do not count."""
+    for spec in ("F" + "9" * 5000, "F1" + "0" * 13):
+        with pytest.raises(SizeLimit, match="^modulus of "):
+            parse_field(spec)
+    assert parse_field("F" + "0" * 5000 + "5") == F5
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "1E5", "2.5e-3"])
+def test_a_rational_exponent_is_refused_before_the_value_is_built(text):
+    with pytest.raises(ParseError, match="^bad rational scalar "):
+        QQ.parse(text)
+
+
+def test_square_classes_over_different_fields_do_not_multiply():
+    with pytest.raises(DomainMismatch):
+        SquareClass("F", True) * SquareClass("Q", 2)
+
+
+def test_field_call_refuses_a_value_of_another_type():
+    with pytest.raises(ParseError, match="not a rational value"):
+        QQ(1.5)
+    with pytest.raises(ParseError, match="not a residue"):
+        F5("3")

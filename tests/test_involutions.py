@@ -24,7 +24,7 @@ from incalg.involutions import (
     sigma_lambda, symmetric_decompose, verify_witness,
 )
 from incalg.morphisms import FiaMorphism
-from incalg.posets import lambda_decomposition
+from incalg.posets import Poset, identity_map, lambda_decomposition
 
 from conftest import is_identity
 
@@ -524,8 +524,10 @@ def test_equivalent_inner_chi_difference(diamond):
 @pytest.mark.parametrize("p", [10007, 1000003])
 def test_equivalence_shifts_by_roots_modulo_large_primes(diamond, decide, p):
     """rho_eps at eps = (1, 3) and (4, 12) on the diamond's flip differ by
-    the global square 4, so ``_shift_conjugator`` takes square roots of the
-    fixed-point ratios, here modulo primes above 10^4."""
+    the global square 4.  Both reduce to the one representative rho_eps at
+    (1, r), r the listed representative of the class of 3, so
+    ``symmetric_decompose`` takes the square root of 3 / r at the second
+    fixed point, here modulo primes above 10^4."""
     alg = IncidenceAlgebra(diamond, PrimeField(p))
     flip = diamond_flip(diamond)
     s1 = rho_eps(alg, flip, {"a": 1, "b": 3}, 1)
@@ -936,18 +938,43 @@ def conjugate_of(spec, rng):
     return build(alg, u * spec.theta * spec.base_apply(u), spec.lam, spec.k)
 
 
-def representatives(alg, lam):
+def representatives(alg, lam, values=(1, 2)):
     """The class representatives of ``lam``; over Q, where two or more fixed
     points give infinitely many classes, those of rho_eps with eps in
-    {1, 2} and the first point's value 1."""
+    ``values`` (signed squarefree integers) and the first point's value 1."""
     field = alg.field
     reps = classify(alg.poset, lam, field).representatives
     if reps is None:
         fixed = lam.fixed_points()
         reps = [rho_eps(alg, lam, dict(zip(fixed, (1,) + rest)), k)
-                for rest in itertools.product((1, 2), repeat=len(fixed) - 1)
+                for rest in itertools.product(values, repeat=len(fixed) - 1)
                 for k in (1, -1)]
     return reps
+
+
+@pytest.mark.parametrize("field", (F3, F5, PrimeField(7), QQ),
+                         ids=("F3", "F5", "F7", "Q"))
+@pytest.mark.parametrize("name", ("chain2", "chain3", "diamond",
+                                  "wide_diamond"))
+def test_conjugates_reduce_to_their_classify_representative(request, name,
+                                                            field):
+    """A random inner conjugate of a representative, its theta scaled by a
+    random central unit as well, reduces to that representative's theta
+    and sign: every spec of a class reduces to the one representative
+    ``classify`` lists for it, whatever its fixed-point diagonal."""
+    poset = request.getfixturevalue(name)
+    rng = random.Random(name + field.name)
+    alg = IncidenceAlgebra(poset, field)
+    for lam in poset.involutions():
+        for rep in representatives(alg, lam, values=(1, -1, 2, -6)):
+            for _ in range(3):
+                x = conjugate_of(rep, rng)
+                bimodule = field.zero if x.k == field.one else field.random(rng)
+                x = build(alg, central_pair(alg, field.random_nonzero(rng),
+                                            bimodule) * x.theta, x.lam, x.k)
+                base = x._reduction[0]
+                assert (base.theta, base.lam, base.k) == \
+                    (rep.theta, rep.lam, rep.k)
 
 
 def test_repeated_queries_reduce_a_representative_once(diamond, monkeypatch):
@@ -1063,3 +1090,22 @@ def test_a_spec_that_fails_its_ratio_check_raises_on_every_call(chain2):
                 ask()
         assert "_central_ratio" not in vars(spec)
         assert "_invariant" not in vars(spec)
+
+
+def test_spec_refuses_a_poset_map_that_is_not_an_anti_involution(chain2):
+    alg = IncidenceAlgebra(chain2, F5)
+    with pytest.raises(ParseError, match="must be an involution"):
+        InvolutionSpec(alg, d_one(alg), identity_map(chain2), 1)
+
+
+def test_central_ratio_off_a_disconnected_poset_is_not_a_scalar_pair():
+    """``build`` refuses a disconnected poset, whose center is not the
+    scalars; a spec built directly on the antichain {a, b} with the swap
+    and theta = diag(1, 2) has the central ratio diag(2, 3) over F5."""
+    poset = Poset.from_covers(["a", "b"], [])
+    alg = IncidenceAlgebra(poset, F5)
+    swap = next(m for m in poset.involutions() if m("a") == "b")
+    theta = DElem(alg.diagonal({"a": 1, "b": 2}), alg.zero())
+    spec = InvolutionSpec(alg, theta, swap, 1)
+    with pytest.raises(NotAnInvolution, match="not a scalar pair"):
+        spec.central_ratio()

@@ -10,7 +10,7 @@ from incalg.morphisms import (
     FiaMorphism, FiLinearMap, compose, decompose,
     find_non_inner_cocycle, mult_subset_inn, multiplicative_is_inner,
 )
-from incalg.posets import PosetMap
+from incalg.posets import PosetMap, identity_map
 
 from conftest import is_identity
 
@@ -392,3 +392,11 @@ def test_cocycle_keys_must_be_strict_pairs(chain2, entry, values, first):
     with pytest.raises(InvalidCocycle, match="not a strict pair") as exc:
         entry(alg, values)
     assert repr(first) in str(exc.value)
+
+
+def test_fia_morphism_guards_raise_not_a_morphism(chain2):
+    alg = IncidenceAlgebra(chain2, PrimeField(5))
+    with pytest.raises(NotAMorphism, match="conjugator must be a unit"):
+        FiaMorphism(alg, u=alg.zero())
+    with pytest.raises(NotAMorphism, match="poset map kind"):
+        FiaMorphism(alg, posetmap=identity_map(chain2), anti=True)

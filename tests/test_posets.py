@@ -420,3 +420,8 @@ def test_decomposition_refuses_a_map_that_is_not_an_involution(chain2):
 def test_maps_that_do_not_chain_do_not_compose(chain2, chain3):
     with pytest.raises(ParseError, match="^maps not composable$"):
         identity_map(chain2).compose(identity_map(chain3))
+
+
+def test_constructor_refuses_duplicate_labels():
+    with pytest.raises(DuplicateLabel):
+        Poset(["a", "a"], [0b01, 0b10])

@@ -9,7 +9,10 @@ from math import gcd
 
 import pytest
 
-from incalg.snf import smith_columns, smith_normal_form
+from incalg.errors import ParseError
+from incalg.fields import Field
+from incalg.posets import Poset
+from incalg.snf import check_hypotheses, smith_columns, smith_normal_form
 
 
 def invariant_factors(mat):
@@ -284,3 +287,9 @@ def test_against_sympy_random():
         assert rank == Matrix(mat).rank() == sum(1 for x in want if x)
         torsion_seen += bool(factors)
     assert torsion_seen >= 10
+
+
+def test_hypotheses_refuse_a_field_of_no_known_kind():
+    chain2 = Poset.from_covers(["a", "b"], [("a", "b")])
+    with pytest.raises(ParseError, match="unsupported field"):
+        check_hypotheses(chain2, Field())

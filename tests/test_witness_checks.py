@@ -24,7 +24,7 @@ from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
 from incalg.idealization import DElem, DLinearMap, d_one, inner_auto
 from incalg.involutions import (
-    ClassInvariant, Verdict, classify, equivalent, equivalent_inner,
+    Verdict, classify, equivalent, equivalent_inner,
     recognize, rho_eps, verify_witness,
 )
 from incalg.morphisms import find_non_inner_cocycle
@@ -115,12 +115,6 @@ def _no_inner_witness(monkeypatch):
                         lambda s1, s2: Verdict(False, distinguisher="chi"))
 
 
-def _every_class_the_same(monkeypatch):
-    """The invariant puts every pair of involutions in one inner class."""
-    monkeypatch.setattr(ClassInvariant, "same_inner_class",
-                        lambda self, other: True)
-
-
 def _one_square_class(monkeypatch):
     """The field lists one square-class representative where it has two."""
     monkeypatch.setattr(PrimeField, "square_class_reps", lambda self: [1])
@@ -179,9 +173,6 @@ NEGATIVE_CONTROLS = [
     ("matching carrier key gives no inner witness", _no_inner_witness,
      lambda: equivalent(_diamond_spec(1, 1), _diamond_spec(2, 2)),
      ["equivalent", DIAMOND, "--general", (1, 1), (2, 2)]),
-    ("shift ratio must be a square", _every_class_the_same,
-     lambda: equivalent_inner(_diamond_spec(1, 1), _diamond_spec(1, 2)),
-     ["equivalent", DIAMOND, (1, 1), (1, 2)]),
     ("representative count disagrees with theory", _one_square_class,
      lambda: classify(*_diamond_flip(), PrimeField(5)),
      ["classify", DIAMOND, "--lambda", json.dumps(FLIP)]),
