@@ -61,11 +61,12 @@ def read_input(path):
 
 
 def _parse_json(text, what):
-    """The value the JSON ``text`` holds; malformed or too deeply nested
-    JSON raises ParseError, its message led by ``what``."""
+    """The value the JSON ``text`` holds; malformed JSON, an integer past
+    Python's digit limit, or JSON nested too deeply raises ParseError, its
+    message led by ``what``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"{what}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{what}: JSON nested too deeply") from exc

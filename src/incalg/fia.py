@@ -188,15 +188,20 @@ class IncidenceAlgebra:
     def from_json(self, obj):
         """Build from {"entries": {"x,y": "value", ...}}, the shape
         ``IncFn.to_json`` writes: an object whose entries, if present, are
-        an object of value strings (``field.parse`` rejects a non-string)."""
+        an object of value strings (``field.parse`` rejects a non-string).
+        A key that is not two comparable labels joined by one comma raises
+        ParseError naming the key."""
         _members(obj, "incidence function")
         raw = obj.get("entries", {})
         if not isinstance(raw, dict):
             raise ParseError(f"entries {raw!r} are not an object")
         entries, parse = {}, self.field.parser()
         for key, sval in raw.items():
-            x, _, y = key.partition(",")
-            entries[(x.strip(), y.strip())] = parse(sval)
+            pair = tuple(label.strip() for label in key.split(","))
+            if pair not in self.pair_index:
+                raise ParseError(f"entry key {key!r} is not two comparable "
+                                 f"labels joined by one comma")
+            entries[pair] = parse(sval)
         return self.element(entries)
 
     def random(self, rng):

@@ -266,8 +266,18 @@ class CrossAntiMap:
 
 def d_anti_isomorphic(x_poset, y_poset, field):
     """An order-reversing bijection and the induced ring anti-isomorphism,
-    or None when the posets admit no such bijection."""
-    maps = x_poset.maps_to(y_poset, anti=True)
+    or None when the posets admit no such bijection.  The bijection is the
+    first the symmetry search finds, and the search stops there: once the
+    last point is placed, every further placement is refused."""
+    found = False
+
+    def first_only(k, j, image):
+        nonlocal found
+        if found:
+            return False
+        found = k == x_poset.n - 1
+        return True
+    maps = x_poset.maps_to(y_poset, anti=True, _accept=first_only)
     if not maps:
         return None
     lam = maps[0]

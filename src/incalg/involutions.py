@@ -62,7 +62,8 @@ class InvolutionSpec:
         if theta.alg != alg:
             raise ContextMismatch("unit over a different context")
         if not (lam.anti and lam.src == alg.poset and lam.is_involution()):
-            raise ParseError("the poset map must be an involution")
+            raise ParseError("the poset map must be an order-reversing "
+                             "involution of the algebra's poset")
         if alg.field.mul(self.k, self.k) != alg.field.one:
             raise BadSign("sign must square to one")
         self._theta_inv = theta.inverse()
@@ -157,29 +158,21 @@ class InvolutionSpec:
     @cached_property
     def _reduction(self):
         """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1);
-        computed once per spec.  base is the representative ``classify``
-        lists for the spec's inner class, so specs of one class share it:
-        with fixed points, rho_eps at the representatives (``_class_rep``)
-        of the classes in the invariant's key; without, the base involution
-        or sigma_lambda.  With fixed points the symmetric form is first
+        computed once per spec.  base is ``_representative`` of the spec's
+        inner class, the involution ``classify`` lists for it, so specs of
+        one class share it.  With fixed points the symmetric form is first
         divided by its ring entry at the first one, a central scalar that
         leaves the involution unchanged; its entry at each fixed point x is
         then eps(x) times a square, whose root ``symmetric_decompose``
         takes."""
         alg = self.alg
         field = alg.field
-        theta_sym, k0 = self.symmetric_form()
+        theta_sym, _ = self.symmetric_form()
         fixed = self.lam.fixed_points()
         if fixed:  # then k0 = 1
             head = field.inv(theta_sym.f[fixed[0], fixed[0]])
             theta_sym = central_pair(alg, head, field.zero) * theta_sym
-            eps = {x: _class_rep(field, c)
-                   for x, c in zip(fixed, self.invariant().key())}
-            base = rho_eps(alg, self.lam, eps, self.k)
-        elif k0 == field.one:
-            base = base_involution(alg, self.lam, self.k)
-        else:
-            base = sigma_lambda(alg, self.lam, self.k)
+        base = _representative(alg, self.lam, self.k, self.invariant().key())
         return base, symmetric_decompose(theta_sym * base._theta_inv, base)
 
     def invariant(self):
@@ -258,14 +251,6 @@ def _chi_key(chi, alpha=None):
     return tuple(c * head for c in chi.values())
 
 
-def _class_rep(field, cls):
-    """The scaling ``classify`` lists for a square class: the signed
-    squarefree integer over Q, else one of ``square_class_reps``."""
-    if cls.kind == "Q":
-        return field(cls.rep)
-    return field.square_class_reps()[0 if cls.rep else 1]
-
-
 def _class_json(cls):
     if cls.kind == "F":
         return "square" if cls.rep else "nonsquare"
@@ -317,6 +302,22 @@ def sigma_lambda(alg, lam, k=1):
             f"fixed points {list(decomp.fixed)} block the sign-split form")
     w = alg.diagonal({x: alg.field(-decomp.side(x)) for x in alg.poset.elements})
     return build(alg, DElem(w, alg.zero()), lam, k)
+
+
+def _representative(alg, lam, k, key):
+    """The involution ``classify`` lists for the inner class (lam, k, key),
+    key as ``ClassInvariant.key`` gives it: sigma_lambda for "skew", else
+    rho_eps with eps(x) read off the class of x in the chi key, the signed
+    squarefree integer over Q and the listed ``square_class_reps`` entry
+    over F_p.  "plain" comes with no fixed points, so its rho_eps is the
+    base involution."""
+    if key == "skew":
+        return sigma_lambda(alg, lam, k)
+    field = alg.field
+    eps = {x: field(c.rep) if c.kind == "Q"
+           else field.square_class_reps()[0 if c.rep else 1]
+           for x, c in zip(lam.fixed_points(), key)}
+    return rho_eps(alg, lam, eps, k)
 
 
 def symmetric_decompose(theta, base):
@@ -614,16 +615,17 @@ def equivalent(s1, s2):
 
 class Classification:
     """Classification outcome: representatives with their invariants, or a
-    finitely-described family when the square-class group is infinite."""
+    finitely-described family when the square-class group is infinite.
+    The poset, the fixed points and the count are read off lam and the
+    representatives (no count for a family)."""
 
-    def __init__(self, poset, field, lam, fixed, representatives, count,
-                 general, family=None):
-        self.poset = poset
+    def __init__(self, field, lam, representatives, general, family=None):
+        self.poset = lam.src
         self.field = field
         self.lam = lam
-        self.fixed = tuple(fixed)
+        self.fixed = lam.fixed_points()
         self.representatives = representatives
-        self.count = count
+        self.count = None if representatives is None else len(representatives)
         self.general = general
         self.family = family
 
@@ -653,38 +655,33 @@ class Classification:
         return out
 
 
-def _chi_orbit_fold(field, poset, lam, fixed, tuples):
-    """Fold scaling tuples on the fixed points by the automorphisms
-    commuting with lam, keeping the first of each orbit of chi keys."""
+def _chi_orbit_fold(poset, lam, fixed, keys):
+    """Fold chi keys on the fixed points by the automorphisms commuting
+    with lam, keeping the first of each orbit."""
     normalizer = _carriers(poset, lam, lam)
     keep = []
     seen = set()
-    for eps in tuples:
-        chi = {x: field.square_class(v) for x, v in zip(fixed, eps)}
-        if _chi_key(chi) in seen:
+    for key in keys:
+        if key in seen:
             continue
-        seen |= {_chi_key(chi, a) for a in normalizer}
-        keep.append(eps)
+        seen |= {_chi_key(dict(zip(fixed, key)), a) for a in normalizer}
+        keep.append(key)
     return keep
 
 
 def classify(poset, lam, field, general=False):
     """Representatives of the involutions inducing the given poset
-    involution, up to inner (default) or general equivalence."""
+    involution, up to inner (default) or general equivalence.
+
+    Each class is named by its key, as ``ClassInvariant.key`` gives it:
+    "plain" and "skew" without fixed points; with them, the identity class
+    at the first fixed point followed by any listed square class at each
+    other one.  ``_representative`` builds each key's involution for both
+    signs.  Over Q two or more fixed points give infinitely many keys, so
+    the answer is a finitely described family instead."""
     require_classifiable(poset, field)
-    alg = IncidenceAlgebra(poset, field)
-    decomp = lambda_decomposition(poset, lam)
-    fixed = decomp.fixed
-    if not fixed:
-        reps = [base_involution(alg, lam, 1),
-                base_involution(alg, lam, -1),
-                sigma_lambda(alg, lam, 1),
-                sigma_lambda(alg, lam, -1)]
-        return Classification(poset, field, lam, fixed, reps, 4, general)
-    if len(fixed) == 1:
-        reps = [base_involution(alg, lam, 1), base_involution(alg, lam, -1)]
-        return Classification(poset, field, lam, fixed, reps, 2, general)
-    if field.square_class_count is None:
+    fixed = lambda_decomposition(poset, lam).fixed
+    if len(fixed) > 1 and field.square_class_count is None:
         family = {
             "shape": "rho_eps with sign +1 or -1",
             "eps": "signed squarefree integers on the fixed points, "
@@ -694,17 +691,20 @@ def classify(poset, lam, field, general=False):
         if general:
             family["general"] = ("tuples further identified under poset "
                                  "automorphisms commuting with the involution")
-        return Classification(poset, field, lam, fixed, None, None, general,
-                              family=family)
-    tuples = [(field.one,) + rest for rest in itertools.product(
-        field.square_class_reps(), repeat=len(fixed) - 1)]
-    if general:
-        tuples = _chi_orbit_fold(field, poset, lam, fixed, tuples)
-    reps = [rho_eps(alg, lam, dict(zip(fixed, eps)), k)
-            for eps in tuples for k in (1, -1)]
-    count = len(reps)
-    if not general:
+        return Classification(field, lam, None, general, family=family)
+    keys = ["plain", "skew"]
+    if fixed:
+        # Q has no list of classes; one fixed point needs none
+        classes = [field.square_class(v) for v in
+                   (field.square_class_reps() if len(fixed) > 1 else ())]
+        keys = [(field.square_class(field.one),) + rest for rest in
+                itertools.product(classes, repeat=len(fixed) - 1)]
+        if general and len(keys) > 1:
+            keys = _chi_orbit_fold(poset, lam, fixed, keys)
+    alg = IncidenceAlgebra(poset, field)
+    reps = [_representative(alg, lam, k, key) for key in keys for k in (1, -1)]
+    if len(fixed) > 1 and not general:
         expected = 2 * field.square_class_count ** (len(fixed) - 1)
-        if count != expected:
+        if len(reps) != expected:
             raise WitnessFailed("representative count disagrees with theory")
-    return Classification(poset, field, lam, fixed, reps, count, general)
+    return Classification(field, lam, reps, general)

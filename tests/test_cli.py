@@ -812,6 +812,66 @@ def test_deeply_nested_json_exits_2(poset_files, tmp_path, capsys, site):
     assert "Traceback" not in captured.err
 
 
+BIG = "1" + "0" * 5000  # past Python's 4,300-digit int conversion limit
+
+
+@pytest.mark.parametrize("value", [BIG, "NaN", "1e400", DEEP],
+                         ids=["5001-digits", "nan", "1e400", "deep"])
+@pytest.mark.parametrize("site", ["poset", "lambda", "involution"])
+def test_json_values_past_python_limits_exit_2(poset_files, tmp_path, capsys,
+                                               site, value):
+    """Each JSON reader turns a value json.loads cannot hold (an integer
+    of more than 4,300 digits raises ValueError, deep nesting
+    RecursionError) or a label or sign it reads as a float into one
+    error line and exit 2."""
+    bad = tmp_path / "bad.json"
+    chain2 = str(poset_files["chain2"])
+    if site == "poset":
+        bad.write_text('{"elements": ["a", ' + value + "]}")
+        argv = ["poset-info", "--poset", str(bad)]
+        named = f"bad poset file {bad}: "
+    elif site == "lambda":
+        argv = ["classify", "--poset", chain2, "--field", "F3",
+                "--lambda", '{"a": "b", "b": ' + value + "}"]
+        named = "bad map: "
+    else:
+        poset = Poset.from_json(json.loads(poset_files["chain2"].read_text()))
+        inv = base_involution(IncidenceAlgebra(poset, PrimeField(3)),
+                              poset.involutions()[0], 1)
+        bad.write_text(json.dumps(inv.to_json()).replace('"k": 1',
+                                                         '"k": ' + value))
+        argv = ["equivalent", "--poset", chain2, "--field", "F3",
+                str(bad), str(bad)]
+        named = f"bad involution file {bad}: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if value == BIG:
+        assert captured.err.startswith(f"error: {named}Exceeds the limit")
+
+
+@pytest.mark.parametrize("key", ["a", "a,b,c", "b,a", "a,x"],
+                         ids=["one-label", "three-labels", "incomparable",
+                              "unknown-label"])
+def test_involution_entry_keys_name_the_file(poset_files, tmp_path, capsys,
+                                             key):
+    """An entry key must be two comparable labels joined by one comma;
+    any other key exits 2 with a message that names the key and the
+    file."""
+    poset = Poset.from_json(json.loads(poset_files["chain3"].read_text()))
+    obj = base_involution(IncidenceAlgebra(poset, PrimeField(3)),
+                          poset.involutions()[0], 1).to_json()
+    obj["theta"]["f"]["entries"][key] = "1"
+    bad = tmp_path / "inv.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["equivalent", "--poset", str(poset_files["chain3"]),
+                 "--field", "F3", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad involution object in {bad}: entry key {key!r} is not "
+        f"two comparable labels joined by one comma\n")
+
+
 def test_malformed_poset_file_names_the_file(tmp_path, capsys):
     """Poset JSON is read by the same reader as the other JSON inputs, so
     a decode error names the file it came from."""

@@ -8,6 +8,13 @@ over F5 (text and ``--json``) for its first two involutions, and
 involutions: the first, second and last of the first involution's, the
 first of the second's.  Any change to the search order, the groups, the
 carrier test, the χ-fold or the λ-split that reaches the user shows here.
+
+The same file pins inner ``classify`` (text and ``--json``) over F3, F5
+and Q for one involution with each number of fixed points that picks a
+different shape of answer: chain3's reversal (one fixed point), chain4's
+(none) and the diamond's flip of 0 and 1 (two, so a family over Q).  Any
+change to which representative a class gets, or to their order, shows
+here.
 """
 
 import contextlib
@@ -35,6 +42,17 @@ POSETS = {
     "B3": (SUBSETS, [(s, t) for s in SUBSETS for t in SUBSETS
                      if len(t.strip("e")) == len(s.strip("e")) + 1
                      and set(s.strip("e")) <= set(t)]),
+}
+
+# name: (elements, covers, involution)
+INNER = {
+    "chain3": (["a", "b", "c"], [("a", "b"), ("b", "c")],
+               {"a": "c", "b": "b", "c": "a"}),
+    "chain4": (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")],
+               {"a": "d", "b": "c", "c": "b", "d": "a"}),
+    "diamond-flip": (["0", "a", "b", "1"],
+                     [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+                     {"0": "1", "a": "a", "b": "b", "1": "0"}),
 }
 
 
@@ -80,10 +98,35 @@ def pinned_runs(tmp_path, name):
     return runs
 
 
+def inner_runs(tmp_path, name):
+    """{case: {exit, stdout, stderr}} of inner ``classify`` for one
+    poset's involution over F3, F5 and Q, as text and ``--json``."""
+    elements, covers, lam = INNER[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"elements": elements,
+                                "covers": [list(c) for c in covers]}))
+    runs = {}
+    for field in ("F3", "F5", "Q"):
+        for flag in ([], ["--json"]):
+            runs[" ".join(["classify", field, *flag])] = _run(
+                ["classify", "--poset", str(path), "--field", field,
+                 "--lambda", json.dumps(lam), *flag])
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(POSETS))
 def test_symmetry_commands_stay_pinned(tmp_path, name):
     want = json.loads(PINNED.read_text())[name]
     got = pinned_runs(tmp_path, name)
+    assert list(got) == list(want)
+    for case in want:
+        assert got[case] == want[case], case
+
+
+@pytest.mark.parametrize("name", sorted(INNER))
+def test_inner_classify_stays_pinned(tmp_path, name):
+    want = json.loads(PINNED.read_text())[f"inner {name}"]
+    got = inner_runs(tmp_path, name)
     assert list(got) == list(want)
     for case in want:
         assert got[case] == want[case], case

@@ -1093,9 +1093,14 @@ def test_a_spec_that_fails_its_ratio_check_raises_on_every_call(chain2):
 
 
 def test_spec_refuses_a_poset_map_that_is_not_an_anti_involution(chain2):
+    """The identity is an involution but preserves order; the reversal of
+    a chain on other labels is an anti-involution of another poset."""
     alg = IncidenceAlgebra(chain2, F5)
-    with pytest.raises(ParseError, match="must be an involution"):
-        InvolutionSpec(alg, d_one(alg), identity_map(chain2), 1)
+    other = Poset.from_covers(["x", "y"], [("x", "y")])
+    for lam in (identity_map(chain2), other.involutions()[0]):
+        with pytest.raises(ParseError, match="order-reversing involution of "
+                                             "the algebra's poset"):
+            InvolutionSpec(alg, d_one(alg), lam, 1)
 
 
 def test_central_ratio_off_a_disconnected_poset_is_not_a_scalar_pair():

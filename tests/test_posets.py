@@ -8,7 +8,7 @@ from incalg.errors import (
 from incalg import posets
 from incalg.fields import PrimeField
 from incalg.idealization import d_anti_isomorphic
-from incalg.involutions import _carriers
+from incalg.involutions import _carriers, classify
 from incalg.posets import Poset, PosetMap, identity_map, lambda_decomposition
 
 from conftest import chain, is_identity, levels, suspension
@@ -240,6 +240,28 @@ def test_carriers_build_only_the_maps_they_return(monkeypatch):
         assert len(carriers) == len(built)
         sizes.add(len(carriers))
     assert sizes == {0, 96, 192, 576}
+
+
+def test_d_anti_isomorphic_builds_only_the_map_it_returns(monkeypatch):
+    """The search stops at the first anti-isomorphism: on susp8 it builds
+    one ``PosetMap``, the first the full listing gives, where listing all
+    40,320 to take the first built every one."""
+    poset = suspension(8)
+    first = poset.maps_to(poset, anti=True)[0]
+    built = counted_builds(monkeypatch)
+    lam, _ = d_anti_isomorphic(poset, poset, PrimeField(5))
+    assert built == [lam] and lam == first
+
+
+def test_classify_with_one_fixed_point_searches_no_maps(monkeypatch):
+    """With one fixed point there is one chi key, so even ``--general``
+    folds nothing and searches no centralizer: classify builds no
+    ``PosetMap``."""
+    poset = chain(3)
+    swap = poset.involutions()[0]
+    built = counted_builds(monkeypatch)
+    result = classify(poset, swap, PrimeField(5), general=True)
+    assert result.count == 2 and built == []
 
 
 def test_suspension_involutions_are_the_telephone_numbers():
