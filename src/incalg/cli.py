@@ -26,7 +26,8 @@ import json
 import os
 import sys
 
-from .errors import Char2Unsupported, HypothesisFailed, IncalgError, ParseError
+from .errors import (BadSign, Char2Unsupported, CycleDetected, DuplicateLabel,
+                     HypothesisFailed, IncalgError, NotAUnit, NotInvolutive, ParseError)
 from .fields import parse_field
 from .posets import Poset, PosetMap
 from .snf import check_hypotheses
@@ -73,10 +74,15 @@ def _parse_json(text, what):
 
 
 def load_poset(path):
+    """The poset a file holds, as JSON or as relation lines; any fault in
+    the file raises ParseError naming the path."""
     text = read_input(path)
-    if text.lstrip().startswith("{"):
-        return Poset.from_json(_parse_json(text, f"bad poset file {path}"))
-    return Poset.from_lines(text)
+    what = f"bad poset file {path}"
+    obj = _parse_json(text, what) if text.lstrip().startswith("{") else None
+    try:
+        return Poset.from_lines(text) if obj is None else Poset.from_json(obj)
+    except (CycleDetected, DuplicateLabel, ParseError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def load_lambda(poset, spec):
@@ -185,7 +191,7 @@ def _load_involution(alg, path):
     obj = _parse_json(read_input(path), f"bad involution file {path}")
     try:
         return involution_from_json(alg, obj)
-    except ParseError as exc:
+    except (BadSign, NotAUnit, NotInvolutive, ParseError) as exc:
         raise ParseError(f"bad involution object in {path}: {exc}") from exc
 
 

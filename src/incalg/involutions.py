@@ -190,9 +190,9 @@ class InvolutionSpec:
         field = self.alg.field
         if not fixed:
             kind = "plain" if k0 == field.one else "skew"
-            return ClassInvariant(self.lam, self.k, field, kind=kind)
+            return ClassInvariant(self.lam, self.k, kind=kind)
         chi = {x: field.square_class(self.theta.f[x, x]) for x in fixed}
-        return ClassInvariant(self.lam, self.k, field, chi=chi)
+        return ClassInvariant(self.lam, self.k, chi=chi)
 
     def sign_int(self):
         return 1 if self.k == self.alg.field.one else -1
@@ -208,16 +208,15 @@ class InvolutionSpec:
 
 
 class ClassInvariant:
-    """What survives inner equivalence: the induced involution, the sign,
-    and the square-class data (or the plain/skew tag when there are no
-    fixed points)."""
+    """What survives inner equivalence: the induced involution, the sign
+    (the field's 1 or -1), and the square-class data (or the plain/skew
+    tag when there are no fixed points)."""
 
-    def __init__(self, lam, sign, field, kind=None, chi=None):
+    def __init__(self, lam, sign, kind=None, chi=None):
         self.lam = lam
         self.sign = sign
         self.kind = kind
         self.chi = dict(chi) if chi else None
-        self.field = field
 
     def key(self, alpha=None):
         """The plain/skew tag, or ``_chi_key`` of chi; a carrier alpha
@@ -232,7 +231,7 @@ class ClassInvariant:
 
     def to_json(self):
         out = {"lambda": self.lam.to_json(),
-               "sign": 1 if self.sign == self.field.one else -1}
+               "sign": 1 if self.sign == 1 else -1}
         if self.kind is not None:
             out["kind"] = self.kind
         if self.chi is not None:
@@ -454,25 +453,24 @@ def involution_from_json(alg, obj):
 
 
 class Verdict:
-    """Outcome of an equivalence query: either a verified witness or the
-    name of a distinguishing invariant."""
+    """Outcome of an equivalence query: either a verified witness (a
+    conjugator, after the relabel by the poset automorphism ``alpha`` for
+    a general one) or the name of a distinguishing invariant."""
 
     def __init__(self, equivalent, conjugator=None, distinguisher=None,
-                 alpha=None, k=None):
+                 alpha=None):
         self.equivalent = equivalent
         self.conjugator = conjugator
         self.distinguisher = distinguisher
         self.alpha = alpha
-        self.k = k
 
     def to_json(self):
         out = {"equivalent": self.equivalent}
         if self.equivalent:
-            witness = {"kind": "inner" if self.alpha is None else "general",
-                       "conjugator": self.conjugator.to_json()}
+            witness = {"kind": "inner", "conjugator": self.conjugator.to_json()}
             if self.alpha is not None:
-                witness["alpha"] = self.alpha.to_json()
-                witness["k"] = str(self.k)
+                # a relabel needs no bimodule scaling, so k is always 1
+                witness.update(kind="general", alpha=self.alpha.to_json(), k="1")
             out["witness"] = witness
         else:
             out["distinguisher"] = self.distinguisher
@@ -517,13 +515,14 @@ def _relabelled_spec(spec, alpha):
     return InvolutionSpec(spec.alg, moved, lam, spec.k, _validated=True)
 
 
-def _carriers(poset, lam1, lam2):
-    """The automorphisms alpha with alpha o lam2 = lam1 o alpha (which
-    carry lam2 to lam1 by conjugation), in the order ``automorphisms``
-    lists them, found by the search itself.  Placing alpha(k) = j, with
-    m = lam2(k) <= k, needs alpha(m) = lam1(j) (so lam1(j) = j when
-    m = k); when m > k the placement of m checks the same equation,
-    since lam1 and lam2 are involutions."""
+def _carriers(lam1, lam2):
+    """The automorphisms alpha of lam1's poset with alpha o lam2 =
+    lam1 o alpha (which carry lam2 to lam1 by conjugation), in the order
+    ``automorphisms`` lists them, found by the search itself.  Placing
+    alpha(k) = j, with m = lam2(k) <= k, needs alpha(m) = lam1(j) (so
+    lam1(j) = j when m = k); when m > k the placement of m checks the
+    same equation, since lam1 and lam2 are involutions."""
+    poset = lam1.src
     on1, on2 = ([poset.index[lam(x)] for x in poset.elements] for lam in (lam1, lam2))
     return poset.maps_to(poset, _accept=lambda k, j, image: (
         on2[k] > k or image[on2[k]] == 1 << on1[j]))
@@ -589,11 +588,10 @@ def equivalent(s1, s2):
     permutation is held to ``_relabel_by_pairs``, a second route on pair
     permutations alone; a mismatch raises WitnessFailed."""
     _check_same_context(s1, s2)
-    alg = s1.alg
-    require_classifiable(alg.poset, alg.field)
+    require_classifiable(s1.alg.poset, s1.alg.field)
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
-    carriers = _carriers(alg.poset, s1.lam, s2.lam)
+    carriers = _carriers(s1.lam, s2.lam)
     if not carriers:
         return Verdict(False, distinguisher="lambda")
     key, inv2 = s1.invariant().key(), s2.invariant()
@@ -606,8 +604,7 @@ def equivalent(s1, s2):
         raise WitnessFailed("matching carrier key gives no inner witness")
     if _relabel_by_pairs(s2, alpha) != conjugated._perm:
         raise WitnessFailed("relabel conjugation mismatch")
-    return Verdict(True, conjugator=inner.conjugator, alpha=alpha,
-                   k=alg.field.one)
+    return Verdict(True, conjugator=inner.conjugator, alpha=alpha)
 
 
 # -- classification ----------------------------------------------------------
@@ -655,10 +652,12 @@ class Classification:
         return out
 
 
-def _chi_orbit_fold(poset, lam, fixed, keys):
-    """Fold chi keys on the fixed points by the automorphisms commuting
-    with lam, keeping the first of each orbit."""
-    normalizer = _carriers(poset, lam, lam)
+def _chi_orbit_fold(lam, keys):
+    """Fold chi keys, one class per fixed point of lam in element order,
+    by the automorphisms commuting with lam, keeping the first of each
+    orbit."""
+    fixed = lam.fixed_points()
+    normalizer = _carriers(lam, lam)
     keep = []
     seen = set()
     for key in keys:
@@ -700,7 +699,7 @@ def classify(poset, lam, field, general=False):
         keys = [(field.square_class(field.one),) + rest for rest in
                 itertools.product(classes, repeat=len(fixed) - 1)]
         if general and len(keys) > 1:
-            keys = _chi_orbit_fold(poset, lam, fixed, keys)
+            keys = _chi_orbit_fold(lam, keys)
     alg = IncidenceAlgebra(poset, field)
     reps = [_representative(alg, lam, k, key) for key in keys for k in (1, -1)]
     if len(fixed) > 1 and not general:

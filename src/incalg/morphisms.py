@@ -119,20 +119,18 @@ class FiaMorphism:
     """Factored form: conjugation by ``u`` after cocycle scaling by
     ``sigma`` after the relabeling induced by ``posetmap``.
 
-    ``anti`` follows the poset map: order-reversing maps act by
+    ``anti`` is read off the poset map: order-reversing maps act by
     f |-> f(map^-1(y), map^-1(x)) and give algebra anti-automorphisms.
     """
 
-    def __init__(self, alg, u=None, sigma=None, posetmap=None, anti=False):
+    def __init__(self, alg, u=None, sigma=None, posetmap=None):
         self.alg = alg
         self.u = u if u is not None else alg.delta()
         if not self.u.is_unit():
             raise NotAMorphism("conjugator must be a unit")
         self.u_inv = self.u.inverse()
         self.posetmap = posetmap if posetmap is not None else identity_map(alg.poset)
-        self.anti = bool(anti)
-        if self.posetmap.anti != self.anti:
-            raise NotAMorphism("poset map kind must match the anti flag")
+        self.anti = self.posetmap.anti
         self.sigma, self._scale = _complete_cocycle(
             alg, sigma, alg.field.one, validate_multiplicative_cocycle)
         self._perm = self.posetmap.pair_permutation()
@@ -143,7 +141,7 @@ class FiaMorphism:
 
     @classmethod
     def induced(cls, alg, posetmap):
-        return cls(alg, posetmap=posetmap, anti=posetmap.anti)
+        return cls(alg, posetmap=posetmap)
 
     def apply(self, f):
         if f.alg != self.alg:
@@ -234,7 +232,7 @@ def decompose(raw, anti=False):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val
     try:
-        result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu, anti=anti)
+        result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu)
     except InvalidCocycle as exc:
         raise NotAMorphism(f"residual scaling is not a cocycle: {exc}") from exc
     if result.to_linear() != raw:

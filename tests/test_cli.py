@@ -687,7 +687,8 @@ def test_json_label_with_surrounding_whitespace_exits_2(tmp_path, capsys,
     assert main([command, "--poset", str(bad), *extra[command]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: label ") and repr(label) in captured.err
+    assert captured.err.startswith(f"error: bad poset file {bad}: label ")
+    assert repr(label) in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -882,6 +883,67 @@ def test_malformed_poset_file_names_the_file(tmp_path, capsys):
     assert captured.err == (f"error: bad poset file {bad}: Expecting value: "
                             f"line 1 column 15 (char 14)\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("labels.json", '{"elements": [1, "b"], "covers": []}',
+     "poset label 1 is not a string"),
+    ("cycle.txt", "a<b\nb<a\n", "a and b are in a cycle"),
+    ("cycle.json", '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}',
+     "a and b are in a cycle"),
+    ("twice.json", '{"elements": ["a", "a"], "covers": []}',
+     "duplicate label 'a'"),
+], ids=["parse", "cycle-lines", "cycle-json", "duplicate"])
+def test_poset_content_errors_name_the_file(tmp_path, capsys, name, text,
+                                            message):
+    """A poset file that reads but holds no poset exits 2 with a message
+    that names the file, as a malformed one does."""
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main(["poset-info", "--poset", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad poset file {bad}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry, k, message", [
+    (("a,a", "0"), 1, "factored form needs a unit"),
+    (None, 2, "sign must square to one"),
+    (("b,b", "2"), 1, "square of the map is conjugation by the "
+                      "non-central unit base(theta) theta^-1"),
+], ids=["not-a-unit", "bad-sign", "not-involutive"])
+def test_involution_content_errors_name_the_file(poset_files, tmp_path, capsys,
+                                                 entry, k, message):
+    """An involution file that parses but holds no involution exits 2 with
+    a message that names which of the two files is at fault."""
+    chain2 = poset_files["chain2"]
+    poset = Poset.from_json(json.loads(chain2.read_text()))
+    obj = base_involution(IncidenceAlgebra(poset, PrimeField(5)),
+                          poset.involutions()[0], 1).to_json()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(obj))
+    if entry is not None:
+        obj["theta"]["f"]["entries"][entry[0]] = entry[1]
+    obj["k"] = k
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["equivalent", "--poset", str(chain2), "--field", "F5",
+                 str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad involution object in {bad}: {message}\n")
+
+
+def test_char2_involution_file_keeps_its_exit(poset_files, tmp_path, capsys):
+    """Characteristic 2 is the field's fault, not the file's: it keeps exit
+    4 and its own message."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"theta": {"f": {}, "i": {}},
+                               "lambda": {"a": "b", "b": "a"}, "k": 1}))
+    assert main(["equivalent", "--poset", str(poset_files["chain2"]),
+                 "--field", "F2", str(inv), str(inv)]) == 4
+    assert capsys.readouterr().err == (
+        "unsupported characteristic: characteristic 2 is construction-only "
+        "and not accepted here\n")
 
 
 def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):

@@ -135,7 +135,7 @@ def ref_decompose(raw, anti=False):
         if val == field.zero or img != alg.e(x, y).scale(val):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val
-    result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu, anti=anti)
+    result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu)
     if ref_matrix(result) != raw:
         raise NotAMorphism("recomposition does not reproduce the input")
     return result
@@ -220,11 +220,11 @@ def ref_invariant(spec):
     field = spec.alg.field
     if not fixed:
         kind = "plain" if k0 == field.one else "skew"
-        return ClassInvariant(spec.lam, spec.k, field, kind=kind)
+        return ClassInvariant(spec.lam, spec.k, kind=kind)
     if k0 != field.one:
         raise NotAnInvolution("skew units cannot occur with fixed points")
     chi = {x: field.square_class(theta_sym.f[x, x]) for x in fixed}
-    return ClassInvariant(spec.lam, spec.k, field, chi=chi)
+    return ClassInvariant(spec.lam, spec.k, chi=chi)
 
 
 def ref_find_involution_failure(spec):
@@ -525,7 +525,7 @@ def morphisms_of(alg, rng):
             sigma = {(x, y): field.div(eta[x], eta[y])
                      for x, y in poset.strict_pairs}
         out.append(FiaMorphism(alg, u=alg.random_unit(rng), sigma=sigma,
-                               posetmap=alpha, anti=alpha.anti))
+                               posetmap=alpha))
     return out
 
 

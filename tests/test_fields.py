@@ -240,7 +240,7 @@ def test_class_shift_examples():
     flip = next(m for m in diamond.involutions() if m("x") == "x")
 
     def invariant(field, chi):
-        return ClassInvariant(flip, field.one, field, chi=chi)
+        return ClassInvariant(flip, field.one, chi=chi)
 
     ident = F5.square_class(1)
     nonsq = F5.square_class(2)

@@ -10,7 +10,7 @@ from incalg.morphisms import (
     FiaMorphism, FiLinearMap, compose, decompose,
     find_non_inner_cocycle, mult_subset_inn, multiplicative_is_inner,
 )
-from incalg.posets import PosetMap, identity_map
+from incalg.posets import PosetMap
 
 from conftest import is_identity
 
@@ -32,7 +32,7 @@ def random_morphism(alg, rng, anti=False):
              for x, y in alg.poset.strict_pairs}
     maps = alg.poset.anti_automorphisms() if anti else alg.poset.automorphisms()
     posetmap = rng.choice(maps)
-    return FiaMorphism(alg, u=u, sigma=sigma, posetmap=posetmap, anti=anti)
+    return FiaMorphism(alg, u=u, sigma=sigma, posetmap=posetmap)
 
 
 def test_identity_and_basic_actions(chain2):
@@ -67,7 +67,7 @@ def test_default_conjugator_matches_explicit_conjugation(diamond, field):
     for lam in diamond.automorphisms() + diamond.anti_automorphisms():
         back = lam.inverse()
         for sigma in ({}, coboundary):
-            m = FiaMorphism(alg, sigma=sigma, posetmap=lam, anti=lam.anti)
+            m = FiaMorphism(alg, sigma=sigma, posetmap=lam)
             for f in (alg.random(rng), alg.delta(), alg.zero()):
                 # g(x, y) = sigma(x, y) f(lam^-1 x, lam^-1 y), the source
                 # pair reversed when lam reverses the order
@@ -360,7 +360,7 @@ def fia_morphism_from_json(alg, obj):
         x, _, y = key.partition(",")
         sigma[(x.strip(), y.strip())] = alg.field.parse(sval)
     return FiaMorphism(alg, u=alg.from_json(obj["u"]), sigma=sigma,
-                       posetmap=posetmap, anti=anti)
+                       posetmap=posetmap)
 
 
 def test_fia_morphism_json_round_trip(diamond):
@@ -398,5 +398,23 @@ def test_fia_morphism_guards_raise_not_a_morphism(chain2):
     alg = IncidenceAlgebra(chain2, PrimeField(5))
     with pytest.raises(NotAMorphism, match="conjugator must be a unit"):
         FiaMorphism(alg, u=alg.zero())
-    with pytest.raises(NotAMorphism, match="poset map kind"):
-        FiaMorphism(alg, posetmap=identity_map(chain2), anti=True)
+
+
+def test_morphism_kind_is_read_off_its_poset_map(chain2, diamond, fence):
+    """A factored morphism has no kind of its own: every ``induced`` and
+    every ``decompose`` result, of both kinds, reports the kind of its
+    poset map."""
+    rng = random.Random(11)
+    for poset in (chain2, diamond, fence):
+        for field in (F5, QQ):
+            alg = IncidenceAlgebra(poset, field)
+            for anti in (False, True):
+                maps = (poset.anti_automorphisms() if anti
+                        else poset.automorphisms())
+                for lam in maps:
+                    induced = FiaMorphism.induced(alg, lam)
+                    assert induced.anti == lam.anti == anti
+                if maps:
+                    got = decompose(random_morphism(alg, rng, anti).to_linear(),
+                                    anti=anti)
+                    assert got.anti == got.posetmap.anti == anti

@@ -236,7 +236,7 @@ def test_carriers_build_only_the_maps_they_return(monkeypatch):
     sizes = set()
     for lam1, lam2 in itertools.product(lams, repeat=2):
         built.clear()
-        carriers = _carriers(poset, lam1, lam2)
+        carriers = _carriers(lam1, lam2)
         assert len(carriers) == len(built)
         sizes.add(len(carriers))
     assert sizes == {0, 96, 192, 576}

@@ -259,8 +259,7 @@ def ref_equivalent(s1, s2):
         if inner.equivalent:
             if _relabel_by_pairs(s2, alpha) != conjugated._perm:
                 raise WitnessFailed("relabel conjugation mismatch")
-            return Verdict(True, conjugator=inner.conjugator,
-                           alpha=alpha, k=alg.field.one)
+            return Verdict(True, conjugator=inner.conjugator, alpha=alpha)
     return Verdict(False, distinguisher="chi")
 
 
@@ -351,7 +350,7 @@ def check_involutions_and_carriers(poset, pairs=3):
     assert lams == ref_involutions(poset)
     autos = poset.automorphisms()
     for lam1, lam2 in itertools.product(spread(lams, pairs), repeat=2):
-        assert _carriers(poset, lam1, lam2) == ref_carriers(autos, lam1, lam2)
+        assert _carriers(lam1, lam2) == ref_carriers(autos, lam1, lam2)
     return lams, autos
 
 

@@ -343,8 +343,9 @@ def test_optimized_interpreter_refuses_non_involutive_file(diamond_files):
     argv = ["-m", "incalg.cli", "equivalent", "--poset", str(poset),
             "--field", "F5", str(bad), str(f1)]
     plain = _first_error_line(argv, optimize=False)
-    assert plain == (2, "error: square of the map is conjugation by the "
-                        "non-central unit base(theta) theta^-1")
+    assert plain == (2, f"error: bad involution object in {bad}: square of "
+                        "the map is conjugation by the non-central unit "
+                        "base(theta) theta^-1")
     assert _first_error_line(argv, optimize=True) == plain
 
 
