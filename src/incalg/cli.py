@@ -18,7 +18,9 @@ takes one form in all when the poset is its own core.
 ``classify`` and ``equivalent``, inner or ``--general``, add
 ``involutions`` (the algebra and the idealization).  ``verify`` adds
 ``morphisms``, and the ``oracle`` only when the unit group is within
-``--oracle-limit``.
+``--oracle-limit``; it classifies every poset involution on the one
+algebra it builds, and reads pairwise inequivalence of the
+representatives off their distinct (k, key) pairs.
 """
 
 import argparse
@@ -215,7 +217,7 @@ def cmd_verify(args):
 
     from .fia import IncidenceAlgebra, count_units
     from .idealization import d_one, random_d_unit, random_delem
-    from .involutions import classify, equivalent_inner
+    from .involutions import _classify
     from .morphisms import FiaMorphism, decompose
     poset = load_poset(args.poset)
     field = parse_field(args.field)
@@ -255,18 +257,17 @@ def cmd_verify(args):
     if field.char != 2 and poset.is_connected() and all(report.values()):
         counts = []  # per lam, for the oracle check below
         for lam in poset.involutions():
-            res = classify(poset, lam, field)
+            res = _classify(alg, lam, False)
             counts.append(res.count)
-            if res.representatives is None:
+            reps = res.representatives
+            if reps is None:
                 print(f"info classification over {field.name}: infinite family")
                 continue
-            ok = all(s.to_linear().is_involution() for s in res.representatives)
-            pairwise = all(
-                not equivalent_inner(a, b).equivalent
-                for i, a in enumerate(res.representatives)
-                for b in res.representatives[i + 1:])
-            check(f"classification for {json.dumps(lam.to_json(), sort_keys=True)}",
-                  ok and pairwise)
+            # all share lam, so they are pairwise inequivalent exactly when
+            # their (k, key) pairs are distinct
+            ok = (all(s.to_linear().is_involution() for s in reps)
+                  and len({(s.k, s.invariant().key()) for s in reps}) == len(reps))
+            check(f"classification for {json.dumps(lam.to_json(), sort_keys=True)}", ok)
         if field.order is not None:
             units = count_units(alg, "D")
             if units > args.oracle_limit:

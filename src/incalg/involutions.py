@@ -679,6 +679,12 @@ def classify(poset, lam, field, general=False):
     signs.  Over Q two or more fixed points give infinitely many keys, so
     the answer is a finitely described family instead."""
     require_classifiable(poset, field)
+    return _classify(IncidenceAlgebra(poset, field), lam, general)
+
+
+def _classify(alg, lam, general):
+    """``classify`` on a built algebra, after its gate."""
+    poset, field = alg.poset, alg.field
     fixed = lambda_decomposition(poset, lam).fixed
     if len(fixed) > 1 and field.square_class_count is None:
         family = {
@@ -700,7 +706,6 @@ def classify(poset, lam, field, general=False):
                 itertools.product(classes, repeat=len(fixed) - 1)]
         if general and len(keys) > 1:
             keys = _chi_orbit_fold(lam, keys)
-    alg = IncidenceAlgebra(poset, field)
     reps = [_representative(alg, lam, k, key) for key in keys for k in (1, -1)]
     if len(fixed) > 1 and not general:
         expected = 2 * field.square_class_count ** (len(fixed) - 1)

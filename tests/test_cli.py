@@ -12,9 +12,12 @@ from incalg import fia
 from incalg.cli import main
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
-from incalg.involutions import base_involution, rho_eps, sigma_lambda
+from incalg.idealization import DElem
+from incalg.involutions import (InvolutionSpec, base_involution, classify,
+                                equivalent_inner, rho_eps, sigma_lambda)
 from incalg.morphisms import multiplicative_is_inner
 from incalg.posets import Poset
+from incalg.snf import check_hypotheses
 
 from test_hypotheses_reference import moore3_face_poset
 
@@ -600,21 +603,112 @@ ok   oracle orbit count matches classification
 
 def test_verify_classifies_each_lambda_once(poset_files, capsys, monkeypatch):
     """The oracle check sums the class counts of the classification loop:
-    one classify call per poset involution, and the same stdout."""
+    one ``_classify`` call per poset involution, in order, all on the one
+    algebra ``verify`` builds, and the same stdout."""
     import incalg.involutions as involutions
-    calls = []
-    real = involutions.classify
+    calls, built = [], []
+    real, real_init = involutions._classify, IncidenceAlgebra.__init__
 
-    def counting(poset, lam, *args, **kwargs):
-        calls.append(lam)
-        return real(poset, lam, *args, **kwargs)
+    def counting(alg, lam, general):
+        calls.append((alg, lam))
+        return real(alg, lam, general)
 
-    monkeypatch.setattr(involutions, "classify", counting)
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(involutions, "_classify", counting)
+    monkeypatch.setattr(IncidenceAlgebra, "__init__", counting_init)
     assert main(["verify", "--poset", str(poset_files["chain2"]),
                  "--field", "F3"]) == 0
     assert capsys.readouterr().out == VERIFY_CHAIN2_F3
     lams = Poset.from_covers(["a", "b"], [("a", "b")]).involutions()
-    assert [lam.mapping for lam in calls] == [lam.mapping for lam in lams]
+    assert [lam.mapping for _, lam in calls] == [lam.mapping for lam in lams]
+    assert len(built) == 1 and all(alg is built[0] for alg, _ in calls)
+
+
+def _verify_with_representatives(poset_files, capsys, monkeypatch, edit):
+    """verify on the diamond over F5, with ``edit`` applied to each
+    classification's representative list; (exit code, stdout, the FAIL
+    line each classified involution must then print)."""
+    import incalg.involutions as involutions
+    real, fails = involutions._classify, []
+
+    def edited(alg, lam, general):
+        res = real(alg, lam, general)
+        fails.append("FAIL classification for "
+                     f"{json.dumps(lam.to_json(), sort_keys=True)}\n")
+        return involutions.Classification(alg.field, lam,
+                                          edit(res.representatives), general)
+
+    monkeypatch.setattr(involutions, "_classify", edited)
+    code = main(["verify", "--poset", str(poset_files["diamond"]), "--field", "F5",
+                 "--oracle-limit", "0"])
+    return code, capsys.readouterr().out, fails
+
+
+def test_verify_fails_on_a_repeated_representative(poset_files, capsys,
+                                                   monkeypatch):
+    """Two representatives of one class share their (k, key) pair, so the
+    classification line of every involution reads FAIL, and verify exits 2."""
+    code, out, fails = _verify_with_representatives(
+        poset_files, capsys, monkeypatch, lambda reps: reps + reps[-1:])
+    assert code == 2 and len(fails) == 2
+    assert all(line in out for line in fails)
+
+
+def test_verify_fails_on_a_representative_that_is_not_involutive(
+        poset_files, capsys, monkeypatch):
+    """A spec built past its involution check (``_validated``) whose square
+    is conjugation by a non-central unit fails the dense square check: a
+    FAIL line, not an ok line, for its involution, and verify exits 2."""
+
+    def spoiled(reps):
+        alg, lam = reps[0].alg, reps[0].lam
+        top = alg.poset.elements[-1]
+        theta = DElem(alg.diagonal({x: 2 if x == top else 1
+                                    for x in alg.poset.elements}), alg.zero())
+        bad = InvolutionSpec(alg, theta, lam, 1, _validated=True)
+        assert not bad._ratio.is_central()
+        return [bad] + reps[1:]
+
+    code, out, fails = _verify_with_representatives(poset_files, capsys,
+                                                    monkeypatch, spoiled)
+    assert code == 2 and len(fails) == 2
+    assert all(line in out for line in fails)
+
+
+def _finite_classifications():
+    """classify on every involution of the pinned posets and chain4 over
+    F3, F5 and Q, where the hypotheses hold and the answer is a finite
+    list."""
+    from conftest import chain
+    from test_cli_pinned import POSETS
+    posets = [chain(4)] + [Poset.from_covers(*POSETS[name]) for name in POSETS]
+    for poset in posets:
+        for field in (PrimeField(3), PrimeField(5), parse_field("Q")):
+            if not all(check_hypotheses(poset, field).values()):
+                continue
+            for lam in poset.involutions():
+                res = classify(poset, lam, field)
+                if res.representatives is not None:
+                    yield res.representatives
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["classify", "one repeated"])
+def test_key_set_decides_as_the_pairwise_loop(extra):
+    """verify reads pairwise inequivalence off the set of (k, key) pairs;
+    the pairwise ``equivalent_inner`` loop it replaced is the reference, on
+    classify's representatives and with one of them repeated."""
+    cases = 0
+    for reps in _finite_classifications():
+        reps = reps + reps[:extra]
+        pairwise = all(not equivalent_inner(a, b).equivalent
+                       for i, a in enumerate(reps) for b in reps[i + 1:])
+        keys = len({(s.k, s.invariant().key()) for s in reps}) == len(reps)
+        assert keys == pairwise == (extra == 0)
+        cases += 1
+    assert cases == 31
 
 
 @pytest.mark.parametrize("limit", ["-1", "ten", "٢", "1_000"])

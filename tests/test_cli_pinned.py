@@ -15,6 +15,10 @@ different shape of answer: chain3's reversal (one fixed point), chain4's
 (none) and the diamond's flip of 0 and 1 (two, so a family over Q).  Any
 change to which representative a class gets, or to their order, shows
 here.
+
+It also pins ``verify`` on the four posets above over F3, F5 and Q, and
+on susp4 and susp5 over F5: its classification lines, oracle count and
+FAIL lines are all in stdout.
 """
 
 import contextlib
@@ -27,6 +31,8 @@ import pytest
 
 from incalg.cli import main
 from incalg.posets import Poset
+
+from conftest import suspension
 
 PINNED = Path(__file__).parent / "data" / "cli_pinned.json"
 
@@ -53,6 +59,15 @@ INNER = {
     "diamond-flip": (["0", "a", "b", "1"],
                      [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
                      {"0": "1", "a": "a", "b": "b", "1": "0"}),
+}
+
+
+# name: (poset, fields ``verify`` is pinned over)
+VERIFY = {
+    **{name: (Poset.from_covers(*POSETS[name]), ("F3", "F5", "Q"))
+       for name in POSETS},
+    "susp4": (suspension(4), ("F5",)),
+    "susp5": (suspension(5), ("F5",)),
 }
 
 
@@ -114,6 +129,15 @@ def inner_runs(tmp_path, name):
     return runs
 
 
+def verify_runs(tmp_path, name):
+    """{field: {exit, stdout, stderr}} of ``verify`` on one poset."""
+    poset, fields = VERIFY[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(poset.to_json()))
+    return {field: _run(["verify", "--poset", str(path), "--field", field])
+            for field in fields}
+
+
 @pytest.mark.parametrize("name", sorted(POSETS))
 def test_symmetry_commands_stay_pinned(tmp_path, name):
     want = json.loads(PINNED.read_text())[name]
@@ -130,3 +154,9 @@ def test_inner_classify_stays_pinned(tmp_path, name):
     assert list(got) == list(want)
     for case in want:
         assert got[case] == want[case], case
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_stays_pinned(tmp_path, name):
+    want = json.loads(PINNED.read_text())[f"verify {name}"]
+    assert verify_runs(tmp_path, name) == want
