@@ -4,7 +4,9 @@ Subcommands: poset-info, hypotheses, classify, equivalent, verify.
 Exit codes: 0 ok/equivalent, 1 not equivalent, 2 input error,
 3 hypothesis failure, 4 unsupported characteristic.  A witness, count or
 normal form that fails the library's internal exact check (WitnessFailed)
-also exits 2, with a one-line message and no traceback.
+also exits 2, with a one-line message and no traceback, and so does a
+run whose reader closes stdout before the output is all written (as
+``| head -1`` does): what is left goes to the null device.
 
 Each process runs one subcommand and, with bytecode writing off, compiles
 every library module it imports.  So the top of this module imports only
@@ -354,7 +356,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the exit flush would raise again: write the rest to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was all written", file=sys.stderr)
+        return EXIT_INPUT
     except HypothesisFailed as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

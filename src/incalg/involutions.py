@@ -218,12 +218,9 @@ class ClassInvariant:
         self.kind = kind
         self.chi = dict(chi) if chi else None
 
-    def key(self, alpha=None):
-        """The plain/skew tag, or ``_chi_key`` of chi; a carrier alpha
-        moves chi by alpha, as relabelling the involution by it does."""
-        if self.kind is not None:
-            return self.kind
-        return _chi_key(self.chi, alpha)
+    def key(self):
+        """The plain/skew tag, or ``_chi_key`` of chi."""
+        return self.kind or _chi_key(self.chi)
 
     def same_inner_class(self, other):
         return (self.lam == other.lam and self.sign == other.sign
@@ -515,17 +512,28 @@ def _relabelled_spec(spec, alpha):
     return InvolutionSpec(spec.alg, moved, lam, spec.k, _validated=True)
 
 
-def _carriers(lam1, lam2):
+def _carriers(lam1, lam2, chi1=None, chi2=None, first=False):
     """The automorphisms alpha of lam1's poset with alpha o lam2 =
     lam1 o alpha (which carry lam2 to lam1 by conjugation), in the order
-    ``automorphisms`` lists them, found by the search itself.  Placing
-    alpha(k) = j, with m = lam2(k) <= k, needs alpha(m) = lam1(j) (so
-    lam1(j) = j when m = k); when m > k the placement of m checks the
-    same equation, since lam1 and lam2 are involutions."""
+    ``automorphisms`` lists them, found by the search itself; with
+    ``first``, only the first of them.  Placing alpha(k) = j, with
+    m = lam2(k) <= k, needs alpha(m) = lam1(j) (so lam1(j) = j when
+    m = k); when m > k the placement of m checks the same equation, since
+    lam1 and lam2 are involutions.
+
+    Given the χ maps chi1 of lam1 and chi2 of lam2, only the carriers
+    that move chi2's key onto chi1's are kept: placing a fixed point k of
+    lam2 at j also needs chi2(k) chi1(j)^-1 to equal that ratio at h,
+    lam2's first fixed point, which the search places first.  Square
+    classes form an abelian group, so this holds on every prefix of a
+    carrier exactly when ``_chi_key(chi2, alpha) == _chi_key(chi1)``."""
     poset = lam1.src
     on1, on2 = ([poset.index[lam(x)] for x in poset.elements] for lam in (lam1, lam2))
-    return poset.maps_to(poset, _accept=lambda k, j, image: (
-        on2[k] > k or image[on2[k]] == 1 << on1[j]))
+    c1, c2 = ([chi.get(x) for x in poset.elements] if chi else None for chi in (chi1, chi2))
+    h = chi2 and poset.index[next(iter(chi2))]
+    return poset.maps_to(poset, _first=first, _accept=lambda k, j, image: (
+        on2[k] > k or image[on2[k]] == 1 << on1[j] and (on2[k] < k or c2 is None or (
+            c2[k] * c1[image[h].bit_length() - 1] == c2[h] * c1[j]))))
 
 
 def _relabel_by_pairs(spec, alpha):
@@ -580,10 +588,12 @@ def equivalent(s1, s2):
     agree and some poset automorphism must carry one induced involution to
     the other with matching square-class data.
 
-    The classification gate runs once, not once per carrier.  Each
-    carrier alpha is tested on the invariants alone: relabelling s2 by
-    alpha moves its key by alpha.  Only the first carrier whose key
-    matches s1's is built into a relabelled normal form, whose inner
+    The classification gate runs once.  Relabelling s2 by a carrier
+    alpha moves its key by alpha, so one search under the χ rule of
+    ``_carriers`` stops at the first carrier whose moved key matches
+    s1's, the first the full list would give; a second search, for any
+    carrier, runs only on a miss, to tell "chi" from "lambda".  The one
+    carrier found is built into a relabelled normal form, whose inner
     witness must then exist.  Before a positive verdict, that form's pair
     permutation is held to ``_relabel_by_pairs``, a second route on pair
     permutations alone; a mismatch raises WitnessFailed."""
@@ -591,13 +601,12 @@ def equivalent(s1, s2):
     require_classifiable(s1.alg.poset, s1.alg.field)
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
-    carriers = _carriers(s1.lam, s2.lam)
-    if not carriers:
-        return Verdict(False, distinguisher="lambda")
-    key, inv2 = s1.invariant().key(), s2.invariant()
-    alpha = next((a for a in carriers if inv2.key(a) == key), None)
-    if alpha is None:
-        return Verdict(False, distinguisher="chi")
+    inv1, inv2 = s1.invariant(), s2.invariant()
+    found = _carriers(s1.lam, s2.lam, inv1.chi, inv2.chi, first=True)
+    if not found or inv1.kind != inv2.kind:
+        carried = found or _carriers(s1.lam, s2.lam, first=True)
+        return Verdict(False, distinguisher="chi" if carried else "lambda")
+    alpha = found[0]
     conjugated = _relabelled_spec(s2, alpha)
     inner = _equivalent_inner(s1, conjugated)
     if not inner.equivalent:

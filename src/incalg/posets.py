@@ -262,7 +262,7 @@ class Poset:
 
     # -- symmetry enumeration -------------------------------------------
 
-    def maps_to(self, other, anti=False, _accept=None):
+    def maps_to(self, other, anti=False, _accept=None, _first=False):
         """All order isomorphisms (anti=False) or anti-isomorphisms
         (anti=True) from this poset onto ``other``, by backtracking in
         element order; an anti-isomorphism is an isomorphism onto the dual
@@ -273,7 +273,8 @@ class Poset:
         Pruning keeps the order of the maps still found: a rule that
         accepts every prefix of each map a caller wants, and refuses some
         prefix of every other map, gives the full list filtered, in the
-        same order."""
+        same order.  With ``_first`` the search stops at the first map it
+        finds, so it returns that list's first entry, or none."""
         if max(self.n, other.n) > SEARCH_SIZE_BOUND:
             raise SizeLimit(f"symmetry search limited to {SEARCH_SIZE_BOUND} "
                             f"elements")
@@ -304,6 +305,8 @@ class Poset:
                     if _accept is None or _accept(k, j, image):
                         extend(k + 1, used | bit)
                     image.pop()
+                    if _first and out:
+                        return
 
         extend(0, 0)
         return out

@@ -19,6 +19,7 @@ from incalg.morphisms import multiplicative_is_inner
 from incalg.posets import Poset
 from incalg.snf import check_hypotheses
 
+from conftest import suspension
 from test_hypotheses_reference import moore3_face_poset
 
 
@@ -184,6 +185,49 @@ def test_huge_modulus_is_refused_at_once(poset_files):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: modulus ")
     assert "Traceback" not in proc.stderr
+
+
+CLOSED_EARLY = "error: output closed before it was all written\n"
+
+
+def _close_early(argv, unbuffered, lines):
+    """Run the CLI in a subprocess with stdout on a pipe, with
+    PYTHONUNBUFFERED set or unset; read ``lines`` lines, then close the
+    read end.  Returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(incalg.__file__).resolve().parents[1])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "incalg.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(
+        poset_files, tmp_path, unbuffered):
+    """``incalg verify ... | head -1``: a run whose output meets the
+    closed pipe exits 2 with one ``error:`` line and no traceback.  Closed
+    before anything is read, the first write meets it, or, buffered, the
+    flush at the end.  Closed after the first line, ``verify``'s few short
+    lines may all be in the pipe already (buffered, they always are): then
+    nothing was lost and the run exits 0.  ``poset-info --json`` on susp6
+    prints 130 kB, more than a pipe holds, so its write is still waiting
+    when the reader closes after the first line."""
+    verify = ["verify", "--poset", str(poset_files["chain3"]), "--field", "F3"]
+    assert _close_early(verify, unbuffered, 0) == (2, CLOSED_EARLY)
+    assert _close_early(verify, unbuffered, 1) in {(2, CLOSED_EARLY), (0, "")}
+    path = tmp_path / "susp6.json"
+    path.write_text(json.dumps(suspension(6).to_json()))
+    info = ["poset-info", "--poset", str(path), "--json"]
+    assert _close_early(info, unbuffered, 1) == (2, CLOSED_EARLY)
 
 
 def test_a_modulus_past_the_int_digit_limit_exits_2(poset_files, capsys):

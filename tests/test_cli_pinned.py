@@ -19,6 +19,13 @@ here.
 It also pins ``verify`` on the four posets above over F3, F5 and Q, and
 on susp4 and susp5 over F5: its classification lines, oracle count and
 FAIL lines are all in stdout.
+
+Last, it pins ``equivalent --general --check`` over F5 on susp5's
+involution that fixes every a_i, from each of its 32 inner
+representatives to each general one of the same sign: 96 runs, of which
+26 are positive through a carrier other than the identity, 6 through the
+identity, and 64 are told apart by "chi".  So the carrier that moves χ,
+and the witness it gives, show here.
 """
 
 import contextlib
@@ -138,6 +145,31 @@ def verify_runs(tmp_path, name):
             for field in fields}
 
 
+def general_susp5_runs(tmp_path):
+    """{case: {exit, stdout, stderr}} of ``equivalent --general --check``
+    from each inner representative of susp5's all-fixed involution over F5
+    to each general representative of the same sign."""
+    poset = suspension(5)
+    path = tmp_path / "susp5.json"
+    path.write_text(json.dumps(poset.to_json()))
+    lam = next(m for m in poset.involutions() if len(m.fixed_points()) == 5)
+    reps = {}
+    for mode, flag in (("inner", []), ("general", ["--general"])):
+        run = _run(["classify", "--poset", str(path), "--field", "F5",
+                    "--lambda", json.dumps(lam.to_json()), "--json", *flag])
+        for ri, rep in enumerate(json.loads(run["stdout"])["representatives"]):
+            reps[f"{mode}{ri}"] = rep["k"], tmp_path / f"{mode}{ri}.json"
+            reps[f"{mode}{ri}"][1].write_text(json.dumps(rep))
+    runs = {}
+    for a, b in itertools.product(reps, repeat=2):
+        if a.startswith("inner") and b.startswith("general") \
+                and reps[a][0] == reps[b][0]:
+            runs[f"equivalent --general --check {a} {b}"] = _run(
+                ["equivalent", "--general", "--check", "--poset", str(path),
+                 "--field", "F5", str(reps[a][1]), str(reps[b][1])])
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(POSETS))
 def test_symmetry_commands_stay_pinned(tmp_path, name):
     want = json.loads(PINNED.read_text())[name]
@@ -160,3 +192,11 @@ def test_inner_classify_stays_pinned(tmp_path, name):
 def test_verify_stays_pinned(tmp_path, name):
     want = json.loads(PINNED.read_text())[f"verify {name}"]
     assert verify_runs(tmp_path, name) == want
+
+
+def test_general_verdicts_through_moving_carriers_stay_pinned(tmp_path):
+    want = json.loads(PINNED.read_text())["general susp5"]
+    got = general_susp5_runs(tmp_path)
+    assert list(got) == list(want)
+    for case in want:
+        assert got[case] == want[case], case

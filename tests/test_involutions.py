@@ -864,15 +864,15 @@ def test_relabel_mismatch_raises_witness_failed(wide_diamond, monkeypatch):
 
 def test_carrier_moves_the_key_as_relabelling_moves_the_spec(wide_diamond):
     """Relabelling an involution by a poset automorphism alpha moves its
-    χ key by alpha: the key ``equivalent`` compares per carrier is the key
-    of the normal form it would build."""
+    χ key by alpha: the moved key the χ rule of ``_carriers`` matches is
+    the key of the normal form ``equivalent`` builds."""
     specs = [spec for lam in wide_diamond.involutions()
              for spec in classify(wide_diamond, lam, F5).representatives]
     moves = 0
     for alpha in wide_diamond.automorphisms():
         for spec in specs:
             moved = involutions._relabelled_spec(spec, alpha).invariant()
-            key = spec.invariant().key(alpha)
+            key = involutions._chi_key(spec.invariant().chi, alpha)
             assert moved.key() == key
             moves += key != spec.invariant().key()
     assert moves > 0

@@ -15,24 +15,28 @@ j <= k only if j went to k, and to a later j only if no earlier point
 went to k); and ``equivalent`` and the χ-fold find their carriers, the
 automorphisms alpha with alpha o lam2 = lam1 o alpha, by ``_carriers``,
 which prunes the automorphism search by that equation at the later of k
-and lam2(k).  The references below are the earlier label-lookup search,
-the label-lookup order check, the recursive backtracking split, the
-element-order scan of the spanning forest, the anti-automorphisms
-filtered by ``is_involution``, and the automorphisms filtered by the
-mapping check ``ref_intertwines``, which is held in turn to the
-compose-chain conjugacy tests.  They must agree on every fixture, on
-drawn posets, on every order of at most 4 points, and at the search
-bound on lvl444 and susp7: the same maps in the same order, the same
-accept or reject with the same message, the same split, the same forest
-edges in the same order.  The reference split keeps its raise for a
-poset with no split, which must never fire: placing an orbit from its
-lower end never clashes (see ``lambda_decomposition``).
+and lam2(k), and, given χ maps, by the χ rule at each fixed point of
+lam2; ``maps_to(..., _first=True)`` stops at the first map.  The
+references below are the earlier label-lookup search, the label-lookup
+order check, the recursive backtracking split, the element-order scan of
+the spanning forest, the anti-automorphisms filtered by
+``is_involution``, the automorphisms filtered by the mapping check
+``ref_intertwines``, which is held in turn to the compose-chain conjugacy
+tests, those carriers filtered again by moved χ key, and the head of each
+full list.  They must agree on every fixture, on drawn posets, on every
+order of at most 4 points, and at the search bound on lvl444 and susp7:
+the same maps in the same order, the same accept or reject with the same
+message, the same split, the same forest edges in the same order.  The
+reference split keeps its raise for a poset with no split, which must
+never fire: placing an orbit from its lower end never clashes (see
+``lambda_decomposition``).
 
 ``ref_equivalent`` is the per-carrier loop ``equivalent`` replaced: it
 built a relabelled normal form and ran a whole inner-equivalence attempt
-for each carrier, where ``equivalent`` compares χ keys per carrier and
-builds one.  It takes its carriers from the reference filter, never from
-``_carriers``.  The verdicts must agree byte for byte as JSON.
+for each carrier, where ``equivalent`` finds the one carrier whose moved
+χ key matches by a search under the χ rule, and builds that one.  It
+takes its carriers from the reference filter, never from ``_carriers``.
+The verdicts must agree byte for byte as JSON.
 """
 
 import functools
@@ -49,7 +53,7 @@ from incalg.fields import QQ, PrimeField
 from incalg.idealization import d_one, random_d_unit
 from incalg import involutions
 from incalg.involutions import (
-    InvolutionSpec, Verdict, _carriers, _check_same_context,
+    InvolutionSpec, Verdict, _carriers, _check_same_context, _chi_key,
     _equivalent_inner, _relabel_by_pairs, _relabelled_spec, build, classify,
     equivalent, require_classifiable, rho_eps,
 )
@@ -57,7 +61,7 @@ from incalg.posets import (
     SEARCH_SIZE_BOUND, Poset, PosetMap, lambda_decomposition,
 )
 
-from conftest import levels, suspension
+from conftest import is_identity, levels, suspension
 
 FIXTURES = ["chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
             "two_chains", "wide_diamond"]
@@ -342,15 +346,52 @@ def check_forest(poset):
     assert poset.components() == ref_components(poset)
 
 
+CHI_FIELDS = (PrimeField(3), PrimeField(5), QQ)
+
+
+def chi_maps(lam, field, limit=3):
+    """About ``limit`` χ maps on lam's fixed points, spread through them:
+    over F3 and F5 those ``classify``'s representatives carry (the square
+    class at the first fixed point, any listed class at each other one),
+    over Q those of ``rho_eps`` with RATIONAL_SCALINGS, read cyclically
+    from each start in turn."""
+    fixed = lam.fixed_points()
+    if not fixed:
+        return []
+    if field is QQ:
+        n = len(RATIONAL_SCALINGS)
+        values = [[RATIONAL_SCALINGS[(s + i) % n] for i in range(len(fixed))]
+                  for s in range(n)]
+    else:
+        values = [(1, *rest) for rest in itertools.product(
+            field.square_class_reps(), repeat=len(fixed) - 1)]
+    return [{x: field.square_class(field(v)) for x, v in zip(fixed, vs)}
+            for vs in spread(values, limit)]
+
+
 def check_involutions_and_carriers(poset, pairs=3):
-    """The involutions, and the carriers between each two of a spread of
-    about ``pairs`` of them, each the same list as its reference, in the
-    same order; returns the involutions and the automorphisms."""
+    """The first map of each search against the head of its full list;
+    the involutions; and the carriers between each two of a spread of
+    about ``pairs`` of them, unfiltered and filtered by the χ rule for
+    the ``chi_maps`` over each field; each the same list as its
+    reference, in the same order.  Returns the involutions and the
+    automorphisms."""
     lams = poset.involutions()
     assert lams == ref_involutions(poset)
     autos = poset.automorphisms()
+    assert poset.maps_to(poset, False, _first=True) == autos[:1]
+    assert poset.maps_to(poset, True, _first=True) == \
+        poset.anti_automorphisms()[:1]
     for lam1, lam2 in itertools.product(spread(lams, pairs), repeat=2):
-        assert _carriers(lam1, lam2) == ref_carriers(autos, lam1, lam2)
+        carriers = ref_carriers(autos, lam1, lam2)
+        assert _carriers(lam1, lam2) == carriers
+        for field in CHI_FIELDS:
+            keys1 = [(chi1, _chi_key(chi1)) for chi1 in chi_maps(lam1, field)]
+            for chi2 in chi_maps(lam2, field) if keys1 else ():
+                moved = [_chi_key(chi2, a) for a in carriers]
+                for chi1, key in keys1:
+                    assert _carriers(lam1, lam2, chi1, chi2) == [
+                        a for a, m in zip(carriers, moved) if m == key]
     return lams, autos
 
 
@@ -432,11 +473,13 @@ def test_split_and_forest_match_reference_on_every_order_of_at_most_4_points():
     """Every transitively closed relation on at most 4 points that rises
     along the index order, listed in every element order, so every poset
     on at most 4 points in every element order; with the involutions,
-    each split and the carriers between every two involutions.  That is
-    1,007 posets and 1,063 (poset, involution) pairs, checked in about
-    0.6 s on a 2-core x86-64 machine.  The compose-chain cross-check of
-    the references in ``check_split_and_conjugacy`` is left to the other
-    layers: here it would take 1.9 s."""
+    each split and the carriers between every two involutions, unfiltered
+    and under the χ rule.  That is 1,007 posets and 1,063 (poset,
+    involution) pairs, checked in about 2.3 s on a 2-core x86-64 machine
+    (about 0.4 s without the χ-rule and first-map checks).  The
+    compose-chain cross-check of the references in
+    ``check_split_and_conjugacy`` is left to the other layers: here it
+    would take 1.9 s."""
     posets = pairs = 0
     for n in range(1, 5):
         for rel in rising_orders(n):
@@ -699,10 +742,9 @@ def test_equivalent_matches_reference_at_the_bound():
 
 def test_equivalent_builds_at_most_one_relabelled_spec(wide_diamond,
                                                        monkeypatch):
-    """Carriers are compared on their χ keys; only the first match is
-    relabelled into a normal form.  Over F5 the flip of the wide diamond
-    has six carriers, and each pair of specs is decided with at most one
-    relabelled normal form."""
+    """Only the carrier the χ rule finds is relabelled into a normal
+    form.  Over F5 the flip of the wide diamond has six carriers, and each
+    pair of specs is decided with at most one relabelled normal form."""
     built = []
     relabel = involutions._relabelled_spec
     monkeypatch.setattr(involutions, "_relabelled_spec",
@@ -718,3 +760,34 @@ def test_equivalent_builds_at_most_one_relabelled_spec(wide_diamond,
         verdicts.append(equivalent(s1, s2).to_json())
         assert len(built) == (1 if verdicts[-1]["equivalent"] else 0)
     assert {"equivalent": False, "distinguisher": "chi"} in verdicts
+
+
+def test_equivalent_builds_only_the_carrier_it_returns(monkeypatch):
+    """On susp8 over F5 all 40,320 automorphisms carry the involution
+    fixing every a_i to itself.  A positive verdict through a carrier
+    other than the identity builds just that one; a "chi" verdict builds
+    none under the χ rule, then one carrier, to tell "chi" from
+    "lambda"."""
+    poset, field = suspension(8), PrimeField(5)
+    alg = IncidenceAlgebra(poset, field)
+    lam = next(m for m in poset.involutions() if len(m.fixed_points()) == 8)
+
+    def spec(*nonsquare):
+        return rho_eps(alg, lam, {x: 2 if x in nonsquare else 1
+                                  for x in lam.fixed_points()})
+
+    built = []
+    search = Poset.maps_to
+
+    def counted(*args, **kwargs):
+        found = search(*args, **kwargs)
+        built.append(len(found))
+        return found
+
+    monkeypatch.setattr(Poset, "maps_to", counted)
+    verdict = equivalent(spec("a2"), spec("a8"))
+    assert verdict.equivalent and not is_identity(verdict.alpha)
+    assert built == [1]
+    built.clear()
+    assert equivalent(spec("a2"), spec()).distinguisher == "chi"
+    assert built == [0, 1]
