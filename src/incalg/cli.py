@@ -23,9 +23,14 @@ takes one form in all when the poset is its own core.
 ``--oracle-limit``; it classifies every poset involution on the one
 algebra it builds, and reads pairwise inequivalence of the
 representatives off their distinct (k, key) pairs.
+
+A well-formed command line loads no argparse either (nor the gettext and
+locale argparse imports) and builds no parser: ``_read_args`` reads it off
+``COMMANDS``, the table ``build_parser`` builds argparse's parser from.
+argparse loads only for help, for a usage error, and for what only it
+reads: an abbreviated or repeated option, a value led by ``-``.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -290,71 +295,138 @@ def cmd_verify(args):
 
 
 def _count(text):
-    """argparse type: a non-negative integer, read by the scalar rule of
-    ``Field.parse``: ASCII with no underscore, so ``٢`` and ``1_000`` are
-    refused."""
+    """A non-negative integer, read by the scalar rule of ``Field.parse``:
+    ASCII with no underscore, so ``٢`` and ``1_000`` are refused, with
+    ParseError."""
     try:
         value = int(text) if text.isascii() and "_" not in text else -1
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
+        raise ParseError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
+_POSET = ("--poset", {"required": True})
+_FIELD = ("--field", {"required": True})
+_JSON = ("--json", {"action": "store_true"})
+
+# subcommand: (help, function, arguments in the order ``--help`` lists
+# them).  An argument is its name, led by ``--`` for an option, and the
+# keywords ``add_argument`` takes for it; a "type" reads a value, raising
+# ParseError on one it refuses.
+COMMANDS = {
+    "poset-info": ("connectivity and symmetry report", cmd_poset_info,
+                   (_POSET, _JSON)),
+    "hypotheses": ("check the classification hypotheses", cmd_hypotheses,
+                   (_POSET, _FIELD, _JSON)),
+    "classify": ("involution classes for one poset involution", cmd_classify, (
+        _POSET, _FIELD,
+        ("--lambda", {"dest": "lam", "required": True,
+                      "help": "inline map (a:b,b:a or JSON) or a file"}),
+        ("--general", {"action": "store_true",
+                       "help": "fold classes under all ring automorphisms"}),
+        _JSON)),
+    "equivalent": ("decide equivalence of two involutions", cmd_equivalent, (
+        _POSET, _FIELD, ("inv1", {}), ("inv2", {}),
+        ("--general", {"action": "store_true",
+                       "help": "decide under all ring automorphisms, not only inner"}),
+        ("--check", {"action": "store_true",
+                     "help": "re-verify the witness before printing"}))),
+    "verify": ("run the property checks on one instance", cmd_verify, (
+        _POSET, _FIELD,
+        ("--oracle-limit", {"type": _count, "default": 1000,
+                            "help": "largest unit group the brute-force oracle "
+                                    "enumerates (default 1000)"}))),
+}
+
+
 def build_parser():
+    """``COMMANDS`` as an argparse parser, which prints the help and
+    reports every usage error."""
+    import argparse
+
+    def typed(read):
+        """argparse type: ``read``, its ParseError argparse's own error."""
+        def parse(text):
+            try:
+                return read(text)
+            except ParseError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+        return parse
+
     parser = argparse.ArgumentParser(
         prog="incalg",
         description="Exact incidence algebras, idealization rings, and "
                     "involution classification over finite posets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poset-info", help="connectivity and symmetry report")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_poset_info)
-
-    p = sub.add_parser("hypotheses", help="check the classification hypotheses")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_hypotheses)
-
-    p = sub.add_parser("classify", help="involution classes for one poset involution")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="inline map (a:b,b:a or JSON) or a file")
-    p.add_argument("--general", action="store_true",
-                   help="fold classes under all ring automorphisms")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("equivalent", help="decide equivalence of two involutions")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("inv1")
-    p.add_argument("inv2")
-    p.add_argument("--general", action="store_true",
-                   help="decide under all ring automorphisms, not only inner")
-    p.add_argument("--check", action="store_true",
-                   help="re-verify the witness before printing")
-    p.set_defaults(fn=cmd_equivalent)
-
-    p = sub.add_parser("verify", help="run the property checks on one instance")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--oracle-limit", type=_count, default=1000,
-                   help="largest unit group the brute-force oracle "
-                        "enumerates (default 1000)")
-    p.set_defaults(fn=cmd_verify)
+    for command, (text, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in arguments:
+            if "type" in keywords:
+                keywords = {**keywords, "type": typed(keywords["type"])}
+            p.add_argument(name, **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _read_args(argv):
+    """What ``build_parser().parse_args(argv)`` returns, read off
+    ``COMMANDS`` without argparse, when argv is well formed: a subcommand,
+    then its options by their exact names, each once, a valued one as
+    ``--opt value`` (a value not led by ``-``) or ``--opt=value``, a flag
+    without ``=``, and exactly its positionals, among the options or not.
+    None for anything else (help, an abbreviation, a repeat, a usage
+    error), which argparse reads."""
+    from types import SimpleNamespace
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, arguments = COMMANDS[argv[0]]
+    options = {name: keywords for name, keywords in arguments
+               if name.startswith("--")}
+    given, free = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        keywords = options.get(name)
+        if keywords is None or name in given:
+            return None
+        if "action" in keywords:  # a flag, which takes no value
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ParseError:
+                return None
+        given[name] = value
+    positionals = [name for name, _ in arguments if name not in options]
+    if len(free) != len(positionals):
+        return None
+    values = dict(zip(positionals, free), command=argv[0], fn=fn)
+    for name, keywords in options.items():
+        if name not in given and keywords.get("required"):
+            return None
+        default = keywords.get("default", False if "action" in keywords else None)
+        values[keywords.get("dest", name[2:].replace("-", "_"))] = \
+            given.get(name, default)
+    return SimpleNamespace(**values)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.  ``_read_args`` reads a well-formed command
+    line; argparse loads only to print help or report a usage error."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed reader raises here, not at exit

@@ -13,6 +13,7 @@ returned witness, count or normal form raises WitnessFailed.
 """
 
 import itertools
+from collections import Counter
 from functools import cached_property
 
 from .errors import (
@@ -536,6 +537,20 @@ def _carriers(lam1, lam2, chi1=None, chi2=None, first=False):
             c2[k] * c1[image[h].bit_length() - 1] == c2[h] * c1[j]))))
 
 
+def _chi_multisets_meet(chi1, chi2):
+    """Whether some class c makes the multiset of c chi2(x) that of
+    chi1(y), a condition every carrier under the χ rule of ``_carriers``
+    meets: it maps lam2's fixed points onto lam1's with chi1(alpha(x)) =
+    c chi2(x) for one c, so c is chi1(y) chi2(h)^-1 for some y, h being
+    lam2's first fixed point.  False when just one of them is None."""
+    if chi1 is None or chi2 is None:
+        return chi1 is chi2
+    want = Counter(chi1.values())
+    head = next(iter(chi2.values())).inverse()
+    return any(Counter(c * head * v for v in chi2.values()) == want
+               for c in want)
+
+
 def _relabel_by_pairs(spec, alpha):
     """The pair permutation of spec conjugated by the relabel L by alpha,
     read off pair permutations alone: with (L f)[t] = f[pa[t]] and
@@ -591,8 +606,10 @@ def equivalent(s1, s2):
     The classification gate runs once.  Relabelling s2 by a carrier
     alpha moves its key by alpha, so one search under the χ rule of
     ``_carriers`` stops at the first carrier whose moved key matches
-    s1's, the first the full list would give; a second search, for any
-    carrier, runs only on a miss, to tell "chi" from "lambda".  The one
+    s1's, the first the full list would give; it runs only when the
+    square-class multisets meet (``_chi_multisets_meet``), since no such
+    carrier exists otherwise.  A second search, for any carrier, runs
+    only on a miss, to tell "chi" from "lambda".  The one
     carrier found is built into a relabelled normal form, whose inner
     witness must then exist.  Before a positive verdict, that form's pair
     permutation is held to ``_relabel_by_pairs``, a second route on pair
@@ -602,7 +619,8 @@ def equivalent(s1, s2):
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
     inv1, inv2 = s1.invariant(), s2.invariant()
-    found = _carriers(s1.lam, s2.lam, inv1.chi, inv2.chi, first=True)
+    found = (_carriers(s1.lam, s2.lam, inv1.chi, inv2.chi, first=True)
+             if _chi_multisets_meet(inv1.chi, inv2.chi) else [])
     if not found or inv1.kind != inv2.kind:
         carried = found or _carriers(s1.lam, s2.lam, first=True)
         return Verdict(False, distinguisher="chi" if carried else "lambda")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import incalg
 from incalg import fia
-from incalg.cli import main
+from incalg.cli import COMMANDS, _read_args, build_parser, main
 from incalg.fia import IncidenceAlgebra
 from incalg.fields import PrimeField, parse_field
 from incalg.idealization import DElem
@@ -1121,3 +1124,110 @@ def test_equivalent_tells_large_prime_scalings_apart(poset_files, tmp_path,
     assert code == 1, captured.err
     assert json.loads(captured.out) == {"equivalent": False,
                                         "distinguisher": "chi"}
+
+
+# -- the command-line reader against argparse ---------------------------------
+
+PARSER = build_parser()
+# option values argparse reads as values: not led by "-"
+VALUES = st.text(max_size=6).filter(lambda v: not v.startswith("-"))
+COUNTS = st.integers(0, 10**6).map(str)
+DASHED = st.sampled_from(["-", "-1", "-a:b", "--", "--json", "-h"])
+
+
+def argparse_reading(argv):
+    """``vars`` of argparse's namespace for argv, or None where it prints
+    help or a usage error and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well_formed): a command line drawn from ``COMMANDS``, each
+    argument a group of tokens, the groups in any order; then, for about
+    half the draws, one mutation (a group dropped or repeated, an option
+    abbreviated, a flag given ``=``, a value led by "-", a positional
+    missing or extra, or ``-h``), after which the line may or may not be
+    well formed."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    groups = []
+    for name, keywords in COMMANDS[command][2]:
+        if not name.startswith("--"):
+            groups.append([draw(VALUES)])
+        elif "action" in keywords:
+            groups += [[name]] * draw(st.booleans())
+        elif keywords.get("required") or draw(st.booleans()):
+            value = draw(COUNTS if "type" in keywords else VALUES)
+            groups.append(draw(st.sampled_from(
+                [[name, value], [f"{name}={value}"]])))
+    groups = draw(st.permutations(groups))
+    mutation = draw(st.sampled_from(
+        [None] * 8 + ["drop", "repeat", "abbreviate", "flag=", "dashed",
+                      "positional", "help"]))
+    at = draw(st.integers(0, len(groups)))
+    if mutation == "drop" and groups:
+        del groups[min(at, len(groups) - 1)]
+    elif mutation == "repeat" and groups:
+        groups.insert(at, groups[min(at, len(groups) - 1)])
+    elif mutation in ("abbreviate", "flag=", "dashed"):
+        names = [g[0].partition("=")[0] for g in groups if g[0].startswith("--")]
+        if names:
+            name = draw(st.sampled_from(names))
+            if mutation == "abbreviate":
+                name = name[:draw(st.integers(3, len(name) - 1))]
+                groups.insert(at, [name, draw(VALUES)])
+            elif mutation == "flag=":
+                groups.insert(at, [f"{name}={draw(VALUES)}"])
+            else:
+                groups.insert(at, [name, draw(DASHED)])
+    elif mutation == "positional":
+        if draw(st.booleans()):
+            groups.insert(at, [draw(VALUES)])
+        else:
+            groups = [g for g in groups if g[0].startswith("--")]
+    elif mutation == "help":
+        groups.insert(at, ["-h"])
+    argv = [command] + [token for group in groups for token in group]
+    return argv, mutation is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_reader_agrees_with_argparse(drawn):
+    """The reader gives argparse's namespace or leaves the line to
+    argparse, and it reads every well-formed line itself."""
+    argv, well_formed = drawn
+    got = _read_args(argv)
+    assert got is None or vars(got) == argparse_reading(argv), argv
+    assert got is not None or not well_formed, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["order-info"], ["classify", "--poset", "p"],
+    ["poset-info", "--poset", "p", "--poset", "q"],
+    ["poset-info", "--poset", "p", "--json=1"],
+    ["poset-info", "--pos", "p"], ["poset-info", "--poset", "-p"],
+    ["poset-info", "--poset"], ["poset-info", "--poset", "p", "x"],
+    ["verify", "--poset", "p", "--field", "F5", "--oracle-limit", "1_000"],
+    ["verify", "--poset", "p", "--field", "F5", "--oracle-limit=-1"],
+    ["equivalent", "--poset", "p", "--field", "F5", "a"],
+])
+def test_reader_leaves_help_abbreviations_and_usage_errors_to_argparse(argv):
+    assert _read_args(argv) is None
+
+
+def test_reader_reads_equals_forms_and_interleaved_positionals():
+    argv = ["equivalent", "a.json", "--field=F5", "b.json", "--poset", "p",
+            "--check"]
+    assert vars(_read_args(argv)) == argparse_reading(argv) == {
+        "command": "equivalent", "fn": COMMANDS["equivalent"][1],
+        "poset": "p", "field": "F5", "inv1": "a.json", "inv2": "b.json",
+        "general": False, "check": True}
+    argv = ["verify", "--oracle-limit=0", "--poset=", "--field", "Q"]
+    assert vars(_read_args(argv)) == argparse_reading(argv)
+    assert _read_args(argv).oracle_limit == 0

@@ -26,12 +26,20 @@ representatives to each general one of the same sign: 96 runs, of which
 26 are positive through a carrier other than the identity, 6 through the
 identity, and 64 are told apart by "chi".  So the carrier that moves χ,
 and the witness it gives, show here.
+
+Then it pins what argparse prints, with ``COLUMNS=80``: the help of
+``incalg`` and of each subcommand, and each usage error and each command
+line that only argparse reads (an abbreviation, a repeated option).  A
+well-formed command line is read without argparse, so these show any
+drift between the two readers.  argparse words its messages as the
+interpreter that ran it does; they are pinned as Python 3.11 prints them.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,7 +89,10 @@ VERIFY = {
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -170,6 +181,41 @@ def general_susp5_runs(tmp_path):
     return runs
 
 
+CHAIN4_LAM = "a:d,b:c,c:b,d:a"
+# case: argv, "P" standing for chain4's poset file
+ARGPARSE = {
+    "--help": ["--help"],
+    **{f"{cmd} --help": [cmd, "--help"] for cmd in (
+        "poset-info", "hypotheses", "classify", "equivalent", "verify")},
+    "no subcommand": [],
+    "unknown subcommand": ["order-info", "--poset", "P"],
+    "missing --poset": ["classify", "--field", "F5", "--lambda", CHAIN4_LAM],
+    "classify --inner": ["classify", "--poset", "P", "--field", "F5",
+                         "--lambda", CHAIN4_LAM, "--inner"],
+    "repeated --field": ["hypotheses", "--poset", "P", "--field", "F3",
+                         "--field", "F5"],
+    "--json=1": ["poset-info", "--poset", "P", "--json=1"],
+    **{f"--oracle-limit {v}": ["verify", "--poset", "P", "--field", "F5",
+                               "--oracle-limit", v]
+       for v in ("1_000", "-1", "\u0662")},
+    "--lambda -a:b": ["classify", "--poset", "P", "--field", "F5",
+                      "--lambda", "-a:b"],
+    "classify --gen": ["classify", "--poset", "P", "--field", "F5",
+                       "--lambda", CHAIN4_LAM, "--gen"],
+}
+
+
+def argparse_runs(tmp_path):
+    """{case: {exit, stdout, stderr}} of each ``ARGPARSE`` command line;
+    run with ``COLUMNS=80``, which argparse wraps its help to."""
+    elements, covers, _ = INNER["chain4"]
+    path = tmp_path / "chain4.json"
+    path.write_text(json.dumps({"elements": elements,
+                                "covers": [list(c) for c in covers]}))
+    return {case: _run([str(path) if a == "P" else a for a in argv])
+            for case, argv in ARGPARSE.items()}
+
+
 @pytest.mark.parametrize("name", sorted(POSETS))
 def test_symmetry_commands_stay_pinned(tmp_path, name):
     want = json.loads(PINNED.read_text())[name]
@@ -197,6 +243,17 @@ def test_verify_stays_pinned(tmp_path, name):
 def test_general_verdicts_through_moving_carriers_stay_pinned(tmp_path):
     want = json.loads(PINNED.read_text())["general susp5"]
     got = general_susp5_runs(tmp_path)
+    assert list(got) == list(want)
+    for case in want:
+        assert got[case] == want[case], case
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's wording is pinned as Python 3.11 prints it")
+def test_argparse_help_and_usage_errors_stay_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads(PINNED.read_text())["argparse"]
+    got = argparse_runs(tmp_path)
     assert list(got) == list(want)
     for case in want:
         assert got[case] == want[case], case

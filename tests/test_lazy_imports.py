@@ -4,7 +4,9 @@
 ``cli.py`` imports the modules a subcommand needs inside that subcommand.
 The footprint checks run each subcommand in a fresh interpreter and read
 ``sys.modules`` after ``cli.main`` returns, since in this process earlier
-tests have already imported everything."""
+tests have already imported everything.  Each well-formed command line
+loads no argparse (nor the gettext and locale it imports); help and a
+usage error do."""
 
 import importlib
 import json
@@ -86,13 +88,17 @@ def _loaded_after(script, *argv):
 RUN_CLI = """
 import json, sys
 from incalg.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # argparse's help and usage errors
+    code = exc.code
 print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
 ALGEBRA = {"fia", "linalg", "morphisms", "derivations", "idealization",
            "involutions", "oracle"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_importing_one_module_loads_only_its_imports():
@@ -119,28 +125,41 @@ def posets(tmp_path):
 
 
 def test_poset_info_loads_no_algebra(posets):
-    code, out, loaded = _loaded_after(
+    code, out, modules = _modules_after(
         RUN_CLI, "poset-info", "--json", "--poset", str(posets["diamond"]))
     assert code == 0 and '"connected": "yes"' in out
-    assert not loaded & ALGEBRA, loaded & ALGEBRA
+    assert not _incalg(modules) & ALGEBRA, _incalg(modules) & ALGEBRA
+    assert not modules & ARGPARSE, modules & ARGPARSE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["classify", "--help"], 0), (["poset-info"], 2),
+    (["poset-info", "--poset", "p.json", "--json=1"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    got, _, modules = _modules_after(RUN_CLI, *argv)
+    assert got == code and "argparse" in modules
 
 
 def test_passing_hypotheses_loads_no_algebra(posets):
-    code, out, loaded = _loaded_after(
+    code, out, modules = _modules_after(
         RUN_CLI, "hypotheses", "--poset", str(posets["diamond"]),
         "--field", "F5")
     assert code == 0 and "der_equals_ider: True" in out
+    loaded = _incalg(modules)
     assert not loaded & ALGEBRA, loaded & ALGEBRA
     assert "snf" in loaded
+    assert not modules & ARGPARSE, modules & ARGPARSE
 
 
 def test_failing_hypotheses_loads_only_the_counterexample_modules(posets):
-    code, out, loaded = _loaded_after(
+    code, out, modules = _modules_after(
         RUN_CLI, "hypotheses", "--poset", str(posets["crown"]),
         "--field", "F5")
     assert code == 3 and "non_inner_cocycle: {" in out
+    loaded = _incalg(modules)
     assert {"fia", "morphisms", "derivations"} <= loaded
     assert not loaded & {"idealization", "involutions", "oracle"}
+    assert not modules & ARGPARSE, modules & ARGPARSE
 
 
 def test_classify_loads_no_oracle(posets):
@@ -168,6 +187,7 @@ def test_classify_over_fp_loads_no_recognize_path(posets, general):
     assert "involutions" in loaded
     assert not loaded & NOT_FOR_CLASSIFY, loaded & NOT_FOR_CLASSIFY
     assert not modules & {"fractions", "decimal"}
+    assert not modules & ARGPARSE, modules & ARGPARSE
 
 
 def test_classify_over_q_loads_fractions_and_prints_the_same(posets):
@@ -175,6 +195,7 @@ def test_classify_over_q_loads_fractions_and_prints_the_same(posets):
         RUN_CLI, "classify", "--poset", str(posets["chain4"]), "--field", "Q",
         "--lambda", CHAIN4_LAM)
     assert code == 0 and "fractions" in modules
+    assert not modules & ARGPARSE, modules & ARGPARSE
     lam = '"lambda": {"a": "d", "b": "c", "c": "b", "d": "a"}'
     lines = ["mode: inner", "fixed points: none", "count: 4"]
     for kind, diag in (("plain", ("1", "1")), ("skew", ("-1", "-1"))):
@@ -220,23 +241,26 @@ def test_inner_equivalent_over_fp_loads_no_recognize_path(
     loaded = _incalg(modules)
     assert not loaded & NOT_FOR_CLASSIFY, loaded & NOT_FOR_CLASSIFY
     assert not modules & {"fractions", "decimal"}
+    assert not modules & ARGPARSE, modules & ARGPARSE
 
 
 def test_general_equivalent_loads_no_recognize_path(posets, involution_files):
     """The relabel by a poset automorphism is a pair permutation: the
     general verdict and its re-check load no factored morphisms."""
-    code, out, loaded = _loaded_after(
+    code, out, modules = _modules_after(
         RUN_CLI, "equivalent", "--general", "--poset", str(posets["chain4"]),
         "--field", "F5", "--check", *involution_files)
     assert code == 0 and '"kind": "general"' in out
-    assert not loaded & NOT_FOR_CLASSIFY
+    assert not _incalg(modules) & NOT_FOR_CLASSIFY
+    assert not modules & ARGPARSE, modules & ARGPARSE
 
 
 def test_verify_loads_the_oracle_only_to_run_it(posets):
-    code, out, loaded = _loaded_after(
+    code, out, modules = _modules_after(
         RUN_CLI, "verify", "--poset", str(posets["chain4"]), "--field", "F5")
     assert code == 0 and "info oracle check skipped" in out
-    assert "oracle" not in loaded
+    assert "oracle" not in _incalg(modules)
+    assert not modules & ARGPARSE, modules & ARGPARSE
     code, out, loaded = _loaded_after(
         RUN_CLI, "verify", "--poset", str(posets["chain2"]), "--field", "F3")
     assert code == 0

@@ -7,8 +7,9 @@ somewhere, each ``WitnessFailed`` raise has its own message, every private
 module-level helper is read somewhere, no module keeps a module-level memo,
 no module but ``posets`` reads the order bitsets, the CLI imports at module
 level
-only the modules every subcommand shares, and the brute-force oracle
-imports no decision module."""
+only the modules every subcommand shares and, from outside the package,
+only json, os and sys, and the brute-force oracle imports no decision
+module."""
 
 import ast
 from collections import Counter
@@ -305,8 +306,25 @@ def test_order_reader_is_reported():
 
 
 # Every CLI process runs one subcommand; what the module imports at its top
-# every subcommand pays for.  The rest is imported inside each cmd_*.
+# every subcommand pays for.  The rest is imported inside each cmd_*, and
+# argparse (with the gettext and locale it imports) inside the functions
+# that print help and usage errors.
 CLI_TOP_LEVEL = {"errors", "fields", "posets", "snf"}
+CLI_TOP_LEVEL_STDLIB = {"json", "os", "sys"}
+
+
+def import_nodes(source, filename="<source>", everywhere=False):
+    """The import statements of a module outside every function body
+    (inside them too when ``everywhere``)."""
+    pending = list(ast.parse(source, filename=filename).body)
+    while pending:
+        node = pending.pop()
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not everywhere):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        pending.extend(ast.iter_child_nodes(node))
 
 
 def top_level_library_imports(source, filename="<source>", everywhere=False):
@@ -314,12 +332,7 @@ def top_level_library_imports(source, filename="<source>", everywhere=False):
     (inside them too when ``everywhere``): ``from .x import ...``,
     ``from . import x`` and ``import incalg.x``."""
     found = set()
-    pending = list(ast.parse(source, filename=filename).body)
-    while pending:
-        node = pending.pop()
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not everywhere):
-            continue
+    for node in import_nodes(source, filename, everywhere):
         if isinstance(node, ast.ImportFrom):
             package, _, module = ("incalg." * node.level + (node.module or "")
                                   ).strip(".").partition(".")
@@ -327,16 +340,56 @@ def top_level_library_imports(source, filename="<source>", everywhere=False):
                 found.add(module.split(".")[0])
             elif package == "incalg":
                 found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
+        else:
             found.update(alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("incalg."))
-        pending.extend(ast.iter_child_nodes(node))
     return found
+
+
+def top_level_outside_imports(source, filename="<source>"):
+    """The modules from outside the package a module imports outside every
+    function body, by their top-level names: ``import x.y`` and
+    ``from x.y import ...``."""
+    names = set()
+    for node in import_nodes(source, filename):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names} - {"incalg"}
 
 
 def test_cli_imports_only_shared_modules_at_top_level():
     found = top_level_library_imports((SRC / "cli.py").read_text())
     assert found <= CLI_TOP_LEVEL, found - CLI_TOP_LEVEL
+
+
+def test_cli_imports_only_json_os_and_sys_at_top_level():
+    found = top_level_outside_imports((SRC / "cli.py").read_text())
+    assert found <= CLI_TOP_LEVEL_STDLIB, found - CLI_TOP_LEVEL_STDLIB
+
+
+def test_top_level_outside_import_is_reported():
+    source = ("import json, os.path\n"
+              "from . import fields\n"
+              "from .errors import ParseError\n"
+              "import incalg.fia\n"
+              "from incalg import posets\n"
+              "from collections import Counter\n"
+              "if json:\n"
+              "    import argparse\n"
+              "try:\n"
+              "    import gettext\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class C:\n"
+              "    import locale\n"
+              "def f():\n"
+              "    import shutil\n"
+              "    from types import SimpleNamespace\n"
+              "    return shutil, SimpleNamespace\n")
+    assert top_level_outside_imports(source) == {
+        "json", "os", "collections", "argparse", "gettext", "locale"}
 
 
 def test_top_level_import_is_reported():

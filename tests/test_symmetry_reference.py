@@ -54,8 +54,9 @@ from incalg.idealization import d_one, random_d_unit
 from incalg import involutions
 from incalg.involutions import (
     InvolutionSpec, Verdict, _carriers, _check_same_context, _chi_key,
-    _equivalent_inner, _relabel_by_pairs, _relabelled_spec, build, classify,
-    equivalent, require_classifiable, rho_eps,
+    _chi_multisets_meet, _equivalent_inner, _relabel_by_pairs,
+    _relabelled_spec, build, classify, equivalent, require_classifiable,
+    rho_eps,
 )
 from incalg.posets import (
     SEARCH_SIZE_BOUND, Poset, PosetMap, lambda_decomposition,
@@ -374,8 +375,9 @@ def check_involutions_and_carriers(poset, pairs=3):
     the involutions; and the carriers between each two of a spread of
     about ``pairs`` of them, unfiltered and filtered by the χ rule for
     the ``chi_maps`` over each field; each the same list as its
-    reference, in the same order.  Returns the involutions and the
-    automorphisms."""
+    reference, in the same order, and ``_chi_multisets_meet`` true
+    wherever the filtered list is not empty.  Returns the involutions
+    and the automorphisms."""
     lams = poset.involutions()
     assert lams == ref_involutions(poset)
     autos = poset.automorphisms()
@@ -390,8 +392,9 @@ def check_involutions_and_carriers(poset, pairs=3):
             for chi2 in chi_maps(lam2, field) if keys1 else ():
                 moved = [_chi_key(chi2, a) for a in carriers]
                 for chi1, key in keys1:
-                    assert _carriers(lam1, lam2, chi1, chi2) == [
-                        a for a, m in zip(carriers, moved) if m == key]
+                    matching = [a for a, m in zip(carriers, moved) if m == key]
+                    assert _carriers(lam1, lam2, chi1, chi2) == matching
+                    assert not matching or _chi_multisets_meet(chi1, chi2)
     return lams, autos
 
 
@@ -765,9 +768,9 @@ def test_equivalent_builds_at_most_one_relabelled_spec(wide_diamond,
 def test_equivalent_builds_only_the_carrier_it_returns(monkeypatch):
     """On susp8 over F5 all 40,320 automorphisms carry the involution
     fixing every a_i to itself.  A positive verdict through a carrier
-    other than the identity builds just that one; a "chi" verdict builds
-    none under the χ rule, then one carrier, to tell "chi" from
-    "lambda"."""
+    other than the identity builds just that one; a "chi" verdict whose
+    square-class multisets differ runs no search under the χ rule, in
+    either order, and builds one carrier, to tell "chi" from "lambda"."""
     poset, field = suspension(8), PrimeField(5)
     alg = IncidenceAlgebra(poset, field)
     lam = next(m for m in poset.involutions() if len(m.fixed_points()) == 8)
@@ -788,6 +791,37 @@ def test_equivalent_builds_only_the_carrier_it_returns(monkeypatch):
     verdict = equivalent(spec("a2"), spec("a8"))
     assert verdict.equivalent and not is_identity(verdict.alpha)
     assert built == [1]
-    built.clear()
-    assert equivalent(spec("a2"), spec()).distinguisher == "chi"
+    for pair in ((spec("a2"), spec()), (spec(), spec("a2"))):
+        built.clear()
+        assert equivalent(*pair).distinguisher == "chi"
+        assert built == [1]
+
+
+def test_equivalent_searches_under_the_chi_rule_when_the_multisets_meet(
+        monkeypatch):
+    """When the square-class multisets meet but no carrier moves χ₂ onto
+    χ₁, the search under the χ rule runs and finds none, then one
+    carrier tells "chi" from "lambda".  Here λ fixes a, b and c, and only
+    b and c can be swapped (a alone lies above d), so (a, b, c) classed
+    (1, 1, n) and (n, 1, 1) are told apart, though each holds one n."""
+    poset = Poset.from_covers(
+        ["0", "d", "a", "b", "c", "e", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("d", "a"), ("a", "e"),
+         ("a", "1"), ("b", "1"), ("c", "1")])
+    alg = IncidenceAlgebra(poset, PrimeField(5))
+    lam = next(m for m in poset.involutions() if m.mapping["b"] == "b")
+    s1 = rho_eps(alg, lam, {"a": 1, "b": 1, "c": 2})
+    s2 = rho_eps(alg, lam, {"a": 2, "b": 1, "c": 1})
+    assert _chi_multisets_meet(s1.invariant().chi, s2.invariant().chi)
+    built = []
+    search = Poset.maps_to
+
+    def counted(*args, **kwargs):
+        found = search(*args, **kwargs)
+        built.append(len(found))
+        return found
+
+    assert ref_equivalent(s1, s2).distinguisher == "chi"
+    monkeypatch.setattr(Poset, "maps_to", counted)
+    assert equivalent(s1, s2).distinguisher == "chi"
     assert built == [0, 1]
