@@ -237,13 +237,9 @@ class ClassInvariant:
         return out
 
 
-def _chi_key(chi, alpha=None):
+def _chi_key(chi):
     """chi on the fixed points in element order, divided by its value at
-    the first: equal exactly for chi up to one global shift.  A poset
-    automorphism alpha first moves each point x to alpha(x)."""
-    if alpha is not None:
-        moved = {alpha(x): c for x, c in chi.items()}
-        chi = {x: moved[x] for x in sorted(moved, key=alpha.dst.index.get)}
+    the first: equal exactly for chi up to one global shift."""
     head = next(iter(chi.values())).inverse()
     return tuple(c * head for c in chi.values())
 
@@ -527,7 +523,12 @@ def _carriers(lam1, lam2, chi1=None, chi2=None, first=False):
     lam2 at j also needs chi2(k) chi1(j)^-1 to equal that ratio at h,
     lam2's first fixed point, which the search places first.  Square
     classes form an abelian group, so this holds on every prefix of a
-    carrier exactly when ``_chi_key(chi2, alpha) == _chi_key(chi1)``."""
+    carrier exactly when chi2 moved by alpha (the class chi2(x) at
+    alpha(x)) has chi1's key.  No search runs, and the answer is [], when
+    the square-class multisets cannot meet (``_chi_multisets_meet``),
+    since every such carrier meets them."""
+    if not _chi_multisets_meet(chi1, chi2):
+        return []
     poset = lam1.src
     on1, on2 = ([poset.index[lam(x)] for x in poset.elements] for lam in (lam1, lam2))
     c1, c2 = ([chi.get(x) for x in poset.elements] if chi else None for chi in (chi1, chi2))
@@ -546,9 +547,7 @@ def _chi_multisets_meet(chi1, chi2):
     if chi1 is None or chi2 is None:
         return chi1 is chi2
     want = Counter(chi1.values())
-    head = next(iter(chi2.values())).inverse()
-    return any(Counter(c * head * v for v in chi2.values()) == want
-               for c in want)
+    return any(Counter(c * v for v in _chi_key(chi2)) == want for c in want)
 
 
 def _relabel_by_pairs(spec, alpha):
@@ -606,11 +605,10 @@ def equivalent(s1, s2):
     The classification gate runs once.  Relabelling s2 by a carrier
     alpha moves its key by alpha, so one search under the χ rule of
     ``_carriers`` stops at the first carrier whose moved key matches
-    s1's, the first the full list would give; it runs only when the
-    square-class multisets meet (``_chi_multisets_meet``), since no such
-    carrier exists otherwise.  A second search, for any carrier, runs
-    only on a miss, to tell "chi" from "lambda".  The one
-    carrier found is built into a relabelled normal form, whose inner
+    s1's, the first the full list would give (none, without a search,
+    when the square-class multisets cannot meet).  A second search, for
+    any carrier, runs only on a miss, to tell "chi" from "lambda".  The
+    one carrier found is built into a relabelled normal form, whose inner
     witness must then exist.  Before a positive verdict, that form's pair
     permutation is held to ``_relabel_by_pairs``, a second route on pair
     permutations alone; a mismatch raises WitnessFailed."""
@@ -619,8 +617,7 @@ def equivalent(s1, s2):
     if s1.k != s2.k:
         return Verdict(False, distinguisher="sign")
     inv1, inv2 = s1.invariant(), s2.invariant()
-    found = (_carriers(s1.lam, s2.lam, inv1.chi, inv2.chi, first=True)
-             if _chi_multisets_meet(inv1.chi, inv2.chi) else [])
+    found = _carriers(s1.lam, s2.lam, inv1.chi, inv2.chi, first=True)
     if not found or inv1.kind != inv2.kind:
         carried = found or _carriers(s1.lam, s2.lam, first=True)
         return Verdict(False, distinguisher="chi" if carried else "lambda")
@@ -682,17 +679,16 @@ class Classification:
 def _chi_orbit_fold(lam, keys):
     """Fold chi keys, one class per fixed point of lam in element order,
     by the automorphisms commuting with lam, keeping the first of each
-    orbit."""
+    orbit: a key is kept unless the first-hit search under the χ rule of
+    ``_carriers`` finds an automorphism commuting with lam that moves it
+    onto an earlier kept key.  These automorphisms form a group, so that
+    relation is symmetric, and no group is listed."""
     fixed = lam.fixed_points()
-    normalizer = _carriers(lam, lam)
-    keep = []
-    seen = set()
-    for key in keys:
-        if key in seen:
-            continue
-        seen |= {_chi_key(dict(zip(fixed, key)), a) for a in normalizer}
-        keep.append(key)
-    return keep
+    kept = []  # the χ maps of the kept keys
+    for chi in (dict(zip(fixed, key)) for key in keys):
+        if not any(_carriers(lam, lam, r, chi, first=True) for r in kept):
+            kept.append(chi)
+    return [tuple(chi.values()) for chi in kept]
 
 
 def classify(poset, lam, field, general=False):

@@ -352,7 +352,10 @@ class PosetMap:
         if _validated:
             return
         if set(self.mapping) != set(src.elements):
-            raise ParseError("map must be defined on every element")
+            missing = [x for x in src.elements if x not in self.mapping]
+            stray = [x for x in self.mapping if x not in src.index]
+            raise ParseError(f"map must be defined on every element: missing {missing[0]!r}"
+                             if missing else f"map label {stray[0]!r} is not an element")
         if set(self.mapping.values()) != set(dst.elements) or src.n != dst.n:
             raise ParseError("map must be a bijection onto the target")
         ups = dst.downs if self.anti else dst.ups

@@ -783,6 +783,22 @@ def test_classify_rejects_malformed_lambda_shapes(poset_files, capsys, lam,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("lam, message", [
+    ({"0": "1", "1": "0", "a": "a", "b": "b", "c": "c"},
+     "map label 'c' is not an element"),
+    ({"0": "1", "1": "0", "c": "a", "b": "b"},
+     "map must be defined on every element: missing 'a'"),
+], ids=["stray-label", "missing-label"])
+def test_classify_names_the_label_a_lambda_gets_wrong(poset_files, capsys, lam,
+                                                      message):
+    """A map with a label that is no element says so, even when it is
+    defined on every element; one that misses an element names the
+    first it misses."""
+    assert main(["classify", "--poset", str(poset_files["diamond"]),
+                 "--field", "F5", "--lambda", json.dumps(lam)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("line", ["a<b<c", "a<<b", "a<b<"])
 def test_poset_info_rejects_a_line_with_two_relations(tmp_path, capsys, line):
     bad = tmp_path / "bad.txt"

@@ -27,6 +27,12 @@ representatives to each general one of the same sign: 96 runs, of which
 identity, and 64 are told apart by "chi".  So the carrier that moves χ,
 and the witness it gives, show here.
 
+It pins ``classify --general --json`` over F5 on two involutions with
+large centralizers: susp7's that fixes every a_i (128 keys, 8
+representatives) and lvl444's first with four fixed points, the middle
+level (8 keys, 6 representatives).  So the χ-fold's kept keys, and their
+order, show here on more than small groups.
+
 Then it pins what argparse prints, with ``COLUMNS=80``: the help of
 ``incalg`` and of each subcommand, and each usage error and each command
 line that only argparse reads (an abbreviation, a repeated option).  A
@@ -47,7 +53,7 @@ import pytest
 from incalg.cli import main
 from incalg.posets import Poset
 
-from conftest import suspension
+from conftest import levels, suspension
 
 PINNED = Path(__file__).parent / "data" / "cli_pinned.json"
 
@@ -181,6 +187,26 @@ def general_susp5_runs(tmp_path):
     return runs
 
 
+# name: (poset, number of fixed points of the pinned involution)
+GENERAL_FOLD = {"susp7": (suspension(7), 7), "lvl444": (levels(4, 4, 4), 4)}
+
+
+def general_fold_runs(tmp_path):
+    """{case: {exit, stdout, stderr}} of ``classify --general --json`` over
+    F5 on the first involution of each ``GENERAL_FOLD`` poset with its
+    number of fixed points."""
+    runs = {}
+    for name, (poset, nfixed) in GENERAL_FOLD.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(poset.to_json()))
+        lam = next(m for m in poset.involutions()
+                   if len(m.fixed_points()) == nfixed)
+        runs[f"classify --general --json {name}"] = _run(
+            ["classify", "--poset", str(path), "--field", "F5", "--lambda",
+             json.dumps(lam.to_json()), "--general", "--json"])
+    return runs
+
+
 CHAIN4_LAM = "a:d,b:c,c:b,d:a"
 # case: argv, "P" standing for chain4's poset file
 ARGPARSE = {
@@ -243,6 +269,14 @@ def test_verify_stays_pinned(tmp_path, name):
 def test_general_verdicts_through_moving_carriers_stay_pinned(tmp_path):
     want = json.loads(PINNED.read_text())["general susp5"]
     got = general_susp5_runs(tmp_path)
+    assert list(got) == list(want)
+    for case in want:
+        assert got[case] == want[case], case
+
+
+def test_general_fold_on_large_centralizers_stays_pinned(tmp_path):
+    want = json.loads(PINNED.read_text())["general fold"]
+    got = general_fold_runs(tmp_path)
     assert list(got) == list(want)
     for case in want:
         assert got[case] == want[case], case

@@ -27,6 +27,7 @@ from incalg.morphisms import FiaMorphism
 from incalg.posets import Poset, identity_map, lambda_decomposition
 
 from conftest import is_identity
+from test_symmetry_reference import ref_moved_key
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -872,7 +873,7 @@ def test_carrier_moves_the_key_as_relabelling_moves_the_spec(wide_diamond):
     for alpha in wide_diamond.automorphisms():
         for spec in specs:
             moved = involutions._relabelled_spec(spec, alpha).invariant()
-            key = involutions._chi_key(spec.invariant().chi, alpha)
+            key = ref_moved_key(spec.invariant().chi, alpha)
             assert moved.key() == key
             moves += key != spec.invariant().key()
     assert moves > 0

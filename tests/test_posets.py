@@ -264,6 +264,22 @@ def test_classify_with_one_fixed_point_searches_no_maps(monkeypatch):
     assert result.count == 2 and built == []
 
 
+def test_general_classify_builds_at_most_one_map_per_key(monkeypatch):
+    """The χ-fold asks a first-hit search per key and builds no list of
+    the centralizer: over F5, susp8's involution fixing every a_i (128
+    keys, 40,320 automorphisms commuting with it) and lvl444's first with
+    four fixed points (8 keys, 576 of them) build at most one
+    ``PosetMap`` per key, where listing the centralizer built all of it."""
+    built = counted_builds(monkeypatch)
+    for poset, nfixed, keys in ((suspension(8), 8, 128),
+                                (levels(4, 4, 4), 4, 8)):
+        lam = next(m for m in poset.involutions()
+                   if len(m.fixed_points()) == nfixed)
+        built.clear()
+        classify(poset, lam, PrimeField(5), general=True)
+        assert len(built) <= keys
+
+
 def test_suspension_involutions_are_the_telephone_numbers():
     """An involution of suspM swaps 0 and 1 and acts on a1..aM as any
     involution of M points, so suspM has I(M) of them, with I(M) = I(M-1)

@@ -37,6 +37,15 @@ for each carrier, where ``equivalent`` finds the one carrier whose moved
 χ key matches by a search under the χ rule, and builds that one.  It
 takes its carriers from the reference filter, never from ``_carriers``.
 The verdicts must agree byte for byte as JSON.
+
+``ref_chi_orbit_fold`` is the listing χ-fold ``classify --general`` ran:
+it filtered the centralizer of lam out of the automorphisms and moved
+each kept key by every element of it (``ref_moved_key``), where
+``_chi_orbit_fold`` asks one first-hit search under the χ rule per
+earlier kept key.  The kept keys must be the same, in the same order, on
+every connected poset of at most 6 points over F3 and F5, on suspM for
+2 <= M <= 7, lvl444, lvl333, lvl242, the 3 x 3 grid and a poset with
+fixed points of two kinds, and on the fixtures and drawn posets over F3.
 """
 
 import functools
@@ -54,7 +63,7 @@ from incalg.idealization import d_one, random_d_unit
 from incalg import involutions
 from incalg.involutions import (
     InvolutionSpec, Verdict, _carriers, _check_same_context, _chi_key,
-    _chi_multisets_meet, _equivalent_inner, _relabel_by_pairs,
+    _chi_multisets_meet, _chi_orbit_fold, _equivalent_inner, _relabel_by_pairs,
     _relabelled_spec, build, classify, equivalent, require_classifiable,
     rho_eps,
 )
@@ -63,6 +72,7 @@ from incalg.posets import (
 )
 
 from conftest import is_identity, levels, suspension
+from test_exhaustive_small_posets import as_poset, small_posets
 
 FIXTURES = ["chain2", "chain3", "diamond", "vee", "wedge", "fence", "crown",
             "two_chains", "wide_diamond"]
@@ -121,8 +131,12 @@ def ref_maps_to(self, other, anti=False, size_bound=SEARCH_SIZE_BOUND):
 
 def ref_check(src, dst, mapping, anti):
     """The label-lookup order check: None, or the ParseError message."""
-    if set(mapping) != set(src.elements):
-        return "map must be defined on every element"
+    for x in src.elements:
+        if x not in mapping:
+            return f"map must be defined on every element: missing {x!r}"
+    for x in mapping:
+        if x not in src.elements:
+            return f"map label {x!r} is not an element"
     if set(mapping.values()) != set(dst.elements):
         return "map must be a bijection onto the target"
     for x in src.elements:
@@ -247,6 +261,28 @@ def ref_commutes(alpha, lam):
     return alpha.compose(lam) == lam.compose(alpha)
 
 
+def ref_moved_key(chi, alpha):
+    """The χ key of chi moved by the automorphism alpha: the class chi(x)
+    at alpha(x), read in element order."""
+    moved = {alpha(x): c for x, c in chi.items()}
+    return _chi_key({x: moved[x] for x in sorted(moved, key=alpha.dst.index.get)})
+
+
+def ref_chi_orbit_fold(lam, keys, autos=None):
+    """The listing χ-fold: the centralizer of lam, filtered from the
+    automorphisms ``autos`` (all of them by default), moves each kept key
+    to every key of its orbit, and a key is kept when no earlier kept key
+    reached it."""
+    fixed = lam.fixed_points()
+    centralizer = ref_carriers(autos or lam.src.automorphisms(), lam, lam)
+    keep, seen = [], set()
+    for key in keys:
+        if key not in seen:
+            seen |= {ref_moved_key(dict(zip(fixed, key)), a) for a in centralizer}
+            keep.append(key)
+    return keep
+
+
 def ref_equivalent(s1, s2):
     """The per-carrier loop of ``equivalent``: one relabelled normal form
     and one inner attempt per carrier, until one succeeds."""
@@ -317,14 +353,17 @@ def bijections(src, dst, rng, limit=200):
 
 
 def broken(src, dst):
-    """Maps the bijection checks refuse: a missing point, a repeated image."""
+    """Maps the bijection checks refuse: a missing point, a label that is
+    no point (alone, and in place of the first point), a repeated
+    image."""
     if src.n < 2:
         return []
     first, second = src.elements[:2]
     onto = dict(zip(src.elements, dst.elements))
     missing = {x: y for x, y in onto.items() if x != first}
     doubled = dict(onto, **{second: onto[first]})
-    return [missing, doubled]
+    return [missing, dict(onto, stray=dst.elements[0]),
+            dict(missing, stray=onto[first]), doubled]
 
 
 def spread(items, k):
@@ -390,7 +429,7 @@ def check_involutions_and_carriers(poset, pairs=3):
         for field in CHI_FIELDS:
             keys1 = [(chi1, _chi_key(chi1)) for chi1 in chi_maps(lam1, field)]
             for chi2 in chi_maps(lam2, field) if keys1 else ():
-                moved = [_chi_key(chi2, a) for a in carriers]
+                moved = [ref_moved_key(chi2, a) for a in carriers]
                 for chi1, key in keys1:
                     matching = [a for a, m in zip(carriers, moved) if m == key]
                     assert _carriers(lam1, lam2, chi1, chi2) == matching
@@ -399,10 +438,12 @@ def check_involutions_and_carriers(poset, pairs=3):
 
 
 def check_split_and_conjugacy(poset):
-    """The involutions and carriers; every split; the mapping check of
-    conjugacy against the compose chains over a spread of the group and of
-    the involutions, since their product grows as the group squared."""
+    """The involutions and carriers; every split; the χ-fold over F3; the
+    mapping check of conjugacy against the compose chains over a spread of
+    the group and of the involutions, since their product grows as the
+    group squared."""
     lams, autos = check_involutions_and_carriers(poset)
+    check_fold(poset, PrimeField(3))
     for lam in lams:
         check_split(poset, lam)
     some = spread(lams, 12)
@@ -525,6 +566,95 @@ def test_involutions_and_carriers_match_reference_at_the_bound():
     searches list what the full ones filter, in the same order."""
     for poset in (levels(4, 4, 4), suspension(7)):
         check_involutions_and_carriers(poset)
+
+
+# -- the χ-fold ---------------------------------------------------------------
+
+
+def fold_keys(lam, field):
+    """The χ keys ``classify`` folds for lam: the class of one at its first
+    fixed point and any listed class at each other one, in product order."""
+    classes = [field.square_class(v) for v in field.square_class_reps()]
+    return [(field.square_class(field.one), *rest) for rest in
+            itertools.product(classes, repeat=len(lam.fixed_points()) - 1)]
+
+
+def check_fold(poset, field):
+    """``_chi_orbit_fold`` against ``ref_chi_orbit_fold`` for every
+    involution of the poset with two or more fixed points, the ones
+    ``classify --general`` folds: the same kept keys in the same order.
+    Returns the number of involutions checked and of keys folded away."""
+    autos = poset.automorphisms()
+    lams = [lam for lam in poset.involutions() if len(lam.fixed_points()) > 1]
+    folded = 0
+    for lam in lams:
+        keys = fold_keys(lam, field)
+        kept = _chi_orbit_fold(lam, keys)
+        assert kept == ref_chi_orbit_fold(lam, keys, autos)
+        folded += len(keys) - len(kept)
+    return len(lams), folded
+
+
+def grid(m):
+    """The product of two m-point chains, its points "ij" for 0 <= i, j < m."""
+    points = [f"{i}{j}" for i in range(m) for j in range(m)]
+    return Poset.from_covers(points, [
+        (f"{i}{j}", f"{i + di}{j + dj}") for i in range(m) for j in range(m)
+        for di, dj in ((1, 0), (0, 1)) if i + di < m and j + dj < m])
+
+
+def two_kinds(na, nb):
+    """0 < p < a1..a_na < q < 1 beside 0 < b1..b_nb < 1: an involution
+    fixing the a_i and b_j can permute each kind but never swap one a_i
+    with one b_j."""
+    a = [f"a{i}" for i in range(1, na + 1)]
+    b = [f"b{j}" for j in range(1, nb + 1)]
+    return Poset.from_covers(
+        ["0", "p", *a, "q", *b, "1"],
+        [("0", "p"), ("q", "1"), *(("p", x) for x in a),
+         *((x, "q") for x in a), *(("0", y) for y in b),
+         *((y, "1") for y in b)])
+
+
+@pytest.fixture(scope="module")
+def connected_census():
+    """One connected poset per isomorphism class on at most 6 points: 297
+    of them (1, 1, 3, 10, 44 and 238 on 1 to 6 points, OEIS A000608),
+    from the generator of ``test_exhaustive_small_posets``.  Listing the
+    318 classes on 6 points takes about 2.5 s on a 2-core x86-64 machine,
+    so both fields share one census."""
+    posets = [as_poset(n, rel) for n in range(1, 7) for rel in small_posets(n)]
+    return [poset for poset in posets if poset.is_connected()]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5)],
+                         ids=lambda f: f.name)
+def test_chi_fold_matches_reference_on_every_small_connected_poset(
+        connected_census, field):
+    """Every connected poset of at most 6 points, every involution with
+    two or more fixed points: the first-hit fold keeps the keys the
+    listing fold keeps, in order."""
+    assert len(connected_census) == 297
+    checked = folded = 0
+    for poset in connected_census:
+        lams, gone = check_fold(poset, field)
+        checked, folded = checked + lams, folded + gone
+    assert checked > 0 and folded > 0
+
+
+@pytest.mark.parametrize("poset", [
+    *(suspension(m) for m in range(2, 8)), levels(4, 4, 4), levels(3, 3, 3),
+    levels(2, 4, 2), grid(3), two_kinds(4, 4),
+], ids=[*(f"susp{m}" for m in range(2, 8)), "lvl444", "lvl333", "lvl242",
+        "grid3", "two_kinds44"])
+def test_chi_fold_matches_reference_on_large_centralizers(poset):
+    """Posets whose involutions commute with many automorphisms, and one
+    whose fixed points are of two kinds (12 points, 576 automorphisms
+    commuting with its involution fixing every a_i and b_j), over F5:
+    every involution with two or more fixed points folds as the listing
+    fold does."""
+    lams, _ = check_fold(poset, PrimeField(5))
+    assert lams > 0
 
 
 # -- drawn posets -------------------------------------------------------------
