@@ -125,8 +125,12 @@ def _emit(payload, as_json):
 
 def cmd_poset_info(args):
     poset = load_poset(args.poset)
-    autos, antis = poset.automorphisms(), poset.anti_automorphisms()
-    involutions = [m for m in antis if m.is_involution()]
+    # once X has an anti-automorphism alpha, its anti-automorphisms are the
+    # coset alpha Aut(X), as many as Aut(X); so none is listed: the pruned
+    # search finds the involutions, and without one a first-hit search
+    # decides whether any anti-automorphism exists
+    autos, involutions = poset.automorphisms(), poset.involutions()
+    anti = bool(involutions or poset.maps_to(poset, True, _first=True))
     payload = {
         "elements": ", ".join(str(x) for x in poset.elements),
         "covers": ", ".join(f"{x}<{y}" for x, y in poset.covers),
@@ -134,11 +138,11 @@ def cmd_poset_info(args):
         "all-comparable": ", ".join(
             sorted(str(x) for x in poset.all_comparable_elements())) or "none",
         "automorphisms": len(autos),
-        "anti-automorphisms": len(antis),
+        "anti-automorphisms": len(autos) if anti else 0,
         "involutions": "; ".join(
             json.dumps(m.to_json(), sort_keys=True) for m in involutions) or "none",
     }
-    if not antis:
+    if not anti:
         payload["note"] = ("no anti-automorphisms: the idealization ring "
                            "admits no involution over any field")
     if args.json:
@@ -181,7 +185,7 @@ def cmd_classify(args):
     result = classify(poset, lam, field, general=args.general)
     payload = result.to_json()
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, True)
     else:
         print(f"mode: {payload['mode']}")
         print(f"fixed points: {', '.join(payload['fixed_points']) or 'none'}")
@@ -215,7 +219,7 @@ def cmd_equivalent(args):
     verdict = equivalent(s1, s2) if args.general else equivalent_inner(s1, s2)
     if verdict.equivalent and args.check:
         verify_witness(s1, s2, verdict)
-    print(json.dumps(verdict.to_json(), indent=2, sort_keys=True))
+    _emit(verdict.to_json(), True)
     return EXIT_OK if verdict.equivalent else EXIT_NOT_EQUIVALENT
 
 

@@ -234,12 +234,12 @@ class RationalField(Field):
     def square_class_reps(self):
         raise SizeLimit("S_Q is infinite; no finite list of representatives")
 
-    def random(self, rng, span=9):
-        return self.fraction(rng.randint(-span, span), rng.randint(1, span))
+    def random(self, rng):
+        return self.fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    def random_nonzero(self, rng, span=9):
+    def random_nonzero(self, rng):
         while True:
-            v = self.random(rng, span)
+            v = self.random(rng)
             if v != 0:
                 return v
 

@@ -244,11 +244,12 @@ def factor_inner(theta):
 
 class CrossAntiMap:
     """The anti-isomorphism between idealization rings induced by an
-    order-reversing poset bijection."""
+    order-reversing poset bijection lam, over ``field``: both rings are
+    built from lam, D(lam.src, field) onto D(lam.dst, field)."""
 
-    def __init__(self, src_alg, dst_alg, lam):
-        self.src = src_alg
-        self.dst = dst_alg
+    def __init__(self, lam, field):
+        self.src = IncidenceAlgebra(lam.src, field)
+        self.dst = IncidenceAlgebra(lam.dst, field)
         self.lam = lam
         self._perm = lam.pair_permutation()
 
@@ -261,7 +262,7 @@ class CrossAntiMap:
         return DElem(self._move(d.f), self._move(d.i))
 
     def inverse(self):
-        return CrossAntiMap(self.dst, self.src, self.lam.inverse())
+        return CrossAntiMap(self.lam.inverse(), self.src.field)
 
 
 def d_anti_isomorphic(x_poset, y_poset, field):
@@ -269,7 +270,4 @@ def d_anti_isomorphic(x_poset, y_poset, field):
     or None when the posets admit no such bijection.  The bijection is the
     first the symmetry search finds, and the search stops there."""
     maps = x_poset.maps_to(y_poset, anti=True, _first=True)
-    if not maps:
-        return None
-    src, dst = IncidenceAlgebra(x_poset, field), IncidenceAlgebra(y_poset, field)
-    return maps[0], CrossAntiMap(src, dst, maps[0])
+    return (maps[0], CrossAntiMap(maps[0], field)) if maps else None

@@ -62,7 +62,7 @@ class InvolutionSpec:
             raise NotAUnit("factored form needs a unit")
         if theta.alg != alg:
             raise ContextMismatch("unit over a different context")
-        if not (lam.anti and lam.src == alg.poset and lam.is_involution()):
+        if not (lam.src == alg.poset and lam.is_involution()):
             raise ParseError("the poset map must be an order-reversing "
                              "involution of the algebra's poset")
         if alg.field.mul(self.k, self.k) != alg.field.one:
@@ -110,14 +110,6 @@ class InvolutionSpec:
         return DLinearMap._of(alg, ring + bimodule)
 
     # -- invariants ---------------------------------------------------------
-
-    @property
-    def sign(self):
-        return self.k
-
-    @property
-    def induced(self):
-        return self.lam
 
     def decomposition(self):
         return lambda_decomposition(self.alg.poset, self.lam)

@@ -121,15 +121,21 @@ class FiaMorphism:
 
     ``anti`` is read off the poset map: order-reversing maps act by
     f |-> f(map^-1(y), map^-1(x)) and give algebra anti-automorphisms.
+    A unit over another algebra, or a poset map not from and onto the
+    algebra's poset, raises ContextMismatch.
     """
 
     def __init__(self, alg, u=None, sigma=None, posetmap=None):
         self.alg = alg
         self.u = u if u is not None else alg.delta()
+        if self.u.alg != alg:
+            raise ContextMismatch("unit over a different context")
         if not self.u.is_unit():
             raise NotAMorphism("conjugator must be a unit")
         self.u_inv = self.u.inverse()
         self.posetmap = posetmap if posetmap is not None else identity_map(alg.poset)
+        if not self.posetmap.src == self.posetmap.dst == alg.poset:
+            raise ContextMismatch("poset map over a different poset")
         self.anti = self.posetmap.anti
         self.sigma, self._scale = _complete_cocycle(
             alg, sigma, alg.field.one, validate_multiplicative_cocycle)

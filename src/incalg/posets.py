@@ -466,7 +466,7 @@ def lambda_decomposition(poset, lam):
     orbit finds its lower end a (x, or lam x when lam x < x), and down(a)
     joins the lower mask and up(lam a) the upper mask.
     """
-    if not (lam.anti and lam.src == poset and lam.is_involution()):
+    if not (lam.src == poset and lam.is_involution()):
         raise ParseError("decomposition requires an involution on the poset")
     image = [poset.index[lam(x)] for x in poset.elements]
     lower = upper = 0

@@ -13,16 +13,19 @@ from hypothesis import given, settings, strategies as st
 import incalg
 from incalg import fia
 from incalg.cli import COMMANDS, _read_args, build_parser, main
+from incalg.errors import (IncalgError, NotADerivation, NotAMorphism, NotAUnit,
+                           SizeLimit)
 from incalg.fia import IncidenceAlgebra
-from incalg.fields import PrimeField, parse_field
-from incalg.idealization import DElem
+from incalg.fields import QQ, PrimeField, parse_field
+from incalg.idealization import (DElem, factor_inner, inner_auto, lift_anti,
+                                 lift_derivation)
 from incalg.involutions import (InvolutionSpec, base_involution, classify,
                                 equivalent_inner, rho_eps, sigma_lambda)
-from incalg.morphisms import multiplicative_is_inner
+from incalg.morphisms import FiaMorphism, FiLinearMap, multiplicative_is_inner
 from incalg.posets import Poset
 from incalg.snf import check_hypotheses
 
-from conftest import suspension
+from conftest import chain, suspension
 from test_hypotheses_reference import moore3_face_poset
 
 
@@ -729,7 +732,6 @@ def _finite_classifications():
     """classify on every involution of the pinned posets and chain4 over
     F3, F5 and Q, where the hypotheses hold and the answer is a finite
     list."""
-    from conftest import chain
     from test_cli_pinned import POSETS
     posets = [chain(4)] + [Poset.from_covers(*POSETS[name]) for name in POSETS]
     for poset in posets:
@@ -797,6 +799,64 @@ def test_classify_names_the_label_a_lambda_gets_wrong(poset_files, capsys, lam,
     assert main(["classify", "--poset", str(poset_files["diamond"]),
                  "--field", "F5", "--lambda", json.dumps(lam)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _raised(call):
+    """The type and message of the IncalgError ``call()`` raises, or None."""
+    try:
+        call()
+    except IncalgError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _chain2(field):
+    return IncidenceAlgebra(chain(2), field)
+
+
+def _zero_pair():
+    alg = _chain2(QQ)
+    return DElem(alg.zero(), alg.zero())
+
+
+# guard: (a call given the poset files and capsys, what it gives)
+UNREACHED_GUARDS = {
+    # the bowtie's order-4 anti-automorphism a -> c -> b -> d -> a
+    "cli-order-4-lambda": (
+        lambda files, capsys: (
+            main(["classify", "--poset", str(files["crown"]), "--field", "F5",
+                  "--lambda", json.dumps({"a": "c", "c": "b", "b": "d",
+                                          "d": "a"})]),
+            capsys.readouterr().err),
+        (2, "error: map is not an order-reversing involution\n")),
+    "Q-square-class-reps": (
+        lambda files, capsys: _raised(QQ.square_class_reps),
+        (SizeLimit, "S_Q is infinite; no finite list of representatives")),
+    "lift-anti-of-an-automorphism": (
+        lambda files, capsys: _raised(
+            lambda: lift_anti(FiaMorphism(_chain2(PrimeField(5))))),
+        (NotAMorphism, "expected an anti-automorphism")),
+    "lift-derivation-of-the-identity": (
+        lambda files, capsys: _raised(lambda: lift_derivation(
+            _chain2(PrimeField(5)), FiLinearMap.identity(_chain2(PrimeField(5))))),
+        (NotADerivation, "lift requires a derivation")),
+    "inner-auto-of-zero": (
+        lambda files, capsys: _raised(lambda: inner_auto(_zero_pair())),
+        (NotAUnit, "inner automorphism needs a unit")),
+    "factor-inner-of-zero": (
+        lambda files, capsys: _raised(lambda: factor_inner(_zero_pair())),
+        (NotAUnit, "inner automorphism needs a unit")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_GUARDS))
+def test_guards_no_other_test_reaches(poset_files, capsys, case):
+    """Error branches that no other test, demo or bench run executes: an
+    order-reversing map that is not an involution on the command line,
+    the list of Q's square classes, and the lifts and inner maps given
+    what they refuse, each with its typed error and message."""
+    call, want = UNREACHED_GUARDS[case]
+    assert call(poset_files, capsys) == want
 
 
 @pytest.mark.parametrize("line", ["a<b<c", "a<<b", "a<b<"])
@@ -1103,23 +1163,47 @@ def test_char2_involution_file_keeps_its_exit(poset_files, tmp_path, capsys):
         "and not accepted here\n")
 
 
-def test_poset_info_searches_each_group_once(poset_files, capsys, monkeypatch):
-    """Aut(X) and anti-Aut(X) are listed once each; the involutions are
-    read off the anti-automorphisms."""
+# ten points whose anti-automorphisms are alpha = (p0 p1 p2 p3)(p4 p5 p6 p7)
+# (p8 p9) and alpha^3, both of order 4, so neither is an involution
+QUARTER_TURN = {"elements": [f"p{i}" for i in range(10)], "covers": [
+    ["p0", "p7"], ["p0", "p9"], ["p1", "p7"], ["p2", "p5"], ["p2", "p9"],
+    ["p3", "p5"], ["p4", "p1"], ["p4", "p2"], ["p6", "p0"], ["p6", "p3"],
+    ["p8", "p1"], ["p8", "p3"]]}
+
+
+def test_poset_info_searches_each_group_once(poset_files, tmp_path, capsys,
+                                             monkeypatch):
+    """Aut(X) is listed once, and anti-Aut(X) never: every
+    anti-automorphism search is pruned (``_accept``) or stops at its first
+    map (``_first``).  The involutions come from the search pruned by the
+    involution rule; only a poset with none asks a first-hit search for
+    any anti-automorphism: the vee has none, and ``QUARTER_TURN`` has two,
+    neither an involution.  The anti-automorphism count is |Aut(X)| or 0."""
+    poset_files["quarter-turn"] = tmp_path / "quarter-turn.json"
+    poset_files["quarter-turn"].write_text(json.dumps(QUARTER_TURN))
     calls = []
     real = Poset.maps_to
 
     def counting(self, other, anti=False, *args, **kwargs):
-        calls.append(anti)
+        calls.append((anti, kwargs.get("_accept") is not None
+                      or kwargs.get("_first", False)))
         return real(self, other, anti, *args, **kwargs)
 
     monkeypatch.setattr(Poset, "maps_to", counting)
-    assert main(["poset-info", "--poset", str(poset_files["diamond"]),
-                 "--json"]) == 0
-    assert sorted(calls) == [False, True]
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["automorphisms"] == 2 and payload["anti-automorphisms"] == 2
-    assert len(payload["involution_maps"]) == 2
+    # poset: automorphisms, anti-automorphisms, involutions, anti searches
+    for name, autos, antis, invs, searches in (("diamond", 2, 2, 2, 1),
+                                               ("vee", 2, 0, 0, 2),
+                                               ("quarter-turn", 2, 2, 0, 2)):
+        calls.clear()
+        assert main(["poset-info", "--poset", str(poset_files[name]),
+                     "--json"]) == 0
+        assert calls.count((False, False)) == 1
+        anti_calls = [pruned for anti, pruned in calls if anti]
+        assert len(anti_calls) == searches and all(anti_calls)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["automorphisms"] == autos
+        assert payload["anti-automorphisms"] == antis
+        assert len(payload["involution_maps"]) == invs
 
 
 def test_equivalent_tells_large_prime_scalings_apart(poset_files, tmp_path,

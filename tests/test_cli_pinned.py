@@ -33,6 +33,11 @@ representatives) and lvl444's first with four fixed points, the middle
 level (8 keys, 6 representatives).  So the χ-fold's kept keys, and their
 order, show here on more than small groups.
 
+It pins ``classify --general`` over Q (text and ``--json``) on the
+diamond's flip of 0 and 1, which fixes a and b: with two fixed points
+over Q the count is infinite, so the family prints, with the ``general``
+entry only the folded mode adds.
+
 Then it pins what argparse prints, with ``COLUMNS=80``: the help of
 ``incalg`` and of each subcommand, and each usage error and each command
 line that only argparse reads (an abbreviation, a repeated option).  A
@@ -207,6 +212,19 @@ def general_fold_runs(tmp_path):
     return runs
 
 
+def general_q_runs(tmp_path):
+    """{case: {exit, stdout, stderr}} of ``classify --general`` over Q on
+    the diamond's flip, as text and ``--json``."""
+    elements, covers, lam = INNER["diamond-flip"]
+    path = tmp_path / "diamond-flip.json"
+    path.write_text(json.dumps({"elements": elements,
+                                "covers": [list(c) for c in covers]}))
+    return {" ".join(["classify --general Q", *flag]): _run(
+        ["classify", "--poset", str(path), "--field", "Q",
+         "--lambda", json.dumps(lam), "--general", *flag])
+        for flag in ([], ["--json"])}
+
+
 CHAIN4_LAM = "a:d,b:c,c:b,d:a"
 # case: argv, "P" standing for chain4's poset file
 ARGPARSE = {
@@ -280,6 +298,11 @@ def test_general_fold_on_large_centralizers_stays_pinned(tmp_path):
     assert list(got) == list(want)
     for case in want:
         assert got[case] == want[case], case
+
+
+def test_general_family_over_q_stays_pinned(tmp_path):
+    want = json.loads(PINNED.read_text())["general Q diamond-flip"]
+    assert general_q_runs(tmp_path) == want
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

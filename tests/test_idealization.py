@@ -290,6 +290,9 @@ def test_anti_transfer_between_posets(chain2, chain3, vee, wedge):
 def test_anti_transfer_map_is_anti_multiplicative(vee, wedge):
     rng = random.Random(12)
     lam, upsilon = d_anti_isomorphic(vee, wedge, F5)
+    # both rings are built from lam, over the one field
+    assert (upsilon.src, upsilon.dst) == (IncidenceAlgebra(vee, F5),
+                                          IncidenceAlgebra(wedge, F5))
     src = upsilon.src
     for _ in range(50):
         a, b = random_delem(src, rng), random_delem(src, rng)
@@ -400,7 +403,7 @@ CONTEXT_GUARDS = [
     ("idealization", "map and argument over different contexts",
      lambda a, b: DLinearMap.identity(a).apply(d_one(b))),
     ("idealization", "argument over the wrong source ring",
-     lambda a, b: CrossAntiMap(a, a, a.poset.involutions()[0]).apply(d_one(b))),
+     lambda a, b: CrossAntiMap(a.poset.involutions()[0], a.field).apply(d_one(b))),
     ("involutions", "unit over a different context",
      lambda a, b: InvolutionSpec(a, d_one(b), a.poset.involutions()[0], 1)),
     ("involutions", "involution and argument over different contexts",
@@ -413,6 +416,10 @@ CONTEXT_GUARDS = [
      lambda a, b: FiLinearMap.identity(a).apply(b.delta())),
     ("morphisms", "morphism and argument over different contexts",
      lambda a, b: FiaMorphism(a).apply(b.delta())),
+    ("morphisms", "unit over a different context",
+     lambda a, b: FiaMorphism(a, u=b.delta())),
+    ("morphisms", "poset map over a different poset",
+     lambda a, b: FiaMorphism(a, posetmap=b.poset.automorphisms()[0])),
 ]
 
 

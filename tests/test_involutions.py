@@ -86,8 +86,8 @@ def test_base_involution_round_trip(chain2):
     alg = IncidenceAlgebra(chain2, F3)
     lam = swap_involution(chain2)
     rho = base_involution(alg, lam, 1)
-    assert rho.sign == 1
-    assert rho.induced == lam
+    assert rho.k == 1
+    assert rho.lam == lam
     m = rho.to_linear()
     assert m.is_involution()
     assert rho.apply(d_one(alg)) == d_one(alg)
@@ -132,7 +132,7 @@ def test_build_accepts_diagonal_bimodule_twist(chain2):
     lam = swap_involution(chain2)
     spec = build(alg, DElem(alg.delta(), alg.e("a", "a")), lam, -1)
     assert spec.to_linear().is_involution()
-    assert spec.sign == alg.field.neg(1)
+    assert spec.k == alg.field.neg(1)
 
 
 def test_build_entry_guards(chain2, two_chains):
@@ -157,7 +157,7 @@ def test_sign_and_central_action(chain3, diamond):
             lam = poset.involutions()[0]
             for k in (1, -1):
                 spec = base_involution(alg, lam, k)
-                assert spec.sign == field(k)
+                assert spec.k == field(k)
                 for _ in range(10):
                     k1, k2 = field.random(rng), field.random(rng)
                     got = spec.apply(central_pair(alg, k1, k2))

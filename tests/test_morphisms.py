@@ -3,7 +3,7 @@ import random
 import pytest
 
 from incalg.derivations import DerivationSpec, additive_is_inner
-from incalg.errors import InvalidCocycle, NotAMorphism, NotUnital
+from incalg.errors import ContextMismatch, InvalidCocycle, NotAMorphism, NotUnital
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField, _primitive_root
 from incalg.morphisms import (
@@ -33,6 +33,18 @@ def random_morphism(alg, rng, anti=False):
     maps = alg.poset.anti_automorphisms() if anti else alg.poset.automorphisms()
     posetmap = rng.choice(maps)
     return FiaMorphism(alg, u=u, sigma=sigma, posetmap=posetmap)
+
+
+def test_unit_or_poset_map_of_another_algebra_is_refused(vee, wedge):
+    """A poset map between two other posets of the same size, and a unit
+    on the same poset over another field, are refused when the morphism is
+    built, not later in ``apply``."""
+    alg = IncidenceAlgebra(vee, F5)
+    swap = next(m for m in wedge.automorphisms() if m.mapping["a"] == "b")
+    with pytest.raises(ContextMismatch, match="^poset map over a different poset$"):
+        FiaMorphism(alg, posetmap=swap)
+    with pytest.raises(ContextMismatch, match="^unit over a different context$"):
+        FiaMorphism(alg, u=IncidenceAlgebra(vee, F3).delta().scale(2))
 
 
 def test_identity_and_basic_actions(chain2):
