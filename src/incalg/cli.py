@@ -6,7 +6,9 @@ Exit codes: 0 ok/equivalent, 1 not equivalent, 2 input error,
 normal form that fails the library's internal exact check (WitnessFailed)
 also exits 2, with a one-line message and no traceback, and so does a
 run whose reader closes stdout before the output is all written (as
-``| head -1`` does): what is left goes to the null device.
+``| head -1`` does): what is left goes to the null device.  A run that
+exhausts memory (MemoryError) exits 2 too, with the one line ``error: out
+of memory``.
 
 Each process runs one subcommand and, with bytecode writing off, compiles
 every library module it imports.  So the top of this module imports only
@@ -446,6 +448,9 @@ def main(argv=None):
     except Char2Unsupported as exc:
         print(f"unsupported characteristic: {exc}", file=sys.stderr)
         return EXIT_CHAR2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     except IncalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -146,9 +146,9 @@ def split_raw_derivation(raw):
     is NotADerivation.
     """
     alg = raw.alg
-    cols, index = raw.columns(), alg.pair_index
-    tau = {(x, y): cols[k][x, y] for k, (x, y) in enumerate(alg.pairs) if x != y}
-    inner = alg.element({(x, y): cols[index[(x, x)]][x, y]
+    index = alg.pair_index
+    tau = {p: raw._entry(index[p], index[p]) for p in alg.poset.strict_pairs}
+    inner = alg.element({(x, y): raw._entry(index[(x, x)], index[(x, y)])
                          for x, y in alg.poset.strict_pairs})
     try:
         spec = DerivationSpec(alg, inner=inner, tau=tau)

@@ -35,7 +35,13 @@ On the interval basis the structure constants are 0 or 1 (e_xy e_zw is
 e_xw when y = z and zero otherwise), so a product u e_ab v with one basis
 element in the middle is rank one: its (x, y) entry is u(x, a) v(b, y) for
 x <= a and b <= y and zero elsewhere, one multiplication per entry and no
-sum (``rank_one``).
+sum.  ``rank_one`` writes it on numerators, in one pass over the index
+list ``rank_one_terms``, together with the bimodule coordinate of the
+idealization product [u; m][e_ab; 0][v; n] when asked: residues over F_p,
+integers over the operands' denominators over Q.  The closed-form
+matrices of ``morphisms.FiaMorphism`` and ``involutions.InvolutionSpec``
+(``to_linear``) are written column by column with it, straight into the
+stored form, with no element built per column.
 
 ``ColumnMap`` keeps a linear map's columns in the same stored form; both
 ``morphisms.FiLinearMap`` and ``idealization.DLinearMap`` build on it.
@@ -214,19 +220,26 @@ class IncidenceAlgebra:
             f.random_nonzero(rng) if x == y else f.random(rng)
             for x, y in self.pairs))
 
-    def rank_one(self, u, k, v):
-        """u e_k v, for elements u and v and the basis element e_k = e_ab
-        at pair index k: entry (x, y) is u(x, a) v(b, y) for x <= a and
-        b <= y, and zero elsewhere."""
-        a, b, p = u.num, v.num, self.field.modulus
-        num = [0] * self.npairs
-        if p is None:
+    def rank_one(self, k, a, b, c=None, d=None, s=1):
+        """The numerators of u (s e_k) v, for the numerators a of u and b
+        of v, the basis element e_k = e_xy at pair index k and an integer
+        s, as a list: entry t is s a[i] b[j] for each (t, i, j) in
+        ``rank_one_terms[k]`` and zero elsewhere.  Given the numerators c
+        of m and d of n as well, the list is the doubled vector of the
+        idealization product [u; m][s e_k; 0][v; n] = s [u e_k v; m e_k v +
+        u e_k n].  One pass over the terms; residues mod p over a prime
+        field, and over Q integers over the product of the operands'
+        denominators."""
+        n, p = self.npairs, self.field.modulus
+        num = [0] * (n if c is None else 2 * n)
+        if c is None:
             for t, i, j in self.rank_one_terms[k]:
-                num[t] = a[i] * b[j]
-            return self._reduced(tuple(num), u.den * v.den)
-        for t, i, j in self.rank_one_terms[k]:
-            num[t] = a[i] * b[j] % p
-        return _fn(self, tuple(num))
+                num[t] = s * a[i] * b[j]
+        else:
+            for t, i, j in self.rank_one_terms[k]:
+                x, y = s * a[i], b[j]
+                num[t], num[n + t] = x * y, s * c[i] * y + x * d[j]
+        return num if p is None else [v % p for v in num]
 
     # -- structure ---------------------------------------------------------
 
@@ -493,14 +506,19 @@ class ColumnMap:
     basis vector j, is held in the stored form of ``IncFn`` as the
     numerators ``nums[j]`` over ``dens[j]``, so images, composition and
     equality run on ints; ``cols`` gives the columns as field elements.
+    With ``_den``, ``cols`` holds integer lists over that denominator
+    instead, as the column writers produce them: residues over F_p, which
+    are the stored form, and over Q numerators that take one ``_normal``
+    per column.
     Subclasses fix the element type through ``from_function`` (which basis)
     and ``apply``."""
 
     __slots__ = ("alg", "nums", "dens")
 
-    def __init__(self, alg, cols):
+    def __init__(self, alg, cols, _den=None):
         if alg.field.modulus is None:
-            self._set(alg, [alg._lift(c) for c in cols])
+            self._set(alg, [alg._lift(c) if _den is None
+                            else alg._normal(c, _den) for c in cols])
         else:  # the residues are the stored form
             self.alg, self.nums = alg, tuple([tuple(c) for c in cols])
             self.dens = (1,) * len(self.nums)
@@ -528,6 +546,10 @@ class ColumnMap:
             return self.nums
         return tuple([self.alg._values(num, den)
                       for num, den in zip(self.nums, self.dens)])
+
+    def _entry(self, j, t):
+        """Entry t of column j, as a field element."""
+        return self.alg._values((self.nums[j][t],), self.dens[j])[0]
 
     def _image(self, num, den):
         """The stored-form image of the stored-form vector (num, den): the

@@ -162,12 +162,6 @@ class DLinearMap(ColumnMap):
     # benchmark tracer (bench/tracer.py) wraps methods through vars(cls)
     compose = ColumnMap.compose
 
-    def columns(self):
-        """The columns as elements of the idealization: the images of the
-        ``d_basis`` elements."""
-        return [_split(self.alg, num, den)
-                for num, den in zip(self.nums, self.dens)]
-
     def is_involution(self):
         """Whether M(M(e_b)) == e_b for every basis vector e_b, decided
         column by column on the stored form, stopping at the first miss."""

@@ -22,9 +22,9 @@ from .errors import (
     NotConnected, NotInvolutive, NotSymmetric, NotASquare, NotUnital,
     ParseError, UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
-from .fia import IncidenceAlgebra
+from .fia import IncidenceAlgebra, _over_one
 from .idealization import (
-    DElem, DLinearMap, central_pair, d_from_json, d_one,
+    DElem, DLinearMap, _split, central_pair, d_from_json, d_one,
 )
 from .posets import PosetMap, _members, lambda_decomposition
 from .snf import check_hypotheses
@@ -94,20 +94,20 @@ class InvolutionSpec:
         (a, b) = self._perm[pq] is the pair the relabel carries (p, q) onto
         (the pair permutation of an involution is its own inverse).  With
         theta = [f; m] and theta^-1 = [f'; m'] the two columns are
-        [f e_ab f'; m e_ab f' + f e_ab m'] and [0; k f e_ab f'], sums of
-        rank-one products (``IncidenceAlgebra.rank_one``); k is 1 or -1."""
-        alg = self.alg
-        f, m = self.theta.f, self.theta.i
-        f_inv, m_inv = self._theta_inv.f, self._theta_inv.i
-        zero = alg.zero()
-        ring, bimodule = [], []
-        for t in self._perm:
-            outer = alg.rank_one(f, t, f_inv)
-            ring.append(DElem(outer, alg.rank_one(m, t, f_inv)
-                              + alg.rank_one(f, t, m_inv))._vector())
-            bimodule.append(DElem(zero, -outer if self._negates
-                                  else outer)._vector())
-        return DLinearMap._of(alg, ring + bimodule)
+        [f e_ab f'; m e_ab f' + f e_ab m'] and [0; k f e_ab f'], each
+        written by one ``IncidenceAlgebra.rank_one`` pass on the numerators
+        of theta and theta^-1, each over its one denominator: the doubled
+        form for the first, the single one with the middle factor scaled by
+        k (1 or -1) for the second.  Over F_p the residues are the stored
+        form; over Q each column takes one ``_normal`` over the product of
+        the two denominators."""
+        alg, k = self.alg, self.sign_int()
+        a, c, da = _over_one(self.theta.f, self.theta.i)
+        b, d, db = _over_one(self._theta_inv.f, self._theta_inv.i)
+        ring = [alg.rank_one(t, a, b, c, d) for t in self._perm]
+        zeros = [0] * alg.npairs
+        bimodule = [zeros + alg.rank_one(t, a, b, s=k) for t in self._perm]
+        return DLinearMap(alg, ring + bimodule, _den=da * db)
 
     # -- invariants ---------------------------------------------------------
 
@@ -148,16 +148,16 @@ class InvolutionSpec:
         gamma = central_pair(self.alg, k0, field.mul(k1, half)) * self.theta
         return gamma, k0
 
-    @cached_property
-    def _reduction(self):
-        """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1);
-        computed once per spec.  base is ``_representative`` of the spec's
-        inner class, the involution ``classify`` lists for it, so specs of
-        one class share it.  With fixed points the symmetric form is first
-        divided by its ring entry at the first one, a central scalar that
-        leaves the involution unchanged; its entry at each fixed point x is
-        then eps(x) times a square, whose root ``symmetric_decompose``
-        takes."""
+    def _reduce(self, base=None):
+        """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1),
+        where base is the representative of the spec's inner class, the
+        involution ``classify`` lists for it: the given one, which another
+        spec of the class holds (``_shared_gamma``), or else one built by
+        ``_representative``.  ``_reduction`` stores it once per spec.  With
+        fixed points the symmetric form is first divided by its ring entry
+        at the first one, a central scalar that leaves the involution
+        unchanged; its entry at each fixed point x is then eps(x) times a
+        square, whose root ``symmetric_decompose`` takes."""
         alg = self.alg
         field = alg.field
         theta_sym, _ = self.symmetric_form()
@@ -165,8 +165,11 @@ class InvolutionSpec:
         if fixed:  # then k0 = 1
             head = field.inv(theta_sym.f[fixed[0], fixed[0]])
             theta_sym = central_pair(alg, head, field.zero) * theta_sym
-        base = _representative(alg, self.lam, self.k, self.invariant().key())
+        base = base or _representative(alg, self.lam, self.k,
+                                       self.invariant().key())
         return base, symmetric_decompose(theta_sym * base._theta_inv, base)
+
+    _reduction = cached_property(_reduce)
 
     def invariant(self):
         """The inner-equivalence invariant: induced map, sign, and either
@@ -366,16 +369,16 @@ def recognize(raw):
     from any factoring step, or from that certificate, is NotAnInvolution.
     """
     alg = raw.alg
-    poset, field = alg.poset, alg.field
-    require_classifiable(poset, field)
-    n, columns, zero = alg.npairs, raw.columns(), alg.zero()
-    if any(c.f != zero for c in columns[n:]):
+    require_classifiable(alg.poset, alg.field)
+    n = alg.npairs
+    if any(any(num[:n]) for num in raw.nums[n:]):  # read on the stored form
         raise UpperRightNonzero("bimodule-to-ring block must vanish")
     one = d_one(alg)
     if raw.apply(one) != one:
         raise NotAnInvolution("map does not fix the unity")
     try:
-        spec = _factor(raw, columns[:n])
+        spec = _factor(raw, [_split(alg, *col)
+                             for col in zip(raw.nums[:n], raw.dens)])
     except (NotAMorphism, NotUnital, NotADerivation, NotAUnit, BadSign,
             NotInvolutive) as exc:
         raise NotAnInvolution(f"map is not an involution: {exc}") from exc
@@ -565,6 +568,20 @@ def verify_witness(s1, s2, verdict):
         raise WitnessFailed("witness failed re-verification")
 
 
+def _shared_gamma(spec, other):
+    """gamma of spec's ``_reduction``, for ``other`` a spec of its inner
+    class.  When spec has no reduction stored yet and other has, spec is
+    reduced against a copy of other's base, the class's representative,
+    instead of building and validating its own; the copy holds the base's
+    attributes under a new object, so the reduction spec stores dies with
+    spec."""
+    if "_reduction" not in vars(spec) and "_reduction" in vars(other):
+        twin = object.__new__(InvolutionSpec)
+        vars(twin).update(vars(other._reduction[0]))
+        spec._reduction = spec._reduce(twin)
+    return spec._reduction[1]
+
+
 def equivalent_inner(s1, s2):
     """Decide inner equivalence; emit a verified conjugator or name the
     distinguishing invariant ("lambda", "sign" or "chi")."""
@@ -575,7 +592,11 @@ def equivalent_inner(s1, s2):
 
 def _equivalent_inner(s1, s2):
     """``equivalent_inner`` after its context check and classification
-    gate, which the caller has run."""
+    gate, which the caller has run.  The witness is gamma2 gamma1^-1 for
+    the gammas of the two reductions, s2's taken first: whichever spec has
+    no reduction stored yet is reduced against the representative the
+    other already holds (``_shared_gamma``), and the class's
+    representative is built and validated only when neither has one."""
     if s1.lam != s2.lam:
         return Verdict(False, distinguisher="lambda")
     if s1.k != s2.k:
@@ -583,7 +604,7 @@ def _equivalent_inner(s1, s2):
     inv1, inv2 = s1.invariant(), s2.invariant()
     if not inv1.same_inner_class(inv2):
         return Verdict(False, distinguisher="chi")
-    conjugator = s2._reduction[1] * s1._reduction[1].inverse()
+    conjugator = _shared_gamma(s2, s1) * _shared_gamma(s1, s2).inverse()
     if not _verify_intertwiner(s1, s2, conjugator):
         raise WitnessFailed("constructed witness fails to intertwine")
     return Verdict(True, conjugator=conjugator)

@@ -48,11 +48,6 @@ class FiLinearMap(ColumnMap):
             raise ContextMismatch("map and argument over different contexts")
         return self.alg._reduced(*self._image(f.num, f.den))
 
-    def columns(self):
-        """The columns as elements: the images of the basis elements."""
-        alg = self.alg
-        return [alg._reduced(num, den) for num, den in zip(self.nums, self.dens)]
-
 
 def validate_cocycle(alg, values, combine, kind):
     """Check that values: strict-pair -> scalar is defined on every strict
@@ -158,15 +153,20 @@ class FiaMorphism:
     def to_linear(self):
         """The matrix of the map, each column in closed form.  The scaled
         relabel sends e_pq to sigma(a, b) e_ab, where (a, b) is the pair it
-        carries (p, q) onto, so column e_pq is sigma(a, b) u e_ab u^-1, one
-        rank-one product (``IncidenceAlgebra.rank_one``)."""
-        alg = self.alg
-        sigma, pairs, one = self.sigma, alg.pairs, alg.field.one
-        cols = []
-        for t in self.posetmap.inverse().pair_permutation():
-            col, s = alg.rank_one(self.u, t, self.u_inv), sigma.get(pairs[t], one)
-            cols.append((col if s == one else col.scale(s))._vector())
-        return FiLinearMap._of(alg, cols)
+        carries (p, q) onto, so column e_pq is sigma(a, b) u e_ab u^-1,
+        written by one ``IncidenceAlgebra.rank_one`` pass on the numerators
+        of u and u^-1 with the middle factor scaled by the numerator of
+        sigma(a, b) in the stored scaling.  No element is built per column:
+        over F_p the residues are the stored form, and over Q each column
+        takes one ``_normal`` over the product of the denominators of u,
+        u^-1 and the scaling."""
+        alg, scale = self.alg, self._scale
+        a, b = self.u.num, self.u_inv.num
+        # the pair permutation of the inverse map: t ordered by _perm[t]
+        cols = [alg.rank_one(t, a, b, s=scale.num[t])
+                for t in sorted(range(alg.npairs), key=self._perm.__getitem__)]
+        return FiLinearMap(alg, cols,
+                           _den=self.u.den * self.u_inv.den * scale.den)
 
     def to_json(self):
         field = self.alg.field
@@ -213,27 +213,29 @@ def decompose(raw, anti=False):
     if raw.apply(delta) != delta:
         raise NotUnital("map does not fix the unity")
     # induced poset map: the image of a point idempotent is a conjugate of a
-    # point idempotent, so its diagonal is an exact indicator
-    index = alg.pair_index
-    columns = raw.columns()
+    # point idempotent, so its diagonal is an exact indicator, read off the
+    # stored form: a value is zero when its numerator is, one when it is
+    # the denominator
+    index, elements, points = alg.pair_index, alg.poset.elements, alg._diag
     mapping = {}
-    for x in alg.poset.elements:
-        img = columns[index[(x, x)]]
-        diag = [img[y, y] for y in alg.poset.elements]
-        if diag.count(field.zero) != len(diag) - 1 or field.one not in diag:
+    for x, k in zip(elements, points):  # the point pairs are in element order
+        num, den = raw.nums[k], raw.dens[k]
+        diag = [num[j] for j in points]
+        if diag.count(0) != len(diag) - 1 or den not in diag:
             raise NotAMorphism(f"image of point {x!r} is not conjugate to a point")
-        mapping[x] = alg.poset.elements[diag.index(field.one)]
+        mapping[x] = elements[diag.index(den)]
     try:
         mu = PosetMap(alg.poset, alg.poset, mapping, anti)
     except ParseError as exc:
         raise NotAMorphism(f"induced point map is not an order map: {exc}") from exc
 
     # raw after the relabel by mu^-1: column k is raw's column perm[k]
-    stripped = [columns[i] for i in mu.pair_permutation()]
-    g = IncFn(alg, tuple([stripped[index[(x, x)]][a, x] for a, x in alg.pairs]))
+    perm = mu.pair_permutation()
+    g = IncFn(alg, tuple([raw._entry(perm[index[(x, x)]], index[(a, x)])
+                          for a, x in alg.pairs]))
     sigma = {}
     for x, y in alg.poset.strict_pairs:
-        val = stripped[index[(x, y)]][x, y]
+        val = raw._entry(perm[index[(x, y)]], index[(x, y)])
         if val == field.zero:
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val

@@ -146,7 +146,7 @@ class Poset:
         """Parse the line format: one "a<b" relation per line; a bare label
         adds an isolated element.  A line with more than one "<" is a
         ParseError."""
-        elements, seen, rels = [], set(), []
+        elements, rels = {}, []  # elements: labels in first-seen order
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -157,15 +157,10 @@ class Poset:
                 if not a or not b or "<" in b:
                     raise ParseError(f"bad relation line {raw!r}")
                 rels.append((a, b))
-                for x in (a, b):
-                    if x not in seen:
-                        seen.add(x)
-                        elements.append(x)
+                elements.update(dict.fromkeys((a, b)))
             else:
-                if line not in seen:
-                    seen.add(line)
-                    elements.append(line)
-        return cls.from_covers(elements, rels)
+                elements[line] = None
+        return cls.from_covers(list(elements), rels)
 
     def to_json(self):
         return {"elements": list(self.elements),
@@ -349,6 +344,7 @@ class PosetMap:
         self.dst = dst
         self.mapping = dict(mapping)
         self.anti = bool(anti)
+        self._pair_perm = None  # built by pair_permutation() on first use
         if _validated:
             return
         if set(self.mapping) != set(src.elements):
@@ -398,12 +394,14 @@ class PosetMap:
 
     def pair_permutation(self):
         """For each comparable pair of the target, in pair order, the index
-        of the source pair this map carries onto it."""
-        inv = {v: k for k, v in self.mapping.items()}
-        index = self.src.pair_index
-        if self.anti:
-            return tuple(index[(inv[y], inv[x])] for x, y in self.dst.pairs)
-        return tuple(index[(inv[x], inv[y])] for x, y in self.dst.pairs)
+        of the source pair this map carries onto it.  Computed once per
+        map: every later call returns the same tuple."""
+        if self._pair_perm is None:
+            inv = {v: k for k, v in self.mapping.items()}
+            self._pair_perm = tuple(self.src.pair_index[
+                (inv[y], inv[x]) if self.anti else (inv[x], inv[y])]
+                for x, y in self.dst.pairs)
+        return self._pair_perm
 
     def is_involution(self):
         return (self.anti and self.src == self.dst

@@ -19,9 +19,9 @@ def coords(d):
 def blocks(m):
     """(ring->ring, bimodule->ring, ring->bimodule, bimodule->bimodule)
     blocks of an idealization map, as column lists."""
-    n, cols = m.alg.npairs, m.columns()
-    return ([c.f.vals for c in cols[:n]], [c.f.vals for c in cols[n:]],
-            [c.i.vals for c in cols[:n]], [c.i.vals for c in cols[n:]])
+    n, cols = m.alg.npairs, m.cols
+    return ([c[:n] for c in cols[:n]], [c[:n] for c in cols[n:]],
+            [c[n:] for c in cols[:n]], [c[n:] for c in cols[n:]])
 
 
 def chain(n, labels=None):

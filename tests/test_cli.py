@@ -236,6 +236,29 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(
     assert _close_early(info, unbuffered, 1) == (2, CLOSED_EARLY)
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_running_out_of_memory_exits_2_in_one_line(
+        poset_files, monkeypatch, capsys, command):
+    """A subcommand that raises MemoryError exits 2 with the one stderr
+    line ``error: out of memory`` and no traceback, on the argparse-free
+    reader's path and on argparse's (an abbreviated option)."""
+    def exhaust(args):
+        raise MemoryError
+
+    text, _, arguments = COMMANDS[command]
+    monkeypatch.setitem(COMMANDS, command, (text, exhaust, arguments))
+    argv = {"poset-info": [], "hypotheses": ["--field", "F3"],
+            "classify": ["--field", "F3", "--lambda", "a:b,b:a"],
+            "equivalent": ["--field", "F3", "x.json", "y.json"],
+            "verify": ["--field", "F3"]}[command]
+    poset = ["--poset", str(poset_files["chain2"])]
+    for given in (poset, ["--pos", poset[1]]):
+        assert main([command, *given, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n"
+        assert captured.out == ""
+
+
 def test_a_modulus_past_the_int_digit_limit_exits_2(poset_files, capsys):
     """A 5,000-digit modulus is past the digit count int() converts; it is
     refused by its length, before any conversion, in one stderr line."""

@@ -1048,6 +1048,73 @@ def test_cached_reduction_dies_with_its_spec(diamond):
             gc.enable()
 
 
+def ref_reduction(spec):
+    """The reduction each spec once built on its own, verbatim: the
+    symmetric form divided by its ring entry at the first fixed point,
+    against a representative built and validated afresh."""
+    alg = spec.alg
+    field = alg.field
+    theta_sym, _ = spec.symmetric_form()
+    fixed = spec.lam.fixed_points()
+    if fixed:  # then k0 = 1
+        head = field.inv(theta_sym.f[fixed[0], fixed[0]])
+        theta_sym = central_pair(alg, head, field.zero) * theta_sym
+    base = involutions._representative(alg, spec.lam, spec.k,
+                                       spec.invariant().key())
+    return base, symmetric_decompose(theta_sym * base._theta_inv, base)
+
+
+def ref_equivalent_inner(s1, s2):
+    """``equivalent_inner`` by the two-reduction route: each spec reduced
+    against a representative of its own."""
+    if s1.lam != s2.lam:
+        return involutions.Verdict(False, distinguisher="lambda")
+    if s1.k != s2.k:
+        return involutions.Verdict(False, distinguisher="sign")
+    if not s1.invariant().same_inner_class(s2.invariant()):
+        return involutions.Verdict(False, distinguisher="chi")
+    conjugator = ref_reduction(s2)[1] * ref_reduction(s1)[1].inverse()
+    if not involutions._verify_intertwiner(s1, s2, conjugator):
+        raise WitnessFailed("constructed witness fails to intertwine")
+    return involutions.Verdict(True, conjugator=conjugator)
+
+
+@pytest.mark.parametrize("field", (F3, F5, QQ), ids=("F3", "F5", "Q"))
+@pytest.mark.parametrize("name", ("chain2", "chain3", "diamond",
+                                  "wide_diamond"))
+def test_a_stored_representative_is_shared_not_rebuilt(request, name, field,
+                                                       monkeypatch):
+    """With the representative's reduction stored, ``equivalent_inner`` with
+    x on either side builds no representative for x: x is reduced against
+    the base the representative holds.  x stores its own reduction, equal
+    to the one it would build alone, under its own base object; and each
+    verdict's JSON equals that of the two-reduction route."""
+    poset = request.getfixturevalue(name)
+    rng = random.Random(f"shared:{name}:{field.name}")
+    alg = IncidenceAlgebra(poset, field)
+    calls = []
+    real = involutions._representative
+    monkeypatch.setattr(involutions, "_representative",
+                        lambda *args: calls.append(args) or real(*args))
+    for lam in poset.involutions():
+        reps = representatives(alg, lam)
+        for rep in reps:
+            base = rep._reduction[0]
+            for rep_first in (False, True):
+                for x in reps + [conjugate_of(rep, rng) for _ in range(2)]:
+                    pair = (rep, x) if rep_first else (x, rep)
+                    want = ref_equivalent_inner(*pair).to_json()
+                    calls.clear()
+                    assert equivalent_inner(*pair).to_json() == want
+                    assert calls == []
+                    if x.invariant().same_inner_class(rep.invariant()):
+                        ours, alone = x._reduction, ref_reduction(x)
+                        assert ours[1] == alone[1]
+                        assert ((ours[0].theta, ours[0].lam, ours[0].k)
+                                == (alone[0].theta, alone[0].lam, alone[0].k))
+                        assert (ours[0] is base) == (x is rep)
+
+
 def test_central_ratio_and_invariant_are_computed_once_per_spec(
         diamond, monkeypatch):
     """However often ``central_ratio``, ``symmetric_form`` and

@@ -166,6 +166,25 @@ def test_composition_closure(diamond, fence):
             assert tuple(sorted(comp.mapping.items())) in keyed
 
 
+def test_pair_permutation_is_stored_per_map(diamond, fence):
+    """A map builds its pair permutation once: a second call returns the
+    same tuple.  The maps that ``inverse`` and ``compose`` return store
+    their own, equal to those of the same maps built afresh."""
+    for poset in (diamond, fence):
+        for mu in poset.automorphisms() + poset.anti_automorphisms():
+            perm = mu.pair_permutation()
+            assert mu.pair_permutation() is perm
+            inverse, square = mu.inverse(), mu.compose(mu)
+            for other in (inverse, square):
+                own = other.pair_permutation()
+                assert other.pair_permutation() is own
+                fresh = PosetMap(other.src, other.dst, other.mapping, other.anti)
+                assert own == fresh.pair_permutation()
+            assert [perm[t] for t in inverse.pair_permutation()] == \
+                list(range(len(perm)))
+            assert square.pair_permutation() == tuple(perm[t] for t in perm)
+
+
 def test_poset_map_validation(chain2):
     with pytest.raises(ParseError):
         PosetMap(chain2, chain2, {"a": "a", "b": "b"}, anti=True)

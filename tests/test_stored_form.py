@@ -23,10 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incalg.errors import ContextMismatch, NotAUnit
-from incalg.fia import IncFn, IncidenceAlgebra
+from incalg.fia import IncFn, IncidenceAlgebra, _fn, _over_one
 from incalg.fields import QQ, PrimeField
-from incalg.idealization import DElem, DLinearMap
-from incalg.morphisms import FiLinearMap
+from incalg.idealization import (
+    DElem, DLinearMap, _split, central_pair, d_one, random_d_unit,
+)
+from incalg.involutions import InvolutionSpec
+from incalg.morphisms import FiaMorphism, FiLinearMap, find_non_inner_cocycle
 
 from conftest import chain
 from test_fia_kernel import EDGE, FIXTURES, _poset, _q_operands
@@ -226,6 +229,25 @@ def dref(d):
     return RefDElem(ref(d.f), ref(d.i))
 
 
+def check_d_rank_one(alg, k, left, right):
+    """The doubled form of ``rank_one`` against ``ref_rank_one``, with the
+    middle factor scaled by s: [u; m][s e_k; 0][v; n] = s [u e_k v;
+    m e_k v + u e_k n]."""
+    field = alg.field
+    a, c, da = _over_one(left.f, left.i)
+    b, d, db = _over_one(right.f, right.i)
+    u, m, v, w = left.f.vals, left.i.vals, right.f.vals, right.i.vals
+    ring = ref_rank_one(alg, u, k, v)
+    bimodule = list(map(field.add, ref_rank_one(alg, m, k, v),
+                        ref_rank_one(alg, u, k, w)))
+    for s in (1, -3):
+        num = alg.rank_one(k, a, b, c, d, s=s)
+        got = _split(alg, *alg._normal(num, da * db))
+        scale = field(s)
+        assert got.f.vals == tuple(field.mul(scale, x) for x in ring)
+        assert got.i.vals == tuple(field.mul(scale, x) for x in bimodule)
+
+
 def check_operations(alg, operands, rng):
     """Every stored-form operation against the reference on all pairs of
     operands, each result canonical."""
@@ -255,9 +277,10 @@ def check_operations(alg, operands, rng):
                 assert got.vals == want.vals
             k = rng.randrange(alg.npairs) if alg.npairs else None
             if k is not None:
-                got = alg.rank_one(f, k, g)
+                got = alg._make(alg.rank_one(k, f.num, g.num), f.den * g.den)
                 assert_canonical(got)
                 assert got.vals == tuple(ref_rank_one(alg, f.vals, k, g.vals))
+                check_d_rank_one(alg, k, DElem(f, g), DElem(g, f))
     pairs = [DElem(f, g) for f in operands for g in operands[::3]]
     for left in pairs[::2]:
         for right in pairs[::3]:
@@ -348,8 +371,10 @@ def test_prime_field_form_is_the_residues():
         alg = IncidenceAlgebra(chain(3), PrimeField(p))
         rng = random.Random(p)
         f, g = alg.random_unit(rng), alg.random(rng)
+        outer = tuple(alg.rank_one(1, f.num, g.num))
+        assert outer == tuple(ref_rank_one(alg, f.vals, 1, g.vals))
         for h in (f, g, f * g, f + g, f - g, -g, g.scale(p - 1), f.inverse(),
-                  alg.rank_one(f, 1, g), alg.delta(), alg.zeta()):
+                  _fn(alg, outer), alg.delta(), alg.zeta()):
             assert_canonical(h)
             assert h.vals is h.num and h.den == 1
 
@@ -369,3 +394,110 @@ def test_drawn_operands_match_fraction_reference(data):
     vectors = st.lists(rationals(), min_size=n, max_size=n).map(tuple)
     operands = [IncFn(alg, data.draw(vectors)) for _ in range(3)]
     check_operations(alg, operands + [alg.delta()], random.Random(n))
+
+
+# -- reference: the element-level column writers -----------------------------
+
+
+def ref_element_rank_one(alg, u, k, v):
+    """u e_k v, for elements u and v and the basis element e_k = e_ab
+    at pair index k: entry (x, y) is u(x, a) v(b, y) for x <= a and
+    b <= y, and zero elsewhere.  (The element-level ``rank_one`` the two
+    column writers below were built on.)"""
+    a, b, p = u.num, v.num, alg.field.modulus
+    num = [0] * alg.npairs
+    if p is None:
+        for t, i, j in alg.rank_one_terms[k]:
+            num[t] = a[i] * b[j]
+        return alg._reduced(tuple(num), u.den * v.den)
+    for t, i, j in alg.rank_one_terms[k]:
+        num[t] = a[i] * b[j] % p
+    return _fn(alg, tuple(num))
+
+
+def ref_involution_to_linear(spec):
+    """``InvolutionSpec.to_linear`` on elements: each column a ``DElem`` of
+    rank-one products, its stored form read by ``_vector``."""
+    alg = spec.alg
+    f, m = spec.theta.f, spec.theta.i
+    f_inv, m_inv = spec._theta_inv.f, spec._theta_inv.i
+    zero = alg.zero()
+    ring, bimodule = [], []
+    for t in spec._perm:
+        outer = ref_element_rank_one(alg, f, t, f_inv)
+        ring.append(DElem(outer, ref_element_rank_one(alg, m, t, f_inv)
+                          + ref_element_rank_one(alg, f, t, m_inv))._vector())
+        bimodule.append(DElem(zero, -outer if spec._negates
+                              else outer)._vector())
+    return DLinearMap._of(alg, ring + bimodule)
+
+
+def ref_morphism_to_linear(m):
+    """``FiaMorphism.to_linear`` on elements: each column a scaled
+    rank-one product."""
+    alg = m.alg
+    sigma, pairs, one = m.sigma, alg.pairs, alg.field.one
+    cols = []
+    for t in m.posetmap.inverse().pair_permutation():
+        col, s = ref_element_rank_one(alg, m.u, t, m.u_inv), sigma.get(pairs[t], one)
+        cols.append((col if s == one else col.scale(s))._vector())
+    return FiLinearMap._of(alg, cols)
+
+
+WRITER_FIELDS = (PrimeField(3), PrimeField(5), QQ)
+
+
+@pytest.mark.parametrize("field", WRITER_FIELDS, ids=["F3", "F5", "Q"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_involution_columns_match_element_reference(request, name, field):
+    """``InvolutionSpec.to_linear`` writes the reference's numerators and
+    denominators exactly, for every poset involution, both signs and a
+    run of random conjugators, central scalings among them."""
+    poset = _poset(request, name)
+    alg = IncidenceAlgebra(poset, field)
+    rng = random.Random(f"involution-columns:{name}:{field!r}")
+    checked = 0
+    for lam in poset.involutions():
+        for k in (1, -1):
+            spec = InvolutionSpec(alg, d_one(alg), lam, k)
+            for step in range(4):
+                u = random_d_unit(alg, rng)
+                theta = u * spec.theta * spec.base_apply(u)
+                if step == 2:
+                    theta = central_pair(alg, field.random_nonzero(rng),
+                                         field.random(rng)) * theta
+                spec = InvolutionSpec(alg, theta, lam, k)
+                got, want = spec.to_linear(), ref_involution_to_linear(spec)
+                assert (got.nums, got.dens) == (want.nums, want.dens)
+                assert_canonical(got)
+                checked += 1
+    assert checked or name in ("vee", "wedge")
+
+
+@pytest.mark.parametrize("field", WRITER_FIELDS, ids=["F3", "F5", "Q"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_morphism_columns_match_element_reference(request, name, field):
+    """``FiaMorphism.to_linear`` writes the reference's numerators and
+    denominators exactly, for every automorphism and anti-automorphism,
+    a random unit, and the trivial cocycle, coboundaries and (where the
+    poset has one) a non-inner cocycle times a coboundary."""
+    poset = _poset(request, name)
+    alg = IncidenceAlgebra(poset, field)
+    rng = random.Random(f"morphism-columns:{name}:{field!r}")
+    non_inner = find_non_inner_cocycle(alg) or {}
+    maps = poset.automorphisms() + poset.anti_automorphisms()
+    for mu in maps:
+        for step in range(3):
+            eta = {x: field.random_nonzero(rng) for x in poset.elements}
+            sigma = None if step == 0 else {
+                (x, y): field.mul(field.div(eta[x], eta[y]),
+                                  field(non_inner.get((x, y), 1)) if step == 2
+                                  else field.one)
+                for x, y in poset.strict_pairs}
+            m = FiaMorphism(alg, u=alg.random_unit(rng), sigma=sigma,
+                            posetmap=mu)
+            got, want = m.to_linear(), ref_morphism_to_linear(m)
+            assert (got.nums, got.dens) == (want.nums, want.dens)
+            assert_canonical(got)
+    assert {mu.anti for mu in maps} == (
+        {False} if name in ("vee", "wedge") else {False, True})
