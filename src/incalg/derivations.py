@@ -133,17 +133,27 @@ def find_non_inner_additive(alg):
 
 def split_raw_derivation(raw):
     """Present a raw derivation matrix as inner part plus additive part,
-    both read off raw's columns.
+    certified: the presentation ``_read_derivation`` reads off raw is a
+    derivation by construction, so accepting only when it equals the input
+    on every basis column certifies that the input is one; the Leibniz rule
+    is never checked on the input.  Every rejection is NotADerivation.
+    """
+    spec = _read_derivation(raw)
+    if spec.to_linear() != raw:
+        raise NotADerivation("recomposition does not reproduce the input")
+    return spec
+
+
+def _read_derivation(raw):
+    """The presentation ``split_raw_derivation`` reads off raw's columns,
+    uncertified: for a derivation it equals raw, and on any other input it
+    raises NotADerivation or returns a presentation that differs from raw.
 
     The additive cocycle is tau(x,y) = D(e_xy)(x,y).  For a derivation the
     residual D - tau is ad_i: f |-> f i - i f.  Its (x,y) entry at e_xy is
     i(y,y) - i(x,x) and vanishes, so the diagonal of i is constant on each
     component and is normalized to zero.  Its (x,y) entry at e_xx is
     i(x,y) for x < y, and tau is zero on e_xx, so i(x,y) = D(e_xx)(x,y).
-    The presentation is a derivation by construction, so accepting only
-    when it equals the input on every basis column certifies that the input
-    is one; the Leibniz rule is never checked on the input.  Every rejection
-    is NotADerivation.
     """
     alg = raw.alg
     index = alg.pair_index
@@ -151,9 +161,6 @@ def split_raw_derivation(raw):
     inner = alg.element({(x, y): raw._entry(index[(x, x)], index[(x, y)])
                          for x, y in alg.poset.strict_pairs})
     try:
-        spec = DerivationSpec(alg, inner=inner, tau=tau)
+        return DerivationSpec(alg, inner=inner, tau=tau)
     except InvalidCocycle as exc:
         raise NotADerivation(f"entry scaling is not a cocycle: {exc}") from exc
-    if spec.to_linear() != raw:
-        raise NotADerivation("recomposition does not reproduce the input")
-    return spec

@@ -361,12 +361,16 @@ def recognize(raw):
     the unity is fixed), decompose the ring-coordinate block, read the
     central scalar and the derivation off the other columns through that
     decomposition, and absorb everything into one conjugating unit.  The
-    normal form is an involution by construction (``build`` decides its
-    square from the centrality of one element), so the one check that
-    decides the answer is that it equals ``raw`` on every basis column,
-    with the form's columns written in closed form by ``to_linear``; the
-    input is never checked for anti-multiplicativity itself.  A rejection
-    from any factoring step, or from that certificate, is NotAnInvolution.
+    two blocks are read by the uncertified readers of ``decompose`` and
+    ``split_raw_derivation``.  The normal form is an involution by
+    construction (``build`` decides its square from the centrality of one
+    element), so the one check that decides the answer is that it equals
+    ``raw`` on every basis column, with the form's columns written in
+    closed form by ``to_linear``.  That check implies the two the readers
+    skip: where raw equals the form, its ring block is an anti-automorphism
+    and its derivation block a derivation.  The input is never checked for
+    anti-multiplicativity itself.  A rejection from any factoring step, or
+    from that certificate, is NotAnInvolution.
     """
     alg = raw.alg
     require_classifiable(alg.poset, alg.field)
@@ -388,9 +392,12 @@ def recognize(raw):
 
 
 def _factor(raw, ring_columns):
-    """The normal form ``recognize`` reads off raw, which for a genuine
-    involution equals it; on any other input a step may raise a typed
-    rejection or return a form that differs from raw.
+    """The normal form ``recognize`` reads off raw, uncertified, which for
+    a genuine involution equals it; on any other input a step may raise a
+    typed rejection or return a form that differs from raw.  Neither block
+    is certified on its own (``recognize`` certifies the whole form), and
+    both witness searches run on cocycles the readers have validated,
+    which the classification gate makes inner.
 
     ``ring_columns`` are raw's images of the ring basis elements [e_k; 0];
     their ring coordinates form the ring block b11 and their bimodule ones
@@ -401,11 +408,11 @@ def _factor(raw, ring_columns):
     k delta on the connected poset (so m11 fixes it), and column t of g D
     is m11(b21[t]); the split and witness of k D are k times those of D.
     """
-    from .derivations import additive_is_inner, split_raw_derivation
-    from .morphisms import FiLinearMap, decompose, multiplicative_is_inner
+    from .derivations import _read_derivation, additive_is_inner
+    from .morphisms import FiLinearMap, _read_morphism, multiplicative_is_inner
     alg = raw.alg
-    m11 = decompose(FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]),
-                    anti=True)
+    m11 = _read_morphism(
+        FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]), True)
     lam = m11.posetmap
     if not lam.is_involution():
         raise NotAnInvolution("induced poset map is not an involution")
@@ -416,7 +423,7 @@ def _factor(raw, ring_columns):
     k = g[x0, x0]
     der_map = FiLinearMap._of(alg, [m11.apply(c.i)._vector()
                                     for c in ring_columns])
-    spec_d = split_raw_derivation(der_map)
+    spec_d = _read_derivation(der_map)
     diag_witness = additive_is_inner(alg, spec_d.tau)
     if diag_witness is None:
         raise WitnessFailed("hypothesis check admitted a bad poset: no "

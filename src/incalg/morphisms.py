@@ -145,10 +145,18 @@ class FiaMorphism:
         return cls(alg, posetmap=posetmap)
 
     def apply(self, f):
+        """u (sigma o relabel(f)) u^-1 on the stored form, with no element
+        built between the steps: one pass gathers f's numerators along the
+        pair permutation and scales them by the scaling's, two kernel calls
+        multiply numerators, and the result is reduced once over the
+        product of the four denominators (over F_p the kernel's residues
+        are the result)."""
         if f.alg != self.alg:
             raise ContextMismatch("morphism and argument over different contexts")
-        moved = self._scale.entrywise(f.permuted(self._perm))
-        return self.u * moved * self.u_inv
+        alg, num, u, v = self.alg, f.num, self.u, self.u_inv
+        moved = [s * num[i] for s, i in zip(self._scale.num, self._perm)]
+        image = alg._product(alg._product(u.num, moved), v.num)
+        return alg._reduced(image, u.den * self._scale.den * f.den * v.den)
 
     def to_linear(self):
         """The matrix of the map, each column in closed form.  The scaled
@@ -191,7 +199,25 @@ def compose(m1, m2):
 
 
 def decompose(raw, anti=False):
-    """Factor a raw matrix as inner o multiplicative o relabeling.
+    """Factor a raw matrix as inner o multiplicative o relabeling,
+    certified: the form ``_read_morphism`` reads off raw is an
+    (anti-)automorphism by construction (a unit conjugator, a validated
+    cocycle, a poset (anti-)automorphism), so accepting only when it equals
+    the input on every basis column certifies that the input is one too; no
+    identity is checked on the input itself, nor on the entries the reading
+    skips.  Every rejection is NotUnital (the gate) or NotAMorphism.
+    """
+    result = _read_morphism(raw, anti)
+    if result.to_linear() != raw:
+        raise NotAMorphism("recomposition does not reproduce the input")
+    return result
+
+
+def _read_morphism(raw, anti):
+    """The factored form ``decompose`` reads off raw, uncertified: for a
+    genuine (anti-)automorphism it equals raw, and on any other input it
+    raises NotUnital or NotAMorphism or returns a form that differs from
+    raw.
 
     After the unitality gate it recovers the induced poset map mu from the
     diagonals of the point idempotents' images.  Everything else is read off
@@ -200,12 +226,7 @@ def decompose(raw, anti=False):
     composed.  Column x of the conjugator g is column x of raw'(e_xx), whose
     (x, x) entry is the one mu is read from, so g is a unit with unit
     diagonal; sigma(x,y) is the (x,y) entry of raw'(e_xy), which for a
-    genuine raw is sigma(x,y) g(x,x) / g(y,y).  The factored form is an
-    (anti-)automorphism by construction (a unit conjugator, a validated
-    cocycle, a poset (anti-)automorphism), so accepting only when it equals
-    the input on every basis column certifies that the input is one too; no
-    identity is checked on the input itself, nor on the entries the reading
-    skips.  Every rejection is NotUnital (the gate) or NotAMorphism.
+    genuine raw is sigma(x,y) g(x,x) / g(y,y).
     """
     alg = raw.alg
     field = alg.field
@@ -240,12 +261,9 @@ def decompose(raw, anti=False):
             raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
         sigma[(x, y)] = val
     try:
-        result = FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu)
+        return FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu)
     except InvalidCocycle as exc:
         raise NotAMorphism(f"residual scaling is not a cocycle: {exc}") from exc
-    if result.to_linear() != raw:
-        raise NotAMorphism("recomposition does not reproduce the input")
-    return result
 
 
 def multiplicative_is_inner(alg, sigma):

@@ -700,6 +700,29 @@ def test_verify_classifies_each_lambda_once(poset_files, capsys, monkeypatch):
     assert len(built) == 1 and all(alg is built[0] for alg, _ in calls)
 
 
+@pytest.mark.parametrize("kernel, line", [
+    ("_compile_product", "FAIL algebra ring axioms\n"),
+    ("_compile_dproduct", "FAIL idealization ring axioms\n"),
+], ids=["convolution", "idealization"])
+def test_verify_fails_on_a_corrupted_product_kernel(poset_files, capsys,
+                                                    monkeypatch, kernel, line):
+    """A kernel compiled with one term of its longest entry dropped is still
+    bilinear but not the algebra's product: the basis-pair check prints
+    FAIL for its ring, and verify exits 2."""
+    real = getattr(fia, kernel)
+
+    def corrupted(conv, modulus):
+        k = max(range(len(conv)), key=lambda k: len(conv[k]))
+        return real(conv[:k] + (conv[k][1:],) + conv[k + 1:], modulus)
+
+    monkeypatch.setattr(fia, kernel, corrupted)
+    assert main(["verify", "--poset", str(poset_files["diamond"]),
+                 "--field", "F3"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("ok   " if kernel == "_compile_dproduct" else "FAIL")
+    assert line in out
+
+
 def _verify_with_representatives(poset_files, capsys, monkeypatch, edit):
     """verify on the diamond over F5, with ``edit`` applied to each
     classification's representative list; (exit code, stdout, the FAIL
@@ -1133,7 +1156,12 @@ def test_malformed_poset_file_names_the_file(tmp_path, capsys):
      "a and b are in a cycle"),
     ("twice.json", '{"elements": ["a", "a"], "covers": []}',
      "duplicate label 'a'"),
-], ids=["parse", "cycle-lines", "cycle-json", "duplicate"])
+    ("list.json", "[1]", "poset [1] is not an object"),
+    ("empty-list.json", " []\n", "poset [] is not an object"),
+    ("string.json", '"a"', "poset 'a' is not an object"),
+    ("deep.json", DEEP, "JSON nested too deeply"),
+], ids=["parse", "cycle-lines", "cycle-json", "duplicate", "json-list",
+        "json-empty-list", "json-string", "json-too-deep"])
 def test_poset_content_errors_name_the_file(tmp_path, capsys, name, text,
                                             message):
     """A poset file that reads but holds no poset exits 2 with a message
@@ -1144,6 +1172,18 @@ def test_poset_content_errors_name_the_file(tmp_path, capsys, name, text,
     captured = capsys.readouterr()
     assert captured.err == f"error: bad poset file {bad}: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, elements", [
+    ('"a"<b\n', '"a", b'),
+    ("[x]<[y]\n[z]\n", "[x], [y], [z]"),
+], ids=["quote-led", "bracket-led"])
+def test_non_json_text_led_by_a_json_opener_is_read_as_lines(
+        tmp_path, capsys, text, elements):
+    path = tmp_path / "poset.txt"
+    path.write_text(text)
+    assert main(["poset-info", "--json", "--poset", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"] == elements
 
 
 @pytest.mark.parametrize("entry, k, message", [

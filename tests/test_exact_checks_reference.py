@@ -2,7 +2,11 @@
 
 ``recognize``, ``decompose`` and ``split_raw_derivation`` accept a raw
 matrix only when the form they factor it into reproduces it on the whole
-basis; the three ``to_linear`` methods that write that form's matrix build
+basis.  ``recognize`` certifies only its whole normal form, reading the
+two blocks with the uncertified readers; ``ref_recognize`` keeps the route
+through the certified ``decompose`` and ``split_raw_derivation``, and both
+must give the same spec or the same rejection, up to one message.  The
+three ``to_linear`` methods that write that form's matrix build
 each column in closed form from rank-one products
 (``IncidenceAlgebra.rank_one``).  ``leibniz_check`` is the certificate of
 ``split_raw_derivation`` on the map's matrix.  The square test of
@@ -31,23 +35,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incalg.derivations import (
-    DerivationSpec, leibniz_check, split_raw_derivation,
+    DerivationSpec, additive_is_inner, leibniz_check, split_raw_derivation,
 )
 from incalg.errors import (
-    IncalgError, NotADerivation, NotAMorphism, NotAnInvolution, NotAUnit,
-    NotInvolutive, NotUnital, ParseError, UpperRightNonzero,
+    BadSign, IncalgError, NotADerivation, NotAMorphism, NotAnInvolution,
+    NotAUnit, NotInvolutive, NotUnital, ParseError, UpperRightNonzero,
+    WitnessFailed,
 )
 from incalg.fia import IncFn, IncidenceAlgebra
 from incalg.fields import QQ, PrimeField
 from incalg.idealization import (
-    DElem, DLinearMap, central_pair, d_basis, d_one, inner_auto,
+    DElem, DLinearMap, _split, central_pair, d_basis, d_one, inner_auto,
     lift_morphism,
 )
 from incalg.involutions import (
     ClassInvariant, InvolutionSpec, _verify_intertwiner, build, classify,
-    equivalent_inner, recognize, rho_eps,
+    equivalent_inner, recognize, require_classifiable, rho_eps,
 )
-from incalg.morphisms import FiaMorphism, FiLinearMap, decompose
+from incalg.morphisms import (
+    FiaMorphism, FiLinearMap, decompose, multiplicative_is_inner,
+)
 from incalg.posets import PosetMap, Poset, lambda_decomposition
 
 from conftest import blocks, chain, coords
@@ -255,6 +262,60 @@ def ref_matrix(x):
     if isinstance(x, InvolutionSpec):
         return DLinearMap.from_function(x.alg, x.apply)
     return FiLinearMap.from_function(x.alg, x.apply)
+
+
+def ref_recognize(raw):
+    """``recognize`` when its factoring route (``ref_factor``) called the
+    certified ``decompose`` and ``split_raw_derivation``, verbatim: three
+    whole-matrix certificates per accepted input instead of one."""
+    alg = raw.alg
+    require_classifiable(alg.poset, alg.field)
+    n = alg.npairs
+    if any(any(num[:n]) for num in raw.nums[n:]):  # read on the stored form
+        raise UpperRightNonzero("bimodule-to-ring block must vanish")
+    one = d_one(alg)
+    if raw.apply(one) != one:
+        raise NotAnInvolution("map does not fix the unity")
+    try:
+        spec = ref_factor(raw, [_split(alg, *col)
+                                for col in zip(raw.nums[:n], raw.dens)])
+    except (NotAMorphism, NotUnital, NotADerivation, NotAUnit, BadSign,
+            NotInvolutive) as exc:
+        raise NotAnInvolution(f"map is not an involution: {exc}") from exc
+    if spec.to_linear() != raw:
+        raise NotAnInvolution("normal form does not reproduce the input")
+    return spec
+
+
+def ref_factor(raw, ring_columns):
+    """``involutions._factor`` on the certified ``decompose`` and
+    ``split_raw_derivation``, verbatim."""
+    alg = raw.alg
+    m11 = decompose(FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]),
+                    anti=True)
+    lam = m11.posetmap
+    if not lam.is_involution():
+        raise NotAnInvolution("induced poset map is not an involution")
+    g = raw.apply(DElem(alg.zero(), alg.delta())).i
+    if not (g.is_unit() and alg.is_central(g)):
+        raise NotAnInvolution("residual bimodule action is not central")
+    x0 = alg.poset.elements[0]
+    k = g[x0, x0]
+    der_map = FiLinearMap._of(alg, [m11.apply(c.i)._vector()
+                                    for c in ring_columns])
+    spec_d = split_raw_derivation(der_map)
+    diag_witness = additive_is_inner(alg, spec_d.tau)
+    if diag_witness is None:
+        raise WitnessFailed("hypothesis check admitted a bad poset: no "
+                            "additive witness")
+    j = spec_d.inner + diag_witness
+    eta = multiplicative_is_inner(alg, m11.sigma)
+    if eta is None:
+        raise WitnessFailed("hypothesis check admitted a bad poset: no "
+                            "multiplicative witness")
+    m = m11.u * alg.diagonal(eta)
+    theta = DElem(m, m * j.permuted(lam.pair_permutation()))
+    return build(alg, theta, lam, k)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -474,6 +535,68 @@ def gated_matrices(draw):
 @given(gated_matrices())
 def test_recognize_matches_reference_on_drawn_matrices(raw):
     same_verdict_as_reference(raw)
+
+
+# -- recognize against its certified factoring route ---------------------------
+
+
+# The one message the single certificate changes: an input whose ring or
+# derivation block the certified route rejected at its own recomposition is
+# now rejected at the normal form's.
+RECOMPOSITION = ("map is not an involution: recomposition does not "
+                 "reproduce the input")
+NORMAL_FORM = "normal form does not reproduce the input"
+
+
+def recognition(fn, raw):
+    """("ok", the spec's JSON) or (exception type, message)."""
+    try:
+        return "ok", fn(raw).to_json()
+    except IncalgError as exc:
+        return type(exc), str(exc)
+
+
+def same_recognition_as_route(raw):
+    """recognize and ref_recognize accept the same input with the same
+    spec, or reject it with the same exception type and the same message
+    up to the one change; returns whether the message changed."""
+    got, want = recognition(recognize, raw), recognition(ref_recognize, raw)
+    if got == want:
+        return False
+    assert got[0] is want[0] is NotAnInvolution, (got, want)
+    assert (got[1], want[1]) == (NORMAL_FORM, RECOMPOSITION), (got, want)
+    return True
+
+
+@pytest.mark.parametrize("name, field", CONTEXTS)
+def test_recognize_matches_certified_route(name, field):
+    """Every representative of every poset involution, both signs, under
+    seeded conjugators: the same spec as the certified route."""
+    alg = IncidenceAlgebra(POSETS[name], field)
+    rng = random.Random(f"route:{name}:{field!r}")
+    for specs in involutions_of(alg):
+        assert {spec.sign_int() for spec in specs} == {1, -1}
+        for spec in specs:
+            for _ in range(2):
+                raw = conjugated(spec.to_linear(), small_unit(alg, rng))
+                assert recognition(recognize, raw)[0] == "ok"
+                assert not same_recognition_as_route(raw)
+
+
+@pytest.mark.parametrize("name, field", [("chain3", F3), ("diamond", F5),
+                                         ("wide-diamond", QQ)],
+                         ids=["chain3-F3", "diamond-F5", "wide-diamond-Q"])
+def test_every_perturbation_matches_certified_route(name, field):
+    """Every one-entry perturbation of one involution: the same outcome as
+    the certified route, and some rejections take the changed message."""
+    alg = IncidenceAlgebra(POSETS[name], field)
+    spec = involutions_of(alg)[0][-1]
+    raw = conjugated(spec.to_linear(), small_unit(alg, random.Random(7)))
+    assert recognition(recognize, raw)[0] == "ok"
+    n = len(raw.cols)
+    changed = sum(same_recognition_as_route(perturbed(raw, i, j))
+                  for i in range(n) for j in range(n))
+    assert changed
 
 
 # -- the closed forms: square, intertwiner, certificate columns ---------------

@@ -279,14 +279,14 @@ def test_poset_info_loads_no_pathlib_or_random(posets):
 
 
 def test_deferred_imports_read_the_module_binding(monkeypatch):
-    """``recognize`` imports ``decompose`` and ``split_raw_derivation`` when
-    it runs, so a wrapper put on their home modules afterwards (as the
-    benchmark's tracer does) sees every call."""
+    """``recognize`` imports the readers ``_read_morphism`` and
+    ``_read_derivation`` when it runs, so a wrapper put on their home
+    modules afterwards (as the benchmark's tracer does) sees every call."""
     import incalg.derivations
     import incalg.morphisms
     calls = []
-    for module, name in ((incalg.morphisms, "decompose"),
-                         (incalg.derivations, "split_raw_derivation")):
+    for module, name in ((incalg.morphisms, "_read_morphism"),
+                         (incalg.derivations, "_read_derivation")):
         def counted(*args, _original=getattr(module, name), _name=name,
                     **kwargs):
             calls.append(_name)
@@ -297,4 +297,4 @@ def test_deferred_imports_read_the_module_binding(monkeypatch):
     rep = classify(alg.poset, lam, alg.field).representatives[-1]
     raw = _conjugate(rep, 11).to_linear()
     assert recognize(raw).to_linear() == raw
-    assert calls == ["decompose", "split_raw_derivation"]
+    assert calls == ["_read_morphism", "_read_derivation"]

@@ -501,3 +501,52 @@ def test_morphism_columns_match_element_reference(request, name, field):
             assert_canonical(got)
     assert {mu.anti for mu in maps} == (
         {False} if name in ("vee", "wedge") else {False, True})
+
+
+# -- reference: FiaMorphism.apply on elements ---------------------------------
+
+
+def ref_morphism_apply(m, f):
+    """``FiaMorphism.apply`` on elements: the relabel, the entrywise
+    scaling and the two products, each an IncFn."""
+    if f.alg != m.alg:
+        raise ContextMismatch("morphism and argument over different contexts")
+    moved = m._scale.entrywise(f.permuted(m._perm))
+    return m.u * moved * m.u_inv
+
+
+@pytest.mark.parametrize("field", WRITER_FIELDS, ids=["F3", "F5", "Q"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_morphism_apply_matches_element_reference(request, name, field):
+    """``FiaMorphism.apply`` runs on the stored form and gives the
+    reference's numerators and denominators exactly: inner maps, the plain
+    relabel by every automorphism and anti-automorphism, and each of those
+    with a random unit and a cocycle sigma that is not identically one,
+    applied to random elements (over Q also large and mixed-denominator
+    ones)."""
+    poset = _poset(request, name)
+    alg = IncidenceAlgebra(poset, field)
+    rng = random.Random(f"morphism-apply:{name}:{field!r}")
+    maps = [FiaMorphism.inner(alg, alg.random_unit(rng)) for _ in range(2)]
+    for mu in poset.automorphisms() + poset.anti_automorphisms():
+        maps.append(FiaMorphism.induced(alg, mu))
+        sigma = {}
+        while poset.strict_pairs and all(v == 1 for v in sigma.values()):
+            eta = {x: field.random_nonzero(rng) for x in poset.elements}
+            sigma = {(x, y): field.div(eta[x], eta[y])
+                     for x, y in poset.strict_pairs}
+        maps.append(FiaMorphism(alg, u=alg.random_unit(rng), sigma=sigma,
+                                posetmap=mu))
+    assert any(m.anti for m in maps) == (name not in ("vee", "wedge"))
+    operands = [alg.random(rng) for _ in range(3)] + [alg.zero(), alg.delta()]
+    if field.modulus is None:
+        operands += _q_operands(alg, rng)
+    for m in maps:
+        for f in operands:
+            got, want = m.apply(f), ref_morphism_apply(m, f)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert_canonical(got)
+    other = IncidenceAlgebra(poset, PrimeField(7)).zero()
+    for m in maps[:1] + maps[-1:]:
+        with pytest.raises(ContextMismatch):
+            m.apply(other)
