@@ -16,9 +16,10 @@ off the column transform of the whole poset's Smith form.
 from .errors import (
     ContextMismatch, InvalidCocycle, NotADerivation, WitnessFailed,
 )
-from .fia import _over_one
+from .fia import IncFn, _over_one
 from .morphisms import (
-    FiLinearMap, coboundary, _complete_cocycle, validate_cocycle,
+    FiLinearMap, _check_chains, _coboundary, _complete_cocycle,
+    _strict_values, validate_cocycle,
 )
 from .snf import _der_inner_rule, _smith_reading, cocycle_obstruction
 
@@ -29,15 +30,20 @@ def validate_additive_cocycle(alg, tau):
 
 
 class DerivationSpec:
-    """A derivation presented as inner part plus additive part."""
+    """A derivation presented as inner part plus additive part.  The
+    additive cocycle is kept as the entry scaling it defines; ``tau`` reads
+    it back as a dict when asked.  ``_scale``, an entry scaling whose
+    cocycle the caller has checked, stands in for ``tau``."""
 
-    def __init__(self, alg, inner=None, tau=None):
+    def __init__(self, alg, inner=None, tau=None, _scale=None):
         self.alg = alg
         self.inner = inner if inner is not None else alg.zero()
         if self.inner.alg != alg:
             raise ContextMismatch("inner part over a different context")
-        self.tau, self._tau_scale = _complete_cocycle(
+        self._tau_scale = _scale if _scale is not None else _complete_cocycle(
             alg, tau, alg.field.zero, validate_additive_cocycle)
+
+    tau = property(lambda self: _strict_values(self._tau_scale))
 
     def apply(self, f):
         if f.alg != self.alg:
@@ -50,17 +56,14 @@ class DerivationSpec:
         e_pq i - i e_pq + tau(p, q) e_pq, that is row q of i moved to row
         p, minus column p of i moved to column q, plus the tau entry.  The
         columns are written on the numerators of i and tau over one
-        denominator."""
+        denominator, the two products by ``IncidenceAlgebra.rank_one`` with
+        the unity's numerators as the other factor."""
         alg = self.alg
-        poset, index = alg.poset, alg.pair_index
         i, tau, den = _over_one(self.inner, self._tau_scale)
-        cols = []
-        for k, (p, q) in enumerate(alg.pairs):
-            col = [0] * alg.npairs
-            for y in poset.up(q):
-                col[index[(p, y)]] = i[index[(q, y)]]
-            for x in poset.down(p):
-                col[index[(x, q)]] -= i[index[(x, p)]]
+        one, cols = alg.delta().num, []
+        for k in range(alg.npairs):
+            col = [a - b for a, b in zip(alg.rank_one(k, one, i),
+                                         alg.rank_one(k, i, one))]
             col[k] += tau[k]
             cols.append(alg._normal(col, den))
         return FiLinearMap._of(alg, cols)
@@ -89,14 +92,11 @@ def leibniz_check(alg, d):
 
 def additive_is_inner(alg, tau):
     """A diagonal witness f with tau(x,y) = f(y,y) - f(x,x), or None: f is
-    -phi for the ``morphisms.coboundary`` phi of tau over K, so f is zero
+    -phi for the ``morphisms._coboundary`` phi of tau over K, so f is zero
     at the first element of each component of the comparability graph."""
-    field = alg.field
     tau = validate_additive_cocycle(alg, tau)
-    phi = coboundary(alg.poset, tau, field.sub, field.add, field.zero)
-    if phi is None:
-        return None
-    return alg.diagonal({x: field.neg(v) for x, v in phi.items()})
+    phi = _coboundary(alg, [tau.get(p) for p in alg.pairs], True)
+    return None if phi is None else -IncFn(alg, phi)
 
 
 def der_equals_ider(poset, field):
@@ -154,13 +154,14 @@ def _read_derivation(raw):
     i(y,y) - i(x,x) and vanishes, so the diagonal of i is constant on each
     component and is normalized to zero.  Its (x,y) entry at e_xx is
     i(x,y) for x < y, and tau is zero on e_xx, so i(x,y) = D(e_xx)(x,y).
+    Both are gathered on the stored form (``ColumnMap._gather``), zero on
+    the diagonal, and the cocycle is checked once, here.
     """
-    alg = raw.alg
-    index = alg.pair_index
-    tau = {p: raw._entry(index[p], index[p]) for p in alg.poset.strict_pairs}
-    inner = alg.element({(x, y): raw._entry(index[(x, x)], index[(x, y)])
-                         for x, y in alg.poset.strict_pairs})
+    alg, ends = raw.alg, raw.alg._ends
+    tau = raw._gather([None if x == y else k for k, (x, y) in enumerate(ends)])
     try:
-        return DerivationSpec(alg, inner=inner, tau=tau)
+        _check_chains(alg, tau.vals, alg.field.add, "additive chain identity")
     except InvalidCocycle as exc:
         raise NotADerivation(f"entry scaling is not a cocycle: {exc}") from exc
+    inner = raw._gather([None if x == y else x for x, y in ends])
+    return DerivationSpec(alg, inner=inner, _scale=tau)

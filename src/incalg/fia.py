@@ -62,14 +62,14 @@ class IncidenceAlgebra:
         self.field = field
         self.pairs = poset.pairs
         self.npairs = len(self.pairs)
-        self.pair_index = poset.pair_index
+        self.pair_index = index = poset.pair_index
         # conv[k] lists the index pairs (i, j) contributing f[i]*g[j] to
         # entry k of a product
         conv = []
         for x, y in self.pairs:
             terms = []
             for z in poset.between(x, y):
-                terms.append((self.pair_index[(x, z)], self.pair_index[(z, y)]))
+                terms.append((index[(x, z)], index[(z, y)]))
             conv.append(tuple(terms))
         self.conv = tuple(conv)
         # rank_one_terms[k] lists, for e_ab at pair index k, the triples
@@ -78,8 +78,7 @@ class IncidenceAlgebra:
         down = {x: poset.down(x) for x in poset.elements}
         up = {x: poset.up(x) for x in poset.elements}
         self.rank_one_terms = tuple(
-            tuple((self.pair_index[(x, y)], self.pair_index[(x, a)],
-                   self.pair_index[(b, y)])
+            tuple((index[(x, y)], index[(x, a)], index[(b, y)])
                   for x in down[a] for y in up[b])
             for a, b in self.pairs)
         self._diag = tuple(k for k, (x, y) in enumerate(self.pairs) if x == y)
@@ -99,12 +98,36 @@ class IncidenceAlgebra:
         """Back-substitution order for ``IncFn.inverse``: per pair index k
         = (x, y), by interval size, the index of (x, x) and the terms of
         conv[k] other than the one through (x, x)."""
-        plan = []
-        for k in sorted(range(self.npairs), key=lambda k: len(self.conv[k])):
-            x = self.pairs[k][0]
-            dk = self.pair_index[(x, x)]
-            plan.append((k, dk, tuple(ij for ij in self.conv[k] if ij[0] != dk)))
-        return tuple(plan)
+        conv, ends = self.conv, self._ends
+        return tuple((k, ends[k][0], tuple(ij for ij in conv[k]
+                                           if ij[0] != ends[k][0]))
+                     for k in sorted(range(self.npairs), key=lambda k: len(conv[k])))
+
+    @cached_property
+    def _ends(self):
+        """Per pair index k = (x, y), the pair indices of (x, x) and (y, y)."""
+        index = self.pair_index
+        return tuple((index[(x, x)], index[(y, y)]) for x, y in self.pairs)
+
+    @cached_property
+    def _chains(self):
+        """The pair indices of (x, z), (z, y) and (x, y) for each chain
+        x < z < y, in the order of ``Poset.chains``: the cocycle identities
+        run over these triples."""
+        index = self.pair_index
+        return tuple((index[(x, z)], index[(z, y)], index[(x, y)])
+                     for x, z, y in self.poset.chains)
+
+    @cached_property
+    def _tree(self):
+        """``Poset.spanning_tree`` on pair indices: per step (v, w), the
+        indices of (w, w), of (v, v) and of the comparable pair of v and w,
+        and whether that pair is (v, w); at a root, where v is None, the
+        index of (w, w) and three Nones."""
+        index = self.pair_index
+        return tuple((index[(w, w)], None, None, None) if v is None else (
+            index[(w, w)], index[(v, v)], index.get((v, w), index.get((w, v))),
+            (v, w) in index) for v, w in self.poset.spanning_tree())
 
     @cached_property
     def _centre(self):
@@ -379,20 +402,16 @@ class IncFn:
 
     @property
     def vals(self):
-        """The values as field elements, ``Fraction``s over Q."""
-        alg = self.alg
-        if alg.field.modulus is not None:  # the residues themselves
-            return self.num
-        return alg._values(self.num, self.den)
+        """The values as field elements, ``Fraction``s over Q: over F_p
+        the residues themselves."""
+        return self.alg._values(self.num, self.den)
 
     def __getitem__(self, xy):
         alg = self.alg
         k = alg.pair_index.get(xy)
         if k is None:
             return alg.field.zero
-        if alg.field.modulus is not None:
-            return self.num[k]
-        return alg.field.fraction(self.num[k], self.den)
+        return alg._values((self.num[k],), self.den)[0]
 
     def __add__(self, other):
         _check_context(self, other)
@@ -547,9 +566,14 @@ class ColumnMap:
         return tuple([self.alg._values(num, den)
                       for num, den in zip(self.nums, self.dens)])
 
-    def _entry(self, j, t):
-        """Entry t of column j, as a field element."""
-        return self.alg._values((self.nums[j][t],), self.dens[j])[0]
+    def _gather(self, cols):
+        """The element whose entry t is entry t of column cols[t], or zero
+        where cols[t] is None, written on the stored form over the lcm of
+        the denominators of the columns read."""
+        nums, dens = self.nums, self.dens
+        d = lcm(*[dens[j] for j in cols if j is not None])
+        return self.alg._make([0 if j is None else nums[j][t] * (d // dens[j])
+                               for t, j in enumerate(cols)], d)
 
     def _image(self, num, den):
         """The stored-form image of the stored-form vector (num, den): the
@@ -561,9 +585,7 @@ class ColumnMap:
         acc = [0] * len(nums)
         for j in used:
             c = num[j] * (d // dens[j])
-            for r, v in enumerate(nums[j]):
-                if v:
-                    acc[r] += c * v
+            acc = [a + c * v for a, v in zip(acc, nums[j])]
         return self.alg._normal(acc, d * den)
 
     def image(self, vec):

@@ -22,9 +22,9 @@ from .errors import (
     NotConnected, NotInvolutive, NotSymmetric, NotASquare, NotUnital,
     ParseError, UpperRightNonzero, WitnessFailed, ZeroEpsilon,
 )
-from .fia import IncidenceAlgebra, _over_one
+from .fia import IncFn, IncidenceAlgebra, _over_one
 from .idealization import (
-    DElem, DLinearMap, _split, central_pair, d_from_json, d_one,
+    DElem, DLinearMap, central_pair, d_from_json, d_one,
 )
 from .posets import PosetMap, _members, lambda_decomposition
 from .snf import check_hypotheses
@@ -114,6 +114,20 @@ class InvolutionSpec:
     def decomposition(self):
         return lambda_decomposition(self.alg.poset, self.lam)
 
+    @cached_property
+    def _gamma_table(self):
+        """The pair indices of the classes of ``symmetric_decompose``'s table
+        on this spec's split, read once per spec: (x, y) from the lower part
+        to the upper part; (x, y) from a fixed point or the upper part to
+        the upper part; x = y fixed.  Every other pair x <= y starts in the
+        lower part and ends in it or at a fixed point (the lower part is
+        down-closed, the upper part up-closed, and no two fixed points are
+        comparable), where gamma takes the unity's entry."""
+        side = self.decomposition().side
+        sides = [(side(x), side(y)) for x, y in self.alg.pairs]
+        return tuple([k for k, s in enumerate(sides) if s in c]
+                     for c in ({(-1, 1)}, {(0, 1), (1, 1)}, {(0, 0)}))
+
     def central_ratio(self):
         """(k0, k1) with base(theta) = [k0 delta; k1 delta] theta.  r base(r)
         = 1 gives k0^2 = 1, and k1 = 0 for the positive sign except over F2.
@@ -144,9 +158,7 @@ class InvolutionSpec:
         k0, k1 = self.central_ratio()
         if self.k == field.one:
             return self.theta, k0
-        half = field.inv(field(2))
-        gamma = central_pair(self.alg, k0, field.mul(k1, half)) * self.theta
-        return gamma, k0
+        return central_pair(self.alg, k0, field.div(k1, field(2))) * self.theta, k0
 
     def _reduce(self, base=None):
         """(base, gamma) with conj(gamma^-1) o self = base o conj(gamma^-1),
@@ -317,7 +329,10 @@ def symmetric_decompose(theta, base):
     lower part or a fixed point; theta's entry from a fixed point or the
     upper part to the upper part.  What is left is x = y fixed, where the
     ring coordinate is an exact square root of f(x, x), and otherwise
-    NotASquare lists the offenders.
+    NotASquare lists the offenders.  The classes are the pair-index lists
+    of ``base._gamma_table``: gamma starts as the unity and zero, its
+    entries are written on them, one list per coordinate, and ``IncFn``
+    lifts each list to the stored form.
     """
     alg = base.alg
     field = alg.field
@@ -325,27 +340,20 @@ def symmetric_decompose(theta, base):
         raise ContextMismatch("unit over a different context")
     if base.apply(theta) != theta:
         raise NotSymmetric("unit is not symmetric for the base involution")
-    decomp = base.decomposition()
-    f, i = theta.f, theta.i
-    offenders = [x for x in decomp.fixed if not field.is_square(f[x, x])]
+    halves, copies, fixed = base._gamma_table
+    f, i = theta.f.vals, theta.i.vals
+    roots = {k: field.sqrt(f[k]) for k in fixed}
+    offenders = [alg.pairs[k][0] for k, r in roots.items() if r is None]
     if offenders:
         raise NotASquare(f"non-square ring diagonal at {offenders}", offenders)
-    half = field.inv(field(2))
-    side = decomp.side
-    v_vals, j_vals = {}, {}
-    for x, y in alg.pairs:
-        sx, sy = side(x), side(y)
-        if sx == -1 and sy == 1:
-            v, j = field.mul(f[x, y], half), field.mul(i[x, y], half)
-        elif sx == -1:
-            v, j = field.one if x == y else field.zero, field.zero
-        elif sy == 1:
-            v, j = f[x, y], i[x, y]
-        else:  # x == y in the fixed part
-            v = field.sqrt(f[x, x])
-            j = field.mul(i[x, x], field.inv(field.mul(field(2), v)))
-        v_vals[(x, y)], j_vals[(x, y)] = v, j
-    gamma = DElem(alg.element(v_vals), alg.element(j_vals))
+    mul, half = field.mul, field.inv(field(2))
+    v, j = list(alg.delta().vals), [field.zero] * alg.npairs
+    for ks, c in ((halves, half), (copies, field.one)):
+        for k in ks:
+            v[k], j[k] = mul(f[k], c), mul(i[k], c)
+    for k, r in roots.items():
+        v[k], j[k] = r, mul(mul(i[k], half), field.inv(r))
+    gamma = DElem(IncFn(alg, v), IncFn(alg, j))
     if gamma * base.apply(gamma) != theta:  # only a library defect gets here
         raise WitnessFailed("symmetric table does not factor the unit")
     return gamma
@@ -381,8 +389,7 @@ def recognize(raw):
     if raw.apply(one) != one:
         raise NotAnInvolution("map does not fix the unity")
     try:
-        spec = _factor(raw, [_split(alg, *col)
-                             for col in zip(raw.nums[:n], raw.dens)])
+        spec = _factor(raw)
     except (NotAMorphism, NotUnital, NotADerivation, NotAUnit, BadSign,
             NotInvolutive) as exc:
         raise NotAnInvolution(f"map is not an involution: {exc}") from exc
@@ -391,7 +398,7 @@ def recognize(raw):
     return spec
 
 
-def _factor(raw, ring_columns):
+def _factor(raw):
     """The normal form ``recognize`` reads off raw, uncertified, which for
     a genuine involution equals it; on any other input a step may raise a
     typed rejection or return a form that differs from raw.  Neither block
@@ -399,43 +406,45 @@ def _factor(raw, ring_columns):
     both witness searches run on cocycles the readers have validated,
     which the classification gate makes inner.
 
-    ``ring_columns`` are raw's images of the ring basis elements [e_k; 0];
+    raw's images of the ring basis elements [e_k; 0] are its first columns:
     their ring coordinates form the ring block b11 and their bimodule ones
-    the block b21.  b11 decomposes as m11.  For an involution with vanishing
-    b12, b11 is its own inverse, and the block-diagonal lift of m11 after
-    raw is [[id, 0], [g D, g .]] for a central unit g and a derivation D.
-    Both are read off raw's columns: g is the bimodule image of [0; delta],
-    k delta on the connected poset (so m11 fixes it), and column t of g D
-    is m11(b21[t]); the split and witness of k D are k times those of D.
+    the block b21, each read off the stored form as a slice of the
+    numerators over the column's denominator.  b11 decomposes as m11.  For
+    an involution with vanishing b12, b11 is its own inverse, and the
+    block-diagonal lift of m11 after raw is [[id, 0], [g D, g .]] for a
+    central unit g and a derivation D.  Both are read off raw's columns: g
+    is the bimodule image of [0; delta], k delta on the connected poset (so
+    m11 fixes it), and column t of g D is m11(b21[t]); the split and
+    witness of k D are k times those of D.
+    The two witnesses are solved by ``morphisms._coboundary`` on the
+    scalings the readers checked, and lifted to diagonal elements on the
+    stored form.
     """
-    from .derivations import _read_derivation, additive_is_inner
-    from .morphisms import FiLinearMap, _read_morphism, multiplicative_is_inner
-    alg = raw.alg
+    from .derivations import _read_derivation
+    from .morphisms import FiLinearMap, _coboundary, _read_morphism
+    alg, n = raw.alg, raw.alg.npairs
+    columns = list(zip(raw.nums[:n], raw.dens))
     m11 = _read_morphism(
-        FiLinearMap._of(alg, [c.f._vector() for c in ring_columns]), True)
-    lam = m11.posetmap
-    if not lam.is_involution():
+        FiLinearMap._of(alg, [(num[:n], den) for num, den in columns]), True)
+    if not m11.posetmap.is_involution():
         raise NotAnInvolution("induced poset map is not an involution")
     g = raw.apply(DElem(alg.zero(), alg.delta())).i
     if not (g.is_unit() and alg.is_central(g)):
         raise NotAnInvolution("residual bimodule action is not central")
-    x0 = alg.poset.elements[0]
-    k = g[x0, x0]
-    der_map = FiLinearMap._of(alg, [m11.apply(c.i)._vector()
-                                    for c in ring_columns])
-    spec_d = _read_derivation(der_map)
-    diag_witness = additive_is_inner(alg, spec_d.tau)
-    if diag_witness is None:
+    k = g.vals[alg._diag[0]]  # g = k delta
+    spec_d = _read_derivation(FiLinearMap._of(
+        alg, [m11._image(num[n:], den) for num, den in columns]))
+    phi = _coboundary(alg, spec_d._tau_scale.vals, True)
+    if phi is None:
         raise WitnessFailed("hypothesis check admitted a bad poset: no "
                             "additive witness")
-    j = spec_d.inner + diag_witness
-    eta = multiplicative_is_inner(alg, m11.sigma)
+    j = spec_d.inner - IncFn(alg, phi)  # the witness is -phi
+    eta = _coboundary(alg, m11._scale.vals, False)
     if eta is None:
         raise WitnessFailed("hypothesis check admitted a bad poset: no "
                             "multiplicative witness")
-    m = m11.u * alg.diagonal(eta)
-    theta = DElem(m, m * j.permuted(lam.pair_permutation()))
-    return build(alg, theta, lam, k)
+    m = m11.u * IncFn(alg, eta)
+    return build(alg, DElem(m, m * j.permuted(m11._perm)), m11.posetmap, k)
 
 
 def involution_from_json(alg, obj):

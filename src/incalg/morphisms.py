@@ -7,10 +7,13 @@ Every unital algebra (anti-)automorphism factors as
 and ``decompose`` recovers that factorization from a raw matrix (a
 ``FiLinearMap``, the algebra's ``fia.ColumnMap``), certified by exact
 recomposition on the whole basis.  The relabeling is the poset map's
-``pair_permutation``; the scaling is a cocycle checked by
-``validate_cocycle`` on every chain x < z < y, and an inner witness for
-it is found by ``coboundary`` along ``Poset.spanning_tree``; the additive
-cocycles of ``derivations`` share both, over K in place of K*.
+``pair_permutation``; the scaling is a cocycle, held as the entrywise
+scaling it defines (an ``IncFn``, one on the diagonal) and checked on every
+chain x < z < y by ``_check_chains`` over the pair-index triples
+``IncidenceAlgebra._chains``, and an inner witness for it is found by
+``_coboundary`` along the pair-index spanning tree
+``IncidenceAlgebra._tree``; the additive cocycles of ``derivations`` share
+both, over K in place of K*.
 
 ``mult_subset_inn`` decides whether every multiplicative automorphism is
 inner by the rule ``snf.check_hypotheses`` applies to
@@ -63,39 +66,53 @@ def validate_cocycle(alg, values, combine, kind):
         if p not in alg.pair_index or p[0] == p[1]:
             raise InvalidCocycle(f"value at {p!r}, which is not a strict pair")
     full = {p: field(v) for p, v in values.items()}
-    for x, z, y in alg.poset.chains:
-        if combine(full[(x, z)], full[(z, y)]) != full[(x, y)]:
-            raise InvalidCocycle(f"{kind} fails on {x},{z},{y}")
+    _check_chains(alg, [full.get(p) for p in alg.pairs], combine, kind)
     return full
 
 
-def coboundary(poset, values, div, mul, one):
-    """A potential phi with div(phi(x), phi(y)) = values(x, y) on every
-    strict pair, or None: propagated along ``Poset.spanning_tree`` from
-    ``one`` at each root, where mul(div(a, b), b) = a, then checked."""
-    phi = {}
-    for v, w in poset.spanning_tree():
-        if v is None:
-            phi[w] = one
-        elif poset.leq(v, w):
-            phi[w] = div(phi[v], values[(v, w)])
-        else:
-            phi[w] = mul(values[(w, v)], phi[v])
-    for x, y in poset.strict_pairs:
-        if div(phi[x], phi[y]) != values[(x, y)]:
-            return None
-    return phi
+def _check_chains(alg, vals, combine, kind):
+    """Raise InvalidCocycle at the first chain x < z < y, in the order of
+    ``Poset.chains``, with combine(v(x,z), v(z,y)) != v(x,y), for the
+    values ``vals`` on pair indices; ``kind`` names that identity."""
+    for (i, j, k), (x, z, y) in zip(alg._chains, alg.poset.chains):
+        if combine(vals[i], vals[j]) != vals[k]:
+            raise InvalidCocycle(f"{kind} fails on {x},{z},{y}")
+
+
+def _coboundary(alg, vals, additive):
+    """A potential phi with div(phi(x), phi(y)) = vals[k] at the index k of
+    every strict pair (x, y), or None, where div is the field's division,
+    or its subtraction when ``additive``: propagated along
+    ``IncidenceAlgebra._tree`` from one (zero) at each root, then checked
+    as phi(x) = mul(vals[k], phi(y)), mul the field's multiplication (its
+    addition), with no division: a multiplicative phi is nonzero, since
+    the cocycle is.  phi is a list on pair indices, phi(x) at (x, x) and
+    zero off the diagonal, so ``IncFn`` lifts it to the diagonal element
+    of phi."""
+    field = alg.field
+    div, mul, one = ((field.sub, field.add, field.zero) if additive
+                     else (field.div, field.mul, field.one))
+    phi = [field.zero] * alg.npairs
+    for w, v, k, below in alg._tree:
+        phi[w] = (one if v is None else div(phi[v], vals[k]) if below
+                  else mul(vals[k], phi[v]))
+    return phi if all(mul(s, phi[y]) == phi[x]
+                      for (x, y), s in zip(alg._ends, vals) if x != y) else None
 
 
 def _complete_cocycle(alg, values, default, validate):
-    """(full, scale): ``values`` with ``default`` on each strict pair it
-    omits, checked by ``validate``, and the entrywise scaling by it, an
-    IncFn that is ``default`` on the diagonal."""
+    """The entrywise scaling by ``values`` with ``default`` on each strict
+    pair it omits, checked by ``validate``: an IncFn that is ``default``
+    on the diagonal."""
     full = dict(values or {})
-    for p in alg.poset.strict_pairs:
-        full.setdefault(p, default)
-    full = validate(alg, full)
-    return full, IncFn(alg, tuple(full.get(p, default) for p in alg.pairs))
+    full = validate(alg, full | {p: default for p in alg.poset.strict_pairs
+                                 if p not in full})
+    return IncFn(alg, tuple(full.get(p, default) for p in alg.pairs))
+
+
+def _strict_values(scale):
+    """The {strict pair: value} dict of a scaling's off-diagonal entries."""
+    return {p: v for p, v in zip(scale.alg.pairs, scale.vals) if p[0] != p[1]}
 
 
 def validate_multiplicative_cocycle(alg, sigma):
@@ -117,10 +134,13 @@ class FiaMorphism:
     ``anti`` is read off the poset map: order-reversing maps act by
     f |-> f(map^-1(y), map^-1(x)) and give algebra anti-automorphisms.
     A unit over another algebra, or a poset map not from and onto the
-    algebra's poset, raises ContextMismatch.
+    algebra's poset, raises ContextMismatch.  The cocycle is kept as the
+    entrywise scaling it defines; ``sigma`` reads it back as a dict when
+    asked.  ``_scale``, a scaling whose cocycle the caller has checked,
+    stands in for ``sigma``.
     """
 
-    def __init__(self, alg, u=None, sigma=None, posetmap=None):
+    def __init__(self, alg, u=None, sigma=None, posetmap=None, _scale=None):
         self.alg = alg
         self.u = u if u is not None else alg.delta()
         if self.u.alg != alg:
@@ -132,9 +152,11 @@ class FiaMorphism:
         if not self.posetmap.src == self.posetmap.dst == alg.poset:
             raise ContextMismatch("poset map over a different poset")
         self.anti = self.posetmap.anti
-        self.sigma, self._scale = _complete_cocycle(
+        self._scale = _scale if _scale is not None else _complete_cocycle(
             alg, sigma, alg.field.one, validate_multiplicative_cocycle)
         self._perm = self.posetmap.pair_permutation()
+
+    sigma = property(lambda self: _strict_values(self._scale))
 
     @classmethod
     def inner(cls, alg, u):
@@ -146,17 +168,22 @@ class FiaMorphism:
 
     def apply(self, f):
         """u (sigma o relabel(f)) u^-1 on the stored form, with no element
-        built between the steps: one pass gathers f's numerators along the
-        pair permutation and scales them by the scaling's, two kernel calls
-        multiply numerators, and the result is reduced once over the
-        product of the four denominators (over F_p the kernel's residues
-        are the result)."""
+        built between the steps (``_image``), reduced once over the product
+        of the four denominators (over F_p the kernel's residues are the
+        result)."""
         if f.alg != self.alg:
             raise ContextMismatch("morphism and argument over different contexts")
-        alg, num, u, v = self.alg, f.num, self.u, self.u_inv
+        return self.alg._reduced(*self._image(f.num, f.den))
+
+    def _image(self, num, den):
+        """The image of the stored-form vector (num, den), unreduced: one
+        pass gathers the numerators along the pair permutation and scales
+        them by the scaling's, and two kernel calls multiply numerators,
+        over the product of the four denominators."""
+        alg, u, v = self.alg, self.u, self.u_inv
         moved = [s * num[i] for s, i in zip(self._scale.num, self._perm)]
-        image = alg._product(alg._product(u.num, moved), v.num)
-        return alg._reduced(image, u.den * self._scale.den * f.den * v.den)
+        return (alg._product(alg._product(u.num, moved), v.num),
+                u.den * self._scale.den * den * v.den)
 
     def to_linear(self):
         """The matrix of the map, each column in closed form.  The scaled
@@ -226,10 +253,12 @@ def _read_morphism(raw, anti):
     composed.  Column x of the conjugator g is column x of raw'(e_xx), whose
     (x, x) entry is the one mu is read from, so g is a unit with unit
     diagonal; sigma(x,y) is the (x,y) entry of raw'(e_xy), which for a
-    genuine raw is sigma(x,y) g(x,x) / g(y,y).
+    genuine raw is sigma(x,y) g(x,x) / g(y,y), and the same read at (x, x)
+    is that unit entry, so the reads give the whole scaling.  Both are
+    gathered on the stored form (``ColumnMap._gather``), and the cocycle is
+    checked once, here.
     """
     alg = raw.alg
-    field = alg.field
     delta = alg.delta()
     if raw.apply(delta) != delta:
         raise NotUnital("map does not fix the unity")
@@ -237,7 +266,7 @@ def _read_morphism(raw, anti):
     # point idempotent, so its diagonal is an exact indicator, read off the
     # stored form: a value is zero when its numerator is, one when it is
     # the denominator
-    index, elements, points = alg.pair_index, alg.poset.elements, alg._diag
+    elements, points = alg.poset.elements, alg._diag
     mapping = {}
     for x, k in zip(elements, points):  # the point pairs are in element order
         num, den = raw.nums[k], raw.dens[k]
@@ -252,25 +281,25 @@ def _read_morphism(raw, anti):
 
     # raw after the relabel by mu^-1: column k is raw's column perm[k]
     perm = mu.pair_permutation()
-    g = IncFn(alg, tuple([raw._entry(perm[index[(x, x)]], index[(a, x)])
-                          for a, x in alg.pairs]))
-    sigma = {}
-    for x, y in alg.poset.strict_pairs:
-        val = raw._entry(perm[index[(x, y)]], index[(x, y)])
-        if val == field.zero:
-            raise NotAMorphism(f"residual map is not a cocycle scaling at {(x, y)}")
-        sigma[(x, y)] = val
+    g = raw._gather([perm[y] for _, y in alg._ends])
+    scale = raw._gather(perm)
+    for p, v in zip(alg.pairs, scale.num):
+        if not v:
+            raise NotAMorphism(f"residual map is not a cocycle scaling at {p}")
     try:
-        return FiaMorphism(alg, u=g, sigma=sigma, posetmap=mu)
+        _check_chains(alg, scale.vals, alg.field.mul, "chain identity")
     except InvalidCocycle as exc:
         raise NotAMorphism(f"residual scaling is not a cocycle: {exc}") from exc
+    return FiaMorphism(alg, u=g, posetmap=mu, _scale=scale)
 
 
 def multiplicative_is_inner(alg, sigma):
-    """A diagonal witness eta with sigma(x,y) = eta(x) / eta(y), or None."""
-    field = alg.field
+    """A diagonal witness eta with sigma(x,y) = eta(x) / eta(y), or None,
+    as a {point: value} dict in ``Poset.spanning_tree`` order."""
     sigma = validate_multiplicative_cocycle(alg, sigma)
-    return coboundary(alg.poset, sigma, field.div, field.mul, field.one)
+    eta = _coboundary(alg, [sigma.get(p) for p in alg.pairs], False)
+    return None if eta is None else {alg.pairs[w][0]: eta[w]
+                                     for w, *_ in alg._tree}
 
 
 def mult_subset_inn(poset, field):

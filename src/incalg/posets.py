@@ -345,6 +345,7 @@ class PosetMap:
         self.mapping = dict(mapping)
         self.anti = bool(anti)
         self._pair_perm = None  # built by pair_permutation() on first use
+        self._split = None  # built by lambda_decomposition on first use
         if _validated:
             return
         if set(self.mapping) != set(src.elements):
@@ -462,8 +463,12 @@ def lambda_decomposition(poset, lam):
       - so the only clash is a point of down(x) & up(lam x): lam x <= x.
     When lam x < x the other choice cannot clash.  So one comparison per
     orbit finds its lower end a (x, or lam x when lam x < x), and down(a)
-    joins the lower mask and up(lam a) the upper mask.
+    joins the lower mask and up(lam a) the upper mask.  The split is kept on
+    the map (``PosetMap._split``), filled on first use as ``Poset.core``
+    fills its core: every later call on its poset returns the same object.
     """
+    if lam._split is not None and lam.src == poset:
+        return lam._split
     if not (lam.src == poset and lam.is_involution()):
         raise ParseError("decomposition requires an involution on the poset")
     image = [poset.index[lam(x)] for x in poset.elements]
@@ -474,6 +479,7 @@ def lambda_decomposition(poset, lam):
         a, b = (y, x) if poset.downs[x] >> y & 1 else (x, y)
         lower |= poset.downs[a]
         upper |= poset.ups[b]
-    return LambdaDecomposition([poset.elements[i] for i in _bits(lower)],
-                               [poset.elements[i] for i in _bits(upper)],
-                               lam.fixed_points())
+    lam._split = LambdaDecomposition([poset.elements[i] for i in _bits(lower)],
+                                     [poset.elements[i] for i in _bits(upper)],
+                                     lam.fixed_points())
+    return lam._split

@@ -11,7 +11,7 @@ included: its budget is 10 s per poset, and on a 2-core x86-64 machine it
 takes about 0.6 s on RP^2 (90 strict pairs) and 3.5 s on Moore-3 (240).
 
 ``multiplicative_is_inner`` and ``additive_is_inner`` both solve with
-``morphisms.coboundary``.  Their references are the two spanning-tree
+``morphisms._coboundary``.  Their references are the two spanning-tree
 propagations that solver replaced, the additive one with its explicit
 branch for a point comparable with everything (a cone point).  The
 multiplicative witnesses agree exactly; the additive ones agree exactly

@@ -349,6 +349,17 @@ def test_lambda_decomposition_invariants(diamond, crown, fence, wide_diamond):
                 assert all(y in d.upper for y in p.up(x))
 
 
+def test_lambda_decomposition_is_kept_on_the_map(diamond, chain3):
+    """The split is computed once per map and the stored object handed
+    out again; a call naming another poset still refuses the map."""
+    flip = next(m for m in diamond.involutions()
+                if m.mapping == {"0": "1", "1": "0", "a": "a", "b": "b"})
+    d = lambda_decomposition(diamond, flip)
+    assert lambda_decomposition(diamond, flip) is d
+    with pytest.raises(ParseError, match="requires an involution"):
+        lambda_decomposition(chain3, flip)
+
+
 def test_lambda_decomposition_respects_element_order():
     # same chain presented in reversed label order still splits validly
     p = Poset.from_covers(["b", "a"], [("a", "b")])

@@ -5,8 +5,9 @@ asserts or raises an exception class outside the ``IncalgError`` tree
 beyond a fixed allow-list, every ``IncalgError`` subclass is raised
 somewhere, each ``WitnessFailed`` raise has its own message, every private
 module-level helper is read somewhere, no module keeps a module-level memo,
-no module but ``posets`` reads the order bitsets, the CLI imports at module
-level
+no module but ``posets`` reads the order bitsets, the factoring path of
+``recognize`` builds no element from a label-keyed dict, the CLI imports at
+module level
 only the modules every subcommand shares and, from outside the package,
 only json, os and sys, and the brute-force oracle imports no decision
 module."""
@@ -303,6 +304,65 @@ def test_order_reader_is_reported():
                "b.py": ("def g(p):\n"
                         "    return (p.downs, p.down('x'))\n")}
     assert order_readers(sources) == ["a.py:2", "b.py:2"]
+
+
+# The factoring path of ``recognize`` reads and writes its scalars on pair
+# indices of the stored form: none of these functions builds an element
+# from a label-keyed dict (``IncidenceAlgebra.element``, ``.diagonal``) or
+# reads one column entry as a field element (``ColumnMap._entry``).
+STORED_FORM_PATH = {
+    "involutions.py": ("_factor", "symmetric_decompose"),
+    "morphisms.py": ("_read_morphism",),
+    "derivations.py": ("_read_derivation",),
+}
+LABEL_READERS = {"element", "diagonal", "_entry"}
+
+
+def label_calls(sources, functions, names=LABEL_READERS):
+    """``module.function:line name`` for each call, by attribute or by
+    name, of one of ``names`` in the body of each module-level function
+    that ``functions`` (a dict from module name to function names) lists,
+    and ``module.function: missing`` for a listed function that the
+    module, in ``sources`` by name, does not define."""
+    found = []
+    for module, wanted in functions.items():
+        tree = ast.parse(sources[module], filename=module)
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+        for name in wanted:
+            if name not in defs:
+                found.append(f"{module}.{name}: missing")
+                continue
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = (func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None))
+                    if called in names:
+                        found.append(f"{module}.{name}:{node.lineno} {called}")
+    return sorted(found)
+
+
+def test_factoring_path_builds_no_label_keyed_element():
+    assert label_calls({path.name: path.read_text()
+                        for path in sorted(SRC.glob("*.py"))},
+                       STORED_FORM_PATH) == []
+
+
+def test_label_keyed_call_is_reported():
+    sources = {"a.py": ("def _factor(raw, alg):\n"
+                        "    g = alg.element({})\n"
+                        "    return alg.diagonal({}), raw._entry(0, 1), g\n"
+                        "def other(alg):\n"
+                        "    return alg.element({})\n"),
+               "b.py": ("from .fia import element\n"
+                        "def kept(alg):\n"
+                        "    return element(alg.zero())\n")}
+    assert label_calls(sources, {"a.py": ("_factor",),
+                                 "b.py": ("kept", "gone")}) == [
+        "a.py._factor:2 element", "a.py._factor:3 _entry",
+        "a.py._factor:3 diagonal", "b.py.gone: missing",
+        "b.py.kept:3 element"]
 
 
 # Every CLI process runs one subcommand; what the module imports at its top

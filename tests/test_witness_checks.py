@@ -132,15 +132,19 @@ def _every_functional_inner(monkeypatch):
                         lambda alg, tau: alg.zero())
 
 
-def _no_additive_witness(monkeypatch):
-    """No additive cocycle has an inner witness."""
-    monkeypatch.setattr(derivations, "additive_is_inner", lambda alg, tau: None)
+def _no_witness(additive):
+    """A patch under which the spanning-tree solve that ``recognize``'s
+    factoring step runs, ``morphisms._coboundary``, finds no witness for
+    the additive cocycles (``additive``) or for the multiplicative ones."""
+    def patch(monkeypatch):
+        solve = morphisms._coboundary
+        monkeypatch.setattr(morphisms, "_coboundary", lambda alg, vals, kind: (
+            None if kind == additive else solve(alg, vals, kind)))
+    return patch
 
 
-def _no_multiplicative_witness(monkeypatch):
-    """No multiplicative cocycle has an inner witness."""
-    monkeypatch.setattr(morphisms, "multiplicative_is_inner",
-                        lambda alg, sigma: None)
+_no_additive_witness = _no_witness(True)
+_no_multiplicative_witness = _no_witness(False)
 
 
 def _non_root_sqrt(monkeypatch):
